@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -23,9 +23,12 @@ from .errors import (
     TruncationLimitError,
     UnsupportedRegimeError,
 )
-from .linalg import EigenDecomposition, eig_general, integrate_ode, null_space
+from .linalg import EigenDecomposition, integrate_ode, null_space
 from .models import MasterEquation, ModelParams, Superoperator, unvec, vec, vectorize
 from .operators import SystemSpace, atomic_space, make_space
+
+if TYPE_CHECKING:
+    from .spectra import SpectrumReport
 
 #: default slacks for density-matrix invariants at construction time
 HERM_TOL = 1e-10
@@ -34,6 +37,10 @@ POSITIVITY_TOL = 1e-8
 
 #: invariant slack enforced along integrated trajectories
 EVOLUTION_INVARIANT_TOL = 1e-6
+
+#: largest superoperator dimension whose kernel comes from a dense SVD; above
+#: it a shift-invert solve is cheaper (a cost crossover, not a size cap)
+KERNEL_SVD_MAX_DIM = 1500
 
 
 @dataclass(frozen=True)
@@ -216,12 +223,24 @@ def evolve_ode(
 ) -> Trajectory:
     """Integrate rho' = L rho on the grid (grid must start at 0).
 
-    Stiff Liouvillians are handled by passing the sparse generator as the
-    Jacobian.  State invariants are checked at every sample; violations raise
-    instead of being renormalized away.
+    The CSR generator is both the right-hand side (through ``sup.apply``)
+    and the Jacobian of the stiff BDF scheme.  The right-hand side takes
+    d rho_00/dt as minus the other diagonal derivatives, which the generator
+    guarantees: the assembled matrix misses the trace functional by a fixed
+    round-off vector (about 1e-16 of its norm per column), and BDF would
+    integrate that into a trace drift growing linearly in time.  State
+    invariants are checked at every sample; violations raise instead of
+    being renormalized away.
     """
-    jac = sup.dense if sup.dense is not None else sup.as_sparse()
-    raw = integrate_ode(sup.apply, vec(rho0.matrix), t_grid, rtol=rtol, atol=atol, jac=jac)
+    d = rho0.space.dim
+    others = np.arange(1, d) * (d + 1)  # positions of rho_kk, k >= 1, in vec(rho)
+
+    def rhs(v: np.ndarray) -> np.ndarray:
+        out = sup.apply(v)
+        out[0] = -out[others].sum()
+        return out
+
+    raw = integrate_ode(rhs, vec(rho0.matrix), t_grid, rtol=rtol, atol=atol, jac=sup.as_sparse())
     return _as_trajectory(
         raw, t_grid, rho0.space, sup.me.label, validate, invariant_tol
     )
@@ -253,31 +272,6 @@ def evolve_spectral(
     return _as_trajectory(raw, t, rho0.space, model, validate, invariant_tol)
 
 
-def evolve(
-    me: MasterEquation,
-    rho0: DensityMatrix,
-    t_grid: np.ndarray,
-    prefer_spectral: bool | None = None,
-    **kwargs,
-) -> Trajectory:
-    """Evolve under a model, choosing the spectral path when it is safe.
-
-    Spectral evolution requires a dense diagonalization; it is preferred for
-    small generators (and mandatory when oscillation frequencies times the
-    final time are astronomically large).  Falls back to ODE integration when
-    near-defectiveness is detected.
-    """
-    sup = vectorize(me, materialize=me.dim**2 <= 4096)
-    use_spectral = prefer_spectral
-    if use_spectral is None:
-        use_spectral = sup.dense is not None
-    if use_spectral:
-        decomp = eig_general(sup.as_dense())
-        if not decomp.near_defective:
-            return evolve_spectral(decomp, rho0, t_grid, model=me.label, **kwargs)
-    return evolve_ode(sup, rho0, t_grid, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # steady states
 # ---------------------------------------------------------------------------
@@ -286,11 +280,12 @@ def evolve(
 def _kernel_basis(sup: Superoperator, adjoint: bool, zero_tol: float) -> np.ndarray:
     """Orthonormal kernel basis of L (or L^dag), dense or targeted.
 
-    The dense SVD route is kept for small generators; above that the kernel
-    comes from a shift-invert solve near zero (the SVD cost grows cubically
-    and dominates well before the dense cap is reached).
+    The dense SVD route is kept for small generators; above
+    ``KERNEL_SVD_MAX_DIM`` the kernel comes from a shift-invert solve near
+    zero (the SVD cost grows cubically and dominates well before the dense
+    cap is reached).
     """
-    if sup.dim <= 1500:
+    if sup.dim <= KERNEL_SVD_MAX_DIM:
         mat = sup.as_dense()
         if adjoint:
             mat = mat.conj().T
@@ -483,16 +478,21 @@ def converged_cutoff_for_gap(
     start: int = 4,
     hard_cap: int = 512,
     k: int = 12,
-) -> int:
+) -> tuple[int, SpectrumReport]:
     """Truncation sweep using the spectral gap as the convergence observable.
 
-    Always uses the targeted shift-invert path: the sweep visits sizes where
-    full dense diagonalization would dominate the runtime for no benefit.
+    Always uses the targeted shift-invert path (``k`` eigenvalues): the sweep
+    visits sizes where full dense diagonalization would dominate the runtime
+    for no benefit.  Returns the converged cutoff and the spectrum report
+    solved at it, so callers need not solve that cutoff again.
     """
     from .spectra import analyze  # local import to avoid a cycle
 
-    def gap_of(me: MasterEquation) -> float:
-        sup = vectorize(me, materialize=False)
-        return analyze(sup, k=k, force_targeted=True).gap
+    reports = []
 
-    return check_truncation(builder, params, gap_of, rel_tol, start, hard_cap)
+    def gap_of(me: MasterEquation) -> float:
+        reports.append(analyze(vectorize(me, materialize=False), k=k, force_targeted=True))
+        return reports[-1].gap
+
+    cutoff = check_truncation(builder, params, gap_of, rel_tol, start, hard_cap)
+    return cutoff, reports[-1]

@@ -25,8 +25,9 @@ from .errors import (
     StiffnessError,
 )
 
-#: dimension above which dense eigendecompositions are refused
-DENSE_EIG_CAP = 4096
+#: largest matrix dimension that is handled densely: dense superoperator
+#: copies, dense eigendecompositions and the dense path of spectrum analysis
+DENSE_CAP = 4096
 
 #: per-axis entry cap for Kronecker products
 KRON_AXIS_CAP = 1_000_000
@@ -122,11 +123,7 @@ def condition_estimate(v: np.ndarray) -> float:
     return float(norm_v * norm_inv)
 
 
-def eig_general(
-    m: np.ndarray,
-    dense_cap: int = DENSE_EIG_CAP,
-    residual_tol: float = EIG_RESIDUAL_TOL,
-) -> EigenDecomposition:
+def eig_general(m: np.ndarray, residual_tol: float = EIG_RESIDUAL_TOL) -> EigenDecomposition:
     """Full eigendecomposition of a general complex matrix.
 
     Postconditions: per-pair residuals ``||A v - w v|| <= residual_tol *
@@ -135,9 +132,9 @@ def eig_general(
     """
     a = _as_square(m, "eig_general")
     n = a.shape[0]
-    if n > dense_cap:
+    if n > DENSE_CAP:
         raise DimensionLimitError(
-            f"matrix dimension {n} exceeds the dense-eig cap {dense_cap}"
+            f"matrix dimension {n} exceeds the dense cap {DENSE_CAP}"
         )
     try:
         w, v = np.linalg.eig(a)

@@ -15,6 +15,8 @@ vec(A rho B) = (B^T kron A) vec(rho) and the generator reads
         + sum_k r_k (2 conj(O_k) kron O_k - I kron O_k^dag O_k
                      - (O_k^dag O_k)^T kron I)
 
+assembled once as a CSR matrix; dense copies are made from that matrix.
+
 Rates and times are expressed in units of kappa, which is pinned to 1.
 """
 
@@ -22,12 +24,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionLimitError, ShapeError, UnsupportedRegimeError
+from .linalg import DENSE_CAP
 from .operators import (
     LabeledOperator,
     SystemSpace,
@@ -38,9 +41,6 @@ from .operators import (
     dressed_spin,
     single_atom,
 )
-
-#: largest superoperator dimension (D^2) that may be materialized densely
-DENSE_SUPEROP_CAP = 4096
 
 DISSIPATOR_CONVENTION = "factor-2"
 
@@ -134,102 +134,60 @@ class MasterEquation:
 class Superoperator:
     """Liouvillian acting on column-stacked density matrices.
 
-    Carries a matrix-free applier (D x D matrix algebra) always; a sparse
-    CSR form built on demand; and optionally a dense matrix when requested
-    and within ``DENSE_SUPEROP_CAP``.
+    The CSR matrix is the one representation of the generator: it is
+    assembled on first use, ``apply`` is a mat-vec with it, and ``as_dense``
+    is its ``toarray()`` copy, refused above ``linalg.DENSE_CAP``.
     """
 
-    def __init__(self, me: MasterEquation, dense: np.ndarray | None = None):
+    def __init__(self, me: MasterEquation):
         self.me = me
-        self.hilbert_dim = me.dim
         self.dim = me.dim**2
-        self._dense = dense
+        self._dense: np.ndarray | None = None
         self._sparse: sp.csr_matrix | None = None
-        # precompute O^dag O pairs for the matrix-free applier
-        self._ham = me.hamiltonian.matrix
-        self._jumps = [
-            (op.matrix, op.matrix.conj().T, rate) for op, rate in me.dissipators
-        ]
-        self._jump_odo = [od @ o for o, od, _ in self._jumps]
-        self._crosses = [
-            (ct.left, ct.right.conj().T, ct.right.conj().T @ ct.left, ct.weight)
-            for ct in me.cross_terms
-        ]
-
-    def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        """Apply the generator to a D x D matrix."""
-        h = self._ham
-        out = -1j * (h @ rho - rho @ h)
-        for (o, od, rate), odo in zip(self._jumps, self._jump_odo):
-            out += rate * (2.0 * (o @ rho @ od) - odo @ rho - rho @ odo)
-        for a, bd, bda, w in self._crosses:
-            out += w * (2.0 * (a @ rho @ bd) - bda @ rho - rho @ bda)
-        return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply the generator to a vectorized state."""
-        if self._dense is not None:
-            return self._dense @ v
-        d = self.hilbert_dim
-        return self.apply_matrix(v.reshape(d, d, order="F")).reshape(-1, order="F")
+        return self.as_sparse() @ v
 
-    @property
-    def dense(self) -> np.ndarray | None:
-        return self._dense
-
-    def as_dense(self, cap: int = DENSE_SUPEROP_CAP) -> np.ndarray:
+    def as_dense(self) -> np.ndarray:
         if self._dense is None:
-            if self.dim > cap:
+            if self.dim > DENSE_CAP:
                 raise DimensionLimitError(
                     f"superoperator dimension {self.dim} exceeds the dense cap "
-                    f"{cap}; use the sparse/matrix-free representation"
+                    f"{DENSE_CAP}; use the sparse representation"
                 )
-            self._dense = _build_liouvillian(self.me, np, np.eye(self.hilbert_dim, dtype=complex))
+            self._dense = self.as_sparse().toarray()
         return self._dense
 
     def as_sparse(self) -> sp.csr_matrix:
         if self._sparse is None:
-            self._sparse = _build_liouvillian(
-                self.me, _SparseOps, sp.identity(self.hilbert_dim, dtype=complex, format="csr")
-            ).tocsr()
+            self._sparse = _build_liouvillian(self.me)
         return self._sparse
 
     def norm_estimate(self) -> float:
-        """1-norm of the generator (sparse path; cheap)."""
-        mat = self._dense if self._dense is not None else self.as_sparse()
-        return float(abs(mat).sum(axis=0).max())
+        """1-norm of the generator."""
+        return float(abs(self.as_sparse()).sum(axis=0).max())
 
 
-class _SparseOps:
-    """Adapter so the Liouvillian assembly works for numpy and scipy.sparse."""
+def _build_liouvillian(me: MasterEquation) -> sp.csr_matrix:
+    """Assemble L as a CSR matrix in the column-stacking convention."""
+    eye = sp.identity(me.dim, dtype=complex, format="csr")
 
-    @staticmethod
-    def kron(a, b):
+    def krn(a, b):
         return sp.kron(a, b, format="csr")
 
-
-def _build_liouvillian(me: MasterEquation, ops, eye):
-    """Assemble L in the column-stacking convention; `ops` supplies kron."""
-    if ops is np:
-        h = me.hamiltonian.matrix
-        krn = np.kron
-        to_mat = lambda x: x  # noqa: E731
-    else:
-        krn = ops.kron
-        to_mat = lambda x: sp.csr_matrix(x)  # noqa: E731
-        h = to_mat(me.hamiltonian.matrix)
+    h = sp.csr_matrix(me.hamiltonian.matrix)
     lv = -1j * (krn(eye, h) - krn(h.T, eye))
     for op, rate in me.dissipators:
-        o = to_mat(op.matrix)
-        od = o.conj().T
-        odo = od @ o
+        o = sp.csr_matrix(op.matrix)
+        odo = o.conj().T @ o
         lv = lv + rate * (2.0 * krn(o.conj(), o) - krn(eye, odo) - krn(odo.T, eye))
     for ct in me.cross_terms:
-        a = to_mat(ct.left)
-        b = to_mat(ct.right)
+        a = sp.csr_matrix(ct.left)
+        b = sp.csr_matrix(ct.right)
         bda = b.conj().T @ a
         lv = lv + ct.weight * (2.0 * krn(b.conj(), a) - krn(eye, bda) - krn(bda.T, eye))
-    return lv
+    return lv.tocsr()
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -248,9 +206,9 @@ def unvec(v: np.ndarray) -> np.ndarray:
 def vectorize(me: MasterEquation, materialize: bool = True) -> Superoperator:
     """Turn a MasterEquation into a Superoperator.
 
-    ``materialize=True`` builds the dense D^2 x D^2 matrix (subject to
-    ``DENSE_SUPEROP_CAP``); otherwise the superoperator stays matrix-free
-    with a sparse form available on demand.
+    ``materialize=True`` also makes the dense D^2 x D^2 copy (subject to
+    ``linalg.DENSE_CAP``); otherwise only the CSR matrix is built, on first
+    use.
     """
     sup = Superoperator(me)
     if materialize:
@@ -397,20 +355,17 @@ def build_effective_coherent(params: ModelParams) -> MasterEquation:
 
 
 def build_incoherent(space: SystemSpace, params: ModelParams) -> MasterEquation:
-    """Lab-frame thermal model: H_TC with thermal cavity dissipators only."""
+    """Lab-frame thermal model: ``build_full`` at eps = gamma = 0, i.e. H_TC
+    with thermal cavity dissipators only."""
     if params.eps != 0.0:
         raise UnsupportedRegimeError("the incoherent model requires eps = 0")
-    k = params.kappa
-    a = annihilation(space)
-    adag = creation(space)
-    s_plus = collective_spin(space, "plus")
-    s_minus = collective_spin(space, "minus")
-    h = params.g0 * (a.matrix @ s_plus.matrix + adag.matrix @ s_minus.matrix)
-    diss: list[tuple[LabeledOperator, float]] = [(a, k * (params.n_th + 1.0))]
-    if k * params.n_th > 0.0:
-        diss.append((adag, k * params.n_th))
+    if params.gamma != 0.0:
+        raise UnsupportedRegimeError(
+            "the incoherent model requires gamma = 0; use build_full for atomic decay"
+        )
+    me = build_full(space, params)
     return MasterEquation(
-        LabeledOperator("H_TC", h), tuple(diss), space, label="incoherent"
+        LabeledOperator("H_TC", me.hamiltonian.matrix), me.dissipators, space, label="incoherent"
     )
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import models, observables as obs, spectra, verify
-from .linalg import eig_general
 from .models import ModelParams, vectorize
 from .operators import atomic_space, make_space
 
@@ -34,6 +33,19 @@ SCENARIOS = (
 )
 
 UNITS_HEADER = "# units: all rates and times in units of kappa (kappa = 1)"
+
+_PARAM_COLUMNS = ["g0", "eps", "n_th", "gamma", "cutoff", "seed"]
+
+#: CSV columns of every scenario, in file order
+COLUMNS: dict[str, list[str]] = {
+    "gap-coherent": _PARAM_COLUMNS + ["gap_exact", "gap_analytic", "rel_error", "kernel_dim"],
+    "second-rate-coherent": _PARAM_COLUMNS + ["second_rate_exact", "lambda3_analytic", "rel_error"],
+    "mi-coherent": _PARAM_COLUMNS + ["t", "mi_exact", "mi_effective"],
+    "gap-incoherent": _PARAM_COLUMNS + ["gap_exact", "gap_analytic", "rel_error", "kernel_dim"],
+    "mi-incoherent": _PARAM_COLUMNS + ["t", "mi_exact", "mi_effective"],
+    "real-detector": ["case"] + _PARAM_COLUMNS + ["t", "mi"],
+    "verify": ["criterion", "passed", "seconds", "details"],
+}
 
 
 @dataclass
@@ -118,15 +130,27 @@ def _map_points(fn: Callable, points: list, workers: int) -> list:
 def _auto_cutoff_displaced(p: ModelParams, config: ScenarioConfig) -> int:
     if config.cutoff != "auto":
         return int(config.cutoff)
-    return dyn.converged_cutoff_for_gap(models.build_coherent_displaced, p)
+    return dyn.converged_cutoff_for_gap(models.build_coherent_displaced, p)[0]
 
 
-def _auto_cutoff_thermal(p: ModelParams, config: ScenarioConfig) -> int:
+def _thermal_cutoff(n_th: float) -> int:
     """Thermal runs need several times n_th Fock states; round up to 4."""
-    if config.cutoff != "auto":
-        return int(config.cutoff)
-    guess = int(4 * math.ceil((8 + 5.0 * p.n_th) / 4))
-    return min(guess, config.exact_cutoff_cap)
+    return int(4 * math.ceil((8 + 5.0 * n_th) / 4))
+
+
+def _gap_point(
+    builder: Callable, p: ModelParams, config: ScenarioConfig, k: int
+) -> tuple[int, spectra.SpectrumReport]:
+    """Cutoff and targeted spectrum report of one gap-scenario point.
+
+    Under ``auto`` the report is the one the truncation sweep solved at the
+    converged cutoff.
+    """
+    if config.cutoff == "auto":
+        return dyn.converged_cutoff_for_gap(builder, p, k=k)
+    cutoff = int(config.cutoff)
+    sup = vectorize(builder(make_space(cutoff), p), materialize=False)
+    return cutoff, spectra.analyze(sup, k=k, force_targeted=True)
 
 
 def _base_row(p: ModelParams, cutoff, seed: int) -> dict:
@@ -145,7 +169,7 @@ def _base_row(p: ModelParams, cutoff, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_gap_coherent(config: ScenarioConfig) -> tuple[list[str], list[dict], dict]:
+def run_gap_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
     g0s = _resolve_axis(config.params.get("g0", [0.125, 0.25, 0.5]))
     epss = _resolve_axis(config.params.get("eps", {"log": [1.0, 1000.0, 7]}))
     points = [(g0, eps) for g0 in g0s for eps in epss]
@@ -153,9 +177,7 @@ def run_gap_coherent(config: ScenarioConfig) -> tuple[list[str], list[dict], dic
     def one(pt):
         g0, eps = pt
         p = ModelParams(g0=g0, eps=eps)
-        cutoff = _auto_cutoff_displaced(p, config)
-        sup = vectorize(models.build_coherent_displaced(make_space(cutoff), p), materialize=False)
-        rep = spectra.analyze(sup, k=24, sigma=1e-3, force_targeted=True)
+        cutoff, rep = _gap_point(models.build_coherent_displaced, p, config, k=24)
         ana = spectra.gap_coherent(p)
         row = _base_row(p, cutoff, config.seeds)
         row.update(
@@ -168,18 +190,16 @@ def run_gap_coherent(config: ScenarioConfig) -> tuple[list[str], list[dict], dic
 
     rows = _map_points(one, points, config.workers)
     rows.sort(key=lambda r: (r["g0"], r["eps"]))
-    columns = ["g0", "eps", "n_th", "gamma", "cutoff", "seed",
-               "gap_exact", "gap_analytic", "rel_error", "kernel_dim"]
     summary = {
         "worst_rel_error_at_max_eps": max(
             r["rel_error"] for r in rows if r["eps"] == max(epss)
         ),
         "gaps": {f"g0={r['g0']:g},eps={r['eps']:g}": r["gap_exact"] for r in rows},
     }
-    return columns, rows, summary
+    return rows, summary
 
 
-def run_second_rate_coherent(config: ScenarioConfig) -> tuple[list[str], list[dict], dict]:
+def run_second_rate_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
     g0s = _resolve_axis(config.params.get("g0", [0.125, 0.25, 0.5]))
     epss = _resolve_axis(config.params.get("eps", [10.0, 30.0, 100.0, 300.0, 1000.0]))
     points = [(g0, eps) for g0 in g0s for eps in epss]
@@ -199,13 +219,10 @@ def run_second_rate_coherent(config: ScenarioConfig) -> tuple[list[str], list[di
 
     rows = _map_points(one, points, config.workers)
     rows.sort(key=lambda r: (r["g0"], r["eps"]))
-    columns = ["g0", "eps", "n_th", "gamma", "cutoff", "seed",
-               "second_rate_exact", "lambda3_analytic", "rel_error"]
-    summary = {"worst_rel_error": max(r["rel_error"] for r in rows)}
-    return columns, rows, summary
+    return rows, {"worst_rel_error": max(r["rel_error"] for r in rows)}
 
 
-def run_mi_coherent(config: ScenarioConfig) -> tuple[list[str], list[dict], dict]:
+def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
     g0s = _resolve_axis(config.params.get("g0", [0.25]))
     epss = _resolve_axis(config.params.get("eps", [10.0, 100.0, 1000.0]))
     rows: list[dict] = []
@@ -217,14 +234,12 @@ def run_mi_coherent(config: ScenarioConfig) -> tuple[list[str], list[dict], dict
             tau = spectra.tau_coherent(p)
             grid = _time_grid_from(config, t_max=30.0 * tau, points=140, t_min=0.1)
             space = make_space(cutoff)
-            sup = vectorize(models.build_coherent_displaced(space, p), materialize=False)
-            dec = eig_general(sup.as_dense(cap=4096))
-            traj = dyn.evolve_spectral(dec, dyn.ground_state(space), grid)
-            mi_exact = np.array([obs.atomic_mutual_information(s) for s in traj.states])
-            sup_eff = vectorize(models.build_effective_coherent(p))
-            dec_eff = eig_general(sup_eff.as_dense())
-            traj_eff = dyn.evolve_spectral(dec_eff, dyn.ground_state(atomic_space()), grid)
-            mi_eff = traj_eff.observable(obs.mutual_information)
+            mi_exact = obs.mi_curve(
+                models.build_coherent_displaced(space, p), dyn.ground_state(space), grid
+            )
+            mi_eff = obs.mi_curve(
+                models.build_effective_coherent(p), dyn.ground_state(atomic_space()), grid
+            )
             for t, mx, me_ in zip(grid, mi_exact, mi_eff):
                 row = _base_row(p, cutoff, config.seeds)
                 row.update(t=float(t), mi_exact=float(mx), mi_effective=float(me_))
@@ -235,11 +250,10 @@ def run_mi_coherent(config: ScenarioConfig) -> tuple[list[str], list[dict], dict
                 "plateau_windows": plateaus,
                 "final_mi": float(mi_exact[-1]),
             }
-    columns = ["g0", "eps", "n_th", "gamma", "cutoff", "seed", "t", "mi_exact", "mi_effective"]
-    return columns, rows, summary
+    return rows, summary
 
 
-def run_gap_incoherent(config: ScenarioConfig) -> tuple[list[str], list[dict], dict]:
+def run_gap_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
     g0s = _resolve_axis(config.params.get("g0", [0.1, 0.2, 0.3]))
     n_ths = _resolve_axis(config.params.get("n_th", {"lin": [0.5, 4.0, 6]}))
     points = [(g0, n) for g0 in g0s for n in n_ths]
@@ -247,12 +261,7 @@ def run_gap_incoherent(config: ScenarioConfig) -> tuple[list[str], list[dict], d
     def one(pt):
         g0, n_th = pt
         p = ModelParams(g0=g0, n_th=n_th)
-        if config.cutoff == "auto":
-            cutoff = dyn.converged_cutoff_for_gap(models.build_incoherent, p)
-        else:
-            cutoff = int(config.cutoff)
-        sup = vectorize(models.build_incoherent(make_space(cutoff), p), materialize=False)
-        rep = spectra.analyze(sup, k=16, sigma=1e-3, force_targeted=True)
+        cutoff, rep = _gap_point(models.build_incoherent, p, config, k=16)
         ana = spectra.gap_incoherent(p)
         row = _base_row(p, cutoff, config.seeds)
         row.update(
@@ -265,13 +274,10 @@ def run_gap_incoherent(config: ScenarioConfig) -> tuple[list[str], list[dict], d
 
     rows = _map_points(one, points, config.workers)
     rows.sort(key=lambda r: (r["g0"], r["n_th"]))
-    columns = ["g0", "eps", "n_th", "gamma", "cutoff", "seed",
-               "gap_exact", "gap_analytic", "rel_error", "kernel_dim"]
-    summary = {"worst_rel_error": max(r["rel_error"] for r in rows)}
-    return columns, rows, summary
+    return rows, {"worst_rel_error": max(r["rel_error"] for r in rows)}
 
 
-def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[str], list[dict], dict]:
+def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
     g0s = _resolve_axis(config.params.get("g0", [0.01]))
     n_ths = _resolve_axis(config.params.get("n_th", [1.0, 3.0, 10.0]))
     rows: list[dict] = []
@@ -281,20 +287,18 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[str], list[dict], di
             p = ModelParams(g0=g0, n_th=n_th)
             gap = spectra.gap_incoherent(p)
             grid = _time_grid_from(config, t_max=5.0 / gap, points=60, t_min=1.0)
-            heuristic = int(4 * math.ceil((8 + 5.0 * n_th) / 4))
-            cutoff = heuristic if config.cutoff == "auto" else int(config.cutoff)
+            cutoff = _thermal_cutoff(n_th) if config.cutoff == "auto" else int(config.cutoff)
             run_exact = cutoff <= config.exact_cutoff_cap
             if run_exact:
                 space = make_space(cutoff)
                 sup = vectorize(models.build_incoherent(space, p), materialize=False)
                 traj = dyn.evolve_ode(sup, dyn.ground_state(space), grid)
-                mi_exact = np.array([obs.atomic_mutual_information(s) for s in traj.states])
+                mi_exact = traj.observable(obs.atomic_mutual_information)
             else:
                 mi_exact = np.full(grid.size, np.nan)
-            sup_eff = vectorize(models.build_effective_incoherent(p))
-            dec_eff = eig_general(sup_eff.as_dense())
-            traj_eff = dyn.evolve_spectral(dec_eff, dyn.ground_state(atomic_space()), grid)
-            mi_eff = traj_eff.observable(obs.mutual_information)
+            mi_eff = obs.mi_curve(
+                models.build_effective_incoherent(p), dyn.ground_state(atomic_space()), grid
+            )
             for t, mx, me_ in zip(grid, mi_exact, mi_eff):
                 row = _base_row(p, cutoff if run_exact else "effective-only", config.seeds)
                 row.update(t=float(t), mi_exact=float(mx), mi_effective=float(me_))
@@ -306,11 +310,10 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[str], list[dict], di
                 "steady_mi_effective": float(obs.mutual_information(ss)),
                 "exact_run": bool(run_exact),
             }
-    columns = ["g0", "eps", "n_th", "gamma", "cutoff", "seed", "t", "mi_exact", "mi_effective"]
-    return columns, rows, summary
+    return rows, summary
 
 
-def run_real_detector(config: ScenarioConfig) -> tuple[list[str], list[dict], dict]:
+def run_real_detector(config: ScenarioConfig) -> tuple[list[dict], dict]:
     gammas = _resolve_axis(config.params.get("gamma", [1e-3, 1e-4, 1e-5, 0.0]))
     cases = config.params.get("case", ["coherent", "incoherent"])
     if isinstance(cases, str):
@@ -323,20 +326,23 @@ def run_real_detector(config: ScenarioConfig) -> tuple[list[str], list[dict], di
                 p = ModelParams(g0=0.1, eps=math.sqrt(10.0), gamma=gamma)
                 cutoff = 8 if config.cutoff == "auto" else int(config.cutoff)
                 space = make_space(cutoff)
-                sup = vectorize(models.build_full_displaced(space, p), materialize=False)
+                me = models.build_full_displaced(space, p)
                 grid = _time_grid_from(config, t_max=1.0e5, points=100, t_min=0.5)
-                dec = eig_general(sup.as_dense(cap=4096))
-                traj = dyn.evolve_spectral(dec, dyn.ground_state(space), grid)
+                mi = obs.mi_curve(me, dyn.ground_state(space), grid)
+                sup = vectorize(me, materialize=False)
             elif case == "incoherent":
                 p = ModelParams(g0=0.1, eps=0.0, n_th=10.0, gamma=gamma)
-                cutoff = _auto_cutoff_thermal(p, config)
+                if config.cutoff == "auto":
+                    cutoff = min(_thermal_cutoff(p.n_th), config.exact_cutoff_cap)
+                else:
+                    cutoff = int(config.cutoff)
                 space = make_space(cutoff)
                 sup = vectorize(models.build_full(space, p), materialize=False)
                 grid = _time_grid_from(config, t_max=1.0e5, points=70, t_min=0.5)
                 traj = dyn.evolve_ode(sup, dyn.ground_state(space), grid)
+                mi = traj.observable(obs.atomic_mutual_information)
             else:
                 raise ValueError(f"unknown case {case!r}")
-            mi = np.array([obs.atomic_mutual_information(s) for s in traj.states])
             for t, m in zip(grid, mi):
                 row = _base_row(p, cutoff, config.seeds)
                 row.update(case=case, t=float(t), mi=float(m))
@@ -350,11 +356,10 @@ def run_real_detector(config: ScenarioConfig) -> tuple[list[str], list[dict], di
                 "peak_mi": float(mi.max()),
                 "kernel_unique": gamma > 0.0,
             }
-    columns = ["case", "g0", "eps", "n_th", "gamma", "cutoff", "seed", "t", "mi"]
-    return columns, rows, summary
+    return rows, summary
 
 
-def run_verify_scenario(config: ScenarioConfig) -> tuple[list[str], list[dict], dict]:
+def run_verify_scenario(config: ScenarioConfig) -> tuple[list[dict], dict]:
     results = verify.run_acceptance()
     rows = []
     for res in results:
@@ -370,10 +375,10 @@ def run_verify_scenario(config: ScenarioConfig) -> tuple[list[str], list[dict], 
         "all_passed": all(r.passed for r in results),
         "criteria": {r.name: {"passed": r.passed, "details": r.details} for r in results},
     }
-    return ["criterion", "passed", "seconds", "details"], rows, summary
+    return rows, summary
 
 
-RUNNERS: dict[str, Callable[[ScenarioConfig], tuple[list[str], list[dict], dict]]] = {
+RUNNERS: dict[str, Callable[[ScenarioConfig], tuple[list[dict], dict]]] = {
     "gap-coherent": run_gap_coherent,
     "second-rate-coherent": run_second_rate_coherent,
     "mi-coherent": run_mi_coherent,
@@ -401,15 +406,7 @@ SCHEMA_NOTES = {
     "verify": "Acceptance matrix results, one row per criterion.",
 }
 
-SCHEMA_COLUMNS = {
-    "gap-coherent": "g0,eps,n_th,gamma,cutoff,seed,gap_exact,gap_analytic,rel_error,kernel_dim",
-    "second-rate-coherent": "g0,eps,n_th,gamma,cutoff,seed,second_rate_exact,lambda3_analytic,rel_error",
-    "mi-coherent": "g0,eps,n_th,gamma,cutoff,seed,t,mi_exact,mi_effective",
-    "gap-incoherent": "g0,eps,n_th,gamma,cutoff,seed,gap_exact,gap_analytic,rel_error,kernel_dim",
-    "mi-incoherent": "g0,eps,n_th,gamma,cutoff,seed,t,mi_exact,mi_effective",
-    "real-detector": "case,g0,eps,n_th,gamma,cutoff,seed,t,mi",
-    "verify": "criterion,passed,seconds,details",
-}
+SCHEMA_COLUMNS = {name: ",".join(cols) for name, cols in COLUMNS.items()}
 
 
 def write_schema(outdir: Path) -> Path:
@@ -494,7 +491,8 @@ def run_scenario(config: ScenarioConfig, plot: bool = False, quiet: bool = False
     config.validate()
     outdir = Path(config.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    columns, rows, summary = RUNNERS[config.scenario](config)
+    rows, summary = RUNNERS[config.scenario](config)
+    columns = COLUMNS[config.scenario]
     csv_path = outdir / f"{config.scenario}.csv"
     _write_csv(csv_path, config.scenario, columns, rows)
     summary_payload = {

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import SpectrumDiagnosticError, UnsupportedRegimeError
-from .linalg import eig_general
+from .linalg import DENSE_CAP, eig_general
 from .models import ModelParams, Superoperator
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -128,7 +128,6 @@ def analyze(
     sup: Superoperator,
     zero_tol: float = DEFAULT_ZERO_TOL,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    dense_cap: int = 4096,
     k: int = 24,
     sigma: float | None = None,
     force_targeted: bool = False,
@@ -136,14 +135,14 @@ def analyze(
     """Spectrum report for a Liouvillian.
 
     Dense full diagonalization when the superoperator dimension fits under
-    ``dense_cap``; otherwise (or when ``force_targeted`` is set) a targeted
+    ``linalg.DENSE_CAP``; otherwise (or when ``force_targeted`` is set) a targeted
     shift-invert solve for the ``k`` eigenvalues nearest ``sigma`` (a small
     positive real shift by default, which is never an eigenvalue of a
     Lindblad generator), yielding a partial report of the slow end of the
     spectrum.
     """
-    if sup.dim <= dense_cap and not force_targeted:
-        decomp = eig_general(sup.as_dense(cap=dense_cap), dense_cap=dense_cap)
+    if sup.dim <= DENSE_CAP and not force_targeted:
+        decomp = eig_general(sup.as_dense())
         w = decomp.eigenvalues
         partial = False
         cond = decomp.condition_estimate

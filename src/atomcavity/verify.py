@@ -144,7 +144,7 @@ def criterion_4_exact_gap() -> CheckResult:
     # index-2 distinct rate agree with full diagonalization
     p = ModelParams(g0=0.25, eps=100.0)
     sup = vectorize(models.build_coherent_displaced(make_space(8), p), materialize=False)
-    dense_rep = spectra.analyze(sup, dense_cap=1024)
+    dense_rep = spectra.analyze(sup)
     sup12 = vectorize(models.build_coherent_displaced(make_space(12), p), materialize=False)
     targeted = spectra.analyze(sup12, k=24, sigma=1e-3, force_targeted=True)
     ok_cross = abs(dense_rep.gap - targeted.gap) / targeted.gap <= 1e-3
@@ -214,16 +214,15 @@ def criterion_7_metastability() -> CheckResult:
     >= 2 decades inside (1/fast_rate, 1/gap); plateau and steady levels match
     the frozen kernel-projection oracle; thermal n_th=10 shows no plateau."""
     p = ModelParams(g0=0.25, eps=1000.0)
-    sup = vectorize(models.build_effective_coherent(p))
+    me = models.build_effective_coherent(p)
+    sup = vectorize(me)
     rep = spectra.analyze(sup)
     split = spectra.splitting_diagnostic(rep)
     ok_ratio = split.metastable and split.ratio > 1e4
 
-    dec = eig_general(sup.as_dense())
     rho0 = dyn.ground_state(atomic_space())
     grid = dyn.time_grid(3.0 / rep.gap, 260, t_min=0.1 / split.fast_rate)
-    traj = dyn.evolve_spectral(dec, rho0, grid)
-    mi = traj.observable(obs.mutual_information)
+    mi = obs.mi_curve(me, rho0, grid)
     windows = dyn.detect_plateau(grid, mi)
     inside = [
         (a, b)
@@ -247,14 +246,11 @@ def criterion_7_metastability() -> CheckResult:
         and abs(steady_mi - COHERENT_STEADY_MI) <= 1e-6
     )
 
-    p_inc = ModelParams(g0=0.01, n_th=10.0)
-    sup_inc = vectorize(models.build_effective_incoherent(p_inc))
-    rep_inc = spectra.analyze(sup_inc)
+    me_inc = models.build_effective_incoherent(ModelParams(g0=0.01, n_th=10.0))
+    rep_inc = spectra.analyze(vectorize(me_inc))
     split_inc = spectra.splitting_diagnostic(rep_inc)
-    dec_inc = eig_general(sup_inc.as_dense())
     grid_inc = dyn.time_grid(3.0 / rep_inc.gap, 200, t_min=0.1 / split_inc.fast_rate)
-    traj_inc = dyn.evolve_spectral(dec_inc, rho0, grid_inc)
-    mi_inc = traj_inc.observable(obs.mutual_information)
+    mi_inc = obs.mi_curve(me_inc, rho0, grid_inc)
     ok_inc = not dyn.detect_plateau(grid_inc, mi_inc) and not split_inc.metastable
 
     return _result(
@@ -268,21 +264,6 @@ def criterion_7_metastability() -> CheckResult:
     )
 
 
-def _mi_curve_exact_coherent(p: ModelParams, cutoff: int, grid: np.ndarray) -> np.ndarray:
-    space = make_space(cutoff)
-    sup = vectorize(models.build_coherent_displaced(space, p), materialize=False)
-    dec = eig_general(sup.as_dense(cap=4096))
-    traj = dyn.evolve_spectral(dec, dyn.ground_state(space), grid)
-    return np.array([obs.atomic_mutual_information(s) for s in traj.states])
-
-
-def _mi_curve_effective(me: models.MasterEquation, grid: np.ndarray) -> np.ndarray:
-    sup = vectorize(me)
-    dec = eig_general(sup.as_dense())
-    traj = dyn.evolve_spectral(dec, dyn.ground_state(atomic_space()), grid)
-    return traj.observable(obs.mutual_information)
-
-
 def criterion_8_effective_vs_exact(store: dict | None = None) -> CheckResult:
     """Mutual-information curves of exact and effective models agree within
     2e-2 bits at all log-grid samples beyond kappa*t > 10."""
@@ -290,8 +271,9 @@ def criterion_8_effective_vs_exact(store: dict | None = None) -> CheckResult:
 
     p = ModelParams(g0=0.25, eps=10.0)
     grid = dyn.time_grid(5.0 * spectra.tau_coherent(p), 60, t_min=1.0)
-    mi_x = _mi_curve_exact_coherent(p, 8, grid)
-    mi_e = _mi_curve_effective(models.build_effective_coherent(p), grid)
+    space = make_space(8)
+    mi_x = obs.mi_curve(models.build_coherent_displaced(space, p), dyn.ground_state(space), grid)
+    mi_e = obs.mi_curve(models.build_effective_coherent(p), dyn.ground_state(atomic_space()), grid)
     sel = grid > 10.0
     devs["coherent eps=10"] = float(np.abs(mi_x[sel] - mi_e[sel]).max())
 
@@ -303,8 +285,10 @@ def criterion_8_effective_vs_exact(store: dict | None = None) -> CheckResult:
         traj = dyn.evolve_ode(sup, dyn.ground_state(space), grid)
         if store is not None:
             store[f"incoherent n_th={n_th}"] = traj
-        mi_x = np.array([obs.atomic_mutual_information(s) for s in traj.states])
-        mi_e = _mi_curve_effective(models.build_effective_incoherent(p), grid)
+        mi_x = traj.observable(obs.atomic_mutual_information)
+        mi_e = obs.mi_curve(
+            models.build_effective_incoherent(p), dyn.ground_state(atomic_space()), grid
+        )
         sel = grid > 10.0
         devs[f"incoherent n_th={n_th}"] = float(np.abs(mi_x[sel] - mi_e[sel]).max())
 
@@ -330,12 +314,10 @@ def criterion_9_real_detector() -> CheckResult:
     # spectrum are unchanged while the drive term disappears)
     p = ModelParams(g0=0.1, eps=np.sqrt(10.0), gamma=1e-3)
     space = make_space(8)
-    sup = vectorize(models.build_full_displaced(space, p), materialize=False)
-    dec = eig_general(sup.as_dense(cap=4096))
-    grid = dyn.time_grid(1.0e5, 120, t_min=0.5)
-    traj = dyn.evolve_spectral(dec, dyn.ground_state(space), grid)
-    mi = np.array([obs.atomic_mutual_information(s) for s in traj.states])
-    ss = dyn.steady_state(sup)  # raises KernelAmbiguityError unless unique
+    me = models.build_full_displaced(space, p)
+    mi = obs.mi_curve(me, dyn.ground_state(space), dyn.time_grid(1.0e5, 120, t_min=0.5))
+    # raises KernelAmbiguityError unless unique
+    ss = dyn.steady_state(vectorize(me, materialize=False))
     results["coherent"] = {
         "peak_mi": float(mi.max()),
         "steady_mi": float(obs.atomic_mutual_information(ss)),
@@ -346,7 +328,7 @@ def criterion_9_real_detector() -> CheckResult:
     sup = vectorize(models.build_full(space, p), materialize=False)
     grid = dyn.time_grid(2.0e4, 70, t_min=0.5)
     traj = dyn.evolve_ode(sup, dyn.ground_state(space), grid)
-    mi = np.array([obs.atomic_mutual_information(s) for s in traj.states])
+    mi = traj.observable(obs.atomic_mutual_information)
     ss = dyn.steady_state(sup)
     results["incoherent"] = {
         "peak_mi": float(mi.max()),

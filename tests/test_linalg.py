@@ -62,9 +62,11 @@ class TestEigGeneral:
         with pytest.raises(ShapeError):
             linalg.eig_general(np.ones((2, 3)))
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(linalg, "DENSE_CAP", 8)
         with pytest.raises(DimensionLimitError):
-            linalg.eig_general(np.eye(10), dense_cap=8)
+            linalg.eig_general(np.eye(10))
+        assert linalg.eig_general(np.eye(8)).eigenvalues.size == 8
 
     def test_residual_postcondition_triggers(self, rng):
         m = rng.standard_normal((6, 6))

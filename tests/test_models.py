@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from atomcavity import ModelParams, atomic_space, make_space, models
 from atomcavity.errors import DimensionLimitError, UnsupportedRegimeError
+from atomcavity.linalg import DENSE_CAP
 from atomcavity.models import (
     MasterEquation,
     Superoperator,
@@ -25,9 +26,45 @@ from conftest import random_hermitian
 
 def trace_functional_residual(sup: Superoperator, rho: np.ndarray) -> float:
     """|<vec(I), L vec(rho)>| = |d/dt Tr rho|."""
-    d = sup.hilbert_dim
     out = sup.apply(vec(rho))
     return abs(np.trace(unvec(out)))
+
+
+def apply_oracle(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
+    """The generator applied to a D x D matrix by matrix algebra, term by
+    term as the master equation is written (no vectorization)."""
+    h = me.hamiltonian.matrix
+    out = -1j * (h @ rho - rho @ h)
+    for op, rate in me.dissipators:
+        o = op.matrix
+        odo = o.conj().T @ o
+        out += rate * (2.0 * (o @ rho @ o.conj().T) - odo @ rho - rho @ odo)
+    for ct in me.cross_terms:
+        bd = ct.right.conj().T
+        bda = bd @ ct.left
+        out += ct.weight * (2.0 * (ct.left @ rho @ bd) - bda @ rho - rho @ bda)
+    return out
+
+
+BUILDERS = [
+    ("full", lambda: build_full(make_space(3), ModelParams(g0=0.2, eps=0.5, n_th=0.2, gamma=0.02))),
+    ("incoherent", lambda: build_incoherent(make_space(4), ModelParams(g0=0.1, n_th=1.0))),
+    ("coherent-displaced", lambda: build_coherent_displaced(make_space(4), ModelParams(g0=0.25, eps=2.0))),
+    ("full-displaced", lambda: build_full_displaced(make_space(4), ModelParams(g0=0.25, eps=2.0, gamma=0.05))),
+    ("rwa-displaced", lambda: build_rwa_displaced(make_space(4), ModelParams(g0=0.25, eps=100.0))),
+    ("effective-coherent", lambda: build_effective_coherent(ModelParams(g0=0.25, eps=10.0))),
+    ("effective-incoherent", lambda: build_effective_incoherent(ModelParams(g0=0.1, n_th=1.0))),
+]
+
+
+@pytest.mark.parametrize("name,factory", BUILDERS, ids=[b[0] for b in BUILDERS])
+def test_apply_matches_matrix_algebra(name, factory, rng):
+    me = factory()
+    sup = vectorize(me, materialize=False)
+    rho = rng.standard_normal((me.dim, me.dim)) + 1j * rng.standard_normal((me.dim, me.dim))
+    expected = apply_oracle(me, rho)
+    assert_allclose(unvec(sup.apply(vec(rho))), expected, rtol=0.0,
+                    atol=1e-13 * np.abs(expected).max())
 
 
 class TestParams:
@@ -85,7 +122,16 @@ class TestVectorizeOracle:
         with pytest.raises(DimensionLimitError):
             vectorize(me, materialize=True)
         sup = vectorize(me, materialize=False)
-        assert sup.dense is None and sup.as_sparse().shape == (128**2, 128**2)
+        assert sup._dense is None and sup.as_sparse().shape == (128**2, 128**2)
+
+    def test_dense_copy_is_lazy(self):
+        sup = vectorize(build_effective_incoherent(ModelParams(g0=0.1, n_th=1.0)), materialize=False)
+        sup.apply(np.ones(sup.dim, dtype=complex))
+        sup.norm_estimate()
+        assert sup._dense is None
+        dense = sup.as_dense()
+        assert sup._dense is dense
+        assert np.array_equal(dense, sup.as_sparse().toarray())
 
 
 class _TwoDim:
@@ -245,7 +291,7 @@ class TestRwaDisplaced:
         grid = dyn.time_grid(2.0e4, 40, t_min=40.0)
 
         sup_rwa = vectorize(build_rwa_displaced(space, p), materialize=False)
-        dec = eig_general(sup_rwa.as_dense(cap=4096))
+        dec = eig_general(sup_rwa.as_dense())
         traj_rwa = dyn.evolve_spectral(dec, dyn.ground_state(space), grid, validate=False)
         mi_rwa = np.array([obs.atomic_mutual_information(s) for s in traj_rwa.states])
 
@@ -272,6 +318,11 @@ class TestEffectiveModels:
     def test_incoherent_requires_no_drive(self):
         with pytest.raises(UnsupportedRegimeError):
             build_incoherent(make_space(2), ModelParams(g0=0.1, eps=1.0))
+
+    def test_incoherent_rejects_atomic_decay(self):
+        # gamma > 0 belongs to build_full; dropping it silently would hide it
+        with pytest.raises(UnsupportedRegimeError):
+            build_incoherent(make_space(2), ModelParams(g0=0.1, n_th=1.0, gamma=1e-3))
 
     def test_effective_incoherent_dark_singlet(self):
         from atomcavity.dynamics import singlet_state
@@ -304,7 +355,7 @@ class TestGeneratorInvariants:
     @pytest.mark.parametrize("name,factory", MODELS, ids=[m[0] for m in MODELS])
     def test_trace_hermiticity_and_spectrum(self, name, factory, rng):
         me = factory()
-        sup = vectorize(me, materialize=me.dim**2 <= 4096)
+        sup = vectorize(me, materialize=me.dim**2 <= DENSE_CAP)
         rho = random_hermitian(me.dim, rng)
         # trace functional annihilated
         assert trace_functional_residual(sup, rho) < 1e-10 * sup.norm_estimate()
@@ -325,8 +376,6 @@ class TestGeneratorInvariants:
         me = build_full(make_space(3), ModelParams(g0=0.2, eps=0.5, n_th=0.2, gamma=0.02))
         sup = vectorize(me)
         dense = sup.as_dense()
-        sparse = sup.as_sparse().toarray()
-        assert_allclose(dense, sparse, atol=1e-14)
+        assert np.array_equal(dense, sup.as_sparse().toarray())
         v = rng.standard_normal(me.dim**2) + 1j * rng.standard_normal(me.dim**2)
-        free = Superoperator(me)
-        assert_allclose(free.apply(v), dense @ v, atol=1e-11)
+        assert_allclose(sup.apply(v), dense @ v, atol=1e-11)

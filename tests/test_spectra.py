@@ -20,9 +20,8 @@ def diag_superop(values):
 
     class _Sup:
         dim = len(values)
-        hilbert_dim = int(np.sqrt(len(values)))
 
-        def as_dense(self, cap=4096):
+        def as_dense(self):
             return np.diag(np.asarray(values, dtype=complex))
 
     return _Sup()
@@ -190,7 +189,7 @@ class TestTargetedPath:
         p = ModelParams(g0=0.25, eps=2.0)
         me = models.build_coherent_displaced(models.make_space(6) if hasattr(models, "make_space") else __import__("atomcavity").make_space(6), p)
         sup = vectorize(me, materialize=False)
-        dense_rep = spectra.analyze(sup, dense_cap=1024)
+        dense_rep = spectra.analyze(sup)
         slow = spectra.slowest_eigenvalues(sup, 8, k=40)
         devs = spectra.match_eigenvalue_sets(dense_rep.eigenvalues[:8], slow)
         assert devs.max() < 1e-8
