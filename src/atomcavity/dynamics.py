@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
@@ -23,9 +24,9 @@ from .errors import (
     TruncationLimitError,
     UnsupportedRegimeError,
 )
-from .linalg import EigenDecomposition, integrate_ode, null_space
+from .linalg import EigenDecomposition, integrate_ode
 from .models import MasterEquation, ModelParams, Superoperator, unvec, vec, vectorize
-from .operators import SystemSpace, atomic_space, make_space
+from .operators import SystemSpace, atomic_space, make_space, singlet_projector
 
 if TYPE_CHECKING:
     from .spectra import SpectrumReport
@@ -38,9 +39,16 @@ POSITIVITY_TOL = 1e-8
 #: invariant slack enforced along integrated trajectories
 EVOLUTION_INVARIANT_TOL = 1e-6
 
-#: largest superoperator dimension whose kernel comes from a dense SVD; above
-#: it a shift-invert solve is cheaper (a cost crossover, not a size cap)
-KERNEL_SVD_MAX_DIM = 1500
+#: condition number of the bordered steady-state matrix above which it is
+#: singular to working precision, i.e. the kernel is larger than stated;
+#: stated kernels measure 2.4e7 at the effective coherent model's eps = 1000
+#: (it grows as eps^2), numerically singular ones above 1e16
+BORDERED_COND_MAX = 1e12
+
+#: bound on the steady-state residuals ||L x|| and ||C mu||, relative to
+#: ||L||_1 ||x||; round-off stays below 1e-16, a wrongly stated conserved
+#: quantity leaves a residual of the order of the rate that breaks it
+STEADY_RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -137,8 +145,7 @@ def ground_state(space: SystemSpace) -> DensityMatrix:
 def singlet_state() -> DensityMatrix:
     """Atomic singlet (|ge> - |eg>)/sqrt(2), the collective dark state."""
     space = atomic_space()
-    v = (basis_vector(space, 0, 1) - basis_vector(space, 1, 0)) / np.sqrt(2.0)
-    return pure_state(v, space)
+    return DensityMatrix.from_matrix(singlet_projector(space).matrix, space)
 
 
 def bell_state() -> DensityMatrix:
@@ -277,74 +284,63 @@ def evolve_spectral(
 # ---------------------------------------------------------------------------
 
 
-def _kernel_basis(sup: Superoperator, adjoint: bool, zero_tol: float) -> np.ndarray:
-    """Orthonormal kernel basis of L (or L^dag), dense or targeted.
+def steady_state(sup: Superoperator, rho0: DensityMatrix | None = None) -> DensityMatrix:
+    """The t -> infinity limit of the generator, from one sparse LU solve.
 
-    The dense SVD route is kept for small generators; above
-    ``KERNEL_SVD_MAX_DIM`` the kernel comes from a shift-invert solve near
-    zero (the SVD cost grows cubically and dominates well before the dense
-    cap is reached).
+    The model states its conserved quantities Q_1, ... (``me.conserved``);
+    with C = [vec(I), vec(Q_1), ...] the bordered system
+
+        [[L, C], [C^dag, 0]] [x; mu] = [0; Tr(Q_j^dag rho0)]
+
+    picks the kernel element with the conserved values of ``rho0`` (trace 1
+    for Q = I).  ``rho0`` may be omitted only when nothing but the trace is
+    conserved.  A bordered matrix that is singular, exactly or to working
+    precision, means the kernel is larger than the model states
+    (``KernelAmbiguityError``); a residual ||L x|| or multiplier mu above
+    round-off means a stated Q is not conserved (``NumericalAccuracyError``).
     """
-    if sup.dim <= KERNEL_SVD_MAX_DIM:
-        mat = sup.as_dense()
-        if adjoint:
-            mat = mat.conj().T
-        return null_space(mat, tol=zero_tol)
-    mat = sup.as_sparse().tocsc()
-    if adjoint:
-        mat = mat.conj().T.tocsc()
-    k = min(8, sup.dim - 2)
-    from .spectra import arpack_start_vector
-
-    w, v = spla.eigs(mat, k=k, sigma=1e-3, which="LM", v0=arpack_start_vector(sup.dim))
-    scale = max(float(np.abs(w).max()), 1.0)
-    keep = np.abs(w) <= 1e3 * zero_tol * scale
-    basis = v[:, keep]
-    q, _ = np.linalg.qr(basis)
-    return q
-
-
-def steady_state(
-    sup: Superoperator,
-    rho0: DensityMatrix | None = None,
-    zero_tol: float = 1e-9,
-) -> DensityMatrix:
-    """Stationary state of the generator.
-
-    A 1-dimensional kernel yields the unique trace-normalized kernel element.
-    A degenerate kernel requires ``rho0``: the t -> infinity limit is the
-    projection of rho0 onto the kernel along the decaying eigenspaces,
-    computed from the right and left zero-eigenvectors (conserved quantities).
-    """
-    space = _space_of(sup)
-    right = _kernel_basis(sup, adjoint=False, zero_tol=zero_tol)
-    kdim = right.shape[1]
-    if kdim == 0:
-        raise NumericalAccuracyError("no kernel vector found; not a Lindblad generator?")
-    if kdim == 1:
-        m = unvec(right[:, 0])
-        m = m / np.trace(m)
-        m = (m + m.conj().T) / 2.0
-        return DensityMatrix.from_matrix(m, space)
-    if rho0 is None:
+    me = sup.me
+    name = me.label or "the model"
+    if rho0 is None and me.conserved:
         raise KernelAmbiguityError(
-            f"kernel is {kdim}-dimensional; the asymptotic state depends on the "
-            "initial state - pass rho0"
+            f"{name} conserves {', '.join(q.label for q in me.conserved)}; the "
+            "asymptotic state depends on the initial state - pass rho0"
         )
-    left = _kernel_basis(sup, adjoint=True, zero_tol=zero_tol)
-    if left.shape[1] != kdim:
+    charges = [np.eye(me.dim, dtype=complex)] + [q.matrix for q in me.conserved]
+    c = sp.csc_matrix(np.column_stack([vec(q) for q in charges]))
+    lv = sup.as_sparse()
+    bordered = sp.bmat([[lv, c], [c.conj().T, None]], format="csc")
+    rhs = np.zeros(bordered.shape[0], dtype=complex)
+    rhs[sup.dim :] = 1.0 if rho0 is None else c.conj().T @ vec(rho0.matrix)
+    try:
+        lu = spla.splu(bordered)
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        cond = np.inf
+    else:
+        inv = spla.LinearOperator(
+            bordered.shape,
+            matvec=lu.solve,
+            rmatvec=lambda v: lu.solve(v, trans="H"),
+            dtype=complex,
+        )
+        cond = float(abs(bordered).sum(axis=0).max()) * spla.onenormest(inv)
+    if not cond <= BORDERED_COND_MAX:
+        raise KernelAmbiguityError(
+            f"the kernel of {name} is larger than its {len(charges)} stated conserved "
+            "quantities (identity included) fix: the bordered matrix is singular to "
+            f"working precision (condition {cond:.1e})"
+        )
+    sol = lu.solve(rhs)
+    x, mu = sol[: sup.dim], sol[sup.dim :]
+    scale = sup.norm_estimate() * np.linalg.norm(x)
+    resid = max(np.linalg.norm(lv @ x), np.linalg.norm(c @ mu)) / scale
+    if not resid <= STEADY_RESIDUAL_TOL:
         raise NumericalAccuracyError(
-            f"left/right kernel dimensions disagree ({left.shape[1]} vs {kdim})"
+            f"steady-state residual {resid:.2e} > {STEADY_RESIDUAL_TOL:.0e} (relative to "
+            f"||L||_1 ||x||); a stated conserved quantity of {name} is not conserved"
         )
-    overlap = left.conj().T @ right
-    coeff = np.linalg.solve(overlap, left.conj().T @ vec(rho0.matrix))
-    m = unvec(right @ coeff)
-    m = (m + m.conj().T) / 2.0
-    return DensityMatrix.from_matrix(m, space)
-
-
-def _space_of(sup: Superoperator) -> SystemSpace:
-    return sup.me.space
+    m = unvec(x)
+    return DensityMatrix.from_matrix((m + m.conj().T) / 2.0, me.space)
 
 
 # ---------------------------------------------------------------------------

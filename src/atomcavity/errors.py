@@ -13,10 +13,6 @@ class DimensionLimitError(AtomCavityError, ValueError):
     """A requested dense object would exceed the configured size cap."""
 
 
-class HermiticityError(AtomCavityError, ValueError):
-    """Input violates a Hermiticity precondition."""
-
-
 class UnsupportedRegimeError(AtomCavityError, ValueError):
     """Parameters lie outside the regime a model builder supports."""
 
@@ -26,7 +22,9 @@ class StateValidityError(AtomCavityError, ValueError):
 
 
 class KernelAmbiguityError(AtomCavityError, ValueError):
-    """Steady state requested for a degenerate kernel without an initial state."""
+    """The steady state is not fixed by what was given: a model with stated
+    conserved quantities was asked for it without an initial state, or its
+    kernel is larger than its conserved quantities account for."""
 
 
 class NumericalAccuracyError(AtomCavityError, RuntimeError):

@@ -1,9 +1,8 @@
 """Dense complex linear-algebra kernel.
 
-Everything the physics layers consume: Kronecker products, general and
-Hermitian eigendecompositions with residual checks, SVD-based null spaces,
-and adaptive integration of linear ODEs.  All functions are pure and all
-returned arrays are freshly allocated.
+Everything the physics layers consume: Kronecker products, general
+eigendecompositions with residual checks, and adaptive integration of linear
+ODEs.  All functions are pure and all returned arrays are freshly allocated.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from scipy.integrate import solve_ivp
 
 from .errors import (
     DimensionLimitError,
-    HermiticityError,
     NumericalAccuracyError,
     ShapeError,
     StiffnessError,
@@ -154,33 +152,6 @@ def eig_general(m: np.ndarray, residual_tol: float = EIG_RESIDUAL_TOL) -> EigenD
                 f"{w[worst]:.6g} exceeds {bound[worst]:.3e}"
             )
     return EigenDecomposition(w, v, condition_estimate(v))
-
-
-def eig_hermitian(m: np.ndarray, herm_tol: float = 1e-10) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    a = _as_square(m, "eig_hermitian")
-    norm_a = np.linalg.norm(a)
-    dev = np.linalg.norm(a - a.conj().T)
-    if dev > herm_tol * max(norm_a, 1e-300):
-        raise HermiticityError(
-            f"matrix deviates from Hermiticity by {dev:.3e} (norm {norm_a:.3e})"
-        )
-    w, v = np.linalg.eigh(a)
-    return EigenDecomposition(w.astype(complex), v, 1.0)
-
-
-def null_space(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis of the right kernel, one vector per column.
-
-    Keeps singular directions with ``sigma <= tol * sigma_max``.  Returns an
-    ``(n, k)`` array; ``k`` may be zero.
-    """
-    a = _as_square(m, "null_space")
-    _, s, vh = np.linalg.svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(a.shape[0], dtype=complex)
-    keep = s <= tol * s[0]
-    return vh[keep].conj().T
 
 
 def reconstruct(decomp: EigenDecomposition) -> np.ndarray:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,6 +40,7 @@ from .operators import (
     creation,
     dressed_spin,
     single_atom,
+    singlet_projector,
 )
 
 DISSIPATOR_CONVENTION = "factor-2"
@@ -105,13 +106,23 @@ class CrossTerm:
 
 @dataclass(frozen=True)
 class MasterEquation:
-    """Hamiltonian plus weighted jump list (and optional cross terms)."""
+    """Hamiltonian plus weighted jump list (and optional cross terms).
+
+    ``conserved`` lists the operators Q, other than the identity, for which
+    Tr[Q rho] is constant in time (L^dag vec(Q) = 0).  It is the model's
+    statement of its kernel: the stationary states form a space of dimension
+    1 + len(conserved), and the steady state reached from rho0 is the one
+    with the same conserved values.  Builders whose operators are all
+    collective state the singlet projector (atom exchange is a strong
+    symmetry); single-atom decay breaks it and leaves the tuple empty.
+    """
 
     hamiltonian: LabeledOperator
     dissipators: tuple[tuple[LabeledOperator, float], ...]
     space: SystemSpace
     cross_terms: tuple[CrossTerm, ...] = ()
     label: str = ""
+    conserved: tuple[LabeledOperator, ...] = ()
 
     def __post_init__(self):
         dim = self.space.dim
@@ -125,6 +136,9 @@ class MasterEquation:
         for ct in self.cross_terms:
             if ct.left.shape != (dim, dim) or ct.right.shape != (dim, dim):
                 raise ShapeError("cross-term operator does not match the space")
+        for q in self.conserved:
+            if q.matrix.shape != (dim, dim):
+                raise ShapeError(f"conserved operator {q.label} does not match the space")
 
     @property
     def dim(self) -> int:
@@ -227,7 +241,8 @@ def build_full(space: SystemSpace, params: ModelParams) -> MasterEquation:
     H = g0 (a S_+ + a^dag S_-) + i eps (a^dag - a); dissipators
     (a, kappa(n_th+1)), (a^dag, kappa n_th), and per atom
     (sigma_-^j, gamma(n_th+1)/2), (sigma_+^j, gamma n_th/2).
-    Zero-rate channels are omitted.
+    Zero-rate channels are omitted.  At gamma = 0 every operator is
+    collective and the singlet weight is conserved.
     """
     k = params.kappa
     a = annihilation(space)
@@ -246,8 +261,9 @@ def build_full(space: SystemSpace, params: ModelParams) -> MasterEquation:
             diss.append((single_atom(space, "minus", j), params.gamma * (params.n_th + 1.0) / 2.0))
         if params.gamma * params.n_th > 0.0:
             diss.append((single_atom(space, "plus", j), params.gamma * params.n_th / 2.0))
+    conserved = () if params.gamma > 0.0 else (singlet_projector(space),)
     return MasterEquation(
-        LabeledOperator("H_TC + H_d", h), tuple(diss), space, label="full"
+        LabeledOperator("H_TC + H_d", h), tuple(diss), space, label="full", conserved=conserved
     )
 
 
@@ -277,6 +293,7 @@ def build_coherent_displaced(space: SystemSpace, params: ModelParams) -> MasterE
         ((a, params.kappa),),
         space,
         label="coherent-displaced",
+        conserved=(singlet_projector(space),),
     )
 
 
@@ -323,6 +340,7 @@ def build_rwa_displaced(space: SystemSpace, params: ModelParams) -> MasterEquati
         space,
         cross_terms=cross,
         label="rwa-displaced",
+        conserved=(singlet_projector(space),),
     )
 
 
@@ -351,6 +369,7 @@ def build_effective_coherent(params: ModelParams) -> MasterEquation:
         ),
         space,
         label="effective-coherent",
+        conserved=(singlet_projector(space),),
     )
 
 
@@ -364,9 +383,8 @@ def build_incoherent(space: SystemSpace, params: ModelParams) -> MasterEquation:
             "the incoherent model requires gamma = 0; use build_full for atomic decay"
         )
     me = build_full(space, params)
-    return MasterEquation(
-        LabeledOperator("H_TC", me.hamiltonian.matrix), me.dissipators, space, label="incoherent"
-    )
+    h_tc = LabeledOperator("H_TC", me.hamiltonian.matrix)
+    return replace(me, hamiltonian=h_tc, label="incoherent")
 
 
 def build_full_displaced(space: SystemSpace, params: ModelParams) -> MasterEquation:
@@ -387,9 +405,8 @@ def build_full_displaced(space: SystemSpace, params: ModelParams) -> MasterEquat
     if params.gamma > 0.0:
         for j in (1, 2):
             diss.append((single_atom(space, "minus", j), params.gamma / 2.0))
-    return MasterEquation(
-        base.hamiltonian, tuple(diss), space, label="full-displaced"
-    )
+    conserved = () if params.gamma > 0.0 else base.conserved
+    return replace(base, dissipators=tuple(diss), label="full-displaced", conserved=conserved)
 
 
 def build_effective_incoherent(params: ModelParams) -> MasterEquation:
@@ -406,4 +423,7 @@ def build_effective_incoherent(params: ModelParams) -> MasterEquation:
     ]
     if g * params.n_th > 0.0:
         diss.append((collective_spin(space, "plus"), g * params.n_th))
-    return MasterEquation(zero, tuple(diss), space, label="effective-incoherent")
+    return MasterEquation(
+        zero, tuple(diss), space, label="effective-incoherent",
+        conserved=(singlet_projector(space),),
+    )

@@ -1,4 +1,4 @@
-"""Reduced states, entropies, mutual information and distances.
+"""Reduced states, entropies, mutual information and photon number.
 
 Entropy is measured in bits (log base 2) throughout.  Mutual information
 between the two atoms, I = S(rho_1) + S(rho_2) - S(rho_atoms), is the
@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .dynamics import DensityMatrix, evolve_spectral, trace_norm
+from .dynamics import DensityMatrix, evolve_spectral
 from .errors import ShapeError, StateValidityError
 from .linalg import eig_general
 from .models import MasterEquation, vectorize
@@ -92,15 +92,6 @@ def mi_curve(me: MasterEquation, rho0: DensityMatrix, t_grid: np.ndarray) -> np.
     then one mutual information per sample."""
     dec = eig_general(vectorize(me).as_dense())
     return evolve_spectral(dec, rho0, t_grid).observable(atomic_mutual_information)
-
-
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Trace norm Tr sqrt(X^dag X) of the difference (orthogonal pure states -> 2)."""
-    if rho.matrix.shape != sigma.matrix.shape:
-        raise ShapeError(
-            f"state dimensions differ: {rho.matrix.shape} vs {sigma.matrix.shape}"
-        )
-    return trace_norm(rho.matrix - sigma.matrix)
 
 
 def photon_number(rho: DensityMatrix) -> float:

@@ -90,10 +90,6 @@ def atomic_space() -> SystemSpace:
     return SystemSpace(None)
 
 
-def identity(space: SystemSpace) -> LabeledOperator:
-    return LabeledOperator("identity", np.eye(space.dim, dtype=complex))
-
-
 def _embed_atom(space: SystemSpace, op: np.ndarray, atom: int) -> np.ndarray:
     """Embed a single-atom operator at position ``atom`` (1 or 2)."""
     if atom not in (1, 2):
@@ -136,11 +132,6 @@ def creation(space: SystemSpace) -> LabeledOperator:
     return LabeledOperator("a^dag", op.matrix.conj().T)
 
 
-def number(space: SystemSpace) -> LabeledOperator:
-    a = annihilation(space).matrix
-    return LabeledOperator("a^dag a", a.conj().T @ a)
-
-
 def collective_spin(space: SystemSpace, which: str) -> LabeledOperator:
     """Bare-basis collective operator: S_+- = sum_j sigma_+-^j, S_x = S_+ + S_-."""
     if which == "x":
@@ -151,6 +142,19 @@ def collective_spin(space: SystemSpace, which: str) -> LabeledOperator:
     single = SIGMA_PLUS if which == "plus" else SIGMA_MINUS
     mat = _embed_atom(space, single, 1) + _embed_atom(space, single, 2)
     return LabeledOperator("S_" + which, mat)
+
+
+def singlet_projector(space: SystemSpace) -> LabeledOperator:
+    """P_S = |S><S| (x) I_F with |S> = (|ge> - |eg>)/sqrt(2).
+
+    Every collective operator commutes with P_S (it conserves the total
+    spin), so Tr[P_S rho] is conserved by any model built from them alone.
+    """
+    singlet = (np.kron(GROUND, EXCITED) - np.kron(EXCITED, GROUND)) / np.sqrt(2.0)
+    mat = np.outer(singlet, singlet.conj())
+    if space.has_field:
+        mat = kron(mat, np.eye(space.fock_cutoff, dtype=complex))
+    return LabeledOperator("P_S", mat)
 
 
 def dressed_spin(space: SystemSpace, which: str) -> LabeledOperator:

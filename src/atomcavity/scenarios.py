@@ -337,7 +337,8 @@ def run_real_detector(config: ScenarioConfig) -> tuple[list[dict], dict]:
                 else:
                     cutoff = int(config.cutoff)
                 space = make_space(cutoff)
-                sup = vectorize(models.build_full(space, p), materialize=False)
+                me = models.build_full(space, p)
+                sup = vectorize(me, materialize=False)
                 grid = _time_grid_from(config, t_max=1.0e5, points=70, t_min=0.5)
                 traj = dyn.evolve_ode(sup, dyn.ground_state(space), grid)
                 mi = traj.observable(obs.atomic_mutual_information)
@@ -347,14 +348,11 @@ def run_real_detector(config: ScenarioConfig) -> tuple[list[dict], dict]:
                 row = _base_row(p, cutoff, config.seeds)
                 row.update(case=case, t=float(t), mi=float(m))
                 rows.append(row)
-            if gamma > 0.0:
-                ss = dyn.steady_state(sup)
-            else:
-                ss = dyn.steady_state(sup, dyn.ground_state(space))
+            ss = dyn.steady_state(sup, dyn.ground_state(space))
             summary["steady"][f"{case},gamma={gamma:g}"] = {
                 "steady_mi": float(obs.atomic_mutual_information(ss)),
                 "peak_mi": float(mi.max()),
-                "kernel_unique": gamma > 0.0,
+                "kernel_unique": not me.conserved,
             }
     return rows, summary
 

@@ -157,6 +157,31 @@ class TestOutputs:
         lines = (out / "real-detector.csv").read_text().splitlines()
         assert lines[3].startswith("coherent,")
 
+    def test_real_detector_steady_states(self, tmp_path):
+        # with atomic decay the kernel is unique and correlations die out;
+        # without it the singlet weight is conserved and they survive
+        cfg = write_config(
+            tmp_path,
+            {
+                "params": {"gamma": [1e-3, 0.0]},
+                "time_grid": {"t_max": 100.0, "points": 6, "t_min": 1.0},
+                "cutoff": 4,
+            },
+        )
+        out = tmp_path / "rd"
+        assert cli.main(
+            ["--scenario", "real-detector", "--config", str(cfg), "--out", str(out), "--quiet"]
+        ) == 0
+        steady = json.loads((out / "summary.json").read_text())["summary"]["steady"]
+        assert len(steady) == 4
+        for key, entry in steady.items():
+            decays = not key.endswith("gamma=0")
+            assert entry["kernel_unique"] is decays
+            if decays:
+                assert entry["steady_mi"] < 1e-3
+            else:
+                assert entry["steady_mi"] > 0.1
+
     def test_plot_writes_svg(self, tmp_path):
         pytest.importorskip("matplotlib")
         cfg = write_config(tmp_path, SMALL_GAP_CONFIG)

@@ -6,13 +6,14 @@ from atomcavity import ModelParams, atomic_space, dynamics as dyn, make_space, m
 from atomcavity.errors import (
     FitWindowError,
     KernelAmbiguityError,
+    NumericalAccuracyError,
     StateValidityError,
     TruncationLimitError,
     UnsupportedRegimeError,
 )
 from atomcavity.linalg import EigenDecomposition, eig_general
 from atomcavity.models import vec, vectorize
-from atomcavity.operators import LabeledOperator
+from atomcavity.operators import LabeledOperator, singlet_projector
 
 from conftest import random_density_matrix
 
@@ -136,9 +137,6 @@ class TestEvolveDispatch:
         # positive and produces transient negativity beyond the 1e-6 slack;
         # evolution must refuse (no silent renormalization), and the relaxed
         # validate=False escape hatch must still work
-        from atomcavity.errors import NumericalAccuracyError
-        from atomcavity.linalg import eig_general
-
         p = ModelParams(g0=1.0, eps=0.5)
         space = make_space(4)
         with pytest.warns(UserWarning):
@@ -154,23 +152,69 @@ class TestEvolveDispatch:
 
 class TestSteadyState:
     def test_cavity_decay_reaches_vacuum(self):
+        # g0 = 0 decouples the atoms; atomic decay pins them to |gg>, so the
+        # kernel is unique and no initial state is needed
         space = make_space(4)
-        sup = vectorize(models.build_full(space, ModelParams(g0=0.0, eps=0.0)))
-        # unique kernel within the field factor requires the atomic sector to
-        # be pinned; pure cavity decay at g0=0 keeps every atomic state, so
-        # project from an initial state instead
-        rho0 = dyn.pure_state(dyn.basis_vector(space, 0, 0, 3), space)
-        ss = dyn.steady_state(sup, rho0)
+        sup = vectorize(models.build_full(space, ModelParams(g0=0.0, gamma=0.1)))
+        ss = dyn.steady_state(sup)
         from atomcavity.observables import photon_number
 
         assert photon_number(ss) < 1e-9
+        assert dyn.trace_norm(ss.matrix - dyn.ground_state(space).matrix) < 1e-9
 
     def test_dark_state_preserved(self):
-        p = ModelParams(g0=0.1, n_th=0.0)
+        # the singlet is dark at every bath occupation
+        p = ModelParams(g0=0.1, n_th=0.5)
         sup = vectorize(models.build_effective_incoherent(p))
         s = dyn.singlet_state()
         ss = dyn.steady_state(sup, s)
         assert dyn.trace_norm(ss.matrix - s.matrix) < 1e-9
+
+    @pytest.mark.parametrize(
+        "me",
+        [
+            # decoupled atoms keep every atomic state: exactly singular ...
+            models.build_full(make_space(4), ModelParams(g0=0.0)),
+            # ... or singular to working precision once the field is driven
+            models.build_full(make_space(4), ModelParams(g0=0.0, eps=1.0)),
+            # a zero-temperature bath also keeps |gg><S| and |S><gg|
+            models.build_effective_incoherent(ModelParams(g0=0.1)),
+        ],
+        ids=["g0=0", "g0=0-driven", "effective-n_th=0"],
+    )
+    def test_larger_kernel_than_stated_raises(self, me):
+        rho0 = dyn.ground_state(me.space)
+        with pytest.raises(KernelAmbiguityError):
+            dyn.steady_state(vectorize(me, materialize=False), rho0)
+
+    def test_wrongly_stated_conserved_quantity_raises(self):
+        # single-atom decay breaks the exchange symmetry, so P_S is not conserved
+        space = make_space(4)
+        me = models.build_full_displaced(space, ModelParams(g0=0.1, eps=3.0, gamma=1e-3))
+        wrong = models.MasterEquation(
+            me.hamiltonian, me.dissipators, space, conserved=(singlet_projector(space),)
+        )
+        with pytest.raises(NumericalAccuracyError):
+            dyn.steady_state(vectorize(wrong, materialize=False), dyn.ground_state(space))
+
+    @pytest.mark.parametrize(
+        "me",
+        [
+            models.build_effective_coherent(ModelParams(g0=0.25, eps=10.0)),
+            models.build_effective_incoherent(ModelParams(g0=0.1, n_th=1.0)),
+            models.build_coherent_displaced(make_space(4), ModelParams(g0=0.5, eps=2.0)),
+        ],
+        ids=["effective-coherent", "effective-incoherent", "coherent-displaced"],
+    )
+    def test_equals_long_time_limit(self, me, rng):
+        sup = vectorize(me)
+        dec = eig_general(sup.as_dense())
+        t_inf = 60.0 / spectra.analyze(sup).gap
+        for _ in range(3):
+            rho0 = random_density_matrix(me.dim, rng, me.space)
+            late = dyn.evolve_spectral(dec, rho0, np.array([0.0, t_inf])).states[-1]
+            ss = dyn.steady_state(sup, rho0)
+            assert dyn.trace_norm(ss.matrix - late.matrix) < 1e-9
 
     def test_degenerate_kernel_requires_rho0(self):
         p = ModelParams(g0=0.1, n_th=10.0)

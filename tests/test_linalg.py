@@ -5,14 +5,11 @@ from numpy.testing import assert_allclose
 from atomcavity import linalg
 from atomcavity.errors import (
     DimensionLimitError,
-    HermiticityError,
     NumericalAccuracyError,
     ShapeError,
     StiffnessError,
 )
 from atomcavity.operators import SIGMA_X, SIGMA_Z
-
-from conftest import random_hermitian
 
 I2 = np.eye(2, dtype=complex)
 
@@ -85,45 +82,6 @@ class TestEigGeneral:
         jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
         dec = linalg.eig_general(jordan)
         assert dec.near_defective
-
-
-class TestEigHermitian:
-    def test_half_identity(self):
-        dec = linalg.eig_hermitian(I2 / 2)
-        assert_allclose(dec.eigenvalues.real, [0.5, 0.5])
-
-    def test_sigma_z_sorted_ascending(self):
-        dec = linalg.eig_hermitian(SIGMA_Z)
-        assert_allclose(dec.eigenvalues.real, [-1.0, 1.0])
-
-    def test_bell_state_spectrum(self):
-        v = np.zeros(4, dtype=complex)
-        v[0] = v[3] = 1 / np.sqrt(2)
-        rho = np.outer(v, v.conj())
-        dec = linalg.eig_hermitian(rho)
-        assert_allclose(dec.eigenvalues.real, [0, 0, 0, 1], atol=1e-12)
-
-    def test_orthonormal_eigenvectors(self, rng):
-        m = random_hermitian(8, rng)
-        dec = linalg.eig_hermitian(m)
-        v = dec.right_eigenvectors
-        assert_allclose(v.conj().T @ v, np.eye(8), atol=1e-10)
-
-    def test_rejects_non_hermitian(self, rng):
-        with pytest.raises(HermiticityError):
-            linalg.eig_hermitian(rng.standard_normal((4, 4)) + SIGMA_X.repeat(2, 0).repeat(2, 1) * 1j)
-
-
-class TestNullSpace:
-    def test_identity_has_empty_kernel(self):
-        assert linalg.null_space(np.eye(5)).shape == (5, 0)
-
-    def test_projector_kernel(self):
-        p = np.diag([1.0, 1.0, 0.0, 0.0])
-        basis = linalg.null_space(p, tol=1e-12)
-        assert basis.shape == (4, 2)
-        assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
-        assert_allclose(p @ basis, 0.0, atol=1e-12)
 
 
 class TestIntegrateOde:

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from atomcavity import ModelParams, atomic_space, make_space, models
@@ -65,6 +69,43 @@ def test_apply_matches_matrix_algebra(name, factory, rng):
     expected = apply_oracle(me, rho)
     assert_allclose(unvec(sup.apply(vec(rho))), expected, rtol=0.0,
                     atol=1e-13 * np.abs(expected).max())
+
+
+#: every builder, given the parameters of its regime out of one full draw
+PARAMETRIC_BUILDERS = {
+    "full": build_full,
+    "incoherent": lambda s, p: build_incoherent(s, replace(p, eps=0.0, gamma=0.0)),
+    "coherent-displaced": lambda s, p: build_coherent_displaced(s, replace(p, n_th=0.0, gamma=0.0)),
+    "full-displaced": lambda s, p: build_full_displaced(s, replace(p, n_th=0.0)),
+    "rwa-displaced": lambda s, p: build_rwa_displaced(s, replace(p, n_th=0.0, gamma=0.0)),
+    "effective-coherent": lambda s, p: build_effective_coherent(p),
+    "effective-incoherent": lambda s, p: build_effective_incoherent(p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETRIC_BUILDERS))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    g0=st.floats(0.05, 1.0),
+    eps=st.floats(3.0, 30.0),
+    n_th=st.floats(0.2, 5.0),
+    gamma=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+    cutoff=st.sampled_from([3, 4]),
+)
+def test_stated_conserved_quantities_span_the_kernel(name, g0, eps, n_th, gamma, cutoff):
+    # g0 and n_th stay away from 0, where decoupled atoms or a zero-temperature
+    # bath enlarge the kernel beyond what any builder states
+    me = PARAMETRIC_BUILDERS[name](make_space(cutoff), ModelParams(g0, eps, n_th, gamma))
+    sup = vectorize(me)
+    lv = sup.as_sparse()
+    for q in (np.eye(me.dim, dtype=complex),) + tuple(q.matrix for q in me.conserved):
+        # L^dag annihilates vec(Q): Tr[Q rho] is constant in time
+        resid = np.linalg.norm(lv.conj().T @ vec(q))
+        assert resid <= 1e-12 * sup.norm_estimate() * np.linalg.norm(vec(q))
+    assert scipy.linalg.null_space(sup.as_dense()).shape[1] == 1 + len(me.conserved)
+    rho = random_hermitian(me.dim, np.random.default_rng(cutoff))
+    out = unvec(sup.apply(vec(rho)))
+    assert_allclose(out, out.conj().T, rtol=0.0, atol=1e-13 * np.abs(out).max())
 
 
 class TestParams:
@@ -333,15 +374,13 @@ class TestEffectiveModels:
         assert np.linalg.norm(sup.apply(vec(s.matrix))) < 1e-12
 
     def test_kernel_dimension_two(self):
-        from atomcavity.linalg import null_space
-
         for me in (
             build_effective_coherent(ModelParams(g0=0.25, eps=10.0)),
             build_effective_incoherent(ModelParams(g0=0.1, n_th=10.0)),
             build_effective_incoherent(ModelParams(g0=0.1, n_th=0.5)),
         ):
             sup = vectorize(me)
-            assert null_space(sup.as_dense(), tol=1e-10).shape[1] == 2
+            assert scipy.linalg.null_space(sup.as_dense(), rcond=1e-10).shape[1] == 2
 
 
 class TestGeneratorInvariants:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from atomcavity import atomic_space, dynamics as dyn, make_space, observables as obs
-from atomcavity.errors import ShapeError, StateValidityError
+from atomcavity.errors import StateValidityError
 
 from conftest import random_density_matrix
 
@@ -101,27 +101,6 @@ class TestMutualInformation:
             uu = np.kron(u, u)
             rotated = dyn.DensityMatrix(uu @ rho.matrix @ uu.conj().T, atomic_space())
             assert obs.mutual_information(rotated) == pytest.approx(base, abs=1e-9)
-
-
-class TestTraceDistance:
-    def test_identical_states(self):
-        b = dyn.bell_state()
-        assert obs.trace_distance(b, b) == 0.0
-
-    def test_orthogonal_pure_states(self):
-        space = atomic_space()
-        a = dyn.pure_state(dyn.basis_vector(space, 0, 0), space)
-        b = dyn.pure_state(dyn.basis_vector(space, 1, 1), space)
-        assert obs.trace_distance(a, b) == pytest.approx(2.0)
-
-    def test_symmetric(self, rng):
-        a = random_density_matrix(4, rng)
-        b = random_density_matrix(4, rng)
-        assert obs.trace_distance(a, b) == pytest.approx(obs.trace_distance(b, a))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            obs.trace_distance(dyn.bell_state(), dyn.ground_state(make_space(2)))
 
 
 class TestPhotonNumber:

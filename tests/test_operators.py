@@ -32,11 +32,8 @@ class TestAnnihilation:
         assert_allclose(block, [[0, 1], [0, 0]])
 
     def test_number_operator_diagonal(self):
-        space = ops.make_space(5)
-        n = ops.number(space).matrix
-        a = ops.annihilation(space).matrix
-        assert_allclose(n, a.conj().T @ a)
-        assert_allclose(np.diag(n)[:5], [0, 1, 2, 3, 4])
+        a = ops.annihilation(ops.make_space(5)).matrix
+        assert_allclose(np.diag(a.conj().T @ a)[:5], [0, 1, 2, 3, 4])
 
     def test_commutator_truncation_artifact(self):
         # [a, a~dag] = I except in the top retained Fock level
