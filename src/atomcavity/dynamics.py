@@ -8,14 +8,14 @@ drifting traces - accuracy failures surface as errors.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import spectra
 from .errors import (
     FitWindowError,
     KernelAmbiguityError,
@@ -24,12 +24,9 @@ from .errors import (
     TruncationLimitError,
     UnsupportedRegimeError,
 )
-from .linalg import EigenDecomposition, integrate_ode
+from .linalg import eig_general, integrate_ode
 from .models import MasterEquation, ModelParams, Superoperator, unvec, vec, vectorize
 from .operators import SystemSpace, atomic_space, make_space, singlet_projector
-
-if TYPE_CHECKING:
-    from .spectra import SpectrumReport
 
 #: default slacks for density-matrix invariants at construction time
 HERM_TOL = 1e-10
@@ -44,6 +41,9 @@ EVOLUTION_INVARIANT_TOL = 1e-6
 #: stated kernels measure 2.4e7 at the effective coherent model's eps = 1000
 #: (it grows as eps^2), numerically singular ones above 1e16
 BORDERED_COND_MAX = 1e12
+
+#: rows of the eigenvector matrix updated at a time by ``evolve_spectral``
+_ROW_BLOCK = 256
 
 #: bound on the steady-state residuals ||L x|| and ||C mu||, relative to
 #: ||L||_1 ||x||; round-off stays below 1e-16, a wrongly stated conserved
@@ -254,29 +254,51 @@ def evolve_ode(
 
 
 def evolve_spectral(
-    decomp: EigenDecomposition,
+    sup: Superoperator,
     rho0: DensityMatrix,
     t_grid: np.ndarray,
     validate: bool = True,
     invariant_tol: float = EVOLUTION_INVARIANT_TOL,
-    model: str = "",
 ) -> Trajectory:
-    """Evolve through the eigenbasis: rho(t) = sum c_k e^{w_k t} r_k.
+    """Evolve through the dense eigenbasis of the generator.
 
-    Refuses near-defective decompositions (eigenvector condition above the
-    guard threshold); fall back to ``evolve_ode`` in that case.
+    With L = V diag(w) V^-1 and the model's kernel eigenvalues set to exactly
+    0 (``spectra.zero_modes``), vec(rho(t)) = vec(rho0) + V diag(expm1(w t))
+    V^-1 vec(rho0): rho0 itself at t = 0, and the kernel part of rho0 never
+    changes, however far the solver's kernel eigenvalues sit from 0.  The
+    solver's slowest eigenvectors, kernel ones included, mix with each other
+    by about 1e-16 ||L|| / gap (4e-6 at the displaced model's eps = 1000,
+    cutoff 8), which their decay would leave behind in rho(t) as trace and
+    Hermiticity errors.  So the kernel columns of V are replaced by
+    ``stated_kernel`` K (exact to round-off, C^dag K = I), and each decaying
+    mode r, which carries no conserved charge (C^dag r = 0), has its
+    admixture K C^dag r removed: rho(t) tends to ``steady_state(sup, rho0)``
+    and keeps the trace and the conserved values of rho0 at every t.  Refuses
+    near-defective decompositions (eigenvector condition above the guard
+    threshold); fall back to ``evolve_ode`` in that case.
     """
+    decomp = eig_general(sup.as_dense())
     if decomp.near_defective:
         raise UnsupportedRegimeError(
             "eigendecomposition is near-defective (condition estimate "
             f"{decomp.condition_estimate:.2e}); use evolve_ode instead"
         )
+    w = decomp.eigenvalues
+    kernel = spectra.zero_modes(w, 1 + len(sup.me.conserved))
+    w = np.where(kernel, 0.0, w)
     v = decomp.right_eigenvectors
-    c = np.linalg.solve(v, vec(rho0.matrix))
+    k = stated_kernel(sup)
+    charges = np.column_stack([vec(q) for q in _charges(sup.me)])
+    admixture = charges.conj().T @ v
+    admixture[:, kernel] = 0.0
+    for i in range(0, sup.dim, _ROW_BLOCK):  # in place: V is the largest array here
+        v[i : i + _ROW_BLOCK] -= k[i : i + _ROW_BLOCK] @ admixture
+    v[:, kernel] = k
+    x0 = vec(rho0.matrix)
+    c = np.linalg.solve(v, x0)
     t = np.asarray(t_grid, dtype=float)
-    phases = np.exp(np.outer(t, decomp.eigenvalues))  # (T, n)
-    raw = (phases * c) @ v.T
-    return _as_trajectory(raw, t, rho0.space, model, validate, invariant_tol)
+    raw = x0 + (np.expm1(np.outer(t, w)) * c) @ v.T
+    return _as_trajectory(raw, t, rho0.space, sup.me.label, validate, invariant_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -284,34 +306,38 @@ def evolve_spectral(
 # ---------------------------------------------------------------------------
 
 
-def steady_state(sup: Superoperator, rho0: DensityMatrix | None = None) -> DensityMatrix:
-    """The t -> infinity limit of the generator, from one sparse LU solve.
+def _charges(me: MasterEquation) -> list[np.ndarray]:
+    """The identity (trace) and the model's stated conserved quantities."""
+    return [np.eye(me.dim, dtype=complex)] + [q.matrix for q in me.conserved]
 
-    The model states its conserved quantities Q_1, ... (``me.conserved``);
-    with C = [vec(I), vec(Q_1), ...] the bordered system
 
-        [[L, C], [C^dag, 0]] [x; mu] = [0; Tr(Q_j^dag rho0)]
+def stated_kernel(sup: Superoperator) -> np.ndarray:
+    """Basis of the generator's kernel dual to the model's conserved charges.
 
-    picks the kernel element with the conserved values of ``rho0`` (trace 1
-    for Q = I).  ``rho0`` may be omitted only when nothing but the trace is
-    conserved.  A bordered matrix that is singular, exactly or to working
-    precision, means the kernel is larger than the model states
-    (``KernelAmbiguityError``); a residual ||L x|| or multiplier mu above
-    round-off means a stated Q is not conserved (``NumericalAccuracyError``).
+    With C = [vec(I), vec(Q_1), ...] for the conserved quantities Q_j of
+    ``me.conserved``, column j of the returned K solves the bordered system
+
+        [[L, C], [C^dag, 0]] [x; mu] = [0; e_j]
+
+    from one sparse LU, so L K = 0 and C^dag K = I to round-off: the
+    asymptotic state of rho0 is K C^dag vec(rho0).  The charges are Hermitian
+    and L commutes with the adjoint, so each column is a Hermitian matrix; the
+    solve leaves an anti-Hermitian error of about 1e-16 ||L|| / gap (2.4e-6 on
+    the displaced model at eps = 3000, cutoff 8), which is dropped.  A
+    bordered matrix that is
+    singular, exactly or to working precision, means the kernel is larger
+    than the model states (``KernelAmbiguityError``); a residual ||L x|| or
+    multiplier mu above round-off means a stated Q is not conserved
+    (``NumericalAccuracyError``).
     """
     me = sup.me
     name = me.label or "the model"
-    if rho0 is None and me.conserved:
-        raise KernelAmbiguityError(
-            f"{name} conserves {', '.join(q.label for q in me.conserved)}; the "
-            "asymptotic state depends on the initial state - pass rho0"
-        )
-    charges = [np.eye(me.dim, dtype=complex)] + [q.matrix for q in me.conserved]
+    charges = _charges(me)
     c = sp.csc_matrix(np.column_stack([vec(q) for q in charges]))
     lv = sup.as_sparse()
     bordered = sp.bmat([[lv, c], [c.conj().T, None]], format="csc")
-    rhs = np.zeros(bordered.shape[0], dtype=complex)
-    rhs[sup.dim :] = 1.0 if rho0 is None else c.conj().T @ vec(rho0.matrix)
+    rhs = np.zeros((bordered.shape[0], len(charges)), dtype=complex)
+    rhs[sup.dim :] = np.eye(len(charges))
     try:
         lu = spla.splu(bordered)
     except RuntimeError:  # SuperLU: "Factor is exactly singular"
@@ -331,14 +357,38 @@ def steady_state(sup: Superoperator, rho0: DensityMatrix | None = None) -> Densi
             f"working precision (condition {cond:.1e})"
         )
     sol = lu.solve(rhs)
-    x, mu = sol[: sup.dim], sol[sup.dim :]
-    scale = sup.norm_estimate() * np.linalg.norm(x)
-    resid = max(np.linalg.norm(lv @ x), np.linalg.norm(c @ mu)) / scale
-    if not resid <= STEADY_RESIDUAL_TOL:
+    mu = sol[sup.dim :]
+    cube = sol[: sup.dim].reshape(me.dim, me.dim, len(charges), order="F")
+    k = ((cube + cube.conj().transpose(1, 0, 2)) / 2.0).reshape(sup.dim, -1, order="F")
+    scale = sup.norm_estimate() * np.linalg.norm(k, axis=0)
+    resid = np.maximum(np.linalg.norm(lv @ k, axis=0), np.linalg.norm(c @ mu, axis=0))
+    worst = float((resid / scale).max())
+    if not worst <= STEADY_RESIDUAL_TOL:
         raise NumericalAccuracyError(
-            f"steady-state residual {resid:.2e} > {STEADY_RESIDUAL_TOL:.0e} (relative to "
+            f"steady-state residual {worst:.2e} > {STEADY_RESIDUAL_TOL:.0e} (relative to "
             f"||L||_1 ||x||); a stated conserved quantity of {name} is not conserved"
         )
+    return k
+
+
+def steady_state(sup: Superoperator, rho0: DensityMatrix | None = None) -> DensityMatrix:
+    """The t -> infinity limit of the generator: the element of
+    ``stated_kernel`` with the conserved values of ``rho0`` (trace 1 for
+    Q = I).  ``rho0`` may be omitted only when nothing but the trace is
+    conserved."""
+    me = sup.me
+    if rho0 is None and me.conserved:
+        raise KernelAmbiguityError(
+            f"{me.label or 'the model'} conserves "
+            f"{', '.join(q.label for q in me.conserved)}; the asymptotic state "
+            "depends on the initial state - pass rho0"
+        )
+    k = stated_kernel(sup)
+    if rho0 is None:
+        x = k[:, 0]
+    else:
+        charges = _charges(me)
+        x = k @ np.array([np.vdot(q, rho0.matrix) for q in charges])
     m = unvec(x)
     return DensityMatrix.from_matrix((m + m.conj().T) / 2.0, me.space)
 
@@ -474,7 +524,7 @@ def converged_cutoff_for_gap(
     start: int = 4,
     hard_cap: int = 512,
     k: int = 12,
-) -> tuple[int, SpectrumReport]:
+) -> tuple[int, spectra.SpectrumReport]:
     """Truncation sweep using the spectral gap as the convergence observable.
 
     Always uses the targeted shift-invert path (``k`` eigenvalues): the sweep
@@ -482,12 +532,10 @@ def converged_cutoff_for_gap(
     for no benefit.  Returns the converged cutoff and the spectrum report
     solved at it, so callers need not solve that cutoff again.
     """
-    from .spectra import analyze  # local import to avoid a cycle
-
     reports = []
 
     def gap_of(me: MasterEquation) -> float:
-        reports.append(analyze(vectorize(me, materialize=False), k=k, force_targeted=True))
+        reports.append(spectra.analyze(vectorize(me, materialize=False), k=k))
         return reports[-1].gap
 
     cutoff = check_truncation(builder, params, gap_of, rel_tol, start, hard_cap)

@@ -150,7 +150,7 @@ def _gap_point(
         return dyn.converged_cutoff_for_gap(builder, p, k=k)
     cutoff = int(config.cutoff)
     sup = vectorize(builder(make_space(cutoff), p), materialize=False)
-    return cutoff, spectra.analyze(sup, k=k, force_targeted=True)
+    return cutoff, spectra.analyze(sup, k=k)
 
 
 def _base_row(p: ModelParams, cutoff, seed: int) -> dict:

@@ -1,8 +1,11 @@
 """Liouvillian spectrum analysis: gaps, rate ordering, clusters, analytic tables.
 
-Zero eigenvalues are identified with a threshold relative to the spectral
-radius of the computed spectrum, never absolutely: the rates of interest span
-many orders of magnitude across parameter regimes.
+No magnitude threshold decides a zero mode: the rates of interest span many
+orders of magnitude, and at strong drive the gap falls to within a few decades
+of the round-off a dense solver leaves on the kernel eigenvalues.  The model
+states its kernel instead (1 + len(``MasterEquation.conserved``)), and the
+zero modes are that many eigenvalues of least modulus (``zero_modes``), for
+spectrum reports and spectral evolution alike.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import SpectrumDiagnosticError, UnsupportedRegimeError
-from .linalg import DENSE_CAP, eig_general
+from .linalg import eig_general
 from .models import ModelParams, Superoperator
 
-DEFAULT_ZERO_TOL = 1e-9
-DEFAULT_CLUSTER_TOL = 1e-7
+#: eigenvalues closer than this, relative to the spectral radius, form a cluster
+CLUSTER_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -124,70 +127,55 @@ def _cluster_complex(values: np.ndarray, tol: float) -> list[list[int]]:
     return groups
 
 
-def analyze(
-    sup: Superoperator,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    k: int = 24,
-    sigma: float | None = None,
-    force_targeted: bool = False,
-) -> SpectrumReport:
+def analyze(sup: Superoperator, k: int | None = None) -> SpectrumReport:
     """Spectrum report for a Liouvillian.
 
-    Dense full diagonalization when the superoperator dimension fits under
-    ``linalg.DENSE_CAP``; otherwise (or when ``force_targeted`` is set) a targeted
-    shift-invert solve for the ``k`` eigenvalues nearest ``sigma`` (a small
-    positive real shift by default, which is never an eigenvalue of a
-    Lindblad generator), yielding a partial report of the slow end of the
-    spectrum.
+    Dense full diagonalization when ``k`` is None; otherwise a targeted
+    shift-invert solve for the ``k`` eigenvalues nearest a small positive real
+    shift (never an eigenvalue of a Lindblad generator), yielding a partial
+    report of the slow end of the spectrum.  The kernel is the one the model
+    states, 1 + len(``conserved``) zero modes.
     """
-    if sup.dim <= DENSE_CAP and not force_targeted:
+    kernel_dim = 1 + len(sup.me.conserved)
+    if k is None:
         decomp = eig_general(sup.as_dense())
-        w = decomp.eigenvalues
-        partial = False
-        cond = decomp.condition_estimate
-        near_defective = decomp.near_defective
-    else:
-        if sigma is None:
-            sigma = 1e-3
-        w = spla.eigs(
-            sup.as_sparse().tocsc(),
-            k=k,
-            sigma=sigma,
-            which="LM",
-            return_eigenvectors=False,
-            v0=arpack_start_vector(sup.dim),
+        return classify(
+            decomp.eigenvalues,
+            kernel_dim,
+            condition=decomp.condition_estimate,
+            near_defective=decomp.near_defective,
         )
-        partial = True
-        cond = np.nan
-        near_defective = False
-    return classify(
-        w,
-        zero_tol=zero_tol,
-        cluster_tol=cluster_tol,
-        partial=partial,
-        condition=cond,
-        near_defective=near_defective,
-    )
+    return classify(_shift_invert(sup, k, 1e-3), kernel_dim, partial=True)
+
+
+def zero_modes(eigenvalues: np.ndarray, kernel_dim: int) -> np.ndarray:
+    """Mask of the ``kernel_dim`` eigenvalues of least modulus.
+
+    The count comes from the model's statement of its kernel, not from a
+    magnitude threshold: a dense solver returns the zero modes as round-off
+    of order 1e-13, which a physical gap of a strongly driven model
+    (2.5e-7 at eps = 1000) does not exceed by much.
+    """
+    w = np.asarray(eigenvalues)
+    mask = np.zeros(w.size, dtype=bool)
+    mask[np.argsort(np.abs(w), kind="stable")[:kernel_dim]] = True
+    return mask
 
 
 def classify(
     eigenvalues: np.ndarray,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    kernel_dim: int,
     partial: bool = False,
     condition: float = np.nan,
     near_defective: bool = False,
 ) -> SpectrumReport:
-    """Build a SpectrumReport from raw eigenvalues."""
+    """Build a SpectrumReport from raw eigenvalues and the kernel dimension."""
     w = np.asarray(eigenvalues, dtype=complex)
     order = np.lexsort((w.imag, np.abs(w.real)))
     w = w[order]
     scale = float(np.abs(w).max()) if w.size else 0.0
-    abs_tol = zero_tol * scale
-    zero_mask = (np.abs(w.real) <= abs_tol) & (np.abs(w.imag) <= abs_tol)
-    kernel_dim = int(zero_mask.sum())
-    groups = _cluster_complex(w, cluster_tol * scale)
+    zero_mask = zero_modes(w, kernel_dim)
+    groups = _cluster_complex(w, CLUSTER_TOL * scale)
     clusters = tuple(
         Cluster(complex(np.mean(w[g])), len(g), tuple(g))
         for g in sorted(groups, key=lambda g: (abs(np.mean(w[g]).real), np.mean(w[g]).imag))
@@ -195,9 +183,7 @@ def classify(
     rates = -w[~zero_mask].real
     if rates.size:
         gap = float(rates.min())
-        if gap < 0.0 and abs(gap) <= abs_tol:
-            gap = 0.0
-        rate_groups = _cluster_complex(rates.astype(complex), cluster_tol * scale)
+        rate_groups = _cluster_complex(rates.astype(complex), CLUSTER_TOL * scale)
         distinct = np.sort([float(np.mean(rates[g])) for g in rate_groups])
     else:
         gap = 0.0
@@ -209,7 +195,7 @@ def classify(
         gap=gap,
         second_rate=second,
         distinct_rates=distinct,
-        kernel_dim=kernel_dim,
+        kernel_dim=int(zero_mask.sum()),
         near_defective=near_defective,
         scale=scale,
         partial=partial,
@@ -366,9 +352,17 @@ def match_eigenvalue_sets(
     return devs
 
 
-def arpack_start_vector(n: int) -> np.ndarray:
-    """Deterministic generic start vector (reproducible targeted solves)."""
-    return np.cos(0.7 * np.arange(n)) + 0.3
+def _shift_invert(sup: Superoperator, k: int, sigma: complex) -> np.ndarray:
+    """The ``k`` eigenvalues nearest ``sigma`` (ARPACK shift-invert), from a
+    deterministic generic start vector so targeted solves are reproducible."""
+    return spla.eigs(
+        sup.as_sparse().tocsc(),
+        k=k,
+        sigma=sigma,
+        which="LM",
+        return_eigenvectors=False,
+        v0=np.cos(0.7 * np.arange(sup.dim)) + 0.3,
+    )
 
 
 def slowest_eigenvalues(
@@ -380,14 +374,7 @@ def slowest_eigenvalues(
     the |Re| selection; it must comfortably exceed ``count`` so slow modes
     with large imaginary parts are not missed near the selection boundary.
     """
-    w = spla.eigs(
-        sup.as_sparse().tocsc(),
-        k=k,
-        sigma=sigma,
-        which="LM",
-        return_eigenvectors=False,
-        v0=arpack_start_vector(sup.dim),
-    )
+    w = _shift_invert(sup, k, sigma)
     order = np.lexsort((np.abs(w.imag), np.abs(w.real)))
     return w[order][:count]
 

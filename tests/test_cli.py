@@ -182,6 +182,22 @@ class TestOutputs:
             else:
                 assert entry["steady_mi"] > 0.1
 
+    def test_mi_coherent_strong_drive_reaches_steady_value(self, tmp_path):
+        # the eps = 1000 point of the default config, at the cutoff its auto
+        # sweep converges to (8) and on its default grid to 30 tau = 1.2e8:
+        # the kernel must not drift while the atoms relax to 2 - log2(3)
+        config = scenarios.ScenarioConfig(
+            "mi-coherent",
+            params={"g0": [0.25], "eps": [1000.0]},
+            cutoff=8,
+            output=str(tmp_path / "mi"),
+        )
+        assert scenarios.run_scenario(config, quiet=True) == 0
+        lines = (tmp_path / "mi" / "mi-coherent.csv").read_text().splitlines()
+        cols = lines[2].removeprefix("# columns: ").split(",")
+        last = dict(zip(cols, lines[-1].split(",")))
+        assert float(last["mi_exact"]) == pytest.approx(2.0 - np.log2(3.0), abs=1e-5)
+
     def test_plot_writes_svg(self, tmp_path):
         pytest.importorskip("matplotlib")
         cfg = write_config(tmp_path, SMALL_GAP_CONFIG)

@@ -16,10 +16,12 @@ class _Dim3:
 
 
 def diag_superop(values):
-    """Wrap a diagonal matrix as a fake Superoperator via a trivial model."""
+    """Wrap a diagonal matrix as a fake Superoperator of a trivial model
+    (unique kernel: nothing but the trace is conserved)."""
 
     class _Sup:
         dim = len(values)
+        me = MasterEquation(LabeledOperator("0", np.zeros((3, 3), dtype=complex)), (), _Dim3())
 
         def as_dense(self):
             return np.diag(np.asarray(values, dtype=complex))
@@ -147,7 +149,7 @@ class TestSplitting:
 
     def test_unavailable_without_rates(self):
         with pytest.raises(SpectrumDiagnosticError):
-            spectra.splitting_diagnostic(spectra.classify(np.array([0.0, -1.0])))
+            spectra.splitting_diagnostic(spectra.classify(np.array([0.0, -1.0]), 1))
 
 
 class TestMonotonicity:
@@ -178,11 +180,27 @@ class TestTargetedPath:
         for g0, cutoff in ((0.1, 24), (0.03, 24)):
             p = ModelParams(g0=g0, n_th=n_th)
             sup = vectorize(models.build_incoherent(make_space(cutoff), p), materialize=False)
-            rep = spectra.analyze(sup, k=12, sigma=1e-4, force_targeted=True)
+            rep = spectra.analyze(sup, k=12)
             ana = spectra.gap_incoherent(p)
             errors.append(abs(rep.gap - ana) / ana)
         assert errors[0] < 0.05          # ~2% at g0 = 0.1 (Fig. 3 regime)
         assert errors[1] < errors[0]     # improves toward the formula
+
+    @pytest.mark.parametrize("eps", [1000.0, 3000.0])
+    def test_dense_agrees_with_targeted_at_strong_drive(self, eps):
+        # the gap 1/(2 eps)^2 sits a few decades above the ~1e-13 round-off
+        # zgeev leaves on the kernel eigenvalues; a zero threshold of 1e-9 x
+        # spectral radius counted four slow modes into the kernel here
+        from atomcavity import make_space
+
+        p = ModelParams(g0=0.25, eps=eps)
+        sup = vectorize(models.build_coherent_displaced(make_space(8), p), materialize=False)
+        dense = spectra.analyze(sup)
+        targeted = spectra.analyze(sup, k=24)
+        assert not dense.partial and targeted.partial
+        assert dense.kernel_dim == targeted.kernel_dim == 2
+        assert dense.gap == pytest.approx(targeted.gap, rel=1e-4)
+        assert targeted.gap == pytest.approx(spectra.gap_coherent(p), rel=1e-3)
 
     def test_matches_dense_on_slow_modes(self):
         # dual-route check: shift-invert vs full diagonalization
