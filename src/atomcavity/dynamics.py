@@ -59,28 +59,21 @@ class DensityMatrix:
     space: SystemSpace
 
     @classmethod
-    def from_matrix(
-        cls,
-        matrix: np.ndarray,
-        space: SystemSpace,
-        herm_tol: float = HERM_TOL,
-        trace_tol: float = TRACE_TOL,
-        pos_tol: float = POSITIVITY_TOL,
-    ) -> "DensityMatrix":
+    def from_matrix(cls, matrix: np.ndarray, space: SystemSpace) -> "DensityMatrix":
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (space.dim, space.dim):
             raise StateValidityError(
                 f"state shape {m.shape} does not match space dimension {space.dim}"
             )
         herm_dev = float(np.abs(m - m.conj().T).max())
-        if herm_dev > herm_tol:
-            raise StateValidityError(f"Hermiticity deviation {herm_dev:.3e} > {herm_tol:.1e}")
+        if herm_dev > HERM_TOL:
+            raise StateValidityError(f"Hermiticity deviation {herm_dev:.3e} > {HERM_TOL:.1e}")
         trace_dev = abs(np.trace(m) - 1.0)
-        if trace_dev > trace_tol:
-            raise StateValidityError(f"trace deviation {trace_dev:.3e} > {trace_tol:.1e}")
+        if trace_dev > TRACE_TOL:
+            raise StateValidityError(f"trace deviation {trace_dev:.3e} > {TRACE_TOL:.1e}")
         min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
-        if min_eig < -pos_tol:
-            raise StateValidityError(f"negative eigenvalue {min_eig:.3e} < -{pos_tol:.1e}")
+        if min_eig < -POSITIVITY_TOL:
+            raise StateValidityError(f"negative eigenvalue {min_eig:.3e} < -{POSITIVITY_TOL:.1e}")
         return cls(m, space)
 
     @property
@@ -94,7 +87,6 @@ class Trajectory:
 
     times: np.ndarray
     states: tuple[DensityMatrix, ...]
-    model: str = ""
 
     def observable(self, fn: Callable[[DensityMatrix], float]) -> np.ndarray:
         return np.array([fn(s) for s in self.states])
@@ -108,7 +100,6 @@ class RelaxationEstimate:
     tau_fit: float
     fit_window: tuple[float, float]
     residual: float
-    method: str
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +197,6 @@ def _as_trajectory(
     raw: np.ndarray,
     t_grid: np.ndarray,
     space: SystemSpace,
-    model: str,
     validate: bool,
     invariant_tol: float,
 ) -> Trajectory:
@@ -216,7 +206,7 @@ def _as_trajectory(
         if validate:
             _check_sample(m, t, invariant_tol)
         states.append(DensityMatrix(m, space))
-    return Trajectory(np.asarray(t_grid, dtype=float), tuple(states), model)
+    return Trajectory(np.asarray(t_grid, dtype=float), tuple(states))
 
 
 def evolve_ode(
@@ -248,9 +238,7 @@ def evolve_ode(
         return out
 
     raw = integrate_ode(rhs, vec(rho0.matrix), t_grid, rtol=rtol, atol=atol, jac=sup.as_sparse())
-    return _as_trajectory(
-        raw, t_grid, rho0.space, sup.me.label, validate, invariant_tol
-    )
+    return _as_trajectory(raw, t_grid, rho0.space, validate, invariant_tol)
 
 
 def evolve_spectral(
@@ -298,7 +286,7 @@ def evolve_spectral(
     c = np.linalg.solve(v, x0)
     t = np.asarray(t_grid, dtype=float)
     raw = x0 + (np.expm1(np.outer(t, w)) * c) @ v.T
-    return _as_trajectory(raw, t, rho0.space, sup.me.label, validate, invariant_tol)
+    return _as_trajectory(raw, t, rho0.space, validate, invariant_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +432,6 @@ def fit_relaxation(
         tau_fit=float(-1.0 / slope),
         fit_window=(float(tw[0]), float(tw[-1])),
         residual=resid,
-        method="trajectory-fit",
     )
 
 

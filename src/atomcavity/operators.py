@@ -48,10 +48,6 @@ class SystemSpace:
     fock_cutoff: int | None
 
     @property
-    def n_atoms(self) -> int:
-        return 2
-
-    @property
     def has_field(self) -> bool:
         return self.fock_cutoff is not None
 

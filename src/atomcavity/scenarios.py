@@ -47,6 +47,22 @@ COLUMNS: dict[str, list[str]] = {
     "verify": ["criterion", "passed", "seconds", "details"],
 }
 
+#: parameter axes of every scenario, the only keys ``params`` may hold, each
+#: with its default (for the real-detector ``case``, every valid case)
+AXES: dict[str, dict] = {
+    "gap-coherent": {"g0": [0.125, 0.25, 0.5], "eps": {"log": [1.0, 1000.0, 7]}},
+    "second-rate-coherent": {"g0": [0.125, 0.25, 0.5], "eps": [10.0, 30.0, 100.0, 300.0, 1000.0]},
+    "mi-coherent": {"g0": [0.25], "eps": [10.0, 100.0, 1000.0]},
+    "gap-incoherent": {"g0": [0.1, 0.2, 0.3], "n_th": {"lin": [0.5, 4.0, 6]}},
+    "mi-incoherent": {"g0": [0.01], "n_th": [1.0, 3.0, 10.0]},
+    "real-detector": {"gamma": [1e-3, 1e-4, 1e-5, 0.0], "case": ["coherent", "incoherent"]},
+    "verify": {},
+}
+
+#: largest thermal Fock cutoff run exactly; above it the thermal scenarios
+#: report the effective model only
+EXACT_CUTOFF_CAP = 80
+
 
 @dataclass
 class ScenarioConfig:
@@ -59,23 +75,34 @@ class ScenarioConfig:
     output: str = "out"
     seeds: int = 20260810
     workers: int = 1
-    exact_cutoff_cap: int = 80
 
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        axes = AXES[self.scenario]
+        unknown = sorted(set(self.params) - set(axes))
+        if unknown:
+            raise ValueError(f"unknown parameters {unknown}; {self.scenario} axes: {sorted(axes)}")
         for key, axis in self.params.items():
-            if isinstance(axis, (str, int, float)):
-                continue  # scalar axes are always non-empty
-            values = _resolve_axis(axis) if isinstance(axis, dict) else list(axis)
+            if key == "case":
+                values = _cases(axis)
+                bad = [c for c in values if c not in axes["case"]]
+                if bad:
+                    raise ValueError(f"unknown case {bad}; choose from {axes['case']}")
+            else:
+                values = _resolve_axis(axis)
             if not values:
                 raise ValueError(f"parameter range {key!r} is empty")
         tg = self.time_grid
-        if tg:
-            if tg.get("t_max", 1.0) <= 0.0:
-                raise ValueError("time_grid.t_max must be positive")
-            if tg.get("points", 2) < 2:
-                raise ValueError("time_grid.points must be >= 2")
+        unknown = sorted(set(tg) - {"t_max", "points", "spacing", "t_min"})
+        if unknown:
+            raise ValueError(f"unknown time_grid keys {unknown}; use t_max, points, spacing, t_min")
+        if tg.get("t_max", 1.0) <= 0.0:
+            raise ValueError("time_grid.t_max must be positive")
+        if tg.get("points", 2) < 2:
+            raise ValueError("time_grid.points must be >= 2")
+        if tg.get("spacing", "log") not in ("log", "linear"):
+            raise ValueError("time_grid.spacing must be 'log' or 'linear'")
         if self.cutoff != "auto" and (not isinstance(self.cutoff, int) or self.cutoff < 1):
             raise ValueError("cutoff must be 'auto' or a positive integer")
         if self.workers < 1:
@@ -94,7 +121,19 @@ def _resolve_axis(axis) -> list[float]:
             lo, hi, n = axis["lin"]
             return list(np.linspace(lo, hi, int(n)))
         raise ValueError(f"unknown axis form {axis!r}")
+    if isinstance(axis, str):  # a string would be read one character at a time
+        raise ValueError(f"parameter axis {axis!r} is not a number, list or grid")
     return [float(v) for v in axis]
+
+
+def _axis(config: ScenarioConfig, name: str) -> list[float]:
+    """A numeric axis of the config's scenario, its default unless given."""
+    return _resolve_axis(config.params.get(name, AXES[config.scenario][name]))
+
+
+def _cases(axis) -> list:
+    """The real-detector ``case`` axis: one name or a list of names."""
+    return [axis] if isinstance(axis, str) else list(axis)
 
 
 def _fmt(value) -> str:
@@ -170,8 +209,8 @@ def _base_row(p: ModelParams, cutoff, seed: int) -> dict:
 
 
 def run_gap_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
-    g0s = _resolve_axis(config.params.get("g0", [0.125, 0.25, 0.5]))
-    epss = _resolve_axis(config.params.get("eps", {"log": [1.0, 1000.0, 7]}))
+    g0s = _axis(config, "g0")
+    epss = _axis(config, "eps")
     points = [(g0, eps) for g0 in g0s for eps in epss]
 
     def one(pt):
@@ -200,8 +239,8 @@ def run_gap_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
 
 
 def run_second_rate_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
-    g0s = _resolve_axis(config.params.get("g0", [0.125, 0.25, 0.5]))
-    epss = _resolve_axis(config.params.get("eps", [10.0, 30.0, 100.0, 300.0, 1000.0]))
+    g0s = _axis(config, "g0")
+    epss = _axis(config, "eps")
     points = [(g0, eps) for g0 in g0s for eps in epss]
 
     def one(pt):
@@ -223,8 +262,8 @@ def run_second_rate_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
 
 
 def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
-    g0s = _resolve_axis(config.params.get("g0", [0.25]))
-    epss = _resolve_axis(config.params.get("eps", [10.0, 100.0, 1000.0]))
+    g0s = _axis(config, "g0")
+    epss = _axis(config, "eps")
     rows: list[dict] = []
     summary: dict = {"curves": {}}
     for g0 in g0s:
@@ -254,8 +293,8 @@ def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
 
 
 def run_gap_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
-    g0s = _resolve_axis(config.params.get("g0", [0.1, 0.2, 0.3]))
-    n_ths = _resolve_axis(config.params.get("n_th", {"lin": [0.5, 4.0, 6]}))
+    g0s = _axis(config, "g0")
+    n_ths = _axis(config, "n_th")
     points = [(g0, n) for g0 in g0s for n in n_ths]
 
     def one(pt):
@@ -278,8 +317,8 @@ def run_gap_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
 
 
 def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
-    g0s = _resolve_axis(config.params.get("g0", [0.01]))
-    n_ths = _resolve_axis(config.params.get("n_th", [1.0, 3.0, 10.0]))
+    g0s = _axis(config, "g0")
+    n_ths = _axis(config, "n_th")
     rows: list[dict] = []
     summary: dict = {"curves": {}}
     for g0 in g0s:
@@ -288,7 +327,7 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
             gap = spectra.gap_incoherent(p)
             grid = _time_grid_from(config, t_max=5.0 / gap, points=60, t_min=1.0)
             cutoff = _thermal_cutoff(n_th) if config.cutoff == "auto" else int(config.cutoff)
-            run_exact = cutoff <= config.exact_cutoff_cap
+            run_exact = cutoff <= EXACT_CUTOFF_CAP
             if run_exact:
                 space = make_space(cutoff)
                 sup = vectorize(models.build_incoherent(space, p), materialize=False)
@@ -314,10 +353,8 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
 
 
 def run_real_detector(config: ScenarioConfig) -> tuple[list[dict], dict]:
-    gammas = _resolve_axis(config.params.get("gamma", [1e-3, 1e-4, 1e-5, 0.0]))
-    cases = config.params.get("case", ["coherent", "incoherent"])
-    if isinstance(cases, str):
-        cases = [cases]
+    gammas = _axis(config, "gamma")
+    cases = _cases(config.params.get("case", AXES["real-detector"]["case"]))
     rows: list[dict] = []
     summary: dict = {"steady": {}}
     for case in cases:
@@ -333,7 +370,7 @@ def run_real_detector(config: ScenarioConfig) -> tuple[list[dict], dict]:
             elif case == "incoherent":
                 p = ModelParams(g0=0.1, eps=0.0, n_th=10.0, gamma=gamma)
                 if config.cutoff == "auto":
-                    cutoff = min(_thermal_cutoff(p.n_th), config.exact_cutoff_cap)
+                    cutoff = min(_thermal_cutoff(p.n_th), EXACT_CUTOFF_CAP)
                 else:
                     cutoff = int(config.cutoff)
                 space = make_space(cutoff)

@@ -54,10 +54,6 @@ class SpectrumReport:
     partial: bool = False
     condition_estimate: float = np.nan
 
-    def rate(self, index: int) -> float:
-        """Distinct nonzero decay rate by ascending index (0 = gap)."""
-        return float(self.distinct_rates[index])
-
 
 @dataclass(frozen=True)
 class AnalyticSpectrum:

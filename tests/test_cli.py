@@ -31,6 +31,22 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "scenario,payload",
+        [
+            ("gap-coherent", {"params": {"G0": [0.25], "eps": [10]}, "cutoff": 4}),
+            ("gap-coherent", {"params": {"g0": [0.25], "eps": "12"}, "cutoff": 4}),
+            ("mi-coherent", {"time_grid": {"tmax": 5}}),
+            ("mi-coherent", {"time_grid": {"spacing": "lin"}}),
+            ("real-detector", {"params": {"case": ["thermal"]}}),
+            ("real-detector", {"params": {"case": "thermal"}}),
+        ],
+    )
+    def test_malformed_scenario_input_is_config_error(self, tmp_path, scenario, payload):
+        cfg = write_config(tmp_path, payload)
+        code = cli.main(["--scenario", scenario, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+
     def test_unknown_config_field_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"bogus": 1})
         assert cli.main(["--scenario", "gap-coherent", "--config", str(cfg)]) == 2
