@@ -1,6 +1,6 @@
 """Time evolution, steady states, relaxation fits and truncation checks.
 
-Two evolution paths: adaptive ODE integration of the vectorized state, and
+Two evolution paths: stiff (BDF) integration of the vectorized state, and
 spectral expansion rho(t) = sum_k c_k e^{w_k t} r_k when the generator is
 safely diagonalizable.  They cross-check each other; neither renormalizes
 drifting traces - accuracy failures surface as errors.
@@ -35,6 +35,22 @@ POSITIVITY_TOL = 1e-8
 
 #: invariant slack enforced along integrated trajectories
 EVOLUTION_INVARIANT_TOL = 1e-6
+
+#: ``fit_relaxation`` needs the final distance to the steady state below this
+#: fraction of the initial one
+FIT_MIN_DECAY = 0.1
+
+#: ``detect_plateau``: largest |d(value)/d(log10 t)|, relative to the series
+#: range, that still counts as flat, and the fewest decades a plateau spans
+PLATEAU_SLOPE_TOL = 0.01
+PLATEAU_MIN_DECADES = 1.0
+
+#: truncation sweeps double the Fock cutoff from ``TRUNCATION_START`` until the
+#: observable changes by less than ``TRUNCATION_REL_TOL``, giving up at
+#: ``TRUNCATION_HARD_CAP``
+TRUNCATION_REL_TOL = 1e-3
+TRUNCATION_START = 4
+TRUNCATION_HARD_CAP = 512
 
 #: condition number of the bordered steady-state matrix above which it is
 #: singular to working precision, i.e. the kernel is larger than stated;
@@ -161,10 +177,10 @@ def time_grid(
     t_max: float, points: int, spacing: str = "log", t_min: float = 0.1
 ) -> np.ndarray:
     """Sampling grid starting at 0; log-uniform over [t_min, t_max] by default."""
-    if t_max <= 0.0 or points < 2:
-        raise ValueError("time grid requires t_max > 0 and points >= 2")
+    if not 0.0 < t_max < np.inf or points < 2:
+        raise ValueError("time grid requires a finite t_max > 0 and points >= 2")
     if spacing == "log":
-        if t_min <= 0.0 or t_min >= t_max:
+        if not 0.0 < t_min < t_max:
             raise ValueError("log spacing requires 0 < t_min < t_max")
         body = np.logspace(np.log10(t_min), np.log10(t_max), points)
         body[-1] = t_max
@@ -179,45 +195,31 @@ def time_grid(
 # ---------------------------------------------------------------------------
 
 
-def _check_sample(
-    m: np.ndarray, t: float, tol: float
-) -> None:
+def _check_sample(m: np.ndarray, t: float) -> None:
+    tol = EVOLUTION_INVARIANT_TOL
     herm = float(np.abs(m - m.conj().T).max())
     tr = abs(np.trace(m) - 1.0)
     min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
     if herm > tol or tr > tol or min_eig < -tol:
         raise NumericalAccuracyError(
             f"state invariants violated at t={t:.6g}: hermiticity {herm:.2e}, "
-            f"trace {tr:.2e}, min eigenvalue {min_eig:.2e} (slack {tol:.0e}); "
-            "tighten rtol/atol"
+            f"trace {tr:.2e}, min eigenvalue {min_eig:.2e} (slack {tol:.0e})"
         )
 
 
 def _as_trajectory(
-    raw: np.ndarray,
-    t_grid: np.ndarray,
-    space: SystemSpace,
-    validate: bool,
-    invariant_tol: float,
+    raw: np.ndarray, t_grid: np.ndarray, space: SystemSpace, validate: bool
 ) -> Trajectory:
     states = []
     for row, t in zip(raw, t_grid):
         m = unvec(row)
         if validate:
-            _check_sample(m, t, invariant_tol)
+            _check_sample(m, t)
         states.append(DensityMatrix(m, space))
     return Trajectory(np.asarray(t_grid, dtype=float), tuple(states))
 
 
-def evolve_ode(
-    sup: Superoperator,
-    rho0: DensityMatrix,
-    t_grid: np.ndarray,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-    validate: bool = True,
-    invariant_tol: float = EVOLUTION_INVARIANT_TOL,
-) -> Trajectory:
+def evolve_ode(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> Trajectory:
     """Integrate rho' = L rho on the grid (grid must start at 0).
 
     The CSR generator is both the right-hand side (through ``sup.apply``)
@@ -226,8 +228,8 @@ def evolve_ode(
     guarantees: the assembled matrix misses the trace functional by a fixed
     round-off vector (about 1e-16 of its norm per column), and BDF would
     integrate that into a trace drift growing linearly in time.  State
-    invariants are checked at every sample; violations raise instead of
-    being renormalized away.
+    invariants are checked at every sample, to ``EVOLUTION_INVARIANT_TOL``;
+    violations raise instead of being renormalized away.
     """
     d = rho0.space.dim
     others = np.arange(1, d) * (d + 1)  # positions of rho_kk, k >= 1, in vec(rho)
@@ -237,16 +239,12 @@ def evolve_ode(
         out[0] = -out[others].sum()
         return out
 
-    raw = integrate_ode(rhs, vec(rho0.matrix), t_grid, rtol=rtol, atol=atol, jac=sup.as_sparse())
-    return _as_trajectory(raw, t_grid, rho0.space, validate, invariant_tol)
+    raw = integrate_ode(rhs, vec(rho0.matrix), t_grid, sup.as_sparse())
+    return _as_trajectory(raw, t_grid, rho0.space, True)
 
 
 def evolve_spectral(
-    sup: Superoperator,
-    rho0: DensityMatrix,
-    t_grid: np.ndarray,
-    validate: bool = True,
-    invariant_tol: float = EVOLUTION_INVARIANT_TOL,
+    sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray, validate: bool = True
 ) -> Trajectory:
     """Evolve through the dense eigenbasis of the generator.
 
@@ -286,7 +284,7 @@ def evolve_spectral(
     c = np.linalg.solve(v, x0)
     t = np.asarray(t_grid, dtype=float)
     raw = x0 + (np.expm1(np.outer(t, w)) * c) @ v.T
-    return _as_trajectory(raw, t, rho0.space, validate, invariant_tol)
+    return _as_trajectory(raw, t, rho0.space, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +389,10 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def fit_relaxation(
-    traj: Trajectory,
-    rho_ss: DensityMatrix,
-    min_decay: float = 0.1,
-) -> RelaxationEstimate:
+def fit_relaxation(traj: Trajectory, rho_ss: DensityMatrix) -> RelaxationEstimate:
     """Fit tau from the exponential tail of ||rho(t) - rho_ss||.
 
-    Requires the final distance below ``min_decay`` times the initial one.
+    Requires the final distance below ``FIT_MIN_DECAY`` times the initial one.
     The fit window starts at the first sample whose distance has fallen below
     the geometric half-decay point sqrt(d_initial * d_final) - the midpoint
     of the decay on a log scale - so the window covers the final log-linear
@@ -409,10 +403,10 @@ def fit_relaxation(
     positive = d > 0.0
     if not positive[0] or d[0] == 0.0:
         raise FitWindowError("initial state coincides with the steady state")
-    if d[-1] >= min_decay * d[0]:
+    if d[-1] >= FIT_MIN_DECAY * d[0]:
         raise FitWindowError(
             f"trajectory has not decayed enough to fit: final/initial distance "
-            f"= {d[-1] / d[0]:.3g} >= {min_decay}"
+            f"= {d[-1] / d[0]:.3g} >= {FIT_MIN_DECAY}"
         )
     threshold = np.sqrt(d[0] * max(d[-1], 1e-300))
     below = np.nonzero(d <= threshold)[0]
@@ -435,17 +429,12 @@ def fit_relaxation(
     )
 
 
-def detect_plateau(
-    times: np.ndarray,
-    values: np.ndarray,
-    slope_tol: float = 0.01,
-    min_decades: float = 1.0,
-) -> list[tuple[float, float]]:
+def detect_plateau(times: np.ndarray, values: np.ndarray) -> list[tuple[float, float]]:
     """Flat windows of a log-sampled series.
 
     A plateau is a maximal window where |d(value)/d(log10 t)| stays below
-    ``slope_tol`` times the series range and which spans at least
-    ``min_decades`` decades.  Expects t > 0 samples (leading zeros are
+    ``PLATEAU_SLOPE_TOL`` times the series range and which spans at least
+    ``PLATEAU_MIN_DECADES`` decades.  Expects t > 0 samples (leading zeros are
     dropped); returns (t_start, t_end) pairs.
     """
     t = np.asarray(times, dtype=float)
@@ -457,7 +446,7 @@ def detect_plateau(
     x = np.log10(t)
     vrange = float(v.max() - v.min())
     slopes = np.diff(v) / np.diff(x)
-    flat = np.abs(slopes) <= slope_tol * vrange
+    flat = np.abs(slopes) <= PLATEAU_SLOPE_TOL * vrange
     windows: list[tuple[float, float]] = []
     i = 0
     while i < flat.size:
@@ -465,7 +454,7 @@ def detect_plateau(
             j = i
             while j + 1 < flat.size and flat[j + 1]:
                 j += 1
-            if x[j + 1] - x[i] >= min_decades:
+            if x[j + 1] - x[i] >= PLATEAU_MIN_DECADES:
                 windows.append((float(t[i]), float(t[j + 1])))
             i = j + 1
         i += 1
@@ -481,16 +470,14 @@ def check_truncation(
     builder: Callable[[SystemSpace, ModelParams], MasterEquation],
     params: ModelParams,
     extractor: Callable[[MasterEquation], float],
-    rel_tol: float = 1e-3,
-    start: int = 4,
-    hard_cap: int = 512,
 ) -> int:
     """Double the Fock cutoff until the extracted observable stabilizes.
 
     Returns the first cutoff whose observable differs from the previous
-    (half-size) one by less than ``rel_tol`` in relative terms.
+    (half-size) one by less than ``TRUNCATION_REL_TOL`` in relative terms.
     """
-    cutoff = start
+    rel_tol, hard_cap = TRUNCATION_REL_TOL, TRUNCATION_HARD_CAP
+    cutoff = TRUNCATION_START
     prev = extractor(builder(make_space(cutoff), params))
     while cutoff < hard_cap:
         cutoff *= 2
@@ -507,9 +494,6 @@ def check_truncation(
 def converged_cutoff_for_gap(
     builder: Callable[[SystemSpace, ModelParams], MasterEquation],
     params: ModelParams,
-    rel_tol: float = 1e-3,
-    start: int = 4,
-    hard_cap: int = 512,
     k: int = 12,
 ) -> tuple[int, spectra.SpectrumReport]:
     """Truncation sweep using the spectral gap as the convergence observable.
@@ -525,5 +509,5 @@ def converged_cutoff_for_gap(
         reports.append(spectra.analyze(vectorize(me, materialize=False), k=k))
         return reports[-1].gap
 
-    cutoff = check_truncation(builder, params, gap_of, rel_tol, start, hard_cap)
+    cutoff = check_truncation(builder, params, gap_of)
     return cutoff, reports[-1]

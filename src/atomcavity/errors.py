@@ -32,7 +32,7 @@ class NumericalAccuracyError(AtomCavityError, RuntimeError):
 
 
 class StiffnessError(NumericalAccuracyError):
-    """The ODE integrator failed; the spectral-decomposition path may help."""
+    """BDF integration failed; the spectral-decomposition path may help."""
 
 
 class FitWindowError(AtomCavityError, RuntimeError):

@@ -1,8 +1,9 @@
 """Dense complex linear-algebra kernel.
 
 Everything the physics layers consume: Kronecker products, general
-eigendecompositions with residual checks, and adaptive integration of linear
-ODEs.  All functions are pure and all returned arrays are freshly allocated.
+eigendecompositions with residual checks, and stiff (BDF) integration of
+linear ODEs.  All functions are pure and all returned arrays are freshly
+allocated.
 """
 
 from __future__ import annotations
@@ -11,9 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
 from .errors import (
@@ -37,14 +36,18 @@ EIG_RESIDUAL_TOL = 1e-9
 #: treated as near-defective and spectral evolution must not be used
 NEAR_DEFECTIVE_COND = 1e8
 
+#: relative and absolute tolerances of the BDF integrator
+ODE_RTOL = 1e-8
+ODE_ATOL = 1e-10
+
 
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Full spectrum of a square complex matrix.
 
     ``right_eigenvectors`` holds one eigenvector per column, matching the
-    order of ``eigenvalues``.  ``condition_estimate`` is a 1-norm estimate of
-    cond(V); values above ``NEAR_DEFECTIVE_COND`` mark the matrix as too
+    order of ``eigenvalues``.  ``condition_estimate`` is the exact 2-norm
+    condition number of V; values above ``NEAR_DEFECTIVE_COND`` mark the matrix as too
     close to defective for V-based reconstruction.
     """
 
@@ -66,65 +69,32 @@ def _as_square(m: np.ndarray, who: str) -> np.ndarray:
     return a.astype(complex, copy=False)
 
 
-def kron(a: np.ndarray, b: np.ndarray, axis_cap: int = KRON_AXIS_CAP) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a guard against runaway dimensions."""
     a = np.asarray(a)
     b = np.asarray(b)
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
-    if rows > axis_cap or cols > axis_cap:
+    if rows > KRON_AXIS_CAP or cols > KRON_AXIS_CAP:
         raise DimensionLimitError(
-            f"kron result would be {rows}x{cols}, exceeding the per-axis cap {axis_cap}"
+            f"kron result would be {rows}x{cols}, exceeding the per-axis cap {KRON_AXIS_CAP}"
         )
     return np.kron(a, b)
 
 
-#: below this dimension the condition number is computed exactly (2-norm SVD)
-_EXACT_COND_DIM = 2048
-
-
 def condition_estimate(v: np.ndarray) -> float:
-    """Condition number of a square matrix.
-
-    Exact 2-norm condition (via singular values) up to dimension 2048; above
-    that a 1-norm estimate from a single LU factorization, which is
-    conservative (it can exceed the 2-norm condition by up to the dimension).
-    Returns ``inf`` when the factorization detects (numerical) singularity.
-    """
-    v = _as_square(v, "condition_estimate")
-    n = v.shape[0]
-    if n <= _EXACT_COND_DIM:
-        s = np.linalg.svd(v, compute_uv=False)
-        if s[-1] == 0.0 or not np.all(np.isfinite(s)):
-            return np.inf
-        return float(s[0] / s[-1])
-    norm_v = np.linalg.norm(v, 1)
-    if norm_v == 0.0:
+    """Exact 2-norm condition number of a square matrix, from its singular
+    values; ``inf`` when the smallest one is zero or any is not finite."""
+    s = np.linalg.svd(_as_square(v, "condition_estimate"), compute_uv=False)
+    if s[-1] == 0.0 or not np.all(np.isfinite(s)):
         return np.inf
-    try:
-        lu = scipy.linalg.lu_factor(v)
-    except (scipy.linalg.LinAlgError, ValueError):
-        return np.inf
-    diag = np.abs(np.diag(lu[0]))
-    if not np.all(diag > 0.0) or not np.all(np.isfinite(diag)):
-        return np.inf
-    inv_op = spla.LinearOperator(
-        (n, n),
-        matvec=lambda x: scipy.linalg.lu_solve(lu, x),
-        rmatvec=lambda x: scipy.linalg.lu_solve(lu, x, trans=2),
-        dtype=complex,
-    )
-    try:
-        norm_inv = spla.onenormest(inv_op)
-    except Exception:
-        norm_inv = np.linalg.norm(np.linalg.inv(v), 1)
-    return float(norm_v * norm_inv)
+    return float(s[0] / s[-1])
 
 
-def eig_general(m: np.ndarray, residual_tol: float = EIG_RESIDUAL_TOL) -> EigenDecomposition:
+def eig_general(m: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition of a general complex matrix.
 
-    Postconditions: per-pair residuals ``||A v - w v|| <= residual_tol *
+    Postconditions: per-pair residuals ``||A v - w v|| <= EIG_RESIDUAL_TOL *
     ||A||_F * ||v||`` (raises ``NumericalAccuracyError`` otherwise) and a
     populated condition estimate of the eigenvector matrix.
     """
@@ -143,7 +113,7 @@ def eig_general(m: np.ndarray, residual_tol: float = EIG_RESIDUAL_TOL) -> EigenD
     norm_a = np.linalg.norm(a)
     if norm_a > 0.0:
         residuals = np.linalg.norm(a @ v - v * w, axis=0)
-        bound = residual_tol * norm_a * np.linalg.norm(v, axis=0)
+        bound = EIG_RESIDUAL_TOL * norm_a * np.linalg.norm(v, axis=0)
         worst = int(np.argmax(residuals - bound))
         if residuals[worst] > bound[worst]:
             raise NumericalAccuracyError(
@@ -165,17 +135,13 @@ def integrate_ode(
     apply: Callable[[np.ndarray], np.ndarray],
     y0: np.ndarray,
     t_grid: np.ndarray,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-    jac: np.ndarray | sp.spmatrix | None = None,
-    method: str | None = None,
+    jac: sp.spmatrix,
 ) -> np.ndarray:
     """Integrate ``y' = apply(y)`` on a sorted time grid starting at 0.
 
-    Uses an adaptive explicit scheme by default; when ``jac`` (the constant
-    generator matrix) is supplied the stiff BDF scheme is selected, which is
-    required for Liouvillians whose rates span many orders of magnitude.
-    Returns one row per grid point.
+    Stiff BDF with the constant sparse generator ``jac`` as its Jacobian, at
+    ``ODE_RTOL`` and ``ODE_ATOL``: Liouvillian rates span many orders of
+    magnitude.  Returns one row per grid point.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1:
@@ -187,25 +153,19 @@ def integrate_ode(
     y0 = np.asarray(y0, dtype=complex)
     if t.size == 1:
         return y0[None, :].copy()
-    if method is None:
-        method = "BDF" if jac is not None else "DOP853"
-    kwargs = {}
-    if jac is not None and method in ("BDF", "Radau", "LSODA"):
-        kwargs["jac"] = sp.csc_matrix(jac) if sp.issparse(jac) else np.asarray(jac)
     sol = solve_ivp(
         lambda _t, y: apply(y),
         (0.0, float(t[-1])),
         y0,
-        method=method,
+        method="BDF",
         t_eval=t,
-        rtol=rtol,
-        atol=atol,
-        **kwargs,
+        rtol=ODE_RTOL,
+        atol=ODE_ATOL,
+        jac=sp.csc_matrix(jac),
     )
     if sol.status != 0 or sol.y.shape[1] != t.size:
         raise StiffnessError(
-            f"ODE integration failed ({sol.message!r}); the generator is likely "
-            "too stiff for this method - use the spectral-decomposition path "
-            "or pass the generator matrix as `jac` to select BDF"
+            f"BDF integration failed ({sol.message!r}); use the "
+            "spectral-decomposition path"
         )
     return sol.y.T.copy()

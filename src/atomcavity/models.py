@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,9 +42,6 @@ from .operators import (
     single_atom,
     singlet_projector,
 )
-
-DISSIPATOR_CONVENTION = "factor-2"
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -268,16 +265,19 @@ def build_full(space: SystemSpace, params: ModelParams) -> MasterEquation:
 
 
 def build_coherent_displaced(space: SystemSpace, params: ModelParams) -> MasterEquation:
-    """Displaced-frame coherent model (drive removed by the displacement).
+    """Displaced-frame form of ``build_full`` at n_th = 0 (drive removed by
+    the displacement).
 
     H1 = Omega J_z + (g0/2) J_z (a^dag + a) + (g0/2)(J_+ a + J_- a^dag)
-         - (g0/2)(J_+ a^dag + J_- a),  dissipator (a, kappa);
-    requires n_th = 0 and gamma = 0.
+         - (g0/2)(J_+ a^dag + J_- a),  dissipators (a, kappa) and, when
+    gamma > 0, (sigma_-^j, gamma/2).  The displacement acts on the field
+    only, so the atomic decay channels pass through unchanged: the model is
+    unitarily equivalent to the lab frame (same spectrum, same atomic
+    observables) but free of the drive term, which makes large-drive runs
+    tractable.  At gamma = 0 the singlet weight is conserved.
     """
-    if params.n_th != 0.0 or params.gamma != 0.0:
-        raise UnsupportedRegimeError(
-            "the displaced coherent model requires n_th = 0 and gamma = 0"
-        )
+    if params.n_th != 0.0:
+        raise UnsupportedRegimeError("the displaced coherent model requires n_th = 0")
     a = annihilation(space)
     adag_m = a.matrix.conj().T
     jz = dressed_spin(space, "z").matrix
@@ -288,12 +288,13 @@ def build_coherent_displaced(space: SystemSpace, params: ModelParams) -> MasterE
     h = h + half_g * (jz @ (adag_m + a.matrix))
     h = h + half_g * (jp @ a.matrix + jm @ adag_m)
     h = h - half_g * (jp @ adag_m + jm @ a.matrix)
+    diss: list[tuple[LabeledOperator, float]] = [(a, params.kappa)]
+    if params.gamma > 0.0:
+        diss += [(single_atom(space, "minus", j), params.gamma / 2.0) for j in (1, 2)]
+    conserved = () if params.gamma > 0.0 else (singlet_projector(space),)
     return MasterEquation(
-        LabeledOperator("H_1", h),
-        ((a, params.kappa),),
-        space,
-        label="coherent-displaced",
-        conserved=(singlet_projector(space),),
+        LabeledOperator("H_1", h), tuple(diss), space, label="coherent-displaced",
+        conserved=conserved,
     )
 
 
@@ -371,42 +372,6 @@ def build_effective_coherent(params: ModelParams) -> MasterEquation:
         label="effective-coherent",
         conserved=(singlet_projector(space),),
     )
-
-
-def build_incoherent(space: SystemSpace, params: ModelParams) -> MasterEquation:
-    """Lab-frame thermal model: ``build_full`` at eps = gamma = 0, i.e. H_TC
-    with thermal cavity dissipators only."""
-    if params.eps != 0.0:
-        raise UnsupportedRegimeError("the incoherent model requires eps = 0")
-    if params.gamma != 0.0:
-        raise UnsupportedRegimeError(
-            "the incoherent model requires gamma = 0; use build_full for atomic decay"
-        )
-    me = build_full(space, params)
-    h_tc = LabeledOperator("H_TC", me.hamiltonian.matrix)
-    return replace(me, hamiltonian=h_tc, label="incoherent")
-
-
-def build_full_displaced(space: SystemSpace, params: ModelParams) -> MasterEquation:
-    """Displaced-frame form of the full model at n_th = 0.
-
-    The displacement acts on the field only, so the atomic decay channels
-    pass through unchanged: H_1 with dissipators (a, kappa) and
-    (sigma_-^j, gamma/2).  Unitarily equivalent to ``build_full`` (same
-    spectrum, same atomic observables) but free of the drive term, which
-    makes large-drive runs tractable.
-    """
-    if params.n_th != 0.0:
-        raise UnsupportedRegimeError("the displaced full model requires n_th = 0")
-    base = build_coherent_displaced(
-        space, ModelParams(g0=params.g0, eps=params.eps, kappa=params.kappa)
-    )
-    diss = list(base.dissipators)
-    if params.gamma > 0.0:
-        for j in (1, 2):
-            diss.append((single_atom(space, "minus", j), params.gamma / 2.0))
-    conserved = () if params.gamma > 0.0 else base.conserved
-    return replace(base, dissipators=tuple(diss), label="full-displaced", conserved=conserved)
 
 
 def build_effective_incoherent(params: ModelParams) -> MasterEquation:

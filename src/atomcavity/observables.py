@@ -50,14 +50,15 @@ def partial_trace_atom(rho_at: DensityMatrix, keep: int) -> DensityMatrix:
     return DensityMatrix(reduced, SystemSpace(None))
 
 
-def von_neumann_entropy(rho: DensityMatrix, clip_slack: float = ENTROPY_CLIP_SLACK) -> float:
+def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr[rho log2 rho] in bits, with 0 log 0 = 0.
 
-    Eigenvalues in [-clip_slack, 0) are clipped to zero; anything more
-    negative raises, because it signals an invalid state rather than rounding.
+    Eigenvalues in [-ENTROPY_CLIP_SLACK, 0) are clipped to zero; anything
+    more negative raises, because it signals an invalid state rather than
+    rounding.
     """
     w = np.linalg.eigvalsh((rho.matrix + rho.matrix.conj().T) / 2.0)
-    if w.min() < -clip_slack:
+    if w.min() < -ENTROPY_CLIP_SLACK:
         raise StateValidityError(
             f"entropy of a non-positive state: min eigenvalue {w.min():.3e}"
         )
@@ -65,14 +66,14 @@ def von_neumann_entropy(rho: DensityMatrix, clip_slack: float = ENTROPY_CLIP_SLA
     return float(-(w * np.log2(w)).sum())
 
 
-def mutual_information(rho_at: DensityMatrix, slack: float = MI_SLACK) -> float:
+def mutual_information(rho_at: DensityMatrix) -> float:
     """I(rho_at) = S(rho_1) + S(rho_2) - S(rho_at), in bits, nonnegative."""
     s1 = von_neumann_entropy(partial_trace_atom(rho_at, 1))
     s2 = von_neumann_entropy(partial_trace_atom(rho_at, 2))
     s12 = von_neumann_entropy(rho_at)
     mi = s1 + s2 - s12
-    if mi < -slack:
-        raise StateValidityError(f"mutual information {mi:.3e} below -{slack:.0e}")
+    if mi < -MI_SLACK:
+        raise StateValidityError(f"mutual information {mi:.3e} below -{MI_SLACK:.0e}")
     if mi < 0.0:
         warnings.warn(f"clipping slightly negative mutual information {mi:.3e}", stacklevel=2)
         return 0.0

@@ -8,6 +8,7 @@ All rates and times are in units of kappa (kappa = 1).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -48,15 +49,28 @@ COLUMNS: dict[str, list[str]] = {
 }
 
 #: parameter axes of every scenario, the only keys ``params`` may hold, each
-#: with its default (for the real-detector ``case``, every valid case)
+#: with its default (for the real-detector ``case``, every valid case); points
+#: run with the first axis outermost
 AXES: dict[str, dict] = {
     "gap-coherent": {"g0": [0.125, 0.25, 0.5], "eps": {"log": [1.0, 1000.0, 7]}},
     "second-rate-coherent": {"g0": [0.125, 0.25, 0.5], "eps": [10.0, 30.0, 100.0, 300.0, 1000.0]},
     "mi-coherent": {"g0": [0.25], "eps": [10.0, 100.0, 1000.0]},
     "gap-incoherent": {"g0": [0.1, 0.2, 0.3], "n_th": {"lin": [0.5, 4.0, 6]}},
     "mi-incoherent": {"g0": [0.01], "n_th": [1.0, 3.0, 10.0]},
-    "real-detector": {"gamma": [1e-3, 1e-4, 1e-5, 0.0], "case": ["coherent", "incoherent"]},
+    "real-detector": {"case": ["coherent", "incoherent"], "gamma": [1e-3, 1e-4, 1e-5, 0.0]},
     "verify": {},
+}
+
+#: default time grid (t_max, points, t_min) of each time-resolved scenario at
+#: one parameter point; the config's ``time_grid`` entries override it
+GRIDS: dict[str, Callable[[dict], tuple[float, int, float]]] = {
+    "mi-coherent": lambda pt: (
+        30.0 * spectra.tau_coherent(ModelParams(g0=pt["g0"], eps=pt["eps"])), 140, 0.1
+    ),
+    "mi-incoherent": lambda pt: (
+        5.0 / spectra.gap_incoherent(ModelParams(g0=pt["g0"], n_th=pt["n_th"])), 60, 1.0
+    ),
+    "real-detector": lambda pt: (1.0e5, 100 if pt["case"] == "coherent" else 70, 0.5),
 }
 
 #: largest thermal Fock cutoff run exactly; above it the thermal scenarios
@@ -91,6 +105,12 @@ class ScenarioConfig:
                     raise ValueError(f"unknown case {bad}; choose from {axes['case']}")
             else:
                 values = _resolve_axis(axis)
+                bad = [v for v in values
+                       if not (math.isfinite(v) and (v > 0.0 or key == "gamma" and v == 0.0))]
+                if bad:
+                    raise ValueError(
+                        f"parameter {key!r} takes finite values > 0 (gamma may be 0), got {bad}"
+                    )
             if not values:
                 raise ValueError(f"parameter range {key!r} is empty")
         tg = self.time_grid
@@ -107,6 +127,12 @@ class ScenarioConfig:
             raise ValueError("cutoff must be 'auto' or a positive integer")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.scenario in GRIDS:
+            for point in _points(self):
+                try:
+                    _grid(self, point)
+                except ZeroDivisionError as exc:  # a rate that underflows to 0
+                    raise ValueError(f"no default time grid at {point}: {exc}") from exc
 
 
 def _resolve_axis(axis) -> list[float]:
@@ -126,14 +152,19 @@ def _resolve_axis(axis) -> list[float]:
     return [float(v) for v in axis]
 
 
-def _axis(config: ScenarioConfig, name: str) -> list[float]:
-    """A numeric axis of the config's scenario, its default unless given."""
-    return _resolve_axis(config.params.get(name, AXES[config.scenario][name]))
-
-
 def _cases(axis) -> list:
     """The real-detector ``case`` axis: one name or a list of names."""
     return [axis] if isinstance(axis, str) else list(axis)
+
+
+def _points(config: ScenarioConfig) -> list[dict]:
+    """Every parameter point of the config, each axis its default unless given."""
+    axes = AXES[config.scenario]
+    values = [
+        (_cases if name == "case" else _resolve_axis)(config.params.get(name, default))
+        for name, default in axes.items()
+    ]
+    return [dict(zip(axes, combo)) for combo in itertools.product(*values)]
 
 
 def _fmt(value) -> str:
@@ -149,7 +180,9 @@ def _write_csv(path: Path, scenario: str, columns: list[str], rows: list[dict]) 
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _time_grid_from(config: ScenarioConfig, t_max: float, points: int, t_min: float) -> np.ndarray:
+def _grid(config: ScenarioConfig, point: dict) -> np.ndarray:
+    """Time grid of one point: the scenario's default, overridden by the config."""
+    t_max, points, t_min = GRIDS[config.scenario](point)
     tg = config.time_grid
     return dyn.time_grid(
         float(tg.get("t_max", t_max)),
@@ -209,13 +242,8 @@ def _base_row(p: ModelParams, cutoff, seed: int) -> dict:
 
 
 def run_gap_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
-    g0s = _axis(config, "g0")
-    epss = _axis(config, "eps")
-    points = [(g0, eps) for g0 in g0s for eps in epss]
-
     def one(pt):
-        g0, eps = pt
-        p = ModelParams(g0=g0, eps=eps)
+        p = ModelParams(g0=pt["g0"], eps=pt["eps"])
         cutoff, rep = _gap_point(models.build_coherent_displaced, p, config, k=24)
         ana = spectra.gap_coherent(p)
         row = _base_row(p, cutoff, config.seeds)
@@ -227,25 +255,19 @@ def run_gap_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         )
         return row
 
-    rows = _map_points(one, points, config.workers)
+    rows = _map_points(one, _points(config), config.workers)
     rows.sort(key=lambda r: (r["g0"], r["eps"]))
+    max_eps = max(r["eps"] for r in rows)
     summary = {
-        "worst_rel_error_at_max_eps": max(
-            r["rel_error"] for r in rows if r["eps"] == max(epss)
-        ),
+        "worst_rel_error_at_max_eps": max(r["rel_error"] for r in rows if r["eps"] == max_eps),
         "gaps": {f"g0={r['g0']:g},eps={r['eps']:g}": r["gap_exact"] for r in rows},
     }
     return rows, summary
 
 
 def run_second_rate_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
-    g0s = _axis(config, "g0")
-    epss = _axis(config, "eps")
-    points = [(g0, eps) for g0 in g0s for eps in epss]
-
     def one(pt):
-        g0, eps = pt
-        p = ModelParams(g0=g0, eps=eps)
+        p = ModelParams(g0=pt["g0"], eps=pt["eps"])
         cutoff = _auto_cutoff_displaced(p, config)
         sup = vectorize(models.build_coherent_displaced(make_space(cutoff), p), materialize=False)
         # the lambda3 family rotates at 2*Omega in the displaced frame
@@ -256,51 +278,41 @@ def run_second_rate_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         row.update(second_rate_exact=rate, lambda3_analytic=ana, rel_error=abs(rate - ana) / ana)
         return row
 
-    rows = _map_points(one, points, config.workers)
+    rows = _map_points(one, _points(config), config.workers)
     rows.sort(key=lambda r: (r["g0"], r["eps"]))
     return rows, {"worst_rel_error": max(r["rel_error"] for r in rows)}
 
 
 def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
-    g0s = _axis(config, "g0")
-    epss = _axis(config, "eps")
     rows: list[dict] = []
     summary: dict = {"curves": {}}
-    for g0 in g0s:
-        for eps in epss:
-            p = ModelParams(g0=g0, eps=eps)
-            cutoff = _auto_cutoff_displaced(p, config)
-            tau = spectra.tau_coherent(p)
-            grid = _time_grid_from(config, t_max=30.0 * tau, points=140, t_min=0.1)
-            space = make_space(cutoff)
-            mi_exact = obs.mi_curve(
-                models.build_coherent_displaced(space, p), dyn.ground_state(space), grid
-            )
-            mi_eff = obs.mi_curve(
-                models.build_effective_coherent(p), dyn.ground_state(atomic_space()), grid
-            )
-            for t, mx, me_ in zip(grid, mi_exact, mi_eff):
-                row = _base_row(p, cutoff, config.seeds)
-                row.update(t=float(t), mi_exact=float(mx), mi_effective=float(me_))
-                rows.append(row)
-            plateaus = dyn.detect_plateau(grid, mi_exact)
-            summary["curves"][f"g0={g0:g},eps={eps:g}"] = {
-                "tau_coherent": tau,
-                "plateau_windows": plateaus,
-                "final_mi": float(mi_exact[-1]),
-            }
+    for pt in _points(config):
+        p = ModelParams(g0=pt["g0"], eps=pt["eps"])
+        cutoff = _auto_cutoff_displaced(p, config)
+        grid = _grid(config, pt)
+        space = make_space(cutoff)
+        mi_exact = obs.mi_curve(
+            models.build_coherent_displaced(space, p), dyn.ground_state(space), grid
+        )
+        mi_eff = obs.mi_curve(
+            models.build_effective_coherent(p), dyn.ground_state(atomic_space()), grid
+        )
+        for t, mx, me_ in zip(grid, mi_exact, mi_eff):
+            row = _base_row(p, cutoff, config.seeds)
+            row.update(t=float(t), mi_exact=float(mx), mi_effective=float(me_))
+            rows.append(row)
+        summary["curves"][f"g0={p.g0:g},eps={p.eps:g}"] = {
+            "tau_coherent": spectra.tau_coherent(p),
+            "plateau_windows": dyn.detect_plateau(grid, mi_exact),
+            "final_mi": float(mi_exact[-1]),
+        }
     return rows, summary
 
 
 def run_gap_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
-    g0s = _axis(config, "g0")
-    n_ths = _axis(config, "n_th")
-    points = [(g0, n) for g0 in g0s for n in n_ths]
-
     def one(pt):
-        g0, n_th = pt
-        p = ModelParams(g0=g0, n_th=n_th)
-        cutoff, rep = _gap_point(models.build_incoherent, p, config, k=16)
+        p = ModelParams(g0=pt["g0"], n_th=pt["n_th"])
+        cutoff, rep = _gap_point(models.build_full, p, config, k=16)
         ana = spectra.gap_incoherent(p)
         row = _base_row(p, cutoff, config.seeds)
         row.update(
@@ -311,86 +323,79 @@ def run_gap_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         )
         return row
 
-    rows = _map_points(one, points, config.workers)
+    rows = _map_points(one, _points(config), config.workers)
     rows.sort(key=lambda r: (r["g0"], r["n_th"]))
     return rows, {"worst_rel_error": max(r["rel_error"] for r in rows)}
 
 
 def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
-    g0s = _axis(config, "g0")
-    n_ths = _axis(config, "n_th")
     rows: list[dict] = []
     summary: dict = {"curves": {}}
-    for g0 in g0s:
-        for n_th in n_ths:
-            p = ModelParams(g0=g0, n_th=n_th)
-            gap = spectra.gap_incoherent(p)
-            grid = _time_grid_from(config, t_max=5.0 / gap, points=60, t_min=1.0)
-            cutoff = _thermal_cutoff(n_th) if config.cutoff == "auto" else int(config.cutoff)
-            run_exact = cutoff <= EXACT_CUTOFF_CAP
-            if run_exact:
-                space = make_space(cutoff)
-                sup = vectorize(models.build_incoherent(space, p), materialize=False)
-                traj = dyn.evolve_ode(sup, dyn.ground_state(space), grid)
-                mi_exact = traj.observable(obs.atomic_mutual_information)
-            else:
-                mi_exact = np.full(grid.size, np.nan)
-            mi_eff = obs.mi_curve(
-                models.build_effective_incoherent(p), dyn.ground_state(atomic_space()), grid
-            )
-            for t, mx, me_ in zip(grid, mi_exact, mi_eff):
-                row = _base_row(p, cutoff if run_exact else "effective-only", config.seeds)
-                row.update(t=float(t), mi_exact=float(mx), mi_effective=float(me_))
-                rows.append(row)
-            ss = dyn.steady_state(vectorize(models.build_effective_incoherent(p)),
-                                  dyn.ground_state(atomic_space()))
-            summary["curves"][f"g0={g0:g},n_th={n_th:g}"] = {
-                "tau_incoherent": 1.0 / gap,
-                "steady_mi_effective": float(obs.mutual_information(ss)),
-                "exact_run": bool(run_exact),
-            }
+    for pt in _points(config):
+        p = ModelParams(g0=pt["g0"], n_th=pt["n_th"])
+        grid = _grid(config, pt)
+        cutoff = _thermal_cutoff(p.n_th) if config.cutoff == "auto" else int(config.cutoff)
+        run_exact = cutoff <= EXACT_CUTOFF_CAP
+        if run_exact:
+            space = make_space(cutoff)
+            sup = vectorize(models.build_full(space, p), materialize=False)
+            traj = dyn.evolve_ode(sup, dyn.ground_state(space), grid)
+            mi_exact = traj.observable(obs.atomic_mutual_information)
+        else:
+            mi_exact = np.full(grid.size, np.nan)
+        mi_eff = obs.mi_curve(
+            models.build_effective_incoherent(p), dyn.ground_state(atomic_space()), grid
+        )
+        for t, mx, me_ in zip(grid, mi_exact, mi_eff):
+            row = _base_row(p, cutoff if run_exact else "effective-only", config.seeds)
+            row.update(t=float(t), mi_exact=float(mx), mi_effective=float(me_))
+            rows.append(row)
+        ss = dyn.steady_state(vectorize(models.build_effective_incoherent(p)),
+                              dyn.ground_state(atomic_space()))
+        summary["curves"][f"g0={p.g0:g},n_th={p.n_th:g}"] = {
+            "tau_incoherent": 1.0 / spectra.gap_incoherent(p),
+            "steady_mi_effective": float(obs.mutual_information(ss)),
+            "exact_run": bool(run_exact),
+        }
     return rows, summary
 
 
 def run_real_detector(config: ScenarioConfig) -> tuple[list[dict], dict]:
-    gammas = _axis(config, "gamma")
-    cases = _cases(config.params.get("case", AXES["real-detector"]["case"]))
     rows: list[dict] = []
     summary: dict = {"steady": {}}
-    for case in cases:
-        for gamma in gammas:
-            if case == "coherent":
-                p = ModelParams(g0=0.1, eps=math.sqrt(10.0), gamma=gamma)
-                cutoff = 8 if config.cutoff == "auto" else int(config.cutoff)
-                space = make_space(cutoff)
-                me = models.build_full_displaced(space, p)
-                grid = _time_grid_from(config, t_max=1.0e5, points=100, t_min=0.5)
-                mi = obs.mi_curve(me, dyn.ground_state(space), grid)
-                sup = vectorize(me, materialize=False)
-            elif case == "incoherent":
-                p = ModelParams(g0=0.1, eps=0.0, n_th=10.0, gamma=gamma)
-                if config.cutoff == "auto":
-                    cutoff = min(_thermal_cutoff(p.n_th), EXACT_CUTOFF_CAP)
-                else:
-                    cutoff = int(config.cutoff)
-                space = make_space(cutoff)
-                me = models.build_full(space, p)
-                sup = vectorize(me, materialize=False)
-                grid = _time_grid_from(config, t_max=1.0e5, points=70, t_min=0.5)
-                traj = dyn.evolve_ode(sup, dyn.ground_state(space), grid)
-                mi = traj.observable(obs.atomic_mutual_information)
+    for pt in _points(config):
+        case, gamma = pt["case"], pt["gamma"]
+        grid = _grid(config, pt)
+        if case == "coherent":
+            p = ModelParams(g0=0.1, eps=math.sqrt(10.0), gamma=gamma)
+            cutoff = 8 if config.cutoff == "auto" else int(config.cutoff)
+            space = make_space(cutoff)
+            me = models.build_coherent_displaced(space, p)
+            mi = obs.mi_curve(me, dyn.ground_state(space), grid)
+            sup = vectorize(me, materialize=False)
+        elif case == "incoherent":
+            p = ModelParams(g0=0.1, eps=0.0, n_th=10.0, gamma=gamma)
+            if config.cutoff == "auto":
+                cutoff = min(_thermal_cutoff(p.n_th), EXACT_CUTOFF_CAP)
             else:
-                raise ValueError(f"unknown case {case!r}")
-            for t, m in zip(grid, mi):
-                row = _base_row(p, cutoff, config.seeds)
-                row.update(case=case, t=float(t), mi=float(m))
-                rows.append(row)
-            ss = dyn.steady_state(sup, dyn.ground_state(space))
-            summary["steady"][f"{case},gamma={gamma:g}"] = {
-                "steady_mi": float(obs.atomic_mutual_information(ss)),
-                "peak_mi": float(mi.max()),
-                "kernel_unique": not me.conserved,
-            }
+                cutoff = int(config.cutoff)
+            space = make_space(cutoff)
+            me = models.build_full(space, p)
+            sup = vectorize(me, materialize=False)
+            traj = dyn.evolve_ode(sup, dyn.ground_state(space), grid)
+            mi = traj.observable(obs.atomic_mutual_information)
+        else:
+            raise ValueError(f"unknown case {case!r}")
+        for t, m in zip(grid, mi):
+            row = _base_row(p, cutoff, config.seeds)
+            row.update(case=case, t=float(t), mi=float(m))
+            rows.append(row)
+        ss = dyn.steady_state(sup, dyn.ground_state(space))
+        summary["steady"][f"{case},gamma={gamma:g}"] = {
+            "steady_mi": float(obs.atomic_mutual_information(ss)),
+            "peak_mi": float(mi.max()),
+            "kernel_unique": not me.conserved,
+        }
     return rows, summary
 
 

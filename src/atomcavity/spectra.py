@@ -22,6 +22,16 @@ from .models import ModelParams, Superoperator
 #: eigenvalues closer than this, relative to the spectral radius, form a cluster
 CLUSTER_TOL = 1e-7
 
+#: relative error up to which a numeric cluster matches an analytic table entry
+TABLE_REL_TOL = 1e-10
+
+#: ``match_eigenvalue_sets`` measures deviations relative to at least this
+#: fraction of the largest magnitude, so near-zero eigenvalues compare absolutely
+MATCH_ZERO_FLOOR = 1e-3
+
+#: ratio of the rate above the widest break to the gap that marks metastability
+METASTABLE_RATIO = 10.0
+
 
 @dataclass(frozen=True)
 class Cluster:
@@ -29,7 +39,6 @@ class Cluster:
 
     value: complex
     count: int
-    indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -50,7 +59,6 @@ class SpectrumReport:
     distinct_rates: np.ndarray
     kernel_dim: int
     near_defective: bool
-    scale: float
     partial: bool = False
     condition_estimate: float = np.nan
 
@@ -72,7 +80,6 @@ class MatchedEntry:
     analytic_value: float
     multiplicity: int
     numeric_value: complex | None
-    numeric_count: int
     rel_error: float
     multiplicity_ok: bool
 
@@ -99,7 +106,6 @@ class SplittingDiagnostic:
     ratio: float
     gap: float
     fast_rate: float
-    split_index: int
     metastable: bool
 
 
@@ -173,7 +179,7 @@ def classify(
     zero_mask = zero_modes(w, kernel_dim)
     groups = _cluster_complex(w, CLUSTER_TOL * scale)
     clusters = tuple(
-        Cluster(complex(np.mean(w[g])), len(g), tuple(g))
+        Cluster(complex(np.mean(w[g])), len(g))
         for g in sorted(groups, key=lambda g: (abs(np.mean(w[g]).real), np.mean(w[g]).imag))
     )
     rates = -w[~zero_mask].real
@@ -193,7 +199,6 @@ def classify(
         distinct_rates=distinct,
         kernel_dim=int(zero_mask.sum()),
         near_defective=near_defective,
-        scale=scale,
         partial=partial,
         condition_estimate=condition,
     )
@@ -283,14 +288,13 @@ def _merge_entries(
     return merged
 
 
-def compare_spectra(
-    numeric: SpectrumReport, analytic: AnalyticSpectrum, rel_tol: float = 1e-10
-) -> MatchReport:
+def compare_spectra(numeric: SpectrumReport, analytic: AnalyticSpectrum) -> MatchReport:
     """Greedy pairing of numeric clusters with the analytic table.
 
     Each analytic entry takes the nearest unused numeric cluster; per-entry
     relative errors use the entry magnitude (the spectral scale for the zero
-    entry).  Unmatched clusters are reported, never raised.
+    entry).  All match when every entry finds a cluster of its multiplicity
+    within ``TABLE_REL_TOL``.  Unmatched clusters are reported, never raised.
     """
     scale = max(abs(v) for v, _ in analytic.entries)
     merged = _merge_entries(analytic.entries, 1e-12 * scale)
@@ -299,7 +303,7 @@ def compare_spectra(
     max_rel = 0.0
     for value, mult in sorted(merged, key=lambda e: abs(e[0])):
         if not available:
-            results.append(MatchedEntry(value, mult, None, 0, np.inf, False))
+            results.append(MatchedEntry(value, mult, None, np.inf, False))
             max_rel = np.inf
             continue
         dists = [abs(c.value - value) for c in available]
@@ -308,28 +312,26 @@ def compare_spectra(
         denom = abs(value) if abs(value) > 0.0 else scale
         rel = abs(cluster.value - value) / denom
         results.append(
-            MatchedEntry(value, mult, cluster.value, cluster.count, float(rel), cluster.count == mult)
+            MatchedEntry(value, mult, cluster.value, float(rel), cluster.count == mult)
         )
         max_rel = max(max_rel, rel)
     all_matched = (
         not available
         and all(e.multiplicity_ok for e in results)
-        and all(e.rel_error <= rel_tol for e in results)
+        and all(e.rel_error <= TABLE_REL_TOL for e in results)
     )
     return MatchReport(tuple(results), tuple(available), all_matched, float(max_rel))
 
 
-def match_eigenvalue_sets(
-    a: np.ndarray, b: np.ndarray, zero_floor: float = 1e-3
-) -> np.ndarray:
+def match_eigenvalue_sets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Greedy nearest-pair matching of two eigenvalue lists.
 
     Conjugate partners are first folded onto the upper half plane (spectra of
     Hermiticity-preserving generators are conjugation-symmetric, so Re + i|Im|
     carries the full information); this keeps truncated lists comparable when
     a selection boundary splits a conjugate pair.  Returns per-pair relative
-    deviations |a_i - b_j| / max(|a_i|, zero_floor * scale), with scale the
-    largest magnitude present.
+    deviations |a_i - b_j| / max(|a_i|, MATCH_ZERO_FLOOR * scale), with scale
+    the largest magnitude present.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -344,7 +346,7 @@ def match_eigenvalue_sets(
         dists = [abs(z - b[j]) for j in remaining]
         pick = int(np.argmin(dists))
         j = remaining.pop(pick)
-        devs[i] = abs(z - b[j]) / max(abs(z), zero_floor * scale)
+        devs[i] = abs(z - b[j]) / max(abs(z), MATCH_ZERO_FLOOR * scale)
     return devs
 
 
@@ -375,14 +377,12 @@ def slowest_eigenvalues(
     return w[order][:count]
 
 
-def splitting_diagnostic(
-    report: SpectrumReport, threshold: float = 10.0
-) -> SplittingDiagnostic:
+def splitting_diagnostic(report: SpectrumReport) -> SplittingDiagnostic:
     """Locate the dominant break in the distinct-rate ladder.
 
     The break is the largest ratio between consecutive distinct rates; the
     reported ratio compares the rate just above the break with the gap, and
-    the metastable flag fires when it exceeds ``threshold``.
+    the metastable flag fires when it exceeds ``METASTABLE_RATIO``.
     """
     rates = report.distinct_rates
     if rates.size < 2:
@@ -396,6 +396,5 @@ def splitting_diagnostic(
         ratio=ratio,
         gap=report.gap,
         fast_rate=float(rates[split]),
-        split_index=split,
-        metastable=ratio > threshold,
+        metastable=ratio > METASTABLE_RATIO,
     )

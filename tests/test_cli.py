@@ -40,6 +40,17 @@ class TestExitCodes:
             ("mi-coherent", {"time_grid": {"spacing": "lin"}}),
             ("real-detector", {"params": {"case": ["thermal"]}}),
             ("real-detector", {"params": {"case": "thermal"}}),
+            ("mi-coherent", {"params": {"eps": [-10]}}),
+            ("real-detector", {"params": {"gamma": [-1e-3]}}),
+            ("mi-incoherent", {"params": {"n_th": [0]}}),
+            ("mi-incoherent", {"params": {"g0": [1e-200]}}),  # the gap underflows to 0
+            # grids the scenario cannot build at its default t_min or t_max
+            ("mi-coherent", {"params": {"g0": [0.25], "eps": [10]}, "cutoff": 4,
+                             "time_grid": {"t_max": 0.05}}),
+            ("mi-coherent", {"params": {"g0": [0.25], "eps": [10]}, "cutoff": 4,
+                             "time_grid": {"t_min": 1e9}}),
+            ("mi-coherent", {"params": {"g0": [0.25], "eps": [10]}, "cutoff": 4,
+                             "time_grid": {"t_max": float("nan")}}),
         ],
     )
     def test_malformed_scenario_input_is_config_error(self, tmp_path, scenario, payload):

@@ -39,16 +39,18 @@ class TestDensityMatrix:
 
 
 class TestEvolveOde:
-    def test_cavity_decay_photon_number(self):
+    def test_cavity_decay_photon_number(self, monkeypatch):
         # closed-form oracle: <n>(t) = e^{-2 kappa t} under the 2x convention
         from atomcavity.observables import photon_number
 
+        monkeypatch.setattr(linalg, "ODE_RTOL", 1e-10)
+        monkeypatch.setattr(linalg, "ODE_ATOL", 1e-12)
         space = make_space(3)
         p = ModelParams(g0=0.0, eps=0.0)
         sup = vectorize(models.build_full(space, p))
         one_photon = dyn.pure_state(dyn.basis_vector(space, 0, 0, 1), space)
         grid = np.array([0.0, 0.25, 0.5, 1.0, 2.0])
-        traj = dyn.evolve_ode(sup, one_photon, grid, rtol=1e-10, atol=1e-12)
+        traj = dyn.evolve_ode(sup, one_photon, grid)
         n_t = traj.observable(photon_number)
         assert_allclose(n_t, np.exp(-2.0 * grid), rtol=1e-7, atol=1e-9)
 
@@ -77,7 +79,7 @@ class TestEvolveOde:
     def test_invariants_enforced_along_trajectory(self):
         p = ModelParams(g0=0.1, n_th=1.0)
         space = make_space(6)
-        sup = vectorize(models.build_incoherent(space, p), materialize=False)
+        sup = vectorize(models.build_full(space, p), materialize=False)
         grid = dyn.time_grid(50.0, 20, t_min=0.5)
         traj = dyn.evolve_ode(sup, dyn.ground_state(space), grid)
         for s in traj.states:
@@ -94,7 +96,7 @@ class TestEvolveSpectral:
         for me in (
             models.build_effective_coherent(ModelParams(g0=0.25, eps=10.0)),
             models.build_coherent_displaced(make_space(4), ModelParams(g0=0.25, eps=10.0)),
-            models.build_full_displaced(make_space(4), ModelParams(g0=0.1, eps=3.0, gamma=1e-3)),
+            models.build_coherent_displaced(make_space(4), ModelParams(g0=0.1, eps=3.0, gamma=1e-3)),
         ):
             sup = vectorize(me)
             for rho0 in (random_density_matrix(me.dim, rng, me.space), dyn.ground_state(me.space)):
@@ -225,7 +227,7 @@ class TestSteadyState:
     def test_wrongly_stated_conserved_quantity_raises(self):
         # single-atom decay breaks the exchange symmetry, so P_S is not conserved
         space = make_space(4)
-        me = models.build_full_displaced(space, ModelParams(g0=0.1, eps=3.0, gamma=1e-3))
+        me = models.build_coherent_displaced(space, ModelParams(g0=0.1, eps=3.0, gamma=1e-3))
         wrong = models.MasterEquation(
             me.hamiltonian, me.dissipators, space, conserved=(singlet_projector(space),)
         )
@@ -354,7 +356,7 @@ class TestCheckTruncation:
             gaps.append(spectra.analyze(vectorize(me, materialize=False)).gap)
             return gaps[-1]
 
-        cutoff = dyn.check_truncation(models.build_incoherent, p, extractor)
+        cutoff = dyn.check_truncation(models.build_full, p, extractor)
         assert cutoff == 8
         assert gaps == [0.0, 0.0]
 
@@ -368,16 +370,16 @@ class TestCheckTruncation:
         again = spectra.analyze(sup, k=12)
         assert rep.gap == pytest.approx(again.gap, rel=1e-12)
 
-    def test_thermal_cutoff_scales_with_occupation(self):
+    def test_thermal_cutoff_scales_with_occupation(self, monkeypatch):
         # converged cutoff is a few times n_th (convergence sweep at 1% on
         # the gap keeps this test light)
+        monkeypatch.setattr(dyn, "TRUNCATION_REL_TOL", 1e-2)
         p = ModelParams(g0=0.05, n_th=2.0)
-        cutoff, _ = dyn.converged_cutoff_for_gap(
-            models.build_incoherent, p, rel_tol=1e-2, k=10
-        )
+        cutoff, _ = dyn.converged_cutoff_for_gap(models.build_full, p, k=10)
         assert 8 <= cutoff <= 64
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(dyn, "TRUNCATION_HARD_CAP", 32)
         p = ModelParams(g0=0.1, n_th=0.5)
         flip = {"x": 1.0}
 
@@ -386,6 +388,4 @@ class TestCheckTruncation:
             return 1.0 + flip["x"]
 
         with pytest.raises(TruncationLimitError):
-            dyn.check_truncation(
-                models.build_incoherent, p, never_converges, hard_cap=32
-            )
+            dyn.check_truncation(models.build_full, p, never_converges)

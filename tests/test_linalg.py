@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from atomcavity import linalg
@@ -65,10 +66,11 @@ class TestEigGeneral:
             linalg.eig_general(np.eye(10))
         assert linalg.eig_general(np.eye(8)).eigenvalues.size == 8
 
-    def test_residual_postcondition_triggers(self, rng):
+    def test_residual_postcondition_triggers(self, rng, monkeypatch):
+        monkeypatch.setattr(linalg, "EIG_RESIDUAL_TOL", 1e-30)
         m = rng.standard_normal((6, 6))
         with pytest.raises(NumericalAccuracyError):
-            linalg.eig_general(m, residual_tol=1e-30)
+            linalg.eig_general(m)
 
     def test_round_trip_reconstruction(self, rng):
         for _ in range(5):
@@ -84,40 +86,46 @@ class TestEigGeneral:
         assert dec.near_defective
 
 
+MINUS_ONE = sp.csr_matrix(-np.eye(1))
+
+
 class TestIntegrateOde:
     def test_zero_generator_constant(self):
         y0 = np.array([1.0, 2.0j], dtype=complex)
         t = np.array([0.0, 1.0, 5.0])
-        traj = linalg.integrate_ode(lambda y: 0.0 * y, y0, t)
+        traj = linalg.integrate_ode(lambda y: 0.0 * y, y0, t, sp.csr_matrix((2, 2)))
         assert_allclose(traj, np.broadcast_to(y0, (3, 2)), atol=1e-12)
 
-    def test_scalar_decay(self):
+    def test_scalar_decay(self, monkeypatch):
+        monkeypatch.setattr(linalg, "ODE_RTOL", 1e-10)
+        monkeypatch.setattr(linalg, "ODE_ATOL", 1e-12)
         y0 = np.array([1.0 + 0.0j])
         t = np.array([0.0, 1.0])
-        traj = linalg.integrate_ode(lambda y: -y, y0, t, rtol=1e-10, atol=1e-12)
+        traj = linalg.integrate_ode(lambda y: -y, y0, t, MINUS_ONE)
         assert_allclose(traj[-1, 0], np.exp(-1.0), rtol=1e-8)
 
     def test_grid_must_start_at_zero(self):
         with pytest.raises(ValueError):
-            linalg.integrate_ode(lambda y: -y, np.ones(1), np.array([1.0, 2.0]))
+            linalg.integrate_ode(lambda y: -y, np.ones(1), np.array([1.0, 2.0]), MINUS_ONE)
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
-            linalg.integrate_ode(lambda y: -y, np.ones(1), np.array([0.0, 2.0, 1.0]))
+            linalg.integrate_ode(lambda y: -y, np.ones(1), np.array([0.0, 2.0, 1.0]), MINUS_ONE)
 
     def test_stiff_failure_reports(self):
         # blow-up ODE exhausts the step budget and must raise, not return junk
         with pytest.raises(StiffnessError):
             linalg.integrate_ode(
-                lambda y: y * y.real * 1e8, np.ones(1, dtype=complex), np.array([0.0, 1e6])
+                lambda y: y * y.real * 1e8,
+                np.ones(1, dtype=complex),
+                np.array([0.0, 1e6]),
+                sp.csr_matrix(2e8 * np.eye(1)),
             )
 
     def test_bdf_with_sparse_jacobian(self, rng):
-        import scipy.sparse as sp
-
         d = np.concatenate((-(10.0 ** rng.uniform(0, 6, 30)), [0.0]))
         jac = sp.diags(d).tocsr()
         y0 = np.ones(31, dtype=complex)
         t = np.array([0.0, 1.0, 100.0])
-        traj = linalg.integrate_ode(lambda y: jac @ y, y0, t, jac=jac)
+        traj = linalg.integrate_ode(lambda y: jac @ y, y0, t, jac)
         assert_allclose(traj[-1], np.exp(d * 100.0), atol=1e-8)

@@ -16,8 +16,6 @@ from atomcavity.models import (
     build_effective_coherent,
     build_effective_incoherent,
     build_full,
-    build_full_displaced,
-    build_incoherent,
     build_rwa_displaced,
     unvec,
     vec,
@@ -52,9 +50,9 @@ def apply_oracle(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
 
 BUILDERS = [
     ("full", lambda: build_full(make_space(3), ModelParams(g0=0.2, eps=0.5, n_th=0.2, gamma=0.02))),
-    ("incoherent", lambda: build_incoherent(make_space(4), ModelParams(g0=0.1, n_th=1.0))),
+    ("incoherent", lambda: build_full(make_space(4), ModelParams(g0=0.1, n_th=1.0))),
     ("coherent-displaced", lambda: build_coherent_displaced(make_space(4), ModelParams(g0=0.25, eps=2.0))),
-    ("full-displaced", lambda: build_full_displaced(make_space(4), ModelParams(g0=0.25, eps=2.0, gamma=0.05))),
+    ("full-displaced", lambda: build_coherent_displaced(make_space(4), ModelParams(g0=0.25, eps=2.0, gamma=0.05))),
     ("rwa-displaced", lambda: build_rwa_displaced(make_space(4), ModelParams(g0=0.25, eps=100.0))),
     ("effective-coherent", lambda: build_effective_coherent(ModelParams(g0=0.25, eps=10.0))),
     ("effective-incoherent", lambda: build_effective_incoherent(ModelParams(g0=0.1, n_th=1.0))),
@@ -72,11 +70,12 @@ def test_apply_matches_matrix_algebra(name, factory, rng):
 
 
 #: every builder, given the parameters of its regime out of one full draw
+#: (the lab and displaced frames also at eps = gamma = 0 and gamma = 0)
 PARAMETRIC_BUILDERS = {
     "full": build_full,
-    "incoherent": lambda s, p: build_incoherent(s, replace(p, eps=0.0, gamma=0.0)),
+    "incoherent": lambda s, p: build_full(s, replace(p, eps=0.0, gamma=0.0)),
     "coherent-displaced": lambda s, p: build_coherent_displaced(s, replace(p, n_th=0.0, gamma=0.0)),
-    "full-displaced": lambda s, p: build_full_displaced(s, replace(p, n_th=0.0)),
+    "full-displaced": lambda s, p: build_coherent_displaced(s, replace(p, n_th=0.0)),
     "rwa-displaced": lambda s, p: build_rwa_displaced(s, replace(p, n_th=0.0, gamma=0.0)),
     "effective-coherent": lambda s, p: build_effective_coherent(p),
     "effective-incoherent": lambda s, p: build_effective_incoherent(p),
@@ -159,7 +158,7 @@ class TestVectorizeOracle:
 
     def test_dense_cap(self):
         p = ModelParams(g0=0.1, n_th=1.0)
-        me = build_incoherent(make_space(32), p)
+        me = build_full(make_space(32), p)
         with pytest.raises(DimensionLimitError):
             vectorize(me, materialize=True)
         sup = vectorize(me, materialize=False)
@@ -227,17 +226,6 @@ class TestBuildFull:
         rates = [r for _, r in me.dissipators]
         assert_allclose(rates, [1.0, 5e-4, 5e-4])
 
-    def test_thermal_case_equals_build_incoherent(self):
-        p = ModelParams(g0=0.05, eps=0.0, n_th=1.5)
-        space = make_space(3)
-        me_full = build_full(space, p)
-        me_inc = build_incoherent(space, p)
-        assert_allclose(me_full.hamiltonian.matrix, me_inc.hamiltonian.matrix)
-        assert len(me_full.dissipators) == len(me_inc.dissipators) == 2
-        for (o1, r1), (o2, r2) in zip(me_full.dissipators, me_inc.dissipators):
-            assert_allclose(o1.matrix, o2.matrix)
-            assert r1 == r2
-
 
 class TestDisplacedModels:
     def test_eps_zero_reduces_to_tc(self):
@@ -250,20 +238,14 @@ class TestDisplacedModels:
     def test_regime_guard(self):
         with pytest.raises(UnsupportedRegimeError):
             build_coherent_displaced(make_space(2), ModelParams(g0=0.1, n_th=1.0))
-        with pytest.raises(UnsupportedRegimeError):
-            build_full_displaced(make_space(2), ModelParams(g0=0.1, n_th=0.5))
 
-    def test_isospectral_with_lab_frame(self):
-        # similarity invariance at eps=2, g0=1/4 on the 10 slowest eigenvalues
-        from atomcavity import spectra
-
-        p = ModelParams(g0=0.25, eps=2.0)
-        lab = vectorize(build_full(make_space(24), p), materialize=False)
-        disp = vectorize(build_coherent_displaced(make_space(10), p), materialize=False)
-        w_lab = spectra.slowest_eigenvalues(lab, 10)
-        w_disp = spectra.slowest_eigenvalues(disp, 10)
-        devs = spectra.match_eigenvalue_sets(w_lab, w_disp)
-        assert devs.max() < 1e-3
+    def test_atomic_decay_channels(self):
+        # gamma > 0 adds each atom's decay after the cavity channel, and
+        # single-atom decay breaks the exchange symmetry the singlet rests on
+        me = build_coherent_displaced(make_space(2), ModelParams(g0=0.1, eps=3.0, gamma=1e-3))
+        assert [op.label for op, _ in me.dissipators] == ["a", "sigma_minus^1", "sigma_minus^2"]
+        assert [r for _, r in me.dissipators] == [1.0, 5e-4, 5e-4]
+        assert me.conserved == ()
 
     def test_gamma_variant_isospectral_with_lab_frame(self):
         # the displacement commutes with the atomic decay channels, so the
@@ -272,7 +254,7 @@ class TestDisplacedModels:
 
         p = ModelParams(g0=0.25, eps=1.0, gamma=0.05)
         lab = vectorize(build_full(make_space(20), p), materialize=False)
-        disp = vectorize(build_full_displaced(make_space(10), p), materialize=False)
+        disp = vectorize(build_coherent_displaced(make_space(10), p), materialize=False)
         w_lab = spectra.slowest_eigenvalues(lab, 10, k=40, sigma=0.02)
         w_disp = spectra.slowest_eigenvalues(disp, 10, k=40, sigma=0.02)
         devs = spectra.match_eigenvalue_sets(w_lab, w_disp)
@@ -353,15 +335,6 @@ class TestEffectiveModels:
         with pytest.raises(UnsupportedRegimeError):
             build_effective_coherent(ModelParams(g0=0.25, eps=0.0))
 
-    def test_incoherent_requires_no_drive(self):
-        with pytest.raises(UnsupportedRegimeError):
-            build_incoherent(make_space(2), ModelParams(g0=0.1, eps=1.0))
-
-    def test_incoherent_rejects_atomic_decay(self):
-        # gamma > 0 belongs to build_full; dropping it silently would hide it
-        with pytest.raises(UnsupportedRegimeError):
-            build_incoherent(make_space(2), ModelParams(g0=0.1, n_th=1.0, gamma=1e-3))
-
     def test_effective_incoherent_dark_singlet(self):
         from atomcavity.dynamics import singlet_state
 
@@ -383,7 +356,7 @@ class TestEffectiveModels:
 class TestGeneratorInvariants:
     MODELS = [
         ("full", lambda: build_full(make_space(4), ModelParams(g0=0.2, eps=1.0, n_th=0.3, gamma=0.01))),
-        ("incoherent", lambda: build_incoherent(make_space(4), ModelParams(g0=0.1, n_th=1.0))),
+        ("incoherent", lambda: build_full(make_space(4), ModelParams(g0=0.1, n_th=1.0))),
         ("eff-coh", lambda: build_effective_coherent(ModelParams(g0=0.25, eps=10.0))),
         ("eff-inc", lambda: build_effective_incoherent(ModelParams(g0=0.1, n_th=1.0))),
     ]

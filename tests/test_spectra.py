@@ -104,7 +104,7 @@ class TestCompareSpectra:
         rng = np.random.default_rng(1000 + seed)
         p = ModelParams(g0=float(10 ** rng.uniform(-1.3, 0)), eps=float(10 ** rng.uniform(0.3, 2.3)))
         rep = spectra.analyze(vectorize(models.build_effective_coherent(p)))
-        match = spectra.compare_spectra(rep, spectra.analytic_coherent(p), rel_tol=1e-10)
+        match = spectra.compare_spectra(rep, spectra.analytic_coherent(p))
         assert match.all_matched
         assert match.max_rel_error <= 1e-10
 
@@ -112,14 +112,14 @@ class TestCompareSpectra:
     def test_incoherent_points(self, n_th):
         p = ModelParams(g0=0.1, n_th=n_th)
         rep = spectra.analyze(vectorize(models.build_effective_incoherent(p)))
-        match = spectra.compare_spectra(rep, spectra.analytic_incoherent(p), rel_tol=1e-10)
+        match = spectra.compare_spectra(rep, spectra.analytic_incoherent(p))
         assert match.all_matched
 
     def test_mismatch_reported_not_raised(self):
         p = ModelParams(g0=0.25, eps=10.0)
         rep = spectra.analyze(vectorize(models.build_effective_coherent(p)))
         wrong = ModelParams(g0=0.25, eps=11.0)
-        match = spectra.compare_spectra(rep, spectra.analytic_coherent(wrong), rel_tol=1e-10)
+        match = spectra.compare_spectra(rep, spectra.analytic_coherent(wrong))
         assert not match.all_matched
         assert match.max_rel_error > 1e-10
 
@@ -179,7 +179,7 @@ class TestTargetedPath:
         errors = []
         for g0, cutoff in ((0.1, 24), (0.03, 24)):
             p = ModelParams(g0=g0, n_th=n_th)
-            sup = vectorize(models.build_incoherent(make_space(cutoff), p), materialize=False)
+            sup = vectorize(models.build_full(make_space(cutoff), p), materialize=False)
             rep = spectra.analyze(sup, k=12)
             ana = spectra.gap_incoherent(p)
             errors.append(abs(rep.gap - ana) / ana)
