@@ -24,8 +24,16 @@ from .errors import (
     TruncationLimitError,
     UnsupportedRegimeError,
 )
-from .linalg import eig_general, integrate_ode
-from .models import MasterEquation, ModelParams, Superoperator, unvec, vec, vectorize
+from .linalg import eig_general, integrate_ode, real_eigenbasis
+from .models import (
+    MasterEquation,
+    ModelParams,
+    Superoperator,
+    hermitian_coordinates,
+    unvec,
+    vec,
+    vectorize,
+)
 from .operators import SystemSpace, atomic_space, make_space, singlet_projector
 
 #: default slacks for density-matrix invariants at construction time
@@ -246,20 +254,30 @@ def evolve_ode(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> T
 def evolve_spectral(
     sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray, validate: bool = True
 ) -> Trajectory:
-    """Evolve through the dense eigenbasis of the generator.
+    """Evolve through the dense eigenbasis of the generator, in real arithmetic.
 
-    With L = V diag(w) V^-1 and the model's kernel eigenvalues set to exactly
-    0 (``spectra.zero_modes``), vec(rho(t)) = vec(rho0) + V diag(expm1(w t))
-    V^-1 vec(rho0): rho0 itself at t = 0, and the kernel part of rho0 never
-    changes, however far the solver's kernel eigenvalues sit from 0.  The
-    solver's slowest eigenvectors, kernel ones included, mix with each other
-    by about 1e-16 ||L|| / gap (4e-6 at the displaced model's eps = 1000,
-    cutoff 8), which their decay would leave behind in rho(t) as trace and
-    Hermiticity errors.  So the kernel columns of V are replaced by
-    ``stated_kernel`` K (exact to round-off, C^dag K = I), and each decaying
-    mode r, which carries no conserved charge (C^dag r = 0), has its
-    admixture K C^dag r removed: rho(t) tends to ``steady_state(sup, rho0)``
-    and keeps the trace and the conserved values of rho0 at every t.  Refuses
+    ``sup.as_dense()`` is the real generator in the Hermitian coordinates x
+    of ``models.hermitian_coordinates``; its eigenvalues are real or come in
+    exact conjugate pairs, and its eigenvectors are kept as the real basis B
+    of ``linalg.real_eigenbasis``.  With the model's kernel eigenvalues set
+    to exactly 0 (``spectra.zero_modes``) and real coefficients a = B^-1 x0,
+    x(t) = x0 + sum_k Re[(e^{w_k t} - 1) g_k u_k] over the real eigenvalues
+    and the first member of each pair, where u_k = B_k + i B_{k+1} and
+    g_k = a_k - i a_{k+1} for a pair (u_k = B_k, g_k = a_k otherwise): rho0
+    itself at t = 0, and the kernel part of rho0 never changes, however far
+    the solver's kernel eigenvalues sit from 0.  Every sample is read back
+    from real x, so it is Hermitian exactly; x0 holds the coordinates of
+    rho0's Hermitian part, which is rho0 itself for a Hermitian rho0.
+
+    The solver's slowest eigenvectors, kernel ones included, mix with each
+    other by about 1e-16 ||L|| / gap (4e-6 at the displaced model's
+    eps = 1000, cutoff 8), which their decay would leave behind in rho(t) as
+    trace errors.  So the kernel columns of B are replaced by
+    ``stated_kernel`` K (exact to round-off, C^dag K = I, mapped into x), and
+    each decaying mode r, which carries no conserved charge (C^dag r = 0, with
+    the charges as the dual rows vec(Q)^dag T^-1), has its admixture
+    K C^dag r removed: rho(t) tends to ``steady_state(sup, rho0)`` and keeps
+    the trace and the conserved values of rho0 at every t.  Refuses
     near-defective decompositions (eigenvector condition above the guard
     threshold); fall back to ``evolve_ode`` in that case.
     """
@@ -271,20 +289,33 @@ def evolve_spectral(
         )
     w = decomp.eigenvalues
     kernel = spectra.zero_modes(w, 1 + len(sup.me.conserved))
+    upper = np.flatnonzero(w.imag > 0.0)  # first of each conjugate pair
+    if np.any(kernel[upper] != kernel[upper + 1]):
+        raise NumericalAccuracyError(
+            "the stated kernel splits a conjugate pair of eigenvalues: the slowest "
+            "decaying modes are not resolved from the kernel"
+        )
     w = np.where(kernel, 0.0, w)
-    v = decomp.right_eigenvectors
-    k = stated_kernel(sup)
-    charges = np.column_stack([vec(q) for q in _charges(sup.me)])
-    admixture = charges.conj().T @ v
+    v = real_eigenbasis(decomp.eigenvalues, decomp.right_eigenvectors)
+    del decomp  # its complex V is twice the size of B
+    fwd, inv = hermitian_coordinates(sup.me.dim)
+    k = (fwd @ stated_kernel(sup)).real  # Hermitian columns: real exactly
+    duals = np.column_stack([inv.T @ vec(q).conj() for q in _charges(sup.me)]).real
+    admixture = duals.T @ v
     admixture[:, kernel] = 0.0
-    for i in range(0, sup.dim, _ROW_BLOCK):  # in place: V is the largest array here
+    for i in range(0, sup.dim, _ROW_BLOCK):  # in place: B is the largest array here
         v[i : i + _ROW_BLOCK] -= k[i : i + _ROW_BLOCK] @ admixture
     v[:, kernel] = k
-    x0 = vec(rho0.matrix)
-    c = np.linalg.solve(v, x0)
+    x0 = (fwd @ vec(rho0.matrix)).real
+    a = np.linalg.solve(v, x0)
+    g = a.astype(complex)
+    g[upper] -= 1j * a[upper + 1]
     t = np.asarray(t_grid, dtype=float)
-    raw = x0 + (np.expm1(np.outer(t, w)) * c) @ v.T
-    return _as_trajectory(raw, t, rho0.space, validate)
+    z = np.expm1(np.outer(t, w)) * g
+    weights = z.real
+    weights[:, upper + 1] = -z[:, upper].imag
+    raw = inv @ (x0[:, None] + v @ weights.T)
+    return _as_trajectory(raw.T, t, rho0.space, validate)
 
 
 # ---------------------------------------------------------------------------

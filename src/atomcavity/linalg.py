@@ -1,9 +1,10 @@
-"""Dense complex linear-algebra kernel.
+"""Dense linear-algebra kernel.
 
 Everything the physics layers consume: Kronecker products, general
-eigendecompositions with residual checks, and stiff (BDF) integration of
-linear ODEs.  All functions are pure and all returned arrays are freshly
-allocated.
+eigendecompositions with residual checks (real input stays real, so LAPACK
+runs ``dgeev`` and returns exact conjugate pairs), and stiff (BDF)
+integration of linear ODEs.  All functions are pure and all returned arrays
+are freshly allocated.
 """
 
 from __future__ import annotations
@@ -43,12 +44,15 @@ ODE_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Full spectrum of a square complex matrix.
+    """Full spectrum of a square real or complex matrix.
 
     ``right_eigenvectors`` holds one eigenvector per column, matching the
-    order of ``eigenvalues``.  ``condition_estimate`` is the exact 2-norm
-    condition number of V; values above ``NEAR_DEFECTIVE_COND`` mark the matrix as too
-    close to defective for V-based reconstruction.
+    order of ``eigenvalues``.  For a real matrix the complex eigenvalues come
+    in pairs, the one with positive imaginary part first and its conjugate,
+    bit for bit, next, with conjugate eigenvectors (``real_eigenbasis``).
+    ``condition_estimate`` is the exact 2-norm condition number of V; values
+    above ``NEAR_DEFECTIVE_COND`` mark the matrix as too close to defective
+    for V-based reconstruction.
     """
 
     eigenvalues: np.ndarray
@@ -66,7 +70,7 @@ def _as_square(m: np.ndarray, who: str) -> np.ndarray:
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{who} requires a square matrix, got shape {a.shape}")
-    return a.astype(complex, copy=False)
+    return a
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -91,9 +95,31 @@ def condition_estimate(v: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def eig_general(m: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a general complex matrix.
+def real_eigenbasis(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Real basis of the eigenvectors V (eigenvalues ``w``) of a real matrix.
 
+    Column j is v_j for a real eigenvalue; a conjugate pair (w_j with
+    Im w_j > 0, w_{j+1} = conj(w_j)) becomes sqrt(2) Re v_j, sqrt(2) Im v_j.
+    The result is V times a unitary, so it has V's condition number.
+    """
+    if not np.iscomplexobj(v):
+        return v.copy()
+    upper = np.flatnonzero(w.imag > 0.0)
+    if upper.size and (
+        upper[-1] + 1 == w.size or not np.array_equal(w[upper + 1], w[upper].conj())
+    ):
+        raise ValueError("eigenvalues do not come in conjugate pairs; the matrix is not real")
+    basis = v.real.copy()
+    basis[:, upper] *= np.sqrt(2.0)
+    basis[:, upper + 1] = np.sqrt(2.0) * v[:, upper].imag
+    return basis
+
+
+def eig_general(m: np.ndarray) -> EigenDecomposition:
+    """Full eigendecomposition of a general real or complex matrix.
+
+    A real matrix is decomposed in real arithmetic (``dgeev``), and the
+    condition number is taken from the real form of V (``real_eigenbasis``).
     Postconditions: per-pair residuals ``||A v - w v|| <= EIG_RESIDUAL_TOL *
     ||A||_F * ||v||`` (raises ``NumericalAccuracyError`` otherwise) and a
     populated condition estimate of the eigenvector matrix.
@@ -121,14 +147,8 @@ def eig_general(m: np.ndarray) -> EigenDecomposition:
                 f"||A v - w v|| = {residuals[worst]:.3e} for eigenvalue "
                 f"{w[worst]:.6g} exceeds {bound[worst]:.3e}"
             )
-    return EigenDecomposition(w, v, condition_estimate(v))
-
-
-def reconstruct(decomp: EigenDecomposition) -> np.ndarray:
-    """Rebuild A = V diag(w) V^-1 from its decomposition."""
-    v = decomp.right_eigenvectors
-    scaled = v * decomp.eigenvalues[None, :]
-    return np.linalg.solve(v.T, scaled.T).T
+    real_v = v if np.iscomplexobj(a) else real_eigenbasis(w, v)
+    return EigenDecomposition(w, v, condition_estimate(real_v))
 
 
 def integrate_ode(

@@ -15,7 +15,17 @@ vec(A rho B) = (B^T kron A) vec(rho) and the generator reads
         + sum_k r_k (2 conj(O_k) kron O_k - I kron O_k^dag O_k
                      - (O_k^dag O_k)^T kron I)
 
-assembled once as a CSR matrix; dense copies are made from that matrix.
+assembled once as a CSR matrix.
+
+The dense copy of L, for full eigendecompositions, is real: L maps Hermitian
+matrices to Hermitian matrices, so in the coordinates
+
+    x = [rho_ii; Re rho_ij; Im rho_ij  (i < j)]
+
+of a D x D matrix it is T L T^-1 with real entries.  The maps T and T^-1
+(``hermitian_coordinates``) have entries 1, 1/2, +-i/2 and 1, +-i: powers of
+two, so vec(rho) -> x -> vec(rho) is exact for a Hermitian rho, and every
+matrix read back from real x is Hermitian exactly.
 
 Rates and times are expressed in units of kappa, which is pinned to 1.
 """
@@ -29,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionLimitError, ShapeError, UnsupportedRegimeError
+from .errors import DimensionLimitError, NumericalAccuracyError, ShapeError, UnsupportedRegimeError
 from .linalg import DENSE_CAP
 from .operators import (
     LabeledOperator,
@@ -42,6 +52,12 @@ from .operators import (
     single_atom,
     singlet_projector,
 )
+
+#: largest imaginary part of the dense generator in Hermitian coordinates,
+#: relative to ||L||_1; measured exactly 0.0 on every builder, so anything
+#: above round-off means L does not preserve Hermiticity
+DENSE_IMAG_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -146,8 +162,10 @@ class Superoperator:
     """Liouvillian acting on column-stacked density matrices.
 
     The CSR matrix is the one representation of the generator: it is
-    assembled on first use, ``apply`` is a mat-vec with it, and ``as_dense``
-    is its ``toarray()`` copy, refused above ``linalg.DENSE_CAP``.
+    assembled on first use and ``apply`` is a mat-vec with it.  ``as_dense``
+    is the real float64 matrix T L T^-1 in the Hermitian coordinates of
+    ``hermitian_coordinates``, made from the CSR matrix and refused above
+    ``linalg.DENSE_CAP``.
     """
 
     def __init__(self, me: MasterEquation):
@@ -167,7 +185,16 @@ class Superoperator:
                     f"superoperator dimension {self.dim} exceeds the dense cap "
                     f"{DENSE_CAP}; use the sparse representation"
                 )
-            self._dense = self.as_sparse().toarray()
+            fwd, inv = hermitian_coordinates(self.me.dim)
+            dense = (fwd @ self.as_sparse() @ inv).toarray()
+            imag = float(np.abs(dense.imag).max())
+            if imag > DENSE_IMAG_TOL * self.norm_estimate():
+                raise NumericalAccuracyError(
+                    f"the generator of {self.me.label or 'the model'} is not real in "
+                    f"Hermitian coordinates: imaginary part {imag:.2e}; it does not "
+                    "preserve Hermiticity"
+                )
+            self._dense = np.ascontiguousarray(dense.real)
         return self._dense
 
     def as_sparse(self) -> sp.csr_matrix:
@@ -199,6 +226,32 @@ def _build_liouvillian(me: MasterEquation) -> sp.csr_matrix:
         bda = b.conj().T @ a
         lv = lv + ct.weight * (2.0 * krn(b.conj(), a) - krn(eye, bda) - krn(bda.T, eye))
     return lv.tocsr()
+
+
+def hermitian_coordinates(d: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The maps (T, T^-1) between vec(rho) and the coordinates
+    x = [rho_ii; Re rho_ij; Im rho_ij  (i < j, row by row)] of a d x d matrix.
+
+    x is real exactly when rho is Hermitian (for any rho, Re x holds the
+    coordinates of its Hermitian part).  Rows of T take rho_ii, (rho_ij +
+    rho_ji)/2 and (rho_ij - rho_ji)/2i; T^-1 rebuilds rho_ij = Re + i Im and
+    rho_ji = Re - i Im.  The basis is not orthonormal: Tr[Q^dag rho] is
+    vec(Q)^dag T^-1 x.
+    """
+    i, j = np.triu_indices(d, 1)
+    m = i.size
+    # positions in x and in vec(rho) of each nonzero: rho_ii, then rho_ij and
+    # rho_ji for each Re rho_ij and each Im rho_ij
+    re, im = d + np.arange(m), d + m + np.arange(m)
+    x_pos = np.concatenate((np.arange(d), re, re, im, im))
+    vec_pos = np.concatenate((np.arange(d) * (d + 1), i + j * d, j + i * d, i + j * d, j + i * d))
+    to_x = np.concatenate((np.ones(d), np.full(2 * m, 0.5), np.full(m, -0.5j), np.full(m, 0.5j)))
+    to_vec = np.concatenate((np.ones(d + 2 * m), np.full(m, 1j), np.full(m, -1j)))
+    shape = (d * d, d * d)
+    return (
+        sp.csr_matrix((to_x, (x_pos, vec_pos)), shape=shape),
+        sp.csr_matrix((to_vec, (vec_pos, x_pos)), shape=shape),
+    )
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

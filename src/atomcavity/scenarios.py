@@ -117,16 +117,19 @@ class ScenarioConfig:
         unknown = sorted(set(tg) - {"t_max", "points", "spacing", "t_min"})
         if unknown:
             raise ValueError(f"unknown time_grid keys {unknown}; use t_max, points, spacing, t_min")
-        if tg.get("t_max", 1.0) <= 0.0:
+        if _number(tg.get("t_max", 1.0)) <= 0.0:
             raise ValueError("time_grid.t_max must be positive")
-        if tg.get("points", 2) < 2:
-            raise ValueError("time_grid.points must be >= 2")
+        if not _is_int(tg.get("points", 2)) or tg.get("points", 2) < 2:
+            raise ValueError(f"time_grid.points must be an integer >= 2, got {tg['points']!r}")
         if tg.get("spacing", "log") not in ("log", "linear"):
             raise ValueError("time_grid.spacing must be 'log' or 'linear'")
-        if self.cutoff != "auto" and (not isinstance(self.cutoff, int) or self.cutoff < 1):
-            raise ValueError("cutoff must be 'auto' or a positive integer")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        # cutoff 1 keeps only the vacuum, where the annihilation operator is 0
+        if self.cutoff != "auto" and (not _is_int(self.cutoff) or self.cutoff < 2):
+            raise ValueError(f"cutoff must be 'auto' or an integer >= 2, got {self.cutoff!r}")
+        if not _is_int(self.seeds):
+            raise ValueError(f"seeds must be an integer, got {self.seeds!r}")
+        if not _is_int(self.workers) or self.workers < 1:
+            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
         if self.scenario in GRIDS:
             for point in _points(self):
                 try:
@@ -135,21 +138,35 @@ class ScenarioConfig:
                     raise ValueError(f"no default time grid at {point}: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    """An integer count; JSON true/false load as bool, an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> float:
+    """One numeric config value; true/false and strings are not numbers."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"config value {value!r} is not a number")
+    return float(value)
+
+
 def _resolve_axis(axis) -> list[float]:
     """A parameter axis: scalar, explicit list, or {log|lin: [lo, hi, n]}."""
     if isinstance(axis, (int, float)):
-        return [float(axis)]
+        return [_number(axis)]
     if isinstance(axis, dict):
+        if "log" not in axis and "lin" not in axis:
+            raise ValueError(f"unknown axis form {axis!r}")
+        lo, hi, n = axis.get("log", axis.get("lin"))
+        if not _is_int(n):
+            raise ValueError(f"axis {axis!r} needs an integer point count")
+        lo, hi = _number(lo), _number(hi)
         if "log" in axis:
-            lo, hi, n = axis["log"]
-            return list(np.logspace(math.log10(lo), math.log10(hi), int(n)))
-        if "lin" in axis:
-            lo, hi, n = axis["lin"]
-            return list(np.linspace(lo, hi, int(n)))
-        raise ValueError(f"unknown axis form {axis!r}")
+            return list(np.logspace(math.log10(lo), math.log10(hi), n))
+        return list(np.linspace(lo, hi, n))
     if isinstance(axis, str):  # a string would be read one character at a time
         raise ValueError(f"parameter axis {axis!r} is not a number, list or grid")
-    return [float(v) for v in axis]
+    return [_number(v) for v in axis]
 
 
 def _cases(axis) -> list:
@@ -188,7 +205,7 @@ def _grid(config: ScenarioConfig, point: dict) -> np.ndarray:
         float(tg.get("t_max", t_max)),
         int(tg.get("points", points)),
         spacing=str(tg.get("spacing", "log")),
-        t_min=float(tg.get("t_min", t_min)),
+        t_min=_number(tg.get("t_min", t_min)),
     )
 
 

@@ -51,11 +51,31 @@ class TestExitCodes:
                              "time_grid": {"t_min": 1e9}}),
             ("mi-coherent", {"params": {"g0": [0.25], "eps": [10]}, "cutoff": 4,
                              "time_grid": {"t_max": float("nan")}}),
+            # JSON true is a Python bool, an int subclass: not a cutoff, count
+            # or parameter value; cutoff 1 keeps only the vacuum (a = 0)
+            ("gap-coherent", {"params": {"g0": [0.25], "eps": [10]}, "cutoff": True}),
+            ("gap-coherent", {"params": {"g0": [0.25], "eps": [10]}, "cutoff": 1}),
+            ("mi-coherent", {"params": {"g0": [0.25], "eps": [10]}, "cutoff": 4,
+                             "time_grid": {"points": 2.5}}),
+            ("gap-coherent", {"params": {"g0": [0.25], "eps": [10]}, "cutoff": 4, "seeds": "abc"}),
+            ("gap-coherent", {"params": {"g0": [0.25], "eps": [10]}, "cutoff": 4, "workers": 1.5}),
+            ("gap-coherent", {"params": {"g0": [True], "eps": [10]}, "cutoff": 4}),
+            ("gap-coherent", {"params": {"g0": [0.25], "eps": {"log": [10, 100, 2.5]}}, "cutoff": 4}),
+            ("mi-coherent", {"params": {"g0": [0.25], "eps": [10]}, "cutoff": 4,
+                             "time_grid": {"t_max": True}}),
+            ("mi-coherent", {"params": {"g0": [0.25], "eps": [10]}, "cutoff": 4,
+                             "time_grid": {"t_min": True}}),
         ],
     )
     def test_malformed_scenario_input_is_config_error(self, tmp_path, scenario, payload):
         cfg = write_config(tmp_path, payload)
         code = cli.main(["--scenario", scenario, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+
+    def test_cutoff_flag_below_two_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, {"params": {"g0": [0.25], "eps": [10]}})
+        code = cli.main(["--scenario", "gap-coherent", "--config", str(cfg), "--cutoff", "1",
+                         "--out", str(tmp_path)])
         assert code == 2
 
     def test_unknown_config_field_rejected(self, tmp_path):
@@ -224,6 +244,15 @@ class TestOutputs:
         cols = lines[2].removeprefix("# columns: ").split(",")
         last = dict(zip(cols, lines[-1].split(",")))
         assert float(last["mi_exact"]) == pytest.approx(2.0 - np.log2(3.0), abs=1e-5)
+
+    def test_mi_coherent_at_eps_3000_stays_hermitian(self, tmp_path):
+        # the slowest eigenvalues carry round-off of about 1e-12; with a
+        # complex eigensolver e^{w t} grew it into a Hermiticity error of
+        # 1e-6 at kappa t ~ 1e6, which the per-sample check refused (exit 3)
+        cfg = write_config(tmp_path, {"params": {"g0": [0.25], "eps": [3000]}})
+        out = tmp_path / "mi3000"
+        assert cli.main(["--scenario", "mi-coherent", "--config", str(cfg), "--cutoff", "8",
+                         "--out", str(out), "--quiet"]) == 0
 
     def test_plot_writes_svg(self, tmp_path):
         pytest.importorskip("matplotlib")

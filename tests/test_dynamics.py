@@ -103,6 +103,39 @@ class TestEvolveSpectral:
                 traj = dyn.evolve_spectral(sup, rho0, np.array([0.0, 1.0]))
                 assert np.array_equal(traj.states[0].matrix, rho0.matrix)
 
+    def test_samples_are_hermitian_exactly(self, rng):
+        # each sample is read back from real Hermitian coordinates
+        for me in (
+            models.build_coherent_displaced(make_space(4), ModelParams(g0=0.25, eps=1000.0)),
+            models.build_full(make_space(3), ModelParams(g0=0.2, eps=0.5, n_th=0.2, gamma=0.02)),
+        ):
+            rho0 = random_density_matrix(me.dim, rng, me.space)
+            traj = dyn.evolve_spectral(vectorize(me), rho0, dyn.time_grid(1.0e7, 30))
+            for s in traj.states:
+                assert np.array_equal(s.matrix, s.matrix.conj().T)
+
+    def test_kernel_must_not_split_a_conjugate_pair(self):
+        # a stated kernel of two whose second least-modulus eigenvalue is one
+        # member of the pair -1e-3 +- i: the pair's mode is not a kernel mode
+        class _Dim3:
+            dim = 3
+            has_field = False
+            fock_cutoff = None
+            dims = (3,)
+
+        class _Sup:
+            dim = 9
+            me = models.MasterEquation(
+                LabeledOperator("0", np.zeros((3, 3), dtype=complex)), (), _Dim3(),
+                conserved=(LabeledOperator("Q", np.eye(3, dtype=complex)),),
+            )
+
+            def as_dense(self):
+                return np.array([[0.0, 0.0, 0.0], [0.0, -1e-3, 1.0], [0.0, -1.0, -1e-3]])
+
+        with pytest.raises(NumericalAccuracyError, match="conjugate pair"):
+            dyn.evolve_spectral(_Sup(), dyn.bell_state(), np.array([0.0]))
+
     def test_kernel_part_does_not_evolve(self):
         # at eps = 1000 zgeev returns the two kernel eigenvalues as ~1e-13;
         # left in, e^{w t} grew them enough to drift the trace past the

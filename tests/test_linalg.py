@@ -72,13 +72,40 @@ class TestEigGeneral:
         with pytest.raises(NumericalAccuracyError):
             linalg.eig_general(m)
 
-    def test_round_trip_reconstruction(self, rng):
-        for _ in range(5):
-            m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-            dec = linalg.eig_general(m)
-            if dec.condition_estimate < 1e6:
-                rel = np.linalg.norm(linalg.reconstruct(dec) - m) / np.linalg.norm(m)
-                assert rel < 1e-8
+    def test_real_input_gives_exact_conjugate_pairs(self, rng):
+        m = rng.standard_normal((40, 40))
+        dec = linalg.eig_general(m)
+        w = dec.eigenvalues
+        upper = np.flatnonzero(w.imag > 0.0)
+        assert upper.size > 0
+        assert np.array_equal(w[upper + 1], w[upper].conj())
+        assert np.array_equal(
+            dec.right_eigenvectors[:, upper + 1], dec.right_eigenvectors[:, upper].conj()
+        )
+        # every eigenvalue off the real axis belongs to exactly one pair
+        assert np.count_nonzero(w.imag != 0.0) == 2 * upper.size
+
+    def test_real_input_condition_matches_complex_svd(self, rng):
+        m = rng.standard_normal((40, 40))
+        dec = linalg.eig_general(m)
+        complex_cond = linalg.condition_estimate(dec.right_eigenvectors.astype(complex))
+        assert dec.condition_estimate == pytest.approx(complex_cond, rel=1e-10)
+        # the real basis B spans the eigenvectors: B^-1 A B is w_j on the
+        # diagonal for a real eigenvalue and [[a, b], [-b, a]] for a + ib
+        w = dec.eigenvalues
+        basis = linalg.real_eigenbasis(w, dec.right_eigenvectors)
+        assert basis.dtype == np.float64
+        blocks = np.diag(w.real)
+        upper = np.flatnonzero(w.imag > 0.0)
+        blocks[upper, upper + 1] = w[upper].imag
+        blocks[upper + 1, upper] = -w[upper].imag
+        assert_allclose(np.linalg.solve(basis, m @ basis), blocks, atol=1e-10)
+
+    def test_real_eigenbasis_rejects_unpaired_spectrum(self):
+        # an eigenvalue above the real axis without its conjugate next to it
+        # cannot come from a real matrix
+        with pytest.raises(ValueError):
+            linalg.real_eigenbasis(np.array([1.0 + 1.0j, 1.0 + 1.0j]), np.eye(2, dtype=complex))
 
     def test_near_defective_flagged(self):
         jordan = np.array([[0.0, 1.0], [0.0, 0.0]])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from atomcavity import ModelParams, atomic_space, make_space, models
-from atomcavity.errors import DimensionLimitError, UnsupportedRegimeError
+from atomcavity.errors import DimensionLimitError, NumericalAccuracyError, UnsupportedRegimeError
 from atomcavity.linalg import DENSE_CAP
 from atomcavity.models import (
     MasterEquation,
@@ -17,6 +17,7 @@ from atomcavity.models import (
     build_effective_incoherent,
     build_full,
     build_rwa_displaced,
+    hermitian_coordinates,
     unvec,
     vec,
     vectorize,
@@ -171,7 +172,15 @@ class TestVectorizeOracle:
         assert sup._dense is None
         dense = sup.as_dense()
         assert sup._dense is dense
-        assert np.array_equal(dense, sup.as_sparse().toarray())
+
+    def test_dense_copy_refuses_a_generator_that_breaks_hermiticity(self):
+        # H = i D is not Hermitian: -i[H, rho] = D rho - rho D is
+        # anti-Hermitian for Hermitian rho, so T L T^-1 is not real
+        space = atomic_space()
+        h = LabeledOperator("iD", 1j * np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex))
+        sup = vectorize(MasterEquation(h, (), space), materialize=False)
+        with pytest.raises(NumericalAccuracyError, match="not real"):
+            sup.as_dense()
 
 
 class _TwoDim:
@@ -382,9 +391,57 @@ class TestGeneratorInvariants:
         assert devs.max() <= 1e-7
 
     def test_sparse_dense_agree(self, rng):
+        # on any vector, not only Hermitian ones: T^-1 (T L T^-1) T = L
         me = build_full(make_space(3), ModelParams(g0=0.2, eps=0.5, n_th=0.2, gamma=0.02))
         sup = vectorize(me)
-        dense = sup.as_dense()
-        assert np.array_equal(dense, sup.as_sparse().toarray())
+        fwd, inv = hermitian_coordinates(me.dim)
         v = rng.standard_normal(me.dim**2) + 1j * rng.standard_normal(me.dim**2)
-        assert_allclose(sup.apply(v), dense @ v, atol=1e-11)
+        assert_allclose(sup.apply(v), inv @ (sup.as_dense() @ (fwd @ v)), atol=1e-11)
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETRIC_BUILDERS))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    g0=st.floats(0.05, 1.0),
+    eps=st.floats(3.0, 30.0),
+    n_th=st.floats(0.2, 5.0),
+    gamma=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+    cutoff=st.sampled_from([3, 4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_copy_is_the_real_generator(name, g0, eps, n_th, gamma, cutoff, seed):
+    me = PARAMETRIC_BUILDERS[name](make_space(cutoff), ModelParams(g0, eps, n_th, gamma))
+    sup = vectorize(me)
+    dense = sup.as_dense()
+    assert dense.dtype == np.float64
+    fwd, inv = hermitian_coordinates(me.dim)
+    rho = random_hermitian(me.dim, np.random.default_rng(seed))
+    x = fwd @ vec(rho)
+    # the coordinate round trip is exact, and x of a Hermitian matrix is real
+    assert np.array_equal(inv @ x, vec(rho))
+    assert np.array_equal(x.imag, np.zeros(x.size))
+    # the dense copy acts as the CSR generator
+    want = sup.apply(vec(rho))
+    got = inv @ (dense @ x.real)
+    assert np.abs(got - want).max() <= 1e-13 * sup.norm_estimate() * np.abs(x).max()
+
+
+def test_dense_eig_runs_in_real_arithmetic(monkeypatch):
+    # mi_curve (spectral evolution) and dense analyze hand LAPACK a float64
+    # matrix, so it runs dgeev, not zgeev
+    from atomcavity import observables, spectra
+    from atomcavity.dynamics import ground_state
+
+    seen = []
+    eig = np.linalg.eig
+
+    def recording_eig(a):
+        seen.append(a.dtype)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    space = make_space(3)
+    me = build_coherent_displaced(space, ModelParams(g0=0.25, eps=10.0))
+    observables.mi_curve(me, ground_state(space), np.array([0.0, 1.0, 10.0]))
+    spectra.analyze(vectorize(me))
+    assert seen == [np.float64, np.float64]
