@@ -1,8 +1,12 @@
 """Time evolution, steady states, relaxation fits and truncation checks.
 
-Two evolution paths: stiff (BDF) integration of the vectorized state, and
-spectral expansion rho(t) = sum_k c_k e^{w_k t} r_k when the generator is
-safely diagonalizable.  They cross-check each other; neither renormalizes
+Trajectories come from the spectral expansion rho(t) = sum_k c_k e^{w_k t}
+r_k of the dense real generator (``evolve_spectral``), one excitation sector
+at a time for models that state their excitation numbers: from |gg,0> a
+thermal model evolves only its d = 0 sector (628 of 25600 coordinates at
+cutoff 40).  Stiff (BDF) integration of the full vectorized state
+(``evolve_ode``) is the independent reference that acceptance criterion 10
+and the tests compare against; no scenario runs it.  Neither renormalizes
 drifting traces - accuracy failures surface as errors.
 """
 
@@ -228,7 +232,8 @@ def _as_trajectory(
 
 
 def evolve_ode(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> Trajectory:
-    """Integrate rho' = L rho on the grid (grid must start at 0).
+    """Integrate rho' = L rho on the grid (grid must start at 0): the
+    reference evolution, independent of the spectral path.
 
     The CSR generator is both the right-hand side (through ``sup.apply``)
     and the Jacobian of the stiff BDF scheme.  The right-hand side takes
@@ -254,68 +259,99 @@ def evolve_ode(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> T
 def evolve_spectral(
     sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray, validate: bool = True
 ) -> Trajectory:
-    """Evolve through the dense eigenbasis of the generator, in real arithmetic.
+    """Evolve through the dense eigenbasis of the generator, in real
+    arithmetic, one sector at a time.
 
-    ``sup.as_dense()`` is the real generator in the Hermitian coordinates x
-    of ``models.hermitian_coordinates``; its eigenvalues are real or come in
-    exact conjugate pairs, and its eigenvectors are kept as the real basis B
-    of ``linalg.real_eigenbasis``.  With the model's kernel eigenvalues set
-    to exactly 0 (``spectra.zero_modes``) and real coefficients a = B^-1 x0,
-    x(t) = x0 + sum_k Re[(e^{w_k t} - 1) g_k u_k] over the real eigenvalues
-    and the first member of each pair, where u_k = B_k + i B_{k+1} and
-    g_k = a_k - i a_{k+1} for a pair (u_k = B_k, g_k = a_k otherwise): rho0
-    itself at t = 0, and the kernel part of rho0 never changes, however far
-    the solver's kernel eigenvalues sit from 0.  Every sample is read back
-    from real x, so it is Hermitian exactly; x0 holds the coordinates of
-    rho0's Hermitian part, which is rho0 itself for a Hermitian rho0.
+    ``sup.as_dense(sector)`` is the real generator in the Hermitian
+    coordinates x of ``models.hermitian_coordinates`` on one of
+    ``sup.sectors()``: the |d| excitation sectors of a model that states its
+    excitation numbers, or all of x for one that does not.  The generator
+    never mixes sectors, so each one that rho0 occupies evolves alone, with
+    x(t) = x0 + ``_motion`` of its modes, and the others stay 0: rho0 itself
+    at t = 0.  Every sample is read back from real x, so it is Hermitian
+    exactly; x0 holds the coordinates of rho0's Hermitian part, which is
+    rho0 itself for a Hermitian rho0.
 
-    The solver's slowest eigenvectors, kernel ones included, mix with each
-    other by about 1e-16 ||L|| / gap (4e-6 at the displaced model's
-    eps = 1000, cutoff 8), which their decay would leave behind in rho(t) as
-    trace errors.  So the kernel columns of B are replaced by
+    The kernel lies in the first sector, where the stated charges live.  The
+    solver's slowest eigenvectors, kernel ones included, mix with each other
+    by about 1e-16 ||L|| / gap (4e-6 at the displaced model's eps = 1000,
+    cutoff 8), which their decay would leave behind in rho(t) as trace
+    errors.  So there the kernel columns of the eigenbasis are replaced by
     ``stated_kernel`` K (exact to round-off, C^dag K = I, mapped into x), and
-    each decaying mode r, which carries no conserved charge (C^dag r = 0, with
-    the charges as the dual rows vec(Q)^dag T^-1), has its admixture
+    each decaying mode r, which carries no conserved charge (C^dag r = 0,
+    with the charges as the dual rows vec(Q)^dag T^-1), has its admixture
     K C^dag r removed: rho(t) tends to ``steady_state(sup, rho0)`` and keeps
-    the trace and the conserved values of rho0 at every t.  Refuses
-    near-defective decompositions (eigenvector condition above the guard
-    threshold); fall back to ``evolve_ode`` in that case.
+    the trace and the conserved values of rho0 at every t.
     """
-    decomp = eig_general(sup.as_dense())
+    fwd, inv = hermitian_coordinates(sup.me.dim)
+    duals = np.column_stack([inv.T @ vec(q).conj() for q in _charges(sup.me)]).real
+    x0 = (fwd @ vec(rho0.matrix)).real
+    t = np.asarray(t_grid, dtype=float)
+    motions = []
+    for n, sector in enumerate(sup.sectors()):
+        if n and not x0[sector].any():
+            continue  # an empty sector stays empty
+        w, v, kernel = _real_modes(sup.as_dense(sector), duals.shape[1] if n == 0 else 0)
+        if n == 0:
+            k = (fwd @ stated_kernel(sup)).real[sector]  # Hermitian columns: real exactly
+            admixture = duals[sector].T @ v
+            admixture[:, kernel] = 0.0
+            for i in range(0, v.shape[0], _ROW_BLOCK):  # in place: v is the largest array here
+                v[i : i + _ROW_BLOCK] -= k[i : i + _ROW_BLOCK] @ admixture
+            v[:, kernel] = k
+        motions.append((sector, _motion(w, v, x0[sector], t)))
+        del w, v  # freed before the next sector's eigendecomposition
+    x = np.repeat(x0[:, None], t.size, axis=1)  # made after the eigendecompositions
+    for sector, dx in motions:
+        x[sector] += dx
+    return _as_trajectory((inv @ x).T, t, rho0.space, validate)
+
+
+def _real_modes(a: np.ndarray, kernel_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues w, real eigenbasis B and kernel mask of a real generator.
+
+    The eigenvalues of a real matrix are real or come in exact conjugate
+    pairs, and B is the real basis of ``linalg.real_eigenbasis``.  The
+    ``kernel_dim`` kernel eigenvalues (``spectra.zero_modes``) are set to
+    exactly 0, so the kernel part of a state never changes, however far the
+    solver puts them from 0; a kernel that splits a conjugate pair raises.
+    Refuses near-defective decompositions (eigenvector condition above the
+    guard threshold).
+    """
+    decomp = eig_general(a)
     if decomp.near_defective:
         raise UnsupportedRegimeError(
             "eigendecomposition is near-defective (condition estimate "
-            f"{decomp.condition_estimate:.2e}); use evolve_ode instead"
+            f"{decomp.condition_estimate:.2e}); only the evolve_ode reference integrates it"
         )
     w = decomp.eigenvalues
-    kernel = spectra.zero_modes(w, 1 + len(sup.me.conserved))
+    kernel = spectra.zero_modes(w, kernel_dim)
     upper = np.flatnonzero(w.imag > 0.0)  # first of each conjugate pair
     if np.any(kernel[upper] != kernel[upper + 1]):
         raise NumericalAccuracyError(
             "the stated kernel splits a conjugate pair of eigenvalues: the slowest "
             "decaying modes are not resolved from the kernel"
         )
-    w = np.where(kernel, 0.0, w)
-    v = real_eigenbasis(decomp.eigenvalues, decomp.right_eigenvectors)
-    del decomp  # its complex V is twice the size of B
-    fwd, inv = hermitian_coordinates(sup.me.dim)
-    k = (fwd @ stated_kernel(sup)).real  # Hermitian columns: real exactly
-    duals = np.column_stack([inv.T @ vec(q).conj() for q in _charges(sup.me)]).real
-    admixture = duals.T @ v
-    admixture[:, kernel] = 0.0
-    for i in range(0, sup.dim, _ROW_BLOCK):  # in place: B is the largest array here
-        v[i : i + _ROW_BLOCK] -= k[i : i + _ROW_BLOCK] @ admixture
-    v[:, kernel] = k
-    x0 = (fwd @ vec(rho0.matrix)).real
-    a = np.linalg.solve(v, x0)
-    g = a.astype(complex)
-    g[upper] -= 1j * a[upper + 1]
-    t = np.asarray(t_grid, dtype=float)
+    v = real_eigenbasis(w, decomp.right_eigenvectors)
+    return np.where(kernel, 0.0, w), v, kernel
+
+
+def _motion(w: np.ndarray, v: np.ndarray, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """x(t) - x0 for the modes (w, B) of ``_real_modes``, one column per time.
+
+    With real coefficients b = B^-1 x0, x(t) - x0 = sum_j Re[(e^{w_j t} - 1)
+    g_j u_j] over the real eigenvalues and the first member of each pair,
+    where u_j = B_j + i B_{j+1} and g_j = b_j - i b_{j+1} for a pair
+    (u_j = B_j, g_j = b_j otherwise).
+    """
+    upper = np.flatnonzero(w.imag > 0.0)
+    b = np.linalg.solve(v, x0)
+    g = b.astype(complex)
+    g[upper] -= 1j * b[upper + 1]
     z = np.expm1(np.outer(t, w)) * g
     weights = z.real
     weights[:, upper + 1] = -z[:, upper].imag
-    raw = inv @ (x0[:, None] + v @ weights.T)
-    return _as_trajectory(raw.T, t, rho0.space, validate)
+    return v @ weights.T
 
 
 # ---------------------------------------------------------------------------

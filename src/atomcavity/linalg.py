@@ -3,7 +3,8 @@
 Everything the physics layers consume: Kronecker products, general
 eigendecompositions with residual checks (real input stays real, so LAPACK
 runs ``dgeev`` and returns exact conjugate pairs), and stiff (BDF)
-integration of linear ODEs.  All functions are pure and all returned arrays
+integration of linear ODEs for the reference evolution
+``dynamics.evolve_ode``.  All functions are pure and all returned arrays
 are freshly allocated.
 """
 

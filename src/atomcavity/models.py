@@ -17,6 +17,14 @@ vec(A rho B) = (B^T kron A) vec(rho) and the generator reads
 
 assembled once as a CSR matrix.
 
+Models without a drive conserve d = N_ket - N_bra, with N = atom1 + atom2 + n
+the excitation number (a weak U(1) symmetry; atomic decay keeps it too,
+since sigma_- rho sigma_+ lowers N on both sides).  Such a builder states N
+of each basis state (``MasterEquation.excitations``), and the generator then
+never mixes the elements rho_ij of different |N_i - N_j|: each |d| is a
+sector of its own (``Superoperator.sectors``), evolved and diagonalized
+alone.
+
 The dense copy of L, for full eigendecompositions, is real: L maps Hermitian
 matrices to Hermitian matrices, so in the coordinates
 
@@ -49,6 +57,7 @@ from .operators import (
     collective_spin,
     creation,
     dressed_spin,
+    excitation_number,
     single_atom,
     singlet_projector,
 )
@@ -128,6 +137,10 @@ class MasterEquation:
     with the same conserved values.  Builders whose operators are all
     collective state the singlet projector (atom exchange is a strong
     symmetry); single-atom decay breaks it and leaves the tuple empty.
+
+    ``excitations`` states the excitation number N of each basis state when
+    the model conserves d = N_ket - N_bra, and is None when it states no
+    such symmetry (any drive breaks it).
     """
 
     hamiltonian: LabeledOperator
@@ -136,6 +149,7 @@ class MasterEquation:
     cross_terms: tuple[CrossTerm, ...] = ()
     label: str = ""
     conserved: tuple[LabeledOperator, ...] = ()
+    excitations: np.ndarray | None = None
 
     def __post_init__(self):
         dim = self.space.dim
@@ -152,6 +166,8 @@ class MasterEquation:
         for q in self.conserved:
             if q.matrix.shape != (dim, dim):
                 raise ShapeError(f"conserved operator {q.label} does not match the space")
+        if self.excitations is not None and np.shape(self.excitations) != (dim,):
+            raise ShapeError("excitation numbers do not match the space")
 
     @property
     def dim(self) -> int:
@@ -164,8 +180,8 @@ class Superoperator:
     The CSR matrix is the one representation of the generator: it is
     assembled on first use and ``apply`` is a mat-vec with it.  ``as_dense``
     is the real float64 matrix T L T^-1 in the Hermitian coordinates of
-    ``hermitian_coordinates``, made from the CSR matrix and refused above
-    ``linalg.DENSE_CAP``.
+    ``hermitian_coordinates``, on one sector or on all of them, made from the
+    CSR matrix and refused above ``linalg.DENSE_CAP``.
     """
 
     def __init__(self, me: MasterEquation):
@@ -178,24 +194,54 @@ class Superoperator:
         """Apply the generator to a vectorized state."""
         return self.as_sparse() @ v
 
-    def as_dense(self) -> np.ndarray:
-        if self._dense is None:
-            if self.dim > DENSE_CAP:
-                raise DimensionLimitError(
-                    f"superoperator dimension {self.dim} exceeds the dense cap "
-                    f"{DENSE_CAP}; use the sparse representation"
-                )
-            fwd, inv = hermitian_coordinates(self.me.dim)
-            dense = (fwd @ self.as_sparse() @ inv).toarray()
-            imag = float(np.abs(dense.imag).max())
-            if imag > DENSE_IMAG_TOL * self.norm_estimate():
-                raise NumericalAccuracyError(
-                    f"the generator of {self.me.label or 'the model'} is not real in "
-                    f"Hermitian coordinates: imaginary part {imag:.2e}; it does not "
-                    "preserve Hermiticity"
-                )
-            self._dense = np.ascontiguousarray(dense.real)
-        return self._dense
+    def sectors(self) -> list[slice | np.ndarray]:
+        """Coordinates of x that the generator never mixes, the sector of the
+        diagonal (d = 0, where the kernel lies) first.
+
+        A model that states its excitation numbers has one sector per |d|
+        (``hermitian_sectors``); one that states none is one sector, all of
+        x.  A stated label that an entry of L breaks raises
+        ``NumericalAccuracyError``.
+        """
+        labels = self.me.excitations
+        if labels is None:
+            return [slice(None)]
+        d = np.subtract.outer(labels, labels).ravel(order="F")  # N_i - N_j of vec(rho)
+        lv = self.as_sparse().tocoo()
+        leaks = int(np.count_nonzero(lv.data[d[lv.row] != d[lv.col]]))
+        if leaks:
+            raise NumericalAccuracyError(
+                f"{leaks} entries of the generator of {self.me.label or 'the model'} "
+                "link different excitation sectors; it does not conserve its stated "
+                "excitation numbers"
+            )
+        return hermitian_sectors(labels)
+
+    def as_dense(self, sector: slice | np.ndarray = slice(None)) -> np.ndarray:
+        """The real generator on the coordinates ``sector`` of x, an entry of
+        ``sectors()``; the whole generator, cached, by default."""
+        whole = isinstance(sector, slice)
+        if whole and self._dense is not None:
+            return self._dense
+        dim = self.dim if whole else len(sector)
+        if dim > DENSE_CAP:
+            raise DimensionLimitError(
+                f"superoperator dimension {dim} exceeds the dense cap "
+                f"{DENSE_CAP}; use the sparse representation"
+            )
+        fwd, inv = hermitian_coordinates(self.me.dim)
+        dense = (fwd[sector] @ self.as_sparse() @ inv[:, sector]).toarray()
+        imag = float(np.abs(dense.imag).max())
+        if imag > DENSE_IMAG_TOL * self.norm_estimate():
+            raise NumericalAccuracyError(
+                f"the generator of {self.me.label or 'the model'} is not real in "
+                f"Hermitian coordinates: imaginary part {imag:.2e}; it does not "
+                "preserve Hermiticity"
+            )
+        dense = np.ascontiguousarray(dense.real)
+        if whole:
+            self._dense = dense
+        return dense
 
     def as_sparse(self) -> sp.csr_matrix:
         if self._sparse is None:
@@ -254,6 +300,26 @@ def hermitian_coordinates(d: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     )
 
 
+def hermitian_sectors(labels: np.ndarray) -> list[np.ndarray]:
+    """Positions in x (``hermitian_coordinates``) grouped by |d| ascending,
+    d = N_i - N_j for the excitation numbers ``labels``: rho_ii and the real
+    and imaginary parts of rho_ij.  Re and Im of rho_ij hold rho_ij (d) and
+    rho_ji (-d), so a sector is the d block with the -d block, which is
+    closed under the adjoint; the first is d = 0 and holds the diagonal."""
+    i, j = np.triu_indices(labels.size, 1)
+    gap = np.abs(labels[i] - labels[j])
+    key = np.concatenate((np.zeros(labels.size, dtype=gap.dtype), gap, gap))
+    order = np.argsort(key, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+
+
+def zero_sector_dim(labels: np.ndarray) -> int:
+    """Size of the d = 0 sector of ``hermitian_sectors(labels)`` without
+    forming it: sum over N of m_N^2, m_N the basis states with N excitations
+    (16 cutoff - 12 for two atoms and a mode)."""
+    return int((np.bincount(labels) ** 2).sum())
+
+
 def vec(rho: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""
     return np.asarray(rho, dtype=complex).reshape(-1, order="F")
@@ -292,7 +358,8 @@ def build_full(space: SystemSpace, params: ModelParams) -> MasterEquation:
     (a, kappa(n_th+1)), (a^dag, kappa n_th), and per atom
     (sigma_-^j, gamma(n_th+1)/2), (sigma_+^j, gamma n_th/2).
     Zero-rate channels are omitted.  At gamma = 0 every operator is
-    collective and the singlet weight is conserved.
+    collective and the singlet weight is conserved.  Without a drive the
+    model states its excitation numbers.
     """
     k = params.kappa
     a = annihilation(space)
@@ -313,7 +380,8 @@ def build_full(space: SystemSpace, params: ModelParams) -> MasterEquation:
             diss.append((single_atom(space, "plus", j), params.gamma * params.n_th / 2.0))
     conserved = () if params.gamma > 0.0 else (singlet_projector(space),)
     return MasterEquation(
-        LabeledOperator("H_TC + H_d", h), tuple(diss), space, label="full", conserved=conserved
+        LabeledOperator("H_TC + H_d", h), tuple(diss), space, label="full", conserved=conserved,
+        excitations=excitation_number(space) if params.eps == 0.0 else None,
     )
 
 
@@ -443,5 +511,5 @@ def build_effective_incoherent(params: ModelParams) -> MasterEquation:
         diss.append((collective_spin(space, "plus"), g * params.n_th))
     return MasterEquation(
         zero, tuple(diss), space, label="effective-incoherent",
-        conserved=(singlet_projector(space),),
+        conserved=(singlet_projector(space),), excitations=excitation_number(space),
     )

@@ -140,6 +140,18 @@ def collective_spin(space: SystemSpace, which: str) -> LabeledOperator:
     return LabeledOperator("S_" + which, mat)
 
 
+def excitation_number(space: SystemSpace) -> np.ndarray:
+    """N = atom1 + atom2 + n of each basis state (an excited atom counts 1).
+
+    Models whose Hamiltonian and jumps each change N by a fixed amount on
+    ket and bra alike conserve d = N_ket - N_bra (a weak U(1) symmetry).
+    """
+    atoms = np.add.outer(np.arange(2), np.arange(2)).ravel()  # gg, ge, eg, ee
+    if not space.has_field:
+        return atoms
+    return np.add.outer(atoms, np.arange(space.fock_cutoff)).ravel()
+
+
 def singlet_projector(space: SystemSpace) -> LabeledOperator:
     """P_S = |S><S| (x) I_F with |S> = (|ge> - |eg>)/sqrt(2).
 

@@ -19,9 +19,9 @@ from typing import Callable
 import numpy as np
 
 from . import dynamics as dyn
-from . import models, observables as obs, spectra, verify
+from . import linalg, models, observables as obs, spectra, verify
 from .models import ModelParams, vectorize
-from .operators import atomic_space, make_space
+from .operators import atomic_space, excitation_number, make_space
 
 SCENARIOS = (
     "gap-coherent",
@@ -72,11 +72,6 @@ GRIDS: dict[str, Callable[[dict], tuple[float, int, float]]] = {
     ),
     "real-detector": lambda pt: (1.0e5, 100 if pt["case"] == "coherent" else 70, 0.5),
 }
-
-#: largest thermal Fock cutoff run exactly; above it the thermal scenarios
-#: report the effective model only
-EXACT_CUTOFF_CAP = 80
-
 
 @dataclass
 class ScenarioConfig:
@@ -352,12 +347,12 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         p = ModelParams(g0=pt["g0"], n_th=pt["n_th"])
         grid = _grid(config, pt)
         cutoff = _thermal_cutoff(p.n_th) if config.cutoff == "auto" else int(config.cutoff)
-        run_exact = cutoff <= EXACT_CUTOFF_CAP
+        space = make_space(cutoff)
+        # |gg,0> occupies only the d = 0 excitation sector, which is evolved densely
+        dim = models.zero_sector_dim(excitation_number(space))
+        run_exact = dim <= linalg.DENSE_CAP
         if run_exact:
-            space = make_space(cutoff)
-            sup = vectorize(models.build_full(space, p), materialize=False)
-            traj = dyn.evolve_ode(sup, dyn.ground_state(space), grid)
-            mi_exact = traj.observable(obs.atomic_mutual_information)
+            mi_exact = obs.mi_curve(models.build_full(space, p), dyn.ground_state(space), grid)
         else:
             mi_exact = np.full(grid.size, np.nan)
         mi_eff = obs.mi_curve(
@@ -373,6 +368,8 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
             "tau_incoherent": 1.0 / spectra.gap_incoherent(p),
             "steady_mi_effective": float(obs.mutual_information(ss)),
             "exact_run": bool(run_exact),
+            "evolution": "spectral-sector" if run_exact else "effective-only",
+            "dim": dim,
         }
     return rows, summary
 
@@ -388,30 +385,26 @@ def run_real_detector(config: ScenarioConfig) -> tuple[list[dict], dict]:
             cutoff = 8 if config.cutoff == "auto" else int(config.cutoff)
             space = make_space(cutoff)
             me = models.build_coherent_displaced(space, p)
-            mi = obs.mi_curve(me, dyn.ground_state(space), grid)
-            sup = vectorize(me, materialize=False)
+            entry = {}
         elif case == "incoherent":
             p = ModelParams(g0=0.1, eps=0.0, n_th=10.0, gamma=gamma)
-            if config.cutoff == "auto":
-                cutoff = min(_thermal_cutoff(p.n_th), EXACT_CUTOFF_CAP)
-            else:
-                cutoff = int(config.cutoff)
+            cutoff = _thermal_cutoff(p.n_th) if config.cutoff == "auto" else int(config.cutoff)
             space = make_space(cutoff)
             me = models.build_full(space, p)
-            sup = vectorize(me, materialize=False)
-            traj = dyn.evolve_ode(sup, dyn.ground_state(space), grid)
-            mi = traj.observable(obs.atomic_mutual_information)
+            entry = {"evolution": "spectral-sector", "dim": models.zero_sector_dim(me.excitations)}
         else:
             raise ValueError(f"unknown case {case!r}")
+        mi = obs.mi_curve(me, dyn.ground_state(space), grid)
         for t, m in zip(grid, mi):
             row = _base_row(p, cutoff, config.seeds)
             row.update(case=case, t=float(t), mi=float(m))
             rows.append(row)
-        ss = dyn.steady_state(sup, dyn.ground_state(space))
+        ss = dyn.steady_state(vectorize(me, materialize=False), dyn.ground_state(space))
         summary["steady"][f"{case},gamma={gamma:g}"] = {
             "steady_mi": float(obs.atomic_mutual_information(ss)),
             "peak_mi": float(mi.max()),
             "kernel_unique": not me.conserved,
+            **entry,
         }
     return rows, summary
 
@@ -456,8 +449,8 @@ SCHEMA_NOTES = {
     "gap-incoherent": "Spectral gap of the lab-frame thermal model vs "
     "2 n_th (g0/kappa)^2 kappa; one row per (g0, n_th) point.",
     "mi-incoherent": "Atomic mutual information vs time, exact lab-frame "
-    "thermal model (where the cutoff fits the cap; otherwise NaN) and the "
-    "effective model; one row per time sample.",
+    "thermal model (where its d = 0 excitation sector fits the dense cap; "
+    "otherwise NaN) and the effective model; one row per time sample.",
     "real-detector": "Mutual information vs time with atomic decay gamma for "
     "the driven (displaced frame) and thermal cases; one row per time sample.",
     "verify": "Acceptance matrix results, one row per criterion.",

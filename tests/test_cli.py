@@ -189,6 +189,44 @@ class TestOutputs:
         assert row["cutoff"] == "effective-only"
         assert float(row["mi_effective"]) >= 0.0
 
+    @pytest.mark.parametrize("cap,exact", [(243, False), (244, True)])
+    def test_mi_incoherent_runs_exactly_while_its_sector_fits_the_dense_cap(
+        self, monkeypatch, cap, exact
+    ):
+        # at n_th = 1 the auto cutoff is 16: the d = 0 sector from |gg,0>
+        # has 16 * 16 - 12 = 244 coordinates
+        monkeypatch.setattr(scenarios.linalg, "DENSE_CAP", cap)
+        config = scenarios.ScenarioConfig(
+            "mi-incoherent",
+            params={"g0": [0.01], "n_th": [1.0]},
+            time_grid={"t_max": 100.0, "points": 4, "t_min": 1.0},
+        )
+        rows, summary = scenarios.run_mi_incoherent(config)
+        (curve,) = summary["curves"].values()
+        assert curve["dim"] == 244
+        assert curve["exact_run"] is exact
+        assert curve["evolution"] == ("spectral-sector" if exact else "effective-only")
+        assert rows[0]["cutoff"] == (16 if exact else "effective-only")
+        assert bool(np.isfinite(rows[-1]["mi_exact"])) is exact
+
+    def test_real_detector_thermal_entries_record_the_evolution(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "params": {"gamma": [1e-3], "case": ["incoherent"]},
+                "time_grid": {"t_max": 100.0, "points": 6, "t_min": 1.0},
+                "cutoff": 4,
+            },
+        )
+        out = tmp_path / "rd"
+        assert cli.main(
+            ["--scenario", "real-detector", "--config", str(cfg), "--out", str(out), "--quiet"]
+        ) == 0
+        steady = json.loads((out / "summary.json").read_text())["summary"]["steady"]
+        entry = steady["incoherent,gamma=0.001"]
+        assert entry["evolution"] == "spectral-sector"
+        assert entry["dim"] == 16 * 4 - 12
+
     def test_real_detector_case_axis_accepts_strings(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -130,11 +130,15 @@ class TestEvolveSpectral:
                 conserved=(LabeledOperator("Q", np.eye(3, dtype=complex)),),
             )
 
-            def as_dense(self):
+            def sectors(self):
+                return [slice(None)]
+
+            def as_dense(self, sector=slice(None)):
                 return np.array([[0.0, 0.0, 0.0], [0.0, -1e-3, 1.0], [0.0, -1.0, -1e-3]])
 
+        rho0 = dyn.DensityMatrix(np.eye(3, dtype=complex) / 3.0, _Dim3())
         with pytest.raises(NumericalAccuracyError, match="conjugate pair"):
-            dyn.evolve_spectral(_Sup(), dyn.bell_state(), np.array([0.0]))
+            dyn.evolve_spectral(_Sup(), rho0, np.array([0.0]))
 
     def test_kernel_part_does_not_evolve(self):
         # at eps = 1000 zgeev returns the two kernel eigenvalues as ~1e-13;
@@ -181,6 +185,41 @@ class TestEvolveSpectral:
             t_spec = dyn.evolve_spectral(sup, rho0, grid)
             for a, b in zip(t_ode.states, t_spec.states):
                 assert dyn.trace_norm(a.matrix - b.matrix) < 1e-6
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3])
+    @pytest.mark.parametrize("start", ["ground", "random"])
+    def test_sector_path_matches_ode_reference(self, gamma, start):
+        # the thermal model states its excitation numbers, so it evolves one
+        # |d| sector at a time: from |gg,0> only d = 0, from a generic state
+        # every sector
+        space = make_space(6)
+        me = models.build_full(space, ModelParams(g0=0.1, n_th=1.0, gamma=gamma))
+        sup = vectorize(me, materialize=False)
+        assert len(sup.sectors()) > 1
+        if start == "ground":
+            rho0 = dyn.ground_state(space)
+        else:
+            rho0 = random_density_matrix(me.dim, np.random.default_rng(3), space)
+        grid = dyn.time_grid(300.0, 20, t_min=0.5)
+        t_ode = dyn.evolve_ode(sup, rho0, grid)
+        t_spec = dyn.evolve_spectral(sup, rho0, grid)
+        for a, b in zip(t_ode.states, t_spec.states):
+            assert dyn.trace_norm(a.matrix - b.matrix) < 1e-6
+
+    def test_ground_state_diagonalizes_only_the_zero_sector(self, monkeypatch):
+        space = make_space(8)
+        me = models.build_full(space, ModelParams(g0=0.1, n_th=10.0, gamma=1e-3))
+        dims = []
+        eig = dyn.eig_general
+
+        def recording_eig(a):
+            dims.append(a.shape[0])
+            return eig(a)
+
+        monkeypatch.setattr(dyn, "eig_general", recording_eig)
+        dyn.evolve_spectral(vectorize(me, materialize=False), dyn.ground_state(space),
+                            np.array([0.0, 10.0]))
+        assert dims == [16 * 8 - 12]
 
     def test_gap_mode_dominates_late_tail(self, rng):
         p = ModelParams(g0=0.25, eps=10.0)

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
 from atomcavity import ModelParams, atomic_space, make_space, models
 from atomcavity.errors import DimensionLimitError, NumericalAccuracyError, UnsupportedRegimeError
@@ -22,7 +23,13 @@ from atomcavity.models import (
     vec,
     vectorize,
 )
-from atomcavity.operators import LabeledOperator, SystemSpace, collective_spin, dressed_spin
+from atomcavity.operators import (
+    LabeledOperator,
+    SystemSpace,
+    collective_spin,
+    dressed_spin,
+    excitation_number,
+)
 
 from conftest import random_hermitian
 
@@ -75,6 +82,7 @@ def test_apply_matches_matrix_algebra(name, factory, rng):
 PARAMETRIC_BUILDERS = {
     "full": build_full,
     "incoherent": lambda s, p: build_full(s, replace(p, eps=0.0, gamma=0.0)),
+    "thermal": lambda s, p: build_full(s, replace(p, eps=0.0)),
     "coherent-displaced": lambda s, p: build_coherent_displaced(s, replace(p, n_th=0.0, gamma=0.0)),
     "full-displaced": lambda s, p: build_coherent_displaced(s, replace(p, n_th=0.0)),
     "rwa-displaced": lambda s, p: build_rwa_displaced(s, replace(p, n_th=0.0, gamma=0.0)),
@@ -424,6 +432,58 @@ def test_dense_copy_is_the_real_generator(name, g0, eps, n_th, gamma, cutoff, se
     want = sup.apply(vec(rho))
     got = inv @ (dense @ x.real)
     assert np.abs(got - want).max() <= 1e-13 * sup.norm_estimate() * np.abs(x).max()
+
+
+#: the builders of PARAMETRIC_BUILDERS that drive the system (eps > 0 in
+#: every draw): a drive breaks the excitation-number symmetry
+DRIVEN = {"full", "coherent-displaced", "full-displaced", "rwa-displaced", "effective-coherent"}
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETRIC_BUILDERS))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    g0=st.floats(0.05, 1.0),
+    eps=st.floats(3.0, 30.0),
+    n_th=st.floats(0.0, 5.0),
+    gamma=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+    cutoff=st.sampled_from([2, 3, 4]),
+)
+def test_excitation_sectors(name, g0, eps, n_th, gamma, cutoff):
+    me = PARAMETRIC_BUILDERS[name](make_space(cutoff), ModelParams(g0, eps, n_th, gamma))
+    if name in DRIVEN:
+        assert me.excitations is None
+        return
+    assert np.array_equal(me.excitations, excitation_number(me.space))
+    sup = vectorize(me, materialize=False)
+    # no entry of L links rho_ij and rho_kl of different d = N_i - N_j
+    n = me.excitations
+    d = np.array([n[p % me.dim] - n[p // me.dim] for p in range(sup.dim)])
+    lv = sup.as_sparse().tocoo()
+    assert np.array_equal(d[lv.row], d[lv.col])
+    # the sectors partition x, d = 0 (with the diagonal) first, and their
+    # spectra make up the full one
+    sectors = sup.sectors()
+    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(sup.dim))
+    assert set(range(me.dim)) <= set(sectors[0])
+    assert len(sectors[0]) == models.zero_sector_dim(n)
+    full = np.linalg.eigvals(sup.as_dense())
+    parts = np.concatenate([np.linalg.eigvals(sup.as_dense(s)) for s in sectors])
+    cost = np.abs(full[:, None] - parts[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-10 * np.abs(full).max()
+
+
+def test_zero_sector_dim_of_the_lab_frame():
+    for cutoff in (2, 5, 40, 508):
+        assert models.zero_sector_dim(excitation_number(make_space(cutoff))) == 16 * cutoff - 12
+
+
+def test_a_wrongly_stated_label_is_refused():
+    # the drive changes N by one on one side only: d is not conserved
+    space = make_space(3)
+    me = replace(build_full(space, ModelParams(g0=0.2, eps=0.5)), excitations=excitation_number(space))
+    with pytest.raises(NumericalAccuracyError, match="excitation sectors"):
+        vectorize(me, materialize=False).sectors()
 
 
 def test_dense_eig_runs_in_real_arithmetic(monkeypatch):

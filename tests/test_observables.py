@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from atomcavity import atomic_space, dynamics as dyn, make_space, observables as obs
@@ -101,6 +102,53 @@ class TestMutualInformation:
             uu = np.kron(u, u)
             rotated = dyn.DensityMatrix(uu @ rho.matrix @ uu.conj().T, atomic_space())
             assert obs.mutual_information(rotated) == pytest.approx(base, abs=1e-9)
+
+
+def _legacy_mi(rho: dyn.DensityMatrix) -> float:
+    """S(rho_1) + S(rho_2) - S(rho_12), the entropy difference as written."""
+    return (obs.von_neumann_entropy(obs.partial_trace_atom(rho, 1))
+            + obs.von_neumann_entropy(obs.partial_trace_atom(rho, 2))
+            - obs.von_neumann_entropy(rho))
+
+
+def _state(entries: list[float], rows: int, cols: int) -> np.ndarray:
+    g = np.array(entries[: rows * cols]) + 1j * np.array(entries[rows * cols : 2 * rows * cols])
+    m = g.reshape(rows, cols)
+    m = m @ m.conj().T
+    return m / np.trace(m)
+
+
+def _entries(size: int):
+    return st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size).filter(
+        lambda v: np.abs(v).max() > 1e-3
+    )
+
+
+class TestMutualInformationProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(entries=_entries(32), rank=st.sampled_from([1, 2, 4]))
+    def test_nonnegative_and_equal_to_the_entropy_difference(self, entries, rank):
+        rho = dyn.DensityMatrix(_state(entries, 4, rank), atomic_space())
+        mi = obs.mutual_information(rho)
+        assert mi >= 0.0
+        assert abs(mi - _legacy_mi(rho)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(first=_entries(8), second=_entries(8), mix=st.floats(1e-3, 1.0))
+    def test_product_states_carry_none(self, first, second, mix):
+        # mixed factors: a pure one has eigenvalues of round-off size (1e-17),
+        # whose entropy alone is of order 1e-15 in either formula
+        r1, r2 = ((1.0 - mix) * _state(v, 2, 2) + mix * np.eye(2) / 2.0 for v in (first, second))
+        m = np.kron(r1, r2)
+        assert 0.0 <= obs.mutual_information(dyn.DensityMatrix(m, atomic_space())) <= 1e-15
+
+    def test_weight_outside_the_marginal_supports_is_refused(self):
+        # both marginals are |g><g| exactly, yet |ge> and |eg> carry weight
+        # beyond the clip slack: a relative entropy of +inf, never returned
+        x = 0.9 * obs.ENTROPY_CLIP_SLACK
+        m = np.diag([1.0 - x, x, x, -x]).astype(complex)
+        with pytest.raises(StateValidityError):
+            obs.mutual_information(dyn.DensityMatrix(m, atomic_space()))
 
 
 class TestPhotonNumber:
