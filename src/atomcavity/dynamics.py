@@ -1,12 +1,13 @@
 """Time evolution, steady states, relaxation fits and truncation checks.
 
 Trajectories come from the spectral expansion rho(t) = sum_k c_k e^{w_k t}
-r_k of the dense real generator (``evolve_spectral``), one excitation sector
-at a time for models that state their excitation numbers: from |gg,0> a
-thermal model evolves only its d = 0 sector (628 of 25600 coordinates at
-cutoff 40).  Stiff (BDF) integration of the full vectorized state
-(``evolve_ode``) is the independent reference that acceptance criterion 10
-and the tests compare against; no scenario runs it.  Neither renormalizes
+r_k of the dense real generator (``evolve_spectral``), one sector (an
+excitation block |d| intersected with an exchange parity) at a time: from
+|gg,0> a thermal model evolves only its d = 0, even sector (392 of 25600
+coordinates at cutoff 40), and the displaced driven model its even sector
+(640 of 1024 at cutoff 8).  Stiff (BDF) integration of the full vectorized
+state (``evolve_ode``) is the independent reference that acceptance
+criterion 10 and the tests compare against; no scenario runs it.  Neither renormalizes
 drifting traces - accuracy failures surface as errors.
 """
 
@@ -18,6 +19,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from . import spectra
 from .errors import (
@@ -30,9 +32,11 @@ from .errors import (
 )
 from .linalg import eig_general, integrate_ode, real_eigenbasis
 from .models import (
+    SECTOR_LEAK_TOL,
     MasterEquation,
     ModelParams,
     Superoperator,
+    first_sector_part,
     hermitian_coordinates,
     unvec,
     vec,
@@ -207,11 +211,35 @@ def time_grid(
 # ---------------------------------------------------------------------------
 
 
+def _min_eigenvalue(h: np.ndarray) -> float:
+    """Least eigenvalue of a Hermitian matrix, taken block by block over the
+    connected components of its exact nonzero pattern.
+
+    A matrix that is block diagonal by its exact zeros has exactly the union
+    of its blocks' eigenvalues; a sample from |gg,0> of a model that keeps
+    the excitation number splits into blocks of at most 4 states.  Blocks of
+    one size go to LAPACK as one stack.
+    """
+    count, comp = connected_components(sp.csr_matrix(h != 0.0), directed=False)
+    if count == 1:
+        return float(np.linalg.eigvalsh(h)[0])
+    sizes = np.bincount(comp)[comp]
+    order = np.lexsort((comp, sizes))  # states grouped by block, blocks by size
+    lowest = np.inf
+    start = 0
+    for size, n_states in zip(*np.unique(sizes[order], return_counts=True)):
+        idx = order[start : start + n_states].reshape(-1, size)
+        blocks = h[idx[:, :, None], idx[:, None, :]]
+        lowest = min(lowest, float(np.linalg.eigvalsh(blocks)[:, 0].min()))
+        start += n_states
+    return lowest
+
+
 def _check_sample(m: np.ndarray, t: float) -> None:
     tol = EVOLUTION_INVARIANT_TOL
     herm = float(np.abs(m - m.conj().T).max())
     tr = abs(np.trace(m) - 1.0)
-    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
+    min_eig = _min_eigenvalue((m + m.conj().T) / 2.0)
     if herm > tol or tr > tol or min_eig < -tol:
         raise NumericalAccuracyError(
             f"state invariants violated at t={t:.6g}: hermiticity {herm:.2e}, "
@@ -262,24 +290,25 @@ def evolve_spectral(
     """Evolve through the dense eigenbasis of the generator, in real
     arithmetic, one sector at a time.
 
-    ``sup.as_dense(sector)`` is the real generator in the Hermitian
-    coordinates x of ``models.hermitian_coordinates`` on one of
-    ``sup.sectors()``: the |d| excitation sectors of a model that states its
-    excitation numbers, or all of x for one that does not.  The generator
-    never mixes sectors, so each one that rho0 occupies evolves alone, with
-    x(t) = x0 + ``_motion`` of its modes, and the others stay 0: rho0 itself
-    at t = 0.  Every sample is read back from real x, so it is Hermitian
-    exactly; x0 holds the coordinates of rho0's Hermitian part, which is
-    rho0 itself for a Hermitian rho0.
+    ``sup.as_dense(sector)`` is the real generator F T L T^-1 E in the
+    Hermitian coordinates x of ``models.hermitian_coordinates`` on one of
+    ``sup.sectors()``: the |d| excitation sectors (all of x when the model
+    states no excitation numbers) split by exchange parity when it states
+    the atom swap.  The generator never mixes sectors, so each one that rho0
+    occupies evolves alone from y0 = F x0, with x(t) = x0 + E ``_motion`` of
+    its modes, and the others stay 0: rho0 itself at t = 0.  Every sample is
+    read back from real x, so it is Hermitian exactly; x0 holds the
+    coordinates of rho0's Hermitian part, which is rho0 itself for a
+    Hermitian rho0.
 
-    The kernel lies in the first sector, where the stated charges live.  The
-    solver's slowest eigenvectors, kernel ones included, mix with each other
-    by about 1e-16 ||L|| / gap (4e-6 at the displaced model's eps = 1000,
-    cutoff 8), which their decay would leave behind in rho(t) as trace
-    errors.  So there the kernel columns of the eigenbasis are replaced by
-    ``stated_kernel`` K (exact to round-off, C^dag K = I, mapped into x), and
+    The kernel lies in the first sector, and so must the stated charges
+    (``stated_kernel`` raises otherwise).  The solver's slowest
+    eigenvectors, kernel ones included, mix with each other by about
+    1e-16 ||L|| / gap (4e-6 at the displaced model's eps = 1000, cutoff 8),
+    which their decay would leave behind in rho(t) as trace errors.  So there the kernel columns of the eigenbasis are replaced by
+    ``stated_kernel`` K (exact to round-off, C^dag K = I, mapped into y), and
     each decaying mode r, which carries no conserved charge (C^dag r = 0,
-    with the charges as the dual rows vec(Q)^dag T^-1), has its admixture
+    with the charges as the dual rows vec(Q)^dag T^-1 E), has its admixture
     K C^dag r removed: rho(t) tends to ``steady_state(sup, rho0)`` and keeps
     the trace and the conserved values of rho0 at every t.
     """
@@ -287,23 +316,27 @@ def evolve_spectral(
     duals = np.column_stack([inv.T @ vec(q).conj() for q in _charges(sup.me)]).real
     x0 = (fwd @ vec(rho0.matrix)).real
     t = np.asarray(t_grid, dtype=float)
+    sectors = sup.sectors()
+    first_duals = sectors[0].basis.T @ duals  # the charges as rows on y of the first sector
     motions = []
-    for n, sector in enumerate(sup.sectors()):
-        if n and not x0[sector].any():
+    for n, sector in enumerate(sectors):
+        y0 = sector.inverse @ x0
+        if n and not y0.any():
             continue  # an empty sector stays empty
         w, v, kernel = _real_modes(sup.as_dense(sector), duals.shape[1] if n == 0 else 0)
         if n == 0:
-            k = (fwd @ stated_kernel(sup)).real[sector]  # Hermitian columns: real exactly
-            admixture = duals[sector].T @ v
+            k = sector.inverse @ (fwd @ stated_kernel(sup)).real  # Hermitian columns: real exactly
+            admixture = first_duals.T @ v
             admixture[:, kernel] = 0.0
             for i in range(0, v.shape[0], _ROW_BLOCK):  # in place: v is the largest array here
                 v[i : i + _ROW_BLOCK] -= k[i : i + _ROW_BLOCK] @ admixture
             v[:, kernel] = k
-        motions.append((sector, _motion(w, v, x0[sector], t)))
+        motions.append((sector, _motion(w, v, y0, t)))
         del w, v  # freed before the next sector's eigendecomposition
     x = np.repeat(x0[:, None], t.size, axis=1)  # made after the eigendecompositions
-    for sector, dx in motions:
-        x[sector] += dx
+    for sector, dy in motions:
+        rows = np.unique(sector.basis.indices)  # the coordinates the sector touches
+        x[rows] += sector.basis[rows] @ dy
     return _as_trajectory((inv @ x).T, t, rho0.space, validate)
 
 
@@ -376,17 +409,31 @@ def stated_kernel(sup: Superoperator) -> np.ndarray:
     asymptotic state of rho0 is K C^dag vec(rho0).  The charges are Hermitian
     and L commutes with the adjoint, so each column is a Hermitian matrix; the
     solve leaves an anti-Hermitian error of about 1e-16 ||L|| / gap (2.4e-6 on
-    the displaced model at eps = 3000, cutoff 8), which is dropped.  A
-    bordered matrix that is
+    the displaced model at eps = 3000, cutoff 8), which is dropped.  The
+    charges must lie in the first sector (``first_sector_part``; a charge
+    with weight elsewhere raises ``NumericalAccuracyError``), and then so
+    does each column, since L commutes with the stated symmetries: the
+    solve's error outside it (4.2e-6 odd under the swap at eps = 3000) is
+    dropped too.  A bordered matrix that is
     singular, exactly or to working precision, means the kernel is larger
     than the model states (``KernelAmbiguityError``); a residual ||L x|| or
     multiplier mu above round-off means a stated Q is not conserved
-    (``NumericalAccuracyError``).
+    (``NumericalAccuracyError``).  Solved once per generator: the result is
+    kept on ``sup`` (read-only) for ``evolve_spectral`` and ``steady_state``.
     """
+    if sup._kernel is not None:
+        return sup._kernel
     me = sup.me
     name = me.label or "the model"
     charges = _charges(me)
-    c = sp.csc_matrix(np.column_stack([vec(q) for q in charges]))
+    c_dense = np.column_stack([vec(q) for q in charges])
+    outside = float(np.abs(c_dense - first_sector_part(me, c_dense)).max())
+    if outside > SECTOR_LEAK_TOL * float(np.abs(c_dense).max()):
+        raise NumericalAccuracyError(
+            f"a stated charge of {name} has weight {outside:.2e} outside the first "
+            "sector, where the kernel lies"
+        )
+    c = sp.csc_matrix(c_dense)
     lv = sup.as_sparse()
     bordered = sp.bmat([[lv, c], [c.conj().T, None]], format="csc")
     rhs = np.zeros((bordered.shape[0], len(charges)), dtype=complex)
@@ -413,6 +460,7 @@ def stated_kernel(sup: Superoperator) -> np.ndarray:
     mu = sol[sup.dim :]
     cube = sol[: sup.dim].reshape(me.dim, me.dim, len(charges), order="F")
     k = ((cube + cube.conj().transpose(1, 0, 2)) / 2.0).reshape(sup.dim, -1, order="F")
+    k = first_sector_part(me, k)
     scale = sup.norm_estimate() * np.linalg.norm(k, axis=0)
     resid = np.maximum(np.linalg.norm(lv @ k, axis=0), np.linalg.norm(c @ mu, axis=0))
     worst = float((resid / scale).max())
@@ -421,6 +469,8 @@ def stated_kernel(sup: Superoperator) -> np.ndarray:
             f"steady-state residual {worst:.2e} > {STEADY_RESIDUAL_TOL:.0e} (relative to "
             f"||L||_1 ||x||); a stated conserved quantity of {name} is not conserved"
         )
+    k.setflags(write=False)
+    sup._kernel = k
     return k
 
 

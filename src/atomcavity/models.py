@@ -17,13 +17,18 @@ vec(A rho B) = (B^T kron A) vec(rho) and the generator reads
 
 assembled once as a CSR matrix.
 
-Models without a drive conserve d = N_ket - N_bra, with N = atom1 + atom2 + n
-the excitation number (a weak U(1) symmetry; atomic decay keeps it too,
-since sigma_- rho sigma_+ lowers N on both sides).  Such a builder states N
-of each basis state (``MasterEquation.excitations``), and the generator then
-never mixes the elements rho_ij of different |N_i - N_j|: each |d| is a
-sector of its own (``Superoperator.sectors``), evolved and diagonalized
-alone.
+Every builder is symmetric under exchanging the two atoms (collective
+operators, per-atom channels at equal rates): L commutes with rho ->
+P rho P, P the swap (a weak symmetry).  Each builder states the swap
+(``MasterEquation.swap``), and the generator then never mixes the parts of
+x (below) of even and odd exchange parity.  Models without a drive also
+conserve d = N_ket - N_bra, with N = atom1 + atom2 + n the excitation
+number (a weak U(1) symmetry; atomic decay keeps it too, since
+sigma_- rho sigma_+ lowers N on both sides).  Such a builder states N of
+each basis state (``MasterEquation.excitations``), and the generator never
+mixes the elements rho_ij of different |N_i - N_j|.  A sector is one |d|
+(all of x when no N is stated) intersected with one exchange parity
+(``Superoperator.sectors``); each is evolved and diagonalized alone.
 
 The dense copy of L, for full eigendecompositions, is real: L maps Hermitian
 matrices to Hermitian matrices, so in the coordinates
@@ -53,6 +58,7 @@ from .operators import (
     LabeledOperator,
     SystemSpace,
     annihilation,
+    atom_swap,
     atomic_space,
     collective_spin,
     creation,
@@ -66,6 +72,13 @@ from .operators import (
 #: relative to ||L||_1; measured exactly 0.0 on every builder, so anything
 #: above round-off means L does not preserve Hermiticity
 DENSE_IMAG_TOL = 1e-14
+
+#: largest entry of P L P - L, P the stated swap on vec(rho), relative to
+#: ||L||_1; measured exactly 0 at gamma = 0 and 8.9e-16 at gamma = 1e-3
+#: (the two atoms' channels summed in either order), so anything above
+#: round-off means L breaks the stated symmetry.  Also the largest weight of
+#: a stated charge outside the first sector, relative to its largest entry.
+SECTOR_LEAK_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -140,7 +153,9 @@ class MasterEquation:
 
     ``excitations`` states the excitation number N of each basis state when
     the model conserves d = N_ket - N_bra, and is None when it states no
-    such symmetry (any drive breaks it).
+    such symmetry (any drive breaks it).  ``swap`` states a basis
+    permutation P (an involution; ``operators.atom_swap``) when L commutes
+    with rho -> P rho P, and is None when it states none.
     """
 
     hamiltonian: LabeledOperator
@@ -150,6 +165,7 @@ class MasterEquation:
     label: str = ""
     conserved: tuple[LabeledOperator, ...] = ()
     excitations: np.ndarray | None = None
+    swap: np.ndarray | None = None
 
     def __post_init__(self):
         dim = self.space.dim
@@ -168,10 +184,40 @@ class MasterEquation:
                 raise ShapeError(f"conserved operator {q.label} does not match the space")
         if self.excitations is not None and np.shape(self.excitations) != (dim,):
             raise ShapeError("excitation numbers do not match the space")
+        if self.swap is not None:
+            p = np.asarray(self.swap)
+            if p.shape != (dim,) or not np.array_equal(np.sort(p), np.arange(dim)):
+                raise ShapeError("the stated swap is not a permutation of the basis")
+            if not np.array_equal(p[p], np.arange(dim)):
+                raise ValueError("the stated swap is not an involution")
+            if self.excitations is not None and not np.array_equal(
+                self.excitations[p], self.excitations
+            ):
+                raise ValueError("the stated swap changes the stated excitation numbers")
 
     @property
     def dim(self) -> int:
         return self.space.dim
+
+
+@dataclass(frozen=True)
+class Sector:
+    """A block of the generator in the Hermitian coordinates x of
+    ``hermitian_coordinates``.
+
+    The columns of ``basis`` (E) span it; ``inverse`` (F, with F E = I)
+    reads its coordinates y = F x off an x that lies in it, and the
+    generator restricted to it is F T L T^-1 E.  A column is a unit vector
+    e_k or a swapped pair e_k +- e_l, so E has entries +-1 and F entries
+    +-1 and +-1/2: every map is exact in floating point.
+    """
+
+    basis: sp.csc_matrix
+    inverse: sp.csr_matrix
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
 
 
 class Superoperator:
@@ -180,8 +226,10 @@ class Superoperator:
     The CSR matrix is the one representation of the generator: it is
     assembled on first use and ``apply`` is a mat-vec with it.  ``as_dense``
     is the real float64 matrix T L T^-1 in the Hermitian coordinates of
-    ``hermitian_coordinates``, on one sector or on all of them, made from the
+    ``hermitian_coordinates``, on one sector or on all of x, made from the
     CSR matrix and refused above ``linalg.DENSE_CAP``.
+    ``dynamics.stated_kernel`` keeps its solve beside the CSR matrix, so
+    one generator is factorized once.
     """
 
     def __init__(self, me: MasterEquation):
@@ -189,48 +237,63 @@ class Superoperator:
         self.dim = me.dim**2
         self._dense: np.ndarray | None = None
         self._sparse: sp.csr_matrix | None = None
+        self._kernel: np.ndarray | None = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply the generator to a vectorized state."""
         return self.as_sparse() @ v
 
-    def sectors(self) -> list[slice | np.ndarray]:
-        """Coordinates of x that the generator never mixes, the sector of the
-        diagonal (d = 0, where the kernel lies) first.
+    def sectors(self) -> list[Sector]:
+        """The sectors the generator never mixes (``hermitian_sectors``),
+        the one of the diagonal's even part first (d = 0, exchange parity
+        +1: where |gg,0>, the kernel and the stated charges lie).
 
-        A model that states its excitation numbers has one sector per |d|
-        (``hermitian_sectors``); one that states none is one sector, all of
-        x.  A stated label that an entry of L breaks raises
-        ``NumericalAccuracyError``.
+        A stated symmetry that L breaks raises ``NumericalAccuracyError``:
+        for the excitation numbers any entry of L that links two |d|, for
+        the swap P any entry of P L P - L above ``SECTOR_LEAK_TOL`` ||L||_1.
+        Built only when asked for; a model that states nothing is one
+        sector, all of x.
         """
-        labels = self.me.excitations
-        if labels is None:
-            return [slice(None)]
-        d = np.subtract.outer(labels, labels).ravel(order="F")  # N_i - N_j of vec(rho)
-        lv = self.as_sparse().tocoo()
-        leaks = int(np.count_nonzero(lv.data[d[lv.row] != d[lv.col]]))
-        if leaks:
-            raise NumericalAccuracyError(
-                f"{leaks} entries of the generator of {self.me.label or 'the model'} "
-                "link different excitation sectors; it does not conserve its stated "
-                "excitation numbers"
-            )
-        return hermitian_sectors(labels)
+        me = self.me
+        name = me.label or "the model"
+        lv = self.as_sparse()
+        labels = me.excitations
+        if labels is not None:
+            d = np.subtract.outer(labels, labels).ravel(order="F")  # N_i - N_j of vec(rho)
+            coo = lv.tocoo()
+            leaks = int(np.count_nonzero(coo.data[d[coo.row] != d[coo.col]]))
+            if leaks:
+                raise NumericalAccuracyError(
+                    f"{leaks} entries of the generator of {name} link different "
+                    "excitation sectors; it does not conserve its stated excitation numbers"
+                )
+        if me.swap is not None:
+            q = vec_swap(me.swap)
+            breach = float(abs(lv[q][:, q] - lv).max())
+            if breach > SECTOR_LEAK_TOL * self.norm_estimate():
+                raise NumericalAccuracyError(
+                    f"the generator of {name} breaks its stated swap symmetry: "
+                    f"|P L P - L| reaches {breach:.2e}"
+                )
+        return hermitian_sectors(me.dim, labels, me.swap)
 
-    def as_dense(self, sector: slice | np.ndarray = slice(None)) -> np.ndarray:
-        """The real generator on the coordinates ``sector`` of x, an entry of
-        ``sectors()``; the whole generator, cached, by default."""
-        whole = isinstance(sector, slice)
-        if whole and self._dense is not None:
-            return self._dense
-        dim = self.dim if whole else len(sector)
-        if dim > DENSE_CAP:
+    def as_dense(self, sector: Sector | None = None) -> np.ndarray:
+        """The real generator F T L T^-1 E on ``sector``, an entry of
+        ``sectors()``; on all of x, cached, by default."""
+        if sector is not None:
+            return self._real_block(sector)
+        if self._dense is None:
+            self._dense = self._real_block(hermitian_sectors(self.me.dim, None, None)[0])
+        return self._dense
+
+    def _real_block(self, sector: Sector) -> np.ndarray:
+        if sector.dim > DENSE_CAP:
             raise DimensionLimitError(
-                f"superoperator dimension {dim} exceeds the dense cap "
+                f"superoperator dimension {sector.dim} exceeds the dense cap "
                 f"{DENSE_CAP}; use the sparse representation"
             )
         fwd, inv = hermitian_coordinates(self.me.dim)
-        dense = (fwd[sector] @ self.as_sparse() @ inv[:, sector]).toarray()
+        dense = (sector.inverse @ fwd @ self.as_sparse() @ inv @ sector.basis).toarray()
         imag = float(np.abs(dense.imag).max())
         if imag > DENSE_IMAG_TOL * self.norm_estimate():
             raise NumericalAccuracyError(
@@ -238,10 +301,7 @@ class Superoperator:
                 f"Hermitian coordinates: imaginary part {imag:.2e}; it does not "
                 "preserve Hermiticity"
             )
-        dense = np.ascontiguousarray(dense.real)
-        if whole:
-            self._dense = dense
-        return dense
+        return np.ascontiguousarray(dense.real)
 
     def as_sparse(self) -> sp.csr_matrix:
         if self._sparse is None:
@@ -300,24 +360,85 @@ def hermitian_coordinates(d: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     )
 
 
-def hermitian_sectors(labels: np.ndarray) -> list[np.ndarray]:
-    """Positions in x (``hermitian_coordinates``) grouped by |d| ascending,
-    d = N_i - N_j for the excitation numbers ``labels``: rho_ii and the real
-    and imaginary parts of rho_ij.  Re and Im of rho_ij hold rho_ij (d) and
-    rho_ji (-d), so a sector is the d block with the -d block, which is
-    closed under the adjoint; the first is d = 0 and holds the diagonal."""
-    i, j = np.triu_indices(labels.size, 1)
-    gap = np.abs(labels[i] - labels[j])
-    key = np.concatenate((np.zeros(labels.size, dtype=gap.dtype), gap, gap))
-    order = np.argsort(key, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+def hermitian_sectors(
+    d: int, labels: np.ndarray | None, swap: np.ndarray | None
+) -> list[Sector]:
+    """The sectors of the coordinates x (``hermitian_coordinates``) of a
+    d x d matrix: one per |N_i - N_j| of the excitation numbers ``labels``
+    (ascending; all of x when None) and exchange parity under the basis
+    permutation ``swap`` (+1 first; all +1 when None).
+
+    Re and Im of rho_ij hold rho_ij (d) and rho_ji (-d), so a |d| sector is
+    closed under the adjoint; the first one holds the diagonal.  The swap
+    acts on x as a signed permutation (rho_ij -> rho_p(i)p(j), Im changing
+    sign when p(i) > p(j)); a coordinate it fixes lies in the parity of its
+    sign, and a swapped pair e_k, e_l with sign s spans e_k + s e_l (+1)
+    and e_k - s e_l (-1).
+    """
+    i, j = np.triu_indices(d, 1)
+    m = i.size
+    p = np.arange(d) if swap is None else np.asarray(swap)
+    gap = np.zeros(m, dtype=int) if labels is None else np.abs(labels[i] - labels[j])
+    key = np.concatenate((np.zeros(d, dtype=gap.dtype), gap, gap))
+    # the swap moves coordinate k to partner[k] with sign[k]
+    a, b = np.minimum(p[i], p[j]), np.maximum(p[i], p[j])
+    pair = a * d - a * (a + 1) // 2 + b - a - 1  # position of (a, b) among i < j
+    partner = np.concatenate((p, d + pair, d + m + pair))
+    sign = np.concatenate((np.ones(d + m), np.where(p[i] < p[j], 1.0, -1.0)))
+    coords = np.arange(partner.size)
+    rep = coords[partner >= coords]  # fixed coordinates and the first of each pair
+    fixed = partner[rep] == rep
+    cols = np.concatenate((rep, rep[~fixed]))
+    parity = np.concatenate((np.where(fixed, sign[rep], 1.0), np.full((~fixed).sum(), -1.0)))
+    order = np.lexsort((cols, -parity, key[cols]))
+    cols, parity = cols[order], parity[order]
+    paired = partner[cols] != cols
+    # column c of E: 1 at cols[c] and, for a pair, parity * sign at its partner
+    n = cols.size
+    rows = np.concatenate((cols, partner[cols[paired]]))
+    col_of = np.concatenate((np.arange(n), np.flatnonzero(paired)))
+    vals = np.concatenate((np.ones(n), (parity * sign[cols])[paired]))
+    basis = sp.csc_matrix((vals, (rows, col_of)), shape=(partner.size, n))
+    scale = np.where(paired, 0.5, 1.0)[col_of]
+    inverse = sp.csr_matrix((vals * scale, (col_of, rows)), shape=(n, partner.size))
+    sorted_key = key[cols]
+    bounds = np.flatnonzero((np.diff(sorted_key) != 0) | (np.diff(parity) != 0)) + 1
+    edges = np.concatenate(([0], bounds, [n]))
+    return [Sector(basis[:, lo:hi], inverse[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def zero_sector_dim(labels: np.ndarray) -> int:
-    """Size of the d = 0 sector of ``hermitian_sectors(labels)`` without
-    forming it: sum over N of m_N^2, m_N the basis states with N excitations
-    (16 cutoff - 12 for two atoms and a mode)."""
-    return int((np.bincount(labels) ** 2).sum())
+def vec_swap(swap: np.ndarray) -> np.ndarray:
+    """The positions q with vec(P rho P) = vec(rho)[q], P the basis
+    permutation ``swap`` (an involution, so P rho P = rho_{p(i) p(j)})."""
+    return np.add.outer(swap.size * swap, swap).ravel()
+
+
+def first_sector_part(me: MasterEquation, v: np.ndarray) -> np.ndarray:
+    """The part of the columns vec(rho) of ``v`` in the first sector of
+    ``hermitian_sectors`` for the symmetries ``me`` states: the elements
+    rho_ij of N_i != N_j dropped, then the mean of rho and P rho P."""
+    out = np.array(v)
+    if me.excitations is not None:
+        n = me.excitations
+        out[np.subtract.outer(n, n).ravel(order="F") != 0] = 0.0
+    if me.swap is not None:
+        out = (out + out[vec_swap(me.swap)]) / 2.0
+    return out
+
+
+def zero_sector_dim(labels: np.ndarray | None, swap: np.ndarray | None) -> int:
+    """Size of the first sector of ``hermitian_sectors`` without forming it,
+    the one |gg,0> occupies: sum over N of (m_N^2 + f_N^2) / 2, m_N the
+    basis states with N excitations (one N for all when ``labels`` is None)
+    and f_N those the swap fixes (all of them when ``swap`` is None).  For
+    two atoms and a mode that is 16 cutoff - 12 for the d = 0 block alone
+    and 10 cutoff - 8 with the atom swap."""
+    dim = (labels if labels is not None else swap).size
+    n = np.zeros(dim, dtype=int) if labels is None else labels
+    fixed = np.ones(dim) if swap is None else (swap == np.arange(dim))
+    m = np.bincount(n)
+    f = np.bincount(n, weights=fixed)
+    return int(((m**2 + f**2) // 2).sum())
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -358,8 +479,8 @@ def build_full(space: SystemSpace, params: ModelParams) -> MasterEquation:
     (a, kappa(n_th+1)), (a^dag, kappa n_th), and per atom
     (sigma_-^j, gamma(n_th+1)/2), (sigma_+^j, gamma n_th/2).
     Zero-rate channels are omitted.  At gamma = 0 every operator is
-    collective and the singlet weight is conserved.  Without a drive the
-    model states its excitation numbers.
+    collective and the singlet weight is conserved.  The model states the
+    atom swap, and without a drive its excitation numbers.
     """
     k = params.kappa
     a = annihilation(space)
@@ -382,6 +503,7 @@ def build_full(space: SystemSpace, params: ModelParams) -> MasterEquation:
     return MasterEquation(
         LabeledOperator("H_TC + H_d", h), tuple(diss), space, label="full", conserved=conserved,
         excitations=excitation_number(space) if params.eps == 0.0 else None,
+        swap=atom_swap(space),
     )
 
 
@@ -415,7 +537,7 @@ def build_coherent_displaced(space: SystemSpace, params: ModelParams) -> MasterE
     conserved = () if params.gamma > 0.0 else (singlet_projector(space),)
     return MasterEquation(
         LabeledOperator("H_1", h), tuple(diss), space, label="coherent-displaced",
-        conserved=conserved,
+        conserved=conserved, swap=atom_swap(space),
     )
 
 
@@ -463,6 +585,7 @@ def build_rwa_displaced(space: SystemSpace, params: ModelParams) -> MasterEquati
         cross_terms=cross,
         label="rwa-displaced",
         conserved=(singlet_projector(space),),
+        swap=atom_swap(space),
     )
 
 
@@ -492,6 +615,7 @@ def build_effective_coherent(params: ModelParams) -> MasterEquation:
         space,
         label="effective-coherent",
         conserved=(singlet_projector(space),),
+        swap=atom_swap(space),
     )
 
 
@@ -512,4 +636,5 @@ def build_effective_incoherent(params: ModelParams) -> MasterEquation:
     return MasterEquation(
         zero, tuple(diss), space, label="effective-incoherent",
         conserved=(singlet_projector(space),), excitations=excitation_number(space),
+        swap=atom_swap(space),
     )

@@ -17,7 +17,7 @@ from scipy.special import xlogy
 
 from .dynamics import DensityMatrix, evolve_spectral
 from .errors import NumericalAccuracyError, ShapeError, StateValidityError
-from .models import MasterEquation, vectorize
+from .models import Superoperator
 from .operators import SystemSpace, atomic_space
 
 #: eigenvalues this far below zero are clipped; anything worse is an error
@@ -151,11 +151,12 @@ def atomic_mutual_information(rho: DensityMatrix) -> float:
     return mutual_information(at)
 
 
-def mi_curve(me: MasterEquation, rho0: DensityMatrix, t_grid: np.ndarray) -> np.ndarray:
+def mi_curve(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> np.ndarray:
     """Atomic mutual information at each time of ``t_grid``, starting from
-    ``rho0``: spectral evolution of the generator (per excitation sector
-    when the model states them), then one mutual information per sample."""
-    traj = evolve_spectral(vectorize(me, materialize=False), rho0, t_grid)
+    ``rho0``: spectral evolution of the generator, one sector (excitation
+    block and exchange parity) at a time, then one mutual information per
+    sample."""
+    traj = evolve_spectral(sup, rho0, t_grid)
     return traj.observable(atomic_mutual_information)
 
 

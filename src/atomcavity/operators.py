@@ -152,6 +152,21 @@ def excitation_number(space: SystemSpace) -> np.ndarray:
     return np.add.outer(atoms, np.arange(space.fock_cutoff)).ravel()
 
 
+def atom_swap(space: SystemSpace) -> np.ndarray:
+    """The basis permutation that exchanges the atoms, (a1, a2, n) -> (a2, a1, n):
+    entry k is the index of basis state k with its atoms swapped.
+
+    Collective operators commute with it, and so do per-atom channels at
+    equal rates; a model built from those alone is symmetric under the swap
+    (a weak symmetry of its generator).
+    """
+    atoms = np.array([0, 2, 1, 3])  # gg, ge, eg, ee -> gg, eg, ge, ee
+    if not space.has_field:
+        return atoms
+    f = space.fock_cutoff
+    return np.add.outer(atoms * f, np.arange(f)).ravel()
+
+
 def singlet_projector(space: SystemSpace) -> LabeledOperator:
     """P_S = |S><S| (x) I_F with |S> = (|ge> - |eg>)/sqrt(2).
 

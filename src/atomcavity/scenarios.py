@@ -21,7 +21,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import linalg, models, observables as obs, spectra, verify
 from .models import ModelParams, vectorize
-from .operators import atomic_space, excitation_number, make_space
+from .operators import atom_swap, atomic_space, excitation_number, make_space
 
 SCENARIOS = (
     "gap-coherent",
@@ -303,11 +303,12 @@ def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         cutoff = _auto_cutoff_displaced(p, config)
         grid = _grid(config, pt)
         space = make_space(cutoff)
-        mi_exact = obs.mi_curve(
-            models.build_coherent_displaced(space, p), dyn.ground_state(space), grid
-        )
+        me = models.build_coherent_displaced(space, p)
+        mi_exact = obs.mi_curve(vectorize(me, materialize=False), dyn.ground_state(space), grid)
         mi_eff = obs.mi_curve(
-            models.build_effective_coherent(p), dyn.ground_state(atomic_space()), grid
+            vectorize(models.build_effective_coherent(p), materialize=False),
+            dyn.ground_state(atomic_space()),
+            grid,
         )
         for t, mx, me_ in zip(grid, mi_exact, mi_eff):
             row = _base_row(p, cutoff, config.seeds)
@@ -317,6 +318,8 @@ def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
             "tau_coherent": spectra.tau_coherent(p),
             "plateau_windows": dyn.detect_plateau(grid, mi_exact),
             "final_mi": float(mi_exact[-1]),
+            "evolution": "spectral-sector",
+            "dim": models.zero_sector_dim(me.excitations, me.swap),
         }
     return rows, summary
 
@@ -348,22 +351,21 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         grid = _grid(config, pt)
         cutoff = _thermal_cutoff(p.n_th) if config.cutoff == "auto" else int(config.cutoff)
         space = make_space(cutoff)
-        # |gg,0> occupies only the d = 0 excitation sector, which is evolved densely
-        dim = models.zero_sector_dim(excitation_number(space))
+        # |gg,0> occupies only the d = 0, even sector, which is evolved densely
+        dim = models.zero_sector_dim(excitation_number(space), atom_swap(space))
         run_exact = dim <= linalg.DENSE_CAP
         if run_exact:
-            mi_exact = obs.mi_curve(models.build_full(space, p), dyn.ground_state(space), grid)
+            sup = vectorize(models.build_full(space, p), materialize=False)
+            mi_exact = obs.mi_curve(sup, dyn.ground_state(space), grid)
         else:
             mi_exact = np.full(grid.size, np.nan)
-        mi_eff = obs.mi_curve(
-            models.build_effective_incoherent(p), dyn.ground_state(atomic_space()), grid
-        )
+        sup_eff = vectorize(models.build_effective_incoherent(p), materialize=False)
+        mi_eff = obs.mi_curve(sup_eff, dyn.ground_state(atomic_space()), grid)
         for t, mx, me_ in zip(grid, mi_exact, mi_eff):
             row = _base_row(p, cutoff if run_exact else "effective-only", config.seeds)
             row.update(t=float(t), mi_exact=float(mx), mi_effective=float(me_))
             rows.append(row)
-        ss = dyn.steady_state(vectorize(models.build_effective_incoherent(p)),
-                              dyn.ground_state(atomic_space()))
+        ss = dyn.steady_state(sup_eff, dyn.ground_state(atomic_space()))
         summary["curves"][f"g0={p.g0:g},n_th={p.n_th:g}"] = {
             "tau_incoherent": 1.0 / spectra.gap_incoherent(p),
             "steady_mi_effective": float(obs.mutual_information(ss)),
@@ -385,26 +387,28 @@ def run_real_detector(config: ScenarioConfig) -> tuple[list[dict], dict]:
             cutoff = 8 if config.cutoff == "auto" else int(config.cutoff)
             space = make_space(cutoff)
             me = models.build_coherent_displaced(space, p)
-            entry = {}
         elif case == "incoherent":
             p = ModelParams(g0=0.1, eps=0.0, n_th=10.0, gamma=gamma)
             cutoff = _thermal_cutoff(p.n_th) if config.cutoff == "auto" else int(config.cutoff)
             space = make_space(cutoff)
             me = models.build_full(space, p)
-            entry = {"evolution": "spectral-sector", "dim": models.zero_sector_dim(me.excitations)}
         else:
             raise ValueError(f"unknown case {case!r}")
-        mi = obs.mi_curve(me, dyn.ground_state(space), grid)
+        # one generator per point: the trajectory and the steady state share
+        # its assembly and its stated-kernel solve
+        sup = vectorize(me, materialize=False)
+        mi = obs.mi_curve(sup, dyn.ground_state(space), grid)
         for t, m in zip(grid, mi):
             row = _base_row(p, cutoff, config.seeds)
             row.update(case=case, t=float(t), mi=float(m))
             rows.append(row)
-        ss = dyn.steady_state(vectorize(me, materialize=False), dyn.ground_state(space))
+        ss = dyn.steady_state(sup, dyn.ground_state(space))
         summary["steady"][f"{case},gamma={gamma:g}"] = {
             "steady_mi": float(obs.atomic_mutual_information(ss)),
             "peak_mi": float(mi.max()),
             "kernel_unique": not me.conserved,
-            **entry,
+            "evolution": "spectral-sector",
+            "dim": models.zero_sector_dim(me.excitations, me.swap),
         }
     return rows, summary
 
@@ -449,7 +453,7 @@ SCHEMA_NOTES = {
     "gap-incoherent": "Spectral gap of the lab-frame thermal model vs "
     "2 n_th (g0/kappa)^2 kappa; one row per (g0, n_th) point.",
     "mi-incoherent": "Atomic mutual information vs time, exact lab-frame "
-    "thermal model (where its d = 0 excitation sector fits the dense cap; "
+    "thermal model (where its d = 0, exchange-even sector fits the dense cap; "
     "otherwise NaN) and the effective model; one row per time sample.",
     "real-detector": "Mutual information vs time with atomic decay gamma for "
     "the driven (displaced frame) and thermal cases; one row per time sample.",

@@ -132,7 +132,10 @@ def _cluster_complex(values: np.ndarray, tol: float) -> list[list[int]]:
 def analyze(sup: Superoperator, k: int | None = None) -> SpectrumReport:
     """Spectrum report for a Liouvillian.
 
-    Dense full diagonalization when ``k`` is None; otherwise a targeted
+    Dense full diagonalization when ``k`` is None, one sector of
+    ``sup.sectors()`` at a time: the report classifies the union of the
+    sector spectra and carries the worst sector's condition number and
+    near-defective flag.  Otherwise a targeted
     shift-invert solve for the ``k`` eigenvalues nearest a small positive real
     shift (never an eigenvalue of a Lindblad generator), yielding a partial
     report of the slow end of the spectrum.  The kernel is the one the model
@@ -140,12 +143,17 @@ def analyze(sup: Superoperator, k: int | None = None) -> SpectrumReport:
     """
     kernel_dim = 1 + len(sup.me.conserved)
     if k is None:
-        decomp = eig_general(sup.as_dense())
+        parts, conditions, defective = [], [], False
+        for sector in sup.sectors():
+            decomp = eig_general(sup.as_dense(sector))
+            parts.append(decomp.eigenvalues)
+            conditions.append(decomp.condition_estimate)
+            defective = defective or decomp.near_defective
         return classify(
-            decomp.eigenvalues,
+            np.concatenate(parts),
             kernel_dim,
-            condition=decomp.condition_estimate,
-            near_defective=decomp.near_defective,
+            condition=max(conditions),
+            near_defective=defective,
         )
     return classify(_shift_invert(sup, k, 1e-3), kernel_dim, partial=True)
 

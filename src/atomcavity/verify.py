@@ -203,15 +203,14 @@ def criterion_7_metastability() -> CheckResult:
     >= 2 decades inside (1/fast_rate, 1/gap); plateau and steady levels match
     the frozen kernel-projection oracle; thermal n_th=10 shows no plateau."""
     p = ModelParams(g0=0.25, eps=1000.0)
-    me = models.build_effective_coherent(p)
-    sup = vectorize(me)
+    sup = vectorize(models.build_effective_coherent(p))
     rep = spectra.analyze(sup)
     split = spectra.splitting_diagnostic(rep)
     ok_ratio = split.metastable and split.ratio > 1e4
 
     rho0 = dyn.ground_state(atomic_space())
     grid = dyn.time_grid(3.0 / rep.gap, 260, t_min=0.1 / split.fast_rate)
-    mi = obs.mi_curve(me, rho0, grid)
+    mi = obs.mi_curve(sup, rho0, grid)
     windows = dyn.detect_plateau(grid, mi)
     inside = [
         (a, b)
@@ -235,11 +234,11 @@ def criterion_7_metastability() -> CheckResult:
         and abs(steady_mi - COHERENT_STEADY_MI) <= 1e-6
     )
 
-    me_inc = models.build_effective_incoherent(ModelParams(g0=0.01, n_th=10.0))
-    rep_inc = spectra.analyze(vectorize(me_inc))
+    sup_inc = vectorize(models.build_effective_incoherent(ModelParams(g0=0.01, n_th=10.0)))
+    rep_inc = spectra.analyze(sup_inc)
     split_inc = spectra.splitting_diagnostic(rep_inc)
     grid_inc = dyn.time_grid(3.0 / rep_inc.gap, 200, t_min=0.1 / split_inc.fast_rate)
-    mi_inc = obs.mi_curve(me_inc, rho0, grid_inc)
+    mi_inc = obs.mi_curve(sup_inc, rho0, grid_inc)
     ok_inc = not dyn.detect_plateau(grid_inc, mi_inc) and not split_inc.metastable
 
     return _result(

@@ -189,12 +189,12 @@ class TestOutputs:
         assert row["cutoff"] == "effective-only"
         assert float(row["mi_effective"]) >= 0.0
 
-    @pytest.mark.parametrize("cap,exact", [(243, False), (244, True)])
+    @pytest.mark.parametrize("cap,exact", [(151, False), (152, True)])
     def test_mi_incoherent_runs_exactly_while_its_sector_fits_the_dense_cap(
         self, monkeypatch, cap, exact
     ):
-        # at n_th = 1 the auto cutoff is 16: the d = 0 sector from |gg,0>
-        # has 16 * 16 - 12 = 244 coordinates
+        # at n_th = 1 the auto cutoff is 16: the d = 0, exchange-even sector
+        # from |gg,0> has 10 * 16 - 8 = 152 coordinates
         monkeypatch.setattr(scenarios.linalg, "DENSE_CAP", cap)
         config = scenarios.ScenarioConfig(
             "mi-incoherent",
@@ -203,7 +203,7 @@ class TestOutputs:
         )
         rows, summary = scenarios.run_mi_incoherent(config)
         (curve,) = summary["curves"].values()
-        assert curve["dim"] == 244
+        assert curve["dim"] == 152
         assert curve["exact_run"] is exact
         assert curve["evolution"] == ("spectral-sector" if exact else "effective-only")
         assert rows[0]["cutoff"] == (16 if exact else "effective-only")
@@ -225,7 +225,35 @@ class TestOutputs:
         steady = json.loads((out / "summary.json").read_text())["summary"]["steady"]
         entry = steady["incoherent,gamma=0.001"]
         assert entry["evolution"] == "spectral-sector"
-        assert entry["dim"] == 16 * 4 - 12
+        assert entry["dim"] == 10 * 4 - 8
+
+    def test_coherent_entries_record_the_evolution(self, tmp_path):
+        # the driven model evolves the exchange-even sector of its 1024
+        # coordinates at cutoff 8
+        out = tmp_path / "rd"
+        cfg = write_config(
+            tmp_path,
+            {
+                "params": {"gamma": [1e-3], "case": ["coherent"]},
+                "time_grid": {"t_max": 100.0, "points": 6, "t_min": 1.0},
+            },
+        )
+        assert cli.main(
+            ["--scenario", "real-detector", "--config", str(cfg), "--out", str(out), "--quiet"]
+        ) == 0
+        entry = json.loads((out / "summary.json").read_text())["summary"]["steady"][
+            "coherent,gamma=0.001"
+        ]
+        assert (entry["evolution"], entry["dim"]) == ("spectral-sector", 640)
+        config = scenarios.ScenarioConfig(
+            "mi-coherent",
+            params={"g0": [0.25], "eps": [10.0]},
+            cutoff=8,
+            time_grid={"t_max": 100.0, "points": 4, "t_min": 1.0},
+        )
+        _, summary = scenarios.run_mi_coherent(config)
+        (curve,) = summary["curves"].values()
+        assert (curve["evolution"], curve["dim"]) == ("spectral-sector", 640)
 
     def test_real_detector_case_axis_accepts_strings(self, tmp_path):
         cfg = write_config(

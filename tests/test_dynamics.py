@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,7 +16,7 @@ from atomcavity.errors import (
 from atomcavity.models import vec, vectorize
 from atomcavity.operators import LabeledOperator, singlet_projector
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_hermitian
 
 
 class TestDensityMatrix:
@@ -131,9 +133,9 @@ class TestEvolveSpectral:
             )
 
             def sectors(self):
-                return [slice(None)]
+                return models.hermitian_sectors(3, None, None)
 
-            def as_dense(self, sector=slice(None)):
+            def as_dense(self, sector=None):
                 return np.array([[0.0, 0.0, 0.0], [0.0, -1e-3, 1.0], [0.0, -1.0, -1e-3]])
 
         rho0 = dyn.DensityMatrix(np.eye(3, dtype=complex) / 3.0, _Dim3())
@@ -206,6 +208,35 @@ class TestEvolveSpectral:
         for a, b in zip(t_ode.states, t_spec.states):
             assert dyn.trace_norm(a.matrix - b.matrix) < 1e-6
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    def test_both_exchange_parities_match_ode_reference(self, gamma):
+        # the driven model states no excitation numbers, only the atom swap: a
+        # generic state occupies both parities, and each evolves alone
+        space = make_space(4)
+        me = models.build_coherent_displaced(space, ModelParams(g0=0.25, eps=2.0, gamma=gamma))
+        sup = vectorize(me, materialize=False)
+        rho0 = random_density_matrix(me.dim, np.random.default_rng(5), space)
+        fwd, _ = models.hermitian_coordinates(me.dim)
+        x0 = (fwd @ vec(rho0.matrix)).real
+        even, odd = sup.sectors()
+        assert np.abs(even.inverse @ x0).max() > 1e-3 and np.abs(odd.inverse @ x0).max() > 1e-3
+        grid = dyn.time_grid(200.0, 20, t_min=0.5)
+        t_ode = dyn.evolve_ode(sup, rho0, grid)
+        t_spec = dyn.evolve_spectral(sup, rho0, grid)
+        for a, b in zip(t_ode.states, t_spec.states):
+            assert dyn.trace_norm(a.matrix - b.matrix) < 1e-6
+
+    def test_a_charge_outside_the_first_sector_is_refused(self):
+        # the population difference of |ge> and |eg> is odd under the swap;
+        # stated as a charge, it cannot lie in the even sector with the kernel
+        space = atomic_space()
+        me = models.build_effective_coherent(ModelParams(g0=0.25, eps=10.0))
+        odd = np.diag([0.0, 1.0, -1.0, 0.0]).astype(complex)
+        wrong = replace(me, conserved=me.conserved + (LabeledOperator("Q", odd),))
+        with pytest.raises(NumericalAccuracyError, match="outside the first sector"):
+            dyn.evolve_spectral(vectorize(wrong, materialize=False), dyn.ground_state(space),
+                                np.array([0.0, 1.0]))
+
     def test_ground_state_diagonalizes_only_the_zero_sector(self, monkeypatch):
         space = make_space(8)
         me = models.build_full(space, ModelParams(g0=0.1, n_th=10.0, gamma=1e-3))
@@ -219,7 +250,7 @@ class TestEvolveSpectral:
         monkeypatch.setattr(dyn, "eig_general", recording_eig)
         dyn.evolve_spectral(vectorize(me, materialize=False), dyn.ground_state(space),
                             np.array([0.0, 10.0]))
-        assert dims == [16 * 8 - 12]
+        assert dims == [10 * 8 - 8]
 
     def test_gap_mode_dominates_late_tail(self, rng):
         p = ModelParams(g0=0.25, eps=10.0)
@@ -346,6 +377,51 @@ class TestSteadyState:
         ss = dyn.steady_state(sup, random_density_matrix(4, rng))
         resid = np.linalg.norm(sup.apply(vec(ss.matrix)))
         assert resid <= 1e-10 * sup.norm_estimate()
+
+    def test_kernel_is_solved_once_per_generator(self, monkeypatch):
+        # a trajectory and the steady state of one generator share one
+        # bordered factorization
+        calls = []
+        splu = dyn.spla.splu
+
+        def counting_splu(a):
+            calls.append(a.shape)
+            return splu(a)
+
+        monkeypatch.setattr(dyn.spla, "splu", counting_splu)
+        space = make_space(4)
+        sup = vectorize(models.build_full(space, ModelParams(g0=0.1, n_th=1.0, gamma=1e-3)),
+                        materialize=False)
+        dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 10.0]))
+        dyn.steady_state(sup, dyn.ground_state(space))
+        assert calls == [(sup.dim + 1, sup.dim + 1)]
+        k = dyn.stated_kernel(sup)
+        assert k is dyn.stated_kernel(sup) and not k.flags.writeable
+
+
+class TestSampleCheck:
+    def test_block_minimum_equals_full_minimum(self, rng):
+        # block diagonal by its exact zeros, in a scrambled basis order
+        for sizes in ([1, 1, 2, 4, 4, 3], [6], [2] * 5):
+            blocks = [random_hermitian(n, rng) for n in sizes]
+            d = sum(sizes)
+            m = np.zeros((d, d), dtype=complex)
+            start = 0
+            for b in blocks:
+                m[start : start + b.shape[0], start : start + b.shape[0]] = b
+                start += b.shape[0]
+            perm = rng.permutation(d)
+            m = m[np.ix_(perm, perm)]
+            want = np.linalg.eigvalsh(m).min()
+            assert dyn._min_eigenvalue(m) == pytest.approx(want, abs=1e-14)
+
+    def test_negative_block_is_caught(self):
+        # trace 1, Hermitian, one 2 x 2 block with eigenvalues 1.1 and -0.1
+        m = np.zeros((4, 4), dtype=complex)
+        m[2:, 2:] = [[0.5, 0.6], [0.6, 0.5]]
+        assert dyn._min_eigenvalue(m) == pytest.approx(-0.1)
+        with pytest.raises(NumericalAccuracyError, match="min eigenvalue"):
+            dyn._check_sample(m, 1.0)
 
 
 class TestFitRelaxation:

@@ -26,9 +26,11 @@ from atomcavity.models import (
 from atomcavity.operators import (
     LabeledOperator,
     SystemSpace,
+    atom_swap,
     collective_spin,
     dressed_spin,
     excitation_number,
+    single_atom,
 )
 
 from conftest import random_hermitian
@@ -460,12 +462,45 @@ def test_excitation_sectors(name, g0, eps, n_th, gamma, cutoff):
     d = np.array([n[p % me.dim] - n[p // me.dim] for p in range(sup.dim)])
     lv = sup.as_sparse().tocoo()
     assert np.array_equal(d[lv.row], d[lv.col])
-    # the sectors partition x, d = 0 (with the diagonal) first, and their
-    # spectra make up the full one
+    # each sector lies in one |d| of x = [rho_ii; Re rho_ij; Im rho_ij (i < j)],
+    # d = 0 (with the diagonal) first
+    i, j = np.triu_indices(me.dim, 1)
+    gap_x = np.concatenate((np.zeros(me.dim), np.abs(n[i] - n[j]), np.abs(n[i] - n[j])))
     sectors = sup.sectors()
-    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(sup.dim))
-    assert set(range(me.dim)) <= set(sectors[0])
-    assert len(sectors[0]) == models.zero_sector_dim(n)
+    for sector in sectors:
+        assert len(set(gap_x[sector.basis.tocoo().row])) == 1
+    assert not gap_x[sectors[0].basis.tocoo().row].any()
+    assert sectors[0].dim == models.zero_sector_dim(n, me.swap)
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETRIC_BUILDERS))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    g0=st.floats(0.05, 1.0),
+    eps=st.floats(3.0, 30.0),
+    n_th=st.floats(0.0, 5.0),
+    gamma=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+    cutoff=st.sampled_from([2, 3, 4]),
+)
+def test_sector_spectra_make_up_the_full_spectrum(name, g0, eps, n_th, gamma, cutoff):
+    # every builder states the atom swap; its (|d|, parity) sectors partition
+    # x exactly, the first holds the even part of the diagonal, and the union
+    # of their spectra is the full one
+    me = PARAMETRIC_BUILDERS[name](make_space(cutoff), ModelParams(g0, eps, n_th, gamma))
+    assert np.array_equal(me.swap, atom_swap(me.space))
+    sup = vectorize(me, materialize=False)
+    sectors = sup.sectors()
+    assert len(sectors) > 1
+    whole = sum((s.basis @ s.inverse).toarray() for s in sectors)
+    assert np.array_equal(whole, np.eye(sup.dim))
+    for s in sectors:
+        assert np.array_equal((s.inverse @ s.basis).toarray(), np.eye(s.dim))
+    fwd, _ = hermitian_coordinates(me.dim)
+    first = sectors[0]
+    for rho in (np.eye(me.dim), np.outer(np.eye(me.dim)[0], np.eye(me.dim)[0])):
+        x = (fwd @ vec(rho)).real
+        assert np.array_equal(first.basis @ (first.inverse @ x), x)
+    assert first.dim == models.zero_sector_dim(me.excitations, me.swap)
     full = np.linalg.eigvals(sup.as_dense())
     parts = np.concatenate([np.linalg.eigvals(sup.as_dense(s)) for s in sectors])
     cost = np.abs(full[:, None] - parts[None, :])
@@ -473,9 +508,35 @@ def test_excitation_sectors(name, g0, eps, n_th, gamma, cutoff):
     assert cost[rows, cols].max() <= 1e-10 * np.abs(full).max()
 
 
+def test_a_broken_swap_is_refused():
+    # decay of atom 1 alone breaks the exchange symmetry the model states
+    space = make_space(3)
+    me = build_full(space, ModelParams(g0=0.2, n_th=0.5, gamma=0.1))
+    one_atom = tuple((op, rate) for op, rate in me.dissipators if not op.label.endswith("^2"))
+    assert len(one_atom) == len(me.dissipators) - 2
+    broken = replace(me, dissipators=one_atom)
+    with pytest.raises(NumericalAccuracyError, match="swap"):
+        vectorize(broken, materialize=False).sectors()
+    # the same channels at equal rates on both atoms keep it
+    both = one_atom + tuple(
+        (single_atom(space, "minus" if "minus" in op.label else "plus", 2), rate)
+        for op, rate in one_atom if op.label.endswith("^1")
+    )
+    assert len(vectorize(replace(me, dissipators=both), materialize=False).sectors()) > 1
+
+
+def test_a_swap_that_moves_the_excitation_numbers_is_refused():
+    space = make_space(3)
+    with pytest.raises(ValueError, match="excitation numbers"):
+        replace(build_full(space, ModelParams(g0=0.2, n_th=0.5)), swap=np.arange(12)[::-1])
+
+
 def test_zero_sector_dim_of_the_lab_frame():
     for cutoff in (2, 5, 40, 508):
-        assert models.zero_sector_dim(excitation_number(make_space(cutoff))) == 16 * cutoff - 12
+        space = make_space(cutoff)
+        assert models.zero_sector_dim(excitation_number(space), None) == 16 * cutoff - 12
+        # the atom swap halves it, up to the states it fixes (gg and ee)
+        assert models.zero_sector_dim(excitation_number(space), atom_swap(space)) == 10 * cutoff - 8
 
 
 def test_a_wrongly_stated_label_is_refused():
@@ -487,8 +548,10 @@ def test_a_wrongly_stated_label_is_refused():
 
 
 def test_dense_eig_runs_in_real_arithmetic(monkeypatch):
-    # mi_curve (spectral evolution) and dense analyze hand LAPACK a float64
-    # matrix, so it runs dgeev, not zgeev
+    # mi_curve (spectral evolution) and dense analyze hand LAPACK float64
+    # matrices, so it runs dgeev, not zgeev, on the exchange sectors: from
+    # |gg,0> only the even 640, for the full spectrum the even 640 and the
+    # odd 384 of the 1024 coordinates at cutoff 8
     from atomcavity import observables, spectra
     from atomcavity.dynamics import ground_state
 
@@ -496,12 +559,14 @@ def test_dense_eig_runs_in_real_arithmetic(monkeypatch):
     eig = np.linalg.eig
 
     def recording_eig(a):
-        seen.append(a.dtype)
+        seen.append((a.dtype, a.shape))
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", recording_eig)
-    space = make_space(3)
+    space = make_space(8)
     me = build_coherent_displaced(space, ModelParams(g0=0.25, eps=10.0))
-    observables.mi_curve(me, ground_state(space), np.array([0.0, 1.0, 10.0]))
-    spectra.analyze(vectorize(me))
-    assert seen == [np.float64, np.float64]
+    observables.mi_curve(vectorize(me, materialize=False), ground_state(space),
+                         np.array([0.0, 1.0, 10.0]))
+    assert seen == [(np.float64, (640, 640))]
+    spectra.analyze(vectorize(me, materialize=False))
+    assert seen[1:] == [(np.float64, (640, 640)), (np.float64, (384, 384))]

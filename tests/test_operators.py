@@ -143,3 +143,18 @@ class TestEmbeddingCommutation:
             for w2 in ("plus", "minus", "z"):
                 a2 = ops.single_atom(space, w2, 2).matrix
                 assert_allclose(a1 @ a2, a2 @ a1, atol=1e-15)
+
+
+class TestAtomSwap:
+    def test_exchanges_the_atoms(self):
+        space = ops.make_space(3)
+        p = ops.atom_swap(space)
+        assert np.array_equal(p[p], np.arange(space.dim))
+        swap = np.eye(space.dim)[p]  # (swap @ v)[k] = v[p[k]]
+        s1 = ops.single_atom(space, "minus", 1).matrix
+        s2 = ops.single_atom(space, "minus", 2).matrix
+        assert_allclose(swap @ s1 @ swap.T, s2)
+        for op in (ops.collective_spin(space, "plus"), ops.dressed_spin(space, "z"),
+                   ops.annihilation(space), ops.singlet_projector(space)):
+            assert_allclose(swap @ op.matrix @ swap.T, op.matrix)
+        assert np.array_equal(ops.atom_swap(ops.atomic_space()), [0, 2, 1, 3])

@@ -23,7 +23,10 @@ def diag_superop(values):
         dim = len(values)
         me = MasterEquation(LabeledOperator("0", np.zeros((3, 3), dtype=complex)), (), _Dim3())
 
-        def as_dense(self):
+        def sectors(self):
+            return models.hermitian_sectors(3, None, None)
+
+        def as_dense(self, sector=None):
             return np.diag(np.asarray(values, dtype=complex))
 
     return _Sup()
