@@ -32,11 +32,10 @@ from .errors import (
 )
 from .linalg import eig_general, integrate_ode, real_eigenbasis
 from .models import (
-    SECTOR_LEAK_TOL,
     MasterEquation,
     ModelParams,
+    Sector,
     Superoperator,
-    first_sector_part,
     hermitian_coordinates,
     unvec,
     vec,
@@ -305,7 +304,8 @@ def evolve_spectral(
     (``stated_kernel`` raises otherwise).  The solver's slowest
     eigenvectors, kernel ones included, mix with each other by about
     1e-16 ||L|| / gap (4e-6 at the displaced model's eps = 1000, cutoff 8),
-    which their decay would leave behind in rho(t) as trace errors.  So there the kernel columns of the eigenbasis are replaced by
+    which their decay would leave behind in rho(t) as trace errors.  So in
+    the first sector the kernel columns of the eigenbasis are replaced by
     ``stated_kernel`` K (exact to round-off, C^dag K = I, mapped into y), and
     each decaying mode r, which carries no conserved charge (C^dag r = 0,
     with the charges as the dual rows vec(Q)^dag T^-1 E), has its admixture
@@ -398,87 +398,118 @@ def _charges(me: MasterEquation) -> list[np.ndarray]:
 
 
 def stated_kernel(sup: Superoperator) -> np.ndarray:
-    """Basis of the generator's kernel dual to the model's conserved charges.
+    """Basis of the generator's kernel dual to the model's conserved charges,
+    solved on the first sector, where the kernel and the charges lie.
 
-    With C = [vec(I), vec(Q_1), ...] for the conserved quantities Q_j of
-    ``me.conserved``, column j of the returned K solves the bordered system
+    In the coordinates y of the first of ``sup.sectors()`` (d = 0, exchange
+    parity +1), with L_0 = ``sup.block`` of it and the charges as the real
+    rows c_j = vec(Q_j)^dag T^-1 E (Tr[Q_j rho] = c_j y; Q_0 = I, then
+    ``me.conserved``), column j of K solves the real bordered system
 
-        [[L, C], [C^dag, 0]] [x; mu] = [0; e_j]
+        [[L_0, c^T], [c, 0]] [y; mu] = [0; e_j]
 
     from one sparse LU, so L K = 0 and C^dag K = I to round-off: the
-    asymptotic state of rho0 is K C^dag vec(rho0).  The charges are Hermitian
-    and L commutes with the adjoint, so each column is a Hermitian matrix; the
-    solve leaves an anti-Hermitian error of about 1e-16 ||L|| / gap (2.4e-6 on
-    the displaced model at eps = 3000, cutoff 8), which is dropped.  The
-    charges must lie in the first sector (``first_sector_part``; a charge
-    with weight elsewhere raises ``NumericalAccuracyError``), and then so
-    does each column, since L commutes with the stated symmetries: the
-    solve's error outside it (4.2e-6 odd under the swap at eps = 3000) is
-    dropped too.  A bordered matrix that is
-    singular, exactly or to working precision, means the kernel is larger
-    than the model states (``KernelAmbiguityError``); a residual ||L x|| or
-    multiplier mu above round-off means a stated Q is not conserved
-    (``NumericalAccuracyError``).  Solved once per generator: the result is
-    kept on ``sup`` (read-only) for ``evolve_spectral`` and ``steady_state``.
+    asymptotic state of rho0 is K C^dag vec(rho0).  The columns are returned
+    as vec(rho) of the Hermitian matrices T^-1 E y.  A charge with any
+    weight outside the first sector raises ``NumericalAccuracyError``: its
+    part there, E F T vec(Q), has power-of-two maps, so a charge inside is
+    reproduced exactly.  A bordered matrix that is singular, exactly or to
+    working precision, means the kernel is larger in the first sector than
+    the model states (``KernelAmbiguityError``; ``steady_state`` also checks
+    the other sectors); a residual ||L_0 y|| or multiplier mu above
+    round-off means a stated Q is not conserved (``NumericalAccuracyError``).
+    Solved once per generator: the result is kept on ``sup`` (read-only) for
+    ``evolve_spectral`` and ``steady_state``.
     """
     if sup._kernel is not None:
         return sup._kernel
     me = sup.me
     name = me.label or "the model"
     charges = _charges(me)
-    c_dense = np.column_stack([vec(q) for q in charges])
-    outside = float(np.abs(c_dense - first_sector_part(me, c_dense)).max())
-    if outside > SECTOR_LEAK_TOL * float(np.abs(c_dense).max()):
+    first = sup.sectors()[0]
+    fwd, inv = hermitian_coordinates(me.dim)
+    vq = np.column_stack([vec(q) for q in charges])
+    xq = (fwd @ vq).real
+    outside = float(np.abs(xq - first.basis @ (first.inverse @ xq)).max())
+    if outside:
         raise NumericalAccuracyError(
             f"a stated charge of {name} has weight {outside:.2e} outside the first "
             "sector, where the kernel lies"
         )
-    c = sp.csc_matrix(c_dense)
-    lv = sup.as_sparse()
-    bordered = sp.bmat([[lv, c], [c.conj().T, None]], format="csc")
-    rhs = np.zeros((bordered.shape[0], len(charges)), dtype=complex)
-    rhs[sup.dim :] = np.eye(len(charges))
-    try:
-        lu = spla.splu(bordered)
-    except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        cond = np.inf
-    else:
-        inv = spla.LinearOperator(
-            bordered.shape,
-            matvec=lu.solve,
-            rmatvec=lambda v: lu.solve(v, trans="H"),
-            dtype=complex,
-        )
-        cond = float(abs(bordered).sum(axis=0).max()) * spla.onenormest(inv)
-    if not cond <= BORDERED_COND_MAX:
-        raise KernelAmbiguityError(
-            f"the kernel of {name} is larger than its {len(charges)} stated conserved "
-            "quantities (identity included) fix: the bordered matrix is singular to "
-            f"working precision (condition {cond:.1e})"
-        )
+    c = (first.basis.T @ (inv.T @ vq.conj())).real  # columns c_j^T
+    l0 = sup.block(first)
+    bordered = sp.bmat([[l0, sp.csc_matrix(c)], [sp.csr_matrix(c.T), None]], format="csc")
+    rhs = np.zeros((bordered.shape[0], len(charges)))
+    rhs[first.dim :] = np.eye(len(charges))
+    lu = _regular_lu(
+        bordered,
+        f"the kernel of {name} is larger than its {len(charges)} stated conserved "
+        "quantities (identity included) fix: the bordered generator on the first "
+        "sector is singular to working precision",
+    )
     sol = lu.solve(rhs)
-    mu = sol[sup.dim :]
-    cube = sol[: sup.dim].reshape(me.dim, me.dim, len(charges), order="F")
-    k = ((cube + cube.conj().transpose(1, 0, 2)) / 2.0).reshape(sup.dim, -1, order="F")
-    k = first_sector_part(me, k)
-    scale = sup.norm_estimate() * np.linalg.norm(k, axis=0)
-    resid = np.maximum(np.linalg.norm(lv @ k, axis=0), np.linalg.norm(c @ mu, axis=0))
+    y, mu = sol[: first.dim], sol[first.dim :]
+    scale = sup.norm_estimate() * np.linalg.norm(y, axis=0)
+    resid = np.maximum(np.linalg.norm(l0 @ y, axis=0), np.linalg.norm(c @ mu, axis=0))
     worst = float((resid / scale).max())
     if not worst <= STEADY_RESIDUAL_TOL:
         raise NumericalAccuracyError(
             f"steady-state residual {worst:.2e} > {STEADY_RESIDUAL_TOL:.0e} (relative to "
-            f"||L||_1 ||x||); a stated conserved quantity of {name} is not conserved"
+            f"||L||_1 ||y||); a stated conserved quantity of {name} is not conserved"
         )
+    k = inv @ (first.basis @ y)
     k.setflags(write=False)
     sup._kernel = k
     return k
+
+
+def _regular_lu(a: sp.csc_matrix, message: str) -> spla.SuperLU:
+    """Sparse LU of ``a``, refused with ``KernelAmbiguityError(message)``
+    when ``a`` is singular, exactly (SuperLU: "Factor is exactly singular")
+    or to working precision (1-norm condition estimate above
+    ``BORDERED_COND_MAX``)."""
+    try:
+        lu = spla.splu(a)
+    except RuntimeError:
+        cond = np.inf
+    else:
+        op = spla.LinearOperator(
+            a.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="T"), dtype=a.dtype
+        )
+        cond = float(abs(a).sum(axis=0).max()) * spla.onenormest(op)
+    if not cond <= BORDERED_COND_MAX:
+        raise KernelAmbiguityError(f"{message} (condition {cond:.1e})")
+    return lu
+
+
+def _check_other_sectors(sup: Superoperator) -> None:
+    """Refuse a kernel outside the first sector (``KernelAmbiguityError``).
+
+    The generator on the other sectors is block diagonal, so one sparse LU
+    of it fills in only inside the blocks, and it is singular exactly when
+    one of them holds a stationary state the model does not state (an
+    atomic coherence |gg><S| under a zero-temperature bath, say).
+    """
+    rest = sup.sectors()[1:]
+    if not rest:
+        return
+    union = Sector(
+        sp.hstack([s.basis for s in rest], format="csc"),
+        sp.vstack([s.inverse for s in rest], format="csr"),
+    )
+    _regular_lu(
+        sup.block(union).tocsc(),
+        f"the kernel of {sup.me.label or 'the model'} is larger than stated: the "
+        "generator on the sectors other than the first is singular to working precision",
+    )
 
 
 def steady_state(sup: Superoperator, rho0: DensityMatrix | None = None) -> DensityMatrix:
     """The t -> infinity limit of the generator: the element of
     ``stated_kernel`` with the conserved values of ``rho0`` (trace 1 for
     Q = I).  ``rho0`` may be omitted only when nothing but the trace is
-    conserved."""
+    conserved.  Every sector other than the first must be free of a kernel,
+    since rho0 may occupy any of them."""
     me = sup.me
     if rho0 is None and me.conserved:
         raise KernelAmbiguityError(
@@ -487,6 +518,7 @@ def steady_state(sup: Superoperator, rho0: DensityMatrix | None = None) -> Densi
             "depends on the initial state - pass rho0"
         )
     k = stated_kernel(sup)
+    _check_other_sectors(sup)
     if rho0 is None:
         x = k[:, 0]
     else:

@@ -76,8 +76,7 @@ DENSE_IMAG_TOL = 1e-14
 #: largest entry of P L P - L, P the stated swap on vec(rho), relative to
 #: ||L||_1; measured exactly 0 at gamma = 0 and 8.9e-16 at gamma = 1e-3
 #: (the two atoms' channels summed in either order), so anything above
-#: round-off means L breaks the stated symmetry.  Also the largest weight of
-#: a stated charge outside the first sector, relative to its largest entry.
+#: round-off means L breaks the stated symmetry
 SECTOR_LEAK_TOL = 1e-14
 
 
@@ -224,12 +223,12 @@ class Superoperator:
     """Liouvillian acting on column-stacked density matrices.
 
     The CSR matrix is the one representation of the generator: it is
-    assembled on first use and ``apply`` is a mat-vec with it.  ``as_dense``
-    is the real float64 matrix T L T^-1 in the Hermitian coordinates of
-    ``hermitian_coordinates``, on one sector or on all of x, made from the
-    CSR matrix and refused above ``linalg.DENSE_CAP``.
-    ``dynamics.stated_kernel`` keeps its solve beside the CSR matrix, so
-    one generator is factorized once.
+    assembled on first use and ``apply`` is a mat-vec with it.  ``block``
+    is the real matrix T L T^-1 in the Hermitian coordinates of
+    ``hermitian_coordinates`` on one sector, made from the CSR matrix, and
+    ``as_dense`` its dense copy, refused above ``linalg.DENSE_CAP``.  The
+    sectors and ``dynamics.stated_kernel``'s solve are kept beside the CSR
+    matrix, so one generator is split and factorized once.
     """
 
     def __init__(self, me: MasterEquation):
@@ -237,6 +236,7 @@ class Superoperator:
         self.dim = me.dim**2
         self._dense: np.ndarray | None = None
         self._sparse: sp.csr_matrix | None = None
+        self._sectors: list[Sector] | None = None
         self._kernel: np.ndarray | None = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -251,9 +251,14 @@ class Superoperator:
         A stated symmetry that L breaks raises ``NumericalAccuracyError``:
         for the excitation numbers any entry of L that links two |d|, for
         the swap P any entry of P L P - L above ``SECTOR_LEAK_TOL`` ||L||_1.
-        Built only when asked for; a model that states nothing is one
+        Built only when first asked for; a model that states nothing is one
         sector, all of x.
         """
+        if self._sectors is None:
+            self._sectors = self._split()
+        return self._sectors
+
+    def _split(self) -> list[Sector]:
         me = self.me
         name = me.label or "the model"
         lv = self.as_sparse()
@@ -278,30 +283,37 @@ class Superoperator:
         return hermitian_sectors(me.dim, labels, me.swap)
 
     def as_dense(self, sector: Sector | None = None) -> np.ndarray:
-        """The real generator F T L T^-1 E on ``sector``, an entry of
-        ``sectors()``; on all of x, cached, by default."""
+        """The dense copy of ``block(sector)``; on all of x, cached, by
+        default."""
         if sector is not None:
-            return self._real_block(sector)
+            return self._dense_block(sector)
         if self._dense is None:
-            self._dense = self._real_block(hermitian_sectors(self.me.dim, None, None)[0])
+            self._dense = self._dense_block(hermitian_sectors(self.me.dim, None, None)[0])
         return self._dense
 
-    def _real_block(self, sector: Sector) -> np.ndarray:
+    def _dense_block(self, sector: Sector) -> np.ndarray:
         if sector.dim > DENSE_CAP:
             raise DimensionLimitError(
                 f"superoperator dimension {sector.dim} exceeds the dense cap "
                 f"{DENSE_CAP}; use the sparse representation"
             )
+        return self.block(sector).toarray()
+
+    def block(self, sector: Sector) -> sp.csr_matrix:
+        """The real generator F T L T^-1 E on ``sector`` (an entry of
+        ``sectors()``, or any union of them) as a CSR matrix.  Refused when
+        its imaginary part exceeds ``DENSE_IMAG_TOL`` ||L||_1: L does not
+        preserve Hermiticity."""
         fwd, inv = hermitian_coordinates(self.me.dim)
-        dense = (sector.inverse @ fwd @ self.as_sparse() @ inv @ sector.basis).toarray()
-        imag = float(np.abs(dense.imag).max())
+        blk = (sector.inverse @ fwd @ self.as_sparse() @ inv @ sector.basis).tocsr()
+        imag = float(abs(blk.imag).max()) if blk.nnz else 0.0
         if imag > DENSE_IMAG_TOL * self.norm_estimate():
             raise NumericalAccuracyError(
                 f"the generator of {self.me.label or 'the model'} is not real in "
                 f"Hermitian coordinates: imaginary part {imag:.2e}; it does not "
                 "preserve Hermiticity"
             )
-        return np.ascontiguousarray(dense.real)
+        return blk.real.tocsr()
 
     def as_sparse(self) -> sp.csr_matrix:
         if self._sparse is None:
@@ -411,19 +423,6 @@ def vec_swap(swap: np.ndarray) -> np.ndarray:
     """The positions q with vec(P rho P) = vec(rho)[q], P the basis
     permutation ``swap`` (an involution, so P rho P = rho_{p(i) p(j)})."""
     return np.add.outer(swap.size * swap, swap).ravel()
-
-
-def first_sector_part(me: MasterEquation, v: np.ndarray) -> np.ndarray:
-    """The part of the columns vec(rho) of ``v`` in the first sector of
-    ``hermitian_sectors`` for the symmetries ``me`` states: the elements
-    rho_ij of N_i != N_j dropped, then the mean of rho and P rho P."""
-    out = np.array(v)
-    if me.excitations is not None:
-        n = me.excitations
-        out[np.subtract.outer(n, n).ravel(order="F") != 0] = 0.0
-    if me.swap is not None:
-        out = (out + out[vec_swap(me.swap)]) / 2.0
-    return out
 
 
 def zero_sector_dim(labels: np.ndarray | None, swap: np.ndarray | None) -> int:

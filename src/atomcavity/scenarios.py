@@ -35,6 +35,13 @@ SCENARIOS = (
 
 UNITS_HEADER = "# units: all rates and times in units of kappa (kappa = 1)"
 
+#: largest vec(rho) length D^2 of an exact thermal trajectory: besides its
+#: dense sector, the run assembles the full CSR generator (about 7 D^2
+#: entries) and keeps every sample as a full D x D matrix.  2^20 is cutoff
+#: 256, where a 61-sample run peaks at 3.2 GB; cutoff 408 (n_th = 80)
+#: passes 1.9 GB before its first sample
+EXACT_STATE_CAP = 2**20
+
 _PARAM_COLUMNS = ["g0", "eps", "n_th", "gamma", "cutoff", "seed"]
 
 #: CSV columns of every scenario, in file order
@@ -351,9 +358,10 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         grid = _grid(config, pt)
         cutoff = _thermal_cutoff(p.n_th) if config.cutoff == "auto" else int(config.cutoff)
         space = make_space(cutoff)
-        # |gg,0> occupies only the d = 0, even sector, which is evolved densely
+        # |gg,0> occupies only the d = 0, even sector, which is evolved densely;
+        # the samples and the generator it is cut from span the full space
         dim = models.zero_sector_dim(excitation_number(space), atom_swap(space))
-        run_exact = dim <= linalg.DENSE_CAP
+        run_exact = dim <= linalg.DENSE_CAP and space.dim**2 <= EXACT_STATE_CAP
         if run_exact:
             sup = vectorize(models.build_full(space, p), materialize=False)
             mi_exact = obs.mi_curve(sup, dyn.ground_state(space), grid)

@@ -209,6 +209,36 @@ class TestOutputs:
         assert rows[0]["cutoff"] == (16 if exact else "effective-only")
         assert bool(np.isfinite(rows[-1]["mi_exact"])) is exact
 
+    def test_mi_incoherent_stays_effective_only_while_its_states_exceed_the_cap(self):
+        # at n_th = 60 (cutoff 308) the sector, 3072, fits the dense cap, but
+        # the full space holds 1232^2 coordinates per sample
+        config = scenarios.ScenarioConfig(
+            "mi-incoherent",
+            params={"g0": [0.01], "n_th": [60.0]},
+            time_grid={"t_max": 100.0, "points": 4, "t_min": 1.0},
+        )
+        rows, summary = scenarios.run_mi_incoherent(config)
+        (curve,) = summary["curves"].values()
+        assert curve["dim"] == 10 * 308 - 8 <= scenarios.linalg.DENSE_CAP
+        assert curve["exact_run"] is False and curve["evolution"] == "effective-only"
+        assert rows[0]["cutoff"] == "effective-only" and np.isnan(rows[-1]["mi_exact"])
+
+    @pytest.mark.parametrize("cap,exact", [(64**2 - 1, False), (64**2, True)])
+    def test_mi_incoherent_runs_exactly_while_its_states_fit_the_cap(
+        self, monkeypatch, cap, exact
+    ):
+        # n_th = 1 runs at cutoff 16: 64 basis states
+        monkeypatch.setattr(scenarios, "EXACT_STATE_CAP", cap)
+        config = scenarios.ScenarioConfig(
+            "mi-incoherent",
+            params={"g0": [0.01], "n_th": [1.0]},
+            time_grid={"t_max": 100.0, "points": 4, "t_min": 1.0},
+        )
+        rows, summary = scenarios.run_mi_incoherent(config)
+        (curve,) = summary["curves"].values()
+        assert curve["exact_run"] is exact
+        assert bool(np.isfinite(rows[-1]["mi_exact"])) is exact
+
     def test_real_detector_thermal_entries_record_the_evolution(self, tmp_path):
         cfg = write_config(
             tmp_path,

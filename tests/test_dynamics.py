@@ -379,8 +379,9 @@ class TestSteadyState:
         assert resid <= 1e-10 * sup.norm_estimate()
 
     def test_kernel_is_solved_once_per_generator(self, monkeypatch):
-        # a trajectory and the steady state of one generator share one
-        # bordered factorization
+        # a trajectory factorizes only the bordered generator on the first
+        # sector; the steady state reuses that solve and adds one LU of the
+        # other sectors, which must hold no kernel
         calls = []
         splu = dyn.spla.splu
 
@@ -393,8 +394,11 @@ class TestSteadyState:
         sup = vectorize(models.build_full(space, ModelParams(g0=0.1, n_th=1.0, gamma=1e-3)),
                         materialize=False)
         dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 10.0]))
+        first = sup.sectors()[0]
+        assert calls == [(first.dim + 1, first.dim + 1)]
         dyn.steady_state(sup, dyn.ground_state(space))
-        assert calls == [(sup.dim + 1, sup.dim + 1)]
+        rest = sup.dim - first.dim
+        assert calls == [(first.dim + 1, first.dim + 1), (rest, rest)]
         k = dyn.stated_kernel(sup)
         assert k is dyn.stated_kernel(sup) and not k.flags.writeable
 
