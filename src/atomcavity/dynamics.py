@@ -36,7 +36,6 @@ from .models import (
     ModelParams,
     Sector,
     Superoperator,
-    hermitian_coordinates,
     unvec,
     vec,
     vectorize,
@@ -246,14 +245,11 @@ def _check_sample(m: np.ndarray, t: float) -> None:
         )
 
 
-def _as_trajectory(
-    raw: np.ndarray, t_grid: np.ndarray, space: SystemSpace, validate: bool
-) -> Trajectory:
+def _as_trajectory(raw: np.ndarray, t_grid: np.ndarray, space: SystemSpace) -> Trajectory:
     states = []
     for row, t in zip(raw, t_grid):
         m = unvec(row)
-        if validate:
-            _check_sample(m, t)
+        _check_sample(m, t)
         states.append(DensityMatrix(m, space))
     return Trajectory(np.asarray(t_grid, dtype=float), tuple(states))
 
@@ -280,25 +276,23 @@ def evolve_ode(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> T
         return out
 
     raw = integrate_ode(rhs, vec(rho0.matrix), t_grid, sup.as_sparse())
-    return _as_trajectory(raw, t_grid, rho0.space, True)
+    return _as_trajectory(raw, t_grid, rho0.space)
 
 
-def evolve_spectral(
-    sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray, validate: bool = True
-) -> Trajectory:
+def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> Trajectory:
     """Evolve through the dense eigenbasis of the generator, in real
     arithmetic, one sector at a time.
 
-    ``sup.as_dense(sector)`` is the real generator F T L T^-1 E in the
-    Hermitian coordinates x of ``models.hermitian_coordinates`` on one of
-    ``sup.sectors()``: the |d| excitation sectors (all of x when the model
-    states no excitation numbers) split by exchange parity when it states
-    the atom swap.  The generator never mixes sectors, so each one that rho0
-    occupies evolves alone from y0 = F x0, with x(t) = x0 + E ``_motion`` of
-    its modes, and the others stay 0: rho0 itself at t = 0.  Every sample is
-    read back from real x, so it is Hermitian exactly; x0 holds the
-    coordinates of rho0's Hermitian part, which is rho0 itself for a
-    Hermitian rho0.
+    ``sup.as_dense(sector)`` is the real generator F T L B on one of
+    ``sup.sectors()``: the |d| excitation sectors (all of vec(rho) when the
+    model states no excitation numbers) split by exchange parity when it
+    states the atom swap.  The generator never mixes sectors, so each one
+    that rho0 occupies evolves alone from y0 = F T vec(rho0), with
+    vec(rho(t)) = vec(rho0) + B ``_motion`` of its modes, and the others
+    stay 0: rho0 itself at t = 0.  The motion is real and B maps real y to
+    Hermitian matrices exactly, so every sample is Hermitian exactly; rho0
+    enters as its Hermitian part, which is rho0 itself for a Hermitian rho0.
+    Every sample is checked against ``EVOLUTION_INVARIANT_TOL``.
 
     The kernel lies in the first sector, and so must the stated charges
     (``stated_kernel`` raises otherwise).  The solver's slowest
@@ -306,45 +300,44 @@ def evolve_spectral(
     1e-16 ||L|| / gap (4e-6 at the displaced model's eps = 1000, cutoff 8),
     which their decay would leave behind in rho(t) as trace errors.  So in
     the first sector the kernel columns of the eigenbasis are replaced by
-    ``stated_kernel`` K (exact to round-off, C^dag K = I, mapped into y), and
+    ``stated_kernel`` K (exact to round-off, C^dag K = I, read in y), and
     each decaying mode r, which carries no conserved charge (C^dag r = 0,
-    with the charges as the dual rows vec(Q)^dag T^-1 E), has its admixture
+    with the charges as the rows ``_charge_rows``), has its admixture
     K C^dag r removed: rho(t) tends to ``steady_state(sup, rho0)`` and keeps
     the trace and the conserved values of rho0 at every t.
     """
-    fwd, inv = hermitian_coordinates(sup.me.dim)
-    duals = np.column_stack([inv.T @ vec(q).conj() for q in _charges(sup.me)]).real
-    x0 = (fwd @ vec(rho0.matrix)).real
+    m = rho0.matrix
+    v0 = vec((m + m.conj().T) / 2.0)
     t = np.asarray(t_grid, dtype=float)
     sectors = sup.sectors()
-    first_duals = sectors[0].basis.T @ duals  # the charges as rows on y of the first sector
+    c = _charge_rows(sup.me, sectors[0])
     motions = []
     for n, sector in enumerate(sectors):
-        y0 = sector.inverse @ x0
+        y0 = (sector.inverse @ v0).real
         if n and not y0.any():
             continue  # an empty sector stays empty
-        w, v, kernel = _real_modes(sup.as_dense(sector), duals.shape[1] if n == 0 else 0)
+        w, v, kernel = _real_modes(sup.as_dense(sector), c.shape[1] if n == 0 else 0)
         if n == 0:
-            k = sector.inverse @ (fwd @ stated_kernel(sup)).real  # Hermitian columns: real exactly
-            admixture = first_duals.T @ v
+            k = (sector.inverse @ stated_kernel(sup)).real  # Hermitian columns: real exactly
+            admixture = c.T @ v
             admixture[:, kernel] = 0.0
             for i in range(0, v.shape[0], _ROW_BLOCK):  # in place: v is the largest array here
                 v[i : i + _ROW_BLOCK] -= k[i : i + _ROW_BLOCK] @ admixture
             v[:, kernel] = k
         motions.append((sector, _motion(w, v, y0, t)))
         del w, v  # freed before the next sector's eigendecomposition
-    x = np.repeat(x0[:, None], t.size, axis=1)  # made after the eigendecompositions
+    raw = np.repeat(v0[:, None], t.size, axis=1)  # made after the eigendecompositions
     for sector, dy in motions:
-        rows = np.unique(sector.basis.indices)  # the coordinates the sector touches
-        x[rows] += sector.basis[rows] @ dy
-    return _as_trajectory((inv @ x).T, t, rho0.space, validate)
+        rows = np.unique(sector.basis.indices)  # the positions the sector touches
+        raw[rows] += sector.basis[rows] @ dy
+    return _as_trajectory(raw.T, t, rho0.space)
 
 
 def _real_modes(a: np.ndarray, kernel_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues w, real eigenbasis B and kernel mask of a real generator.
+    """Eigenvalues w, real eigenbasis V and kernel mask of a real generator.
 
     The eigenvalues of a real matrix are real or come in exact conjugate
-    pairs, and B is the real basis of ``linalg.real_eigenbasis``.  The
+    pairs, and V is the real basis of ``linalg.real_eigenbasis``.  The
     ``kernel_dim`` kernel eigenvalues (``spectra.zero_modes``) are set to
     exactly 0, so the kernel part of a state never changes, however far the
     solver puts them from 0; a kernel that splits a conjugate pair raises.
@@ -369,16 +362,16 @@ def _real_modes(a: np.ndarray, kernel_dim: int) -> tuple[np.ndarray, np.ndarray,
     return np.where(kernel, 0.0, w), v, kernel
 
 
-def _motion(w: np.ndarray, v: np.ndarray, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """x(t) - x0 for the modes (w, B) of ``_real_modes``, one column per time.
+def _motion(w: np.ndarray, v: np.ndarray, y0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """y(t) - y0 for the modes (w, V) of ``_real_modes``, one column per time.
 
-    With real coefficients b = B^-1 x0, x(t) - x0 = sum_j Re[(e^{w_j t} - 1)
+    With real coefficients b = V^-1 y0, y(t) - y0 = sum_j Re[(e^{w_j t} - 1)
     g_j u_j] over the real eigenvalues and the first member of each pair,
-    where u_j = B_j + i B_{j+1} and g_j = b_j - i b_{j+1} for a pair
-    (u_j = B_j, g_j = b_j otherwise).
+    where u_j = V_j + i V_{j+1} and g_j = b_j - i b_{j+1} for a pair
+    (u_j = V_j, g_j = b_j otherwise).
     """
     upper = np.flatnonzero(w.imag > 0.0)
-    b = np.linalg.solve(v, x0)
+    b = np.linalg.solve(v, y0)
     g = b.astype(complex)
     g[upper] -= 1j * b[upper + 1]
     z = np.expm1(np.outer(t, w)) * g
@@ -397,22 +390,31 @@ def _charges(me: MasterEquation) -> list[np.ndarray]:
     return [np.eye(me.dim, dtype=complex)] + [q.matrix for q in me.conserved]
 
 
+def _charge_rows(me: MasterEquation, sector: Sector) -> np.ndarray:
+    """The charges Q_j of ``_charges`` as the columns c_j^T = B^T conj(vec(Q_j))
+    on ``sector``: Tr[Q_j rho] = c_j y for a state in it, real for a
+    Hermitian Q_j."""
+    vq = np.column_stack([vec(q) for q in _charges(me)])
+    return (sector.basis.T @ vq.conj()).real
+
+
 def stated_kernel(sup: Superoperator) -> np.ndarray:
     """Basis of the generator's kernel dual to the model's conserved charges,
     solved on the first sector, where the kernel and the charges lie.
 
     In the coordinates y of the first of ``sup.sectors()`` (d = 0, exchange
     parity +1), with L_0 = ``sup.block`` of it and the charges as the real
-    rows c_j = vec(Q_j)^dag T^-1 E (Tr[Q_j rho] = c_j y; Q_0 = I, then
-    ``me.conserved``), column j of K solves the real bordered system
+    rows c_j = vec(Q_j)^dag B of ``_charge_rows`` (Tr[Q_j rho] = c_j y;
+    Q_0 = I, then ``me.conserved``), column j of K solves the real bordered
+    system
 
         [[L_0, c^T], [c, 0]] [y; mu] = [0; e_j]
 
     from one sparse LU, so L K = 0 and C^dag K = I to round-off: the
     asymptotic state of rho0 is K C^dag vec(rho0).  The columns are returned
-    as vec(rho) of the Hermitian matrices T^-1 E y.  A charge with any
-    weight outside the first sector raises ``NumericalAccuracyError``: its
-    part there, E F T vec(Q), has power-of-two maps, so a charge inside is
+    as vec(rho) of the Hermitian matrices B y.  A charge with any weight
+    outside the first sector raises ``NumericalAccuracyError``: its part
+    there, B F T vec(Q), has power-of-two maps, so a charge inside is
     reproduced exactly.  A bordered matrix that is singular, exactly or to
     working precision, means the kernel is larger in the first sector than
     the model states (``KernelAmbiguityError``; ``steady_state`` also checks
@@ -427,16 +429,14 @@ def stated_kernel(sup: Superoperator) -> np.ndarray:
     name = me.label or "the model"
     charges = _charges(me)
     first = sup.sectors()[0]
-    fwd, inv = hermitian_coordinates(me.dim)
     vq = np.column_stack([vec(q) for q in charges])
-    xq = (fwd @ vq).real
-    outside = float(np.abs(xq - first.basis @ (first.inverse @ xq)).max())
+    outside = float(np.abs(vq - first.basis @ (first.inverse @ vq)).max())
     if outside:
         raise NumericalAccuracyError(
             f"a stated charge of {name} has weight {outside:.2e} outside the first "
             "sector, where the kernel lies"
         )
-    c = (first.basis.T @ (inv.T @ vq.conj())).real  # columns c_j^T
+    c = _charge_rows(me, first)
     l0 = sup.block(first)
     bordered = sp.bmat([[l0, sp.csc_matrix(c)], [sp.csr_matrix(c.T), None]], format="csc")
     rhs = np.zeros((bordered.shape[0], len(charges)))
@@ -457,7 +457,7 @@ def stated_kernel(sup: Superoperator) -> np.ndarray:
             f"steady-state residual {worst:.2e} > {STEADY_RESIDUAL_TOL:.0e} (relative to "
             f"||L||_1 ||y||); a stated conserved quantity of {name} is not conserved"
         )
-    k = inv @ (first.basis @ y)
+    k = first.basis @ y
     k.setflags(write=False)
     sup._kernel = k
     return k

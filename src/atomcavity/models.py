@@ -21,24 +21,26 @@ Every builder is symmetric under exchanging the two atoms (collective
 operators, per-atom channels at equal rates): L commutes with rho ->
 P rho P, P the swap (a weak symmetry).  Each builder states the swap
 (``MasterEquation.swap``), and the generator then never mixes the parts of
-x (below) of even and odd exchange parity.  Models without a drive also
-conserve d = N_ket - N_bra, with N = atom1 + atom2 + n the excitation
-number (a weak U(1) symmetry; atomic decay keeps it too, since
-sigma_- rho sigma_+ lowers N on both sides).  Such a builder states N of
-each basis state (``MasterEquation.excitations``), and the generator never
-mixes the elements rho_ij of different |N_i - N_j|.  A sector is one |d|
-(all of x when no N is stated) intersected with one exchange parity
+even and odd exchange parity.  Models without a drive also conserve
+d = N_ket - N_bra, with N = atom1 + atom2 + n the excitation number (a weak
+U(1) symmetry; atomic decay keeps it too, since sigma_- rho sigma_+ lowers
+N on both sides).  Such a builder states N of each basis state
+(``MasterEquation.excitations``), and the generator never mixes the
+elements rho_ij of different |N_i - N_j|.  A sector is one |d| (all of
+vec(rho) when no N is stated) intersected with one exchange parity
 (``Superoperator.sectors``); each is evolved and diagonalized alone.
 
-The dense copy of L, for full eigendecompositions, is real: L maps Hermitian
-matrices to Hermitian matrices, so in the coordinates
+Each sector has real coordinates y and maps vec(rho) <-> y directly.  L
+maps Hermitian matrices to Hermitian matrices, so in the coordinates
 
     x = [rho_ii; Re rho_ij; Im rho_ij  (i < j)]
 
-of a D x D matrix it is T L T^-1 with real entries.  The maps T and T^-1
-(``hermitian_coordinates``) have entries 1, 1/2, +-i/2 and 1, +-i: powers of
-two, so vec(rho) -> x -> vec(rho) is exact for a Hermitian rho, and every
-matrix read back from real x is Hermitian exactly.
+of a D x D matrix it is T L T^-1 with real entries; a sector's columns E
+are unit vectors of x or swapped pairs of them, and its maps are the
+products T^-1 E and F T (``hermitian_sectors``), built once per generator.
+Their entries are +-1, +-i and +-1/2^k, so y is real exactly for a
+Hermitian rho, every matrix read back from real y is Hermitian exactly,
+and the generator on a sector (``Superoperator.block``) is real.
 
 Rates and times are expressed in units of kappa, which is pinned to 1.
 """
@@ -201,14 +203,14 @@ class MasterEquation:
 
 @dataclass(frozen=True)
 class Sector:
-    """A block of the generator in the Hermitian coordinates x of
-    ``hermitian_coordinates``.
+    """A block of the generator, with real coordinates y.
 
-    The columns of ``basis`` (E) span it; ``inverse`` (F, with F E = I)
-    reads its coordinates y = F x off an x that lies in it, and the
-    generator restricted to it is F T L T^-1 E.  A column is a unit vector
-    e_k or a swapped pair e_k +- e_l, so E has entries +-1 and F entries
-    +-1 and +-1/2: every map is exact in floating point.
+    ``basis`` (B = T^-1 E) takes y to vec(rho) and ``inverse`` (F T, with
+    F T B = I) reads y off a vec(rho) that lies in it; the generator
+    restricted to it is F T L B.  T and T^-1 are the maps of
+    ``hermitian_coordinates``; a column of E is a unit vector e_k of x or a
+    swapped pair e_k +- e_l.  B has entries +-1 and +-i and F T entries
+    +-1/2^k and +-i/2^k (k <= 2), so each is exact in floating point.
     """
 
     basis: sp.csc_matrix
@@ -224,11 +226,11 @@ class Superoperator:
 
     The CSR matrix is the one representation of the generator: it is
     assembled on first use and ``apply`` is a mat-vec with it.  ``block``
-    is the real matrix T L T^-1 in the Hermitian coordinates of
-    ``hermitian_coordinates`` on one sector, made from the CSR matrix, and
-    ``as_dense`` its dense copy, refused above ``linalg.DENSE_CAP``.  The
-    sectors and ``dynamics.stated_kernel``'s solve are kept beside the CSR
-    matrix, so one generator is split and factorized once.
+    is the real generator on one sector, made from the CSR matrix and the
+    sector's maps, and ``as_dense`` its dense copy, refused above
+    ``linalg.DENSE_CAP``.  The sectors (with their maps) and
+    ``dynamics.stated_kernel``'s solve are kept beside the CSR matrix, so
+    one generator is split and factorized once.
     """
 
     def __init__(self, me: MasterEquation):
@@ -252,7 +254,7 @@ class Superoperator:
         for the excitation numbers any entry of L that links two |d|, for
         the swap P any entry of P L P - L above ``SECTOR_LEAK_TOL`` ||L||_1.
         Built only when first asked for; a model that states nothing is one
-        sector, all of x.
+        sector, all of vec(rho).
         """
         if self._sectors is None:
             self._sectors = self._split()
@@ -283,8 +285,8 @@ class Superoperator:
         return hermitian_sectors(me.dim, labels, me.swap)
 
     def as_dense(self, sector: Sector | None = None) -> np.ndarray:
-        """The dense copy of ``block(sector)``; on all of x, cached, by
-        default."""
+        """The dense copy of ``block(sector)``; on all of vec(rho), cached,
+        by default."""
         if sector is not None:
             return self._dense_block(sector)
         if self._dense is None:
@@ -300,12 +302,11 @@ class Superoperator:
         return self.block(sector).toarray()
 
     def block(self, sector: Sector) -> sp.csr_matrix:
-        """The real generator F T L T^-1 E on ``sector`` (an entry of
+        """The real generator F T L B on ``sector`` (an entry of
         ``sectors()``, or any union of them) as a CSR matrix.  Refused when
         its imaginary part exceeds ``DENSE_IMAG_TOL`` ||L||_1: L does not
         preserve Hermiticity."""
-        fwd, inv = hermitian_coordinates(self.me.dim)
-        blk = (sector.inverse @ fwd @ self.as_sparse() @ inv @ sector.basis).tocsr()
+        blk = (sector.inverse @ self.as_sparse() @ sector.basis).tocsr()
         imag = float(abs(blk.imag).max()) if blk.nnz else 0.0
         if imag > DENSE_IMAG_TOL * self.norm_estimate():
             raise NumericalAccuracyError(
@@ -375,10 +376,13 @@ def hermitian_coordinates(d: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 def hermitian_sectors(
     d: int, labels: np.ndarray | None, swap: np.ndarray | None
 ) -> list[Sector]:
-    """The sectors of the coordinates x (``hermitian_coordinates``) of a
-    d x d matrix: one per |N_i - N_j| of the excitation numbers ``labels``
-    (ascending; all of x when None) and exchange parity under the basis
-    permutation ``swap`` (+1 first; all +1 when None).
+    """The sectors of vec(rho) of a d x d matrix: one per |N_i - N_j| of the
+    excitation numbers ``labels`` (ascending; all of vec(rho) when None) and
+    exchange parity under the basis permutation ``swap`` (+1 first; all +1
+    when None).  Each is first split out of the coordinates x of
+    ``hermitian_coordinates`` as E and F, then composed with its maps
+    (T^-1 E and F T), so T is built once per call.  With neither symmetry
+    the one sector is T^-1 and T themselves.
 
     Re and Im of rho_ij hold rho_ij (d) and rho_ji (-d), so a |d| sector is
     closed under the adjoint; the first one holds the diagonal.  The swap
@@ -410,9 +414,10 @@ def hermitian_sectors(
     rows = np.concatenate((cols, partner[cols[paired]]))
     col_of = np.concatenate((np.arange(n), np.flatnonzero(paired)))
     vals = np.concatenate((np.ones(n), (parity * sign[cols])[paired]))
-    basis = sp.csc_matrix((vals, (rows, col_of)), shape=(partner.size, n))
+    fwd, inv = hermitian_coordinates(d)
+    basis = (inv @ sp.csc_matrix((vals, (rows, col_of)), shape=(partner.size, n))).tocsc()
     scale = np.where(paired, 0.5, 1.0)[col_of]
-    inverse = sp.csr_matrix((vals * scale, (col_of, rows)), shape=(n, partner.size))
+    inverse = (sp.csr_matrix((vals * scale, (col_of, rows)), shape=(n, partner.size)) @ fwd).tocsr()
     sorted_key = key[cols]
     bounds = np.flatnonzero((np.diff(sorted_key) != 0) | (np.diff(parity) != 0)) + 1
     edges = np.concatenate(([0], bounds, [n]))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -38,8 +37,8 @@ UNITS_HEADER = "# units: all rates and times in units of kappa (kappa = 1)"
 #: largest vec(rho) length D^2 of an exact thermal trajectory: besides its
 #: dense sector, the run assembles the full CSR generator (about 7 D^2
 #: entries) and keeps every sample as a full D x D matrix.  2^20 is cutoff
-#: 256, where a 61-sample run peaks at 3.2 GB; cutoff 408 (n_th = 80)
-#: passes 1.9 GB before its first sample
+#: 256, where a 61-sample run peaks at 1.7 GB (1 GB of it the samples); a
+#: two-sample run at cutoff 408 (n_th = 80) peaks at 2.4 GB
 EXACT_STATE_CAP = 2**20
 
 _PARAM_COLUMNS = ["g0", "eps", "n_th", "gamma", "cutoff", "seed"]
@@ -90,7 +89,6 @@ class ScenarioConfig:
     time_grid: dict = field(default_factory=dict)
     output: str = "out"
     seeds: int = 20260810
-    workers: int = 1
 
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -130,8 +128,6 @@ class ScenarioConfig:
             raise ValueError(f"cutoff must be 'auto' or an integer >= 2, got {self.cutoff!r}")
         if not _is_int(self.seeds):
             raise ValueError(f"seeds must be an integer, got {self.seeds!r}")
-        if not _is_int(self.workers) or self.workers < 1:
-            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
         if self.scenario in GRIDS:
             for point in _points(self):
                 try:
@@ -211,13 +207,6 @@ def _grid(config: ScenarioConfig, point: dict) -> np.ndarray:
     )
 
 
-def _map_points(fn: Callable, points: list, workers: int) -> list:
-    if workers <= 1 or len(points) <= 1:
-        return [fn(pt) for pt in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points))
-
-
 def _auto_cutoff_displaced(p: ModelParams, config: ScenarioConfig) -> int:
     if config.cutoff != "auto":
         return int(config.cutoff)
@@ -274,7 +263,7 @@ def run_gap_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         )
         return row
 
-    rows = _map_points(one, _points(config), config.workers)
+    rows = [one(pt) for pt in _points(config)]
     rows.sort(key=lambda r: (r["g0"], r["eps"]))
     max_eps = max(r["eps"] for r in rows)
     summary = {
@@ -297,7 +286,7 @@ def run_second_rate_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         row.update(second_rate_exact=rate, lambda3_analytic=ana, rel_error=abs(rate - ana) / ana)
         return row
 
-    rows = _map_points(one, _points(config), config.workers)
+    rows = [one(pt) for pt in _points(config)]
     rows.sort(key=lambda r: (r["g0"], r["eps"]))
     return rows, {"worst_rel_error": max(r["rel_error"] for r in rows)}
 
@@ -345,7 +334,7 @@ def run_gap_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         )
         return row
 
-    rows = _map_points(one, _points(config), config.workers)
+    rows = [one(pt) for pt in _points(config)]
     rows.sort(key=lambda r: (r["g0"], r["n_th"]))
     return rows, {"worst_rel_error": max(r["rel_error"] for r in rows)}
 
@@ -375,7 +364,7 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
             rows.append(row)
         ss = dyn.steady_state(sup_eff, dyn.ground_state(atomic_space()))
         summary["curves"][f"g0={p.g0:g},n_th={p.n_th:g}"] = {
-            "tau_incoherent": 1.0 / spectra.gap_incoherent(p),
+            "tau_incoherent": spectra.tau_incoherent(p),
             "steady_mi_effective": float(obs.mutual_information(ss)),
             "exact_run": bool(run_exact),
             "evolution": "spectral-sector" if run_exact else "effective-only",
@@ -565,7 +554,6 @@ def run_scenario(config: ScenarioConfig, plot: bool = False, quiet: bool = False
             "cutoff": config.cutoff,
             "time_grid": config.time_grid,
             "seeds": config.seeds,
-            "workers": config.workers,
         },
         "summary": summary,
     }

@@ -58,6 +58,7 @@ class TestExitCodes:
             ("mi-coherent", {"params": {"g0": [0.25], "eps": [10]}, "cutoff": 4,
                              "time_grid": {"points": 2.5}}),
             ("gap-coherent", {"params": {"g0": [0.25], "eps": [10]}, "cutoff": 4, "seeds": "abc"}),
+            # not a config field
             ("gap-coherent", {"params": {"g0": [0.25], "eps": [10]}, "cutoff": 4, "workers": 1.5}),
             ("gap-coherent", {"params": {"g0": [True], "eps": [10]}, "cutoff": 4}),
             ("gap-coherent", {"params": {"g0": [0.25], "eps": {"log": [10, 100, 2.5]}}, "cutoff": 4}),
@@ -144,22 +145,6 @@ class TestOutputs:
             ) == 0
             outs.append((out / "gap-coherent.csv").read_bytes())
         assert outs[0] == outs[1]
-
-    def test_workers_do_not_change_output(self, tmp_path):
-        base = dict(SMALL_GAP_CONFIG)
-        out_serial = tmp_path / "serial"
-        out_parallel = tmp_path / "parallel"
-        cfg1 = write_config(tmp_path, base)
-        assert cli.main(
-            ["--scenario", "gap-coherent", "--config", str(cfg1), "--out", str(out_serial), "--quiet"]
-        ) == 0
-        cfg2 = write_config(tmp_path, {**base, "workers": 4})
-        assert cli.main(
-            ["--scenario", "gap-coherent", "--config", str(cfg2), "--out", str(out_parallel), "--quiet"]
-        ) == 0
-        assert (out_serial / "gap-coherent.csv").read_bytes() == (
-            out_parallel / "gap-coherent.csv"
-        ).read_bytes()
 
     def test_flag_overrides_config_output(self, tmp_path):
         cfg = write_config(tmp_path, {**SMALL_GAP_CONFIG, "output": str(tmp_path / "ignored")})

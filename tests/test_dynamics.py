@@ -216,10 +216,9 @@ class TestEvolveSpectral:
         me = models.build_coherent_displaced(space, ModelParams(g0=0.25, eps=2.0, gamma=gamma))
         sup = vectorize(me, materialize=False)
         rho0 = random_density_matrix(me.dim, np.random.default_rng(5), space)
-        fwd, _ = models.hermitian_coordinates(me.dim)
-        x0 = (fwd @ vec(rho0.matrix)).real
+        v0 = vec(rho0.matrix)
         even, odd = sup.sectors()
-        assert np.abs(even.inverse @ x0).max() > 1e-3 and np.abs(odd.inverse @ x0).max() > 1e-3
+        assert np.abs(even.inverse @ v0).max() > 1e-3 and np.abs(odd.inverse @ v0).max() > 1e-3
         grid = dyn.time_grid(200.0, 20, t_min=0.5)
         t_ode = dyn.evolve_ode(sup, rho0, grid)
         t_spec = dyn.evolve_spectral(sup, rho0, grid)
@@ -252,6 +251,25 @@ class TestEvolveSpectral:
                             np.array([0.0, 10.0]))
         assert dims == [10 * 8 - 8]
 
+    def test_coordinate_maps_are_built_once_per_generator(self, monkeypatch):
+        # the sector maps are composed with T and T^-1 once, when the
+        # generator is split; the trajectory and the steady state read them
+        # from there
+        space = make_space(6)
+        me = models.build_full(space, ModelParams(g0=0.1, n_th=1.0, gamma=1e-3))
+        calls = []
+        build = models.hermitian_coordinates
+
+        def counting(d):
+            calls.append(d)
+            return build(d)
+
+        monkeypatch.setattr(models, "hermitian_coordinates", counting)
+        sup = vectorize(me, materialize=False)
+        dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 10.0]))
+        dyn.steady_state(sup, dyn.ground_state(space))
+        assert calls == [me.dim]
+
     def test_gap_mode_dominates_late_tail(self, rng):
         p = ModelParams(g0=0.25, eps=10.0)
         sup = vectorize(models.build_effective_coherent(p))
@@ -276,8 +294,7 @@ class TestEvolveDispatch:
     def test_invariant_breach_raises_instead_of_correcting(self):
         # the rotating-wave model far outside its regime is not completely
         # positive and produces transient negativity beyond the 1e-6 slack;
-        # evolution must refuse (no silent renormalization), and the relaxed
-        # validate=False escape hatch must still work
+        # evolution must refuse (no silent renormalization)
         p = ModelParams(g0=1.0, eps=0.5)
         space = make_space(4)
         with pytest.warns(UserWarning):
@@ -286,8 +303,6 @@ class TestEvolveDispatch:
         grid = dyn.time_grid(20.0, 20, t_min=0.1)
         with pytest.raises(NumericalAccuracyError):
             dyn.evolve_spectral(sup, dyn.ground_state(space), grid)
-        traj = dyn.evolve_spectral(sup, dyn.ground_state(space), grid, validate=False)
-        assert len(traj) == grid.size
 
 
 class TestSteadyState:

@@ -18,7 +18,7 @@ from atomcavity.models import (
     build_effective_incoherent,
     build_full,
     build_rwa_displaced,
-    hermitian_coordinates,
+    hermitian_sectors,
     unvec,
     vec,
     vectorize,
@@ -332,7 +332,7 @@ class TestRwaDisplaced:
         grid = dyn.time_grid(2.0e4, 40, t_min=40.0)
 
         sup_rwa = vectorize(build_rwa_displaced(space, p), materialize=False)
-        traj_rwa = dyn.evolve_spectral(sup_rwa, dyn.ground_state(space), grid, validate=False)
+        traj_rwa = dyn.evolve_spectral(sup_rwa, dyn.ground_state(space), grid)
         mi_rwa = np.array([obs.atomic_mutual_information(s) for s in traj_rwa.states])
 
         sup_eff = vectorize(build_effective_coherent(p))
@@ -401,12 +401,15 @@ class TestGeneratorInvariants:
         assert devs.max() <= 1e-7
 
     def test_sparse_dense_agree(self, rng):
-        # on any vector, not only Hermitian ones: T^-1 (T L T^-1) T = L
+        # on any vector, not only Hermitian ones: B (F T L B) F T = L on the
+        # whole-space maps
         me = build_full(make_space(3), ModelParams(g0=0.2, eps=0.5, n_th=0.2, gamma=0.02))
         sup = vectorize(me)
-        fwd, inv = hermitian_coordinates(me.dim)
+        (whole,) = hermitian_sectors(me.dim, None, None)
         v = rng.standard_normal(me.dim**2) + 1j * rng.standard_normal(me.dim**2)
-        assert_allclose(sup.apply(v), inv @ (sup.as_dense() @ (fwd @ v)), atol=1e-11)
+        assert_allclose(
+            sup.apply(v), whole.basis @ (sup.as_dense() @ (whole.inverse @ v)), atol=1e-11
+        )
 
 
 @pytest.mark.parametrize("name", sorted(PARAMETRIC_BUILDERS))
@@ -424,16 +427,16 @@ def test_dense_copy_is_the_real_generator(name, g0, eps, n_th, gamma, cutoff, se
     sup = vectorize(me)
     dense = sup.as_dense()
     assert dense.dtype == np.float64
-    fwd, inv = hermitian_coordinates(me.dim)
+    (whole,) = hermitian_sectors(me.dim, None, None)
     rho = random_hermitian(me.dim, np.random.default_rng(seed))
-    x = fwd @ vec(rho)
-    # the coordinate round trip is exact, and x of a Hermitian matrix is real
-    assert np.array_equal(inv @ x, vec(rho))
-    assert np.array_equal(x.imag, np.zeros(x.size))
+    y = whole.inverse @ vec(rho)
+    # the coordinate round trip is exact, and y of a Hermitian matrix is real
+    assert np.array_equal(whole.basis @ y, vec(rho))
+    assert np.array_equal(y.imag, np.zeros(y.size))
     # the dense copy acts as the CSR generator
     want = sup.apply(vec(rho))
-    got = inv @ (dense @ x.real)
-    assert np.abs(got - want).max() <= 1e-13 * sup.norm_estimate() * np.abs(x).max()
+    got = whole.basis @ (dense @ y.real)
+    assert np.abs(got - want).max() <= 1e-13 * sup.norm_estimate() * np.abs(y).max()
 
 
 #: the builders of PARAMETRIC_BUILDERS that drive the system (eps > 0 in
@@ -462,14 +465,14 @@ def test_excitation_sectors(name, g0, eps, n_th, gamma, cutoff):
     d = np.array([n[p % me.dim] - n[p // me.dim] for p in range(sup.dim)])
     lv = sup.as_sparse().tocoo()
     assert np.array_equal(d[lv.row], d[lv.col])
-    # each sector lies in one |d| of x = [rho_ii; Re rho_ij; Im rho_ij (i < j)],
-    # d = 0 (with the diagonal) first
-    i, j = np.triu_indices(me.dim, 1)
-    gap_x = np.concatenate((np.zeros(me.dim), np.abs(n[i] - n[j]), np.abs(n[i] - n[j])))
+    # each sector maps to and reads from one |d| of vec(rho), d = 0 (with
+    # the diagonal) first
+    gap = np.abs(d)
     sectors = sup.sectors()
     for sector in sectors:
-        assert len(set(gap_x[sector.basis.tocoo().row])) == 1
-    assert not gap_x[sectors[0].basis.tocoo().row].any()
+        assert len(set(gap[sector.basis.tocoo().row])) == 1
+        assert set(gap[sector.inverse.tocoo().col]) == set(gap[sector.basis.tocoo().row])
+    assert not gap[sectors[0].basis.tocoo().row].any()
     assert sectors[0].dim == models.zero_sector_dim(n, me.swap)
 
 
@@ -484,8 +487,8 @@ def test_excitation_sectors(name, g0, eps, n_th, gamma, cutoff):
 )
 def test_sector_spectra_make_up_the_full_spectrum(name, g0, eps, n_th, gamma, cutoff):
     # every builder states the atom swap; its (|d|, parity) sectors partition
-    # x exactly, the first holds the even part of the diagonal, and the union
-    # of their spectra is the full one
+    # vec(rho) exactly, the first holds the even part of the diagonal, and
+    # the union of their spectra is the full one
     me = PARAMETRIC_BUILDERS[name](make_space(cutoff), ModelParams(g0, eps, n_th, gamma))
     assert np.array_equal(me.swap, atom_swap(me.space))
     sup = vectorize(me, materialize=False)
@@ -495,11 +498,15 @@ def test_sector_spectra_make_up_the_full_spectrum(name, g0, eps, n_th, gamma, cu
     assert np.array_equal(whole, np.eye(sup.dim))
     for s in sectors:
         assert np.array_equal((s.inverse @ s.basis).toarray(), np.eye(s.dim))
-    fwd, _ = hermitian_coordinates(me.dim)
     first = sectors[0]
     for rho in (np.eye(me.dim), np.outer(np.eye(me.dim)[0], np.eye(me.dim)[0])):
-        x = (fwd @ vec(rho)).real
-        assert np.array_equal(first.basis @ (first.inverse @ x), x)
+        y = first.inverse @ vec(rho)
+        assert np.array_equal(y.imag, np.zeros(first.dim))
+        assert np.array_equal(first.basis @ y, vec(rho))
+    # every sector reads real coordinates off any Hermitian matrix
+    h = vec(random_hermitian(me.dim, np.random.default_rng(cutoff)))
+    for s in sectors:
+        assert not (s.inverse @ h).imag.any()
     assert first.dim == models.zero_sector_dim(me.excitations, me.swap)
     full = np.linalg.eigvals(sup.as_dense())
     parts = np.concatenate([np.linalg.eigvals(sup.as_dense(s)) for s in sectors])
