@@ -2,7 +2,8 @@
 
 Trajectories come from the spectral expansion rho(t) = sum_k c_k e^{w_k t}
 r_k of the dense real generator (``evolve_spectral``), one sector (an
-excitation block |d| intersected with an exchange parity) at a time: from
+excitation block |d| intersected with an exchange parity, an index range of
+the model's one real generator G) at a time: from
 |gg,0> a thermal model evolves only its d = 0, even sector (392 of 25600
 coordinates at cutoff 40), and the displaced driven model its even sector
 (640 of 1024 at cutoff 8).  Stiff (BDF) integration of the full vectorized
@@ -31,15 +32,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .linalg import eig_general, integrate_ode, real_eigenbasis
-from .models import (
-    MasterEquation,
-    ModelParams,
-    Sector,
-    Superoperator,
-    unvec,
-    vec,
-    vectorize,
-)
+from .models import MasterEquation, ModelParams, Superoperator, unvec, vec
 from .operators import SystemSpace, atomic_space, make_space, singlet_projector
 
 #: default slacks for density-matrix invariants at construction time
@@ -283,15 +276,15 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     """Evolve through the dense eigenbasis of the generator, in real
     arithmetic, one sector at a time.
 
-    ``sup.as_dense(sector)`` is the real generator F T L B on one of
+    ``sup.as_dense(s)`` is the block G[s, s] of the real generator on one of
     ``sup.sectors()``: the |d| excitation sectors (all of vec(rho) when the
     model states no excitation numbers) split by exchange parity when it
     states the atom swap.  The generator never mixes sectors, so each one
-    that rho0 occupies evolves alone from y0 = F T vec(rho0), with
-    vec(rho(t)) = vec(rho0) + B ``_motion`` of its modes, and the others
-    stay 0: rho0 itself at t = 0.  The motion is real and B maps real y to
-    Hermitian matrices exactly, so every sample is Hermitian exactly; rho0
-    enters as its Hermitian part, which is rho0 itself for a Hermitian rho0.
+    that rho0 occupies evolves alone from its rows of y0 = F T vec(rho0),
+    with vec(rho(t)) = vec(rho0) + B[:, s] ``_motion`` of its modes, and the
+    others stay 0: rho0 itself at t = 0.  The motion is real and B maps real
+    y to Hermitian matrices exactly, so every sample is Hermitian exactly;
+    rho0 enters as its Hermitian part, rho0 itself for a Hermitian rho0.
     Every sample is checked against ``EVOLUTION_INVARIANT_TOL``.
 
     The kernel lies in the first sector, and so must the stated charges
@@ -309,27 +302,30 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     m = rho0.matrix
     v0 = vec((m + m.conj().T) / 2.0)
     t = np.asarray(t_grid, dtype=float)
+    basis, inverse = sup.maps()
     sectors = sup.sectors()
-    c = _charge_rows(sup.me, sectors[0])
+    c = _charge_rows(sup.me, basis[:, sectors[0]])
+    y = (inverse @ v0).real
     motions = []
-    for n, sector in enumerate(sectors):
-        y0 = (sector.inverse @ v0).real
+    for n, s in enumerate(sectors):
+        y0 = y[s]
         if n and not y0.any():
             continue  # an empty sector stays empty
-        w, v, kernel = _real_modes(sup.as_dense(sector), c.shape[1] if n == 0 else 0)
+        w, v, kernel = _real_modes(sup.as_dense(s), c.shape[1] if n == 0 else 0)
         if n == 0:
-            k = (sector.inverse @ stated_kernel(sup)).real  # Hermitian columns: real exactly
+            k = (inverse[s] @ stated_kernel(sup)).real  # Hermitian columns: real exactly
             admixture = c.T @ v
             admixture[:, kernel] = 0.0
             for i in range(0, v.shape[0], _ROW_BLOCK):  # in place: v is the largest array here
                 v[i : i + _ROW_BLOCK] -= k[i : i + _ROW_BLOCK] @ admixture
             v[:, kernel] = k
-        motions.append((sector, _motion(w, v, y0, t)))
+        motions.append((s, _motion(w, v, y0, t)))
         del w, v  # freed before the next sector's eigendecomposition
     raw = np.repeat(v0[:, None], t.size, axis=1)  # made after the eigendecompositions
-    for sector, dy in motions:
-        rows = np.unique(sector.basis.indices)  # the positions the sector touches
-        raw[rows] += sector.basis[rows] @ dy
+    for s, dy in motions:
+        lift = basis[:, s]
+        rows = np.unique(lift.indices)  # the positions the sector touches
+        raw[rows] += lift[rows] @ dy
     return _as_trajectory(raw.T, t, rho0.space)
 
 
@@ -390,12 +386,12 @@ def _charges(me: MasterEquation) -> list[np.ndarray]:
     return [np.eye(me.dim, dtype=complex)] + [q.matrix for q in me.conserved]
 
 
-def _charge_rows(me: MasterEquation, sector: Sector) -> np.ndarray:
+def _charge_rows(me: MasterEquation, lift: sp.csc_matrix) -> np.ndarray:
     """The charges Q_j of ``_charges`` as the columns c_j^T = B^T conj(vec(Q_j))
-    on ``sector``: Tr[Q_j rho] = c_j y for a state in it, real for a
-    Hermitian Q_j."""
+    on the sector whose columns of B are ``lift``: Tr[Q_j rho] = c_j y for a
+    state in it, real for a Hermitian Q_j."""
     vq = np.column_stack([vec(q) for q in _charges(me)])
-    return (sector.basis.T @ vq.conj()).real
+    return (lift.T @ vq.conj()).real
 
 
 def stated_kernel(sup: Superoperator) -> np.ndarray:
@@ -403,7 +399,7 @@ def stated_kernel(sup: Superoperator) -> np.ndarray:
     solved on the first sector, where the kernel and the charges lie.
 
     In the coordinates y of the first of ``sup.sectors()`` (d = 0, exchange
-    parity +1), with L_0 = ``sup.block`` of it and the charges as the real
+    parity +1), with L_0 = G[first, first] and the charges as the real
     rows c_j = vec(Q_j)^dag B of ``_charge_rows`` (Tr[Q_j rho] = c_j y;
     Q_0 = I, then ``me.conserved``), column j of K solves the real bordered
     system
@@ -429,18 +425,21 @@ def stated_kernel(sup: Superoperator) -> np.ndarray:
     name = me.label or "the model"
     charges = _charges(me)
     first = sup.sectors()[0]
+    basis, inverse = sup.maps()
+    lift = basis[:, first]
     vq = np.column_stack([vec(q) for q in charges])
-    outside = float(np.abs(vq - first.basis @ (first.inverse @ vq)).max())
+    outside = float(np.abs(vq - lift @ (inverse[first] @ vq)).max())
     if outside:
         raise NumericalAccuracyError(
             f"a stated charge of {name} has weight {outside:.2e} outside the first "
             "sector, where the kernel lies"
         )
-    c = _charge_rows(me, first)
-    l0 = sup.block(first)
+    c = _charge_rows(me, lift)
+    l0 = sup.generator()[first, first]
+    dim = l0.shape[0]
     bordered = sp.bmat([[l0, sp.csc_matrix(c)], [sp.csr_matrix(c.T), None]], format="csc")
     rhs = np.zeros((bordered.shape[0], len(charges)))
-    rhs[first.dim :] = np.eye(len(charges))
+    rhs[dim:] = np.eye(len(charges))
     lu = _regular_lu(
         bordered,
         f"the kernel of {name} is larger than its {len(charges)} stated conserved "
@@ -448,7 +447,7 @@ def stated_kernel(sup: Superoperator) -> np.ndarray:
         "sector is singular to working precision",
     )
     sol = lu.solve(rhs)
-    y, mu = sol[: first.dim], sol[first.dim :]
+    y, mu = sol[:dim], sol[dim:]
     scale = sup.norm_estimate() * np.linalg.norm(y, axis=0)
     resid = np.maximum(np.linalg.norm(l0 @ y, axis=0), np.linalg.norm(c @ mu, axis=0))
     worst = float((resid / scale).max())
@@ -457,7 +456,7 @@ def stated_kernel(sup: Superoperator) -> np.ndarray:
             f"steady-state residual {worst:.2e} > {STEADY_RESIDUAL_TOL:.0e} (relative to "
             f"||L||_1 ||y||); a stated conserved quantity of {name} is not conserved"
         )
-    k = first.basis @ y
+    k = lift @ y
     k.setflags(write=False)
     sup._kernel = k
     return k
@@ -482,28 +481,6 @@ def _regular_lu(a: sp.csc_matrix, message: str) -> spla.SuperLU:
     return lu
 
 
-def _check_other_sectors(sup: Superoperator) -> None:
-    """Refuse a kernel outside the first sector (``KernelAmbiguityError``).
-
-    The generator on the other sectors is block diagonal, so one sparse LU
-    of it fills in only inside the blocks, and it is singular exactly when
-    one of them holds a stationary state the model does not state (an
-    atomic coherence |gg><S| under a zero-temperature bath, say).
-    """
-    rest = sup.sectors()[1:]
-    if not rest:
-        return
-    union = Sector(
-        sp.hstack([s.basis for s in rest], format="csc"),
-        sp.vstack([s.inverse for s in rest], format="csr"),
-    )
-    _regular_lu(
-        sup.block(union).tocsc(),
-        f"the kernel of {sup.me.label or 'the model'} is larger than stated: the "
-        "generator on the sectors other than the first is singular to working precision",
-    )
-
-
 def steady_state(sup: Superoperator, rho0: DensityMatrix | None = None) -> DensityMatrix:
     """The t -> infinity limit of the generator: the element of
     ``stated_kernel`` with the conserved values of ``rho0`` (trace 1 for
@@ -518,7 +495,16 @@ def steady_state(sup: Superoperator, rho0: DensityMatrix | None = None) -> Densi
             "depends on the initial state - pass rho0"
         )
     k = stated_kernel(sup)
-    _check_other_sectors(sup)
+    # the other sectors, one index range of the block diagonal G, must hold no
+    # stationary state the model does not state (an atomic coherence |gg><S|
+    # under a zero-temperature bath, say); their sparse LU fills in blockwise
+    rest = slice(sup.sectors()[0].stop, sup.dim)
+    if rest.start < rest.stop:
+        _regular_lu(
+            sup.generator()[rest, rest].tocsc(),
+            f"the kernel of {me.label or 'the model'} is larger than stated: the generator "
+            "on the sectors other than the first is singular to working precision",
+        )
     if rho0 is None:
         x = k[:, 0]
     else:
@@ -655,7 +641,7 @@ def converged_cutoff_for_gap(
     reports = []
 
     def gap_of(me: MasterEquation) -> float:
-        reports.append(spectra.analyze(vectorize(me, materialize=False), k=k))
+        reports.append(spectra.analyze(Superoperator(me), k=k))
         return reports[-1].gap
 
     cutoff = check_truncation(builder, params, gap_of)

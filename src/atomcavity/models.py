@@ -27,20 +27,21 @@ U(1) symmetry; atomic decay keeps it too, since sigma_- rho sigma_+ lowers
 N on both sides).  Such a builder states N of each basis state
 (``MasterEquation.excitations``), and the generator never mixes the
 elements rho_ij of different |N_i - N_j|.  A sector is one |d| (all of
-vec(rho) when no N is stated) intersected with one exchange parity
-(``Superoperator.sectors``); each is evolved and diagonalized alone.
+vec(rho) when no N is stated) intersected with one exchange parity.
 
-Each sector has real coordinates y and maps vec(rho) <-> y directly.  L
-maps Hermitian matrices to Hermitian matrices, so in the coordinates
+Every solve reads one real generator G = (F T) L B, ordered sector by
+sector, and a sector is a ``slice`` of it (``Superoperator.generator`` and
+``sectors``).  L maps Hermitian matrices to Hermitian matrices, so in the
+coordinates
 
     x = [rho_ii; Re rho_ij; Im rho_ij  (i < j)]
 
-of a D x D matrix it is T L T^-1 with real entries; a sector's columns E
-are unit vectors of x or swapped pairs of them, and its maps are the
-products T^-1 E and F T (``hermitian_sectors``), built once per generator.
-Their entries are +-1, +-i and +-1/2^k, so y is real exactly for a
-Hermitian rho, every matrix read back from real y is Hermitian exactly,
-and the generator on a sector (``Superoperator.block``) is real.
+of a D x D matrix it is T L T^-1 with real entries; a column of the real
+basis E of x is a unit vector or a swapped pair of them, and the maps
+B = T^-1 E (y -> vec(rho)) and F T (vec(rho) -> y) of all of vec(rho)
+(``hermitian_sectors``) have entries +-1, +-i and +-1/2^k, so y is real
+exactly for a Hermitian rho and every matrix read back from real y is
+Hermitian exactly.  G keeps no entry that links two sectors.
 
 Rates and times are expressed in units of kappa, which is pinned to 1.
 """
@@ -201,36 +202,15 @@ class MasterEquation:
         return self.space.dim
 
 
-@dataclass(frozen=True)
-class Sector:
-    """A block of the generator, with real coordinates y.
-
-    ``basis`` (B = T^-1 E) takes y to vec(rho) and ``inverse`` (F T, with
-    F T B = I) reads y off a vec(rho) that lies in it; the generator
-    restricted to it is F T L B.  T and T^-1 are the maps of
-    ``hermitian_coordinates``; a column of E is a unit vector e_k of x or a
-    swapped pair e_k +- e_l.  B has entries +-1 and +-i and F T entries
-    +-1/2^k and +-i/2^k (k <= 2), so each is exact in floating point.
-    """
-
-    basis: sp.csc_matrix
-    inverse: sp.csr_matrix
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
 class Superoperator:
     """Liouvillian acting on column-stacked density matrices.
 
-    The CSR matrix is the one representation of the generator: it is
-    assembled on first use and ``apply`` is a mat-vec with it.  ``block``
-    is the real generator on one sector, made from the CSR matrix and the
-    sector's maps, and ``as_dense`` its dense copy, refused above
-    ``linalg.DENSE_CAP``.  The sectors (with their maps) and
-    ``dynamics.stated_kernel``'s solve are kept beside the CSR matrix, so
-    one generator is split and factorized once.
+    The complex CSR matrix L is assembled on first use; ``apply`` is a
+    mat-vec with it.  Every solve reads the real generator G = (F T) L B
+    (``generator``), whose sectors are index ranges (``sectors``), and
+    ``as_dense`` is its dense copy on one sector or on all of them, refused
+    above ``linalg.DENSE_CAP``.  G, its maps and ``dynamics.stated_kernel``'s
+    solve are kept beside L, so one generator is split and factorized once.
     """
 
     def __init__(self, me: MasterEquation):
@@ -238,29 +218,24 @@ class Superoperator:
         self.dim = me.dim**2
         self._dense: np.ndarray | None = None
         self._sparse: sp.csr_matrix | None = None
-        self._sectors: list[Sector] | None = None
+        self._split: tuple[sp.csc_matrix, sp.csr_matrix, list[slice]] | None = None
+        self._generator: sp.csr_matrix | None = None
         self._kernel: np.ndarray | None = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply the generator to a vectorized state."""
         return self.as_sparse() @ v
 
-    def sectors(self) -> list[Sector]:
-        """The sectors the generator never mixes (``hermitian_sectors``),
-        the one of the diagonal's even part first (d = 0, exchange parity
-        +1: where |gg,0>, the kernel and the stated charges lie).
-
-        A stated symmetry that L breaks raises ``NumericalAccuracyError``:
-        for the excitation numbers any entry of L that links two |d|, for
-        the swap P any entry of P L P - L above ``SECTOR_LEAK_TOL`` ||L||_1.
-        Built only when first asked for; a model that states nothing is one
-        sector, all of vec(rho).
-        """
-        if self._sectors is None:
-            self._sectors = self._split()
-        return self._sectors
-
-    def _split(self) -> list[Sector]:
+    def sectors(self) -> list[slice]:
+        """The index ranges of G that the generator never mixes
+        (``hermitian_sectors``), the one of the diagonal's even part first
+        (d = 0, exchange parity +1: where |gg,0>, the kernel and the stated
+        charges lie).  Built when first asked for; a stated symmetry that L
+        breaks raises ``NumericalAccuracyError``: for the excitation numbers
+        any entry of L that links two d, for the swap P any entry of
+        P L P - L above ``SECTOR_LEAK_TOL`` ||L||_1."""
+        if self._split is not None:
+            return self._split[2]
         me = self.me
         name = me.label or "the model"
         lv = self.as_sparse()
@@ -282,39 +257,57 @@ class Superoperator:
                     f"the generator of {name} breaks its stated swap symmetry: "
                     f"|P L P - L| reaches {breach:.2e}"
                 )
-        return hermitian_sectors(me.dim, labels, me.swap)
+        self._split = hermitian_sectors(me.dim, labels, me.swap)
+        return self._split[2]
 
-    def as_dense(self, sector: Sector | None = None) -> np.ndarray:
-        """The dense copy of ``block(sector)``; on all of vec(rho), cached,
-        by default."""
-        if sector is not None:
-            return self._dense_block(sector)
-        if self._dense is None:
-            self._dense = self._dense_block(hermitian_sectors(self.me.dim, None, None)[0])
-        return self._dense
+    def maps(self) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+        """B (y -> vec(rho)) and F T (vec(rho) -> y) of all of vec(rho); a
+        sector's maps are the columns and rows of its slice."""
+        self.sectors()
+        return self._split[:2]
 
-    def _dense_block(self, sector: Sector) -> np.ndarray:
-        if sector.dim > DENSE_CAP:
-            raise DimensionLimitError(
-                f"superoperator dimension {sector.dim} exceeds the dense cap "
-                f"{DENSE_CAP}; use the sparse representation"
-            )
-        return self.block(sector).toarray()
-
-    def block(self, sector: Sector) -> sp.csr_matrix:
-        """The real generator F T L B on ``sector`` (an entry of
-        ``sectors()``, or any union of them) as a CSR matrix.  Refused when
-        its imaginary part exceeds ``DENSE_IMAG_TOL`` ||L||_1: L does not
-        preserve Hermiticity."""
-        blk = (sector.inverse @ self.as_sparse() @ sector.basis).tocsr()
-        imag = float(abs(blk.imag).max()) if blk.nnz else 0.0
+    def generator(self) -> sp.csr_matrix:
+        """The real generator G = (F T) L B on all sectors, built in one
+        product and cached.  Entries that link two sectors (round-off once
+        the stated symmetries hold) are dropped, so each sector's block is
+        G[s, s] and nothing else.  Refused when its imaginary part exceeds
+        ``DENSE_IMAG_TOL`` ||L||_1: L does not preserve Hermiticity."""
+        if self._generator is not None:
+            return self._generator
+        basis, inverse = self.maps()
+        sectors = self.sectors()
+        g = (inverse @ self.as_sparse() @ basis).tocsr()
+        imag = float(abs(g.imag).max()) if g.nnz else 0.0
         if imag > DENSE_IMAG_TOL * self.norm_estimate():
             raise NumericalAccuracyError(
                 f"the generator of {self.me.label or 'the model'} is not real in "
                 f"Hermitian coordinates: imaginary part {imag:.2e}; it does not "
                 "preserve Hermiticity"
             )
-        return blk.real.tocsr()
+        sector_of = np.repeat(np.arange(len(sectors)), [s.stop - s.start for s in sectors])
+        row = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))
+        keep = sector_of[row] == sector_of[g.indices]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(row[keep], minlength=g.shape[0]))))
+        self._generator = sp.csr_matrix(
+            (g.data[keep].real, g.indices[keep], indptr), shape=g.shape
+        )
+        return self._generator
+
+    def as_dense(self, sector: slice | None = None) -> np.ndarray:
+        """The dense copy of G[sector, sector]; of all of G, cached, by
+        default."""
+        if sector is None and self._dense is not None:
+            return self._dense
+        s = slice(0, self.dim) if sector is None else sector
+        if s.stop - s.start > DENSE_CAP:
+            raise DimensionLimitError(
+                f"superoperator dimension {s.stop - s.start} exceeds the dense cap "
+                f"{DENSE_CAP}; use the sparse representation"
+            )
+        dense = self.generator()[s, s].toarray()
+        if sector is None:
+            self._dense = dense
+        return dense
 
     def as_sparse(self) -> sp.csr_matrix:
         if self._sparse is None:
@@ -375,14 +368,15 @@ def hermitian_coordinates(d: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 def hermitian_sectors(
     d: int, labels: np.ndarray | None, swap: np.ndarray | None
-) -> list[Sector]:
-    """The sectors of vec(rho) of a d x d matrix: one per |N_i - N_j| of the
-    excitation numbers ``labels`` (ascending; all of vec(rho) when None) and
-    exchange parity under the basis permutation ``swap`` (+1 first; all +1
-    when None).  Each is first split out of the coordinates x of
-    ``hermitian_coordinates`` as E and F, then composed with its maps
-    (T^-1 E and F T), so T is built once per call.  With neither symmetry
-    the one sector is T^-1 and T themselves.
+) -> tuple[sp.csc_matrix, sp.csr_matrix, list[slice]]:
+    """The maps B = T^-1 E and F T between vec(rho) of a d x d matrix and
+    its real coordinates y, ordered sector by sector, and the sectors as
+    index ranges of y: one per |N_i - N_j| of the excitation numbers
+    ``labels`` (ascending; all of vec(rho) when None) and exchange parity
+    under the basis permutation ``swap`` (+1 first; all +1 when None).  E
+    and F split the coordinates x of ``hermitian_coordinates`` and are
+    composed with T^-1 and T once, for all of vec(rho); F T B = I.  With
+    neither symmetry the one sector is T^-1 and T themselves.
 
     Re and Im of rho_ij hold rho_ij (d) and rho_ji (-d), so a |d| sector is
     closed under the adjoint; the first one holds the diagonal.  The swap
@@ -420,8 +414,8 @@ def hermitian_sectors(
     inverse = (sp.csr_matrix((vals * scale, (col_of, rows)), shape=(n, partner.size)) @ fwd).tocsr()
     sorted_key = key[cols]
     bounds = np.flatnonzero((np.diff(sorted_key) != 0) | (np.diff(parity) != 0)) + 1
-    edges = np.concatenate(([0], bounds, [n]))
-    return [Sector(basis[:, lo:hi], inverse[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
+    edges = np.concatenate(([0], bounds, [n])).tolist()
+    return basis, inverse, [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def vec_swap(swap: np.ndarray) -> np.ndarray:
@@ -461,9 +455,10 @@ def unvec(v: np.ndarray) -> np.ndarray:
 def vectorize(me: MasterEquation, materialize: bool = True) -> Superoperator:
     """Turn a MasterEquation into a Superoperator.
 
-    ``materialize=True`` also makes the dense D^2 x D^2 copy (subject to
-    ``linalg.DENSE_CAP``); otherwise only the CSR matrix is built, on first
-    use.
+    ``materialize=True`` also makes the dense copy of the real generator
+    (subject to ``linalg.DENSE_CAP``).  The package calls ``Superoperator``
+    directly; this wrapper and its flag stay only for the benchmark
+    workloads' ``vectorize(..., materialize=False)`` and go with that call.
     """
     sup = Superoperator(me)
     if materialize:

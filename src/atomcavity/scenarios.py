@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import linalg, models, observables as obs, spectra, verify
-from .models import ModelParams, vectorize
+from .models import ModelParams, Superoperator
 from .operators import atom_swap, atomic_space, excitation_number, make_space
 
 SCENARIOS = (
@@ -36,9 +36,9 @@ UNITS_HEADER = "# units: all rates and times in units of kappa (kappa = 1)"
 
 #: largest vec(rho) length D^2 of an exact thermal trajectory: besides its
 #: dense sector, the run assembles the full CSR generator (about 7 D^2
-#: entries) and keeps every sample as a full D x D matrix.  2^20 is cutoff
-#: 256, where a 61-sample run peaks at 1.7 GB (1 GB of it the samples); a
-#: two-sample run at cutoff 408 (n_th = 80) peaks at 2.4 GB
+#: entries) and the real generator of all sectors, and keeps every sample as
+#: a full D x D matrix.  2^20 is cutoff 256, where a 61-sample run peaks at
+#: 1.9 GB (1 GB of it the samples)
 EXACT_STATE_CAP = 2**20
 
 _PARAM_COLUMNS = ["g0", "eps", "n_th", "gamma", "cutoff", "seed"]
@@ -229,8 +229,17 @@ def _gap_point(
     if config.cutoff == "auto":
         return dyn.converged_cutoff_for_gap(builder, p, k=k)
     cutoff = int(config.cutoff)
-    sup = vectorize(builder(make_space(cutoff), p), materialize=False)
+    sup = Superoperator(builder(make_space(cutoff), p))
     return cutoff, spectra.analyze(sup, k=k)
+
+
+def _gap_solves(rows: list[dict], axis: str) -> dict:
+    """The solve behind each gap row: shift-invert of the real generator, dimension D^2."""
+    dims = [make_space(r["cutoff"]).dim ** 2 for r in rows]
+    return {
+        f"g0={r['g0']:g},{axis}={r[axis]:g}": {"solver": "shift-invert", "dim": dim}
+        for r, dim in zip(rows, dims)
+    }
 
 
 def _base_row(p: ModelParams, cutoff, seed: int) -> dict:
@@ -269,6 +278,7 @@ def run_gap_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
     summary = {
         "worst_rel_error_at_max_eps": max(r["rel_error"] for r in rows if r["eps"] == max_eps),
         "gaps": {f"g0={r['g0']:g},eps={r['eps']:g}": r["gap_exact"] for r in rows},
+        "solves": _gap_solves(rows, "eps"),
     }
     return rows, summary
 
@@ -277,7 +287,7 @@ def run_second_rate_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
     def one(pt):
         p = ModelParams(g0=pt["g0"], eps=pt["eps"])
         cutoff = _auto_cutoff_displaced(p, config)
-        sup = vectorize(models.build_coherent_displaced(make_space(cutoff), p), materialize=False)
+        sup = Superoperator(models.build_coherent_displaced(make_space(cutoff), p))
         # the lambda3 family rotates at 2*Omega in the displaced frame
         w = spectra.slowest_eigenvalues(sup, 4, k=10, sigma=1e-3 + 2j * p.omega)
         rate = float(np.min(-w.real))
@@ -300,9 +310,9 @@ def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         grid = _grid(config, pt)
         space = make_space(cutoff)
         me = models.build_coherent_displaced(space, p)
-        mi_exact = obs.mi_curve(vectorize(me, materialize=False), dyn.ground_state(space), grid)
+        mi_exact = obs.mi_curve(Superoperator(me), dyn.ground_state(space), grid)
         mi_eff = obs.mi_curve(
-            vectorize(models.build_effective_coherent(p), materialize=False),
+            Superoperator(models.build_effective_coherent(p)),
             dyn.ground_state(atomic_space()),
             grid,
         )
@@ -336,7 +346,8 @@ def run_gap_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
 
     rows = [one(pt) for pt in _points(config)]
     rows.sort(key=lambda r: (r["g0"], r["n_th"]))
-    return rows, {"worst_rel_error": max(r["rel_error"] for r in rows)}
+    worst = max(r["rel_error"] for r in rows)
+    return rows, {"worst_rel_error": worst, "solves": _gap_solves(rows, "n_th")}
 
 
 def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
@@ -352,11 +363,11 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         dim = models.zero_sector_dim(excitation_number(space), atom_swap(space))
         run_exact = dim <= linalg.DENSE_CAP and space.dim**2 <= EXACT_STATE_CAP
         if run_exact:
-            sup = vectorize(models.build_full(space, p), materialize=False)
+            sup = Superoperator(models.build_full(space, p))
             mi_exact = obs.mi_curve(sup, dyn.ground_state(space), grid)
         else:
             mi_exact = np.full(grid.size, np.nan)
-        sup_eff = vectorize(models.build_effective_incoherent(p), materialize=False)
+        sup_eff = Superoperator(models.build_effective_incoherent(p))
         mi_eff = obs.mi_curve(sup_eff, dyn.ground_state(atomic_space()), grid)
         for t, mx, me_ in zip(grid, mi_exact, mi_eff):
             row = _base_row(p, cutoff if run_exact else "effective-only", config.seeds)
@@ -393,7 +404,7 @@ def run_real_detector(config: ScenarioConfig) -> tuple[list[dict], dict]:
             raise ValueError(f"unknown case {case!r}")
         # one generator per point: the trajectory and the steady state share
         # its assembly and its stated-kernel solve
-        sup = vectorize(me, materialize=False)
+        sup = Superoperator(me)
         mi = obs.mi_curve(sup, dyn.ground_state(space), grid)
         for t, m in zip(grid, mi):
             row = _base_row(p, cutoff, config.seeds)

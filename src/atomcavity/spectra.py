@@ -1,5 +1,9 @@
 """Liouvillian spectrum analysis: gaps, rate ordering, clusters, analytic tables.
 
+Both solves read the model's one real generator G (``Superoperator.generator``):
+the dense one each sector's block G[s, s], shift-invert all of G, whose sparse
+LU fills in only inside those blocks.
+
 No magnitude threshold decides a zero mode: the rates of interest span many
 orders of magnitude, and at strong drive the gap falls to within a few decades
 of the round-off a dense solver leaves on the kernel eigenvalues.  The model
@@ -135,17 +139,17 @@ def analyze(sup: Superoperator, k: int | None = None) -> SpectrumReport:
     Dense full diagonalization when ``k`` is None, one sector of
     ``sup.sectors()`` at a time: the report classifies the union of the
     sector spectra and carries the worst sector's condition number and
-    near-defective flag.  Otherwise a targeted
-    shift-invert solve for the ``k`` eigenvalues nearest a small positive real
-    shift (never an eigenvalue of a Lindblad generator), yielding a partial
-    report of the slow end of the spectrum.  The kernel is the one the model
+    near-defective flag.  Otherwise a targeted shift-invert solve of G for
+    the ``k`` eigenvalues nearest a small positive real shift (never an
+    eigenvalue of a Lindblad generator), yielding a partial report of the
+    slow end of the spectrum.  The kernel is the one the model
     states, 1 + len(``conserved``) zero modes.
     """
     kernel_dim = 1 + len(sup.me.conserved)
     if k is None:
         parts, conditions, defective = [], [], False
-        for sector in sup.sectors():
-            decomp = eig_general(sup.as_dense(sector))
+        for s in sup.sectors():
+            decomp = eig_general(sup.as_dense(s))
             parts.append(decomp.eigenvalues)
             conditions.append(decomp.condition_estimate)
             defective = defective or decomp.near_defective
@@ -359,10 +363,13 @@ def match_eigenvalue_sets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _shift_invert(sup: Superoperator, k: int, sigma: complex) -> np.ndarray:
-    """The ``k`` eigenvalues nearest ``sigma`` (ARPACK shift-invert), from a
-    deterministic generic start vector so targeted solves are reproducible."""
+    """The ``k`` eigenvalues nearest ``sigma`` (ARPACK shift-invert of G),
+    from a deterministic generic start vector so targeted solves are
+    reproducible.  G is cast to complex for a shift off the real axis, where
+    real ARPACK would iterate on the real part of the shifted inverse."""
+    g = sup.generator()
     return spla.eigs(
-        sup.as_sparse().tocsc(),
+        g.astype(complex) if np.imag(sigma) else g,
         k=k,
         sigma=sigma,
         which="LM",

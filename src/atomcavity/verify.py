@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import models, observables as obs, scenarios, spectra
-from .models import ModelParams, vec, vectorize
+from .models import ModelParams, Superoperator, vec
 from .operators import atomic_space, make_space
 
 #: frozen oracle values of criterion 7 (spectral kernel projection)
@@ -65,7 +65,7 @@ def criterion_1_coherent_table() -> CheckResult:
         p = ModelParams(
             g0=float(10 ** rng.uniform(-1.3, 0.0)), eps=float(10 ** rng.uniform(0.3, 2.3))
         )
-        rep = spectra.analyze(vectorize(models.build_effective_coherent(p)))
+        rep = spectra.analyze(Superoperator(models.build_effective_coherent(p)))
         match = spectra.compare_spectra(rep, spectra.analytic_coherent(p))
         worst = max(worst, match.max_rel_error)
         ok = ok and match.all_matched
@@ -82,7 +82,7 @@ def criterion_2_incoherent_table() -> CheckResult:
     ok = True
     for n_th in (0.0, 0.5, 1.0, 2.0, 10.0):
         p = ModelParams(g0=0.1, n_th=n_th)
-        rep = spectra.analyze(vectorize(models.build_effective_incoherent(p)))
+        rep = spectra.analyze(Superoperator(models.build_effective_incoherent(p)))
         match = spectra.compare_spectra(rep, spectra.analytic_incoherent(p))
         worst = max(worst, match.max_rel_error)
         ok = ok and match.all_matched
@@ -98,11 +98,11 @@ def criterion_3_gap_formulas() -> CheckResult:
     to 1e-10 relative."""
     worst = 0.0
     for p in (ModelParams(g0=0.25, eps=10.0), ModelParams(g0=0.1, eps=40.0)):
-        rep = spectra.analyze(vectorize(models.build_effective_coherent(p)))
+        rep = spectra.analyze(Superoperator(models.build_effective_coherent(p)))
         target = p.kappa * (2.0 * p.eps / p.kappa) ** -2
         worst = max(worst, abs(rep.gap - target) / target)
     for p in (ModelParams(g0=0.1, n_th=1.0), ModelParams(g0=0.01, n_th=10.0)):
-        rep = spectra.analyze(vectorize(models.build_effective_incoherent(p)))
+        rep = spectra.analyze(Superoperator(models.build_effective_incoherent(p)))
         target = 2.0 * p.n_th * (p.g0 / p.kappa) ** 2 * p.kappa
         worst = max(worst, abs(rep.gap - target) / target)
     return _result(
@@ -137,7 +137,7 @@ def criterion_4_exact_gap() -> CheckResult:
     # dense full-spectrum cross-check at one point: the targeted gap and the
     # index-2 distinct rate agree with full diagonalization
     p = ModelParams(g0=0.25, eps=100.0)
-    sup = vectorize(models.build_coherent_displaced(make_space(8), p), materialize=False)
+    sup = Superoperator(models.build_coherent_displaced(make_space(8), p))
     dense_rep = spectra.analyze(sup)
     targeted_gap = gap_rows[p.g0, p.eps]["gap_exact"]
     ok_cross = abs(dense_rep.gap - targeted_gap) / targeted_gap <= 1e-3
@@ -156,8 +156,8 @@ def criterion_5_isospectrality() -> CheckResult:
     """Lab and displaced coherent frames share the 10 slowest eigenvalues at
     eps=2, g0=1/4 (truncation-converged), relative 1e-3."""
     p = ModelParams(g0=0.25, eps=2.0)
-    lab = vectorize(models.build_full(make_space(24), p), materialize=False)
-    disp = vectorize(models.build_coherent_displaced(make_space(10), p), materialize=False)
+    lab = Superoperator(models.build_full(make_space(24), p))
+    disp = Superoperator(models.build_coherent_displaced(make_space(10), p))
     w_lab = spectra.slowest_eigenvalues(lab, 10)
     w_disp = spectra.slowest_eigenvalues(disp, 10)
     devs = spectra.match_eigenvalue_sets(w_lab, w_disp)
@@ -177,14 +177,14 @@ def criterion_6_relaxation_fit() -> CheckResult:
     rho0 = dyn.DensityMatrix.from_matrix(m / np.trace(m), atomic_space())
 
     p = ModelParams(g0=0.25, eps=10.0)
-    sup = vectorize(models.build_effective_coherent(p))
+    sup = Superoperator(models.build_effective_coherent(p))
     grid = dyn.time_grid(12.0 * 400.0, 200, t_min=0.5)
     traj = dyn.evolve_spectral(sup, rho0, grid)
     est_c = dyn.fit_relaxation(traj, dyn.steady_state(sup, rho0))
     dev_c = abs(est_c.tau_fit - 400.0) / 400.0
 
     p = ModelParams(g0=0.1, n_th=1.0)
-    sup = vectorize(models.build_effective_incoherent(p))
+    sup = Superoperator(models.build_effective_incoherent(p))
     grid = dyn.time_grid(12.0 * 50.0, 200, t_min=0.1)
     traj = dyn.evolve_spectral(sup, rho0, grid)
     est_i = dyn.fit_relaxation(traj, dyn.steady_state(sup, rho0))
@@ -203,7 +203,7 @@ def criterion_7_metastability() -> CheckResult:
     >= 2 decades inside (1/fast_rate, 1/gap); plateau and steady levels match
     the frozen kernel-projection oracle; thermal n_th=10 shows no plateau."""
     p = ModelParams(g0=0.25, eps=1000.0)
-    sup = vectorize(models.build_effective_coherent(p))
+    sup = Superoperator(models.build_effective_coherent(p))
     rep = spectra.analyze(sup)
     split = spectra.splitting_diagnostic(rep)
     ok_ratio = split.metastable and split.ratio > 1e4
@@ -234,7 +234,7 @@ def criterion_7_metastability() -> CheckResult:
         and abs(steady_mi - COHERENT_STEADY_MI) <= 1e-6
     )
 
-    sup_inc = vectorize(models.build_effective_incoherent(ModelParams(g0=0.01, n_th=10.0)))
+    sup_inc = Superoperator(models.build_effective_incoherent(ModelParams(g0=0.01, n_th=10.0)))
     rep_inc = spectra.analyze(sup_inc)
     split_inc = spectra.splitting_diagnostic(rep_inc)
     grid_inc = dyn.time_grid(3.0 / rep_inc.gap, 200, t_min=0.1 / split_inc.fast_rate)
@@ -325,7 +325,7 @@ def criterion_10_cptp_suite() -> CheckResult:
     }
     worst_tr = 0.0
     for me in gens.values():
-        sup = models.Superoperator(me)
+        sup = Superoperator(me)
         g = rng.standard_normal((me.dim, me.dim)) + 1j * rng.standard_normal((me.dim, me.dim))
         rho = (g + g.conj().T) / 2.0
         resid = abs(np.trace(models.unvec(sup.apply(vec(rho)))))
@@ -335,7 +335,7 @@ def criterion_10_cptp_suite() -> CheckResult:
     # trajectory invariants at the strict state slacks
     p = ModelParams(g0=0.01, n_th=1.0)
     space = make_space(12)
-    sup = vectorize(models.build_full(space, p), materialize=False)
+    sup = Superoperator(models.build_full(space, p))
     grid = dyn.time_grid(5.0e3, 40, t_min=0.5)
     traj = dyn.evolve_ode(sup, dyn.ground_state(space), grid)
     tr_dev = max(abs(np.trace(s.matrix) - 1.0) for s in traj.states)
@@ -364,7 +364,7 @@ def negative_control() -> CheckResult:
         dissipators=tuple((op, 0.5 * rate) for op, rate in me.dissipators),
         label="wrong-convention",
     )
-    rep = spectra.analyze(vectorize(halved))
+    rep = spectra.analyze(Superoperator(halved))
     match = spectra.compare_spectra(rep, spectra.analytic_coherent(p))
     return _result(
         "negative-control",

@@ -133,6 +133,11 @@ class TestOutputs:
         assert float(row["g0"]) == 0.25 and row["cutoff"] == "8"
         summary = json.loads((out / "summary.json").read_text())
         assert summary["scenario"] == "gap-coherent"
+        # each point records the solve behind its gap: shift-invert of the
+        # 32^2-dimensional generator at cutoff 8
+        solves = summary["summary"]["solves"]
+        assert len(solves) == 2
+        assert all(v == {"solver": "shift-invert", "dim": 32**2} for v in solves.values())
         assert (out / "SCHEMA.md").exists()
 
     def test_byte_identical_reruns(self, tmp_path):

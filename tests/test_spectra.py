@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
-from atomcavity import ModelParams, models, spectra
+from atomcavity import ModelParams, make_space, models, spectra
 from atomcavity.errors import SpectrumDiagnosticError, UnsupportedRegimeError
 from atomcavity.models import MasterEquation, vectorize
 from atomcavity.operators import LabeledOperator
@@ -24,7 +25,7 @@ def diag_superop(values):
         me = MasterEquation(LabeledOperator("0", np.zeros((3, 3), dtype=complex)), (), _Dim3())
 
         def sectors(self):
-            return models.hermitian_sectors(3, None, None)
+            return [slice(0, self.dim)]
 
         def as_dense(self, sector=None):
             return np.diag(np.asarray(values, dtype=complex))
@@ -214,3 +215,45 @@ class TestTargetedPath:
         slow = spectra.slowest_eigenvalues(sup, 8, k=40)
         devs = spectra.match_eigenvalue_sets(dense_rep.eigenvalues[:8], slow)
         assert devs.max() < 1e-8
+
+
+_THERMAL = ModelParams(g0=1.0, n_th=1.0)
+_DRIVEN = ModelParams(g0=0.25, eps=2.0)
+
+
+# each k stops at a clear gap in the distances to the shift, so "the k
+# nearest" is one set
+@pytest.mark.parametrize(
+    "build,params,cutoff,k,sigma",
+    [pytest.param(models.build_full, _THERMAL, c, 16, 1e-3, id=f"thermal-cutoff{c}") for c in (4, 5, 6)]
+    + [
+        pytest.param(models.build_coherent_displaced, _DRIVEN, 6, 10, 1e-3, id="displaced"),
+        pytest.param(models.build_coherent_displaced, ModelParams(g0=0.25, eps=2.0, gamma=0.05), 6, 8,
+                     1e-3, id="displaced-gamma"),
+        pytest.param(models.build_coherent_displaced, _DRIVEN, 6, 10, 1e-3 + 2j * _DRIVEN.omega,
+                     id="displaced-complex-shift"),
+    ],
+)
+def test_shift_invert_of_the_real_generator_matches_the_complex_csr(build, params, cutoff, k, sigma):
+    # the targeted solves run ARPACK on the real generator G; the complex CSR
+    # matrix, diagonalized densely, is their oracle: the k eigenvalues
+    # nearest the shift, to 1e-10 relative (kernel eigenvalues relative to
+    # MATCH_ZERO_FLOOR of the largest)
+    sup = models.Superoperator(build(make_space(cutoff), params))
+    w = np.linalg.eigvals(sup.as_sparse().toarray())
+    dist = np.abs(w - sigma)
+    order = np.argsort(dist)
+    assert dist[order[k]] - dist[order[k - 1]] > 1e-2 * dist[order[k]]
+    want = w[order[:k]]
+    floor = spectra.MATCH_ZERO_FLOOR * np.abs(want).max()
+
+    def worst(got):
+        cost = np.abs(np.asarray(got)[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        return (cost[rows, cols] / np.maximum(np.abs(want[cols]), floor)).max()
+
+    assert worst(spectra.slowest_eigenvalues(sup, k, k=k, sigma=sigma)) <= 1e-10
+    if not np.imag(sigma):
+        rep = spectra.analyze(sup, k=k)
+        assert rep.partial and rep.eigenvalues.size == k
+        assert worst(rep.eigenvalues) <= 1e-10
