@@ -3,13 +3,13 @@
 Trajectories come from the spectral expansion rho(t) = sum_k c_k e^{w_k t}
 r_k of the dense real generator (``evolve_spectral``), one sector (an
 excitation block |d| intersected with an exchange parity, an index range of
-the model's one real generator G) at a time: from
-|gg,0> a thermal model evolves only its d = 0, even sector (392 of 25600
-coordinates at cutoff 40), and the displaced driven model its even sector
-(640 of 1024 at cutoff 8).  Stiff (BDF) integration of the full vectorized
-state (``evolve_ode``) is the independent reference that acceptance
-criterion 10 and the tests compare against; no scenario runs it.  Neither renormalizes
-drifting traces - accuracy failures surface as errors.
+the model's one real generator G) at a time: from |gg,0> a thermal model
+evolves only its d = 0, even sector (392 of 25600 coordinates at cutoff 40),
+and the displaced driven model its even sector (640 of 1024 at cutoff 8).
+Stiff (BDF) integration of the full vectorized state (``evolve_ode``) is the
+independent reference that acceptance criterion 10 and the tests compare
+against; no scenario runs it.  Neither renormalizes drifting traces -
+accuracy failures surface as errors.
 """
 
 from __future__ import annotations
@@ -505,11 +505,7 @@ def steady_state(sup: Superoperator, rho0: DensityMatrix | None = None) -> Densi
             f"the kernel of {me.label or 'the model'} is larger than stated: the generator "
             "on the sectors other than the first is singular to working precision",
         )
-    if rho0 is None:
-        x = k[:, 0]
-    else:
-        charges = _charges(me)
-        x = k @ np.array([np.vdot(q, rho0.matrix) for q in charges])
+    x = k[:, 0] if rho0 is None else k @ np.array([np.vdot(q, rho0.matrix) for q in _charges(me)])
     m = unvec(x)
     return DensityMatrix.from_matrix((m + m.conj().T) / 2.0, me.space)
 

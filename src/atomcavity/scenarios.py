@@ -38,7 +38,7 @@ UNITS_HEADER = "# units: all rates and times in units of kappa (kappa = 1)"
 #: dense sector, the run assembles the full CSR generator (about 7 D^2
 #: entries) and the real generator of all sectors, and keeps every sample as
 #: a full D x D matrix.  2^20 is cutoff 256, where a 61-sample run peaks at
-#: 1.9 GB (1 GB of it the samples)
+#: 1.8 GB (1 GB of it the samples)
 EXACT_STATE_CAP = 2**20
 
 _PARAM_COLUMNS = ["g0", "eps", "n_th", "gamma", "cutoff", "seed"]
@@ -233,15 +233,6 @@ def _gap_point(
     return cutoff, spectra.analyze(sup, k=k)
 
 
-def _gap_solves(rows: list[dict], axis: str) -> dict:
-    """The solve behind each gap row: shift-invert of the real generator, dimension D^2."""
-    dims = [make_space(r["cutoff"]).dim ** 2 for r in rows]
-    return {
-        f"g0={r['g0']:g},{axis}={r[axis]:g}": {"solver": "shift-invert", "dim": dim}
-        for r, dim in zip(rows, dims)
-    }
-
-
 def _base_row(p: ModelParams, cutoff, seed: int) -> dict:
     return {
         "g0": p.g0,
@@ -269,16 +260,18 @@ def run_gap_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
             gap_analytic=ana,
             rel_error=abs(rep.gap - ana) / ana,
             kernel_dim=rep.kernel_dim,
+            solve={"solver": "shift-invert" if rep.partial else "dense", "dim": rep.dim},
         )
         return row
 
     rows = [one(pt) for pt in _points(config)]
     rows.sort(key=lambda r: (r["g0"], r["eps"]))
+    keys = [f"g0={r['g0']:g},eps={r['eps']:g}" for r in rows]
     max_eps = max(r["eps"] for r in rows)
     summary = {
         "worst_rel_error_at_max_eps": max(r["rel_error"] for r in rows if r["eps"] == max_eps),
-        "gaps": {f"g0={r['g0']:g},eps={r['eps']:g}": r["gap_exact"] for r in rows},
-        "solves": _gap_solves(rows, "eps"),
+        "gaps": {key: r["gap_exact"] for key, r in zip(keys, rows)},
+        "solves": {key: r["solve"] for key, r in zip(keys, rows)},
     }
     return rows, summary
 
@@ -341,13 +334,14 @@ def run_gap_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
             gap_analytic=ana,
             rel_error=abs(rep.gap - ana) / max(ana, 1e-300),
             kernel_dim=rep.kernel_dim,
+            solve={"solver": "shift-invert" if rep.partial else "dense", "dim": rep.dim},
         )
         return row
 
     rows = [one(pt) for pt in _points(config)]
     rows.sort(key=lambda r: (r["g0"], r["n_th"]))
-    worst = max(r["rel_error"] for r in rows)
-    return rows, {"worst_rel_error": worst, "solves": _gap_solves(rows, "n_th")}
+    solves = {f"g0={r['g0']:g},n_th={r['n_th']:g}": r["solve"] for r in rows}
+    return rows, {"worst_rel_error": max(r["rel_error"] for r in rows), "solves": solves}
 
 
 def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:

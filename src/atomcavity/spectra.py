@@ -14,7 +14,7 @@ spectrum reports and spectral evolution alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -65,6 +65,7 @@ class SpectrumReport:
     near_defective: bool
     partial: bool = False
     condition_estimate: float = np.nan
+    dim: int = 0  # of the generator solved (0 for eigenvalues classified alone)
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,8 @@ def analyze(sup: Superoperator, k: int | None = None) -> SpectrumReport:
     near-defective flag.  Otherwise a targeted shift-invert solve of G for
     the ``k`` eigenvalues nearest a small positive real shift (never an
     eigenvalue of a Lindblad generator), yielding a partial report of the
-    slow end of the spectrum.  The kernel is the one the model
-    states, 1 + len(``conserved``) zero modes.
+    slow end of the spectrum.  The kernel is the one the model states,
+    1 + len(``conserved``) zero modes.
     """
     kernel_dim = 1 + len(sup.me.conserved)
     if k is None:
@@ -153,13 +154,15 @@ def analyze(sup: Superoperator, k: int | None = None) -> SpectrumReport:
             parts.append(decomp.eigenvalues)
             conditions.append(decomp.condition_estimate)
             defective = defective or decomp.near_defective
-        return classify(
+        report = classify(
             np.concatenate(parts),
             kernel_dim,
             condition=max(conditions),
             near_defective=defective,
         )
-    return classify(_shift_invert(sup, k, 1e-3), kernel_dim, partial=True)
+    else:
+        report = classify(_shift_invert(sup, k, 1e-3), kernel_dim, partial=True)
+    return replace(report, dim=sup.dim)
 
 
 def zero_modes(eigenvalues: np.ndarray, kernel_dim: int) -> np.ndarray:

@@ -3,13 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
 from atomcavity import ModelParams, atomic_space, make_space, models, spectra
 from atomcavity.errors import DimensionLimitError, NumericalAccuracyError, UnsupportedRegimeError
-from atomcavity.linalg import DENSE_CAP
+from atomcavity.linalg import DENSE_CAP, eig_general
 from atomcavity.models import (
     MasterEquation,
     Superoperator,
@@ -488,6 +488,7 @@ def test_excitation_sectors(name, g0, eps, n_th, gamma, cutoff):
     gamma=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
     cutoff=st.sampled_from([2, 3, 4]),
 )
+@example(g0=0.5, eps=3.0, n_th=0.0, gamma=0.0, cutoff=2)
 def test_sector_spectra_make_up_the_full_spectrum(name, g0, eps, n_th, gamma, cutoff):
     # every builder states the atom swap; its (|d|, parity) sectors partition
     # vec(rho) exactly, the first holds the even part of the diagonal, and
@@ -525,16 +526,25 @@ def test_sector_spectra_make_up_the_full_spectrum(name, g0, eps, n_th, gamma, cu
     # the full spectrum from the generator in the coordinates x, unsplit
     to_x, from_x = models.hermitian_coordinates(me.dim)
     full = np.linalg.eigvals((to_x @ sup.as_sparse() @ from_x).real.toarray())
-    parts = np.concatenate([np.linalg.eigvals(sup.as_dense(s)) for s in sectors])
+    parts = [np.linalg.eigvals(sup.as_dense(s)) for s in sectors]
+    part_sector = np.repeat(np.arange(len(sectors)), [w.size for w in parts])
+    parts = np.concatenate(parts)
     cost = np.abs(full[:, None] - parts[None, :])
     rows, cols = linear_sum_assignment(cost)
-    # an eigenvalue of multiplicity m with too few eigenvectors scatters by
-    # about (round-off)^(1/m) in any dense solve (3e-8 for the rwa-displaced
-    # model at g0 = 0.5, eps = 3, cutoff 2); the mean of its cluster does not,
-    # so coincident eigenvalues compare by their means
     scale = np.abs(full).max()
-    for group in spectra._cluster_complex(full[rows], spectra.CLUSTER_TOL * scale):
-        assert abs(full[rows][group].mean() - parts[cols][group].mean()) <= 1e-10 * scale
+    # every eigenvalue matches on its own, except in a sector whose dense
+    # solve flags it as near-defective: there an eigenvalue of multiplicity m
+    # with too few eigenvectors scatters by about (round-off)^(1/m) in any
+    # dense solve (5e-9 relative in the second sector of the rwa-displaced
+    # model at the pinned example, condition 1.5e8), and only the mean of
+    # its cluster is stable
+    missed = cost[rows, cols] > 1e-10 * scale
+    for k in np.unique(part_sector[cols][missed]):
+        assert eig_general(sup.as_dense(sectors[k])).near_defective
+        mine = part_sector[cols] == k
+        near_full, near_parts = full[rows][mine], parts[cols][mine]
+        for group in spectra._cluster_complex(near_full, spectra.CLUSTER_TOL * scale):
+            assert abs(near_full[group].mean() - near_parts[group].mean()) <= 1e-10 * scale
 
 
 def test_a_broken_swap_is_refused():
