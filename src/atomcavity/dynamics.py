@@ -202,35 +202,32 @@ def time_grid(
 # ---------------------------------------------------------------------------
 
 
-def _min_eigenvalue(h: np.ndarray) -> float:
-    """Least eigenvalue of a Hermitian matrix, taken block by block over the
-    connected components of its exact nonzero pattern.
-
-    A matrix that is block diagonal by its exact zeros has exactly the union
-    of its blocks' eigenvalues; a sample from |gg,0> of a model that keeps
-    the excitation number splits into blocks of at most 4 states.  Blocks of
-    one size go to LAPACK as one stack.
-    """
-    count, comp = connected_components(sp.csr_matrix(h != 0.0), directed=False)
-    if count == 1:
-        return float(np.linalg.eigvalsh(h)[0])
+def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
+    """The connected components of a square nonzero pattern, one (blocks x
+    size) index array per block size.  A matrix whose nonzeros lie in
+    ``pattern`` has exactly the union of these blocks' eigenvalues; a
+    trajectory from |gg,0> of a model that keeps the excitation number splits
+    into blocks of at most 4 states, and one of the driven model is one block."""
+    _, comp = connected_components(sp.csr_matrix(pattern), directed=False)
     sizes = np.bincount(comp)[comp]
     order = np.lexsort((comp, sizes))  # states grouped by block, blocks by size
-    lowest = np.inf
-    start = 0
-    for size, n_states in zip(*np.unique(sizes[order], return_counts=True)):
-        idx = order[start : start + n_states].reshape(-1, size)
-        blocks = h[idx[:, :, None], idx[:, None, :]]
-        lowest = min(lowest, float(np.linalg.eigvalsh(blocks)[:, 0].min()))
-        start += n_states
-    return lowest
+    size, count = np.unique(sizes[order], return_counts=True)
+    return [idx.reshape(-1, n) for n, idx in zip(size, np.split(order, np.cumsum(count)[:-1]))]
 
 
-def _check_sample(m: np.ndarray, t: float) -> None:
+def _min_eigenvalue(h: np.ndarray, blocks: list[np.ndarray]) -> float:
+    """Least eigenvalue of a Hermitian matrix that is block diagonal over
+    ``blocks`` (``_blocks``), blocks of one size in one LAPACK stack."""
+    return min(float(np.linalg.eigvalsh(h[i[..., None], i[:, None]])[:, 0].min()) for i in blocks)
+
+
+def _check_sample(m: np.ndarray, t: float, blocks: list[np.ndarray]) -> None:
+    """Refuse a sample whose Hermiticity, trace or least eigenvalue over the
+    ``blocks`` of its trajectory misses by more than ``EVOLUTION_INVARIANT_TOL``."""
     tol = EVOLUTION_INVARIANT_TOL
     herm = float(np.abs(m - m.conj().T).max())
     tr = abs(np.trace(m) - 1.0)
-    min_eig = _min_eigenvalue((m + m.conj().T) / 2.0)
+    min_eig = _min_eigenvalue((m + m.conj().T) / 2.0, blocks)
     if herm > tol or tr > tol or min_eig < -tol:
         raise NumericalAccuracyError(
             f"state invariants violated at t={t:.6g}: hermiticity {herm:.2e}, "
@@ -239,10 +236,11 @@ def _check_sample(m: np.ndarray, t: float) -> None:
 
 
 def _as_trajectory(raw: np.ndarray, t_grid: np.ndarray, space: SystemSpace) -> Trajectory:
+    blocks = _blocks(unvec(np.any(raw, axis=0)))  # every sample is block diagonal over these
     states = []
     for row, t in zip(raw, t_grid):
         m = unvec(row)
-        _check_sample(m, t)
+        _check_sample(m, t, blocks)
         states.append(DensityMatrix(m, space))
     return Trajectory(np.asarray(t_grid, dtype=float), tuple(states))
 
@@ -481,19 +479,12 @@ def _regular_lu(a: sp.csc_matrix, message: str) -> spla.SuperLU:
     return lu
 
 
-def steady_state(sup: Superoperator, rho0: DensityMatrix | None = None) -> DensityMatrix:
-    """The t -> infinity limit of the generator: the element of
-    ``stated_kernel`` with the conserved values of ``rho0`` (trace 1 for
-    Q = I).  ``rho0`` may be omitted only when nothing but the trace is
-    conserved.  Every sector other than the first must be free of a kernel,
+def steady_state(sup: Superoperator, rho0: DensityMatrix) -> DensityMatrix:
+    """The t -> infinity limit of the generator from ``rho0``: the element
+    of ``stated_kernel`` with the conserved values of ``rho0`` (trace 1 for
+    Q = I).  Every sector other than the first must be free of a kernel,
     since rho0 may occupy any of them."""
     me = sup.me
-    if rho0 is None and me.conserved:
-        raise KernelAmbiguityError(
-            f"{me.label or 'the model'} conserves "
-            f"{', '.join(q.label for q in me.conserved)}; the asymptotic state "
-            "depends on the initial state - pass rho0"
-        )
     k = stated_kernel(sup)
     # the other sectors, one index range of the block diagonal G, must hold no
     # stationary state the model does not state (an atomic coherence |gg><S|
@@ -505,8 +496,7 @@ def steady_state(sup: Superoperator, rho0: DensityMatrix | None = None) -> Densi
             f"the kernel of {me.label or 'the model'} is larger than stated: the generator "
             "on the sectors other than the first is singular to working precision",
         )
-    x = k[:, 0] if rho0 is None else k @ np.array([np.vdot(q, rho0.matrix) for q in _charges(me)])
-    m = unvec(x)
+    m = unvec(k @ np.array([np.vdot(q, rho0.matrix) for q in _charges(me)]))
     return DensityMatrix.from_matrix((m + m.conj().T) / 2.0, me.space)
 
 

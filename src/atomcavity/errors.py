@@ -22,9 +22,8 @@ class StateValidityError(AtomCavityError, ValueError):
 
 
 class KernelAmbiguityError(AtomCavityError, ValueError):
-    """The steady state is not fixed by what was given: a model with stated
-    conserved quantities was asked for it without an initial state, or its
-    kernel is larger than its conserved quantities account for."""
+    """The steady state is not fixed by the initial state: the model's kernel
+    is larger than its conserved quantities account for."""
 
 
 class NumericalAccuracyError(AtomCavityError, RuntimeError):

@@ -233,6 +233,12 @@ def _gap_point(
     return cutoff, spectra.analyze(sup, k=k)
 
 
+def _first_sector_dim(sup: Superoperator) -> int:
+    """Size of the first of ``sup.sectors()``, where |gg,0> evolved."""
+    first = sup.sectors()[0]
+    return first.stop - first.start
+
+
 def _base_row(p: ModelParams, cutoff, seed: int) -> dict:
     return {
         "g0": p.g0,
@@ -302,8 +308,8 @@ def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         cutoff = _auto_cutoff_displaced(p, config)
         grid = _grid(config, pt)
         space = make_space(cutoff)
-        me = models.build_coherent_displaced(space, p)
-        mi_exact = obs.mi_curve(Superoperator(me), dyn.ground_state(space), grid)
+        sup = Superoperator(models.build_coherent_displaced(space, p))
+        mi_exact = obs.mi_curve(sup, dyn.ground_state(space), grid)
         mi_eff = obs.mi_curve(
             Superoperator(models.build_effective_coherent(p)),
             dyn.ground_state(atomic_space()),
@@ -318,7 +324,7 @@ def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
             "plateau_windows": dyn.detect_plateau(grid, mi_exact),
             "final_mi": float(mi_exact[-1]),
             "evolution": "spectral-sector",
-            "dim": models.zero_sector_dim(me.excitations, me.swap),
+            "dim": _first_sector_dim(sup),
         }
     return rows, summary
 
@@ -359,6 +365,7 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         if run_exact:
             sup = Superoperator(models.build_full(space, p))
             mi_exact = obs.mi_curve(sup, dyn.ground_state(space), grid)
+            dim = _first_sector_dim(sup)
         else:
             mi_exact = np.full(grid.size, np.nan)
         sup_eff = Superoperator(models.build_effective_incoherent(p))
@@ -410,7 +417,7 @@ def run_real_detector(config: ScenarioConfig) -> tuple[list[dict], dict]:
             "peak_mi": float(mi.max()),
             "kernel_unique": not me.conserved,
             "evolution": "spectral-sector",
-            "dim": models.zero_sector_dim(me.excitations, me.swap),
+            "dim": _first_sector_dim(sup),
         }
     return rows, summary
 

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from atomcavity import ModelParams, atomic_space, dynamics as dyn, linalg, make_space, models, spectra
@@ -310,16 +311,17 @@ class TestEvolveDispatch:
 
 
 class TestSteadyState:
-    def test_cavity_decay_reaches_vacuum(self):
+    def test_cavity_decay_reaches_vacuum(self, rng):
         # g0 = 0 decouples the atoms; atomic decay pins them to |gg>, so the
-        # kernel is unique and no initial state is needed
-        space = make_space(4)
-        sup = vectorize(models.build_full(space, ModelParams(g0=0.0, gamma=0.1)))
-        ss = dyn.steady_state(sup)
+        # kernel is unique and every initial state reaches the vacuum
         from atomcavity.observables import photon_number
 
-        assert photon_number(ss) < 1e-9
-        assert dyn.trace_norm(ss.matrix - dyn.ground_state(space).matrix) < 1e-9
+        space = make_space(4)
+        sup = vectorize(models.build_full(space, ModelParams(g0=0.0, gamma=0.1)))
+        for rho0 in (dyn.ground_state(space), random_density_matrix(space.dim, rng, space)):
+            ss = dyn.steady_state(sup, rho0)
+            assert photon_number(ss) < 1e-9
+            assert dyn.trace_norm(ss.matrix - dyn.ground_state(space).matrix) < 1e-9
 
     def test_dark_state_preserved(self):
         # the singlet is dark at every bath occupation
@@ -373,12 +375,6 @@ class TestSteadyState:
             late = dyn.evolve_spectral(sup, rho0, np.array([0.0, t_inf])).states[-1]
             ss = dyn.steady_state(sup, rho0)
             assert dyn.trace_norm(ss.matrix - late.matrix) < 1e-9
-
-    def test_degenerate_kernel_requires_rho0(self):
-        p = ModelParams(g0=0.1, n_th=10.0)
-        sup = vectorize(models.build_effective_incoherent(p))
-        with pytest.raises(KernelAmbiguityError):
-            dyn.steady_state(sup)
 
     def test_thermal_steady_mutual_information_oracle(self):
         # frozen value from the closed-form triplet-chain oracle (stationary
@@ -437,15 +433,66 @@ class TestSampleCheck:
             perm = rng.permutation(d)
             m = m[np.ix_(perm, perm)]
             want = np.linalg.eigvalsh(m).min()
-            assert dyn._min_eigenvalue(m) == pytest.approx(want, abs=1e-14)
+            assert dyn._min_eigenvalue(m, dyn._blocks(m != 0)) == pytest.approx(want, abs=1e-14)
 
     def test_negative_block_is_caught(self):
         # trace 1, Hermitian, one 2 x 2 block with eigenvalues 1.1 and -0.1
         m = np.zeros((4, 4), dtype=complex)
         m[2:, 2:] = [[0.5, 0.6], [0.6, 0.5]]
-        assert dyn._min_eigenvalue(m) == pytest.approx(-0.1)
+        assert dyn._min_eigenvalue(m, dyn._blocks(m != 0)) == pytest.approx(-0.1)
         with pytest.raises(NumericalAccuracyError, match="min eigenvalue"):
-            dyn._check_sample(m, 1.0)
+            dyn._check_sample(m, 1.0, dyn._blocks(m != 0))
+
+    def test_trajectory_checks_the_union_of_its_patterns(self):
+        # the coupling that makes the second sample negative is absent from
+        # the first, which is diagonal: only the union partition sees it
+        first = np.diag([0.25] * 4).astype(complex)
+        second = np.zeros((4, 4), dtype=complex)
+        second[2:, 2:] = [[0.5, 0.6], [0.6, 0.5]]
+        raw = np.array([vec(first), vec(second)])
+        with pytest.raises(NumericalAccuracyError, match="t=1:"):
+            dyn._as_trajectory(raw, np.array([0.0, 1.0]), atomic_space())
+
+    def test_blocks_are_found_once_per_trajectory(self, monkeypatch):
+        # the partition belongs to the trajectory, not to each of its samples
+        calls = []
+        components = dyn.connected_components
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return components(*args, **kwargs)
+
+        monkeypatch.setattr(dyn, "connected_components", counting)
+        space = make_space(4)
+        sup = vectorize(models.build_full(space, ModelParams(g0=0.1, n_th=1.0)), materialize=False)
+        traj = dyn.evolve_spectral(sup, dyn.ground_state(space), dyn.time_grid(100.0, 19))
+        assert len(traj) == 20
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("thermal", [True, False], ids=["thermal", "coherent-displaced"])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    g0=st.floats(0.05, 1.0),
+    eps=st.floats(3.0, 30.0),
+    n_th=st.floats(0.2, 5.0),
+    gamma=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+    cutoff=st.integers(2, 5),
+)
+def test_trajectories_stay_positive(thermal, g0, eps, n_th, gamma, cutoff):
+    # every sample from |gg,0> passes the check (a refusal fails the draw),
+    # and its least eigenvalue over the trajectory's blocks is the whole one
+    space = make_space(cutoff)
+    if thermal:
+        me = models.build_full(space, ModelParams(g0=g0, n_th=n_th, gamma=gamma))
+    else:
+        me = models.build_coherent_displaced(space, ModelParams(g0=g0, eps=eps, gamma=gamma))
+    sup = vectorize(me, materialize=False)
+    traj = dyn.evolve_spectral(sup, dyn.ground_state(space), dyn.time_grid(1e3, 12))
+    blocks = dyn._blocks(np.any([s.matrix != 0 for s in traj.states], axis=0))
+    for state in traj.states:
+        h = (state.matrix + state.matrix.conj().T) / 2.0
+        assert abs(dyn._min_eigenvalue(h, blocks) - np.linalg.eigvalsh(h)[0]) <= 1e-12
 
 
 class TestFitRelaxation:

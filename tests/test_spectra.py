@@ -4,7 +4,11 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
 from atomcavity import ModelParams, make_space, models, spectra
-from atomcavity.errors import SpectrumDiagnosticError, UnsupportedRegimeError
+from atomcavity.errors import (
+    NumericalAccuracyError,
+    SpectrumDiagnosticError,
+    UnsupportedRegimeError,
+)
 from atomcavity.models import MasterEquation, vectorize
 from atomcavity.operators import LabeledOperator
 
@@ -57,6 +61,18 @@ class TestAnalyze:
         p = ModelParams(g0=0.3, eps=5.0)
         rep = spectra.analyze(vectorize(models.build_effective_coherent(p)))
         assert sum(c.count for c in rep.clusters) == rep.eigenvalues.size == 16
+
+    def test_rates_near_underflow_are_refused_not_misread(self):
+        # a thermal rate of 1e-16 leaves entries the dense solve cannot
+        # resolve, and its eigenpair residual check refuses them; at 1e-10
+        # the gap is resolved, within the 1% (g0^2) correction to the
+        # effective model's 2 n_th g0^2
+        space = make_space(3)
+        with pytest.raises(NumericalAccuracyError, match="eigenpair residual"):
+            spectra.analyze(vectorize(models.build_full(space, ModelParams(g0=0.1, n_th=1e-16))))
+        p = ModelParams(g0=0.1, n_th=1e-10)
+        rep = spectra.analyze(vectorize(models.build_full(space, p)))
+        assert rep.gap == pytest.approx(spectra.gap_incoherent(p), rel=2e-2)
 
 
 class TestAnalyticTables:
