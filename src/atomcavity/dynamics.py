@@ -8,8 +8,9 @@ evolves only its d = 0, even sector (392 of 25600 coordinates at cutoff 40),
 and the displaced driven model its even sector (640 of 1024 at cutoff 8).
 Stiff (BDF) integration of the full vectorized state (``evolve_ode``) is the
 independent reference that acceptance criterion 10 and the tests compare
-against; no scenario runs it.  Neither renormalizes drifting traces -
-accuracy failures surface as errors.
+against; no scenario runs it.  Both return a ``Trajectory`` that keeps only
+the entries of vec(rho) its samples can occupy.  Neither renormalizes
+drifting traces - accuracy failures surface as errors.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     TruncationLimitError,
     UnsupportedRegimeError,
 )
-from .linalg import eig_general, integrate_ode, real_eigenbasis
+from .linalg import eig_general, integrate_ode
 from .models import MasterEquation, ModelParams, Superoperator, unvec, vec
 from .operators import SystemSpace, atomic_space, make_space, singlet_projector
 
@@ -67,6 +68,11 @@ BORDERED_COND_MAX = 1e12
 
 #: rows of the eigenvector matrix updated at a time by ``evolve_spectral``
 _ROW_BLOCK = 256
+
+#: fewest coordinates of the consecutive sectors that ``steady_state``
+#: factorizes in one sparse LU, so that the LU's memory is that of a few
+#: sectors, not of all of them
+_LU_BLOCK = 2**12
 
 #: bound on the steady-state residuals ||L x|| and ||C mu||, relative to
 #: ||L||_1 ||x||; round-off stays below 1e-16, a wrongly stated conserved
@@ -106,16 +112,27 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States sampled on a time grid (times in units of 1/kappa)."""
+    """States sampled on a time grid (times in units of 1/kappa), kept as the
+    entries of vec(rho) that the evolution can reach: ``support`` holds their
+    ascending positions and ``entries`` their values, one row per sample;
+    every other entry of every sample is 0.  From |gg,0> of a model that
+    keeps the excitation number these are the N_i = N_j entries (about
+    16 cutoff of the D^2)."""
 
     times: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    space: SystemSpace
+    support: np.ndarray
+    entries: np.ndarray
 
-    def observable(self, fn: Callable[[DensityMatrix], float]) -> np.ndarray:
-        return np.array([fn(s) for s in self.states])
+    @property
+    def states(self) -> tuple[DensityMatrix, ...]:
+        """Every sample as a full D x D matrix, built on each call."""
+        full = np.zeros((len(self), self.space.dim**2), dtype=complex)
+        full[:, self.support] = self.entries
+        return tuple(DensityMatrix(unvec(v), self.space) for v in full)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.times.size
 
 
 @dataclass(frozen=True)
@@ -202,32 +219,72 @@ def time_grid(
 # ---------------------------------------------------------------------------
 
 
-def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
-    """The connected components of a square nonzero pattern, one (blocks x
-    size) index array per block size.  A matrix whose nonzeros lie in
-    ``pattern`` has exactly the union of these blocks' eigenvalues; a
+def _blocks(pattern: sp.csr_matrix) -> list[np.ndarray]:
+    """The connected components of a square sparse nonzero pattern, one
+    (blocks x size) index array per block size.  A matrix whose nonzeros lie
+    in ``pattern`` has exactly the union of these blocks' eigenvalues; a
     trajectory from |gg,0> of a model that keeps the excitation number splits
     into blocks of at most 4 states, and one of the driven model is one block."""
-    _, comp = connected_components(sp.csr_matrix(pattern), directed=False)
+    _, comp = connected_components(pattern, directed=False)
     sizes = np.bincount(comp)[comp]
     order = np.lexsort((comp, sizes))  # states grouped by block, blocks by size
     size, count = np.unique(sizes[order], return_counts=True)
     return [idx.reshape(-1, n) for n, idx in zip(size, np.split(order, np.cumsum(count)[:-1]))]
 
 
-def _min_eigenvalue(h: np.ndarray, blocks: list[np.ndarray]) -> float:
-    """Least eigenvalue of a Hermitian matrix that is block diagonal over
-    ``blocks`` (``_blocks``), blocks of one size in one LAPACK stack."""
-    return min(float(np.linalg.eigvalsh(h[i[..., None], i[:, None]])[:, 0].min()) for i in blocks)
+@dataclass(frozen=True)
+class _SampleIndex:
+    """Where ``_check_sample`` reads a sample x, the entries of its
+    trajectory's support, with one 0 appended for the entries outside it:
+    ``transpose`` gives the position of each entry's transpose, ``diagonal``
+    the diagonal entries, and ``blocks`` the (blocks x size x size) entries
+    of the positivity partition ``_blocks``, one array per block size."""
+
+    transpose: np.ndarray
+    diagonal: np.ndarray
+    blocks: list[np.ndarray]
 
 
-def _check_sample(m: np.ndarray, t: float, blocks: list[np.ndarray]) -> None:
-    """Refuse a sample whose Hermiticity, trace or least eigenvalue over the
-    ``blocks`` of its trajectory misses by more than ``EVOLUTION_INVARIANT_TOL``."""
+def _sample_index(support: np.ndarray, entries: np.ndarray, d: int) -> _SampleIndex:
+    """The ``_SampleIndex`` of a trajectory of d x d states kept at the vec
+    positions ``support`` (``entries``: one row per sample), its blocks
+    split from the union of the samples' exact nonzero patterns: every
+    sample is block diagonal over them."""
+    rows, cols = support % d, support // d
+    nonzero = np.any(entries, axis=0)
+    pattern = sp.csr_matrix(
+        (np.ones(np.count_nonzero(nonzero), dtype=bool), (rows[nonzero], cols[nonzero])),
+        shape=(d, d),
+    )
+
+    def at(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        pos = i + j * d
+        k = np.minimum(np.searchsorted(support, pos), support.size - 1)
+        return np.where(support[k] == pos, k, support.size)
+
+    blocks = [at(i[..., None], i[:, None]) for i in _blocks(pattern)]
+    return _SampleIndex(at(cols, rows), np.flatnonzero(rows == cols), blocks)
+
+
+def _min_eigenvalue(x: np.ndarray, blocks: list[np.ndarray]) -> float:
+    """Least eigenvalue of the Hermitian part of a sample (its kept entries
+    ``x``) that is block diagonal over ``blocks`` (``_SampleIndex``), blocks
+    of one size in one LAPACK stack."""
+    x = np.append(x, 0.0)
+    parts = (x[g] for g in blocks)
+    return min(float(np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2.0)[:, 0].min()) for b in parts)
+
+
+def _check_sample(x: np.ndarray, t: float, index: _SampleIndex) -> None:
+    """Refuse a sample (its kept entries ``x``) whose Hermiticity, trace or
+    least eigenvalue over the blocks of its trajectory misses by more than
+    ``EVOLUTION_INVARIANT_TOL``.  Entries outside the support are 0, so the
+    kept entries and their transposes carry the whole Hermiticity deviation
+    and the kept diagonal the whole trace."""
     tol = EVOLUTION_INVARIANT_TOL
-    herm = float(np.abs(m - m.conj().T).max())
-    tr = abs(np.trace(m) - 1.0)
-    min_eig = _min_eigenvalue((m + m.conj().T) / 2.0, blocks)
+    herm = float(np.abs(x - np.append(x, 0.0)[index.transpose].conj()).max())
+    tr = abs(x[index.diagonal].sum() - 1.0)
+    min_eig = _min_eigenvalue(x, index.blocks)
     if herm > tol or tr > tol or min_eig < -tol:
         raise NumericalAccuracyError(
             f"state invariants violated at t={t:.6g}: hermiticity {herm:.2e}, "
@@ -235,14 +292,15 @@ def _check_sample(m: np.ndarray, t: float, blocks: list[np.ndarray]) -> None:
         )
 
 
-def _as_trajectory(raw: np.ndarray, t_grid: np.ndarray, space: SystemSpace) -> Trajectory:
-    blocks = _blocks(unvec(np.any(raw, axis=0)))  # every sample is block diagonal over these
-    states = []
-    for row, t in zip(raw, t_grid):
-        m = unvec(row)
-        _check_sample(m, t, blocks)
-        states.append(DensityMatrix(m, space))
-    return Trajectory(np.asarray(t_grid, dtype=float), tuple(states))
+def _as_trajectory(
+    t_grid: np.ndarray, space: SystemSpace, support: np.ndarray, entries: np.ndarray
+) -> Trajectory:
+    """The checked trajectory of samples kept at the vec positions
+    ``support`` of ``space`` (``entries``: one row per sample)."""
+    index = _sample_index(support, entries, space.dim)
+    for x, t in zip(entries, t_grid):
+        _check_sample(x, t, index)
+    return Trajectory(np.asarray(t_grid, dtype=float), space, support, entries)
 
 
 def evolve_ode(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> Trajectory:
@@ -267,7 +325,8 @@ def evolve_ode(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> T
         return out
 
     raw = integrate_ode(rhs, vec(rho0.matrix), t_grid, sup.as_sparse())
-    return _as_trajectory(raw, t_grid, rho0.space)
+    support = np.flatnonzero(np.any(raw, axis=0))
+    return _as_trajectory(t_grid, rho0.space, support, raw[:, support])
 
 
 def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> Trajectory:
@@ -280,10 +339,12 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     states the atom swap.  The generator never mixes sectors, so each one
     that rho0 occupies evolves alone from its rows of y0 = F T vec(rho0),
     with vec(rho(t)) = vec(rho0) + B[:, s] ``_motion`` of its modes, and the
-    others stay 0: rho0 itself at t = 0.  The motion is real and B maps real
-    y to Hermitian matrices exactly, so every sample is Hermitian exactly;
-    rho0 enters as its Hermitian part, rho0 itself for a Hermitian rho0.
-    Every sample is checked against ``EVOLUTION_INVARIANT_TOL``.
+    others stay 0: rho0 itself at t = 0.  The trajectory keeps only the
+    entries of vec(rho) that rho0 or an evolved sector's columns of B touch,
+    so no sample is ever formed as a D x D matrix.  The motion is real and B
+    maps real y to Hermitian matrices exactly, so every sample is Hermitian
+    exactly; rho0 enters as its Hermitian part, rho0 itself for a Hermitian
+    rho0.  Every sample is checked against ``EVOLUTION_INVARIANT_TOL``.
 
     The kernel lies in the first sector, and so must the stated charges
     (``stated_kernel`` raises otherwise).  The solver's slowest
@@ -317,14 +378,15 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
             for i in range(0, v.shape[0], _ROW_BLOCK):  # in place: v is the largest array here
                 v[i : i + _ROW_BLOCK] -= k[i : i + _ROW_BLOCK] @ admixture
             v[:, kernel] = k
-        motions.append((s, _motion(w, v, y0, t)))
-        del w, v  # freed before the next sector's eigendecomposition
-    raw = np.repeat(v0[:, None], t.size, axis=1)  # made after the eigendecompositions
-    for s, dy in motions:
         lift = basis[:, s]
         rows = np.unique(lift.indices)  # the positions the sector touches
-        raw[rows] += lift[rows] @ dy
-    return _as_trajectory(raw.T, t, rho0.space)
+        motions.append((rows, lift[rows] @ _motion(w, v, y0, t)))
+        del w, v  # freed before the next sector's eigendecomposition
+    support = np.union1d(np.flatnonzero(v0), np.concatenate([rows for rows, _ in motions]))
+    entries = np.repeat(v0[None, support], t.size, axis=0)
+    for rows, dx in motions:
+        entries[:, np.searchsorted(support, rows)] += dx.T
+    return _as_trajectory(t, rho0.space, support, entries)
 
 
 def _real_modes(a: np.ndarray, kernel_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -352,8 +414,7 @@ def _real_modes(a: np.ndarray, kernel_dim: int) -> tuple[np.ndarray, np.ndarray,
             "the stated kernel splits a conjugate pair of eigenvalues: the slowest "
             "decaying modes are not resolved from the kernel"
         )
-    v = real_eigenbasis(w, decomp.right_eigenvectors)
-    return np.where(kernel, 0.0, w), v, kernel
+    return np.where(kernel, 0.0, w), decomp.basis, kernel
 
 
 def _motion(w: np.ndarray, v: np.ndarray, y0: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -438,8 +499,10 @@ def stated_kernel(sup: Superoperator) -> np.ndarray:
     bordered = sp.bmat([[l0, sp.csc_matrix(c)], [sp.csr_matrix(c.T), None]], format="csc")
     rhs = np.zeros((bordered.shape[0], len(charges)))
     rhs[dim:] = np.eye(len(charges))
-    lu = _regular_lu(
-        bordered,
+    lu, norm, inverse_norm = _lu_norms(bordered)
+    _refuse_singular(
+        norm,
+        inverse_norm,
         f"the kernel of {name} is larger than its {len(charges)} stated conserved "
         "quantities (identity included) fix: the bordered generator on the first "
         "sector is singular to working precision",
@@ -460,23 +523,28 @@ def stated_kernel(sup: Superoperator) -> np.ndarray:
     return k
 
 
-def _regular_lu(a: sp.csc_matrix, message: str) -> spla.SuperLU:
-    """Sparse LU of ``a``, refused with ``KernelAmbiguityError(message)``
-    when ``a`` is singular, exactly (SuperLU: "Factor is exactly singular")
-    or to working precision (1-norm condition estimate above
-    ``BORDERED_COND_MAX``)."""
+def _lu_norms(a: sp.csc_matrix) -> tuple[spla.SuperLU | None, float, float]:
+    """Sparse LU of ``a``, ||a||_1 and the estimate of ||a^-1||_1, which is
+    infinite (and the LU None) when ``a`` is exactly singular (SuperLU:
+    "Factor is exactly singular")."""
+    norm = float(abs(a).sum(axis=0).max())
     try:
         lu = spla.splu(a)
     except RuntimeError:
-        cond = np.inf
-    else:
-        op = spla.LinearOperator(
-            a.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="T"), dtype=a.dtype
-        )
-        cond = float(abs(a).sum(axis=0).max()) * spla.onenormest(op)
+        return None, norm, np.inf
+    op = spla.LinearOperator(
+        a.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="T"), dtype=a.dtype
+    )
+    return lu, norm, spla.onenormest(op)
+
+
+def _refuse_singular(norm: float, inverse_norm: float, message: str) -> None:
+    """Refuse with ``KernelAmbiguityError(message)`` a matrix that is
+    singular, exactly or to working precision: its 1-norm condition
+    estimate ``norm * inverse_norm`` is above ``BORDERED_COND_MAX``."""
+    cond = np.inf if np.isinf(inverse_norm) else norm * inverse_norm
     if not cond <= BORDERED_COND_MAX:
         raise KernelAmbiguityError(f"{message} (condition {cond:.1e})")
-    return lu
 
 
 def steady_state(sup: Superoperator, rho0: DensityMatrix) -> DensityMatrix:
@@ -486,13 +554,22 @@ def steady_state(sup: Superoperator, rho0: DensityMatrix) -> DensityMatrix:
     since rho0 may occupy any of them."""
     me = sup.me
     k = stated_kernel(sup)
-    # the other sectors, one index range of the block diagonal G, must hold no
-    # stationary state the model does not state (an atomic coherence |gg><S|
-    # under a zero-temperature bath, say); their sparse LU fills in blockwise
-    rest = slice(sup.sectors()[0].stop, sup.dim)
-    if rest.start < rest.stop:
-        _regular_lu(
-            sup.generator()[rest, rest].tocsc(),
+    # the other sectors must hold no stationary state the model does not state
+    # (an atomic coherence |gg><S| under a zero-temperature bath, say).  G is
+    # block diagonal over them, so the 1-norms of their block and of its
+    # inverse are the largest of its diagonal blocks': runs of consecutive
+    # sectors of at least ``_LU_BLOCK`` coordinates are factorized one at a
+    # time, each LU dropped before the next
+    sectors = sup.sectors()
+    lo, norms = sectors[0].stop, []
+    for s in sectors[1:]:
+        if s.stop - lo >= _LU_BLOCK or s.stop == sup.dim:
+            norms.append(_lu_norms(sup.generator()[lo : s.stop, lo : s.stop].tocsc())[1:])
+            lo = s.stop
+    if norms:
+        _refuse_singular(
+            max(n for n, _ in norms),
+            max(i for _, i in norms),
             f"the kernel of {me.label or 'the model'} is larger than stated: the generator "
             "on the sectors other than the first is singular to working precision",
         )
@@ -591,22 +668,24 @@ def check_truncation(
     builder: Callable[[SystemSpace, ModelParams], MasterEquation],
     params: ModelParams,
     extractor: Callable[[MasterEquation], float],
-) -> int:
+) -> tuple[int, list[tuple[int, float]]]:
     """Double the Fock cutoff until the extracted observable stabilizes.
 
     Returns the first cutoff whose observable differs from the previous
-    (half-size) one by less than ``TRUNCATION_REL_TOL`` in relative terms.
+    (half-size) one by less than ``TRUNCATION_REL_TOL`` in relative terms,
+    and the history of the sweep: every (cutoff, observable) pair it
+    computed, in order, the converged cutoff last.
     """
     rel_tol, hard_cap = TRUNCATION_REL_TOL, TRUNCATION_HARD_CAP
     cutoff = TRUNCATION_START
-    prev = extractor(builder(make_space(cutoff), params))
+    history = [(cutoff, extractor(builder(make_space(cutoff), params)))]
     while cutoff < hard_cap:
         cutoff *= 2
-        cur = extractor(builder(make_space(cutoff), params))
+        history.append((cutoff, extractor(builder(make_space(cutoff), params))))
+        (_, prev), (_, cur) = history[-2:]
         denom = max(abs(cur), abs(prev), 1e-300)
         if abs(cur - prev) <= rel_tol * denom:
-            return cutoff
-        prev = cur
+            return cutoff, history
     raise TruncationLimitError(
         f"observable did not converge below relative change {rel_tol} by cutoff {hard_cap}"
     )
@@ -616,13 +695,14 @@ def converged_cutoff_for_gap(
     builder: Callable[[SystemSpace, ModelParams], MasterEquation],
     params: ModelParams,
     k: int = 12,
-) -> tuple[int, spectra.SpectrumReport]:
+) -> tuple[int, spectra.SpectrumReport, list[tuple[int, float]]]:
     """Truncation sweep using the spectral gap as the convergence observable.
 
     Always uses the targeted shift-invert path (``k`` eigenvalues): the sweep
     visits sizes where full dense diagonalization would dominate the runtime
-    for no benefit.  Returns the converged cutoff and the spectrum report
-    solved at it, so callers need not solve that cutoff again.
+    for no benefit.  Returns the converged cutoff, the spectrum report
+    solved at it, so callers need not solve that cutoff again, and the
+    sweep's (cutoff, gap) history (``check_truncation``).
     """
     reports = []
 
@@ -630,5 +710,5 @@ def converged_cutoff_for_gap(
         reports.append(spectra.analyze(Superoperator(me), k=k))
         return reports[-1].gap
 
-    cutoff = check_truncation(builder, params, gap_of)
-    return cutoff, reports[-1]
+    cutoff, history = check_truncation(builder, params, gap_of)
+    return cutoff, reports[-1], history

@@ -51,13 +51,15 @@ class EigenDecomposition:
     order of ``eigenvalues``.  For a real matrix the complex eigenvalues come
     in pairs, the one with positive imaginary part first and its conjugate,
     bit for bit, next, with conjugate eigenvectors (``real_eigenbasis``).
-    ``condition_estimate`` is the exact 2-norm condition number of V; values
-    above ``NEAR_DEFECTIVE_COND`` mark the matrix as too close to defective
-    for V-based reconstruction.
+    ``basis`` is the real form of V (``real_eigenbasis``) for a real matrix
+    and V itself for a complex one.  ``condition_estimate`` is the exact
+    2-norm condition number of V; values above ``NEAR_DEFECTIVE_COND`` mark
+    the matrix as too close to defective for V-based reconstruction.
     """
 
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray
+    basis: np.ndarray
     condition_estimate: float
 
     @property
@@ -120,10 +122,13 @@ def eig_general(m: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition of a general real or complex matrix.
 
     A real matrix is decomposed in real arithmetic (``dgeev``), and the
-    condition number is taken from the real form of V (``real_eigenbasis``).
-    Postconditions: per-pair residuals ``||A v - w v|| <= EIG_RESIDUAL_TOL *
-    ||A||_F * ||v||`` (raises ``NumericalAccuracyError`` otherwise) and a
-    populated condition estimate of the eigenvector matrix.
+    residuals and the condition number are taken from the real form B of V
+    (``real_eigenbasis``), with real products only: for a pair w = a +- ib
+    with B columns x, y (sqrt(2) Re v, sqrt(2) Im v), A v - w v is
+    (A x - a x + b y + i (A y - b x - a y)) / sqrt(2).  Postconditions:
+    per-pair residuals ``||A v - w v|| <= EIG_RESIDUAL_TOL * ||A||_F *
+    ||v||`` (raises ``NumericalAccuracyError`` otherwise) and a populated
+    condition estimate of the eigenvector matrix.
     """
     a = _as_square(m, "eig_general")
     n = a.shape[0]
@@ -137,10 +142,24 @@ def eig_general(m: np.ndarray) -> EigenDecomposition:
         raise NumericalAccuracyError(
             f"eigenvalue iteration did not converge for a {n}x{n} matrix: {exc}"
         ) from exc
+    if np.iscomplexobj(a):
+        basis = v
+        residuals = np.linalg.norm(a @ v - v * w, axis=0)
+        norms = np.linalg.norm(v, axis=0)
+    else:
+        basis = real_eigenbasis(w, v)
+        upper = np.flatnonzero(w.imag > 0.0)
+        r = a @ basis
+        r -= basis * w.real
+        r[:, upper] += basis[:, upper + 1] * w.imag[upper]
+        r[:, upper + 1] -= basis[:, upper] * w.imag[upper]
+        residuals = np.linalg.norm(r, axis=0)
+        norms = np.linalg.norm(basis, axis=0)
+        for q in (residuals, norms):  # a pair's two columns share its norm
+            q[upper] = q[upper + 1] = np.hypot(q[upper], q[upper + 1]) / np.sqrt(2.0)
     norm_a = np.linalg.norm(a)
     if norm_a > 0.0:
-        residuals = np.linalg.norm(a @ v - v * w, axis=0)
-        bound = EIG_RESIDUAL_TOL * norm_a * np.linalg.norm(v, axis=0)
+        bound = EIG_RESIDUAL_TOL * norm_a * norms
         worst = int(np.argmax(residuals - bound))
         if residuals[worst] > bound[worst]:
             raise NumericalAccuracyError(
@@ -148,8 +167,7 @@ def eig_general(m: np.ndarray) -> EigenDecomposition:
                 f"||A v - w v|| = {residuals[worst]:.3e} for eigenvalue "
                 f"{w[worst]:.6g} exceeds {bound[worst]:.3e}"
             )
-    real_v = v if np.iscomplexobj(a) else real_eigenbasis(w, v)
-    return EigenDecomposition(w, v, condition_estimate(real_v))
+    return EigenDecomposition(w, v, basis, condition_estimate(basis))
 
 
 def integrate_ode(

@@ -13,9 +13,10 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import xlogy
 
-from .dynamics import DensityMatrix, evolve_spectral
+from .dynamics import DensityMatrix, Trajectory, evolve_spectral
 from .errors import NumericalAccuracyError, ShapeError, StateValidityError
 from .models import Superoperator
 from .operators import SystemSpace, atomic_space
@@ -151,13 +152,30 @@ def atomic_mutual_information(rho: DensityMatrix) -> float:
     return mutual_information(at)
 
 
+def atomic_states(traj: Trajectory) -> np.ndarray:
+    """The 4 x 4 atomic state of every sample of ``traj`` (samples x 4 x 4),
+    the field traced out by one sparse map R from the trajectory's kept
+    entries, built once: R sums rho_(a n)(b n) over the Fock number n in
+    ascending order, as ``partial_trace_field`` does."""
+    space = traj.space
+    d, f = space.dim, space.fock_cutoff if space.has_field else 1
+    i, j = traj.support % d, traj.support // d
+    traced = np.flatnonzero(i % f == j % f)  # the same Fock number on both sides
+    r = sp.csr_matrix(
+        (np.ones(traced.size), (4 * (i[traced] // f) + j[traced] // f, traced)),
+        shape=(16, traj.support.size),
+    )
+    return (r @ traj.entries.T).T.reshape(-1, 4, 4)
+
+
 def mi_curve(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> np.ndarray:
     """Atomic mutual information at each time of ``t_grid``, starting from
     ``rho0``: spectral evolution of the generator, one sector (excitation
     block and exchange parity) at a time, then one mutual information per
-    sample."""
-    traj = evolve_spectral(sup, rho0, t_grid)
-    return traj.observable(atomic_mutual_information)
+    sample of its atomic states."""
+    at = atomic_space()
+    states = atomic_states(evolve_spectral(sup, rho0, t_grid))
+    return np.array([mutual_information(DensityMatrix(m, at)) for m in states])
 
 
 def photon_number(rho: DensityMatrix) -> float:

@@ -36,9 +36,11 @@ UNITS_HEADER = "# units: all rates and times in units of kappa (kappa = 1)"
 
 #: largest vec(rho) length D^2 of an exact thermal trajectory: besides its
 #: dense sector, the run assembles the full CSR generator (about 7 D^2
-#: entries) and the real generator of all sectors, and keeps every sample as
-#: a full D x D matrix.  2^20 is cutoff 256, where a 61-sample run peaks at
-#: 1.8 GB (1 GB of it the samples)
+#: entries) and the real generator of all sectors; the samples keep only
+#: their N_i = N_j entries (4084 of the 2^20 at cutoff 256).  2^20 is cutoff
+#: 256, where a 61-sample run peaks at 1.1 GB: 0.8 GB while the full
+#: generator is split into sectors, the rest in the 2552^2 sector's dense
+#: eigendecomposition
 EXACT_STATE_CAP = 2**20
 
 _PARAM_COLUMNS = ["g0", "eps", "n_th", "gamma", "cutoff", "seed"]
@@ -220,17 +222,28 @@ def _thermal_cutoff(n_th: float) -> int:
 
 def _gap_point(
     builder: Callable, p: ModelParams, config: ScenarioConfig, k: int
-) -> tuple[int, spectra.SpectrumReport]:
-    """Cutoff and targeted spectrum report of one gap-scenario point.
+) -> tuple[int, spectra.SpectrumReport, list[tuple[int, float]]]:
+    """Cutoff, targeted spectrum report and (cutoff, gap) truncation history
+    of one gap-scenario point.
 
     Under ``auto`` the report is the one the truncation sweep solved at the
-    converged cutoff.
+    converged cutoff; a fixed cutoff runs no sweep and has no history.
     """
     if config.cutoff == "auto":
         return dyn.converged_cutoff_for_gap(builder, p, k=k)
     cutoff = int(config.cutoff)
     sup = Superoperator(builder(make_space(cutoff), p))
-    return cutoff, spectra.analyze(sup, k=k)
+    return cutoff, spectra.analyze(sup, k=k), []
+
+
+def _solve_record(rep: spectra.SpectrumReport, history: list[tuple[int, float]]) -> dict:
+    """The ``summary.solves`` entry of a gap row: the solver and generator
+    dimension behind its gap, and the truncation sweep that chose its cutoff."""
+    return {
+        "solver": "shift-invert" if rep.partial else "dense",
+        "dim": rep.dim,
+        "history": [[c, value] for c, value in history],
+    }
 
 
 def _first_sector_dim(sup: Superoperator) -> int:
@@ -258,7 +271,7 @@ def _base_row(p: ModelParams, cutoff, seed: int) -> dict:
 def run_gap_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
     def one(pt):
         p = ModelParams(g0=pt["g0"], eps=pt["eps"])
-        cutoff, rep = _gap_point(models.build_coherent_displaced, p, config, k=24)
+        cutoff, rep, history = _gap_point(models.build_coherent_displaced, p, config, k=24)
         ana = spectra.gap_coherent(p)
         row = _base_row(p, cutoff, config.seeds)
         row.update(
@@ -266,7 +279,7 @@ def run_gap_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
             gap_analytic=ana,
             rel_error=abs(rep.gap - ana) / ana,
             kernel_dim=rep.kernel_dim,
-            solve={"solver": "shift-invert" if rep.partial else "dense", "dim": rep.dim},
+            solve=_solve_record(rep, history),
         )
         return row
 
@@ -332,7 +345,7 @@ def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
 def run_gap_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
     def one(pt):
         p = ModelParams(g0=pt["g0"], n_th=pt["n_th"])
-        cutoff, rep = _gap_point(models.build_full, p, config, k=16)
+        cutoff, rep, history = _gap_point(models.build_full, p, config, k=16)
         ana = spectra.gap_incoherent(p)
         row = _base_row(p, cutoff, config.seeds)
         row.update(
@@ -340,7 +353,7 @@ def run_gap_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
             gap_analytic=ana,
             rel_error=abs(rep.gap - ana) / max(ana, 1e-300),
             kernel_dim=rep.kernel_dim,
-            solve={"solver": "shift-invert" if rep.partial else "dense", "dim": rep.dim},
+            solve=_solve_record(rep, history),
         )
         return row
 
@@ -359,7 +372,7 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         cutoff = _thermal_cutoff(p.n_th) if config.cutoff == "auto" else int(config.cutoff)
         space = make_space(cutoff)
         # |gg,0> occupies only the d = 0, even sector, which is evolved densely;
-        # the samples and the generator it is cut from span the full space
+        # the generator it is cut from spans the full space
         dim = models.zero_sector_dim(excitation_number(space), atom_swap(space))
         run_exact = dim <= linalg.DENSE_CAP and space.dim**2 <= EXACT_STATE_CAP
         if run_exact:

@@ -337,13 +337,10 @@ def criterion_10_cptp_suite() -> CheckResult:
     space = make_space(12)
     sup = Superoperator(models.build_full(space, p))
     grid = dyn.time_grid(5.0e3, 40, t_min=0.5)
-    traj = dyn.evolve_ode(sup, dyn.ground_state(space), grid)
-    tr_dev = max(abs(np.trace(s.matrix) - 1.0) for s in traj.states)
-    herm_dev = max(float(np.abs(s.matrix - s.matrix.conj().T).max()) for s in traj.states)
-    min_eig = min(
-        float(np.linalg.eigvalsh((s.matrix + s.matrix.conj().T) / 2.0).min())
-        for s in traj.states
-    )
+    states = [s.matrix for s in dyn.evolve_ode(sup, dyn.ground_state(space), grid).states]
+    tr_dev = max(abs(np.trace(m) - 1.0) for m in states)
+    herm_dev = max(float(np.abs(m - m.conj().T).max()) for m in states)
+    min_eig = min(float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min()) for m in states)
     ok_traj = tr_dev <= 1e-8 and herm_dev <= 1e-10 and min_eig >= -1e-8
     return _result(
         "10-cptp-suite",

@@ -134,11 +134,30 @@ class TestOutputs:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["scenario"] == "gap-coherent"
         # each point records the solve behind its gap: shift-invert of the
-        # 32^2-dimensional generator at cutoff 8
+        # 32^2-dimensional generator at cutoff 8, chosen without a sweep
         solves = summary["summary"]["solves"]
         assert len(solves) == 2
-        assert all(v == {"solver": "shift-invert", "dim": 32**2} for v in solves.values())
+        assert all(
+            v == {"solver": "shift-invert", "dim": 32**2, "history": []} for v in solves.values()
+        )
         assert (out / "SCHEMA.md").exists()
+
+    def test_gap_auto_records_the_truncation_history(self, tmp_path):
+        # under auto each point records every (cutoff, gap) its sweep
+        # computed, ending at the cutoff and gap of its CSV row
+        cfg = write_config(tmp_path, {"params": {"g0": [0.3], "n_th": [0.5]}, "cutoff": "auto"})
+        out = tmp_path / "run"
+        assert cli.main(
+            ["--scenario", "gap-incoherent", "--config", str(cfg), "--out", str(out), "--quiet"]
+        ) == 0
+        csv = (out / "gap-incoherent.csv").read_text().splitlines()
+        row = dict(zip(csv[2].removeprefix("# columns: ").split(","), csv[3].split(",")))
+        (solve,) = json.loads((out / "summary.json").read_text())["summary"]["solves"].values()
+        history = solve["history"]
+        assert [c for c, _ in history] == [4 * 2**i for i in range(len(history))]
+        assert history[-1] == [int(row["cutoff"]), float(row["gap_exact"])]
+        (_, prev), (_, last) = history[-2:]
+        assert abs(last - prev) <= 1e-3 * max(abs(last), abs(prev))
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_GAP_CONFIG)

@@ -1,11 +1,14 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from atomcavity import ModelParams, atomic_space, dynamics as dyn, linalg, make_space, models, spectra
+from atomcavity import observables as obs
 from atomcavity.errors import (
     FitWindowError,
     KernelAmbiguityError,
@@ -54,7 +57,7 @@ class TestEvolveOde:
         one_photon = dyn.pure_state(dyn.basis_vector(space, 0, 0, 1), space)
         grid = np.array([0.0, 0.25, 0.5, 1.0, 2.0])
         traj = dyn.evolve_ode(sup, one_photon, grid)
-        n_t = traj.observable(photon_number)
+        n_t = np.array([photon_number(s) for s in traj.states])
         assert_allclose(n_t, np.exp(-2.0 * grid), rtol=1e-7, atol=1e-9)
 
     def test_zero_generator_constant(self):
@@ -418,6 +421,40 @@ class TestSteadyState:
         k = dyn.stated_kernel(sup)
         assert k is dyn.stated_kernel(sup) and not k.flags.writeable
 
+    def test_other_sectors_are_factorized_a_few_at_a_time(self, monkeypatch):
+        # the kernel check of the sectors other than the first factorizes runs
+        # of whole sectors of at least _LU_BLOCK coordinates that tile them,
+        # and still refuses a kernel that lies in one of them
+        calls = []
+        splu = dyn.spla.splu
+
+        def recording_splu(a):
+            calls.append(a.shape[0])
+            return splu(a)
+
+        monkeypatch.setattr(dyn.spla, "splu", recording_splu)
+        monkeypatch.setattr(dyn, "_LU_BLOCK", 64)
+        space = make_space(4)
+        sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.1, n_th=1.0, gamma=1e-3)))
+        dyn.steady_state(sup, dyn.ground_state(space))
+        first, *others = sup.sectors()
+        runs = calls[1:]  # after the bordered solve of the first sector
+        assert len(runs) > 1 and min(runs[:-1]) >= 64
+        assert set(first.stop + np.cumsum(runs)) <= {s.stop for s in others}
+        assert first.stop + sum(runs) == sup.dim
+        monkeypatch.setattr(dyn, "_LU_BLOCK", 1)
+        me = models.build_effective_incoherent(ModelParams(g0=0.1))  # keeps |gg><S| at n_th = 0
+        with pytest.raises(KernelAmbiguityError, match="other than the first"):
+            dyn.steady_state(models.Superoperator(me), dyn.ground_state(atomic_space()))
+
+
+def _kept(m):
+    """The nonzero entries of a matrix as a one-sample trajectory keeps them,
+    and their ``_SampleIndex``."""
+    support = np.flatnonzero(vec(m))
+    x = vec(m)[support]
+    return x, dyn._sample_index(support, x[None], m.shape[0])
+
 
 class TestSampleCheck:
     def test_block_minimum_equals_full_minimum(self, rng):
@@ -433,15 +470,30 @@ class TestSampleCheck:
             perm = rng.permutation(d)
             m = m[np.ix_(perm, perm)]
             want = np.linalg.eigvalsh(m).min()
-            assert dyn._min_eigenvalue(m, dyn._blocks(m != 0)) == pytest.approx(want, abs=1e-14)
+            x, index = _kept(m)
+            assert dyn._min_eigenvalue(x, index.blocks) == pytest.approx(want, abs=1e-14)
 
     def test_negative_block_is_caught(self):
         # trace 1, Hermitian, one 2 x 2 block with eigenvalues 1.1 and -0.1
         m = np.zeros((4, 4), dtype=complex)
         m[2:, 2:] = [[0.5, 0.6], [0.6, 0.5]]
-        assert dyn._min_eigenvalue(m, dyn._blocks(m != 0)) == pytest.approx(-0.1)
+        x, index = _kept(m)
+        assert dyn._min_eigenvalue(x, index.blocks) == pytest.approx(-0.1)
         with pytest.raises(NumericalAccuracyError, match="min eigenvalue"):
-            dyn._check_sample(m, 1.0, dyn._blocks(m != 0))
+            dyn._check_sample(x, 1.0, index)
+
+    @pytest.mark.parametrize("breach", ["hermiticity", "trace"])
+    def test_kept_entries_carry_hermiticity_and_trace(self, breach):
+        # a coupling whose transpose lies outside the support, or a diagonal
+        # entry that moves the trace, is refused as on the full matrix
+        m = np.diag([0.25] * 4).astype(complex)
+        if breach == "hermiticity":
+            m[0, 3] = 1e-5
+        else:
+            m[3, 3] += 1e-5
+        x, index = _kept(m)
+        with pytest.raises(NumericalAccuracyError, match=f"{breach} 1.00e-05"):
+            dyn._check_sample(x, 1.0, index)
 
     def test_trajectory_checks_the_union_of_its_patterns(self):
         # the coupling that makes the second sample negative is absent from
@@ -451,7 +503,7 @@ class TestSampleCheck:
         second[2:, 2:] = [[0.5, 0.6], [0.6, 0.5]]
         raw = np.array([vec(first), vec(second)])
         with pytest.raises(NumericalAccuracyError, match="t=1:"):
-            dyn._as_trajectory(raw, np.array([0.0, 1.0]), atomic_space())
+            dyn._as_trajectory(np.array([0.0, 1.0]), atomic_space(), np.arange(16), raw)
 
     def test_blocks_are_found_once_per_trajectory(self, monkeypatch):
         # the partition belongs to the trajectory, not to each of its samples
@@ -489,10 +541,64 @@ def test_trajectories_stay_positive(thermal, g0, eps, n_th, gamma, cutoff):
         me = models.build_coherent_displaced(space, ModelParams(g0=g0, eps=eps, gamma=gamma))
     sup = vectorize(me, materialize=False)
     traj = dyn.evolve_spectral(sup, dyn.ground_state(space), dyn.time_grid(1e3, 12))
-    blocks = dyn._blocks(np.any([s.matrix != 0 for s in traj.states], axis=0))
-    for state in traj.states:
+    blocks = dyn._sample_index(traj.support, traj.entries, space.dim).blocks
+    for x, state in zip(traj.entries, traj.states):
         h = (state.matrix + state.matrix.conj().T) / 2.0
-        assert abs(dyn._min_eigenvalue(h, blocks) - np.linalg.eigvalsh(h)[0]) <= 1e-12
+        assert abs(dyn._min_eigenvalue(x, blocks) - np.linalg.eigvalsh(h)[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("thermal", [True, False], ids=["thermal", "coherent-displaced"])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    g0=st.floats(0.05, 1.0),
+    eps=st.floats(3.0, 30.0),
+    n_th=st.floats(0.2, 5.0),
+    gamma=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+    cutoff=st.integers(2, 5),
+    mix=st.floats(0.1, 0.9),
+)
+def test_atomic_states_match_the_dense_exponential(thermal, g0, eps, n_th, gamma, cutoff, mix):
+    # an oracle free of the sectors and the real coordinates: the partial
+    # trace of expm(t L) vec(rho0), L the dense complex generator.  Besides
+    # |gg,0>, rho0 mixes in (|gg> + |ge>)|0> / sqrt(2), whose |ge><gg|
+    # coherence and |ge> population have weight outside the first sector
+    space = make_space(cutoff)
+    if thermal:
+        me = models.build_full(space, ModelParams(g0=g0, n_th=n_th, gamma=gamma))
+    else:
+        me = models.build_coherent_displaced(space, ModelParams(g0=g0, eps=eps, gamma=gamma))
+    sup = models.Superoperator(me)
+    gg = dyn.basis_vector(space, 0, 0, 0)
+    psi = (gg + dyn.basis_vector(space, 0, 1, 0)) / np.sqrt(2.0)
+    mixed = (1.0 - mix) * np.outer(gg, gg.conj()) + mix * np.outer(psi, psi.conj())
+    starts = (dyn.ground_state(space), dyn.DensityMatrix.from_matrix(mixed, space))
+    grid = dyn.time_grid(50.0, 5, spacing="linear")
+    step = scipy.linalg.expm(grid[1] * sup.as_sparse().toarray())  # the grid is uniform
+    for rho0 in starts:
+        v = vec(rho0.matrix)
+        for got in obs.atomic_states(dyn.evolve_spectral(sup, rho0, grid)):
+            want = obs.partial_trace_field(dyn.DensityMatrix(models.unvec(v), space)).matrix
+            assert np.abs(got - want).max() <= 1e-10
+            v = step @ v
+
+
+def test_spectral_trajectory_does_not_hold_full_samples():
+    # from |gg,0> a thermal trajectory occupies about 16 cutoff of the D^2
+    # entries of vec(rho): it must stay far below one complex D^2 x samples
+    # array (210 MB here), with the generator and its kernel already built
+    space = make_space(64)
+    sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.01, n_th=10.0)))
+    dyn.stated_kernel(sup)
+    rho0 = dyn.ground_state(space)
+    grid = dyn.time_grid(1.0e4, 199)
+    tracemalloc.start()
+    try:
+        traj = dyn.evolve_spectral(sup, rho0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 200
+    assert peak < sup.dim * len(traj) * 16 / 8
 
 
 class TestFitRelaxation:
@@ -501,11 +607,9 @@ class TestFitRelaxation:
         ss = dyn.maximally_mixed(space)
         tau = 37.0
         times = dyn.time_grid(6 * tau, 60, t_min=0.1)
-        states = []
         direction = np.diag([1.5, 0.5, -0.5, -1.5]).astype(complex) / 4
-        for t in times:
-            states.append(dyn.DensityMatrix(ss.matrix + np.exp(-t / tau) * direction, space))
-        traj = dyn.Trajectory(times, tuple(states))
+        entries = np.array([vec(ss.matrix + np.exp(-t / tau) * direction) for t in times])
+        traj = dyn.Trajectory(times, space, np.arange(16), entries)
         est = dyn.fit_relaxation(traj, ss)
         assert est.tau_fit == pytest.approx(tau, rel=1e-6)
         assert est.residual < 1e-8
@@ -575,14 +679,18 @@ class TestCheckTruncation:
             gaps.append(spectra.analyze(vectorize(me, materialize=False)).gap)
             return gaps[-1]
 
-        cutoff = dyn.check_truncation(models.build_full, p, extractor)
+        cutoff, history = dyn.check_truncation(models.build_full, p, extractor)
         assert cutoff == 8
         assert gaps == [0.0, 0.0]
+        assert history == [(4, 0.0), (8, 0.0)]
 
     def test_displaced_coherent_converges_small(self):
         p = ModelParams(g0=0.5, eps=10.0)
-        cutoff, rep = dyn.converged_cutoff_for_gap(models.build_coherent_displaced, p)
+        cutoff, rep, history = dyn.converged_cutoff_for_gap(models.build_coherent_displaced, p)
         assert cutoff <= 16
+        # the sweep doubled from the start to the converged cutoff, whose gap it returns
+        assert [c for c, _ in history] == [4 * 2**i for i in range(len(history))]
+        assert history[-1] == (cutoff, rep.gap)
         # the returned report is the targeted solve at the converged cutoff
         assert rep.partial and rep.kernel_dim == 2
         sup = vectorize(models.build_coherent_displaced(make_space(cutoff), p), materialize=False)
@@ -594,7 +702,7 @@ class TestCheckTruncation:
         # the gap keeps this test light)
         monkeypatch.setattr(dyn, "TRUNCATION_REL_TOL", 1e-2)
         p = ModelParams(g0=0.05, n_th=2.0)
-        cutoff, _ = dyn.converged_cutoff_for_gap(models.build_full, p, k=10)
+        cutoff, _, _ = dyn.converged_cutoff_for_gap(models.build_full, p, k=10)
         assert 8 <= cutoff <= 64
 
     def test_cap_enforced(self, monkeypatch):
