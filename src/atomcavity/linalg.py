@@ -4,7 +4,9 @@ Everything the physics layers consume: Kronecker products, general
 eigendecompositions with residual checks (real input stays real, so LAPACK
 runs ``dgeev`` and returns exact conjugate pairs), and stiff (BDF)
 integration of linear ODEs for the reference evolution
-``dynamics.evolve_ode``.  All functions are pure and all returned arrays
+``dynamics.evolve_ode``.  SciPy's integrator is imported on the first BDF
+call: it pulls in ``scipy.optimize``, ``scipy.fft`` and ``scipy.spatial``,
+which no other path needs.  All functions are pure and all returned arrays
 are freshly allocated.
 """
 
@@ -15,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 
 from .errors import (
     DimensionLimitError,
@@ -182,6 +183,8 @@ def integrate_ode(
     ``ODE_RTOL`` and ``ODE_ATOL``: Liouvillian rates span many orders of
     magnitude.  Returns one row per grid point.
     """
+    from scipy.integrate import solve_ivp
+
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ShapeError("t_grid must be a 1-D array of times")
