@@ -6,11 +6,13 @@ excitation block |d| intersected with an exchange parity, an index range of
 the model's one real generator G) at a time: from |gg,0> a thermal model
 evolves only its d = 0, even sector (392 of 25600 coordinates at cutoff 40),
 and the displaced driven model its even sector (640 of 1024 at cutoff 8).
-Stiff (BDF) integration of the full vectorized state (``evolve_ode``) is the
-independent reference that acceptance criterion 10 and the tests compare
-against; no scenario runs it.  Both return a ``Trajectory`` that keeps only
-the entries of vec(rho) its samples can occupy.  Neither renormalizes
-drifting traces - accuracy failures surface as errors.
+A ``Trajectory`` keeps only the entries of vec(rho) its samples can occupy.
+Drifting traces are never renormalized - accuracy failures surface as
+errors.  This is the one evolution path: the scenarios and ``verify`` run
+it, and the tests compare it with ``scipy.linalg.expm`` of the dense
+complex generator at small cutoffs.  The package has no BDF path: the
+stiff integrator ``linalg.integrate_ode`` has no caller here and stays only
+because the benchmark's tracer (``bench/tracing.py``) binds it by name.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     TruncationLimitError,
     UnsupportedRegimeError,
 )
-from .linalg import eig_general, integrate_ode
+from .linalg import eig_general
 from .models import MasterEquation, ModelParams, Superoperator, unvec, vec
 from .operators import SystemSpace, atomic_space, make_space, singlet_projector
 
@@ -41,7 +43,7 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-8
 POSITIVITY_TOL = 1e-8
 
-#: invariant slack enforced along integrated trajectories
+#: invariant slack enforced along trajectories
 EVOLUTION_INVARIANT_TOL = 1e-6
 
 #: ``fit_relaxation`` needs the final distance to the steady state below this
@@ -292,43 +294,6 @@ def _check_sample(x: np.ndarray, t: float, index: _SampleIndex) -> None:
         )
 
 
-def _as_trajectory(
-    t_grid: np.ndarray, space: SystemSpace, support: np.ndarray, entries: np.ndarray
-) -> Trajectory:
-    """The checked trajectory of samples kept at the vec positions
-    ``support`` of ``space`` (``entries``: one row per sample)."""
-    index = _sample_index(support, entries, space.dim)
-    for x, t in zip(entries, t_grid):
-        _check_sample(x, t, index)
-    return Trajectory(np.asarray(t_grid, dtype=float), space, support, entries)
-
-
-def evolve_ode(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> Trajectory:
-    """Integrate rho' = L rho on the grid (grid must start at 0): the
-    reference evolution, independent of the spectral path.
-
-    The CSR generator is both the right-hand side (through ``sup.apply``)
-    and the Jacobian of the stiff BDF scheme.  The right-hand side takes
-    d rho_00/dt as minus the other diagonal derivatives, which the generator
-    guarantees: the assembled matrix misses the trace functional by a fixed
-    round-off vector (about 1e-16 of its norm per column), and BDF would
-    integrate that into a trace drift growing linearly in time.  State
-    invariants are checked at every sample, to ``EVOLUTION_INVARIANT_TOL``;
-    violations raise instead of being renormalized away.
-    """
-    d = rho0.space.dim
-    others = np.arange(1, d) * (d + 1)  # positions of rho_kk, k >= 1, in vec(rho)
-
-    def rhs(v: np.ndarray) -> np.ndarray:
-        out = sup.apply(v)
-        out[0] = -out[others].sum()
-        return out
-
-    raw = integrate_ode(rhs, vec(rho0.matrix), t_grid, sup.as_sparse())
-    support = np.flatnonzero(np.any(raw, axis=0))
-    return _as_trajectory(t_grid, rho0.space, support, raw[:, support])
-
-
 def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> Trajectory:
     """Evolve through the dense eigenbasis of the generator, in real
     arithmetic, one sector at a time.
@@ -386,7 +351,10 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     entries = np.repeat(v0[None, support], t.size, axis=0)
     for rows, dx in motions:
         entries[:, np.searchsorted(support, rows)] += dx.T
-    return _as_trajectory(t, rho0.space, support, entries)
+    index = _sample_index(support, entries, rho0.space.dim)
+    for x, ti in zip(entries, t):
+        _check_sample(x, ti, index)
+    return Trajectory(t, rho0.space, support, entries)
 
 
 def _real_modes(a: np.ndarray, kernel_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -404,7 +372,7 @@ def _real_modes(a: np.ndarray, kernel_dim: int) -> tuple[np.ndarray, np.ndarray,
     if decomp.near_defective:
         raise UnsupportedRegimeError(
             "eigendecomposition is near-defective (condition estimate "
-            f"{decomp.condition_estimate:.2e}); only the evolve_ode reference integrates it"
+            f"{decomp.condition_estimate:.2e}); spectral evolution cannot resolve it"
         )
     w = decomp.eigenvalues
     kernel = spectra.zero_modes(w, kernel_dim)

@@ -1,13 +1,15 @@
 """Dense linear-algebra kernel.
 
-Everything the physics layers consume: Kronecker products, general
+Everything the physics layers consume: Kronecker products and general
 eigendecompositions with residual checks (real input stays real, so LAPACK
-runs ``dgeev`` and returns exact conjugate pairs), and stiff (BDF)
-integration of linear ODEs for the reference evolution
-``dynamics.evolve_ode``.  SciPy's integrator is imported on the first BDF
-call: it pulls in ``scipy.optimize``, ``scipy.fft`` and ``scipy.spatial``,
-which no other path needs.  All functions are pure and all returned arrays
-are freshly allocated.
+runs ``dgeev`` and returns exact conjugate pairs).  ``integrate_ode``, stiff
+(BDF) integration of linear ODEs, has no caller in the package, whose one
+evolution path is ``dynamics.evolve_spectral``; it stays only because the
+benchmark's tracer (``bench/tracing.py``) binds it by name and patches the
+LU that SciPy's BDF factorizes with.  SciPy's integrator is imported on its
+first call: it pulls in ``scipy.optimize``, ``scipy.fft`` and
+``scipy.spatial``, which no other path needs.  All functions are pure and
+all returned arrays are freshly allocated.
 """
 
 from __future__ import annotations

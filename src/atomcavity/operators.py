@@ -69,10 +69,6 @@ class LabeledOperator:
     label: str
     matrix: np.ndarray
 
-    @property
-    def dag(self) -> "LabeledOperator":
-        return LabeledOperator(self.label + "^dag", self.matrix.conj().T)
-
 
 def make_space(fock_cutoff: int) -> SystemSpace:
     """Full space with ``fock_cutoff`` retained Fock states (dim 4*cutoff)."""

@@ -313,7 +313,8 @@ def criterion_9_real_detector() -> CheckResult:
 
 def criterion_10_cptp_suite() -> CheckResult:
     """Trace functional annihilated (<= 1e-10 relative) by every generator;
-    trajectory invariants hold within the stated slacks."""
+    invariants of the spectral trajectory, the path every scenario runs,
+    hold within the stated slacks."""
     rng = np.random.default_rng(CPTP_SEED)
     space4 = make_space(4)
     gens = {
@@ -337,7 +338,7 @@ def criterion_10_cptp_suite() -> CheckResult:
     space = make_space(12)
     sup = Superoperator(models.build_full(space, p))
     grid = dyn.time_grid(5.0e3, 40, t_min=0.5)
-    states = [s.matrix for s in dyn.evolve_ode(sup, dyn.ground_state(space), grid).states]
+    states = [s.matrix for s in dyn.evolve_spectral(sup, dyn.ground_state(space), grid).states]
     tr_dev = max(abs(np.trace(m) - 1.0) for m in states)
     herm_dev = max(float(np.abs(m - m.conj().T).max()) for m in states)
     min_eig = min(float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min()) for m in states)

@@ -1,8 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from atomcavity import atomic_space
 from atomcavity.dynamics import DensityMatrix
+
+# Every property test draws the same examples on every run and stores none.
+# A failing draw is reported as Hypothesis found it, unshrunk and
+# unexplained: shrinking one failure of the dense-exponential oracle re-ran
+# its trajectories for 305 s at 1.45 GB.  Tests override ``max_examples``
+# only.
+settings.register_profile(
+    "atomcavity",
+    max_examples=10,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+settings.load_profile("atomcavity")
 
 
 @pytest.fixture

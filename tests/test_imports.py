@@ -1,8 +1,9 @@
 """Start-up imports, checked in fresh interpreters.
 
 SciPy's ODE stack (``scipy.integrate`` and what it pulls in) serves only the
-BDF reference ``dynamics.evolve_ode``; ``linalg.integrate_ode`` imports it on
-its first call, so the CLI and the scenarios start without it.
+stiff integrator ``linalg.integrate_ode``, which no path of the package
+calls; it imports the stack on its first call, so the CLI, the scenarios
+and ``verify`` run without it.
 """
 
 import os
@@ -15,17 +16,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: loaded by ``scipy.integrate`` and by nothing else on the package's paths
 DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.spatial")
 
-_EVOLVE = """
+_INTEGRATE = """
 import sys
 {first}
 import numpy as np
-from atomcavity import ModelParams, dynamics, make_space, models
+from atomcavity import ModelParams, dynamics, linalg, make_space, models
 space = make_space(3)
 sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.3, n_th=0.5, gamma=0.1)))
-traj = dynamics.evolve_ode(sup, dynamics.ground_state(space), np.array([0.0, 0.5, 2.0, 10.0]))
+y0 = models.vec(dynamics.ground_state(space).matrix)
+y = linalg.integrate_ode(sup.apply, y0, np.array([0.0, 0.5, 2.0, 10.0]), sup.as_sparse())
 print("scipy.integrate" in sys.modules)
-print(traj.support.tobytes().hex())
-print(traj.entries.tobytes().hex())
+print(y.tobytes().hex())
 """
 
 
@@ -44,9 +45,20 @@ def test_startup_does_not_load_the_ode_stack():
     assert loaded == []
 
 
-def test_evolve_ode_loads_the_integrator_and_matches_an_eager_import():
-    lazy = _run(_EVOLVE.format(first=""))
-    eager = _run(_EVOLVE.format(first="import scipy.integrate"))
+def test_integrate_ode_loads_the_integrator_and_matches_an_eager_import():
+    lazy = _run(_INTEGRATE.format(first=""))
+    eager = _run(_INTEGRATE.format(first="import scipy.integrate"))
     assert lazy[0] == "True"
-    assert len(lazy[2]) > 0
-    assert lazy == eager  # support and every sample, bit for bit
+    assert len(lazy[1]) > 0
+    assert lazy == eager  # every sample, bit for bit
+
+
+def test_criterion_10_runs_without_the_ode_stack():
+    # its trajectory leg runs the spectral path that every scenario runs
+    out = _run(
+        "import sys\n"
+        "from atomcavity import verify\n"
+        "res = verify.criterion_10_cptp_suite()\n"
+        "print(res.passed, 'scipy.integrate' in sys.modules)\n"
+    )
+    assert out == ["True", "False"]

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
@@ -93,7 +93,6 @@ PARAMETRIC_BUILDERS = {
 
 
 @pytest.mark.parametrize("name", sorted(PARAMETRIC_BUILDERS))
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(
     g0=st.floats(0.05, 1.0),
     eps=st.floats(3.0, 30.0),
@@ -410,7 +409,6 @@ class TestGeneratorInvariants:
 
 
 @pytest.mark.parametrize("name", sorted(PARAMETRIC_BUILDERS))
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(
     g0=st.floats(0.05, 1.0),
     eps=st.floats(3.0, 30.0),
@@ -447,7 +445,6 @@ DRIVEN = {"full", "coherent-displaced", "full-displaced", "rwa-displaced", "effe
 
 
 @pytest.mark.parametrize("name", sorted(PARAMETRIC_BUILDERS))
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(
     g0=st.floats(0.05, 1.0),
     eps=st.floats(3.0, 30.0),
@@ -480,7 +477,6 @@ def test_excitation_sectors(name, g0, eps, n_th, gamma, cutoff):
 
 
 @pytest.mark.parametrize("name", sorted(PARAMETRIC_BUILDERS))
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(
     g0=st.floats(0.05, 1.0),
     eps=st.floats(3.0, 30.0),

@@ -125,7 +125,7 @@ def _entries(size: int):
 
 
 class TestMutualInformationProperties:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(entries=_entries(32), rank=st.sampled_from([1, 2, 4]))
     def test_nonnegative_and_equal_to_the_entropy_difference(self, entries, rank):
         rho = dyn.DensityMatrix(_state(entries, 4, rank), atomic_space())
@@ -133,7 +133,7 @@ class TestMutualInformationProperties:
         assert mi >= 0.0
         assert abs(mi - _legacy_mi(rho)) <= 1e-12
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(first=_entries(8), second=_entries(8), mix=st.floats(1e-3, 1.0))
     def test_product_states_carry_none(self, first, second, mix):
         # mixed factors: a pure one has eigenvalues of round-off size (1e-17),
@@ -162,13 +162,13 @@ class TestPhotonNumber:
 
     def test_driven_cavity_steady_state(self):
         # decoupled cavity (g0 = 0) under drive eps: steady state is the
-        # coherent state with amplitude eps/kappa, so <n> = (eps/kappa)^2
+        # coherent state with amplitude eps/kappa, so <n> = (eps/kappa)^2;
+        # the cutoff moves it by 4e-9.  Atomic decay pins the decoupled atoms
+        # to |gg>, so the steady state is unique
         from atomcavity import ModelParams, models
 
-        p = ModelParams(g0=0.0, eps=2.0)
+        p = ModelParams(g0=0.0, eps=2.0, gamma=0.1)
         space = make_space(24)
-        sup = models.vectorize(models.build_full(space, p), materialize=False)
-        rho0 = dyn.ground_state(space)
-        grid = dyn.time_grid(12.0, 30, t_min=0.2)
-        traj = dyn.evolve_ode(sup, rho0, grid)
-        assert obs.photon_number(traj.states[-1]) == pytest.approx(4.0, rel=1e-4)
+        sup = models.Superoperator(models.build_full(space, p))
+        ss = dyn.steady_state(sup, dyn.ground_state(space))
+        assert obs.photon_number(ss) == pytest.approx(4.0, rel=1e-8)
