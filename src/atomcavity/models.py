@@ -29,6 +29,18 @@ N on both sides).  Such a builder states N of each basis state
 elements rho_ij of different |N_i - N_j|.  A sector is one |d| (all of
 vec(rho) when no N is stated) intersected with one exchange parity.
 
+The thermal model without a drive (``build_full`` at eps = 0, n_th > 0)
+also obeys quantum detailed balance with respect to sigma ~ x^N,
+x = n_th / (n_th + 1) (Kossakowski, Frigerio, Gorini & Verri, CMP 57, 97
+(1977)): H commutes with N, every jump is an N-eigenoperator
+([N, O] = -+O, truncated operators included), and each lowering jump O at
+rate r has its partner O^dag at rate x r.  The model states x
+(``MasterEquation.balance``), which is checked on those terms; in the KMS
+inner product of sigma the dissipative part of L is then self-adjoint and
+negative semidefinite, which bounds the rates of every sector from below
+(``spectra.rate_bounds``).  At n_th = 0 sigma is not faithful, and the
+driven, displaced and effective models state no weight.
+
 Every solve reads one real generator G = (F T) L B, ordered sector by
 sector, and a sector is a ``slice`` of it (``Superoperator.generator`` and
 ``sectors``).  L maps Hermitian matrices to Hermitian matrices, so in the
@@ -84,6 +96,11 @@ SECTOR_LEAK_TOL = 1e-14
 
 #: rows of G formed per product: F T L of a block stays under 40 MB at any cutoff
 GENERATOR_ROW_BLOCK = 2**16
+
+#: largest |r_+ - x r_-| of a jump pair under a stated detailed-balance weight
+#: x, relative to the lowering rate r_-; ``build_full``'s pairs miss by a few
+#: ulps, so anything above round-off means the stated weight is wrong
+BALANCE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -160,7 +177,11 @@ class MasterEquation:
     the model conserves d = N_ket - N_bra, and is None when it states no
     such symmetry (any drive breaks it).  ``swap`` states a basis
     permutation P (an involution; ``operators.atom_swap``) when L commutes
-    with rho -> P rho P, and is None when it states none.
+    with rho -> P rho P, and is None when it states none.  ``balance``
+    states x in (0, 1) when L obeys detailed balance with respect to
+    sigma ~ x^N, N the stated excitation numbers, and is refused unless H
+    commutes with N, there are no cross terms, every jump is an
+    N-eigenoperator and the jumps pair up as (O, r), (O^dag, x r).
     """
 
     hamiltonian: LabeledOperator
@@ -171,6 +192,7 @@ class MasterEquation:
     conserved: tuple[LabeledOperator, ...] = ()
     excitations: np.ndarray | None = None
     swap: np.ndarray | None = None
+    balance: float | None = None
 
     def __post_init__(self):
         dim = self.space.dim
@@ -199,6 +221,42 @@ class MasterEquation:
                 self.excitations[p], self.excitations
             ):
                 raise ValueError("the stated swap changes the stated excitation numbers")
+        if self.balance is not None:
+            self._check_balance()
+
+    def _check_balance(self) -> None:
+        """Refuse a stated detailed-balance weight the terms do not obey."""
+        x, name = self.balance, self.label or "the model"
+        if not 0.0 < x < 1.0:
+            raise ValueError(f"the detailed-balance weight of {name} must lie in (0, 1), got {x!r}")
+        if self.excitations is None or self.cross_terms:
+            raise ValueError(
+                f"a detailed-balance weight needs stated excitation numbers and no cross terms ({name})"
+            )
+        step = np.subtract.outer(self.excitations, self.excitations)  # N_i - N_j
+        if np.any(self.hamiltonian.matrix[step != 0]):
+            raise ValueError(f"the Hamiltonian of {name} does not commute with N")
+        lowering, raising = [], []
+        for op, rate in self.dissipators:
+            shifts = np.unique(step[op.matrix != 0])
+            if not shifts.size:
+                continue  # a zero jump (a at cutoff 1) adds nothing to L
+            if shifts.tolist() not in ([-1], [1]):
+                raise ValueError(f"jump {op.label} of {name} is not an N-eigenoperator ([N, O] = -+O)")
+            (lowering if shifts[0] < 0 else raising).append((op, rate))
+        for op, rate in lowering:
+            adj = op.matrix.conj().T
+            match = [i for i, (q, _) in enumerate(raising) if np.array_equal(q.matrix, adj)]
+            if not match:
+                raise ValueError(f"jump {op.label} of {name} has no partner {op.label}^dag")
+            partner, up = raising.pop(match[0])
+            if abs(up - x * rate) > BALANCE_TOL * rate:
+                raise ValueError(
+                    f"the rates of {op.label} ({rate!r}) and {partner.label} ({up!r}) of {name} "
+                    f"are not in the ratio 1/x = {1.0 / x!r}"
+                )
+        if raising:
+            raise ValueError(f"jump {raising[0][0].label} of {name} has no lowering partner")
 
     @property
     def dim(self) -> int:
@@ -484,7 +542,8 @@ def build_full(space: SystemSpace, params: ModelParams) -> MasterEquation:
     (sigma_-^j, gamma(n_th+1)/2), (sigma_+^j, gamma n_th/2).
     Zero-rate channels are omitted.  At gamma = 0 every operator is
     collective and the singlet weight is conserved.  The model states the
-    atom swap, and without a drive its excitation numbers.
+    atom swap, without a drive its excitation numbers, and without a drive
+    at n_th > 0 its detailed-balance weight x = n_th / (n_th + 1).
     """
     k = params.kappa
     a = annihilation(space)
@@ -504,10 +563,15 @@ def build_full(space: SystemSpace, params: ModelParams) -> MasterEquation:
         if params.gamma * params.n_th > 0.0:
             diss.append((single_atom(space, "plus", j), params.gamma * params.n_th / 2.0))
     conserved = () if params.gamma > 0.0 else (singlet_projector(space),)
+    undriven = params.eps == 0.0
+    # sigma ~ x^N needs every raising channel, which n_th = 0 omits, and so
+    # does a rate gamma n_th that underflows
+    balanced = undriven and all(r * params.n_th > 0.0 for r in (k, params.gamma) if r > 0.0)
     return MasterEquation(
         LabeledOperator("H_TC + H_d", h), tuple(diss), space, label="full", conserved=conserved,
-        excitations=excitation_number(space) if params.eps == 0.0 else None,
+        excitations=excitation_number(space) if undriven else None,
         swap=atom_swap(space),
+        balance=params.n_th / (params.n_th + 1.0) if balanced else None,
     )
 
 

@@ -238,12 +238,15 @@ def _gap_point(
 
 def _solve_record(rep: spectra.SpectrumReport, history: list[tuple[int, float]]) -> dict:
     """The ``summary.solves`` entry of a gap row: the solver and generator
-    dimension behind its gap, and the truncation sweep that chose its cutoff."""
-    return {
-        "solver": "shift-invert" if rep.partial else "dense",
-        "dim": rep.dim,
-        "history": [[c, value] for c, value in history],
-    }
+    dimension behind its gap, the least rate bound of the sectors a
+    certified solve left out (or whose bound its gap failed to clear before
+    the fallback to all of G), and the truncation sweep that chose its
+    cutoff."""
+    record = {"solver": rep.solver, "dim": rep.dim}
+    if rep.excluded_bound is not None:
+        record["excluded_bound"] = rep.excluded_bound
+    record["history"] = [[c, value] for c, value in history]
+    return record
 
 
 def _first_sector_dim(sup: Superoperator) -> int:

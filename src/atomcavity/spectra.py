@@ -4,6 +4,25 @@ Both solves read the model's one real generator G (``Superoperator.generator``):
 the dense one each sector's block G[s, s], shift-invert all of G, whose sparse
 LU fills in only inside those blocks.
 
+A model that states a detailed-balance weight x (``MasterEquation.balance``)
+bounds the rates of each sector from below (Temme, Kastoryano, Ruskai, Wolf &
+Verstraete, J. Math. Phys. 51, 122201 (2010)).  In the KMS inner product of
+sigma ~ x^N the dissipative part of L is self-adjoint and negative
+semidefinite, and H contributes an anti-self-adjoint part, so every
+eigenvalue of a sector has -Re lambda at least the least eigenvalue of minus
+the dissipative part there, and at least that of the cavity's part alone,
+the atoms' part being semidefinite too.  On the field band k (rho_{n,n+k})
+the cavity part is tridiagonal of size cutoff - k and symmetric after a
+diagonal similarity; its least eigenvalue is 0 on k = 0.  A sector of
+|N_ket - N_bra| = |d| holds field bands k = |d| - 2, ..., |d| + 2, so
+
+    bound_|d| = min over k in {|d| - 2, ..., |d| + 2}, |k| < cutoff, of lambda_min(band |k|)
+
+(``rate_bounds``), which is 0 for |d| <= 2.  The targeted solve of such a
+model runs on the sectors whose bound is 0 alone, a prefix G[:m, :m] since
+sectors are ordered by |d|, and keeps the gap only when it lies strictly
+below the least bound of the sectors left out; otherwise it solves all of G.
+
 No magnitude threshold decides a zero mode: the rates of interest span many
 orders of magnitude, and at strong drive the gap falls to within a few decades
 of the round-off a dense solver leaves on the kernel eigenvalues.  The model
@@ -17,11 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .errors import SpectrumDiagnosticError, UnsupportedRegimeError
 from .linalg import eig_general
 from .models import ModelParams, Superoperator
+from .operators import annihilation
 
 #: eigenvalues closer than this, relative to the spectral radius, form a cluster
 CLUSTER_TOL = 1e-7
@@ -53,7 +74,10 @@ class SpectrumReport:
     clustered nonzero decay rates (-Re) ascending; ``gap`` is the smallest
     nonzero rate; ``second_rate`` the next distinct one (None when absent).
     ``partial`` marks reports built from a targeted (shift-invert) solve that
-    only sees the slow end of the spectrum.
+    only sees the slow end of the spectrum.  ``analyze`` records the solver
+    behind the report, the dimension of the generator it solved and, when
+    sectors were left out of a targeted solve or the gap failed to clear
+    their bound, the least rate bound of those sectors.
     """
 
     eigenvalues: np.ndarray
@@ -66,6 +90,8 @@ class SpectrumReport:
     partial: bool = False
     condition_estimate: float = np.nan
     dim: int = 0  # of the generator solved (0 for eigenvalues classified alone)
+    solver: str = ""
+    excluded_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -75,9 +101,6 @@ class AnalyticSpectrum:
     case: str
     entries: tuple[tuple[float, int], ...]
     params: ModelParams
-
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
 
 
 @dataclass(frozen=True)
@@ -140,29 +163,89 @@ def analyze(sup: Superoperator, k: int | None = None) -> SpectrumReport:
     Dense full diagonalization when ``k`` is None, one sector of
     ``sup.sectors()`` at a time: the report classifies the union of the
     sector spectra and carries the worst sector's condition number and
-    near-defective flag.  Otherwise a targeted shift-invert solve of G for
-    the ``k`` eigenvalues nearest a small positive real shift (never an
+    near-defective flag.  Otherwise a targeted shift-invert solve for the
+    ``k`` eigenvalues nearest a small positive real shift (never an
     eigenvalue of a Lindblad generator), yielding a partial report of the
-    slow end of the spectrum.  The kernel is the one the model states,
-    1 + len(``conserved``) zero modes.
+    slow end of the spectrum: of the sectors whose rate bound is 0 when the
+    model states a detailed-balance weight and the gap lies strictly below
+    the least bound of the sectors left out (``certified-shift-invert``),
+    of all of G otherwise (``shift-invert``, or ``shift-invert-fallback``
+    when a gap failed to clear the bound).  The kernel is the one the model
+    states, 1 + len(``conserved``) zero modes.
     """
     kernel_dim = 1 + len(sup.me.conserved)
-    if k is None:
-        parts, conditions, defective = [], [], False
-        for s in sup.sectors():
-            decomp = eig_general(sup.as_dense(s))
-            parts.append(decomp.eigenvalues)
-            conditions.append(decomp.condition_estimate)
-            defective = defective or decomp.near_defective
-        report = classify(
-            np.concatenate(parts),
-            kernel_dim,
-            condition=max(conditions),
-            near_defective=defective,
-        )
-    else:
-        report = classify(_shift_invert(sup, k, 1e-3), kernel_dim, partial=True)
-    return replace(report, dim=sup.dim)
+    if k is not None:
+        return _targeted(sup, k, kernel_dim)
+    parts, conditions, defective = [], [], False
+    for s in sup.sectors():
+        decomp = eig_general(sup.as_dense(s))
+        parts.append(decomp.eigenvalues)
+        conditions.append(decomp.condition_estimate)
+        defective = defective or decomp.near_defective
+    report = classify(
+        np.concatenate(parts),
+        kernel_dim,
+        condition=max(conditions),
+        near_defective=defective,
+    )
+    return replace(report, dim=sup.dim, solver="dense")
+
+
+def _targeted(sup: Superoperator, k: int, kernel_dim: int) -> SpectrumReport:
+    """``analyze``'s shift-invert report: on the prefix of G whose sectors
+    have rate bound 0, when the gap found there lies below the least bound
+    of the rest; on all of G otherwise."""
+    bounds, excluded = rate_bounds(sup), None
+    if bounds is not None:
+        last = int(np.flatnonzero(bounds <= 0.0).max())
+        size = sup.sectors()[last].stop
+        if size < sup.dim and k < size - 1:
+            excluded = float(bounds[last + 1 :].min())
+            report = classify(_shift_invert(sup, k, 1e-3, size), kernel_dim, partial=True)
+            if report.gap < excluded:
+                return replace(
+                    report, dim=size, solver="certified-shift-invert", excluded_bound=excluded
+                )
+    report = classify(_shift_invert(sup, k, 1e-3), kernel_dim, partial=True)
+    solver = "shift-invert" if excluded is None else "shift-invert-fallback"
+    return replace(report, dim=sup.dim, solver=solver, excluded_bound=excluded)
+
+
+def rate_bounds(sup: Superoperator) -> np.ndarray | None:
+    """Lower bound on the rate -Re lambda of every eigenvalue of each of
+    ``sup.sectors()``, from the model's stated detailed-balance weight (see
+    the module docstring); None when the model states none or has no field.
+
+    The cavity part is the pair of jumps a (rate r_-) and a^dag (r_+ = x r_-
+    once the weight is stated).  On band k, rho_{n,m} with m = n + k, minus
+    it has diagonal r_- (n + m) + r_+ (f_n + f_m), f the diagonal of the
+    truncated a a^dag, and symmetrized off-diagonal
+    sqrt(L_{i,i+1} L_{i+1,i}) = 2 sqrt(r_- r_+ n m) between rho_{n-1,m-1}
+    and rho_{n,m}.
+    """
+    me = sup.me
+    if me.balance is None or not me.space.has_field:
+        return None
+    a = annihilation(me.space).matrix
+    down = sum(r for op, r in me.dissipators if np.array_equal(op.matrix, a))
+    up = sum(r for op, r in me.dissipators if np.array_equal(op.matrix, a.conj().T))
+    c = me.space.fock_cutoff
+    fill = np.append(np.arange(1.0, c), 0.0)  # diagonal of the truncated a a^dag
+    floor = np.zeros(c)  # least eigenvalue of minus the cavity part on band k
+    for k in range(1, c):
+        n = np.arange(c - k)
+        m = n + k
+        diag = down * (n + m) + up * (fill[n] + fill[m])
+        off = 2.0 * np.sqrt(down * up * n[1:] * m[1:])
+        floor[k] = sla.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
+    basis, _ = sup.maps()
+    labels, dim = me.excitations, me.dim
+    bounds = []
+    for s in sup.sectors():
+        r = basis.indices[basis.indptr[s.start]]  # a vec(rho) entry of the sector
+        d = abs(int(labels[r % dim]) - int(labels[r // dim]))
+        bounds.append(min(floor[abs(k)] for k in range(d - 2, d + 3) if abs(k) < c))
+    return np.array(bounds)
 
 
 def zero_modes(eigenvalues: np.ndarray, kernel_dim: int) -> np.ndarray:
@@ -365,19 +448,24 @@ def match_eigenvalue_sets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return devs
 
 
-def _shift_invert(sup: Superoperator, k: int, sigma: complex) -> np.ndarray:
-    """The ``k`` eigenvalues nearest ``sigma`` (ARPACK shift-invert of G),
-    from a deterministic generic start vector so targeted solves are
-    reproducible.  G is cast to complex for a shift off the real axis, where
-    real ARPACK would iterate on the real part of the shifted inverse."""
+def _shift_invert(
+    sup: Superoperator, k: int, sigma: complex, size: int | None = None
+) -> np.ndarray:
+    """The ``k`` eigenvalues nearest ``sigma`` (ARPACK shift-invert of G, or
+    of its leading sectors G[:size, :size]), from a deterministic generic
+    start vector so targeted solves are reproducible.  G is cast to complex
+    for a shift off the real axis, where real ARPACK would iterate on the
+    real part of the shifted inverse."""
     g = sup.generator()
+    if size is not None:
+        g = g[:size, :size]
     return spla.eigs(
         g.astype(complex) if np.imag(sigma) else g,
         k=k,
         sigma=sigma,
         which="LM",
         return_eigenvectors=False,
-        v0=np.cos(0.7 * np.arange(sup.dim)) + 0.3,
+        v0=np.cos(0.7 * np.arange(g.shape[0])) + 0.3,
     )
 
 

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atomcavity import cli, scenarios, verify
+from atomcavity import ModelParams, cli, make_space, models, scenarios, spectra, verify
 from atomcavity.errors import NumericalAccuracyError
+from atomcavity.models import Superoperator
 
 
 def write_config(tmp_path: Path, payload: dict) -> Path:
@@ -158,6 +159,15 @@ class TestOutputs:
         assert history[-1] == [int(row["cutoff"]), float(row["gap_exact"])]
         (_, prev), (_, last) = history[-2:]
         assert abs(last - prev) <= 1e-3 * max(abs(last), abs(prev))
+        # the gap is certified on the sectors of rate bound 0, G's leading
+        # |d| <= 2 sectors, below the least bound of the sectors left out
+        sup = Superoperator(
+            models.build_full(make_space(int(row["cutoff"])), ModelParams(g0=0.3, n_th=0.5))
+        )
+        bounds = spectra.rate_bounds(sup)
+        assert solve["solver"] == "certified-shift-invert"
+        assert solve["dim"] == sup.sectors()[np.flatnonzero(bounds == 0.0).max()].stop < sup.dim
+        assert solve["excluded_bound"] == bounds[bounds > 0.0].min() > float(row["gap_exact"])
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_GAP_CONFIG)

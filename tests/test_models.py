@@ -605,3 +605,57 @@ def test_dense_eig_runs_in_real_arithmetic(monkeypatch):
     assert seen == [(np.float64, (640, 640))]
     spectra.analyze(vectorize(me, materialize=False))
     assert seen[1:] == [(np.float64, (640, 640)), (np.float64, (384, 384))]
+
+
+def test_the_undriven_thermal_model_states_its_detailed_balance_weight():
+    # sigma ~ x^N with x = n_th / (n_th + 1); nothing at n_th = 0 (sigma is
+    # not faithful), under a drive, or for the displaced and effective models
+    space = make_space(4)
+    for gamma in (0.0, 0.3):
+        me = build_full(space, ModelParams(g0=0.3, n_th=1.5, gamma=gamma))
+        assert me.balance == 1.5 / 2.5
+    # at cutoff 1 the cavity's jumps are zero; every sector's bound is then 0
+    # and the targeted solve takes all of G
+    me = build_full(make_space(1), ModelParams(g0=0.3, n_th=1.5, gamma=0.3))
+    assert me.balance == 1.5 / 2.5
+    rep = spectra.analyze(Superoperator(me), k=3)
+    assert (rep.solver, rep.dim, rep.excluded_bound) == ("shift-invert", 16, None)
+    assert build_full(space, ModelParams(g0=0.3, gamma=0.3)).balance is None
+    # the smallest n_th keeps the cavity's raising channel, but gamma n_th
+    # underflows and drops the atoms' ones
+    assert build_full(space, ModelParams(g0=0.3, n_th=5e-324)).balance == 5e-324
+    assert build_full(space, ModelParams(g0=0.3, n_th=5e-324, gamma=1e-3)).balance is None
+    assert build_full(space, ModelParams(g0=0.3, eps=0.5, n_th=1.5)).balance is None
+    p = ModelParams(g0=0.3, eps=2.0)
+    for me in (build_coherent_displaced(space, p), build_effective_coherent(p),
+               build_effective_incoherent(replace(p, n_th=1.5))):
+        assert me.balance is None
+
+
+def test_a_wrong_detailed_balance_statement_is_refused():
+    space = make_space(4)
+    me = build_full(space, ModelParams(g0=0.3, n_th=1.5, gamma=0.3))
+    x = me.balance
+    with pytest.raises(ValueError, match="ratio"):
+        replace(me, balance=x * (1.0 + 1e-9))
+    for bad in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            replace(me, balance=bad)
+    # a raising rate off by a part in 1e9
+    off = tuple((op, rate * (1.0 + 1e-9) if op.label == "a^dag" else rate) for op, rate in me.dissipators)
+    with pytest.raises(ValueError, match="ratio"):
+        replace(me, dissipators=off)
+    # a jump that is no N-eigenoperator, a lowering jump without its partner
+    sx = collective_spin(space, "x")
+    with pytest.raises(ValueError, match="N-eigenoperator"):
+        replace(me, dissipators=me.dissipators + ((sx, 0.1),))
+    with pytest.raises(ValueError, match="partner"):
+        replace(me, dissipators=tuple(d for d in me.dissipators if d[0].label != "a^dag"))
+    with pytest.raises(ValueError, match="partner"):
+        replace(me, dissipators=tuple(d for d in me.dissipators if d[0].label != "a"))
+    # a drive breaks [H, N] = 0 even where the excitation numbers are stated
+    driven = build_full(space, ModelParams(g0=0.3, eps=0.5, n_th=1.5))
+    with pytest.raises(ValueError, match="commute"):
+        replace(driven, excitations=excitation_number(space), balance=x)
+    with pytest.raises(ValueError, match="excitation numbers"):
+        replace(driven, balance=x)

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
@@ -79,7 +82,7 @@ class TestAnalyticTables:
     def test_coherent_entries(self):
         p = ModelParams(g0=0.25, eps=100.0)
         tab = spectra.analytic_coherent(p)
-        assert tab.total_multiplicity() == 16
+        assert sum(m for _, m in tab.entries) == 16
         assert [m for _, m in tab.entries] == [2, 3, 1, 6, 2, 2]
         # lambda3 at the Fig. 1(c) anchor parameters
         assert tab.entries[3][0] == pytest.approx(-0.0625125)
@@ -98,7 +101,7 @@ class TestAnalyticTables:
     def test_incoherent_entries(self):
         p = ModelParams(g0=0.1, n_th=1.0)
         tab = spectra.analytic_incoherent(p)
-        assert tab.total_multiplicity() == 16
+        assert sum(m for _, m in tab.entries) == 16
         assert [m for _, m in tab.entries] == [2, 2, 2, 2, 4, 1, 2, 1]
         g = p.gamma_collective
         assert tab.entries[2][0] / g == pytest.approx(-9.0 + np.sqrt(33.0))
@@ -273,3 +276,93 @@ def test_shift_invert_of_the_real_generator_matches_the_complex_csr(build, param
         rep = spectra.analyze(sup, k=k)
         assert rep.partial and rep.eigenvalues.size == k
         assert worst(rep.eigenvalues) <= 1e-10
+
+
+def _whole(sup: models.Superoperator) -> models.Superoperator:
+    """The same model without its detailed-balance statement: its targeted
+    solves run on all of G."""
+    return models.Superoperator(replace(sup.me, balance=None))
+
+
+@given(
+    g0=st.floats(0.03, 3.0),
+    n_th=st.floats(0.0, 5.0, exclude_min=True),
+    gamma=st.sampled_from([0.0, 1e-3, 0.3]),
+    cutoff=st.integers(3, 7),
+)
+@example(g0=2.1137433487345567, n_th=5e-324, gamma=1e-3, cutoff=7)
+@example(g0=2.1137433487345567, n_th=5e-324, gamma=0.0, cutoff=7)
+def test_every_sector_decays_at_least_at_its_rate_bound(g0, n_th, gamma, cutoff):
+    # the oracle is the dense spectrum of each sector of G: under the stated
+    # detailed balance every eigenvalue's rate -Re lambda is at or above the
+    # sector's bound, which is 0 exactly on the |d| <= 2 sectors that lead G
+    sup = models.Superoperator(models.build_full(make_space(cutoff), ModelParams(g0=g0, n_th=n_th, gamma=gamma)))
+    bounds = spectra.rate_bounds(sup)
+    if bounds is None:
+        # a raising rate gamma n_th that underflows leaves sigma_- unpaired:
+        # the model states no weight and its solves take all of G
+        assert gamma * n_th == 0.0 and sup.me.balance is None
+        return
+    sectors = sup.sectors()
+    assert bounds.shape == (len(sectors),)
+    basis, _ = sup.maps()
+    n, dim = sup.me.excitations, sup.me.dim
+    tol = 1e-12 * sup.norm_estimate()
+    for s, bound in zip(sectors, bounds):
+        rows = basis[:, s].tocoo().row
+        assert (bound == 0.0) == (np.abs(n[rows % dim] - n[rows // dim]).max() <= 2)
+        rates = -np.linalg.eigvals(sup.as_dense(s)).real
+        assert rates.min() >= bound - tol
+
+
+@pytest.mark.parametrize(
+    "cutoff,g0,n_th,gamma",
+    [(8, 0.1, 1.9, 0.0), (16, 0.3, 4.0, 1e-3), (24, 0.3, 2.0, 0.3), (32, 0.3, 0.5, 0.0)],
+)
+def test_certified_gap_equals_the_whole_generator_gap(cutoff, g0, n_th, gamma):
+    sup = models.Superoperator(models.build_full(make_space(cutoff), ModelParams(g0=g0, n_th=n_th, gamma=gamma)))
+    rep = spectra.analyze(sup, k=16)
+    whole = spectra.analyze(_whole(sup), k=16)
+    assert rep.solver == "certified-shift-invert" and whole.solver == "shift-invert"
+    assert rep.dim < whole.dim == sup.dim and whole.excluded_bound is None
+    assert rep.gap < rep.excluded_bound
+    assert rep.gap == pytest.approx(whole.gap, rel=1e-12)
+    assert rep.kernel_dim == whole.kernel_dim == 1 + len(sup.me.conserved)
+
+
+def test_a_gap_above_the_bound_falls_back_to_the_whole_generator():
+    # strong coupling at cutoff 8: at n_th = 1 the gap clears the least bound
+    # of the |d| >= 3 sectors by 4e-5; at n_th = 4 it does not, and the
+    # report is the whole-G one
+    def report(n_th):
+        p = ModelParams(g0=3.0, n_th=n_th, gamma=0.3)
+        return models.Superoperator(models.build_full(make_space(8), p))
+
+    sup = report(1.0)
+    rep = spectra.analyze(sup, k=16)
+    assert rep.solver == "certified-shift-invert" and rep.dim == 528
+    assert rep.gap == pytest.approx(1.12669, rel=1e-5)
+    assert rep.excluded_bound == pytest.approx(1.12673, rel=1e-5)
+    sup = report(4.0)
+    rep = spectra.analyze(sup, k=16)
+    whole = spectra.analyze(_whole(sup), k=16)
+    assert rep.solver == "shift-invert-fallback" and rep.dim == whole.dim == 1024
+    assert rep.excluded_bound == pytest.approx(3.0, rel=1e-12)
+    assert rep.gap == pytest.approx(3.449, rel=1e-3)
+    assert np.array_equal(rep.eigenvalues, whole.eigenvalues)
+    assert (rep.gap, rep.kernel_dim) == (whole.gap, whole.kernel_dim)
+
+
+@pytest.mark.parametrize(
+    "build,params",
+    [
+        (models.build_full, ModelParams(g0=0.3, n_th=0.0, gamma=1e-3)),
+        (models.build_full, ModelParams(g0=0.3, eps=0.5, n_th=1.0)),
+        (models.build_coherent_displaced, ModelParams(g0=0.25, eps=2.0)),
+    ],
+)
+def test_models_without_a_weight_solve_the_whole_generator(build, params):
+    sup = models.Superoperator(build(make_space(6), params))
+    assert spectra.rate_bounds(sup) is None
+    rep = spectra.analyze(sup, k=12)
+    assert (rep.solver, rep.dim, rep.excluded_bound) == ("shift-invert", sup.dim, None)
