@@ -27,7 +27,10 @@ U(1) symmetry; atomic decay keeps it too, since sigma_- rho sigma_+ lowers
 N on both sides).  Such a builder states N of each basis state
 (``MasterEquation.excitations``), and the generator never mixes the
 elements rho_ij of different |N_i - N_j|.  A sector is one |d| (all of
-vec(rho) when no N is stated) intersected with one exchange parity.
+vec(rho) when no N is stated) intersected with one exchange parity.  Both
+statements are conditions on H and the jumps (Buca & Prosen, NJP 14,
+073007 (2012)), checked on those operators when the model is made, and
+the sectors are index bookkeeping on the statements alone.
 
 The thermal model without a drive (``build_full`` at eps = 0, n_th > 0)
 also obeys quantum detailed balance with respect to sigma ~ x^N,
@@ -53,7 +56,7 @@ basis E of x is a unit vector or a swapped pair of them, and the maps
 B = T^-1 E (y -> vec(rho)) and F T (vec(rho) -> y) of all of vec(rho)
 (``hermitian_sectors``) have entries +-1, +-i and +-1/2^k, so y is real
 exactly for a Hermitian rho and every matrix read back from real y is
-Hermitian exactly.  G keeps no entry that links two sectors.
+Hermitian exactly.  G drops round-off that links two sectors, refusing more.
 
 Rates and times are expressed in units of kappa, which is pinned to 1.
 """
@@ -88,10 +91,10 @@ from .operators import (
 #: above round-off means L does not preserve Hermiticity
 DENSE_IMAG_TOL = 1e-14
 
-#: largest entry of P L P - L, P the stated swap on vec(rho), relative to
-#: ||L||_1; measured exactly 0 at gamma = 0 and 8.9e-16 at gamma = 1e-3
-#: (the two atoms' channels summed in either order), so anything above
-#: round-off means L breaks the stated symmetry
+#: largest entry of G that links two sectors, relative to ||L||_1; none at
+#: gamma = 0, and at gamma = 1e-3 (the two atoms' channels summed in either
+#: order) the displaced model's reach 1.5e-17 (8 at cutoff 8) and 2.8e-17
+#: (24 at cutoff 16), so anything above round-off means L was assembled wrong
 SECTOR_LEAK_TOL = 1e-14
 
 #: rows of G formed per product: F T L of a block stays under 40 MB at any cutoff
@@ -179,9 +182,8 @@ class MasterEquation:
     permutation P (an involution; ``operators.atom_swap``) when L commutes
     with rho -> P rho P, and is None when it states none.  ``balance``
     states x in (0, 1) when L obeys detailed balance with respect to
-    sigma ~ x^N, N the stated excitation numbers, and is refused unless H
-    commutes with N, there are no cross terms, every jump is an
-    N-eigenoperator and the jumps pair up as (O, r), (O^dag, x r).
+    sigma ~ x^N, N the stated excitation numbers.  Each statement is checked
+    here, once, on the operators it is about (``ValueError`` otherwise).
     """
 
     hamiltonian: LabeledOperator
@@ -211,39 +213,69 @@ class MasterEquation:
                 raise ShapeError(f"conserved operator {q.label} does not match the space")
         if self.excitations is not None and np.shape(self.excitations) != (dim,):
             raise ShapeError("excitation numbers do not match the space")
+        jumps = None if self.excitations is None else self._excitation_shifts()
         if self.swap is not None:
             p = np.asarray(self.swap)
             if p.shape != (dim,) or not np.array_equal(np.sort(p), np.arange(dim)):
                 raise ShapeError("the stated swap is not a permutation of the basis")
             if not np.array_equal(p[p], np.arange(dim)):
                 raise ValueError("the stated swap is not an involution")
-            if self.excitations is not None and not np.array_equal(
-                self.excitations[p], self.excitations
-            ):
+            if self.excitations is not None and not np.array_equal(self.excitations[p], self.excitations):
                 raise ValueError("the stated swap changes the stated excitation numbers")
+            self._check_swap(p)
         if self.balance is not None:
-            self._check_balance()
+            self._check_balance(jumps)
 
-    def _check_balance(self) -> None:
-        """Refuse a stated detailed-balance weight the terms do not obey."""
-        x, name = self.balance, self.label or "the model"
-        if not 0.0 < x < 1.0:
-            raise ValueError(f"the detailed-balance weight of {name} must lie in (0, 1), got {x!r}")
-        if self.excitations is None or self.cross_terms:
-            raise ValueError(
-                f"a detailed-balance weight needs stated excitation numbers and no cross terms ({name})"
-            )
+    def _excitation_shifts(self) -> list[tuple[LabeledOperator, float, int]]:
+        """Refuse stated excitation numbers N unless H commutes with N and each
+        nonzero jump, and a cross term's two operators together, shift N by one
+        amount s ([N, O] = s O), which keeps d; returns each such (O, rate, s)."""
+        name = self.label or "the model"
         step = np.subtract.outer(self.excitations, self.excitations)  # N_i - N_j
         if np.any(self.hamiltonian.matrix[step != 0]):
             raise ValueError(f"the Hamiltonian of {name} does not commute with N")
+
+        def shift(what: str, *ops: np.ndarray) -> int | None:
+            s = np.unique(np.concatenate([step[o != 0] for o in ops]))
+            if s.size > 1:
+                raise ValueError(f"{what} of {name} is not an N-eigenoperator (one s for all its operators)")
+            return int(s[0]) if s.size else None
+
+        for k, ct in enumerate(self.cross_terms):
+            shift(f"cross term {k}", ct.left, ct.right)
+        shifts = [(op, rate, shift(f"jump {op.label}", op.matrix)) for op, rate in self.dissipators]
+        return [jump for jump in shifts if jump[2] is not None]  # a zero jump adds nothing to L
+
+    def _check_swap(self, p: np.ndarray) -> None:
+        """Refuse a stated swap P unless P H P = H and O -> P O P permutes the
+        jumps and the cross terms at equal rates and weights, all exactly: a
+        permutation moves entries without arithmetic."""
+        name, pp = self.label or "the model", np.ix_(p, p)
+        jumps = [(f"jump {op.label}", (op.matrix,), rate) for op, rate in self.dissipators]
+        cross = [(f"cross term {k}", (c.left, c.right), c.weight) for k, c in enumerate(self.cross_terms)]
+        for terms in ([("the Hamiltonian", (self.hamiltonian.matrix,), 0.0)], jumps, cross):
+            for what, ops, scale in list(terms):  # each term's image takes one term of the list
+                image = [o[pp] for o in ops]
+                k = next((k for k, (_, o, s) in enumerate(terms)
+                          if s == scale and all(map(np.array_equal, image, o))), None)
+                if k is None:
+                    raise ValueError(f"{what} of {name} breaks its stated swap: P O P at its rate is no term")
+                terms.pop(k)
+
+    def _check_balance(self, jumps: list[tuple[LabeledOperator, float, int]] | None) -> None:
+        """Refuse a stated weight x unless the nonzero ``jumps`` pair as (O, r), (O^dag, x r)."""
+        x, name = self.balance, self.label or "the model"
+        if not 0.0 < x < 1.0:
+            raise ValueError(f"the detailed-balance weight of {name} must lie in (0, 1), got {x!r}")
+        if jumps is None or self.cross_terms:
+            raise ValueError(
+                f"a detailed-balance weight needs stated excitation numbers and no cross terms ({name})"
+            )
         lowering, raising = [], []
-        for op, rate in self.dissipators:
-            shifts = np.unique(step[op.matrix != 0])
-            if not shifts.size:
-                continue  # a zero jump (a at cutoff 1) adds nothing to L
-            if shifts.tolist() not in ([-1], [1]):
-                raise ValueError(f"jump {op.label} of {name} is not an N-eigenoperator ([N, O] = -+O)")
-            (lowering if shifts[0] < 0 else raising).append((op, rate))
+        for op, rate, s in jumps:
+            if s not in (-1, 1):
+                raise ValueError(f"jump {op.label} of {name} is not an N-eigenoperator with [N, O] = -+O")
+            (lowering if s < 0 else raising).append((op, rate))
         for op, rate in lowering:
             adj = op.matrix.conj().T
             match = [i for i, (q, _) in enumerate(raising) if np.array_equal(q.matrix, adj)]
@@ -289,36 +321,12 @@ class Superoperator:
 
     def sectors(self) -> list[slice]:
         """The index ranges of G that the generator never mixes
-        (``hermitian_sectors``), the one of the diagonal's even part first
-        (d = 0, exchange parity +1: where |gg,0>, the kernel and the stated
-        charges lie).  Built when first asked for; a stated symmetry that L
-        breaks raises ``NumericalAccuracyError``: for the excitation numbers
-        any entry of L that links two d, for the swap P any entry of
-        P L P - L above ``SECTOR_LEAK_TOL`` ||L||_1."""
-        if self._split is not None:
-            return self._split[2]
-        me = self.me
-        name = me.label or "the model"
-        lv = self.as_sparse()
-        labels = me.excitations
-        if labels is not None:
-            d = np.subtract.outer(labels, labels).ravel(order="F")  # N_i - N_j of vec(rho)
-            coo = lv.tocoo()
-            leaks = int(np.count_nonzero(coo.data[d[coo.row] != d[coo.col]]))
-            if leaks:
-                raise NumericalAccuracyError(
-                    f"{leaks} entries of the generator of {name} link different "
-                    "excitation sectors; it does not conserve its stated excitation numbers"
-                )
-        if me.swap is not None:
-            q = vec_swap(me.swap)
-            breach = float(abs(lv[q][:, q] - lv).max())
-            if breach > SECTOR_LEAK_TOL * self.norm_estimate():
-                raise NumericalAccuracyError(
-                    f"the generator of {name} breaks its stated swap symmetry: "
-                    f"|P L P - L| reaches {breach:.2e}"
-                )
-        self._split = hermitian_sectors(me.dim, labels, me.swap)
+        (``hermitian_sectors`` of the model's statements), the diagonal's even
+        part first (d = 0, exchange parity +1: where |gg,0>, the kernel and
+        the stated charges lie); built when first asked for, without L."""
+        if self._split is None:
+            me = self.me
+            self._split = hermitian_sectors(me.dim, me.excitations, me.swap)
         return self._split[2]
 
     def maps(self) -> tuple[sp.csc_matrix, sp.csr_matrix]:
@@ -331,28 +339,34 @@ class Superoperator:
         """The real generator G = (F T) L B on all sectors, cached, formed
         ``GENERATOR_ROW_BLOCK`` rows at a time (F T L holds 21 to 29 entries a
         row; each row comes out as in one whole product).  Entries that link
-        two sectors (round-off once the stated symmetries hold) are dropped,
-        so each sector's block is G[s, s].  Refused when its imaginary part
-        exceeds ``DENSE_IMAG_TOL`` ||L||_1: L does not preserve Hermiticity."""
+        two sectors are dropped, so each sector's block is G[s, s].  Refused
+        when its imaginary part exceeds ``DENSE_IMAG_TOL`` ||L||_1 (L does not
+        preserve Hermiticity) or a dropped entry ``SECTOR_LEAK_TOL`` ||L||_1."""
         if self._generator is not None:
             return self._generator
         basis, inverse = self.maps()
         sectors = self.sectors()
         lv, right = self.as_sparse(), basis.tocsr()
         sector_of = np.repeat(np.arange(len(sectors)), [s.stop - s.start for s in sectors])
-        blocks, imag = [], 0.0
+        blocks, imag, leak = [], 0.0, 0.0
         for lo in range(0, self.dim, GENERATOR_ROW_BLOCK):
             g = inverse[lo : lo + GENERATOR_ROW_BLOCK] @ lv @ right
             imag = max(imag, float(abs(g.imag).max()))
             row = lo + np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))
-            g.data[sector_of[row] != sector_of[g.indices]] = 0.0
+            cross = sector_of[row] != sector_of[g.indices]
+            leak = max(leak, float(abs(g.data[cross]).max(initial=0.0)))
+            g.data[cross] = 0.0
             g.eliminate_zeros()
             blocks.append(g.real)
-        if imag > DENSE_IMAG_TOL * self.norm_estimate():
+        norm = self.norm_estimate()
+        if imag > DENSE_IMAG_TOL * norm:
             raise NumericalAccuracyError(
                 f"the generator of {self.me.label or 'the model'} is not real in Hermitian "
                 f"coordinates (imaginary part {imag:.2e}): it does not preserve Hermiticity"
             )
+        if leak > SECTOR_LEAK_TOL * norm:
+            name = self.me.label or "the model"
+            raise NumericalAccuracyError(f"the generator of {name} links two of its sectors ({leak:.2e})")
         self._generator = sp.vstack(blocks, format="csr")
         return self._generator
 
@@ -481,20 +495,13 @@ def hermitian_sectors(
     return basis, inverse, [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def vec_swap(swap: np.ndarray) -> np.ndarray:
-    """The positions q with vec(P rho P) = vec(rho)[q], P the basis
-    permutation ``swap`` (an involution, so P rho P = rho_{p(i) p(j)})."""
-    return np.add.outer(swap.size * swap, swap).ravel()
-
-
-def zero_sector_dim(labels: np.ndarray | None, swap: np.ndarray | None) -> int:
-    """Size of the first sector of ``hermitian_sectors`` without forming it,
-    the one |gg,0> occupies: sum over N of (m_N^2 + f_N^2) / 2, m_N the
-    basis states with N excitations (one N for all when ``labels`` is None)
-    and f_N those the swap fixes (all of them when ``swap`` is None).  For
-    two atoms and a mode that is 16 cutoff - 12 for the d = 0 block alone
-    and 10 cutoff - 8 with the atom swap."""
-    dim = (labels if labels is not None else swap).size
+def zero_sector_dim(dim: int, labels: np.ndarray | None, swap: np.ndarray | None) -> int:
+    """Size of the first sector of ``hermitian_sectors`` of a dim x dim
+    matrix without forming it, the one |gg,0> occupies: sum over N of
+    (m_N^2 + f_N^2) / 2, m_N the basis states with N excitations (one N for
+    all when ``labels`` is None) and f_N those the swap fixes (all of them
+    when ``swap`` is None).  For two atoms and a mode that is 16 cutoff - 12
+    for the d = 0 block alone and 10 cutoff - 8 with the atom swap."""
     n = np.zeros(dim, dtype=int) if labels is None else labels
     fixed = np.ones(dim) if swap is None else (swap == np.arange(dim))
     m = np.bincount(n)

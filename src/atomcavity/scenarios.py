@@ -249,12 +249,6 @@ def _solve_record(rep: spectra.SpectrumReport, history: list[tuple[int, float]])
     return record
 
 
-def _first_sector_dim(sup: Superoperator) -> int:
-    """Size of the first of ``sup.sectors()``, where |gg,0> evolved."""
-    first = sup.sectors()[0]
-    return first.stop - first.start
-
-
 def _base_row(p: ModelParams, cutoff, seed: int) -> dict:
     return {
         "g0": p.g0,
@@ -324,8 +318,8 @@ def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         cutoff = _auto_cutoff_displaced(p, config)
         grid = _grid(config, pt)
         space = make_space(cutoff)
-        sup = Superoperator(models.build_coherent_displaced(space, p))
-        mi_exact = obs.mi_curve(sup, dyn.ground_state(space), grid)
+        me = models.build_coherent_displaced(space, p)
+        mi_exact = obs.mi_curve(Superoperator(me), dyn.ground_state(space), grid)
         mi_eff = obs.mi_curve(
             Superoperator(models.build_effective_coherent(p)),
             dyn.ground_state(atomic_space()),
@@ -340,7 +334,7 @@ def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
             "plateau_windows": dyn.detect_plateau(grid, mi_exact),
             "final_mi": float(mi_exact[-1]),
             "evolution": "spectral-sector",
-            "dim": _first_sector_dim(sup),
+            "dim": models.zero_sector_dim(space.dim, me.excitations, me.swap),
         }
     return rows, summary
 
@@ -376,12 +370,10 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         space = make_space(cutoff)
         # |gg,0> occupies only the d = 0, even sector, which is evolved densely;
         # the generator it is cut from spans the full space
-        dim = models.zero_sector_dim(excitation_number(space), atom_swap(space))
+        dim = models.zero_sector_dim(space.dim, excitation_number(space), atom_swap(space))
         run_exact = dim <= linalg.DENSE_CAP and space.dim**2 <= EXACT_STATE_CAP
         if run_exact:
-            sup = Superoperator(models.build_full(space, p))
-            mi_exact = obs.mi_curve(sup, dyn.ground_state(space), grid)
-            dim = _first_sector_dim(sup)
+            mi_exact = obs.mi_curve(Superoperator(models.build_full(space, p)), dyn.ground_state(space), grid)
         else:
             mi_exact = np.full(grid.size, np.nan)
         sup_eff = Superoperator(models.build_effective_incoherent(p))
@@ -433,7 +425,7 @@ def run_real_detector(config: ScenarioConfig) -> tuple[list[dict], dict]:
             "peak_mi": float(mi.max()),
             "kernel_unique": not me.conserved,
             "evolution": "spectral-sector",
-            "dim": _first_sector_dim(sup),
+            "dim": models.zero_sector_dim(space.dim, me.excitations, me.swap),
         }
     return rows, summary
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
@@ -25,6 +26,7 @@ from atomcavity.models import (
 from atomcavity.operators import (
     LabeledOperator,
     SystemSpace,
+    annihilation,
     atom_swap,
     collective_spin,
     dressed_spin,
@@ -473,7 +475,7 @@ def test_excitation_sectors(name, g0, eps, n_th, gamma, cutoff):
         assert len(set(gap[basis[:, s].tocoo().row])) == 1
         assert set(gap[inverse[s].tocoo().col]) == set(gap[basis[:, s].tocoo().row])
     assert not gap[basis[:, sectors[0]].tocoo().row].any()
-    assert sectors[0].stop - sectors[0].start == models.zero_sector_dim(n, me.swap)
+    assert sectors[0].stop - sectors[0].start == models.zero_sector_dim(me.dim, n, me.swap)
 
 
 @pytest.mark.parametrize("name", sorted(PARAMETRIC_BUILDERS))
@@ -508,7 +510,7 @@ def test_sector_spectra_make_up_the_full_spectrum(name, g0, eps, n_th, gamma, cu
     h = vec(random_hermitian(me.dim, np.random.default_rng(cutoff)))
     for s in sectors:
         assert not (inverse[s] @ h).imag.any()
-    assert first.stop - first.start == models.zero_sector_dim(me.excitations, me.swap)
+    assert first.stop - first.start == models.zero_sector_dim(me.dim, me.excitations, me.swap)
     # the sectors tile G, which stores no entry linking two of them, and
     # B G F T acts on Hermitian matrices as the CSR generator
     assert [s.start for s in sectors[1:]] == [s.stop for s in sectors[:-1]]
@@ -549,15 +551,34 @@ def test_a_broken_swap_is_refused():
     me = build_full(space, ModelParams(g0=0.2, n_th=0.5, gamma=0.1))
     one_atom = tuple((op, rate) for op, rate in me.dissipators if not op.label.endswith("^2"))
     assert len(one_atom) == len(me.dissipators) - 2
-    broken = replace(me, dissipators=one_atom)
-    with pytest.raises(NumericalAccuracyError, match="swap"):
-        vectorize(broken, materialize=False).sectors()
+    with pytest.raises(ValueError, match="jump sigma_minus\\^1 .* breaks its stated swap"):
+        replace(me, dissipators=one_atom)
     # the same channels at equal rates on both atoms keep it
     both = one_atom + tuple(
         (single_atom(space, "minus" if "minus" in op.label else "plus", 2), rate)
         for op, rate in one_atom if op.label.endswith("^1")
     )
     assert len(vectorize(replace(me, dissipators=both), materialize=False).sectors()) > 1
+    # a Hamiltonian that couples atom 1 only
+    a = annihilation(space).matrix
+    plus, minus = single_atom(space, "plus", 1).matrix, single_atom(space, "minus", 1).matrix
+    h = 0.2 * (a @ plus + a.conj().T @ minus)
+    with pytest.raises(ValueError, match="Hamiltonian .* breaks its stated swap"):
+        replace(me, hamiltonian=LabeledOperator("H_1", h))
+    # atom 2 decaying at another rate than atom 1
+    displaced = build_coherent_displaced(space, ModelParams(g0=0.25, eps=2.0, gamma=0.1))
+    uneven = tuple(
+        (op, 1.5 * rate if op.label == "sigma_minus^2" else rate) for op, rate in displaced.dissipators
+    )
+    assert uneven != displaced.dissipators
+    with pytest.raises(ValueError, match="breaks its stated swap"):
+        replace(displaced, dissipators=uneven)
+    # a cross-term pair on atom 1 alone, without its swapped partner
+    rwa = build_rwa_displaced(space, ModelParams(g0=0.25, eps=100.0))
+    left = single_atom(space, "z", 1).matrix @ a.conj().T
+    pair = (models.CrossTerm(left, a, -0.01), models.CrossTerm(a, left, -0.01))
+    with pytest.raises(ValueError, match="cross term 2 .* breaks its stated swap"):
+        replace(rwa, cross_terms=rwa.cross_terms + pair)
 
 
 def test_a_swap_that_moves_the_excitation_numbers_is_refused():
@@ -569,17 +590,85 @@ def test_a_swap_that_moves_the_excitation_numbers_is_refused():
 def test_zero_sector_dim_of_the_lab_frame():
     for cutoff in (2, 5, 40, 508):
         space = make_space(cutoff)
-        assert models.zero_sector_dim(excitation_number(space), None) == 16 * cutoff - 12
+        n = excitation_number(space)
+        assert models.zero_sector_dim(space.dim, n, None) == 16 * cutoff - 12
         # the atom swap halves it, up to the states it fixes (gg and ee)
-        assert models.zero_sector_dim(excitation_number(space), atom_swap(space)) == 10 * cutoff - 8
+        assert models.zero_sector_dim(space.dim, n, atom_swap(space)) == 10 * cutoff - 8
+
+
+@pytest.mark.parametrize("name,factory", BUILDERS, ids=[b[0] for b in BUILDERS])
+def test_zero_sector_dim_without_statements(name, factory):
+    # with neither symmetry stated the one sector is all of vec(rho)
+    me = replace(factory(), excitations=None, swap=None, balance=None)
+    (whole,) = Superoperator(me).sectors()
+    assert models.zero_sector_dim(me.dim, None, None) == whole.stop - whole.start == me.dim**2
 
 
 def test_a_wrongly_stated_label_is_refused():
     # the drive changes N by one on one side only: d is not conserved
     space = make_space(3)
-    me = replace(build_full(space, ModelParams(g0=0.2, eps=0.5)), excitations=excitation_number(space))
-    with pytest.raises(NumericalAccuracyError, match="excitation sectors"):
-        vectorize(me, materialize=False).sectors()
+    with pytest.raises(ValueError, match="does not commute with N"):
+        replace(build_full(space, ModelParams(g0=0.2, eps=0.5)), excitations=excitation_number(space))
+    # S_x raises and lowers N, so S_x rho S_x moves d by 2, without any
+    # detailed-balance weight stated
+    me = build_full(space, ModelParams(g0=0.2, gamma=0.1))
+    assert me.excitations is not None and me.balance is None
+    with pytest.raises(ValueError, match="jump S_x .* N-eigenoperator"):
+        replace(me, dissipators=me.dissipators + ((collective_spin(space, "x"), 0.1),))
+    # a cross term whose operators shift N by different amounts
+    a = annihilation(space).matrix
+    pair = (models.CrossTerm(a, a @ a, -0.01), models.CrossTerm(a @ a, a, -0.01))
+    with pytest.raises(ValueError, match="cross term 0 .* N-eigenoperator"):
+        replace(me, cross_terms=pair)
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETRIC_BUILDERS))
+def test_sectors_do_not_assemble_the_liouvillian(name):
+    me = PARAMETRIC_BUILDERS[name](make_space(3), ModelParams(0.3, 5.0, 1.5, 0.1))
+    sup = Superoperator(me)
+    sup.sectors()
+    sup.maps()
+    assert sup._sparse is None
+
+
+def _with_entries(sup: Superoperator, entries: list[tuple[int, int]]) -> None:
+    """Add ||L||_1 / 10 to L at each (row, column) of vec(rho) positions."""
+    lv = sup.as_sparse()
+    rows, cols = zip(*entries)
+    extra = sp.csr_matrix((np.full(len(rows), sup.norm_estimate() / 10.0), (rows, cols)),
+                          shape=lv.shape)
+    sup._sparse = (lv + extra).tocsr()
+
+
+def test_the_generator_refuses_sector_leaks():
+    space = make_space(3)
+    me = build_full(space, ModelParams(g0=0.2, n_th=0.5, gamma=0.1))
+    d = me.dim  # vec(rho) holds rho_ij at i + d j
+    # rho_00 (|gg,0>, d = 0) fed by Re rho_0j with N_j = 1 (|d| = 1); the
+    # entry and its transposed partner keep L Hermiticity-preserving
+    j = int(np.flatnonzero(me.excitations == 1)[0])
+    sup = Superoperator(me)
+    _with_entries(sup, [(0, d * j), (0, j)])
+    with pytest.raises(NumericalAccuracyError, match="links two of its sectors"):
+        sup.generator()
+    # rho_00 (even) fed by the population of a state the swap moves, whose
+    # odd part lies in the other parity
+    k = int(np.flatnonzero(me.swap != np.arange(d))[0])
+    sup = Superoperator(me)
+    _with_entries(sup, [(0, k * (d + 1))])
+    with pytest.raises(NumericalAccuracyError, match="links two of its sectors"):
+        sup.generator()
+    # the two atoms' channels summed in either order leave round-off across
+    # the parities of the displaced model, which G drops
+    for cutoff in (8, 16):
+        me = build_coherent_displaced(make_space(cutoff), ModelParams(g0=0.1, eps=10**0.5, gamma=1e-3))
+        sup = Superoperator(me)
+        basis, inverse = sup.maps()
+        raw = (inverse @ sup.as_sparse() @ basis).tocoo()
+        even = sup.sectors()[0].stop
+        cross = (raw.row < even) != (raw.col < even)
+        assert np.count_nonzero(raw.data[cross]) > 0
+        assert sup.generator().nnz == np.count_nonzero(raw.data[~cross])
 
 
 def test_dense_eig_runs_in_real_arithmetic(monkeypatch):
