@@ -30,6 +30,7 @@ from .errors import (
     FitWindowError,
     KernelAmbiguityError,
     NumericalAccuracyError,
+    ShapeError,
     StateValidityError,
     TruncationLimitError,
     UnsupportedRegimeError,
@@ -323,9 +324,13 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     K C^dag r removed: rho(t) tends to ``steady_state(sup, rho0)`` and keeps
     the trace and the conserved values of rho0 at every t.
     """
+    if rho0.dim != sup.me.dim:
+        raise ShapeError(f"rho0 has dimension {rho0.dim}, the model's space {sup.me.dim}")
+    t = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t) & (t >= 0.0)):
+        raise ValueError(f"every time must be finite and nonnegative, not {t.min()!r} .. {t.max()!r}")
     m = rho0.matrix
     v0 = vec((m + m.conj().T) / 2.0)
-    t = np.asarray(t_grid, dtype=float)
     basis, inverse = sup.maps()
     sectors = sup.sectors()
     c = _charge_rows(sup.me, basis[:, sectors[0]])
@@ -462,7 +467,7 @@ def stated_kernel(sup: Superoperator) -> np.ndarray:
             "sector, where the kernel lies"
         )
     c = _charge_rows(me, lift)
-    l0 = sup.generator()[first, first]
+    l0 = sup.generator(first)
     dim = l0.shape[0]
     bordered = sp.bmat([[l0, sp.csc_matrix(c)], [sp.csr_matrix(c.T), None]], format="csc")
     rhs = np.zeros((bordered.shape[0], len(charges)))
@@ -520,6 +525,8 @@ def steady_state(sup: Superoperator, rho0: DensityMatrix) -> DensityMatrix:
     of ``stated_kernel`` with the conserved values of ``rho0`` (trace 1 for
     Q = I).  Every sector other than the first must be free of a kernel,
     since rho0 may occupy any of them."""
+    if rho0.dim != sup.me.dim:
+        raise ShapeError(f"rho0 has dimension {rho0.dim}, the model's space {sup.me.dim}")
     me = sup.me
     k = stated_kernel(sup)
     # the other sectors must hold no stationary state the model does not state
@@ -528,11 +535,11 @@ def steady_state(sup: Superoperator, rho0: DensityMatrix) -> DensityMatrix:
     # inverse are the largest of its diagonal blocks': runs of consecutive
     # sectors of at least ``_LU_BLOCK`` coordinates are factorized one at a
     # time, each LU dropped before the next
-    sectors = sup.sectors()
+    sectors, g = sup.sectors(), sup.generator()
     lo, norms = sectors[0].stop, []
     for s in sectors[1:]:
         if s.stop - lo >= _LU_BLOCK or s.stop == sup.dim:
-            norms.append(_lu_norms(sup.generator()[lo : s.stop, lo : s.stop].tocsc())[1:])
+            norms.append(_lu_norms(g[lo : s.stop, lo : s.stop].tocsc())[1:])
             lo = s.stop
     if norms:
         _refuse_singular(

@@ -45,9 +45,9 @@ negative semidefinite, which bounds the rates of every sector from below
 driven, displaced and effective models state no weight.
 
 Every solve reads one real generator G = (F T) L B, ordered sector by
-sector, and a sector is a ``slice`` of it (``Superoperator.generator`` and
-``sectors``).  L maps Hermitian matrices to Hermitian matrices, so in the
-coordinates
+sector, on the range of sectors it needs: a sector is a ``slice`` of G
+(``Superoperator.generator`` and ``sectors``).  L maps Hermitian matrices
+to Hermitian matrices, so in the coordinates
 
     x = [rho_ii; Re rho_ij; Im rho_ij  (i < j)]
 
@@ -97,8 +97,8 @@ DENSE_IMAG_TOL = 1e-14
 #: (24 at cutoff 16), so anything above round-off means L was assembled wrong
 SECTOR_LEAK_TOL = 1e-14
 
-#: rows of G formed per product: F T L of a block stays under 40 MB at any cutoff
-GENERATOR_ROW_BLOCK = 2**16
+#: rows of G formed per product: F T L of a block stays under 3 MB at any cutoff
+GENERATOR_ROW_BLOCK = 2**12
 
 #: largest |r_+ - x r_-| of a jump pair under a stated detailed-balance weight
 #: x, relative to the lowering rate r_-; ``build_full``'s pairs miss by a few
@@ -299,11 +299,10 @@ class Superoperator:
     """Liouvillian acting on column-stacked density matrices.
 
     The complex CSR matrix L is assembled on first use; ``apply`` is a
-    mat-vec with it.  Every solve reads the real generator G = (F T) L B
-    (``generator``), whose sectors are index ranges (``sectors``), and
-    ``as_dense`` is its dense copy on one sector or on all of them, refused
-    above ``linalg.DENSE_CAP``.  G, its maps and ``dynamics.stated_kernel``'s
-    solve are kept beside L, so one generator is split and factorized once.
+    mat-vec with it.  Every solve forms the real generator G = (F T) L B on
+    the sectors it reads (``generator``, ``sectors``); ``as_dense`` is its
+    dense copy on one sector or on all, refused above ``linalg.DENSE_CAP``.
+    Only G's maps and ``dynamics.stated_kernel``'s solve are kept beside L.
     """
 
     def __init__(self, me: MasterEquation):
@@ -312,7 +311,6 @@ class Superoperator:
         self._dense: np.ndarray | None = None
         self._sparse: sp.csr_matrix | None = None
         self._split: tuple[sp.csc_matrix, sp.csr_matrix, list[slice]] | None = None
-        self._generator: sp.csr_matrix | None = None
         self._kernel: np.ndarray | None = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -335,29 +333,34 @@ class Superoperator:
         self.sectors()
         return self._split[:2]
 
-    def generator(self) -> sp.csr_matrix:
-        """The real generator G = (F T) L B on all sectors, cached, formed
-        ``GENERATOR_ROW_BLOCK`` rows at a time (F T L holds 21 to 29 entries a
-        row; each row comes out as in one whole product).  Entries that link
-        two sectors are dropped, so each sector's block is G[s, s].  Refused
-        when its imaginary part exceeds ``DENSE_IMAG_TOL`` ||L||_1 (L does not
-        preserve Hermiticity) or a dropped entry ``SECTOR_LEAK_TOL`` ||L||_1."""
-        if self._generator is not None:
-            return self._generator
+    def generator(self, s: slice | None = None) -> sp.csr_matrix:
+        """G[s, s] of G = (F T) L B, ``s`` a range of whole sectors (all of G
+        by default), formed anew from its rows ``GENERATOR_ROW_BLOCK`` at a
+        time (each as in one whole product) without entries that link two
+        sectors.  Refused when an entry in the rows or columns of ``s`` has an
+        imaginary part above ``DENSE_IMAG_TOL`` ||L||_1 (L breaks Hermiticity)
+        or links two sectors above ``SECTOR_LEAK_TOL`` ||L||_1; the columns'
+        check forms L B[:, s], so a caller reading most of G reads all of it."""
+        stops = np.array([t.stop for t in self.sectors()])
+        s = slice(0, self.dim) if s is None else s
+        if s.step is not None or s.start not in (0, *stops) or s.stop not in stops or s.start >= s.stop:
+            raise ValueError(f"{s} is not a range of whole sectors of G")
         basis, inverse = self.maps()
-        sectors = self.sectors()
-        lv, right = self.as_sparse(), basis.tocsr()
-        sector_of = np.repeat(np.arange(len(sectors)), [s.stop - s.start for s in sectors])
+        lv, right, n = self.as_sparse(), basis.tocsr(), s.stop - s.start
         blocks, imag, leak = [], 0.0, 0.0
-        for lo in range(0, self.dim, GENERATOR_ROW_BLOCK):
-            g = inverse[lo : lo + GENERATOR_ROW_BLOCK] @ lv @ right
-            imag = max(imag, float(abs(g.imag).max()))
-            row = lo + np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))
-            cross = sector_of[row] != sector_of[g.indices]
+        for lo in range(s.start, s.stop, GENERATOR_ROW_BLOCK):
+            g = inverse[lo : min(lo + GENERATOR_ROW_BLOCK, s.stop)] @ lv @ right
+            imag = max(imag, float(abs(g.data.imag).max(initial=0.0)))
+            sector = np.searchsorted(stops, np.arange(lo, lo + g.shape[0]), "right")  # of each row
+            cross = np.repeat(sector, np.diff(g.indptr)) != np.searchsorted(stops, g.indices, "right")
             leak = max(leak, float(abs(g.data[cross]).max(initial=0.0)))
-            g.data[cross] = 0.0
+            g.data[cross | (g.data.real == 0.0)] = 0.0  # G keeps real parts, and no zeros
             g.eliminate_zeros()
-            blocks.append(g.real)
+            blocks.append(sp.csr_matrix((g.data.real, g.indices - s.start, g.indptr), shape=(g.shape[0], n)))
+        if n < self.dim:  # every entry of the other rows' (F T) L B[:, s] links two sectors
+            f = sp.vstack((inverse[: s.start], inverse[s.stop :])) @ (lv @ basis[:, s])
+            imag = max(imag, float(abs(f.data.imag).max(initial=0.0)))
+            leak = max(leak, float(abs(f.data).max(initial=0.0)))
         norm = self.norm_estimate()
         if imag > DENSE_IMAG_TOL * norm:
             raise NumericalAccuracyError(
@@ -367,12 +370,10 @@ class Superoperator:
         if leak > SECTOR_LEAK_TOL * norm:
             name = self.me.label or "the model"
             raise NumericalAccuracyError(f"the generator of {name} links two of its sectors ({leak:.2e})")
-        self._generator = sp.vstack(blocks, format="csr")
-        return self._generator
+        return sp.vstack(blocks, format="csr")
 
     def as_dense(self, sector: slice | None = None) -> np.ndarray:
-        """The dense copy of G[sector, sector]; of all of G, cached, by
-        default."""
+        """The dense copy of ``generator(sector)``; of all of G, cached, by default."""
         if sector is None and self._dense is not None:
             return self._dense
         s = slice(0, self.dim) if sector is None else sector
@@ -381,7 +382,7 @@ class Superoperator:
                 f"superoperator dimension {s.stop - s.start} exceeds the dense cap "
                 f"{DENSE_CAP}; use the sparse representation"
             )
-        dense = self.generator()[s, s].toarray()
+        dense = self.generator(sector).toarray()
         if sector is None:
             self._dense = dense
         return dense

@@ -34,13 +34,11 @@ SCENARIOS = (
 
 UNITS_HEADER = "# units: all rates and times in units of kappa (kappa = 1)"
 
-#: largest vec(rho) length D^2 of an exact thermal trajectory: besides its
-#: dense sector, the run assembles the full CSR generator (about 7 D^2
-#: entries) and the real generator of all sectors; the samples keep only
-#: their N_i = N_j entries (4084 of the 2^20 at cutoff 256).  2^20 is cutoff
-#: 256, where a 61-sample run peaks at 1.1 GB: 0.8 GB while the full
-#: generator is split into sectors, the rest in the 2552^2 sector's dense
-#: eigendecomposition
+#: largest vec(rho) length D^2 of an exact thermal trajectory, which forms G
+#: on its dense sector alone but assembles the CSR L (about 7 D^2 entries)
+#: and the maps of all of vec(rho); its samples keep 4084 of the 2^20
+#: entries at cutoff 256, where a 61-sample run peaks at 0.96 GB in L, the
+#: maps and the 2552^2 sector's dense eigendecomposition
 EXACT_STATE_CAP = 2**20
 
 _PARAM_COLUMNS = ["g0", "eps", "n_th", "gamma", "cutoff", "seed"]

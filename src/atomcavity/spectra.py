@@ -1,8 +1,8 @@
 """Liouvillian spectrum analysis: gaps, rate ordering, clusters, analytic tables.
 
-Both solves read the model's one real generator G (``Superoperator.generator``):
-the dense one each sector's block G[s, s], shift-invert all of G, whose sparse
-LU fills in only inside those blocks.
+Both solves read a range of sectors of the model's one real generator G
+(``Superoperator.generator``): the dense one each sector, shift-invert a prefix
+of them or all of G, whose sparse LU fills in only inside the sectors' blocks.
 
 A model that states a detailed-balance weight x (``MasterEquation.balance``)
 bounds the rates of each sector from below (Temme, Kastoryano, Ruskai, Wolf &
@@ -201,11 +201,9 @@ def _targeted(sup: Superoperator, k: int, kernel_dim: int) -> SpectrumReport:
         size = sup.sectors()[last].stop
         if size < sup.dim and k < size - 1:
             excluded = float(bounds[last + 1 :].min())
-            report = classify(_shift_invert(sup, k, 1e-3, size), kernel_dim, partial=True)
+            report = classify(_shift_invert(sup, k, 1e-3, slice(0, size)), kernel_dim, partial=True)
             if report.gap < excluded:
-                return replace(
-                    report, dim=size, solver="certified-shift-invert", excluded_bound=excluded
-                )
+                return replace(report, dim=size, solver="certified-shift-invert", excluded_bound=excluded)
     report = classify(_shift_invert(sup, k, 1e-3), kernel_dim, partial=True)
     solver = "shift-invert" if excluded is None else "shift-invert-fallback"
     return replace(report, dim=sup.dim, solver=solver, excluded_bound=excluded)
@@ -448,17 +446,13 @@ def match_eigenvalue_sets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return devs
 
 
-def _shift_invert(
-    sup: Superoperator, k: int, sigma: complex, size: int | None = None
-) -> np.ndarray:
+def _shift_invert(sup: Superoperator, k: int, sigma: complex, s: slice | None = None) -> np.ndarray:
     """The ``k`` eigenvalues nearest ``sigma`` (ARPACK shift-invert of G, or
-    of its leading sectors G[:size, :size]), from a deterministic generic
+    of its block G[s, s] on a range of sectors), from a deterministic generic
     start vector so targeted solves are reproducible.  G is cast to complex
     for a shift off the real axis, where real ARPACK would iterate on the
     real part of the shifted inverse."""
-    g = sup.generator()
-    if size is not None:
-        g = g[:size, :size]
+    g = sup.generator(s)
     return spla.eigs(
         g.astype(complex) if np.imag(sigma) else g,
         k=k,

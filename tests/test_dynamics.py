@@ -13,6 +13,7 @@ from atomcavity.errors import (
     FitWindowError,
     KernelAmbiguityError,
     NumericalAccuracyError,
+    ShapeError,
     StateValidityError,
     TruncationLimitError,
     UnsupportedRegimeError,
@@ -297,6 +298,26 @@ class TestEvolveSpectral:
         sup = vectorize(models.build_effective_coherent(ModelParams(g0=0.25, eps=10.0)))
         with pytest.raises(UnsupportedRegimeError):
             dyn.evolve_spectral(sup, dyn.bell_state(), np.array([0.0]))
+
+    def test_a_state_on_another_space_is_refused(self):
+        # a 4 x 4 atomic state, and an 8 x 8 cutoff-2 state, for a 12 x 12
+        # cutoff-3 model: numpy's "cannot reshape" or "dimension mismatch" before
+        sup = models.Superoperator(models.build_full(make_space(3), ModelParams(g0=0.1, n_th=1.0)))
+        for rho0, dim in ((dyn.bell_state(), 4), (dyn.ground_state(make_space(2)), 8)):
+            with pytest.raises(ShapeError, match=f"dimension {dim}, the model's space 12"):
+                dyn.evolve_spectral(sup, rho0, np.array([0.0, 1.0]))
+            with pytest.raises(ShapeError, match=f"dimension {dim}, the model's space 12"):
+                dyn.steady_state(sup, rho0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -1.0, np.nan])
+    def test_a_time_grid_with_a_bad_time_is_refused_before_any_solve(self, bad):
+        # t = inf ended in LinAlgError after a RuntimeWarning, t = -1 in a
+        # misleading invariant error (min eigenvalue -1e5)
+        space = make_space(2)
+        sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.1, n_th=1.0)))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 1.0, bad]))
+        assert sup._sparse is None  # L was never assembled
 
 
 class TestEvolveDispatch:

@@ -671,6 +671,107 @@ def test_the_generator_refuses_sector_leaks():
         assert sup.generator().nnz == np.count_nonzero(raw.data[~cross])
 
 
+def _whole_product_block(sup: Superoperator, s: slice) -> sp.csr_matrix:
+    """G[s, s] from one whole product inverse @ L @ basis: its real part,
+    without the entries that link two sectors and without zeros."""
+    basis, inverse = sup.maps()
+    sectors = sup.sectors()
+    g = inverse @ sup.as_sparse() @ basis
+    sector_of = np.repeat(np.arange(len(sectors)), [t.stop - t.start for t in sectors])
+    row = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))
+    g.data[sector_of[row] != sector_of[g.indices]] = 0.0
+    g = g.real
+    g.eliminate_zeros()
+    return g[s, s]
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETRIC_BUILDERS))
+@given(
+    g0=st.floats(0.05, 1.0),
+    eps=st.floats(3.0, 30.0),
+    n_th=st.floats(0.0, 5.0),
+    gamma=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+    cutoff=st.integers(2, 6),
+    data=st.data(),
+)
+def test_a_range_of_sectors_is_bitwise_the_block_of_the_whole_product(name, g0, eps, n_th, gamma, cutoff, data):
+    me = PARAMETRIC_BUILDERS[name](make_space(cutoff), ModelParams(g0, eps, n_th, gamma))
+    sup = Superoperator(me)
+    sectors = sup.sectors()
+    i = data.draw(st.integers(0, len(sectors) - 1), label="first sector")
+    j = data.draw(st.integers(i, len(sectors) - 1), label="last sector")
+    s = slice(sectors[i].start, sectors[j].stop)
+    got, want = sup.generator(s), _whole_product_block(sup, s)
+    assert got.shape == want.shape == (s.stop - s.start,) * 2
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
+    # only ranges of whole sectors
+    cut = slice(s.start, s.stop - 1)
+    if cut.stop not in [t.stop for t in sectors]:
+        with pytest.raises(ValueError, match="whole sectors"):
+            sup.generator(cut)
+
+
+def test_a_one_way_leak_out_of_a_range_is_refused():
+    # rho_00 (|gg,0>, first sector) feeds rho_0j and rho_j0, N_j = 1, and
+    # nothing flows back: the entries lie in the columns of the first sector
+    # but in the rows of another, so every solve that reads the first sector
+    # must find them
+    from atomcavity import dynamics as dyn
+
+    space = make_space(3)
+    me = build_full(space, ModelParams(g0=0.2, n_th=0.5, gamma=0.1))
+    d = me.dim  # vec(rho) holds rho_ij at i + d j
+    j = int(np.flatnonzero(me.excitations == 1)[0])
+    sup = Superoperator(me)
+    _with_entries(sup, [(d * j, 0), (j, 0)])
+    first = sup.sectors()[0]
+    for solve in (lambda: sup.generator(first), lambda: dyn.stated_kernel(sup),
+                  lambda: dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 1.0]))):
+        with pytest.raises(NumericalAccuracyError, match="links two of its sectors"):
+            solve()
+    # a prefix sector feeding a |d| = 3 row, which the certified solve leaves out
+    me = build_full(make_space(8), ModelParams(g0=0.1, n_th=1.9))
+    sup = Superoperator(me)
+    assert spectra.analyze(sup, k=16).solver == "certified-shift-invert"
+    j = int(np.flatnonzero(me.excitations == 3)[0])
+    _with_entries(sup, [(me.dim * j, 0), (j, 0)])
+    with pytest.raises(NumericalAccuracyError, match="links two of its sectors"):
+        spectra.analyze(sup, k=16)
+
+
+def test_solves_form_only_the_sectors_they_read(monkeypatch):
+    from atomcavity import dynamics as dyn, observables
+
+    seen = []
+    generator = Superoperator.generator
+
+    def recording(self, s=None):
+        seen.append(slice(0, self.dim) if s is None else s)
+        return generator(self, s)
+
+    monkeypatch.setattr(Superoperator, "generator", recording)
+    # a certified gap: the |d| <= 2 prefix alone
+    sup = Superoperator(build_full(make_space(32), ModelParams(g0=0.3, n_th=0.5)))
+    rep = spectra.analyze(sup, k=16)
+    assert rep.solver == "certified-shift-invert" and rep.dim < sup.dim
+    assert seen == [slice(0, rep.dim)]
+    # a trajectory from |gg,0>: the first sector alone
+    space = make_space(8)
+    sup = Superoperator(build_full(space, ModelParams(g0=0.1, n_th=1.0)))
+    seen.clear()
+    observables.mi_curve(sup, dyn.ground_state(space), np.array([0.0, 1.0, 10.0]))
+    first = sup.sectors()[0]
+    assert seen and all(s == first for s in seen)
+    # the steady state: every sector
+    seen.clear()
+    dyn.steady_state(sup, dyn.ground_state(space))
+    read = np.zeros(sup.dim, dtype=bool)
+    for s in seen:
+        read[s] = True
+    assert read.all()
+
+
 def test_dense_eig_runs_in_real_arithmetic(monkeypatch):
     # mi_curve (spectral evolution) and dense analyze hand LAPACK float64
     # matrices, so it runs dgeev, not zgeev, on the exchange sectors: from
