@@ -357,8 +357,9 @@ class Superoperator:
             g.data[cross | (g.data.real == 0.0)] = 0.0  # G keeps real parts, and no zeros
             g.eliminate_zeros()
             blocks.append(sp.csr_matrix((g.data.real, g.indices - s.start, g.indptr), shape=(g.shape[0], n)))
-        if n < self.dim:  # every entry of the other rows' (F T) L B[:, s] links two sectors
-            f = sp.vstack((inverse[: s.start], inverse[s.stop :])) @ (lv @ basis[:, s])
+        if n < self.dim:  # every entry of (F T) L B[:, s] outside the rows of s links two sectors
+            f = inverse @ (lv @ basis[:, s])
+            f.data[f.indptr[s.start] : f.indptr[s.stop]] = 0.0  # the rows of s, checked above
             imag = max(imag, float(abs(f.data.imag).max(initial=0.0)))
             leak = max(leak, float(abs(f.data).max(initial=0.0)))
         norm = self.norm_estimate()
@@ -393,8 +394,9 @@ class Superoperator:
         return self._sparse
 
     def norm_estimate(self) -> float:
-        """1-norm of the generator."""
-        return float(abs(self.as_sparse()).sum(axis=0).max())
+        """1-norm of the generator: ``abs(L).sum(axis=0).max()``, without copying L's indices."""
+        lv = self.as_sparse()
+        return float(sp.csr_matrix((abs(lv.data), lv.indices, lv.indptr), shape=lv.shape).sum(axis=0).max())
 
 
 def _build_liouvillian(me: MasterEquation) -> sp.csr_matrix:
@@ -486,14 +488,17 @@ def hermitian_sectors(
     rows = np.concatenate((cols, partner[cols[paired]]))
     col_of = np.concatenate((np.arange(n), np.flatnonzero(paired)))
     vals = np.concatenate((np.ones(n), (parity * sign[cols])[paired]))
-    fwd, inv = hermitian_coordinates(d)
-    basis = (inv @ sp.csc_matrix((vals, (rows, col_of)), shape=(partner.size, n))).tocsc()
     scale = np.where(paired, 0.5, 1.0)[col_of]
-    inverse = (sp.csr_matrix((vals * scale, (col_of, rows)), shape=(n, partner.size)) @ fwd).tocsr()
-    sorted_key = key[cols]
-    bounds = np.flatnonzero((np.diff(sorted_key) != 0) | (np.diff(parity) != 0)) + 1
+    bounds = np.flatnonzero((np.diff(key[cols]) != 0) | (np.diff(parity) != 0)) + 1
     edges = np.concatenate(([0], bounds, [n])).tolist()
-    return basis, inverse, [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    # free the index arrays before the products, and each of T and T^-1 after its product
+    del i, j, gap, key, a, b, pair, partner, sign, coords, rep, fixed, cols, parity, order, paired, bounds
+    fwd, inv = hermitian_coordinates(d)
+    inverse = (sp.csr_matrix((vals * scale, (col_of, rows)), shape=(n, d * d)) @ fwd).tocsr()
+    del fwd
+    basis = inv @ sp.csc_matrix((vals, (rows, col_of)), shape=(d * d, n))
+    del inv, rows, col_of, vals, scale
+    return basis.tocsc(), inverse, [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def zero_sector_dim(dim: int, labels: np.ndarray | None, swap: np.ndarray | None) -> int:
@@ -650,10 +655,7 @@ def build_rwa_displaced(space: SystemSpace, params: ModelParams) -> MasterEquati
     h = h - (params.g0**2 / (8.0 * omega)) * (jz @ (x @ x))
     w = params.kappa * (params.g0 / (4.0 * omega)) ** 2
     jza_dag = jz @ adag_m
-    cross = (
-        CrossTerm(jza_dag, am, -w),
-        CrossTerm(am, jza_dag, -w),
-    )
+    cross = (CrossTerm(jza_dag, am, -w), CrossTerm(am, jza_dag, -w))
     return MasterEquation(
         LabeledOperator("H_3", h),
         ((a, params.kappa), (jm, w), (jp, w)),
@@ -704,9 +706,7 @@ def build_effective_incoherent(params: ModelParams) -> MasterEquation:
     space = atomic_space()
     g = params.gamma_collective
     zero = LabeledOperator("0", np.zeros((4, 4), dtype=complex))
-    diss: list[tuple[LabeledOperator, float]] = [
-        (collective_spin(space, "minus"), g * (params.n_th + 1.0))
-    ]
+    diss: list[tuple[LabeledOperator, float]] = [(collective_spin(space, "minus"), g * (params.n_th + 1.0))]
     if g * params.n_th > 0.0:
         diss.append((collective_spin(space, "plus"), g * params.n_th))
     return MasterEquation(

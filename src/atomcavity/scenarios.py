@@ -37,7 +37,7 @@ UNITS_HEADER = "# units: all rates and times in units of kappa (kappa = 1)"
 #: largest vec(rho) length D^2 of an exact thermal trajectory, which forms G
 #: on its dense sector alone but assembles the CSR L (about 7 D^2 entries)
 #: and the maps of all of vec(rho); its samples keep 4084 of the 2^20
-#: entries at cutoff 256, where a 61-sample run peaks at 0.96 GB in L, the
+#: entries at cutoff 256, where a 61-sample run peaks at 0.89 GB in L, the
 #: maps and the 2552^2 sector's dense eigendecomposition
 EXACT_STATE_CAP = 2**20
 
