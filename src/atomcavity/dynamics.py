@@ -299,15 +299,18 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     """Evolve through the dense eigenbasis of the generator, in real
     arithmetic, one sector at a time.
 
-    ``sup.as_dense(s)`` is the block G[s, s] of the real generator on one of
-    ``sup.sectors()``: the |d| excitation sectors (all of vec(rho) when the
-    model states no excitation numbers) split by exchange parity when it
+    ``sup.generator(s)`` is the block G[s, s] of the real generator on one
+    of ``sup.sectors()``: the |d| excitation sectors (all of vec(rho) when
+    the model states no excitation numbers) split by exchange parity when it
     states the atom swap.  The generator never mixes sectors, so each one
     that rho0 occupies evolves alone from its rows of y0 = F T vec(rho0),
     with vec(rho(t)) = vec(rho0) + B[:, s] ``_motion`` of its modes, and the
-    others stay 0: rho0 itself at t = 0.  The trajectory keeps only the
-    entries of vec(rho) that rho0 or an evolved sector's columns of B touch,
-    so no sample is ever formed as a D x D matrix.  The motion is real and B
+    others stay 0: rho0 itself at t = 0.  Only the maps of the sectors of
+    the |d| that rho0's entries have are composed, and each block is formed
+    once; the first sector's is also the one ``stated_kernel`` solves.  The
+    trajectory keeps only the entries of vec(rho) that rho0 or an evolved
+    sector's columns of B touch, so no sample is ever formed as a D x D
+    matrix.  The motion is real and B
     maps real y to Hermitian matrices exactly, so every sample is Hermitian
     exactly; rho0 enters as its Hermitian part, rho0 itself for a Hermitian
     rho0.  Every sample is checked against ``EVOLUTION_INVARIANT_TOL``.
@@ -331,24 +334,23 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
         raise ValueError(f"every time must be finite and nonnegative, not {t.min()!r} .. {t.max()!r}")
     m = rho0.matrix
     v0 = vec((m + m.conj().T) / 2.0)
-    basis, inverse = sup.maps()
-    sectors = sup.sectors()
-    c = _charge_rows(sup.me, basis[:, sectors[0]])
-    y = (inverse @ v0).real
+    sup.as_sparse()  # read whole by stated_kernel's residual scale: the blocks are cut from it
     motions = []
-    for n, s in enumerate(sectors):
-        y0 = y[s]
-        if n and not y0.any():
+    for s in sup.sector_index().holding(np.flatnonzero(v0)):
+        lift, inverse = sup.maps(s)
+        y0 = (inverse @ v0).real
+        first = s.start == 0
+        if not (first or y0.any()):
             continue  # an empty sector stays empty
-        w, v, kernel = _real_modes(sup.as_dense(s), c.shape[1] if n == 0 else 0)
-        if n == 0:
-            k = (inverse[s] @ stated_kernel(sup)).real  # Hermitian columns: real exactly
-            admixture = c.T @ v
+        g = sup.generator(s)
+        w, v, kernel = _real_modes(g.toarray(), 1 + len(sup.me.conserved) if first else 0)
+        if first:
+            k = (inverse @ stated_kernel(sup, g)).real  # Hermitian columns: real exactly
+            admixture = _charge_rows(sup.me, lift).T @ v
             admixture[:, kernel] = 0.0
             for i in range(0, v.shape[0], _ROW_BLOCK):  # in place: v is the largest array here
                 v[i : i + _ROW_BLOCK] -= k[i : i + _ROW_BLOCK] @ admixture
             v[:, kernel] = k
-        lift = basis[:, s]
         rows = np.unique(lift.indices)  # the positions the sector touches
         motions.append((rows, lift[rows] @ _motion(w, v, y0, t)))
         del w, v  # freed before the next sector's eigendecomposition
@@ -426,7 +428,7 @@ def _charge_rows(me: MasterEquation, lift: sp.csc_matrix) -> np.ndarray:
     return (lift.T @ vq.conj()).real
 
 
-def stated_kernel(sup: Superoperator) -> np.ndarray:
+def stated_kernel(sup: Superoperator, l0: sp.csr_matrix | None = None) -> np.ndarray:
     """Basis of the generator's kernel dual to the model's conserved charges,
     solved on the first sector, where the kernel and the charges lie.
 
@@ -449,7 +451,8 @@ def stated_kernel(sup: Superoperator) -> np.ndarray:
     the other sectors); a residual ||L_0 y|| or multiplier mu above
     round-off means a stated Q is not conserved (``NumericalAccuracyError``).
     Solved once per generator: the result is kept on ``sup`` (read-only) for
-    ``evolve_spectral`` and ``steady_state``.
+    ``evolve_spectral`` and ``steady_state``.  ``l0`` is L_0 when the caller
+    has formed it already (``evolve_spectral``), so it is formed once.
     """
     if sup._kernel is not None:
         return sup._kernel
@@ -457,17 +460,16 @@ def stated_kernel(sup: Superoperator) -> np.ndarray:
     name = me.label or "the model"
     charges = _charges(me)
     first = sup.sectors()[0]
-    basis, inverse = sup.maps()
-    lift = basis[:, first]
+    lift, inverse = sup.maps(first)
     vq = np.column_stack([vec(q) for q in charges])
-    outside = float(np.abs(vq - lift @ (inverse[first] @ vq)).max())
+    outside = float(np.abs(vq - lift @ (inverse @ vq)).max())
     if outside:
         raise NumericalAccuracyError(
             f"a stated charge of {name} has weight {outside:.2e} outside the first "
             "sector, where the kernel lies"
         )
     c = _charge_rows(me, lift)
-    l0 = sup.generator(first)
+    l0 = sup.generator(first) if l0 is None else l0
     dim = l0.shape[0]
     bordered = sp.bmat([[l0, sp.csc_matrix(c)], [sp.csr_matrix(c.T), None]], format="csc")
     rhs = np.zeros((bordered.shape[0], len(charges)))

@@ -15,7 +15,9 @@ vec(A rho B) = (B^T kron A) vec(rho) and the generator reads
         + sum_k r_k (2 conj(O_k) kron O_k - I kron O_k^dag O_k
                      - (O_k^dag O_k)^T kron I)
 
-assembled once as a CSR matrix.
+assembled as a CSR matrix: whole, once, for the solves that read all of it,
+or only on the rows and columns of the vec(rho) positions that a solve on a
+few sectors reads, with each entry the same sum of the same products.
 
 Every builder is symmetric under exchanging the two atoms (collective
 operators, per-atom channels at equal rates): L commutes with rho ->
@@ -53,10 +55,11 @@ to Hermitian matrices, so in the coordinates
 
 of a D x D matrix it is T L T^-1 with real entries; a column of the real
 basis E of x is a unit vector or a swapped pair of them, and the maps
-B = T^-1 E (y -> vec(rho)) and F T (vec(rho) -> y) of all of vec(rho)
-(``hermitian_sectors``) have entries +-1, +-i and +-1/2^k, so y is real
-exactly for a Hermitian rho and every matrix read back from real y is
-Hermitian exactly.  G drops round-off that links two sectors, refusing more.
+B = T^-1 E (y -> vec(rho)) and F T (vec(rho) -> y) of a range of sectors
+(``HermitianSectors.maps``) are composed from index bookkeeping alone.
+Their entries are +-1, +-i and +-1/2^k, so y is real exactly for a
+Hermitian rho and every matrix read back from real y is Hermitian exactly.
+G drops round-off that links two sectors, refusing more.
 
 Rates and times are expressed in units of kappa, which is pinned to 1.
 """
@@ -99,6 +102,9 @@ SECTOR_LEAK_TOL = 1e-14
 
 #: rows of G formed per product: F T L of a block stays under 3 MB at any cutoff
 GENERATOR_ROW_BLOCK = 2**12
+
+#: coordinates per step of ``HermitianSectors.maps``: its temporaries stay under 2 MB
+MAP_BLOCK = 2**12
 
 #: largest |r_+ - x r_-| of a jump pair under a stated detailed-balance weight
 #: x, relative to the lowering rate r_-; ``build_full``'s pairs miss by a few
@@ -298,11 +304,14 @@ class MasterEquation:
 class Superoperator:
     """Liouvillian acting on column-stacked density matrices.
 
-    The complex CSR matrix L is assembled on first use; ``apply`` is a
-    mat-vec with it.  Every solve forms the real generator G = (F T) L B on
-    the sectors it reads (``generator``, ``sectors``); ``as_dense`` is its
-    dense copy on one sector or on all, refused above ``linalg.DENSE_CAP``.
-    Only G's maps and ``dynamics.stated_kernel``'s solve are kept beside L.
+    The complex CSR matrix L is assembled whole on first use and cached
+    (``as_sparse``); ``apply`` and ``norm_estimate`` read it.  Every solve
+    forms the real generator G = (F T) L B on the sectors it reads
+    (``generator``, ``sectors``, ``maps``); ``as_dense`` is its dense copy on
+    one sector or on all, refused above ``linalg.DENSE_CAP``.  A solve on a
+    part of G assembles only L's rows and columns at the positions of its
+    sectors, unless L is held.  Only the sectors' index bookkeeping and
+    ``dynamics.stated_kernel``'s solve are kept beside L.
     """
 
     def __init__(self, me: MasterEquation):
@@ -310,59 +319,89 @@ class Superoperator:
         self.dim = me.dim**2
         self._dense: np.ndarray | None = None
         self._sparse: sp.csr_matrix | None = None
-        self._split: tuple[sp.csc_matrix, sp.csr_matrix, list[slice]] | None = None
+        self._index: HermitianSectors | None = None
         self._kernel: np.ndarray | None = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply the generator to a vectorized state."""
         return self.as_sparse() @ v
 
-    def sectors(self) -> list[slice]:
-        """The index ranges of G that the generator never mixes
-        (``hermitian_sectors`` of the model's statements), the diagonal's even
-        part first (d = 0, exchange parity +1: where |gg,0>, the kernel and
-        the stated charges lie); built when first asked for, without L."""
-        if self._split is None:
+    def sector_index(self) -> HermitianSectors:
+        """The index bookkeeping of G's sectors (``HermitianSectors`` of the
+        model's statements), built when first asked for, without L."""
+        if self._index is None:
             me = self.me
-            self._split = hermitian_sectors(me.dim, me.excitations, me.swap)
-        return self._split[2]
+            self._index = HermitianSectors(me.dim, me.excitations, me.swap)
+        return self._index
 
-    def maps(self) -> tuple[sp.csc_matrix, sp.csr_matrix]:
-        """B (y -> vec(rho)) and F T (vec(rho) -> y) of all of vec(rho); a
-        sector's maps are the columns and rows of its slice."""
-        self.sectors()
-        return self._split[:2]
+    def sectors(self) -> list[slice]:
+        """The index ranges of G that the generator never mixes, the
+        diagonal's even part first (d = 0, exchange parity +1: where |gg,0>,
+        the kernel and the stated charges lie)."""
+        return self.sector_index().slices
+
+    def maps(self, s: slice | None = None) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+        """B[:, s] (y -> vec(rho)) and (F T)[s] (vec(rho) -> y) on a range of
+        sectors, all of vec(rho) by default."""
+        return self.sector_index().maps(s)
 
     def generator(self, s: slice | None = None) -> sp.csr_matrix:
         """G[s, s] of G = (F T) L B, ``s`` a range of whole sectors (all of G
         by default), formed anew from its rows ``GENERATOR_ROW_BLOCK`` at a
         time (each as in one whole product) without entries that link two
-        sectors.  Refused when an entry in the rows or columns of ``s`` has an
-        imaginary part above ``DENSE_IMAG_TOL`` ||L||_1 (L breaks Hermiticity)
-        or links two sectors above ``SECTOR_LEAK_TOL`` ||L||_1; the columns'
-        check forms L B[:, s], so a caller reading most of G reads all of it."""
-        stops = np.array([t.stop for t in self.sectors()])
+        sectors.  L is read whole when held or when ``s`` is all of G;
+        otherwise only its rows and columns at the positions of ``s`` are
+        assembled, and the maps of the sectors those reach are composed.
+
+        Refused when an entry in the rows or columns of ``s``, in G's
+        coordinates, has an imaginary part above ``DENSE_IMAG_TOL`` times the
+        scale (L breaks Hermiticity) or links two sectors above
+        ``SECTOR_LEAK_TOL`` times it.  The scale is ``norm_estimate`` when L
+        is read whole, and otherwise the largest absolute column sum of the
+        columns assembled, never above ||L||_1.  The columns' check forms
+        L B[:, s], so a caller reading most of G reads all of it."""
+        index = self.sector_index()
+        stops = np.array([t.stop for t in index.slices])
         s = slice(0, self.dim) if s is None else s
         if s.step is not None or s.start not in (0, *stops) or s.stop not in stops or s.start >= s.stop:
             raise ValueError(f"{s} is not a range of whole sectors of G")
-        basis, inverse = self.maps()
-        lv, right, n = self.as_sparse(), basis.tocsr(), s.stop - s.start
-        blocks, imag, leak = [], 0.0, 0.0
-        for lo in range(s.start, s.stop, GENERATOR_ROW_BLOCK):
-            g = inverse[lo : min(lo + GENERATOR_ROW_BLOCK, s.stop)] @ lv @ right
+        n = s.stop - s.start
+        basis, inverse = index.maps(s)
+        if self._sparse is not None or n == self.dim:
+            lv, norm = self.as_sparse(), self.norm_estimate()
+        else:
+            at = np.unique(basis.indices)
+            lv = _build_liouvillian(self.me, at)
+            norm = float(_column_sums(lv)[at].max())
+        imag = leak = 0.0
+        reached = {}  # the maps of the ranges of sectors past s that the columns reach
+        if n < self.dim:  # every entry of (F T) L B[:, s] outside the rows of s links two sectors
+            y = lv @ basis
+            t = index.span(s, np.flatnonzero(np.diff(y.indptr)))  # every sector that y's positions lie in
+            if t != s:
+                reached[t.start, t.stop] = index.maps(t)
+            f = (inverse if t == s else reached[t.start, t.stop][1]) @ y
+            f.data[f.indptr[s.start - t.start] : f.indptr[s.stop - t.start]] = 0.0  # the rows of s, checked below
+            imag, leak = float(abs(f.data.imag).max(initial=0.0)), float(abs(f.data).max(initial=0.0))
+            del y, f
+        right = {(s.start, s.stop): basis.tocsr()}  # B of each range of sectors the rows reach, by rows
+        del basis
+        blocks = []
+        for lo in range(0, n, GENERATOR_ROW_BLOCK):
+            x = inverse[lo : lo + GENERATOR_ROW_BLOCK] @ lv
+            t = index.span(s, x.indices)  # every sector that x's positions lie in
+            if (t.start, t.stop) not in right:
+                right[t.start, t.stop] = (reached.get((t.start, t.stop)) or index.maps(t))[0].tocsr()
+            g = x @ right[t.start, t.stop]
             imag = max(imag, float(abs(g.data.imag).max(initial=0.0)))
-            sector = np.searchsorted(stops, np.arange(lo, lo + g.shape[0]), "right")  # of each row
-            cross = np.repeat(sector, np.diff(g.indptr)) != np.searchsorted(stops, g.indices, "right")
+            first = s.start + lo
+            sector = np.searchsorted(stops, np.arange(first, first + g.shape[0]), "right")  # of each row
+            cross = np.repeat(sector, np.diff(g.indptr)) != np.searchsorted(stops, g.indices + t.start, "right")
             leak = max(leak, float(abs(g.data[cross]).max(initial=0.0)))
             g.data[cross | (g.data.real == 0.0)] = 0.0  # G keeps real parts, and no zeros
             g.eliminate_zeros()
-            blocks.append(sp.csr_matrix((g.data.real, g.indices - s.start, g.indptr), shape=(g.shape[0], n)))
-        if n < self.dim:  # every entry of (F T) L B[:, s] outside the rows of s links two sectors
-            f = inverse @ (lv @ basis[:, s])
-            f.data[f.indptr[s.start] : f.indptr[s.stop]] = 0.0  # the rows of s, checked above
-            imag = max(imag, float(abs(f.data.imag).max(initial=0.0)))
-            leak = max(leak, float(abs(f.data).max(initial=0.0)))
-        norm = self.norm_estimate()
+            real = np.ascontiguousarray(g.data.real)  # not a view that keeps the complex parts
+            blocks.append(sp.csr_matrix((real, g.indices + (t.start - s.start), g.indptr), shape=(g.shape[0], n)))
         if imag > DENSE_IMAG_TOL * norm:
             raise NumericalAccuracyError(
                 f"the generator of {self.me.label or 'the model'} is not real in Hermitian "
@@ -395,16 +434,27 @@ class Superoperator:
 
     def norm_estimate(self) -> float:
         """1-norm of the generator: ``abs(L).sum(axis=0).max()``, without copying L's indices."""
-        lv = self.as_sparse()
-        return float(sp.csr_matrix((abs(lv.data), lv.indices, lv.indptr), shape=lv.shape).sum(axis=0).max())
+        return float(_column_sums(self.as_sparse()).max())
 
 
-def _build_liouvillian(me: MasterEquation) -> sp.csr_matrix:
-    """Assemble L as a CSR matrix in the column-stacking convention."""
+def _column_sums(lv: sp.csr_matrix) -> np.ndarray:
+    """The absolute column sums of ``lv``, summed over a CSR matrix that shares its indices."""
+    return np.asarray(sp.csr_matrix((abs(lv.data), lv.indices, lv.indptr), shape=lv.shape).sum(axis=0)).ravel()
+
+
+def _build_liouvillian(me: MasterEquation, at: np.ndarray | None = None) -> sp.csr_matrix:
+    """Assemble L as a CSR matrix in the column-stacking convention: all of
+    it, or only its rows and its columns at the sorted vec(rho) positions
+    ``at``.  Each Kronecker factor is then cut to those rows and columns
+    (``_kron_at``) before the terms are summed, so every entry there is the
+    same sum of the same products as in the whole L, bitwise."""
     eye = sp.identity(me.dim, dtype=complex, format="csr")
+    if at is not None:
+        inside = np.zeros(me.dim**2, dtype=bool)
+        inside[at] = True
 
     def krn(a, b):
-        return sp.kron(a, b, format="csr")
+        return sp.kron(a, b, format="csr") if at is None else _kron_at(a, b, at, inside)
 
     h = sp.csr_matrix(me.hamiltonian.matrix)
     lv = -1j * (krn(eye, h) - krn(h.T, eye))
@@ -418,6 +468,34 @@ def _build_liouvillian(me: MasterEquation) -> sp.csr_matrix:
         bda = b.conj().T @ a
         lv = lv + ct.weight * (2.0 * krn(b.conj(), a) - krn(eye, bda) - krn(bda.T, eye))
     return lv.tocsr()
+
+
+def _kron_at(a: sp.spmatrix, b: sp.spmatrix, at: np.ndarray, inside: np.ndarray) -> sp.csr_matrix:
+    """The entries of ``sp.kron(a, b)`` in the rows or the columns ``at``
+    (``inside`` marks them), each the same product a_ij b_kl, as a
+    canonical CSR matrix of the whole shape."""
+    row, col, val = _kron_rows(a.tocsr(), b.tocsr(), at)
+    col_t, row_t, val_t = _kron_rows(a.tocsc(), b.tocsc(), at)  # the columns at, read as rows of the transpose
+    out = ~inside[row_t]  # entries in rows of at are in the rows' part already
+    return sp.coo_matrix(
+        (np.concatenate((val, val_t[out])), (np.concatenate((row, row_t[out])), np.concatenate((col, col_t[out])))),
+        shape=(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]),
+    ).tocsr()
+
+
+def _kron_rows(a: sp.spmatrix, b: sp.spmatrix, at: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row, column and value of each entry of kron(a, b) in the rows ``at``,
+    ``a`` and ``b`` compressed by rows (CSR; CSC stands for the transpose):
+    row r pairs row r // b.rows of ``a`` with row r % b.rows of ``b``."""
+    ra, rb = np.divmod(at, b.shape[0])
+    lo_a, lo_b = a.indptr[ra], b.indptr[rb]
+    nb = b.indptr[rb + 1] - lo_b
+    count = (a.indptr[ra + 1] - lo_a) * nb
+    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    per = np.repeat(nb, count)
+    ia = np.repeat(lo_a, count) + k // per
+    ib = np.repeat(lo_b, count) + k % per
+    return np.repeat(at, count), a.indices[ia].astype(np.int64) * b.shape[1] + b.indices[ib], a.data[ia] * b.data[ib]
 
 
 def hermitian_coordinates(d: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -446,63 +524,125 @@ def hermitian_coordinates(d: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     )
 
 
-def hermitian_sectors(
-    d: int, labels: np.ndarray | None, swap: np.ndarray | None
-) -> tuple[sp.csc_matrix, sp.csr_matrix, list[slice]]:
-    """The maps B = T^-1 E and F T between vec(rho) of a d x d matrix and
-    its real coordinates y, ordered sector by sector, and the sectors as
-    index ranges of y: one per |N_i - N_j| of the excitation numbers
-    ``labels`` (ascending; all of vec(rho) when None) and exchange parity
-    under the basis permutation ``swap`` (+1 first; all +1 when None).  E
-    and F split the coordinates x of ``hermitian_coordinates`` and are
-    composed with T^-1 and T once, for all of vec(rho); F T B = I.  With
-    neither symmetry the one sector is T^-1 and T themselves.
+class HermitianSectors:
+    """Index bookkeeping of the real coordinates y of vec(rho) of a d x d
+    matrix, ordered sector by sector: one sector per |N_i - N_j| of the
+    excitation numbers ``labels`` (ascending; all of vec(rho) when None) and
+    exchange parity under the basis permutation ``swap`` (+1 first; all +1
+    when None).  ``slices`` are the sectors as index ranges of y and ``gaps``
+    their |N_i - N_j|.  ``maps(s)`` composes B = T^-1 E and F T on a range of
+    them from this bookkeeping alone; F T B = I.  With neither symmetry the
+    one sector is T^-1 and T of ``hermitian_coordinates`` themselves.
 
     Re and Im of rho_ij hold rho_ij (d) and rho_ji (-d), so a |d| sector is
     closed under the adjoint; the first one holds the diagonal.  The swap
     acts on x as a signed permutation (rho_ij -> rho_p(i)p(j), Im changing
     sign when p(i) > p(j)); a coordinate it fixes lies in the parity of its
     sign, and a swapped pair e_k, e_l with sign s spans e_k + s e_l (+1)
-    and e_k - s e_l (-1).
+    and e_k - s e_l (-1).  Column c of E is 1 at ``first[c]`` and, for a
+    pair, ``sign[c]`` at ``second[c]`` (-1 otherwise).
     """
-    i, j = np.triu_indices(d, 1)
-    m = i.size
-    p = np.arange(d) if swap is None else np.asarray(swap)
-    gap = np.zeros(m, dtype=int) if labels is None else np.abs(labels[i] - labels[j])
-    key = np.concatenate((np.zeros(d, dtype=gap.dtype), gap, gap))
-    # the swap moves coordinate k to partner[k] with sign[k]
-    a, b = np.minimum(p[i], p[j]), np.maximum(p[i], p[j])
-    pair = a * d - a * (a + 1) // 2 + b - a - 1  # position of (a, b) among i < j
-    partner = np.concatenate((p, d + pair, d + m + pair))
-    sign = np.concatenate((np.ones(d + m), np.where(p[i] < p[j], 1.0, -1.0)))
-    coords = np.arange(partner.size)
-    rep = coords[partner >= coords]  # fixed coordinates and the first of each pair
-    fixed = partner[rep] == rep
-    cols = np.concatenate((rep, rep[~fixed]))
-    parity = np.concatenate((np.where(fixed, sign[rep], 1.0), np.full((~fixed).sum(), -1.0)))
-    order = np.lexsort((cols, -parity, key[cols]))
-    cols, parity = cols[order], parity[order]
-    paired = partner[cols] != cols
-    # column c of E: 1 at cols[c] and, for a pair, parity * sign at its partner
-    n = cols.size
-    rows = np.concatenate((cols, partner[cols[paired]]))
-    col_of = np.concatenate((np.arange(n), np.flatnonzero(paired)))
-    vals = np.concatenate((np.ones(n), (parity * sign[cols])[paired]))
-    scale = np.where(paired, 0.5, 1.0)[col_of]
-    bounds = np.flatnonzero((np.diff(key[cols]) != 0) | (np.diff(parity) != 0)) + 1
-    edges = np.concatenate(([0], bounds, [n])).tolist()
-    # free the index arrays before the products, and each of T and T^-1 after its product
-    del i, j, gap, key, a, b, pair, partner, sign, coords, rep, fixed, cols, parity, order, paired, bounds
-    fwd, inv = hermitian_coordinates(d)
-    inverse = (sp.csr_matrix((vals * scale, (col_of, rows)), shape=(n, d * d)) @ fwd).tocsr()
-    del fwd
-    basis = inv @ sp.csc_matrix((vals, (rows, col_of)), shape=(d * d, n))
-    del inv, rows, col_of, vals, scale
-    return basis.tocsc(), inverse, [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+    def __init__(self, d: int, labels: np.ndarray | None, swap: np.ndarray | None):
+        i, j = np.triu_indices(d, 1)
+        m = i.size
+        p = np.arange(d) if swap is None else np.asarray(swap)
+        gap = np.zeros(m, dtype=int) if labels is None else np.abs(labels[i] - labels[j])
+        key = np.concatenate((np.zeros(d, dtype=gap.dtype), gap, gap))
+        # the swap moves coordinate k to partner[k] with sign[k]
+        a, b = np.minimum(p[i], p[j]), np.maximum(p[i], p[j])
+        pair = a * d - a * (a + 1) // 2 + b - a - 1  # position of (a, b) among i < j
+        partner = np.concatenate((p, d + pair, d + m + pair))
+        sign = np.concatenate((np.ones(d + m), np.where(p[i] < p[j], 1.0, -1.0)))
+        coords = np.arange(partner.size)
+        rep = coords[partner >= coords]  # fixed coordinates and the first of each pair
+        fixed = partner[rep] == rep
+        cols = np.concatenate((rep, rep[~fixed]))
+        parity = np.concatenate((np.where(fixed, sign[rep], 1.0), np.full((~fixed).sum(), -1.0)))
+        order = np.lexsort((cols, -parity, key[cols]))
+        cols, parity = cols[order], parity[order]
+        paired = partner[cols] != cols
+        bounds = np.flatnonzero((np.diff(key[cols]) != 0) | (np.diff(parity) != 0)) + 1
+        edges = np.concatenate(([0], bounds, [cols.size])).tolist()
+        self.d, self.labels = d, labels
+        self.first = cols.astype(np.int32)
+        self.second = np.where(paired, partner[cols], -1).astype(np.int32)
+        self.sign = (parity * sign[cols]).astype(np.int8)
+        # the positions in vec(rho) of each coordinate of x: rho_ii, or rho_ji and rho_ij
+        diagonal = np.arange(d) * (d + 1)
+        self.low = np.concatenate((diagonal, j + i * d, j + i * d)).astype(np.int32)
+        self.high = np.concatenate((diagonal, i + j * d, i + j * d)).astype(np.int32)
+        self.slices = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        self.gaps = key[cols[edges[:-1]]]
+
+    def maps(self, s: slice | None = None) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+        """B[:, s] (y -> vec(rho)) and (F T)[s] (vec(rho) -> y) on the range
+        ``s`` of coordinates (all by default).  Their entries are +-1, +-i
+        and +-1/2^k, so y is real exactly for a Hermitian rho and every
+        matrix read back from real y is Hermitian exactly.  Each is entry for
+        entry, in the same order, the product it stands for: T^-1 E in CSC,
+        and F T in CSR, whose row holds the positions of the second
+        coordinate and then of the first, each from the higher down.  Formed
+        ``MAP_BLOCK`` coordinates at a time into the maps' own arrays."""
+        s = slice(0, self.first.size) if s is None else s
+        x0, x1, e = self.first[s], self.second[s], self.sign[s]
+        n, d = x0.size, self.d
+        # the entries of a coordinate: the second's high and low position, the first's
+        keep = np.column_stack((x1 >= 0, x1 >= d, np.ones(n, dtype=bool), x0 >= d))
+        ptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+        f_data, b_data = np.empty(ptr[-1], dtype=complex), np.empty(ptr[-1], dtype=complex)
+        f_pos, b_pos = np.empty(ptr[-1], dtype=np.int32), np.empty(ptr[-1], dtype=np.int32)
+        high, second = np.array([True, False, True, False]), np.array([True, True, False, False])
+        for lo in range(0, n, MAP_BLOCK):
+            c = slice(lo, lo + MAP_BLOCK)
+            out, k = slice(ptr[lo], ptr[min(lo + MAP_BLOCK, n)]), keep[c]
+            paired = x1[c] >= 0
+            x = np.where(second & paired[:, None], x1[c, None], x0[c, None])  # stand-ins are not kept
+            imag = x >= d + (d * d - d) // 2
+            pos = np.where(high, self.high[x], self.low[x])
+            # F: sign/2 at the second, 1/2 (1 unpaired) at the first; T at (x, high)
+            # is 1 on the diagonal, 1/2 at Re and -i/2 at Im, at (x, low) 1/2 and i/2
+            f = np.where(second, 0.5 * e[c, None], np.where(paired, 0.5, 1.0)[:, None])
+            t_re = np.where(x < d, 1.0, np.where(imag, 0.0, 0.5))
+            f_data[out] = _complex(f * t_re, np.where(imag, np.where(high, -0.5, 0.5) * f, 0.0))[k]
+            f_pos[out] = pos[k]
+            # E: sign at the second, 1 at the first; T^-1 at (high, x) is 1 at the
+            # diagonal and Re, i at Im, at (low, x) 1 and -i; sorted by position
+            coef = np.where(second, e[c, None], 1)
+            order = np.argsort(np.where(k, pos, d * d), axis=1, kind="stable")
+            b_re = np.take_along_axis(np.where(imag, 0, coef), order, 1)
+            b_im = np.take_along_axis(np.where(imag, np.where(high, coef, -coef), 0), order, 1)
+            k = np.take_along_axis(k, order, 1)
+            b_data[out] = _complex(b_re, b_im)[k]
+            b_pos[out] = np.take_along_axis(pos, order, 1)[k]
+        basis = sp.csc_matrix((b_data, b_pos, ptr), shape=(d * d, n))
+        return basis, sp.csr_matrix((f_data, f_pos, ptr), shape=(n, d * d))
+
+    def holding(self, positions: np.ndarray) -> list[slice]:
+        """The sectors that hold one of the vec(rho) ``positions``: all of
+        their |N_i - N_j|, in either parity."""
+        if self.labels is None:
+            return list(self.slices)
+        d, held = self.d, np.zeros(self.gaps.max() + 1, dtype=bool)
+        held[np.abs(self.labels[positions % d] - self.labels[positions // d])] = True
+        return [s for s, g in zip(self.slices, self.gaps) if held[g]]
+
+    def span(self, s: slice, positions: np.ndarray) -> slice:
+        """The range of sectors from ``s`` out to every sector ``holding`` one of ``positions``."""
+        held = self.holding(positions) if s.stop - s.start < self.first.size else []
+        return slice(min([s.start] + [t.start for t in held]), max([s.stop] + [t.stop for t in held]))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im without complex arithmetic, and with +0 for every zero
+    part, as a product summed onto 0 holds it."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re + 0.0, im + 0.0
+    return z
 
 
 def zero_sector_dim(dim: int, labels: np.ndarray | None, swap: np.ndarray | None) -> int:
-    """Size of the first sector of ``hermitian_sectors`` of a dim x dim
+    """Size of the first sector of ``HermitianSectors`` of a dim x dim
     matrix without forming it, the one |gg,0> occupies: sum over N of
     (m_N^2 + f_N^2) / 2, m_N the basis states with N excitations (one N for
     all when ``labels`` is None) and f_N those the swap fixes (all of them

@@ -236,14 +236,8 @@ def rate_bounds(sup: Superoperator) -> np.ndarray | None:
         diag = down * (n + m) + up * (fill[n] + fill[m])
         off = 2.0 * np.sqrt(down * up * n[1:] * m[1:])
         floor[k] = sla.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
-    basis, _ = sup.maps()
-    labels, dim = me.excitations, me.dim
-    bounds = []
-    for s in sup.sectors():
-        r = basis.indices[basis.indptr[s.start]]  # a vec(rho) entry of the sector
-        d = abs(int(labels[r % dim]) - int(labels[r // dim]))
-        bounds.append(min(floor[abs(k)] for k in range(d - 2, d + 3) if abs(k) < c))
-    return np.array(bounds)
+    gaps = sup.sector_index().gaps.tolist()  # |d| of each sector
+    return np.array([min(floor[abs(k)] for k in range(d - 2, d + 3) if abs(k) < c) for d in gaps])
 
 
 def zero_modes(eigenvalues: np.ndarray, kernel_dim: int) -> np.ndarray:

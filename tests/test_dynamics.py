@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
@@ -128,25 +129,17 @@ class TestEvolveSpectral:
             fock_cutoff = None
             dims = (3,)
 
-        class _Sup:
-            dim = 9
-            me = models.MasterEquation(
-                LabeledOperator("0", np.zeros((3, 3), dtype=complex)), (), _Dim3(),
-                conserved=(LabeledOperator("Q", np.eye(3, dtype=complex)),),
-            )
+        class _Sup(models.Superoperator):
+            def generator(self, s=None):
+                return sp.csr_matrix(np.array([[0.0, 0.0, 0.0], [0.0, -1e-3, 1.0], [0.0, -1.0, -1e-3]]))
 
-            def sectors(self):
-                return models.hermitian_sectors(3, None, None)[2]
-
-            def maps(self):
-                return models.hermitian_sectors(3, None, None)[:2]
-
-            def as_dense(self, sector=None):
-                return np.array([[0.0, 0.0, 0.0], [0.0, -1e-3, 1.0], [0.0, -1.0, -1e-3]])
-
+        me = models.MasterEquation(
+            LabeledOperator("0", np.zeros((3, 3), dtype=complex)), (), _Dim3(),
+            conserved=(LabeledOperator("Q", np.eye(3, dtype=complex)),),
+        )
         rho0 = dyn.DensityMatrix(np.eye(3, dtype=complex) / 3.0, _Dim3())
         with pytest.raises(NumericalAccuracyError, match="conjugate pair"):
-            dyn.evolve_spectral(_Sup(), rho0, np.array([0.0]))
+            dyn.evolve_spectral(_Sup(me), rho0, np.array([0.0]))
 
     def test_kernel_part_does_not_evolve(self):
         # at eps = 1000 zgeev returns the two kernel eigenvalues as ~1e-13;
@@ -261,20 +254,21 @@ class TestEvolveSpectral:
                             np.array([0.0, 10.0]))
         assert dims == [10 * 8 - 8]
 
-    def test_coordinate_maps_are_built_once_per_generator(self, monkeypatch):
-        # the sector maps are composed with T and T^-1 once, when the
-        # generator is split; the trajectory and the steady state read them
-        # from there
+    def test_sector_bookkeeping_is_built_once_per_generator(self, monkeypatch):
+        # the sectors' index bookkeeping is built once, when the generator is
+        # first split; the trajectory and the steady state compose their maps
+        # from it, and T and T^-1 are never formed
         space = make_space(6)
         me = models.build_full(space, ModelParams(g0=0.1, n_th=1.0, gamma=1e-3))
         calls = []
-        build = models.hermitian_coordinates
+        build = models.HermitianSectors
 
-        def counting(d):
+        def counting(d, labels, swap):
             calls.append(d)
-            return build(d)
+            return build(d, labels, swap)
 
-        monkeypatch.setattr(models, "hermitian_coordinates", counting)
+        monkeypatch.setattr(models, "HermitianSectors", counting)
+        monkeypatch.setattr(models, "hermitian_coordinates", lambda d: calls.append("T"))
         sup = vectorize(me, materialize=False)
         dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 10.0]))
         dyn.steady_state(sup, dyn.ground_state(space))

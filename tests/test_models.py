@@ -772,6 +772,120 @@ def test_solves_form_only_the_sectors_they_read(monkeypatch):
     assert read.all()
 
 
+@pytest.mark.parametrize("name", sorted(PARAMETRIC_BUILDERS))
+@given(
+    g0=st.floats(0.05, 1.0),
+    eps=st.floats(3.0, 30.0),
+    n_th=st.floats(0.0, 5.0),
+    gamma=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+    cutoff=st.integers(2, 6),
+    data=st.data(),
+)
+def test_the_maps_of_a_range_are_bitwise_the_slices_of_the_whole_product(name, g0, eps, n_th, gamma, cutoff, data):
+    # maps() is B = T^-1 E and F T entry for entry as the sparse products
+    # compose them from T and T^-1 of hermitian_coordinates, in the same
+    # order within each row of F T; and the maps of a range of sectors are
+    # the slices of maps(), bitwise
+    me = PARAMETRIC_BUILDERS[name](make_space(cutoff), ModelParams(g0, eps, n_th, gamma))
+    sup = Superoperator(me)
+    basis, inverse = sup.maps()
+    to_x, from_x = models.hermitian_coordinates(me.dim)
+    e = sp.csc_matrix((to_x @ basis).real)  # E, with entries 1 and -1
+    e.eliminate_zeros()
+    f = sp.csr_matrix((inverse @ from_x).real)  # F, with entries 1, -1/2 and 1/2
+    f.eliminate_zeros()
+    f.sort_indices()
+    pairs = [(basis, (from_x @ e).tocsc()), (inverse, f @ to_x)]
+    sectors = sup.sectors()
+    i = data.draw(st.integers(0, len(sectors) - 1), label="first sector")
+    j = data.draw(st.integers(i, len(sectors) - 1), label="last sector")
+    s = slice(sectors[i].start, sectors[j].stop)
+    lift, rows = sup.maps(s)
+    pairs += [(lift, basis[:, s]), (rows, inverse[s])]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_a_certified_gap_builds_nothing_of_the_whole_space(monkeypatch):
+    # the certified solve at cutoff 32 reads the |d| <= 2 sectors: L is
+    # assembled on their positions alone and no map of all of vec(rho) is
+    # composed; a trajectory from |gg,0> composes only the maps of the d = 0
+    # sectors
+    from atomcavity import dynamics as dyn, observables
+
+    composed, assembled = [], []
+    maps, build = models.HermitianSectors.maps, models._build_liouvillian
+
+    def recording_maps(self, s=None):
+        composed.append(slice(0, self.first.size) if s is None else s)
+        return maps(self, s)
+
+    def recording_build(me, at=None):
+        assembled.append(at)
+        return build(me, at)
+
+    monkeypatch.setattr(models.HermitianSectors, "maps", recording_maps)
+    monkeypatch.setattr(models, "_build_liouvillian", recording_build)
+    sup = Superoperator(build_full(make_space(32), ModelParams(g0=0.3, n_th=0.5)))
+    rep = spectra.analyze(sup, k=16)
+    assert rep.solver == "certified-shift-invert" and rep.dim < sup.dim
+    assert sup._sparse is None
+    assert composed and all(s.stop - s.start <= rep.dim for s in composed)
+    assert assembled and all(at is not None and at.size <= rep.dim for at in assembled)
+    space = make_space(8)
+    sup = Superoperator(build_full(space, ModelParams(g0=0.1, n_th=1.0)))
+    composed.clear()
+    observables.mi_curve(sup, dyn.ground_state(space), np.array([0.0, 1.0, 10.0]))
+    gaps = dict(zip([(t.start, t.stop) for t in sup.sectors()], sup.sector_index().gaps))
+    zero = [t for t in sup.sectors() if gaps[t.start, t.stop] == 0]
+    assert composed and all(zero[0].start <= s.start < s.stop <= zero[-1].stop for s in composed)
+
+
+def _leaky_assembly(monkeypatch, entries: list[tuple[int, int]], value: float) -> None:
+    """Add ``value`` to every L that ``models._build_liouvillian`` assembles
+    at each (row, column) of vec(rho) positions it covers: all of them for
+    the whole L, those in the rows or the columns ``at`` otherwise."""
+    build = models._build_liouvillian
+    rows, cols = (np.array(v) for v in zip(*entries))
+
+    def leaky(me, at=None):
+        lv = build(me, at)
+        held = np.ones(rows.size, dtype=bool) if at is None else np.isin(rows, at) | np.isin(cols, at)
+        extra = sp.csr_matrix((np.full(held.sum(), value), (rows[held], cols[held])), shape=lv.shape)
+        return (lv + extra).tocsr()
+
+    monkeypatch.setattr(models, "_build_liouvillian", leaky)
+
+
+@pytest.mark.parametrize("direction", ["into", "out of"])
+def test_a_leak_planted_at_the_range_assembly_is_refused(monkeypatch, direction):
+    # the entries pair rho_00 (first sector) with rho_0j and rho_j0, which
+    # keeps L Hermiticity-preserving; "into" feeds rho_00 from them (the rows
+    # of the range), "out of" feeds them from rho_00 alone (its columns).
+    # Both are refused from the rows and columns assembled for the range,
+    # before any whole L exists
+    def leak(me, n):
+        j = int(np.flatnonzero(me.excitations == n)[0])
+        pairs = [(0, me.dim * j), (0, j)]
+        return pairs if direction == "into" else [(c, r) for r, c in pairs]
+
+    small = build_full(make_space(3), ModelParams(g0=0.2, n_th=0.5, gamma=0.1))
+    # a |d| = 3 entry at cutoff 8, which the certified solve of the |d| <= 2 sectors leaves out
+    large = build_full(make_space(8), ModelParams(g0=0.1, n_th=1.9))
+    assert spectra.analyze(Superoperator(large), k=16).solver == "certified-shift-invert"
+    for me, n, solve in ((small, 1, lambda sup: sup.generator(sup.sectors()[0])),
+                         (large, 3, lambda sup: spectra.analyze(sup, k=16))):
+        _leaky_assembly(monkeypatch, leak(me, n), Superoperator(me).norm_estimate() / 10.0)
+        sup = Superoperator(me)
+        with pytest.raises(NumericalAccuracyError, match="links two of its sectors"):
+            solve(sup)
+        assert sup._sparse is None
+        monkeypatch.undo()
+
+
 def test_dense_eig_runs_in_real_arithmetic(monkeypatch):
     # mi_curve (spectral evolution) and dense analyze hand LAPACK float64
     # matrices, so it runs dgeev, not zgeev, on the exchange sectors: from
