@@ -17,8 +17,6 @@ from pathlib import Path
 from .errors import AtomCavityError
 from .scenarios import SCENARIOS, ScenarioConfig, run_scenario
 
-EXIT_OK = 0
-EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_USAGE = 64

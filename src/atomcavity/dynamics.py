@@ -299,21 +299,22 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     """Evolve through the dense eigenbasis of the generator, in real
     arithmetic, one sector at a time.
 
-    ``sup.generator(s)`` is the block G[s, s] of the real generator on one
-    of ``sup.sectors()``: the |d| excitation sectors (all of vec(rho) when
-    the model states no excitation numbers) split by exchange parity when it
-    states the atom swap.  The generator never mixes sectors, so each one
-    that rho0 occupies evolves alone from its rows of y0 = F T vec(rho0),
-    with vec(rho(t)) = vec(rho0) + B[:, s] ``_motion`` of its modes, and the
-    others stay 0: rho0 itself at t = 0.  Only the maps of the sectors of
-    the |d| that rho0's entries have are composed, and each block is formed
-    once; the first sector's is also the one ``stated_kernel`` solves.  The
+    ``sup.generator(s)`` forms the block G[s, s] of the real generator on
+    one of ``sup.sectors()``: the |d| excitation sectors (all of vec(rho)
+    when the model states no excitation numbers) split by exchange parity
+    when it states the atom swap.  The generator never mixes sectors, so
+    each one that rho0 occupies evolves alone from its rows of y0 = F T
+    vec(rho0), with vec(rho(t)) = vec(rho0) + B[:, s] ``_motion`` of its
+    modes, and the others stay 0: rho0 itself at t = 0.  Only the maps of
+    the sectors of the |d| that rho0's entries have are composed, and each
+    block is formed once, from L's rows and columns at its positions alone;
+    the first sector's is also the one ``stated_kernel`` solves.  The
     trajectory keeps only the entries of vec(rho) that rho0 or an evolved
     sector's columns of B touch, so no sample is ever formed as a D x D
-    matrix.  The motion is real and B
-    maps real y to Hermitian matrices exactly, so every sample is Hermitian
-    exactly; rho0 enters as its Hermitian part, rho0 itself for a Hermitian
-    rho0.  Every sample is checked against ``EVOLUTION_INVARIANT_TOL``.
+    matrix.  The motion is real and B maps real y to Hermitian matrices
+    exactly, so every sample is Hermitian exactly; rho0 enters as its
+    Hermitian part, rho0 itself for a Hermitian rho0.  Every sample is
+    checked against ``EVOLUTION_INVARIANT_TOL``.
 
     The kernel lies in the first sector, and so must the stated charges
     (``stated_kernel`` raises otherwise).  The solver's slowest
@@ -334,7 +335,6 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
         raise ValueError(f"every time must be finite and nonnegative, not {t.min()!r} .. {t.max()!r}")
     m = rho0.matrix
     v0 = vec((m + m.conj().T) / 2.0)
-    sup.as_sparse()  # read whole by stated_kernel's residual scale: the blocks are cut from it
     motions = []
     for s in sup.sector_index().holding(np.flatnonzero(v0)):
         lift, inverse = sup.maps(s)
@@ -342,10 +342,10 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
         first = s.start == 0
         if not (first or y0.any()):
             continue  # an empty sector stays empty
-        g = sup.generator(s)
+        g, scale = sup.generator(s)
         w, v, kernel = _real_modes(g.toarray(), 1 + len(sup.me.conserved) if first else 0)
         if first:
-            k = (inverse @ stated_kernel(sup, g)).real  # Hermitian columns: real exactly
+            k = (inverse @ stated_kernel(sup, (g, scale))).real  # Hermitian columns: real exactly
             admixture = _charge_rows(sup.me, lift).T @ v
             admixture[:, kernel] = 0.0
             for i in range(0, v.shape[0], _ROW_BLOCK):  # in place: v is the largest array here
@@ -428,7 +428,7 @@ def _charge_rows(me: MasterEquation, lift: sp.csc_matrix) -> np.ndarray:
     return (lift.T @ vq.conj()).real
 
 
-def stated_kernel(sup: Superoperator, l0: sp.csr_matrix | None = None) -> np.ndarray:
+def stated_kernel(sup: Superoperator, block: tuple[sp.csr_matrix, float] | None = None) -> np.ndarray:
     """Basis of the generator's kernel dual to the model's conserved charges,
     solved on the first sector, where the kernel and the charges lie.
 
@@ -449,10 +449,12 @@ def stated_kernel(sup: Superoperator, l0: sp.csr_matrix | None = None) -> np.nda
     working precision, means the kernel is larger in the first sector than
     the model states (``KernelAmbiguityError``; ``steady_state`` also checks
     the other sectors); a residual ||L_0 y|| or multiplier mu above
-    round-off means a stated Q is not conserved (``NumericalAccuracyError``).
-    Solved once per generator: the result is kept on ``sup`` (read-only) for
-    ``evolve_spectral`` and ``steady_state``.  ``l0`` is L_0 when the caller
-    has formed it already (``evolve_spectral``), so it is formed once.
+    round-off, relative to ||y|| times the scale ``sup.generator`` returns
+    with L_0 (never above ||L||_1), means a stated Q is not conserved
+    (``NumericalAccuracyError``).  Solved once per generator: the result is
+    kept on ``sup`` (read-only) for ``evolve_spectral`` and ``steady_state``.
+    ``block`` is ``sup.generator`` of the first sector when the caller has
+    formed it already (``evolve_spectral``), so it is formed once.
     """
     if sup._kernel is not None:
         return sup._kernel
@@ -469,7 +471,7 @@ def stated_kernel(sup: Superoperator, l0: sp.csr_matrix | None = None) -> np.nda
             "sector, where the kernel lies"
         )
     c = _charge_rows(me, lift)
-    l0 = sup.generator(first) if l0 is None else l0
+    l0, norm = sup.generator(first) if block is None else block
     dim = l0.shape[0]
     bordered = sp.bmat([[l0, sp.csc_matrix(c)], [sp.csr_matrix(c.T), None]], format="csc")
     rhs = np.zeros((bordered.shape[0], len(charges)))
@@ -484,13 +486,13 @@ def stated_kernel(sup: Superoperator, l0: sp.csr_matrix | None = None) -> np.nda
     )
     sol = lu.solve(rhs)
     y, mu = sol[:dim], sol[dim:]
-    scale = sup.norm_estimate() * np.linalg.norm(y, axis=0)
+    scale = norm * np.linalg.norm(y, axis=0)
     resid = np.maximum(np.linalg.norm(l0 @ y, axis=0), np.linalg.norm(c @ mu, axis=0))
     worst = float((resid / scale).max())
     if not worst <= STEADY_RESIDUAL_TOL:
         raise NumericalAccuracyError(
-            f"steady-state residual {worst:.2e} > {STEADY_RESIDUAL_TOL:.0e} (relative to "
-            f"||L||_1 ||y||); a stated conserved quantity of {name} is not conserved"
+            f"steady-state residual {worst:.2e} > {STEADY_RESIDUAL_TOL:.0e} (relative to the "
+            f"column scale of L_0 times ||y||); a stated conserved quantity of {name} is not conserved"
         )
     k = lift @ y
     k.setflags(write=False)
@@ -526,24 +528,29 @@ def steady_state(sup: Superoperator, rho0: DensityMatrix) -> DensityMatrix:
     """The t -> infinity limit of the generator from ``rho0``: the element
     of ``stated_kernel`` with the conserved values of ``rho0`` (trace 1 for
     Q = I).  Every sector other than the first must be free of a kernel,
-    since rho0 may occupy any of them."""
+    since rho0 may occupy any of them.  A sector whose rate bound is
+    positive (``spectra.rate_bounds``) has none, so only the others of the
+    ``spectra.unbounded_prefix`` are checked: all of G when the model states
+    no bound."""
     if rho0.dim != sup.me.dim:
         raise ShapeError(f"rho0 has dimension {rho0.dim}, the model's space {sup.me.dim}")
     me = sup.me
     k = stated_kernel(sup)
-    # the other sectors must hold no stationary state the model does not state
+    # those sectors must hold no stationary state the model does not state
     # (an atomic coherence |gg><S| under a zero-temperature bath, say).  G is
     # block diagonal over them, so the 1-norms of their block and of its
     # inverse are the largest of its diagonal blocks': runs of consecutive
     # sectors of at least ``_LU_BLOCK`` coordinates are factorized one at a
     # time, each LU dropped before the next
-    sectors, g = sup.sectors(), sup.generator()
-    lo, norms = sectors[0].stop, []
-    for s in sectors[1:]:
-        if s.stop - lo >= _LU_BLOCK or s.stop == sup.dim:
-            norms.append(_lu_norms(g[lo : s.stop, lo : s.stop].tocsc())[1:])
-            lo = s.stop
-    if norms:
+    (first, *others), (stop, _) = sup.sectors(), spectra.unbounded_prefix(sup)
+    cuts = [s.stop - first.stop for s in others if s.stop <= stop]  # sector ends in that block
+    if cuts:
+        g, _ = sup.generator(slice(first.stop, stop))
+        lo, norms = 0, []
+        for hi in cuts:
+            if hi - lo >= _LU_BLOCK or hi == cuts[-1]:
+                norms.append(_lu_norms(g[lo:hi, lo:hi].tocsc())[1:])
+                lo = hi
         _refuse_singular(
             max(n for n, _ in norms),
             max(i for _, i in norms),

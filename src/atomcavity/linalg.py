@@ -50,18 +50,17 @@ ODE_ATOL = 1e-10
 class EigenDecomposition:
     """Full spectrum of a square real or complex matrix.
 
-    ``right_eigenvectors`` holds one eigenvector per column, matching the
-    order of ``eigenvalues``.  For a real matrix the complex eigenvalues come
-    in pairs, the one with positive imaginary part first and its conjugate,
-    bit for bit, next, with conjugate eigenvectors (``real_eigenbasis``).
-    ``basis`` is the real form of V (``real_eigenbasis``) for a real matrix
-    and V itself for a complex one.  ``condition_estimate`` is the exact
-    2-norm condition number of V; values above ``NEAR_DEFECTIVE_COND`` mark
-    the matrix as too close to defective for V-based reconstruction.
+    For a real matrix the complex eigenvalues come in pairs, the one with
+    positive imaginary part first and its conjugate, bit for bit, next, with
+    conjugate eigenvectors.  ``basis`` is the matrix V of eigenvectors, one
+    per column in the order of ``eigenvalues``, for a complex matrix, and
+    its real form (``real_eigenbasis``) for a real one.
+    ``condition_estimate`` is the exact 2-norm condition number of V; values
+    above ``NEAR_DEFECTIVE_COND`` mark the matrix as too close to defective
+    for V-based reconstruction.
     """
 
     eigenvalues: np.ndarray
-    right_eigenvectors: np.ndarray
     basis: np.ndarray
     condition_estimate: float
 
@@ -170,7 +169,7 @@ def eig_general(m: np.ndarray) -> EigenDecomposition:
                 f"||A v - w v|| = {residuals[worst]:.3e} for eigenvalue "
                 f"{w[worst]:.6g} exceeds {bound[worst]:.3e}"
             )
-    return EigenDecomposition(w, v, basis, condition_estimate(basis))
+    return EigenDecomposition(w, basis, condition_estimate(basis))
 
 
 def integrate_ode(

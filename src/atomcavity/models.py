@@ -15,9 +15,9 @@ vec(A rho B) = (B^T kron A) vec(rho) and the generator reads
         + sum_k r_k (2 conj(O_k) kron O_k - I kron O_k^dag O_k
                      - (O_k^dag O_k)^T kron I)
 
-assembled as a CSR matrix: whole, once, for the solves that read all of it,
-or only on the rows and columns of the vec(rho) positions that a solve on a
-few sectors reads, with each entry the same sum of the same products.
+assembled as a CSR matrix: whole for a solve that reads all of G, or only
+on the rows and columns of the vec(rho) positions that a solve on a few
+sectors reads, with each entry the same sum of the same products.
 
 Every builder is symmetric under exchanging the two atoms (collective
 operators, per-atom channels at equal rates): L commutes with rho ->
@@ -304,14 +304,14 @@ class MasterEquation:
 class Superoperator:
     """Liouvillian acting on column-stacked density matrices.
 
-    The complex CSR matrix L is assembled whole on first use and cached
-    (``as_sparse``); ``apply`` and ``norm_estimate`` read it.  Every solve
-    forms the real generator G = (F T) L B on the sectors it reads
-    (``generator``, ``sectors``, ``maps``); ``as_dense`` is its dense copy on
-    one sector or on all, refused above ``linalg.DENSE_CAP``.  A solve on a
-    part of G assembles only L's rows and columns at the positions of its
-    sectors, unless L is held.  Only the sectors' index bookkeeping and
-    ``dynamics.stated_kernel``'s solve are kept beside L.
+    Every solve forms the real generator G = (F T) L B on the sectors it
+    reads (``generator``, ``sectors``, ``maps``) from L's rows and columns at
+    their positions alone, and the whole L only for all of G; ``as_dense``
+    is its dense copy on one sector or on all, refused above
+    ``linalg.DENSE_CAP``.  No solve holds L.  The whole complex CSR L is
+    assembled and cached only when asked for (``as_sparse``), by ``apply``
+    and ``norm_estimate``.  The sectors' index bookkeeping and
+    ``dynamics.stated_kernel``'s solve are kept.
     """
 
     def __init__(self, me: MasterEquation):
@@ -345,21 +345,21 @@ class Superoperator:
         sectors, all of vec(rho) by default."""
         return self.sector_index().maps(s)
 
-    def generator(self, s: slice | None = None) -> sp.csr_matrix:
+    def generator(self, s: slice | None = None) -> tuple[sp.csr_matrix, float]:
         """G[s, s] of G = (F T) L B, ``s`` a range of whole sectors (all of G
         by default), formed anew from its rows ``GENERATOR_ROW_BLOCK`` at a
         time (each as in one whole product) without entries that link two
-        sectors.  L is read whole when held or when ``s`` is all of G;
-        otherwise only its rows and columns at the positions of ``s`` are
-        assembled, and the maps of the sectors those reach are composed.
+        sectors, and its scale: the largest absolute column sum of the
+        columns of L it was formed from, never above ||L||_1.  Only L's rows
+        and columns at the positions of ``s`` are assembled (all of L when
+        ``s`` is all of G), and the maps of the sectors those reach are
+        composed.
 
         Refused when an entry in the rows or columns of ``s``, in G's
         coordinates, has an imaginary part above ``DENSE_IMAG_TOL`` times the
         scale (L breaks Hermiticity) or links two sectors above
-        ``SECTOR_LEAK_TOL`` times it.  The scale is ``norm_estimate`` when L
-        is read whole, and otherwise the largest absolute column sum of the
-        columns assembled, never above ||L||_1.  The columns' check forms
-        L B[:, s], so a caller reading most of G reads all of it."""
+        ``SECTOR_LEAK_TOL`` times it.  The columns' check forms L B[:, s], so
+        a caller reading most of G reads all of it."""
         index = self.sector_index()
         stops = np.array([t.stop for t in index.slices])
         s = slice(0, self.dim) if s is None else s
@@ -367,12 +367,10 @@ class Superoperator:
             raise ValueError(f"{s} is not a range of whole sectors of G")
         n = s.stop - s.start
         basis, inverse = index.maps(s)
-        if self._sparse is not None or n == self.dim:
-            lv, norm = self.as_sparse(), self.norm_estimate()
-        else:
-            at = np.unique(basis.indices)
-            lv = _build_liouvillian(self.me, at)
-            norm = float(_column_sums(lv)[at].max())
+        at = None if n == self.dim else np.unique(basis.indices)
+        lv = _build_liouvillian(self.me, at)
+        sums = _column_sums(lv)
+        norm = float((sums if at is None else sums[at]).max())
         imag = leak = 0.0
         reached = {}  # the maps of the ranges of sectors past s that the columns reach
         if n < self.dim:  # every entry of (F T) L B[:, s] outside the rows of s links two sectors
@@ -410,7 +408,7 @@ class Superoperator:
         if leak > SECTOR_LEAK_TOL * norm:
             name = self.me.label or "the model"
             raise NumericalAccuracyError(f"the generator of {name} links two of its sectors ({leak:.2e})")
-        return sp.vstack(blocks, format="csr")
+        return sp.vstack(blocks, format="csr"), norm
 
     def as_dense(self, sector: slice | None = None) -> np.ndarray:
         """The dense copy of ``generator(sector)``; of all of G, cached, by default."""
@@ -422,7 +420,7 @@ class Superoperator:
                 f"superoperator dimension {s.stop - s.start} exceeds the dense cap "
                 f"{DENSE_CAP}; use the sparse representation"
             )
-        dense = self.generator(sector).toarray()
+        dense = self.generator(sector)[0].toarray()
         if sector is None:
             self._dense = dense
         return dense
@@ -498,32 +496,6 @@ def _kron_rows(a: sp.spmatrix, b: sp.spmatrix, at: np.ndarray) -> tuple[np.ndarr
     return np.repeat(at, count), a.indices[ia].astype(np.int64) * b.shape[1] + b.indices[ib], a.data[ia] * b.data[ib]
 
 
-def hermitian_coordinates(d: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The maps (T, T^-1) between vec(rho) and the coordinates
-    x = [rho_ii; Re rho_ij; Im rho_ij  (i < j, row by row)] of a d x d matrix.
-
-    x is real exactly when rho is Hermitian (for any rho, Re x holds the
-    coordinates of its Hermitian part).  Rows of T take rho_ii, (rho_ij +
-    rho_ji)/2 and (rho_ij - rho_ji)/2i; T^-1 rebuilds rho_ij = Re + i Im and
-    rho_ji = Re - i Im.  The basis is not orthonormal: Tr[Q^dag rho] is
-    vec(Q)^dag T^-1 x.
-    """
-    i, j = np.triu_indices(d, 1)
-    m = i.size
-    # positions in x and in vec(rho) of each nonzero: rho_ii, then rho_ij and
-    # rho_ji for each Re rho_ij and each Im rho_ij
-    re, im = d + np.arange(m), d + m + np.arange(m)
-    x_pos = np.concatenate((np.arange(d), re, re, im, im))
-    vec_pos = np.concatenate((np.arange(d) * (d + 1), i + j * d, j + i * d, i + j * d, j + i * d))
-    to_x = np.concatenate((np.ones(d), np.full(2 * m, 0.5), np.full(m, -0.5j), np.full(m, 0.5j)))
-    to_vec = np.concatenate((np.ones(d + 2 * m), np.full(m, 1j), np.full(m, -1j)))
-    shape = (d * d, d * d)
-    return (
-        sp.csr_matrix((to_x, (x_pos, vec_pos)), shape=shape),
-        sp.csr_matrix((to_vec, (vec_pos, x_pos)), shape=shape),
-    )
-
-
 class HermitianSectors:
     """Index bookkeeping of the real coordinates y of vec(rho) of a d x d
     matrix, ordered sector by sector: one sector per |N_i - N_j| of the
@@ -531,8 +503,7 @@ class HermitianSectors:
     exchange parity under the basis permutation ``swap`` (+1 first; all +1
     when None).  ``slices`` are the sectors as index ranges of y and ``gaps``
     their |N_i - N_j|.  ``maps(s)`` composes B = T^-1 E and F T on a range of
-    them from this bookkeeping alone; F T B = I.  With neither symmetry the
-    one sector is T^-1 and T of ``hermitian_coordinates`` themselves.
+    them from this bookkeeping alone; F T B = I.
 
     Re and Im of rho_ij hold rho_ij (d) and rho_ji (-d), so a |d| sector is
     closed under the adjoint; the first one holds the diagonal.  The swap

@@ -34,13 +34,6 @@ SCENARIOS = (
 
 UNITS_HEADER = "# units: all rates and times in units of kappa (kappa = 1)"
 
-#: largest vec(rho) length D^2 of an exact thermal trajectory, which forms G
-#: on its dense sector alone but assembles the CSR L (about 7 D^2 entries)
-#: and the maps of all of vec(rho); its samples keep 4084 of the 2^20
-#: entries at cutoff 256, where a 61-sample run peaks at 0.89 GB in L, the
-#: maps and the 2552^2 sector's dense eigendecomposition
-EXACT_STATE_CAP = 2**20
-
 _PARAM_COLUMNS = ["g0", "eps", "n_th", "gamma", "cutoff", "seed"]
 
 #: CSV columns of every scenario, in file order
@@ -366,10 +359,9 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         grid = _grid(config, pt)
         cutoff = _thermal_cutoff(p.n_th) if config.cutoff == "auto" else int(config.cutoff)
         space = make_space(cutoff)
-        # |gg,0> occupies only the d = 0, even sector, which is evolved densely;
-        # the generator it is cut from spans the full space
+        # |gg,0> occupies only the d = 0, even sector, which is evolved densely
         dim = models.zero_sector_dim(space.dim, excitation_number(space), atom_swap(space))
-        run_exact = dim <= linalg.DENSE_CAP and space.dim**2 <= EXACT_STATE_CAP
+        run_exact = dim <= linalg.DENSE_CAP
         if run_exact:
             mi_exact = obs.mi_curve(Superoperator(models.build_full(space, p)), dyn.ground_state(space), grid)
         else:

@@ -22,6 +22,9 @@ diagonal similarity; its least eigenvalue is 0 on k = 0.  A sector of
 model runs on the sectors whose bound is 0 alone, a prefix G[:m, :m] since
 sectors are ordered by |d|, and keeps the gap only when it lies strictly
 below the least bound of the sectors left out; otherwise it solves all of G.
+A sector with a positive bound holds no kernel either, so
+``dynamics.steady_state`` looks for an unstated one in that prefix alone
+(``unbounded_prefix``).
 
 No magnitude threshold decides a zero mode: the rates of interest span many
 orders of magnitude, and at strong drive the gap falls to within a few decades
@@ -195,18 +198,30 @@ def _targeted(sup: Superoperator, k: int, kernel_dim: int) -> SpectrumReport:
     """``analyze``'s shift-invert report: on the prefix of G whose sectors
     have rate bound 0, when the gap found there lies below the least bound
     of the rest; on all of G otherwise."""
-    bounds, excluded = rate_bounds(sup), None
-    if bounds is not None:
-        last = int(np.flatnonzero(bounds <= 0.0).max())
-        size = sup.sectors()[last].stop
-        if size < sup.dim and k < size - 1:
-            excluded = float(bounds[last + 1 :].min())
-            report = classify(_shift_invert(sup, k, 1e-3, slice(0, size)), kernel_dim, partial=True)
-            if report.gap < excluded:
-                return replace(report, dim=size, solver="certified-shift-invert", excluded_bound=excluded)
+    size, excluded = unbounded_prefix(sup)
+    if k >= size - 1:
+        excluded = None  # too few coordinates in the prefix for k eigenvalues
+    if excluded is not None:
+        report = classify(_shift_invert(sup, k, 1e-3, slice(0, size)), kernel_dim, partial=True)
+        if report.gap < excluded:
+            return replace(report, dim=size, solver="certified-shift-invert", excluded_bound=excluded)
     report = classify(_shift_invert(sup, k, 1e-3), kernel_dim, partial=True)
     solver = "shift-invert" if excluded is None else "shift-invert-fallback"
     return replace(report, dim=sup.dim, solver=solver, excluded_bound=excluded)
+
+
+def unbounded_prefix(sup: Superoperator) -> tuple[int, float | None]:
+    """The size m of the prefix G[:m, :m] of the sectors whose ``rate_bounds``
+    is 0, where every slow mode and the kernel can lie, and the least bound
+    of the sectors after it; all of G and None when the model states no
+    bound or every sector's bound is 0."""
+    bounds = rate_bounds(sup)
+    if bounds is None:
+        return sup.dim, None
+    last = int(np.flatnonzero(bounds <= 0.0).max())
+    if last + 1 == bounds.size:
+        return sup.dim, None
+    return sup.sectors()[last].stop, float(bounds[last + 1 :].min())
 
 
 def rate_bounds(sup: Superoperator) -> np.ndarray | None:
@@ -446,7 +461,7 @@ def _shift_invert(sup: Superoperator, k: int, sigma: complex, s: slice | None = 
     start vector so targeted solves are reproducible.  G is cast to complex
     for a shift off the real axis, where real ARPACK would iterate on the
     real part of the shifted inverse."""
-    g = sup.generator(s)
+    g, _ = sup.generator(s)
     return spla.eigs(
         g.astype(complex) if np.imag(sigma) else g,
         k=k,

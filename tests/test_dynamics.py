@@ -131,7 +131,7 @@ class TestEvolveSpectral:
 
         class _Sup(models.Superoperator):
             def generator(self, s=None):
-                return sp.csr_matrix(np.array([[0.0, 0.0, 0.0], [0.0, -1e-3, 1.0], [0.0, -1.0, -1e-3]]))
+                return sp.csr_matrix(np.array([[0.0, 0.0, 0.0], [0.0, -1e-3, 1.0], [0.0, -1.0, -1e-3]])), 1.0
 
         me = models.MasterEquation(
             LabeledOperator("0", np.zeros((3, 3), dtype=complex)), (), _Dim3(),
@@ -257,7 +257,7 @@ class TestEvolveSpectral:
     def test_sector_bookkeeping_is_built_once_per_generator(self, monkeypatch):
         # the sectors' index bookkeeping is built once, when the generator is
         # first split; the trajectory and the steady state compose their maps
-        # from it, and T and T^-1 are never formed
+        # from it
         space = make_space(6)
         me = models.build_full(space, ModelParams(g0=0.1, n_th=1.0, gamma=1e-3))
         calls = []
@@ -268,7 +268,6 @@ class TestEvolveSpectral:
             return build(d, labels, swap)
 
         monkeypatch.setattr(models, "HermitianSectors", counting)
-        monkeypatch.setattr(models, "hermitian_coordinates", lambda d: calls.append("T"))
         sup = vectorize(me, materialize=False)
         dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 10.0]))
         dyn.steady_state(sup, dyn.ground_state(space))
@@ -415,7 +414,8 @@ class TestSteadyState:
     def test_kernel_is_solved_once_per_generator(self, monkeypatch):
         # a trajectory factorizes only the bordered generator on the first
         # sector; the steady state reuses that solve and adds one LU of the
-        # other sectors, which must hold no kernel
+        # other sectors that may hold a kernel: those of rate bound 0 (|d| <= 2)
+        # when the model states a detailed-balance weight, all of G otherwise
         calls = []
         splu = dyn.spla.splu
 
@@ -425,22 +425,24 @@ class TestSteadyState:
 
         monkeypatch.setattr(dyn.spla, "splu", counting_splu)
         space = make_space(4)
-        sup = vectorize(models.build_full(space, ModelParams(g0=0.1, n_th=1.0, gamma=1e-3)),
-                        materialize=False)
-        dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 10.0]))
-        first = sup.sectors()[0]
-        dim = first.stop - first.start
-        assert calls == [(dim + 1, dim + 1)]
-        dyn.steady_state(sup, dyn.ground_state(space))
-        rest = sup.dim - dim
-        assert calls == [(dim + 1, dim + 1), (rest, rest)]
-        k = dyn.stated_kernel(sup)
-        assert k is dyn.stated_kernel(sup) and not k.flags.writeable
+        balanced = models.build_full(space, ModelParams(g0=0.1, n_th=1.0, gamma=1e-3))
+        for me in (balanced, replace(balanced, balance=None)):
+            calls.clear()
+            sup = vectorize(me, materialize=False)
+            dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 10.0]))
+            dim = sup.sectors()[0].stop
+            assert calls == [(dim + 1, dim + 1)]
+            dyn.steady_state(sup, dyn.ground_state(space))
+            rest = _kernel_prefix(sup) - dim
+            assert calls == [(dim + 1, dim + 1), (rest, rest)]
+            k = dyn.stated_kernel(sup)
+            assert k is dyn.stated_kernel(sup) and not k.flags.writeable
 
     def test_other_sectors_are_factorized_a_few_at_a_time(self, monkeypatch):
         # the kernel check of the sectors other than the first factorizes runs
-        # of whole sectors of at least _LU_BLOCK coordinates that tile them,
-        # and still refuses a kernel that lies in one of them
+        # of whole sectors of at least _LU_BLOCK coordinates that tile those
+        # of rate bound 0 (all of G for a model that states no weight), and
+        # still refuses a kernel that lies in one of them
         calls = []
         splu = dyn.spla.splu
 
@@ -451,17 +453,59 @@ class TestSteadyState:
         monkeypatch.setattr(dyn.spla, "splu", recording_splu)
         monkeypatch.setattr(dyn, "_LU_BLOCK", 64)
         space = make_space(4)
-        sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.1, n_th=1.0, gamma=1e-3)))
-        dyn.steady_state(sup, dyn.ground_state(space))
-        first, *others = sup.sectors()
-        runs = calls[1:]  # after the bordered solve of the first sector
-        assert len(runs) > 1 and min(runs[:-1]) >= 64
-        assert set(first.stop + np.cumsum(runs)) <= {s.stop for s in others}
-        assert first.stop + sum(runs) == sup.dim
+        balanced = models.build_full(space, ModelParams(g0=0.1, n_th=1.0, gamma=1e-3))
+        for me in (balanced, replace(balanced, balance=None)):
+            calls.clear()
+            sup = models.Superoperator(me)
+            dyn.steady_state(sup, dyn.ground_state(space))
+            first, *others = sup.sectors()
+            runs = calls[1:]  # after the bordered solve of the first sector
+            assert len(runs) > 1 and min(runs[:-1]) >= 64
+            assert set(first.stop + np.cumsum(runs)) <= {s.stop for s in others}
+            assert first.stop + sum(runs) == _kernel_prefix(sup)
         monkeypatch.setattr(dyn, "_LU_BLOCK", 1)
         me = models.build_effective_incoherent(ModelParams(g0=0.1))  # keeps |gg><S| at n_th = 0
         with pytest.raises(KernelAmbiguityError, match="other than the first"):
             dyn.steady_state(models.Superoperator(me), dyn.ground_state(atomic_space()))
+
+    def test_a_trajectory_and_its_steady_state_never_assemble_the_whole_liouvillian(self, monkeypatch):
+        # both read the first sector and the other sectors of rate bound 0,
+        # each assembled on its own positions
+        assembled = []
+        build = models._build_liouvillian
+
+        def recording_build(me, at=None):
+            assembled.append(at)
+            return build(me, at)
+
+        monkeypatch.setattr(models, "_build_liouvillian", recording_build)
+        space = make_space(8)
+        sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.1, n_th=1.0, gamma=1e-3)))
+        obs.mi_curve(sup, dyn.ground_state(space), np.array([0.0, 1.0, 10.0]))
+        dyn.steady_state(sup, dyn.ground_state(space))
+        assert sup._sparse is None
+        assert len(assembled) == 2 and all(at is not None and at.size < sup.dim for at in assembled)
+
+    def test_a_wrongly_stated_charge_is_refused_on_a_part_of_the_generator(self):
+        # single-atom decay breaks the exchange symmetry, so P_S is not
+        # conserved; the first sector (d = 0, exchange-even) is a proper range
+        # of G, and its residual is taken relative to its own columns of L
+        space = make_space(4)
+        me = models.build_full(space, ModelParams(g0=0.1, n_th=1.0, gamma=1e-3))
+        wrong = replace(me, conserved=(singlet_projector(space),))
+        sup = models.Superoperator(wrong)
+        assert sup.sectors()[0].stop < sup.dim
+        with pytest.raises(NumericalAccuracyError, match="not conserved"):
+            dyn.steady_state(sup, dyn.ground_state(space))
+
+
+def _kernel_prefix(sup) -> int:
+    """The end of the sectors that may hold a kernel: the |d| <= 2 sectors,
+    whose rate bound is 0, when the model states a detailed-balance weight,
+    all of G otherwise."""
+    if sup.me.balance is None:
+        return sup.dim
+    return max(s.stop for s, d in zip(sup.sectors(), sup.sector_index().gaps) if d <= 2)
 
 
 def _kept(m):

@@ -43,6 +43,34 @@ def trace_functional_residual(sup: Superoperator, rho: np.ndarray) -> float:
     return abs(np.trace(unvec(out)))
 
 
+def hermitian_coordinates(d: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The maps (T, T^-1) between vec(rho) and the coordinates
+    x = [rho_ii; Re rho_ij; Im rho_ij  (i < j, row by row)] of a d x d matrix,
+    as sparse matrices: the reference that ``HermitianSectors.maps`` composes
+    in closed form.
+
+    x is real exactly when rho is Hermitian (for any rho, Re x holds the
+    coordinates of its Hermitian part).  Rows of T take rho_ii, (rho_ij +
+    rho_ji)/2 and (rho_ij - rho_ji)/2i; T^-1 rebuilds rho_ij = Re + i Im and
+    rho_ji = Re - i Im.  The basis is not orthonormal: Tr[Q^dag rho] is
+    vec(Q)^dag T^-1 x.
+    """
+    i, j = np.triu_indices(d, 1)
+    m = i.size
+    # positions in x and in vec(rho) of each nonzero: rho_ii, then rho_ij and
+    # rho_ji for each Re rho_ij and each Im rho_ij
+    re, im = d + np.arange(m), d + m + np.arange(m)
+    x_pos = np.concatenate((np.arange(d), re, re, im, im))
+    vec_pos = np.concatenate((np.arange(d) * (d + 1), i + j * d, j + i * d, i + j * d, j + i * d))
+    to_x = np.concatenate((np.ones(d), np.full(2 * m, 0.5), np.full(m, -0.5j), np.full(m, 0.5j)))
+    to_vec = np.concatenate((np.ones(d + 2 * m), np.full(m, 1j), np.full(m, -1j)))
+    shape = (d * d, d * d)
+    return (
+        sp.csr_matrix((to_x, (x_pos, vec_pos)), shape=shape),
+        sp.csr_matrix((to_vec, (vec_pos, x_pos)), shape=shape),
+    )
+
+
 def apply_oracle(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
     """The generator applied to a D x D matrix by matrix algebra, term by
     term as the master equation is written (no vectorization)."""
@@ -427,7 +455,7 @@ def test_dense_copy_is_the_real_generator(name, g0, eps, n_th, gamma, cutoff, se
     rho = random_hermitian(me.dim, np.random.default_rng(seed))
     # the round trip through the coordinates x is exact, and x of a
     # Hermitian matrix is real
-    to_x, from_x = models.hermitian_coordinates(me.dim)
+    to_x, from_x = hermitian_coordinates(me.dim)
     x = to_x @ vec(rho)
     assert np.array_equal(from_x @ x, vec(rho))
     assert np.array_equal(x.imag, np.zeros(x.size))
@@ -515,14 +543,14 @@ def test_sector_spectra_make_up_the_full_spectrum(name, g0, eps, n_th, gamma, cu
     # B G F T acts on Hermitian matrices as the CSR generator
     assert [s.start for s in sectors[1:]] == [s.stop for s in sectors[:-1]]
     assert sectors[0].start == 0 and sectors[-1].stop == sup.dim
-    g = sup.generator().tocoo()
+    g = sup.generator()[0].tocoo()
     sector_of = np.repeat(np.arange(len(sectors)), [s.stop - s.start for s in sectors])
     assert np.array_equal(sector_of[g.row], sector_of[g.col])
     for seed in range(3):
         v = vec(random_hermitian(me.dim, np.random.default_rng(seed)))
         assert_allclose(basis @ (g @ (inverse @ v)), sup.apply(v), rtol=0.0, atol=1e-11)
     # the full spectrum from the generator in the coordinates x, unsplit
-    to_x, from_x = models.hermitian_coordinates(me.dim)
+    to_x, from_x = hermitian_coordinates(me.dim)
     full = np.linalg.eigvals((to_x @ sup.as_sparse() @ from_x).real.toarray())
     parts = [np.linalg.eigvals(sup.as_dense(s)) for s in sectors]
     part_sector = np.repeat(np.arange(len(sectors)), [w.size for w in parts])
@@ -631,33 +659,41 @@ def test_sectors_do_not_assemble_the_liouvillian(name):
     assert sup._sparse is None
 
 
-def _with_entries(sup: Superoperator, entries: list[tuple[int, int]]) -> None:
-    """Add ||L||_1 / 10 to L at each (row, column) of vec(rho) positions."""
-    lv = sup.as_sparse()
-    rows, cols = zip(*entries)
-    extra = sp.csr_matrix((np.full(len(rows), sup.norm_estimate() / 10.0), (rows, cols)),
-                          shape=lv.shape)
-    sup._sparse = (lv + extra).tocsr()
+def _leaky_assembly(monkeypatch, me: MasterEquation, entries: list[tuple[int, int]]) -> None:
+    """Add ||L||_1 / 10 of ``me`` to every L that ``models._build_liouvillian``
+    assembles at each (row, column) of vec(rho) positions it covers: all of
+    them for the whole L, those in the rows or the columns ``at`` otherwise."""
+    value = Superoperator(me).norm_estimate() / 10.0
+    build = models._build_liouvillian
+    rows, cols = (np.array(v) for v in zip(*entries))
+
+    def leaky(me, at=None):
+        lv = build(me, at)
+        held = np.ones(rows.size, dtype=bool) if at is None else np.isin(rows, at) | np.isin(cols, at)
+        extra = sp.csr_matrix((np.full(held.sum(), value), (rows[held], cols[held])), shape=lv.shape)
+        return (lv + extra).tocsr()
+
+    monkeypatch.setattr(models, "_build_liouvillian", leaky)
 
 
-def test_the_generator_refuses_sector_leaks():
+def test_the_generator_refuses_sector_leaks(monkeypatch):
     space = make_space(3)
     me = build_full(space, ModelParams(g0=0.2, n_th=0.5, gamma=0.1))
     d = me.dim  # vec(rho) holds rho_ij at i + d j
     # rho_00 (|gg,0>, d = 0) fed by Re rho_0j with N_j = 1 (|d| = 1); the
     # entry and its transposed partner keep L Hermiticity-preserving
     j = int(np.flatnonzero(me.excitations == 1)[0])
-    sup = Superoperator(me)
-    _with_entries(sup, [(0, d * j), (0, j)])
+    _leaky_assembly(monkeypatch, me, [(0, d * j), (0, j)])
     with pytest.raises(NumericalAccuracyError, match="links two of its sectors"):
-        sup.generator()
+        Superoperator(me).generator()
+    monkeypatch.undo()
     # rho_00 (even) fed by the population of a state the swap moves, whose
     # odd part lies in the other parity
     k = int(np.flatnonzero(me.swap != np.arange(d))[0])
-    sup = Superoperator(me)
-    _with_entries(sup, [(0, k * (d + 1))])
+    _leaky_assembly(monkeypatch, me, [(0, k * (d + 1))])
     with pytest.raises(NumericalAccuracyError, match="links two of its sectors"):
-        sup.generator()
+        Superoperator(me).generator()
+    monkeypatch.undo()
     # the two atoms' channels summed in either order leave round-off across
     # the parities of the displaced model, which G drops
     for cutoff in (8, 16):
@@ -668,7 +704,7 @@ def test_the_generator_refuses_sector_leaks():
         even = sup.sectors()[0].stop
         cross = (raw.row < even) != (raw.col < even)
         assert np.count_nonzero(raw.data[cross]) > 0
-        assert sup.generator().nnz == np.count_nonzero(raw.data[~cross])
+        assert sup.generator()[0].nnz == np.count_nonzero(raw.data[~cross])
 
 
 def _whole_product_block(sup: Superoperator, s: slice) -> sp.csr_matrix:
@@ -701,7 +737,7 @@ def test_a_range_of_sectors_is_bitwise_the_block_of_the_whole_product(name, g0, 
     i = data.draw(st.integers(0, len(sectors) - 1), label="first sector")
     j = data.draw(st.integers(i, len(sectors) - 1), label="last sector")
     s = slice(sectors[i].start, sectors[j].stop)
-    got, want = sup.generator(s), _whole_product_block(sup, s)
+    (got, _), want = sup.generator(s), _whole_product_block(sup, s)
     assert got.shape == want.shape == (s.stop - s.start,) * 2
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, part), getattr(want, part))
@@ -712,7 +748,7 @@ def test_a_range_of_sectors_is_bitwise_the_block_of_the_whole_product(name, g0, 
             sup.generator(cut)
 
 
-def test_a_one_way_leak_out_of_a_range_is_refused():
+def test_a_one_way_leak_out_of_a_range_is_refused(monkeypatch):
     # rho_00 (|gg,0>, first sector) feeds rho_0j and rho_j0, N_j = 1, and
     # nothing flows back: the entries lie in the columns of the first sector
     # but in the rows of another, so every solve that reads the first sector
@@ -723,21 +759,21 @@ def test_a_one_way_leak_out_of_a_range_is_refused():
     me = build_full(space, ModelParams(g0=0.2, n_th=0.5, gamma=0.1))
     d = me.dim  # vec(rho) holds rho_ij at i + d j
     j = int(np.flatnonzero(me.excitations == 1)[0])
-    sup = Superoperator(me)
-    _with_entries(sup, [(d * j, 0), (j, 0)])
-    first = sup.sectors()[0]
-    for solve in (lambda: sup.generator(first), lambda: dyn.stated_kernel(sup),
-                  lambda: dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 1.0]))):
+    first = Superoperator(me).sectors()[0]
+    _leaky_assembly(monkeypatch, me, [(d * j, 0), (j, 0)])
+    for solve in (lambda sup: sup.generator(first), dyn.stated_kernel,
+                  lambda sup: dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 1.0])),
+                  lambda sup: dyn.steady_state(sup, dyn.ground_state(space))):
         with pytest.raises(NumericalAccuracyError, match="links two of its sectors"):
-            solve()
+            solve(Superoperator(me))
+    monkeypatch.undo()
     # a prefix sector feeding a |d| = 3 row, which the certified solve leaves out
     me = build_full(make_space(8), ModelParams(g0=0.1, n_th=1.9))
-    sup = Superoperator(me)
-    assert spectra.analyze(sup, k=16).solver == "certified-shift-invert"
+    assert spectra.analyze(Superoperator(me), k=16).solver == "certified-shift-invert"
     j = int(np.flatnonzero(me.excitations == 3)[0])
-    _with_entries(sup, [(me.dim * j, 0), (j, 0)])
+    _leaky_assembly(monkeypatch, me, [(me.dim * j, 0), (j, 0)])
     with pytest.raises(NumericalAccuracyError, match="links two of its sectors"):
-        spectra.analyze(sup, k=16)
+        spectra.analyze(Superoperator(me), k=16)
 
 
 def test_solves_form_only_the_sectors_they_read(monkeypatch):
@@ -763,13 +799,11 @@ def test_solves_form_only_the_sectors_they_read(monkeypatch):
     observables.mi_curve(sup, dyn.ground_state(space), np.array([0.0, 1.0, 10.0]))
     first = sup.sectors()[0]
     assert seen and all(s == first for s in seen)
-    # the steady state: every sector
+    # the steady state: the other sectors whose rate bound is 0, at once
     seen.clear()
     dyn.steady_state(sup, dyn.ground_state(space))
-    read = np.zeros(sup.dim, dtype=bool)
-    for s in seen:
-        read[s] = True
-    assert read.all()
+    stop, _ = spectra.unbounded_prefix(sup)
+    assert stop < sup.dim and seen == [slice(first.stop, stop)]
 
 
 @pytest.mark.parametrize("name", sorted(PARAMETRIC_BUILDERS))
@@ -789,7 +823,7 @@ def test_the_maps_of_a_range_are_bitwise_the_slices_of_the_whole_product(name, g
     me = PARAMETRIC_BUILDERS[name](make_space(cutoff), ModelParams(g0, eps, n_th, gamma))
     sup = Superoperator(me)
     basis, inverse = sup.maps()
-    to_x, from_x = models.hermitian_coordinates(me.dim)
+    to_x, from_x = hermitian_coordinates(me.dim)
     e = sp.csc_matrix((to_x @ basis).real)  # E, with entries 1 and -1
     e.eliminate_zeros()
     f = sp.csr_matrix((inverse @ from_x).real)  # F, with entries 1, -1/2 and 1/2
@@ -844,22 +878,6 @@ def test_a_certified_gap_builds_nothing_of_the_whole_space(monkeypatch):
     assert composed and all(zero[0].start <= s.start < s.stop <= zero[-1].stop for s in composed)
 
 
-def _leaky_assembly(monkeypatch, entries: list[tuple[int, int]], value: float) -> None:
-    """Add ``value`` to every L that ``models._build_liouvillian`` assembles
-    at each (row, column) of vec(rho) positions it covers: all of them for
-    the whole L, those in the rows or the columns ``at`` otherwise."""
-    build = models._build_liouvillian
-    rows, cols = (np.array(v) for v in zip(*entries))
-
-    def leaky(me, at=None):
-        lv = build(me, at)
-        held = np.ones(rows.size, dtype=bool) if at is None else np.isin(rows, at) | np.isin(cols, at)
-        extra = sp.csr_matrix((np.full(held.sum(), value), (rows[held], cols[held])), shape=lv.shape)
-        return (lv + extra).tocsr()
-
-    monkeypatch.setattr(models, "_build_liouvillian", leaky)
-
-
 @pytest.mark.parametrize("direction", ["into", "out of"])
 def test_a_leak_planted_at_the_range_assembly_is_refused(monkeypatch, direction):
     # the entries pair rho_00 (first sector) with rho_0j and rho_j0, which
@@ -878,7 +896,7 @@ def test_a_leak_planted_at_the_range_assembly_is_refused(monkeypatch, direction)
     assert spectra.analyze(Superoperator(large), k=16).solver == "certified-shift-invert"
     for me, n, solve in ((small, 1, lambda sup: sup.generator(sup.sectors()[0])),
                          (large, 3, lambda sup: spectra.analyze(sup, k=16))):
-        _leaky_assembly(monkeypatch, leak(me, n), Superoperator(me).norm_estimate() / 10.0)
+        _leaky_assembly(monkeypatch, me, leak(me, n))
         sup = Superoperator(me)
         with pytest.raises(NumericalAccuracyError, match="links two of its sectors"):
             solve(sup)
