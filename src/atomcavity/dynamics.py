@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .linalg import eig_general
-from .models import MasterEquation, ModelParams, Superoperator, unvec, vec
+from .models import MasterEquation, ModelParams, Superoperator, restrict, unvec, vec
 from .operators import SystemSpace, atomic_space, make_space, singlet_projector
 
 #: default slacks for density-matrix invariants at construction time
@@ -179,7 +179,7 @@ def ground_state(space: SystemSpace) -> DensityMatrix:
 def singlet_state() -> DensityMatrix:
     """Atomic singlet (|ge> - |eg>)/sqrt(2), the collective dark state."""
     space = atomic_space()
-    return DensityMatrix.from_matrix(singlet_projector(space).matrix, space)
+    return DensityMatrix.from_matrix(singlet_projector(space).matrix.toarray(), space)
 
 
 def bell_state() -> DensityMatrix:
@@ -415,17 +415,25 @@ def _motion(w: np.ndarray, v: np.ndarray, y0: np.ndarray, t: np.ndarray) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _charges(me: MasterEquation) -> list[np.ndarray]:
-    """The identity (trace) and the model's stated conserved quantities."""
-    return [np.eye(me.dim, dtype=complex)] + [q.matrix for q in me.conserved]
+def _charges(me: MasterEquation) -> list[sp.csr_matrix]:
+    """The identity (trace) and the model's stated conserved quantities, sparse."""
+    return [sp.identity(me.dim, dtype=complex, format="csr")] + [q.matrix for q in me.conserved]
+
+
+def _charge_values(me: MasterEquation, rows: np.ndarray) -> np.ndarray:
+    """vec(Q_j) of each charge of ``_charges`` at the vec(rho) positions
+    ``rows`` (Q_ij sits at i + j D), one column each."""
+    col, row = np.divmod(rows, me.dim)
+    return np.column_stack([np.asarray(q[row, col]).ravel() for q in _charges(me)])
 
 
 def _charge_rows(me: MasterEquation, lift: sp.csc_matrix) -> np.ndarray:
     """The charges Q_j of ``_charges`` as the columns c_j^T = B^T conj(vec(Q_j))
     on the sector whose columns of B are ``lift``: Tr[Q_j rho] = c_j y for a
-    state in it, real for a Hermitian Q_j."""
-    vq = np.column_stack([vec(q) for q in _charges(me)])
-    return (lift.T @ vq.conj()).real
+    state in it, real for a Hermitian Q_j.  Read at the positions B touches
+    alone, each c_j the same sum as over all of vec(Q_j)."""
+    rows = np.unique(lift.indices)
+    return (restrict(lift, rows).T @ _charge_values(me, rows).conj()).real
 
 
 def stated_kernel(sup: Superoperator, block: tuple[sp.csr_matrix, float] | None = None) -> np.ndarray:
@@ -463,8 +471,13 @@ def stated_kernel(sup: Superoperator, block: tuple[sp.csr_matrix, float] | None 
     charges = _charges(me)
     first = sup.sectors()[0]
     lift, inverse = sup.maps(first)
-    vq = np.column_stack([vec(q) for q in charges])
-    outside = float(np.abs(vq - lift @ (inverse @ vq)).max())
+    rows = np.unique(lift.indices)  # the positions the sector touches
+    vq = _charge_values(me, rows)
+    outside = float(np.abs(vq - restrict(lift, rows) @ (restrict(inverse, rows) @ vq)).max())
+    for q in charges:  # and the entries at the other positions
+        q = q.tocoo()
+        at = q.row + q.col.astype(np.int64) * me.dim
+        outside = max(outside, float(np.abs(q.data[~np.isin(at, rows)]).max(initial=0.0)))
     if outside:
         raise NumericalAccuracyError(
             f"a stated charge of {name} has weight {outside:.2e} outside the first "
@@ -557,8 +570,14 @@ def steady_state(sup: Superoperator, rho0: DensityMatrix) -> DensityMatrix:
             f"the kernel of {me.label or 'the model'} is larger than stated: the generator "
             "on the sectors other than the first is singular to working precision",
         )
-    m = unvec(k @ np.array([np.vdot(q, rho0.matrix) for q in _charges(me)]))
+    m = unvec(k @ np.array([_overlap(q, rho0.matrix) for q in _charges(me)]))
     return DensityMatrix.from_matrix((m + m.conj().T) / 2.0, me.space)
+
+
+def _overlap(q: sp.csr_matrix, m: np.ndarray) -> complex:
+    """Tr[Q^dag M] = vec(Q)^dag vec(M), summed over the entries Q holds."""
+    q = q.tocoo()
+    return complex(np.vdot(q.data, m[q.row, q.col]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ vec(A rho B) = (B^T kron A) vec(rho) and the generator reads
         + sum_k r_k (2 conj(O_k) kron O_k - I kron O_k^dag O_k
                      - (O_k^dag O_k)^T kron I)
 
-assembled as a CSR matrix: whole for a solve that reads all of G, or only
-on the rows and columns of the vec(rho) positions that a solve on a few
-sectors reads, with each entry the same sum of the same products.
+assembled as a CSR matrix from the model's sparse operators: whole for a
+solve that reads all of G, or only on the rows and columns of the vec(rho)
+positions that a solve on a few sectors reads, indexed by the positions
+those reach, with each entry the same sum of the same products.
 
 Every builder is symmetric under exchanging the two atoms (collective
 operators, per-atom channels at equal rates): L commutes with rho ->
@@ -31,8 +32,9 @@ N on both sides).  Such a builder states N of each basis state
 elements rho_ij of different |N_i - N_j|.  A sector is one |d| (all of
 vec(rho) when no N is stated) intersected with one exchange parity.  Both
 statements are conditions on H and the jumps (Buca & Prosen, NJP 14,
-073007 (2012)), checked on those operators when the model is made, and
-the sectors are index bookkeeping on the statements alone.
+073007 (2012)), checked on those operators' nonzero entries when the model
+is made, and the sectors are index bookkeeping on the statements alone,
+their sizes in closed form.
 
 The thermal model without a drive (``build_full`` at eps = 0, n_th > 0)
 also obeys quantum detailed balance with respect to sigma ~ x^N,
@@ -69,6 +71,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,9 +84,11 @@ from .operators import (
     annihilation,
     atom_swap,
     atomic_space,
+    canonical,
     collective_spin,
     creation,
     dressed_spin,
+    equal,
     excitation_number,
     single_atom,
     singlet_projector,
@@ -162,12 +167,17 @@ class CrossTerm:
 
     Each such term annihilates the trace functional on its own.  Hermiticity
     preservation requires the list to be closed under (A, B, w) -> (B, A,
-    conj(w)); the builders construct closed pairs.
+    conj(w)); the builders construct closed pairs.  A and B are held as
+    canonical CSR matrices, as ``LabeledOperator.matrix`` is.
     """
 
-    left: np.ndarray
-    right: np.ndarray
+    left: sp.csr_matrix
+    right: sp.csr_matrix
     weight: complex
+
+    def __post_init__(self):
+        object.__setattr__(self, "left", canonical(self.left))
+        object.__setattr__(self, "right", canonical(self.right))
 
 
 @dataclass(frozen=True)
@@ -189,7 +199,8 @@ class MasterEquation:
     with rho -> P rho P, and is None when it states none.  ``balance``
     states x in (0, 1) when L obeys detailed balance with respect to
     sigma ~ x^N, N the stated excitation numbers.  Each statement is checked
-    here, once, on the operators it is about (``ValueError`` otherwise).
+    here, once, on the nonzero entries of the sparse operators it is about
+    (``ValueError`` otherwise), with no D x D array formed.
     """
 
     hamiltonian: LabeledOperator
@@ -235,14 +246,18 @@ class MasterEquation:
     def _excitation_shifts(self) -> list[tuple[LabeledOperator, float, int]]:
         """Refuse stated excitation numbers N unless H commutes with N and each
         nonzero jump, and a cross term's two operators together, shift N by one
-        amount s ([N, O] = s O), which keeps d; returns each such (O, rate, s)."""
-        name = self.label or "the model"
-        step = np.subtract.outer(self.excitations, self.excitations)  # N_i - N_j
-        if np.any(self.hamiltonian.matrix[step != 0]):
+        amount s ([N, O] = s O), which keeps d; returns each such (O, rate, s).
+        Read on the operators' nonzero entries O_ij, each shifting N by N_i - N_j."""
+        name, n = self.label or "the model", np.asarray(self.excitations)
+
+        def steps(o: sp.csr_matrix) -> np.ndarray:
+            return n[_rows(o)] - n[o.indices]
+
+        if np.any(steps(self.hamiltonian.matrix)):
             raise ValueError(f"the Hamiltonian of {name} does not commute with N")
 
-        def shift(what: str, *ops: np.ndarray) -> int | None:
-            s = np.unique(np.concatenate([step[o != 0] for o in ops]))
+        def shift(what: str, *ops: sp.csr_matrix) -> int | None:
+            s = np.unique(np.concatenate([steps(o) for o in ops]))
             if s.size > 1:
                 raise ValueError(f"{what} of {name} is not an N-eigenoperator (one s for all its operators)")
             return int(s[0]) if s.size else None
@@ -255,15 +270,23 @@ class MasterEquation:
     def _check_swap(self, p: np.ndarray) -> None:
         """Refuse a stated swap P unless P H P = H and O -> P O P permutes the
         jumps and the cross terms at equal rates and weights, all exactly: a
-        permutation moves entries without arithmetic."""
-        name, pp = self.label or "the model", np.ix_(p, p)
+        permutation moves entries without arithmetic (O_ij to (P O P)_kl at
+        p(k) = i, p(l) = j), compared as sparse matrices."""
+        name, back = self.label or "the model", np.argsort(p)
+
+        def image(o: sp.csr_matrix) -> sp.csr_matrix:
+            row, col = back[_rows(o)], back[o.indices]
+            order = np.lexsort((col, row))
+            ptr = np.searchsorted(row[order], np.arange(o.shape[0] + 1))
+            return sp.csr_matrix((o.data[order], col[order], ptr), shape=o.shape)
+
         jumps = [(f"jump {op.label}", (op.matrix,), rate) for op, rate in self.dissipators]
         cross = [(f"cross term {k}", (c.left, c.right), c.weight) for k, c in enumerate(self.cross_terms)]
         for terms in ([("the Hamiltonian", (self.hamiltonian.matrix,), 0.0)], jumps, cross):
             for what, ops, scale in list(terms):  # each term's image takes one term of the list
-                image = [o[pp] for o in ops]
+                moved = [image(o) for o in ops]
                 k = next((k for k, (_, o, s) in enumerate(terms)
-                          if s == scale and all(map(np.array_equal, image, o))), None)
+                          if s == scale and all(map(equal, moved, o))), None)
                 if k is None:
                     raise ValueError(f"{what} of {name} breaks its stated swap: P O P at its rate is no term")
                 terms.pop(k)
@@ -283,8 +306,8 @@ class MasterEquation:
                 raise ValueError(f"jump {op.label} of {name} is not an N-eigenoperator with [N, O] = -+O")
             (lowering if s < 0 else raising).append((op, rate))
         for op, rate in lowering:
-            adj = op.matrix.conj().T
-            match = [i for i, (q, _) in enumerate(raising) if np.array_equal(q.matrix, adj)]
+            adj = canonical(op.matrix.conj().T)
+            match = [i for i, (q, _) in enumerate(raising) if equal(q.matrix, adj)]
             if not match:
                 raise ValueError(f"jump {op.label} of {name} has no partner {op.label}^dag")
             partner, up = raising.pop(match[0])
@@ -301,17 +324,25 @@ class MasterEquation:
         return self.space.dim
 
 
+def _rows(o: sp.csr_matrix) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix."""
+    return np.repeat(np.arange(o.shape[0]), np.diff(o.indptr))
+
+
 class Superoperator:
     """Liouvillian acting on column-stacked density matrices.
 
     Every solve forms the real generator G = (F T) L B on the sectors it
     reads (``generator``, ``sectors``, ``maps``) from L's rows and columns at
-    their positions alone, and the whole L only for all of G; ``as_dense``
-    is its dense copy on one sector or on all, refused above
-    ``linalg.DENSE_CAP``.  No solve holds L.  The whole complex CSR L is
-    assembled and cached only when asked for (``as_sparse``), by ``apply``
-    and ``norm_estimate``.  The sectors' index bookkeeping and
-    ``dynamics.stated_kernel``'s solve are kept.
+    their positions alone, in a matrix indexed by the positions those reach,
+    and the whole L only for all of G; ``as_dense`` is its dense copy on one
+    sector or on all, refused above ``linalg.DENSE_CAP``.  No solve holds L.
+    The whole complex CSR L is assembled and cached only when asked for
+    (``as_sparse``), by ``apply`` and ``norm_estimate``.  The sectors' index
+    bookkeeping (their sizes in closed form; no coordinate is listed until a
+    range's maps are composed) and ``dynamics.stated_kernel``'s solve are
+    kept.  A solve's cost so follows the sectors it reads: nothing of size
+    D^2 is formed for a proper range of them.
     """
 
     def __init__(self, me: MasterEquation):
@@ -352,8 +383,9 @@ class Superoperator:
         sectors, and its scale: the largest absolute column sum of the
         columns of L it was formed from, never above ||L||_1.  Only L's rows
         and columns at the positions of ``s`` are assembled (all of L when
-        ``s`` is all of G), and the maps of the sectors those reach are
-        composed.
+        ``s`` is all of G), indexed by the positions they reach
+        (``_build_liouvillian``), and the maps of the sectors those reach are
+        composed and read on the same positions (``restrict``).
 
         Refused when an entry in the rows or columns of ``s``, in G's
         coordinates, has an imaginary part above ``DENSE_IMAG_TOL`` times the
@@ -368,28 +400,35 @@ class Superoperator:
         n = s.stop - s.start
         basis, inverse = index.maps(s)
         at = None if n == self.dim else np.unique(basis.indices)
-        lv = _build_liouvillian(self.me, at)
+        lv, reach = _build_liouvillian(self.me, at)
         sums = _column_sums(lv)
-        norm = float((sums if at is None else sums[at]).max())
+        norm = float((sums if at is None else sums[np.searchsorted(reach, at)]).max())
+        basis, inverse = restrict(basis, reach), restrict(inverse, reach)
+
+        def position(k: np.ndarray) -> np.ndarray:  # the vec(rho) positions of indices of lv
+            return k if reach is None else reach[k]
+
         imag = leak = 0.0
         reached = {}  # the maps of the ranges of sectors past s that the columns reach
         if n < self.dim:  # every entry of (F T) L B[:, s] outside the rows of s links two sectors
             y = lv @ basis
-            t = index.span(s, np.flatnonzero(np.diff(y.indptr)))  # every sector that y's positions lie in
-            if t != s:
+            t = index.span(s, position(np.flatnonzero(np.diff(y.indptr))))  # every sector y's rows lie in
+            if t != s:  # otherwise every entry lies in the rows of s, checked below
                 reached[t.start, t.stop] = index.maps(t)
-            f = (inverse if t == s else reached[t.start, t.stop][1]) @ y
-            f.data[f.indptr[s.start - t.start] : f.indptr[s.stop - t.start]] = 0.0  # the rows of s, checked below
-            imag, leak = float(abs(f.data.imag).max(initial=0.0)), float(abs(f.data).max(initial=0.0))
-            del y, f
+                f = restrict(reached[t.start, t.stop][1], reach) @ y
+                f.data[f.indptr[s.start - t.start] : f.indptr[s.stop - t.start]] = 0.0  # the rows of s
+                imag, leak = float(abs(f.data.imag).max(initial=0.0)), float(abs(f.data).max(initial=0.0))
+                del f
+            del y
         right = {(s.start, s.stop): basis.tocsr()}  # B of each range of sectors the rows reach, by rows
         del basis
         blocks = []
         for lo in range(0, n, GENERATOR_ROW_BLOCK):
             x = inverse[lo : lo + GENERATOR_ROW_BLOCK] @ lv
-            t = index.span(s, x.indices)  # every sector that x's positions lie in
+            t = index.span(s, position(x.indices))  # every sector that x's positions lie in
             if (t.start, t.stop) not in right:
-                right[t.start, t.stop] = (reached.get((t.start, t.stop)) or index.maps(t))[0].tocsr()
+                far = (reached.get((t.start, t.stop)) or index.maps(t))[0]
+                right[t.start, t.stop] = restrict(far, reach).tocsr()
             g = x @ right[t.start, t.stop]
             imag = max(imag, float(abs(g.data.imag).max(initial=0.0)))
             first = s.start + lo
@@ -427,7 +466,7 @@ class Superoperator:
 
     def as_sparse(self) -> sp.csr_matrix:
         if self._sparse is None:
-            self._sparse = _build_liouvillian(self.me)
+            self._sparse = _build_liouvillian(self.me)[0]
         return self._sparse
 
     def norm_estimate(self) -> float:
@@ -440,45 +479,75 @@ def _column_sums(lv: sp.csr_matrix) -> np.ndarray:
     return np.asarray(sp.csr_matrix((abs(lv.data), lv.indices, lv.indptr), shape=lv.shape).sum(axis=0)).ravel()
 
 
-def _build_liouvillian(me: MasterEquation, at: np.ndarray | None = None) -> sp.csr_matrix:
-    """Assemble L as a CSR matrix in the column-stacking convention: all of
-    it, or only its rows and its columns at the sorted vec(rho) positions
-    ``at``.  Each Kronecker factor is then cut to those rows and columns
-    (``_kron_at``) before the terms are summed, so every entry there is the
-    same sum of the same products as in the whole L, bitwise."""
+def restrict(m: sp.csr_matrix | sp.csc_matrix, reach: np.ndarray | None) -> sp.csr_matrix | sp.csc_matrix:
+    """A map of ``maps`` read on the sorted vec(rho) positions ``reach``
+    (unchanged for None, all of them): the positions it is indexed by (the
+    columns of a CSR matrix, the rows of a CSC one) become their indices in
+    ``reach``, and its entries at positions outside it are dropped.  Each
+    row or column keeps its entries in their order, so a product with a
+    matrix indexed by ``reach`` that has nothing at those positions forms
+    every entry as the whole product does, bitwise."""
+    if reach is None:
+        return m
+    k = np.searchsorted(reach, m.indices)
+    keep = reach[np.minimum(k, reach.size - 1)] == m.indices
+    ptr = np.concatenate(([0], np.cumsum(keep)))[m.indptr]
+    k = k[keep]
+    shape = (m.shape[0], reach.size) if m.format == "csr" else (reach.size, m.shape[1])
+    return type(m)((m.data[keep], k, ptr), shape=shape)
+
+
+def _build_liouvillian(me: MasterEquation, at: np.ndarray | None = None) -> tuple[sp.csr_matrix, np.ndarray | None]:
+    """Assemble L as a CSR matrix in the column-stacking convention, and the
+    vec(rho) positions that index it.  All of L, indexed by position itself
+    (None), or only its rows and its columns at the sorted vec(rho)
+    positions ``at``, in a shape indexed by ``reach``: the sorted positions
+    of ``at`` and of the columns and rows that theirs reach.  Each Kronecker
+    factor is then cut to those rows and columns (``_kron_at``) before the
+    terms are summed, so every entry there is the same sum of the same
+    products as in the whole L, bitwise, and in the same order within its
+    row: ``reach`` is sorted, so the relabelling keeps each row's order."""
     eye = sp.identity(me.dim, dtype=complex, format="csr")
-    if at is not None:
-        inside = np.zeros(me.dim**2, dtype=bool)
-        inside[at] = True
-
-    def krn(a, b):
-        return sp.kron(a, b, format="csr") if at is None else _kron_at(a, b, at, inside)
-
-    h = sp.csr_matrix(me.hamiltonian.matrix)
-    lv = -1j * (krn(eye, h) - krn(h.T, eye))
+    h = me.hamiltonian.matrix
+    pairs = [(eye, h), (h.T, eye)]
     for op, rate in me.dissipators:
-        o = sp.csr_matrix(op.matrix)
+        o = op.matrix
         odo = o.conj().T @ o
-        lv = lv + rate * (2.0 * krn(o.conj(), o) - krn(eye, odo) - krn(odo.T, eye))
+        pairs += [(o.conj(), o), (eye, odo), (odo.T, eye)]
     for ct in me.cross_terms:
-        a = sp.csr_matrix(ct.left)
-        b = sp.csr_matrix(ct.right)
-        bda = b.conj().T @ a
-        lv = lv + ct.weight * (2.0 * krn(b.conj(), a) - krn(eye, bda) - krn(bda.T, eye))
-    return lv.tocsr()
+        bda = ct.right.conj().T @ ct.left
+        pairs += [(ct.right.conj(), ct.left), (eye, bda), (bda.T, eye)]
+    if at is None:
+        reach, term = None, (sp.kron(a, b, format="csr") for a, b in pairs)
+    else:
+        reach, term = _kron_at(pairs, at)
+    lv = -1j * (next(term) - next(term))
+    for _, rate in me.dissipators:
+        lv = lv + rate * (2.0 * next(term) - next(term) - next(term))
+    for ct in me.cross_terms:
+        lv = lv + ct.weight * (2.0 * next(term) - next(term) - next(term))
+    return lv.tocsr(), reach
 
 
-def _kron_at(a: sp.spmatrix, b: sp.spmatrix, at: np.ndarray, inside: np.ndarray) -> sp.csr_matrix:
-    """The entries of ``sp.kron(a, b)`` in the rows or the columns ``at``
-    (``inside`` marks them), each the same product a_ij b_kl, as a
-    canonical CSR matrix of the whole shape."""
-    row, col, val = _kron_rows(a.tocsr(), b.tocsr(), at)
-    col_t, row_t, val_t = _kron_rows(a.tocsc(), b.tocsc(), at)  # the columns at, read as rows of the transpose
-    out = ~inside[row_t]  # entries in rows of at are in the rows' part already
-    return sp.coo_matrix(
-        (np.concatenate((val, val_t[out])), (np.concatenate((row, row_t[out])), np.concatenate((col, col_t[out])))),
-        shape=(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]),
-    ).tocsr()
+def _kron_at(pairs: list[tuple[sp.spmatrix, ...]], at: np.ndarray) -> tuple[np.ndarray, Iterator[sp.csr_matrix]]:
+    """The entries of each ``sp.kron(a, b)`` of ``pairs`` in the rows or the
+    columns ``at`` (sorted), each the same product a_ij b_kl, as one CSR
+    matrix per pair indexed by ``reach``, the sorted positions they lie in;
+    returns ``reach`` and those matrices."""
+    parts = []
+    for a, b in pairs:
+        row, col, val = _kron_rows(a.tocsr(), b.tocsr(), at)
+        col_t, row_t, val_t = _kron_rows(a.tocsc(), b.tocsc(), at)  # the columns at, read as rows of the transpose
+        k = np.minimum(np.searchsorted(at, row_t), at.size - 1)
+        out = at[k] != row_t  # entries in rows of at are in the rows' part already
+        parts.append(tuple(np.concatenate(c) for c in ((row, row_t[out]), (col, col_t[out]), (val, val_t[out]))))
+    reach = np.unique(np.concatenate([p for row, col, _ in parts for p in (row, col)]))
+    n = reach.size
+    terms = (
+        sp.csr_matrix((val, (np.searchsorted(reach, row), np.searchsorted(reach, col))), shape=(n, n))
+        for row, col, val in parts
+    )
+    return reach, terms
 
 
 def _kron_rows(a: sp.spmatrix, b: sp.spmatrix, at: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -499,10 +568,12 @@ def _kron_rows(a: sp.spmatrix, b: sp.spmatrix, at: np.ndarray) -> tuple[np.ndarr
 class HermitianSectors:
     """Index bookkeeping of the real coordinates y of vec(rho) of a d x d
     matrix, ordered sector by sector: one sector per |N_i - N_j| of the
-    excitation numbers ``labels`` (ascending; all of vec(rho) when None) and
-    exchange parity under the basis permutation ``swap`` (+1 first; all +1
-    when None).  ``slices`` are the sectors as index ranges of y and ``gaps``
-    their |N_i - N_j|.  ``maps(s)`` composes B = T^-1 E and F T on a range of
+    integer excitation numbers ``labels`` (ascending; all of vec(rho) when
+    None) and exchange parity under the basis permutation ``swap`` (+1
+    first; all +1 when None), and within a sector by coordinate number in
+    x = [rho_ii; Re rho_ij; Im rho_ij  (i < j, row by row)].  ``slices`` are
+    the sectors as index ranges of y, ``gaps`` their |N_i - N_j| and
+    ``size`` is d^2.  ``maps(s)`` composes B = T^-1 E and F T on a range of
     them from this bookkeeping alone; F T B = I.
 
     Re and Im of rho_ij hold rho_ij (d) and rho_ji (-d), so a |d| sector is
@@ -510,53 +581,100 @@ class HermitianSectors:
     acts on x as a signed permutation (rho_ij -> rho_p(i)p(j), Im changing
     sign when p(i) > p(j)); a coordinate it fixes lies in the parity of its
     sign, and a swapped pair e_k, e_l with sign s spans e_k + s e_l (+1)
-    and e_k - s e_l (-1).  Column c of E is 1 at ``first[c]`` and, for a
-    pair, ``sign[c]`` at ``second[c]`` (-1 otherwise).
+    and e_k - s e_l (-1).  Column c of E is 1 at the coordinate listed for
+    it and, for a pair, its sign at the partner (``_coordinates``).
+
+    The sizes come in closed form from the m_N basis states with N
+    excitations and the f_N of them the swap fixes (it keeps N): (sum_N
+    m_N^2 +- f_N^2) / 2 at |d| = 0, parity +-1, and sum_N m_N m_{N+g} +-
+    f_N f_{N+g} at |d| = g > 0.  No coordinate is listed until ``maps`` asks
+    for a range, and then only those of the sectors it meets, so the index
+    itself holds O(d) numbers.
     """
 
     def __init__(self, d: int, labels: np.ndarray | None, swap: np.ndarray | None):
-        i, j = np.triu_indices(d, 1)
-        m = i.size
-        p = np.arange(d) if swap is None else np.asarray(swap)
-        gap = np.zeros(m, dtype=int) if labels is None else np.abs(labels[i] - labels[j])
-        key = np.concatenate((np.zeros(d, dtype=gap.dtype), gap, gap))
-        # the swap moves coordinate k to partner[k] with sign[k]
-        a, b = np.minimum(p[i], p[j]), np.maximum(p[i], p[j])
-        pair = a * d - a * (a + 1) // 2 + b - a - 1  # position of (a, b) among i < j
-        partner = np.concatenate((p, d + pair, d + m + pair))
-        sign = np.concatenate((np.ones(d + m), np.where(p[i] < p[j], 1.0, -1.0)))
-        coords = np.arange(partner.size)
-        rep = coords[partner >= coords]  # fixed coordinates and the first of each pair
-        fixed = partner[rep] == rep
-        cols = np.concatenate((rep, rep[~fixed]))
-        parity = np.concatenate((np.where(fixed, sign[rep], 1.0), np.full((~fixed).sum(), -1.0)))
-        order = np.lexsort((cols, -parity, key[cols]))
-        cols, parity = cols[order], parity[order]
-        paired = partner[cols] != cols
-        bounds = np.flatnonzero((np.diff(key[cols]) != 0) | (np.diff(parity) != 0)) + 1
-        edges = np.concatenate(([0], bounds, [cols.size])).tolist()
-        self.d, self.labels = d, labels
-        self.first = cols.astype(np.int32)
-        self.second = np.where(paired, partner[cols], -1).astype(np.int32)
-        self.sign = (parity * sign[cols]).astype(np.int8)
-        # the positions in vec(rho) of each coordinate of x: rho_ii, or rho_ji and rho_ij
-        diagonal = np.arange(d) * (d + 1)
-        self.low = np.concatenate((diagonal, j + i * d, j + i * d)).astype(np.int32)
-        self.high = np.concatenate((diagonal, i + j * d, i + j * d)).astype(np.int32)
+        self.d, self.size, self.labels = d, d * d, labels
+        self.swap = np.arange(d) if swap is None else np.asarray(swap)
+        n = np.zeros(d, dtype=np.int64) if labels is None else np.asarray(labels) - np.min(labels)
+        m = np.bincount(n)  # basis states per N
+        f = np.bincount(n, weights=self.swap == np.arange(d)).astype(np.int64)  # those the swap fixes
+        mm, ff = (np.correlate(c, c, "full")[c.size - 1 :] for c in (m, f))  # sum_N c_N c_{N+g}
+        even, odd = mm + ff, mm - ff
+        even[0], odd[0] = even[0] // 2, odd[0] // 2
+        self._keys = [(int(g), parity) for g in np.flatnonzero(mm) for parity, size in ((1, even[g]), (-1, odd[g]))
+                      if size]
+        sizes = [even[g] if parity > 0 else odd[g] for g, parity in self._keys]
+        edges = np.concatenate(([0], np.cumsum(sizes))).tolist()
         self.slices = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-        self.gaps = key[cols[edges[:-1]]]
+        self.gaps = np.array([g for g, _ in self._keys])
+        # the states by N, then by index: group N is _by_n[_start[N] : _start[N + 1]]
+        self._n, self._by_n = n, np.argsort(n, kind="stable")
+        self._start = np.concatenate(([0], np.cumsum(m), [d]))
+
+    def _pairs(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every (i, j), i < j, with |N_i - N_j| = g, in coordinate order
+        (by i, then j): each state paired with the states of N_i + g (the
+        later ones of its own group at g = 0)."""
+        n, by_n, start = self._n, self._by_n, self._start
+        if g == 0:
+            rank = np.empty(self.d, dtype=np.int64)
+            rank[by_n] = np.arange(self.d)
+            lo, count = rank + 1, start[n + 1] - rank - 1
+        else:
+            top = np.minimum(n + g, start.size - 2)  # the last group is empty
+            lo, count = start[top], start[top + 1] - start[top]
+        i = np.repeat(np.arange(self.d), count)
+        k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        j = by_n[np.repeat(lo, count) + k]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        order = np.lexsort((j, i))
+        return i[order], j[order]
+
+    def _coordinates(self, g: int, parity: int) -> tuple[np.ndarray, ...]:
+        """The coordinates of the sector (|d| = g, ``parity``) in order:
+        each one's number, its partner under the swap (-1 when it fixes it),
+        the sign of the partner in E's column, and the vec(rho) positions
+        (second high, second low, first high, first low) of the two, where
+        rho_ii sits at i (d + 1) and Re or Im rho_ij at j + i d (low) and
+        i + j d (high); an unpaired coordinate stands in for its partner."""
+        d, p = self.d, self.swap
+        half = (d * d - d) // 2
+        parts = []
+        if g == 0:  # the diagonal: the swap moves rho_ii to rho_p(i)p(i) with sign +1
+            k = np.arange(d)
+            k = k[(p > k) if parity < 0 else (p >= k)]
+            other = np.where(p[k] != k, p[k], -1)
+            at, to = k * (d + 1), np.where(other >= 0, other, k) * (d + 1)
+            parts.append((k, other, np.full(k.size, parity), np.column_stack((to, to, at, at))))
+        i, j = self._pairs(g)
+        a, b = np.minimum(p[i], p[j]), np.maximum(p[i], p[j])
+        q, qp = i * d - i * (i + 1) // 2 + j - i - 1, a * d - a * (a + 1) // 2 + b - a - 1
+        rep, moved = qp >= q, qp != q  # the first of each pair, and whether the swap moves it
+        flip = np.where(p[i] < p[j], 1, -1)  # the swap's sign on Im
+        # Re: +1 holds every first of a pair, -1 those the swap moves; a fixed
+        # Im lies in the parity of its sign
+        for offset, take, sign in ((d, rep & (moved | (parity > 0)), np.ones_like(flip)),
+                                   (d + half, rep & (moved | (flip == parity)), flip)):
+            c, m = np.flatnonzero(take), moved[take]
+            ci, cj, ca, cb = i[c], j[c], np.where(m, a[c], i[c]), np.where(m, b[c], j[c])
+            pos = np.column_stack((ca + cb * d, cb + ca * d, ci + cj * d, cj + ci * d))
+            parts.append((offset + q[c], np.where(m, offset + qp[c], -1), parity * sign[c], pos))
+        return tuple(np.concatenate(a) for a in zip(*parts))
 
     def maps(self, s: slice | None = None) -> tuple[sp.csc_matrix, sp.csr_matrix]:
         """B[:, s] (y -> vec(rho)) and (F T)[s] (vec(rho) -> y) on the range
-        ``s`` of coordinates (all by default).  Their entries are +-1, +-i
-        and +-1/2^k, so y is real exactly for a Hermitian rho and every
-        matrix read back from real y is Hermitian exactly.  Each is entry for
-        entry, in the same order, the product it stands for: T^-1 E in CSC,
-        and F T in CSR, whose row holds the positions of the second
-        coordinate and then of the first, each from the higher down.  Formed
-        ``MAP_BLOCK`` coordinates at a time into the maps' own arrays."""
-        s = slice(0, self.first.size) if s is None else s
-        x0, x1, e = self.first[s], self.second[s], self.sign[s]
+        ``s`` of coordinates (all by default), from the ``_coordinates`` of
+        the sectors it meets alone.  Their entries are +-1, +-i and +-1/2^k,
+        so y is real exactly for a Hermitian rho and every matrix read back
+        from real y is Hermitian exactly.  Each is entry for entry, in the
+        same order, the product it stands for: T^-1 E in CSC, and F T in
+        CSR, whose row holds the positions of the second coordinate and then
+        of the first, each from the higher down.  Formed ``MAP_BLOCK``
+        coordinates at a time into the maps' own arrays."""
+        s = slice(0, self.size) if s is None else s
+        met = [k for k, t in enumerate(self.slices) if t.start < s.stop and s.start < t.stop]
+        cut = slice(s.start - self.slices[met[0]].start, s.stop - self.slices[met[0]].start)
+        x0, x1, e, at = (np.concatenate(c)[cut] for c in zip(*(self._coordinates(*self._keys[k]) for k in met)))
         n, d = x0.size, self.d
         # the entries of a coordinate: the second's high and low position, the first's
         keep = np.column_stack((x1 >= 0, x1 >= d, np.ones(n, dtype=bool), x0 >= d))
@@ -570,7 +688,7 @@ class HermitianSectors:
             paired = x1[c] >= 0
             x = np.where(second & paired[:, None], x1[c, None], x0[c, None])  # stand-ins are not kept
             imag = x >= d + (d * d - d) // 2
-            pos = np.where(high, self.high[x], self.low[x])
+            pos = at[c]
             # F: sign/2 at the second, 1/2 (1 unpaired) at the first; T at (x, high)
             # is 1 on the diagonal, 1/2 at Re and -i/2 at Im, at (x, low) 1/2 and i/2
             f = np.where(second, 0.5 * e[c, None], np.where(paired, 0.5, 1.0)[:, None])
@@ -600,7 +718,7 @@ class HermitianSectors:
 
     def span(self, s: slice, positions: np.ndarray) -> slice:
         """The range of sectors from ``s`` out to every sector ``holding`` one of ``positions``."""
-        held = self.holding(positions) if s.stop - s.start < self.first.size else []
+        held = self.holding(positions) if s.stop - s.start < self.size else []
         return slice(min([s.start] + [t.start for t in held]), max([s.stop] + [t.stop for t in held]))
 
 
@@ -610,20 +728,6 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     z = np.empty(np.shape(re), dtype=complex)
     z.real, z.imag = re + 0.0, im + 0.0
     return z
-
-
-def zero_sector_dim(dim: int, labels: np.ndarray | None, swap: np.ndarray | None) -> int:
-    """Size of the first sector of ``HermitianSectors`` of a dim x dim
-    matrix without forming it, the one |gg,0> occupies: sum over N of
-    (m_N^2 + f_N^2) / 2, m_N the basis states with N excitations (one N for
-    all when ``labels`` is None) and f_N those the swap fixes (all of them
-    when ``swap`` is None).  For two atoms and a mode that is 16 cutoff - 12
-    for the d = 0 block alone and 10 cutoff - 8 with the atom swap."""
-    n = np.zeros(dim, dtype=int) if labels is None else labels
-    fixed = np.ones(dim) if swap is None else (swap == np.arange(dim))
-    m = np.bincount(n)
-    f = np.bincount(n, weights=fixed)
-    return int(((m**2 + f**2) // 2).sum())
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

@@ -7,17 +7,20 @@ single-atom basis is |+-> = (|g> +- |e>)/sqrt(2).
 
 Operators are built on the truncated Fock space without renormalizing the
 top level; truncation convergence is handled at the experiment level (see
-``dynamics.check_truncation``).
+``dynamics.check_truncation``).  They are held as sparse CSR matrices: an
+operator on the full space has at most a few entries per row, and no model
+forms a dense D x D matrix.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ShapeError
-from .linalg import kron
 
 # single-atom matrices in the bare basis
 GROUND = np.array([1.0, 0.0], dtype=complex)
@@ -64,10 +67,62 @@ class SystemSpace:
 
 @dataclass(frozen=True)
 class LabeledOperator:
-    """A named matrix on the full tensor-product space."""
+    """A named matrix on the full tensor-product space, held as a canonical
+    complex CSR matrix (sorted indices, no duplicates, no stored zeros), the
+    form ``sp.csr_matrix`` gives a dense array: a dense ``matrix`` is
+    converted, and ``matrix.toarray()`` is its dense copy."""
 
     label: str
-    matrix: np.ndarray
+    matrix: sp.csr_matrix
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", canonical(self.matrix))
+
+
+def canonical(m) -> sp.csr_matrix:
+    """``m`` (dense or sparse) as a canonical complex CSR matrix: ``m``
+    itself when it is one already, a new matrix otherwise."""
+    if isinstance(m, sp.csr_matrix) and m.dtype == complex and m.has_canonical_format and m.data.all():
+        return m
+    out = sp.csr_matrix(m, dtype=complex, copy=True)
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out
+
+
+def equal(x: sp.csr_matrix, y: sp.csr_matrix) -> bool:
+    """Whether two canonical CSR matrices hold the same entries: their
+    shapes, index arrays and values agree (values compared as numbers)."""
+    return (
+        x.shape == y.shape
+        and np.array_equal(x.indptr, y.indptr)
+        and np.array_equal(x.indices, y.indices)
+        and np.array_equal(x.data, y.data)
+    )
+
+
+def _entries(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value of each nonzero entry of ``m`` (dense, or
+    canonical sparse), by rows, then columns."""
+    if sp.issparse(m):
+        m = m.tocsr()
+        return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
+    m = np.asarray(m, dtype=complex)
+    row, col = np.nonzero(m)
+    return row, col, m[row, col]
+
+
+def _kron(a, b) -> sp.csr_matrix:
+    """Kronecker product of two matrices (dense, or canonical sparse) as a
+    canonical CSR matrix; each entry the one product a_ij b_kl, as
+    ``sp.kron`` forms it."""
+    (ra, ca, va), (rb, cb, vb), (p, q) = _entries(a), _entries(b), b.shape
+    row = (ra[:, None] * p + rb).ravel()
+    order = np.argsort(row, kind="stable")  # by row; within one, by a's column, then b's
+    col = (ca[:, None] * q + cb).ravel()[order]
+    val = (va[:, None] * vb).ravel()[order]
+    ptr = np.searchsorted(row[order], np.arange(a.shape[0] * p + 1))
+    return sp.csr_matrix((val, col, ptr), shape=(a.shape[0] * p, a.shape[1] * q))
 
 
 def make_space(fock_cutoff: int) -> SystemSpace:
@@ -82,15 +137,31 @@ def atomic_space() -> SystemSpace:
     return SystemSpace(None)
 
 
-def _embed_atom(space: SystemSpace, op: np.ndarray, atom: int) -> np.ndarray:
-    """Embed a single-atom operator at position ``atom`` (1 or 2)."""
+def _atomic(op: np.ndarray, atom: int) -> np.ndarray:
+    """A single-atom operator at position ``atom`` (1 or 2) of the two-atom space."""
     if atom not in (1, 2):
         raise ValueError("atom index must be 1 or 2")
     eye2 = np.eye(2, dtype=complex)
-    atomic = kron(op, eye2) if atom == 1 else kron(eye2, op)
+    return np.kron(op, eye2) if atom == 1 else np.kron(eye2, op)
+
+
+def _field(space: SystemSpace, diagonal: np.ndarray, k: int = 0) -> sp.csr_matrix:
+    """The field operator with ``diagonal`` on its k-th upper diagonal (k >= 0)."""
+    c = space.fock_cutoff
+    rows = np.arange(c + 1)
+    return sp.csr_matrix((diagonal.astype(complex), rows[k:c], np.minimum(rows, c - k)), shape=(c, c))
+
+
+def _on_space(space: SystemSpace, *atomic: np.ndarray) -> sp.csr_matrix | np.ndarray:
+    """The sum of 4 x 4 two-atom operators on ``space``: each times the
+    field's identity, if it has one.  The sum is formed on the 4 x 4
+    factors, of the same products a_ij 1 as on the whole space; a product
+    with 1 is then unchanged by another, so the entries are bitwise those
+    of the sum of the Kronecker products."""
     if not space.has_field:
-        return atomic
-    return kron(atomic, np.eye(space.fock_cutoff, dtype=complex))
+        return functools.reduce(np.add, atomic)
+    total = functools.reduce(np.add, [a * complex(1.0) for a in atomic])
+    return _kron(total, _field(space, np.ones(space.fock_cutoff)))
 
 
 def single_atom(space: SystemSpace, which: str, atom: int) -> LabeledOperator:
@@ -107,16 +178,15 @@ def single_atom(space: SystemSpace, which: str, atom: int) -> LabeledOperator:
     }
     if which not in table:
         raise ValueError(f"unknown single-atom operator {which!r}")
-    return LabeledOperator(f"sigma_{which}^{atom}", _embed_atom(space, table[which], atom))
+    return LabeledOperator(f"sigma_{which}^{atom}", _on_space(space, _atomic(table[which], atom)))
 
 
 def annihilation(space: SystemSpace) -> LabeledOperator:
     """Cavity annihilation operator ``a``: <n-1|a|n> = sqrt(n)."""
     if not space.has_field:
         raise ShapeError("annihilation requires a space with a field factor")
-    cutoff = space.fock_cutoff
-    a = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1).astype(complex)
-    return LabeledOperator("a", kron(np.eye(4, dtype=complex), a))
+    a = _field(space, np.sqrt(np.arange(1, space.fock_cutoff, dtype=float)), 1)
+    return LabeledOperator("a", _kron(np.eye(4, dtype=complex), a))
 
 
 def creation(space: SystemSpace) -> LabeledOperator:
@@ -132,8 +202,7 @@ def collective_spin(space: SystemSpace, which: str) -> LabeledOperator:
     if which not in ("plus", "minus"):
         raise ValueError(f"unknown collective spin component {which!r}")
     single = SIGMA_PLUS if which == "plus" else SIGMA_MINUS
-    mat = _embed_atom(space, single, 1) + _embed_atom(space, single, 2)
-    return LabeledOperator("S_" + which, mat)
+    return LabeledOperator("S_" + which, _on_space(space, _atomic(single, 1), _atomic(single, 2)))
 
 
 def excitation_number(space: SystemSpace) -> np.ndarray:
@@ -170,10 +239,7 @@ def singlet_projector(space: SystemSpace) -> LabeledOperator:
     spin), so Tr[P_S rho] is conserved by any model built from them alone.
     """
     singlet = (np.kron(GROUND, EXCITED) - np.kron(EXCITED, GROUND)) / np.sqrt(2.0)
-    mat = np.outer(singlet, singlet.conj())
-    if space.has_field:
-        mat = kron(mat, np.eye(space.fock_cutoff, dtype=complex))
-    return LabeledOperator("P_S", mat)
+    return LabeledOperator("P_S", _on_space(space, np.outer(singlet, singlet.conj())))
 
 
 def dressed_spin(space: SystemSpace, which: str) -> LabeledOperator:
@@ -189,5 +255,4 @@ def dressed_spin(space: SystemSpace, which: str) -> LabeledOperator:
     if which not in table:
         raise ValueError(f"unknown dressed spin component {which!r}")
     single = table[which]
-    mat = _embed_atom(space, single, 1) + _embed_atom(space, single, 2)
-    return LabeledOperator("J_" + which, mat)
+    return LabeledOperator("J_" + which, _on_space(space, _atomic(single, 1), _atomic(single, 2)))

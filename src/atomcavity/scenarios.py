@@ -20,7 +20,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import linalg, models, observables as obs, spectra, verify
 from .models import ModelParams, Superoperator
-from .operators import atom_swap, atomic_space, excitation_number, make_space
+from .operators import atomic_space, make_space
 
 SCENARIOS = (
     "gap-coherent",
@@ -309,8 +309,8 @@ def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         cutoff = _auto_cutoff_displaced(p, config)
         grid = _grid(config, pt)
         space = make_space(cutoff)
-        me = models.build_coherent_displaced(space, p)
-        mi_exact = obs.mi_curve(Superoperator(me), dyn.ground_state(space), grid)
+        sup = Superoperator(models.build_coherent_displaced(space, p))
+        mi_exact = obs.mi_curve(sup, dyn.ground_state(space), grid)
         mi_eff = obs.mi_curve(
             Superoperator(models.build_effective_coherent(p)),
             dyn.ground_state(atomic_space()),
@@ -325,9 +325,15 @@ def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
             "plateau_windows": dyn.detect_plateau(grid, mi_exact),
             "final_mi": float(mi_exact[-1]),
             "evolution": "spectral-sector",
-            "dim": models.zero_sector_dim(space.dim, me.excitations, me.swap),
+            "dim": _first_sector_dim(sup),
         }
     return rows, summary
+
+
+def _first_sector_dim(sup: Superoperator) -> int:
+    """Size of the first sector of G, the one |gg,0> occupies and a trajectory from it evolves densely."""
+    first = sup.sectors()[0]
+    return first.stop - first.start
 
 
 def run_gap_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
@@ -360,10 +366,11 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         cutoff = _thermal_cutoff(p.n_th) if config.cutoff == "auto" else int(config.cutoff)
         space = make_space(cutoff)
         # |gg,0> occupies only the d = 0, even sector, which is evolved densely
-        dim = models.zero_sector_dim(space.dim, excitation_number(space), atom_swap(space))
+        sup = Superoperator(models.build_full(space, p))
+        dim = _first_sector_dim(sup)
         run_exact = dim <= linalg.DENSE_CAP
         if run_exact:
-            mi_exact = obs.mi_curve(Superoperator(models.build_full(space, p)), dyn.ground_state(space), grid)
+            mi_exact = obs.mi_curve(sup, dyn.ground_state(space), grid)
         else:
             mi_exact = np.full(grid.size, np.nan)
         sup_eff = Superoperator(models.build_effective_incoherent(p))
@@ -415,7 +422,7 @@ def run_real_detector(config: ScenarioConfig) -> tuple[list[dict], dict]:
             "peak_mi": float(mi.max()),
             "kernel_unique": not me.conserved,
             "evolution": "spectral-sector",
-            "dim": models.zero_sector_dim(space.dim, me.excitations, me.swap),
+            "dim": _first_sector_dim(sup),
         }
     return rows, summary
 

@@ -45,7 +45,7 @@ import scipy.sparse.linalg as spla
 from .errors import SpectrumDiagnosticError, UnsupportedRegimeError
 from .linalg import eig_general
 from .models import ModelParams, Superoperator
-from .operators import annihilation
+from .operators import annihilation, creation, equal
 
 #: eigenvalues closer than this, relative to the spectral radius, form a cluster
 CLUSTER_TOL = 1e-7
@@ -239,9 +239,9 @@ def rate_bounds(sup: Superoperator) -> np.ndarray | None:
     me = sup.me
     if me.balance is None or not me.space.has_field:
         return None
-    a = annihilation(me.space).matrix
-    down = sum(r for op, r in me.dissipators if np.array_equal(op.matrix, a))
-    up = sum(r for op, r in me.dissipators if np.array_equal(op.matrix, a.conj().T))
+    a, adag = annihilation(me.space).matrix, creation(me.space).matrix
+    down = sum(r for op, r in me.dissipators if equal(op.matrix, a))
+    up = sum(r for op, r in me.dissipators if equal(op.matrix, adag))
     c = me.space.fock_cutoff
     fill = np.append(np.arange(1.0, c), 0.0)  # diagonal of the truncated a a^dag
     floor = np.zeros(c)  # least eigenvalue of minus the cavity part on band k
@@ -251,7 +251,7 @@ def rate_bounds(sup: Superoperator) -> np.ndarray | None:
         diag = down * (n + m) + up * (fill[n] + fill[m])
         off = 2.0 * np.sqrt(down * up * n[1:] * m[1:])
         floor[k] = sla.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
-    gaps = sup.sector_index().gaps.tolist()  # |d| of each sector
+    gaps = sup.sector_index().gaps.tolist()  # |d| of each sector, in closed form
     return np.array([min(floor[abs(k)] for k in range(d - 2, d + 3) if abs(k) < c) for d in gaps])
 
 

@@ -170,7 +170,7 @@ class TestEvolveSpectral:
         (singlet,) = me.conserved
         for s in traj.states:
             assert abs(np.trace(s.matrix) - 1.0) < 1e-12
-            assert abs(np.trace(singlet.matrix @ s.matrix)) < 1e-12
+            assert abs(np.trace(singlet.matrix.toarray() @ s.matrix)) < 1e-12
             assert np.linalg.eigvalsh((s.matrix + s.matrix.conj().T) / 2.0).min() > -1e-10
         ss = dyn.steady_state(sup, rho0)
         assert np.abs(traj.states[-1].matrix - ss.matrix).max() < 1e-10

@@ -71,19 +71,36 @@ def hermitian_coordinates(d: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     )
 
 
+def counted_sector_sizes(d: int, labels: np.ndarray | None, swap: np.ndarray | None) -> list[int]:
+    """The size of each sector, in ``HermitianSectors`` order, counted on the
+    d^2 positions of vec(rho): the swap permutes them (rho_ij ->
+    rho_p(i)p(j)), so the part of the positions of one |N_i - N_j| that it
+    keeps even (odd) has (positions + fixed positions) / 2 (their
+    difference / 2) dimensions, over the reals on Hermitian matrices too."""
+    i, j = np.divmod(np.arange(d * d), d)
+    p = np.arange(d) if swap is None else swap
+    gap = np.zeros(d * d, dtype=int) if labels is None else np.abs(labels[i] - labels[j])
+    fixed = (p[i] == i) & (p[j] == j)
+    sizes = []
+    for g in np.unique(gap):
+        count, still = np.count_nonzero(gap == g), np.count_nonzero(fixed & (gap == g))
+        sizes += [size for size in ((count + still) // 2, (count - still) // 2) if size]
+    return sizes
+
+
 def apply_oracle(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
     """The generator applied to a D x D matrix by matrix algebra, term by
     term as the master equation is written (no vectorization)."""
-    h = me.hamiltonian.matrix
+    h = me.hamiltonian.matrix.toarray()
     out = -1j * (h @ rho - rho @ h)
     for op, rate in me.dissipators:
-        o = op.matrix
+        o = op.matrix.toarray()
         odo = o.conj().T @ o
         out += rate * (2.0 * (o @ rho @ o.conj().T) - odo @ rho - rho @ odo)
     for ct in me.cross_terms:
-        bd = ct.right.conj().T
-        bda = bd @ ct.left
-        out += ct.weight * (2.0 * (ct.left @ rho @ bd) - bda @ rho - rho @ bda)
+        left, bd = ct.left.toarray(), ct.right.toarray().conj().T
+        bda = bd @ left
+        out += ct.weight * (2.0 * (left @ rho @ bd) - bda @ rho - rho @ bda)
     return out
 
 
@@ -136,7 +153,7 @@ def test_stated_conserved_quantities_span_the_kernel(name, g0, eps, n_th, gamma,
     me = PARAMETRIC_BUILDERS[name](make_space(cutoff), ModelParams(g0, eps, n_th, gamma))
     sup = vectorize(me)
     lv = sup.as_sparse()
-    for q in (np.eye(me.dim, dtype=complex),) + tuple(q.matrix for q in me.conserved):
+    for q in (np.eye(me.dim, dtype=complex),) + tuple(q.matrix.toarray() for q in me.conserved):
         # L^dag annihilates vec(Q): Tr[Q rho] is constant in time
         resid = np.linalg.norm(lv.conj().T @ vec(q))
         assert resid <= 1e-12 * sup.norm_estimate() * np.linalg.norm(vec(q))
@@ -255,14 +272,14 @@ class TestBuildFull:
         # H is exactly H_TC + i eps (a^dag - a)
         from atomcavity.operators import annihilation
 
-        a = annihilation(space).matrix
-        sp_ = collective_spin(space, "plus").matrix
-        sx = collective_spin(space, "x").matrix
+        a = annihilation(space).matrix.toarray()
+        sp_ = collective_spin(space, "plus").matrix.toarray()
+        sx = collective_spin(space, "x").matrix.toarray()
         h_tc = p.g0 * (a @ sp_ + a.conj().T @ sp_.conj().T)
         h_d = 1j * p.eps * (a.conj().T - a)
-        assert_allclose(me.hamiltonian.matrix, h_tc + h_d, atol=1e-14)
+        assert_allclose(me.hamiltonian.matrix.toarray(), h_tc + h_d, atol=1e-14)
         # and H_TC + Omega S_x equals the displaced H1 (basis identity)
-        h1 = build_coherent_displaced(space, p).hamiltonian.matrix
+        h1 = build_coherent_displaced(space, p).hamiltonian.matrix.toarray()
         assert_allclose(h_tc + p.omega * sx, h1, atol=1e-13)
 
     def test_fig5_model_has_atomic_channels(self):
@@ -278,8 +295,8 @@ class TestDisplacedModels:
     def test_eps_zero_reduces_to_tc(self):
         p = ModelParams(g0=0.3, eps=0.0)
         space = make_space(3)
-        h1 = build_coherent_displaced(space, p).hamiltonian.matrix
-        h_full = build_full(space, p).hamiltonian.matrix
+        h1 = build_coherent_displaced(space, p).hamiltonian.matrix.toarray()
+        h_full = build_full(space, p).hamiltonian.matrix.toarray()
         assert_allclose(h1, h_full, atol=1e-14)
 
     def test_regime_guard(self):
@@ -315,8 +332,8 @@ class TestRwaDisplaced:
         # (g0/4 Omega = kappa/4 eps is g0-independent)
         p = ModelParams(g0=1e-12, eps=100.0)
         me = build_rwa_displaced(make_space(3), p)
-        jz = dressed_spin(make_space(3), "z").matrix
-        assert_allclose(me.hamiltonian.matrix, p.omega * jz, atol=1e-10)
+        jz = dressed_spin(make_space(3), "z").matrix.toarray()
+        assert_allclose(me.hamiltonian.matrix.toarray(), p.omega * jz, atol=1e-10)
         assert me.dissipators[0][1] == 1.0  # cavity channel at kappa
         assert me.dissipators[1][1] == pytest.approx(p.gamma_eps)
 
@@ -503,7 +520,7 @@ def test_excitation_sectors(name, g0, eps, n_th, gamma, cutoff):
         assert len(set(gap[basis[:, s].tocoo().row])) == 1
         assert set(gap[inverse[s].tocoo().col]) == set(gap[basis[:, s].tocoo().row])
     assert not gap[basis[:, sectors[0]].tocoo().row].any()
-    assert sectors[0].stop - sectors[0].start == models.zero_sector_dim(me.dim, n, me.swap)
+    assert [s.stop - s.start for s in sectors] == counted_sector_sizes(me.dim, n, me.swap)
 
 
 @pytest.mark.parametrize("name", sorted(PARAMETRIC_BUILDERS))
@@ -538,7 +555,7 @@ def test_sector_spectra_make_up_the_full_spectrum(name, g0, eps, n_th, gamma, cu
     h = vec(random_hermitian(me.dim, np.random.default_rng(cutoff)))
     for s in sectors:
         assert not (inverse[s] @ h).imag.any()
-    assert first.stop - first.start == models.zero_sector_dim(me.dim, me.excitations, me.swap)
+    assert [s.stop - s.start for s in sectors] == counted_sector_sizes(me.dim, me.excitations, me.swap)
     # the sectors tile G, which stores no entry linking two of them, and
     # B G F T acts on Hermitian matrices as the CSR generator
     assert [s.start for s in sectors[1:]] == [s.stop for s in sectors[:-1]]
@@ -588,8 +605,8 @@ def test_a_broken_swap_is_refused():
     )
     assert len(vectorize(replace(me, dissipators=both), materialize=False).sectors()) > 1
     # a Hamiltonian that couples atom 1 only
-    a = annihilation(space).matrix
-    plus, minus = single_atom(space, "plus", 1).matrix, single_atom(space, "minus", 1).matrix
+    a = annihilation(space).matrix.toarray()
+    plus, minus = single_atom(space, "plus", 1).matrix.toarray(), single_atom(space, "minus", 1).matrix.toarray()
     h = 0.2 * (a @ plus + a.conj().T @ minus)
     with pytest.raises(ValueError, match="Hamiltonian .* breaks its stated swap"):
         replace(me, hamiltonian=LabeledOperator("H_1", h))
@@ -603,7 +620,7 @@ def test_a_broken_swap_is_refused():
         replace(displaced, dissipators=uneven)
     # a cross-term pair on atom 1 alone, without its swapped partner
     rwa = build_rwa_displaced(space, ModelParams(g0=0.25, eps=100.0))
-    left = single_atom(space, "z", 1).matrix @ a.conj().T
+    left = single_atom(space, "z", 1).matrix.toarray() @ a.conj().T
     pair = (models.CrossTerm(left, a, -0.01), models.CrossTerm(a, left, -0.01))
     with pytest.raises(ValueError, match="cross term 2 .* breaks its stated swap"):
         replace(rwa, cross_terms=rwa.cross_terms + pair)
@@ -616,12 +633,16 @@ def test_a_swap_that_moves_the_excitation_numbers_is_refused():
 
 
 def test_zero_sector_dim_of_the_lab_frame():
+    # the first sector's size in closed form, without listing a coordinate
+    def first(space, swap):
+        (s, *_) = models.HermitianSectors(space.dim, excitation_number(space), swap).slices
+        return s.stop - s.start
+
     for cutoff in (2, 5, 40, 508):
         space = make_space(cutoff)
-        n = excitation_number(space)
-        assert models.zero_sector_dim(space.dim, n, None) == 16 * cutoff - 12
+        assert first(space, None) == 16 * cutoff - 12
         # the atom swap halves it, up to the states it fixes (gg and ee)
-        assert models.zero_sector_dim(space.dim, n, atom_swap(space)) == 10 * cutoff - 8
+        assert first(space, atom_swap(space)) == 10 * cutoff - 8
 
 
 @pytest.mark.parametrize("name,factory", BUILDERS, ids=[b[0] for b in BUILDERS])
@@ -629,7 +650,7 @@ def test_zero_sector_dim_without_statements(name, factory):
     # with neither symmetry stated the one sector is all of vec(rho)
     me = replace(factory(), excitations=None, swap=None, balance=None)
     (whole,) = Superoperator(me).sectors()
-    assert models.zero_sector_dim(me.dim, None, None) == whole.stop - whole.start == me.dim**2
+    assert models.HermitianSectors(me.dim, None, None).slices == [whole] == [slice(0, me.dim**2)]
 
 
 def test_a_wrongly_stated_label_is_refused():
@@ -644,7 +665,7 @@ def test_a_wrongly_stated_label_is_refused():
     with pytest.raises(ValueError, match="jump S_x .* N-eigenoperator"):
         replace(me, dissipators=me.dissipators + ((collective_spin(space, "x"), 0.1),))
     # a cross term whose operators shift N by different amounts
-    a = annihilation(space).matrix
+    a = annihilation(space).matrix.toarray()
     pair = (models.CrossTerm(a, a @ a, -0.01), models.CrossTerm(a @ a, a, -0.01))
     with pytest.raises(ValueError, match="cross term 0 .* N-eigenoperator"):
         replace(me, cross_terms=pair)
@@ -662,16 +683,24 @@ def test_sectors_do_not_assemble_the_liouvillian(name):
 def _leaky_assembly(monkeypatch, me: MasterEquation, entries: list[tuple[int, int]]) -> None:
     """Add ||L||_1 / 10 of ``me`` to every L that ``models._build_liouvillian``
     assembles at each (row, column) of vec(rho) positions it covers: all of
-    them for the whole L, those in the rows or the columns ``at`` otherwise."""
+    them for the whole L, those in the rows or the columns ``at`` otherwise,
+    where L is indexed by the positions it reaches, to which theirs are added."""
     value = Superoperator(me).norm_estimate() / 10.0
     build = models._build_liouvillian
     rows, cols = (np.array(v) for v in zip(*entries))
 
     def leaky(me, at=None):
-        lv = build(me, at)
+        lv, reach = build(me, at)
         held = np.ones(rows.size, dtype=bool) if at is None else np.isin(rows, at) | np.isin(cols, at)
-        extra = sp.csr_matrix((np.full(held.sum(), value), (rows[held], cols[held])), shape=lv.shape)
-        return (lv + extra).tocsr()
+        r, c = rows[held], cols[held]
+        if reach is not None:
+            wider = np.union1d(reach, np.concatenate((r, c)))
+            lv = lv.tocoo()
+            moved = (np.searchsorted(wider, reach[lv.row]), np.searchsorted(wider, reach[lv.col]))
+            lv = sp.csr_matrix((lv.data, moved), shape=(wider.size,) * 2)
+            r, c, reach = np.searchsorted(wider, r), np.searchsorted(wider, c), wider
+        extra = sp.csr_matrix((np.full(r.size, value), (r, c)), shape=lv.shape)
+        return (lv + extra).tocsr(), reach
 
     monkeypatch.setattr(models, "_build_liouvillian", leaky)
 
@@ -850,25 +879,36 @@ def test_a_certified_gap_builds_nothing_of_the_whole_space(monkeypatch):
     # sectors
     from atomcavity import dynamics as dyn, observables
 
-    composed, assembled = [], []
-    maps, build = models.HermitianSectors.maps, models._build_liouvillian
+    composed, assembled, listed = [], [], []
+    maps, coordinates = models.HermitianSectors.maps, models.HermitianSectors._coordinates
+    build = models._build_liouvillian
 
     def recording_maps(self, s=None):
-        composed.append(slice(0, self.first.size) if s is None else s)
+        composed.append(slice(0, self.size) if s is None else s)
         return maps(self, s)
 
     def recording_build(me, at=None):
         assembled.append(at)
         return build(me, at)
 
+    def recording_coordinates(self, g, parity):
+        listed.append(self.slices[self._keys.index((g, parity))])
+        return coordinates(self, g, parity)
+
     monkeypatch.setattr(models.HermitianSectors, "maps", recording_maps)
     monkeypatch.setattr(models, "_build_liouvillian", recording_build)
+    monkeypatch.setattr(models.HermitianSectors, "_coordinates", recording_coordinates)
     sup = Superoperator(build_full(make_space(32), ModelParams(g0=0.3, n_th=0.5)))
     rep = spectra.analyze(sup, k=16)
     assert rep.solver == "certified-shift-invert" and rep.dim < sup.dim
     assert sup._sparse is None
     assert composed and all(s.stop - s.start <= rep.dim for s in composed)
     assert assembled and all(at is not None and at.size <= rep.dim for at in assembled)
+    # the index lists the coordinates of the sectors asked for alone, and
+    # holds no array longer than the basis
+    assert listed and all(s.stop <= rep.dim for s in listed)
+    held = [v for v in vars(sup.sector_index()).values() if isinstance(v, np.ndarray)]
+    assert held and all(v.size <= sup.me.dim for v in held)
     space = make_space(8)
     sup = Superoperator(build_full(space, ModelParams(g0=0.1, n_th=1.0)))
     composed.clear()
@@ -876,6 +916,23 @@ def test_a_certified_gap_builds_nothing_of_the_whole_space(monkeypatch):
     gaps = dict(zip([(t.start, t.stop) for t in sup.sectors()], sup.sector_index().gaps))
     zero = [t for t in sup.sectors() if gaps[t.start, t.stop] == 0]
     assert composed and all(zero[0].start <= s.start < s.stop <= zero[-1].stop for s in composed)
+
+
+def test_a_certified_gap_at_cutoff_128_holds_little_memory():
+    # the model's sparse operators, their statement checks, the sectors'
+    # sizes in closed form and the |d| <= 2 solve (10128 of the 262144
+    # coordinates) trace about 9 MB; dense operators and their checks, or a
+    # list of every coordinate of vec(rho), take the peak to about 50 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rep = spectra.analyze(Superoperator(build_full(make_space(128), ModelParams(g0=0.1, n_th=4.0))), k=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.solver, rep.dim) == ("certified-shift-invert", 10128)
+    assert peak < 24e6
 
 
 @pytest.mark.parametrize("direction", ["into", "out of"])
