@@ -27,6 +27,7 @@ from scipy.sparse.csgraph import connected_components
 
 from . import spectra
 from .errors import (
+    DimensionLimitError,
     FitWindowError,
     KernelAmbiguityError,
     NumericalAccuracyError,
@@ -35,7 +36,7 @@ from .errors import (
     TruncationLimitError,
     UnsupportedRegimeError,
 )
-from .linalg import eig_general
+from .linalg import DENSE_CAP, eig_general
 from .models import MasterEquation, ModelParams, Superoperator, restrict, unvec, vec
 from .operators import SystemSpace, atomic_space, make_space, singlet_projector
 
@@ -314,7 +315,9 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     matrix.  The motion is real and B maps real y to Hermitian matrices
     exactly, so every sample is Hermitian exactly; rho0 enters as its
     Hermitian part, rho0 itself for a Hermitian rho0.  Every sample is
-    checked against ``EVOLUTION_INVARIANT_TOL``.
+    checked against ``EVOLUTION_INVARIANT_TOL``.  An occupied sector above
+    ``linalg.DENSE_CAP`` coordinates is refused (``DimensionLimitError``)
+    before its block is formed.
 
     The kernel lies in the first sector, and so must the stated charges
     (``stated_kernel`` raises otherwise).  The solver's slowest
@@ -342,6 +345,11 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
         first = s.start == 0
         if not (first or y0.any()):
             continue  # an empty sector stays empty
+        if s.stop - s.start > DENSE_CAP:
+            raise DimensionLimitError(
+                f"sector {s} of dimension {s.stop - s.start} exceeds the dense cap {DENSE_CAP} "
+                "of spectral evolution"
+            )
         g, scale = sup.generator(s)
         w, v, kernel = _real_modes(g.toarray(), 1 + len(sup.me.conserved) if first else 0)
         if first:

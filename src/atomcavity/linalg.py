@@ -1,15 +1,16 @@
 """Dense linear-algebra kernel.
 
-Everything the physics layers consume: Kronecker products and general
-eigendecompositions with residual checks (real input stays real, so LAPACK
-runs ``dgeev`` and returns exact conjugate pairs).  ``integrate_ode``, stiff
-(BDF) integration of linear ODEs, has no caller in the package, whose one
-evolution path is ``dynamics.evolve_spectral``; it stays only because the
-benchmark's tracer (``bench/tracing.py``) binds it by name and patches the
-LU that SciPy's BDF factorizes with.  SciPy's integrator is imported on its
-first call: it pulls in ``scipy.optimize``, ``scipy.fft`` and
-``scipy.spatial``, which no other path needs.  All functions are pure and
-all returned arrays are freshly allocated.
+Everything the physics layers consume: general eigendecompositions with
+residual checks (real input stays real, so LAPACK runs ``dgeev`` and
+returns exact conjugate pairs), refused above ``DENSE_CAP``, the package's
+one dense-size limit.  ``integrate_ode``, stiff (BDF) integration of
+linear ODEs, has no caller in the package, whose one evolution path is
+``dynamics.evolve_spectral``; it stays only because the benchmark's tracer
+(``bench/tracing.py``) binds it by name and patches the LU that SciPy's
+BDF factorizes with.  SciPy's integrator is imported on its first call: it
+pulls in ``scipy.optimize``, ``scipy.fft`` and ``scipy.spatial``, which no
+other path needs.  All functions are pure and all returned arrays are
+freshly allocated.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ from .errors import (
 #: largest matrix dimension that is handled densely: dense superoperator
 #: copies, dense eigendecompositions and the dense path of spectrum analysis
 DENSE_CAP = 4096
-
-#: per-axis entry cap for Kronecker products
-KRON_AXIS_CAP = 1_000_000
 
 #: eigenpair residual bound, relative to ||A||_F * ||v||
 EIG_RESIDUAL_TOL = 1e-9
@@ -76,19 +74,6 @@ def _as_square(m: np.ndarray, who: str) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{who} requires a square matrix, got shape {a.shape}")
     return a
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a guard against runaway dimensions."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > KRON_AXIS_CAP or cols > KRON_AXIS_CAP:
-        raise DimensionLimitError(
-            f"kron result would be {rows}x{cols}, exceeding the per-axis cap {KRON_AXIS_CAP}"
-        )
-    return np.kron(a, b)
 
 
 def condition_estimate(v: np.ndarray) -> float:

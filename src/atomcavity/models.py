@@ -384,14 +384,17 @@ class Superoperator:
         columns of L it was formed from, never above ||L||_1.  Only L's rows
         and columns at the positions of ``s`` are assembled (all of L when
         ``s`` is all of G), indexed by the positions they reach
-        (``_build_liouvillian``), and the maps of the sectors those reach are
-        composed and read on the same positions (``restrict``).
+        (``_build_liouvillian``), and the maps of the one range t of sectors
+        those reach (``HermitianSectors.span``; t = s for all of G) are
+        composed once and read on the same positions (``restrict``): every
+        row block is formed against B[:, t].
 
         Refused when an entry in the rows or columns of ``s``, in G's
         coordinates, has an imaginary part above ``DENSE_IMAG_TOL`` times the
         scale (L breaks Hermiticity) or links two sectors above
-        ``SECTOR_LEAK_TOL`` times it.  The columns' check forms L B[:, s], so
-        a caller reading most of G reads all of it."""
+        ``SECTOR_LEAK_TOL`` times it.  The columns' check forms L B[:, s] and
+        only the rows of (F T)[t] L B[:, s] before and after ``s``, so it
+        costs the sectors t adds around ``s``, not G[s, s] again."""
         index = self.sector_index()
         stops = np.array([t.stop for t in index.slices])
         s = slice(0, self.dim) if s is None else s
@@ -403,33 +406,22 @@ class Superoperator:
         lv, reach = _build_liouvillian(self.me, at)
         sums = _column_sums(lv)
         norm = float((sums if at is None else sums[np.searchsorted(reach, at)]).max())
+        t = s if at is None else index.span(s, reach)  # every sector that L's rows and columns of s reach
         basis, inverse = restrict(basis, reach), restrict(inverse, reach)
-
-        def position(k: np.ndarray) -> np.ndarray:  # the vec(rho) positions of indices of lv
-            return k if reach is None else reach[k]
-
+        right, left = (basis, inverse) if t == s else (restrict(m, reach) for m in index.maps(t))
         imag = leak = 0.0
-        reached = {}  # the maps of the ranges of sectors past s that the columns reach
-        if n < self.dim:  # every entry of (F T) L B[:, s] outside the rows of s links two sectors
+        if t != s:  # every entry of (F T)[t] L B[:, s] outside the rows of s links two sectors
             y = lv @ basis
-            t = index.span(s, position(np.flatnonzero(np.diff(y.indptr))))  # every sector y's rows lie in
-            if t != s:  # otherwise every entry lies in the rows of s, checked below
-                reached[t.start, t.stop] = index.maps(t)
-                f = restrict(reached[t.start, t.stop][1], reach) @ y
-                f.data[f.indptr[s.start - t.start] : f.indptr[s.stop - t.start]] = 0.0  # the rows of s
-                imag, leak = float(abs(f.data.imag).max(initial=0.0)), float(abs(f.data).max(initial=0.0))
-                del f
-            del y
-        right = {(s.start, s.stop): basis.tocsr()}  # B of each range of sectors the rows reach, by rows
-        del basis
+            for rows in (left[: s.start - t.start], left[s.stop - t.start :]):
+                f = rows @ y
+                imag = max(imag, float(abs(f.data.imag).max(initial=0.0)))
+                leak = max(leak, float(abs(f.data).max(initial=0.0)))
+            del y, f
+        del basis, left
+        right = right.tocsr()  # B[:, t], by rows
         blocks = []
         for lo in range(0, n, GENERATOR_ROW_BLOCK):
-            x = inverse[lo : lo + GENERATOR_ROW_BLOCK] @ lv
-            t = index.span(s, position(x.indices))  # every sector that x's positions lie in
-            if (t.start, t.stop) not in right:
-                far = (reached.get((t.start, t.stop)) or index.maps(t))[0]
-                right[t.start, t.stop] = restrict(far, reach).tocsr()
-            g = x @ right[t.start, t.stop]
+            g = inverse[lo : lo + GENERATOR_ROW_BLOCK] @ lv @ right
             imag = max(imag, float(abs(g.data.imag).max(initial=0.0)))
             first = s.start + lo
             sector = np.searchsorted(stops, np.arange(first, first + g.shape[0]), "right")  # of each row
@@ -718,7 +710,7 @@ class HermitianSectors:
 
     def span(self, s: slice, positions: np.ndarray) -> slice:
         """The range of sectors from ``s`` out to every sector ``holding`` one of ``positions``."""
-        held = self.holding(positions) if s.stop - s.start < self.size else []
+        held = self.holding(positions)
         return slice(min([s.start] + [t.start for t in held]), max([s.stop] + [t.stop for t in held]))
 
 

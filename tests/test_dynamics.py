@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from atomcavity import ModelParams, atomic_space, dynamics as dyn, linalg, make_space, models, spectra
 from atomcavity import observables as obs
 from atomcavity.errors import (
+    DimensionLimitError,
     FitWindowError,
     KernelAmbiguityError,
     NumericalAccuracyError,
@@ -311,6 +312,22 @@ class TestEvolveSpectral:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 1.0, bad]))
         assert sup._sparse is None  # L was never assembled
+
+    def test_an_oversized_sector_is_refused_before_its_block_is_formed(self, monkeypatch):
+        # the driven model states no excitation numbers, so its even parity
+        # holds (D^2 + f^2) / 2 = 4410 coordinates at cutoff 21 (D = 84, and
+        # the swap fixes f = 42 states); its dense block alone would be 156 MB
+        space = make_space(21)
+        sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.1, eps=1.0)))
+        assert sup.sectors()[0] == slice(0, 4410) and linalg.DENSE_CAP == 4096
+
+        def unreachable(*args):
+            raise AssertionError("a block above the dense cap was formed")
+
+        monkeypatch.setattr(sup, "generator", unreachable)
+        monkeypatch.setattr(dyn, "eig_general", unreachable)
+        with pytest.raises(DimensionLimitError, match="dimension 4410 exceeds the dense cap 4096"):
+            dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 1.0]))
 
 
 class TestEvolveDispatch:

@@ -10,40 +10,7 @@ from atomcavity.errors import (
     ShapeError,
     StiffnessError,
 )
-from atomcavity.operators import SIGMA_X, SIGMA_Z
-
-I2 = np.eye(2, dtype=complex)
-
-
-class TestKron:
-    def test_identity_case(self):
-        assert_allclose(linalg.kron(I2, I2), np.eye(4))
-
-    def test_sigma_z_embedding(self):
-        assert_allclose(np.diag(linalg.kron(SIGMA_Z, I2)), [1, 1, -1, -1])
-
-    def test_annihilation_pattern(self):
-        # a on a 3-level Fock factor applied to e2 (x) e0 lowers to sqrt(2) e1 (x) e0
-        a3 = np.diag(np.sqrt([1.0, 2.0]), k=1).astype(complex)
-        full = linalg.kron(a3, I2)
-        vin = np.kron(np.array([0, 0, 1.0]), np.array([1.0, 0]))
-        vout = full @ vin
-        expected = np.sqrt(2.0) * np.kron(np.array([0, 1.0, 0]), np.array([1.0, 0]))
-        assert_allclose(vout, expected)
-
-    def test_associativity(self, rng):
-        # integer-valued entries so the pairwise float products are exact
-        a = rng.integers(-4, 5, (2, 3)).astype(float)
-        b = rng.integers(-4, 5, (3, 2)).astype(float)
-        c = rng.integers(-4, 5, (2, 2)).astype(float)
-        left = linalg.kron(linalg.kron(a, b), c)
-        right = linalg.kron(a, linalg.kron(b, c))
-        assert np.array_equal(left, right)
-
-    def test_dimension_cap(self):
-        big = np.ones((1200, 1200))
-        with pytest.raises(DimensionLimitError):
-            linalg.kron(big, big)
+from atomcavity.operators import SIGMA_X
 
 
 class TestEigGeneral:

@@ -736,6 +736,20 @@ def test_the_generator_refuses_sector_leaks(monkeypatch):
         assert sup.generator()[0].nnz == np.count_nonzero(raw.data[~cross])
 
 
+def test_a_one_way_leak_into_the_sectors_before_a_range_is_refused(monkeypatch):
+    # rho_00 (|gg,0>, the first sector) fed by Re rho_0j and its transposed
+    # partner, N_j = 1, with nothing flowing back: the entries lie in the
+    # columns of a range that starts after the first sector and in rows
+    # before it, which only the columns' check reads
+    me = build_full(make_space(3), ModelParams(g0=0.2, n_th=0.5, gamma=0.1))
+    d = me.dim  # vec(rho) holds rho_ij at i + d j
+    j = int(np.flatnonzero(me.excitations == 1)[0])
+    sup = Superoperator(me)
+    _leaky_assembly(monkeypatch, me, [(0, d * j), (0, j)])
+    with pytest.raises(NumericalAccuracyError, match="links two of its sectors"):
+        sup.generator(slice(sup.sectors()[0].stop, sup.dim))
+
+
 def _whole_product_block(sup: Superoperator, s: slice) -> sp.csr_matrix:
     """G[s, s] from one whole product inverse @ L @ basis: its real part,
     without the entries that link two sectors and without zeros."""
