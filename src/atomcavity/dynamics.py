@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .linalg import DENSE_CAP, eig_general
-from .models import MasterEquation, ModelParams, Superoperator, restrict, unvec, vec
+from .models import MasterEquation, ModelParams, Superoperator, restrict, unvec
 from .operators import SystemSpace, atomic_space, make_space, singlet_projector
 
 #: default slacks for density-matrix invariants at construction time
@@ -337,7 +337,12 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     if not np.all(np.isfinite(t) & (t >= 0.0)):
         raise ValueError(f"every time must be finite and nonnegative, not {t.min()!r} .. {t.max()!r}")
     m = rho0.matrix
-    v0 = vec((m + m.conj().T) / 2.0)
+    d = m.shape[0]
+    rows, cols = np.nonzero(m)
+    at = np.union1d(rows + cols * d, cols + rows * d)  # vec positions of the nonzeros and their transposes
+    j, i = np.divmod(at, d)
+    v0 = np.zeros(d * d, dtype=complex)  # vec of the Hermitian part (m + m^H) / 2
+    v0[at] = (m[i, j] + m[j, i].conj()) / 2.0
     motions = []
     for s in sup.sector_index().holding(np.flatnonzero(v0)):
         lift, inverse = sup.maps(s)

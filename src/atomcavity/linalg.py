@@ -16,6 +16,7 @@ freshly allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -53,17 +54,28 @@ class EigenDecomposition:
     conjugate eigenvectors.  ``basis`` is the matrix V of eigenvectors, one
     per column in the order of ``eigenvalues``, for a complex matrix, and
     its real form (``real_eigenbasis``) for a real one.
-    ``condition_estimate`` is the exact 2-norm condition number of V; values
-    above ``NEAR_DEFECTIVE_COND`` mark the matrix as too close to defective
-    for V-based reconstruction.
+    ``condition_bound`` is an upper bound on the 2-norm condition number of
+    V from its computed inverse (``inf`` when the inverse does not give
+    one, see ``eig_general``); ``condition_estimate``, the exact value from
+    the singular values of V, is computed only when read.  ``near_defective``
+    (condition number above ``NEAR_DEFECTIVE_COND``: too close to defective
+    for V-based reconstruction) is False when the bound clears that limit
+    and reads the exact value otherwise, so it is always the decision the
+    exact value makes.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
-    condition_estimate: float
+    condition_bound: float
+
+    @cached_property
+    def condition_estimate(self) -> float:
+        return condition_estimate(self.basis)
 
     @property
     def near_defective(self) -> bool:
+        if self.condition_bound <= NEAR_DEFECTIVE_COND:
+            return False
         return not np.isfinite(self.condition_estimate) or (
             self.condition_estimate > NEAR_DEFECTIVE_COND
         )
@@ -105,17 +117,43 @@ def real_eigenbasis(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _condition_bound(b: np.ndarray, buffer: np.ndarray) -> float:
+    """Upper bound on the 2-norm condition number of ``b`` from its computed
+    inverse X, with the residual E = B X - I formed in ``buffer``.
+
+    B^-1 = X (I + E)^-1, so when r = ||E||_F < 1, kappa_2(B) <= ||B||_F
+    ||X||_F / (1 - r) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 14).  The bound is taken only for r <= 1/2,
+    far above the GEMM's own rounding of E (n u ||B||_F ||X||_F < 5e-5 for
+    n <= ``DENSE_CAP`` and a bound up to ``NEAR_DEFECTIVE_COND``), and is
+    ``inf`` otherwise, for a singular ``b`` and whenever a norm is not
+    finite: the overflow a nearly singular basis gives is expected here.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            x = np.linalg.inv(b)
+        except np.linalg.LinAlgError:
+            return np.inf
+        e = np.matmul(b, x, out=buffer)
+        e.flat[:: e.shape[0] + 1] -= 1.0
+        r = np.linalg.norm(e)
+        bound = np.linalg.norm(b) * np.linalg.norm(x) / (1.0 - r)
+    return float(bound) if r <= 0.5 and np.isfinite(bound) else np.inf
+
+
 def eig_general(m: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition of a general real or complex matrix.
 
     A real matrix is decomposed in real arithmetic (``dgeev``), and the
-    residuals and the condition number are taken from the real form B of V
+    residuals and the condition bound are taken from the real form B of V
     (``real_eigenbasis``), with real products only: for a pair w = a +- ib
     with B columns x, y (sqrt(2) Re v, sqrt(2) Im v), A v - w v is
     (A x - a x + b y + i (A y - b x - a y)) / sqrt(2).  Postconditions:
     per-pair residuals ``||A v - w v|| <= EIG_RESIDUAL_TOL * ||A||_F *
-    ||v||`` (raises ``NumericalAccuracyError`` otherwise) and a populated
-    condition estimate of the eigenvector matrix.
+    ||v||`` (raises ``NumericalAccuracyError`` otherwise) and the condition
+    bound of the eigenvector matrix from its inverse (``_condition_bound``,
+    in the residual product's buffer), so no SVD is taken unless the bound
+    fails to clear ``NEAR_DEFECTIVE_COND``.
     """
     a = _as_square(m, "eig_general")
     n = a.shape[0]
@@ -131,10 +169,13 @@ def eig_general(m: np.ndarray) -> EigenDecomposition:
         ) from exc
     if np.iscomplexobj(a):
         basis = v
-        residuals = np.linalg.norm(a @ v - v * w, axis=0)
+        r = a @ v
+        r -= v * w
+        residuals = np.linalg.norm(r, axis=0)
         norms = np.linalg.norm(v, axis=0)
     else:
         basis = real_eigenbasis(w, v)
+        del v  # the complex eigenvectors, twice B's size
         upper = np.flatnonzero(w.imag > 0.0)
         r = a @ basis
         r -= basis * w.real
@@ -154,7 +195,7 @@ def eig_general(m: np.ndarray) -> EigenDecomposition:
                 f"||A v - w v|| = {residuals[worst]:.3e} for eigenvalue "
                 f"{w[worst]:.6g} exceeds {bound[worst]:.3e}"
             )
-    return EigenDecomposition(w, basis, condition_estimate(basis))
+    return EigenDecomposition(w, basis, _condition_bound(basis, r))
 
 
 def integrate_ode(

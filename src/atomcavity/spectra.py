@@ -80,7 +80,10 @@ class SpectrumReport:
     only sees the slow end of the spectrum.  ``analyze`` records the solver
     behind the report, the dimension of the generator it solved and, when
     sectors were left out of a targeted solve or the gap failed to clear
-    their bound, the least rate bound of those sectors.
+    their bound, the least rate bound of those sectors.  A dense report's
+    ``condition_estimate`` is the largest over the sectors of each one's
+    eigenbasis condition bound (``linalg.EigenDecomposition.condition_bound``),
+    the exact 2-norm value for a near-defective sector; NaN otherwise.
     """
 
     eigenvalues: np.ndarray
@@ -141,20 +144,31 @@ class SplittingDiagnostic:
 
 
 def _cluster_complex(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Greedy clustering of complex values with absolute tolerance ``tol``."""
+    """Greedy clustering of complex values with absolute tolerance ``tol``.
+
+    Values are taken in order of real part, each joining the first group,
+    in creation order, whose representative (the mean of its members) lies
+    within ``tol``.  A representative is a mean of values taken earlier, so
+    once it lies more than ``tol`` left of the current value, that group can
+    take no later value either: it is closed and no longer scanned.  Groups
+    close at 2 ``tol``, so that rounding in the test cannot close one that
+    would still match.
+    """
     order = np.lexsort((values.imag, values.real))
     groups: list[list[int]] = []
     reps: list[complex] = []
+    scanned: list[int] = []  # the groups still open, in creation order
     for idx in order:
         z = values[idx]
-        placed = False
-        for g, rep in enumerate(reps):
-            if abs(z - rep) <= tol:
+        edge = z.real - 2.0 * tol
+        scanned = [g for g in scanned if not reps[g].real < edge]
+        for g in scanned:
+            if abs(z - reps[g]) <= tol:
                 groups[g].append(int(idx))
                 reps[g] = np.mean(values[groups[g]])
-                placed = True
                 break
-        if not placed:
+        else:
+            scanned.append(len(groups))
             groups.append([int(idx)])
             reps.append(z)
     return groups
@@ -165,16 +179,16 @@ def analyze(sup: Superoperator, k: int | None = None) -> SpectrumReport:
 
     Dense full diagonalization when ``k`` is None, one sector of
     ``sup.sectors()`` at a time: the report classifies the union of the
-    sector spectra and carries the worst sector's condition number and
-    near-defective flag.  Otherwise a targeted shift-invert solve for the
-    ``k`` eigenvalues nearest a small positive real shift (never an
-    eigenvalue of a Lindblad generator), yielding a partial report of the
-    slow end of the spectrum: of the sectors whose rate bound is 0 when the
-    model states a detailed-balance weight and the gap lies strictly below
-    the least bound of the sectors left out (``certified-shift-invert``),
-    of all of G otherwise (``shift-invert``, or ``shift-invert-fallback``
-    when a gap failed to clear the bound).  The kernel is the one the model
-    states, 1 + len(``conserved``) zero modes.
+    sector spectra and carries the worst sector's condition bound (see
+    ``SpectrumReport``) and near-defective flag.  Otherwise a targeted
+    shift-invert solve for the ``k`` eigenvalues nearest a small positive
+    real shift (never an eigenvalue of a Lindblad generator), yielding a
+    partial report of the slow end of the spectrum: of the sectors whose
+    rate bound is 0 when the model states a detailed-balance weight and the
+    gap lies strictly below the least bound of the sectors left out
+    (``certified-shift-invert``), of all of G otherwise (``shift-invert``,
+    or ``shift-invert-fallback`` when a gap failed to clear the bound).  The
+    kernel is the one the model states, 1 + len(``conserved``) zero modes.
     """
     kernel_dim = 1 + len(sup.me.conserved)
     if k is not None:
@@ -183,7 +197,7 @@ def analyze(sup: Superoperator, k: int | None = None) -> SpectrumReport:
     for s in sup.sectors():
         decomp = eig_general(sup.as_dense(s))
         parts.append(decomp.eigenvalues)
-        conditions.append(decomp.condition_estimate)
+        conditions.append(decomp.condition_estimate if decomp.near_defective else decomp.condition_bound)
         defective = defective or decomp.near_defective
     report = classify(
         np.concatenate(parts),

@@ -110,6 +110,21 @@ class TestEvolveSpectral:
                 traj = dyn.evolve_spectral(sup, rho0, np.array([0.0, 1.0]))
                 assert np.array_equal(traj.states[0].matrix, rho0.matrix)
 
+    def test_rho0_enters_as_its_hermitian_part_bit_for_bit(self):
+        # v0 is formed at rho0's nonzero entries and their transposes alone:
+        # an entry within HERM_TOL of Hermitian whose transpose is 0 enters
+        # halved at both positions, as in vec((m + m^H) / 2)
+        space = make_space(3)
+        m = np.zeros((space.dim, space.dim), dtype=complex)
+        m[0, 0], m[5, 5] = 0.6, 0.4
+        m[0, 5], m[5, 0] = 0.1 + 0.2j, 0.1 - 0.2j
+        m[0, 1] = 3e-11 + 1e-11j
+        assert m[1, 0] == 0.0
+        rho0 = dyn.DensityMatrix.from_matrix(m, space)
+        sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.1, n_th=1.0, gamma=1e-3)))
+        traj = dyn.evolve_spectral(sup, rho0, np.array([0.0, 1.0]))
+        assert traj.states[0].matrix.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+
     def test_samples_are_hermitian_exactly(self, rng):
         # each sample is read back from real Hermitian coordinates
         for me in (

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from atomcavity import linalg
+from atomcavity import ModelParams, dynamics, linalg, make_space, models, observables, spectra
 from atomcavity.errors import (
     DimensionLimitError,
     NumericalAccuracyError,
@@ -79,6 +81,87 @@ class TestEigGeneral:
         jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
         dec = linalg.eig_general(jordan)
         assert dec.near_defective
+
+
+def _with_condition(kappa: float, complex_: bool, n: int = 8) -> np.ndarray:
+    """A matrix with eigenvalues 1..n whose eigenvector basis has condition
+    number about ``kappa``: columns 0 and 1 are e0 and e0 + (2 / kappa) e1."""
+    b = np.eye(n, dtype=complex if complex_ else float)
+    b[1, 1] = 2.0 / kappa
+    b[0, 1] = 1.0
+    if complex_:
+        b[2:, 2:] += 0.1j
+    return b @ np.diag(np.arange(1.0, n + 1.0)) @ np.linalg.inv(b)
+
+
+class TestConditionBound:
+    """``condition_bound`` is an upper bound on the exact 2-norm condition
+    number, and ``near_defective`` decides as the exact value does."""
+
+    @pytest.mark.parametrize("n", [2, 7, 40, 120])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_bounds_the_exact_condition_of_random_matrices(self, rng, n, complex_):
+        m = rng.standard_normal((n, n))
+        if complex_:
+            m = m + 1j * rng.standard_normal((n, n))
+        dec = linalg.eig_general(m)
+        assert dec.condition_estimate <= dec.condition_bound < np.inf
+        assert not dec.near_defective
+
+    @pytest.mark.parametrize(
+        "build, params",
+        [
+            (models.build_coherent_displaced, ModelParams(g0=0.25, eps=10.0)),
+            (models.build_coherent_displaced, ModelParams(g0=0.25, eps=1000.0, gamma=1e-3)),
+            (models.build_full, ModelParams(g0=0.1, n_th=2.0)),
+            (models.build_full, ModelParams(g0=0.1, n_th=2.0, gamma=1e-3)),
+        ],
+    )
+    def test_bounds_the_exact_condition_of_model_sectors(self, build, params):
+        sup = models.Superoperator(build(make_space(5), params))
+        for s in sup.sectors():
+            dec = linalg.eig_general(sup.as_dense(s))
+            assert dec.condition_estimate <= dec.condition_bound <= linalg.NEAR_DEFECTIVE_COND
+
+    @pytest.mark.parametrize("kappa", [1e6, 1e7, 1e9, 1e12])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_near_defective_is_the_exact_decision(self, monkeypatch, kappa, complex_):
+        exact = []
+        svd = linalg.condition_estimate
+        monkeypatch.setattr(linalg, "condition_estimate", lambda b: exact.append(svd(b)) or exact[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = linalg.eig_general(_with_condition(kappa, complex_))
+            flagged = dec.near_defective
+        truth = svd(dec.basis) > linalg.NEAR_DEFECTIVE_COND
+        assert flagged == truth == (kappa > linalg.NEAR_DEFECTIVE_COND)
+        # the SVD is taken only when the bound does not clear the limit
+        assert bool(exact) == (dec.condition_bound > linalg.NEAR_DEFECTIVE_COND)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_jordan_block_falls_back_to_the_svd(self, dtype):
+        jordan = np.diag(np.ones(5), 1).astype(dtype) + 2.0 * np.eye(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = linalg.eig_general(jordan)
+            assert dec.condition_bound > linalg.NEAR_DEFECTIVE_COND
+            assert dec.near_defective
+
+    def test_no_svd_on_well_conditioned_sectors(self, monkeypatch):
+        """The coherent MI curve and a dense spectrum of the displaced model
+        run with the exact condition number out of reach."""
+
+        def unreachable(_b):
+            raise AssertionError("condition_estimate called on a well-conditioned basis")
+
+        monkeypatch.setattr(linalg, "condition_estimate", unreachable)
+        space = make_space(8)  # the coherent MI curve's auto cutoff at g0 = 1/4
+        sup = models.Superoperator(models.build_coherent_displaced(space, ModelParams(g0=0.25, eps=100.0)))
+        mi = observables.mi_curve(sup, dynamics.ground_state(space), np.array([0.0, 10.0, 100.0]))
+        assert np.all(np.isfinite(mi))
+        rep = spectra.analyze(sup)
+        assert not rep.near_defective
+        assert 1.0 <= rep.condition_estimate <= linalg.NEAR_DEFECTIVE_COND
 
 
 MINUS_ONE = sp.csr_matrix(-np.eye(1))

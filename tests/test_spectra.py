@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
@@ -76,6 +76,50 @@ class TestAnalyze:
         p = ModelParams(g0=0.1, n_th=1e-10)
         rep = spectra.analyze(vectorize(models.build_full(space, p)))
         assert rep.gap == pytest.approx(spectra.gap_incoherent(p), rel=2e-2)
+
+
+def _cluster_reference(values: np.ndarray, tol: float) -> list[list[int]]:
+    """Greedy clustering that scans every group for every value, closed or
+    not: the reference ``spectra._cluster_complex`` must reproduce."""
+    order = np.lexsort((values.imag, values.real))
+    groups: list[list[int]] = []
+    reps: list[complex] = []
+    for idx in order:
+        z = values[idx]
+        placed = False
+        for g, rep in enumerate(reps):
+            if abs(z - rep) <= tol:
+                groups[g].append(int(idx))
+                reps[g] = np.mean(values[groups[g]])
+                placed = True
+                break
+        if not placed:
+            groups.append([int(idx)])
+            reps.append(z)
+    return groups
+
+
+#: coordinates on a coarse lattice, where groups tie and chain, or anywhere
+_coordinate = st.one_of(st.integers(-16, 16).map(lambda k: k / 8.0), st.floats(-2.0, 2.0))
+
+
+class TestClusterComplex:
+    @settings(max_examples=200)
+    @given(
+        values=st.lists(st.builds(complex, _coordinate, _coordinate), max_size=60),
+        tol=st.sampled_from([0.0, 0.05, 0.125, 0.3, 1.0]),
+    )
+    def test_closed_groups_are_skipped_without_moving_a_value(self, values, tol):
+        w = np.array(values, dtype=complex)
+        assert spectra._cluster_complex(w, tol) == _cluster_reference(w, tol)
+
+    @pytest.mark.parametrize("eps", [10.0, 1000.0])
+    @pytest.mark.parametrize("rel_tol", [1e-9, spectra.CLUSTER_TOL, 1e-5, 1e-3])
+    def test_displaced_spectra_group_as_before(self, eps, rel_tol):
+        sup = models.Superoperator(models.build_coherent_displaced(make_space(5), ModelParams(g0=0.25, eps=eps)))
+        w = np.concatenate([np.linalg.eigvals(sup.as_dense(s)) for s in sup.sectors()])
+        tol = rel_tol * np.abs(w).max()
+        assert spectra._cluster_complex(w, tol) == _cluster_reference(w, tol)
 
 
 class TestAnalyticTables:
