@@ -86,7 +86,13 @@ STEADY_RESIDUAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density matrix on a SystemSpace (or the atomic-only space)."""
+    """Validated density matrix on a SystemSpace (or the atomic-only space).
+
+    ``from_matrix`` checks Hermiticity, trace and positivity on the block of
+    the rows and columns that hold a nonzero entry: m is, up to a
+    permutation, that block next to zeros, so every other eigenvalue is
+    exactly 0 and the decisions are those of the whole matrix.
+    """
 
     matrix: np.ndarray
     space: SystemSpace
@@ -98,13 +104,18 @@ class DensityMatrix:
             raise StateValidityError(
                 f"state shape {m.shape} does not match space dimension {space.dim}"
             )
-        herm_dev = float(np.abs(m - m.conj().T).max())
+        nonzero = m != 0.0
+        held = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        b = m[np.ix_(held, held)]  # every nonzero entry of m, and its transpose
+        herm_dev = float(np.abs(b - b.conj().T).max(initial=0.0))
         if herm_dev > HERM_TOL:
             raise StateValidityError(f"Hermiticity deviation {herm_dev:.3e} > {HERM_TOL:.1e}")
-        trace_dev = abs(np.trace(m) - 1.0)
+        trace_dev = abs(np.trace(b) - 1.0)
         if trace_dev > TRACE_TOL:
             raise StateValidityError(f"trace deviation {trace_dev:.3e} > {TRACE_TOL:.1e}")
-        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
+        min_eig = float(np.linalg.eigvalsh((b + b.conj().T) / 2.0).min())
+        if held.size < m.shape[0]:  # the other eigenvalues are 0
+            min_eig = min(min_eig, 0.0)
         if min_eig < -POSITIVITY_TOL:
             raise StateValidityError(f"negative eigenvalue {min_eig:.3e} < -{POSITIVITY_TOL:.1e}")
         return cls(m, space)
@@ -356,7 +367,7 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
                 "of spectral evolution"
             )
         g, scale = sup.generator(s)
-        w, v, kernel = _real_modes(g.toarray(), 1 + len(sup.me.conserved) if first else 0)
+        w, v, kernel = _real_modes(g, 1 + len(sup.me.conserved) if first else 0)
         if first:
             k = (inverse @ stated_kernel(sup, (g, scale))).real  # Hermitian columns: real exactly
             admixture = _charge_rows(sup.me, lift).T @ v
@@ -377,14 +388,16 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     return Trajectory(t, rho0.space, support, entries)
 
 
-def _real_modes(a: np.ndarray, kernel_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues w, real eigenbasis V and kernel mask of a real generator.
+def _real_modes(a: sp.csr_matrix, kernel_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues w, real eigenbasis V and kernel mask of a real generator
+    block, given sparse (``linalg.eig_general`` densifies its own copy).
 
     The eigenvalues of a real matrix are real or come in exact conjugate
-    pairs, and V is the real basis of ``linalg.real_eigenbasis``.  The
-    ``kernel_dim`` kernel eigenvalues (``spectra.zero_modes``) are set to
-    exactly 0, so the kernel part of a state never changes, however far the
-    solver puts them from 0; a kernel that splits a conjugate pair raises.
+    pairs, and V is the C-ordered real basis of ``linalg.EigenDecomposition``.
+    The ``kernel_dim`` kernel eigenvalues (``spectra.zero_modes``) are set
+    to exactly 0, so the kernel part of a state never changes, however far
+    the solver puts them from 0; a kernel that splits a conjugate pair
+    raises.
     Refuses near-defective decompositions (eigenvector condition above the
     guard threshold).
     """

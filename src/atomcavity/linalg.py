@@ -1,9 +1,15 @@
 """Dense linear-algebra kernel.
 
-Everything the physics layers consume: general eigendecompositions with
-residual checks (real input stays real, so LAPACK runs ``dgeev`` and
-returns exact conjugate pairs), refused above ``DENSE_CAP``, the package's
-one dense-size limit.  ``integrate_ode``, stiff (BDF) integration of
+Everything the physics layers consume: general eigendecompositions of
+sparse or dense input with residual checks, refused above ``DENSE_CAP``,
+the package's one dense-size limit.  Real input stays real: LAPACK
+``dgeev`` (SciPy's, with its optimal workspace) runs in place on one
+private Fortran-ordered dense copy and returns exact conjugate pairs, and
+the real eigenbasis is taken from its eigenvectors and copied once to C
+order; on one BLAS thread these are NumPy's bits.  Residuals are formed
+from the input operator a block of columns at a time, and the condition
+bound from an in-place LU inverse of the basis, so no n x n product is
+held.  ``integrate_ode``, stiff (BDF) integration of
 linear ODEs, has no caller in the package, whose one evolution path is
 ``dynamics.evolve_spectral``; it stays only because the benchmark's tracer
 (``bench/tracing.py``) binds it by name and patches the LU that SciPy's
@@ -21,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .errors import (
     DimensionLimitError,
@@ -35,6 +42,10 @@ DENSE_CAP = 4096
 
 #: eigenpair residual bound, relative to ||A||_F * ||v||
 EIG_RESIDUAL_TOL = 1e-9
+
+#: columns of the eigenbasis whose residuals, or whose products with the
+#: basis's inverse, are formed at a time, so no n x n product is held
+_COLUMN_BLOCK = 256
 
 #: eigenvector-matrix condition number above which a decomposition is
 #: treated as near-defective and spectral evolution must not be used
@@ -53,15 +64,17 @@ class EigenDecomposition:
     positive imaginary part first and its conjugate, bit for bit, next, with
     conjugate eigenvectors.  ``basis`` is the matrix V of eigenvectors, one
     per column in the order of ``eigenvalues``, for a complex matrix, and
-    its real form (``real_eigenbasis``) for a real one.
+    for a real one its real form B, C-ordered: column j is v_j for a real
+    eigenvalue, and a pair's v_j, conj(v_j) become sqrt(2) Re v_j,
+    sqrt(2) Im v_j (V times a unitary, so B has V's condition number).
     ``condition_bound`` is an upper bound on the 2-norm condition number of
-    V from its computed inverse (``inf`` when the inverse does not give
-    one, see ``eig_general``); ``condition_estimate``, the exact value from
-    the singular values of V, is computed only when read.  ``near_defective``
-    (condition number above ``NEAR_DEFECTIVE_COND``: too close to defective
-    for V-based reconstruction) is False when the bound clears that limit
-    and reads the exact value otherwise, so it is always the decision the
-    exact value makes.
+    the basis from its computed inverse (``inf`` when the inverse does not
+    give one, see ``eig_general``); ``condition_estimate``, the exact value
+    from the singular values of the basis, is computed only when read.
+    ``near_defective`` (condition number above ``NEAR_DEFECTIVE_COND``: too
+    close to defective for V-based reconstruction) is False when the bound
+    clears that limit and reads the exact value otherwise, so it is always
+    the decision the exact value makes.
     """
 
     eigenvalues: np.ndarray
@@ -81,8 +94,8 @@ class EigenDecomposition:
         )
 
 
-def _as_square(m: np.ndarray, who: str) -> np.ndarray:
-    a = np.asarray(m)
+def _as_square(m: np.ndarray | sp.spmatrix, who: str) -> np.ndarray | sp.spmatrix:
+    a = m if sp.issparse(m) else np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{who} requires a square matrix, got shape {a.shape}")
     return a
@@ -97,63 +110,112 @@ def condition_estimate(v: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def real_eigenbasis(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Real basis of the eigenvectors V (eigenvalues ``w``) of a real matrix.
+def _condition_bound(b: np.ndarray) -> float:
+    """Upper bound on the 2-norm condition number of the C-ordered ``b``
+    from its computed inverse X, with the residual E = B X - I formed
+    ``_COLUMN_BLOCK`` columns at a time.
 
-    Column j is v_j for a real eigenvalue; a conjugate pair (w_j with
-    Im w_j > 0, w_{j+1} = conj(w_j)) becomes sqrt(2) Re v_j, sqrt(2) Im v_j.
-    The result is V times a unitary, so it has V's condition number.
+    X comes from LAPACK's ``getrf``/``getri`` in place on one copy of B (the
+    LU of B^T, whose inverse X^T is X in C order).  B^-1 = X (I + E)^-1, so
+    when r = ||E||_F < 1, kappa_2(B) <= ||B||_F ||X||_F / (1 - r) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 14), for
+    any computed X.  The bound is taken only for r <= 1/2, far above the
+    GEMM's own rounding of E (n u ||B||_F ||X||_F < 5e-5 for n <=
+    ``DENSE_CAP`` and a bound up to ``NEAR_DEFECTIVE_COND``), and is ``inf``
+    otherwise, for a singular ``b`` and whenever a norm is not finite: the
+    overflow a nearly singular basis gives is expected here.
     """
-    if not np.iscomplexobj(v):
-        return v.copy()
-    upper = np.flatnonzero(w.imag > 0.0)
-    if upper.size and (
-        upper[-1] + 1 == w.size or not np.array_equal(w[upper + 1], w[upper].conj())
-    ):
-        raise ValueError("eigenvalues do not come in conjugate pairs; the matrix is not real")
-    basis = v.real.copy()
-    basis[:, upper] *= np.sqrt(2.0)
-    basis[:, upper + 1] = np.sqrt(2.0) * v[:, upper].imag
-    return basis
-
-
-def _condition_bound(b: np.ndarray, buffer: np.ndarray) -> float:
-    """Upper bound on the 2-norm condition number of ``b`` from its computed
-    inverse X, with the residual E = B X - I formed in ``buffer``.
-
-    B^-1 = X (I + E)^-1, so when r = ||E||_F < 1, kappa_2(B) <= ||B||_F
-    ||X||_F / (1 - r) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 14).  The bound is taken only for r <= 1/2,
-    far above the GEMM's own rounding of E (n u ||B||_F ||X||_F < 5e-5 for
-    n <= ``DENSE_CAP`` and a bound up to ``NEAR_DEFECTIVE_COND``), and is
-    ``inf`` otherwise, for a singular ``b`` and whenever a norm is not
-    finite: the overflow a nearly singular basis gives is expected here.
-    """
+    getrf, getri, getri_lwork = lapack.get_lapack_funcs(("getrf", "getri", "getri_lwork"), (b,))
+    n = b.shape[0]
     with np.errstate(all="ignore"):
-        try:
-            x = np.linalg.inv(b)
-        except np.linalg.LinAlgError:
+        lu, piv, info = getrf(b.T)
+        if info != 0:
             return np.inf
-        e = np.matmul(b, x, out=buffer)
-        e.flat[:: e.shape[0] + 1] -= 1.0
-        r = np.linalg.norm(e)
+        lwork, _ = getri_lwork(n)
+        xt, info = getri(lu, piv, lwork=int(lwork.real), overwrite_lu=True)
+        if info != 0:
+            return np.inf
+        x = xt.T
+        squares = 0.0
+        for lo in range(0, n, _COLUMN_BLOCK):
+            e = b @ x[:, lo : lo + _COLUMN_BLOCK]
+            e[np.arange(e.shape[1]) + lo, np.arange(e.shape[1])] -= 1.0
+            squares += np.linalg.norm(e) ** 2
+        r = np.sqrt(squares)
         bound = np.linalg.norm(b) * np.linalg.norm(x) / (1.0 - r)
     return float(bound) if r <= 0.5 and np.isfinite(bound) else np.inf
 
 
-def eig_general(m: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a general real or complex matrix.
+def _residual_norms(a: np.ndarray | sp.csr_matrix, basis: np.ndarray, w: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """||A b_j - w_j b_j|| of each column of ``basis``, formed from the
+    operator ``a`` (sparse or dense) ``_COLUMN_BLOCK`` columns at a time.
 
-    A real matrix is decomposed in real arithmetic (``dgeev``), and the
-    residuals and the condition bound are taken from the real form B of V
-    (``real_eigenbasis``), with real products only: for a pair w = a +- ib
-    with B columns x, y (sqrt(2) Re v, sqrt(2) Im v), A v - w v is
-    (A x - a x + b y + i (A y - b x - a y)) / sqrt(2).  Postconditions:
-    per-pair residuals ``||A v - w v|| <= EIG_RESIDUAL_TOL * ||A||_F *
-    ||v||`` (raises ``NumericalAccuracyError`` otherwise) and the condition
-    bound of the eigenvector matrix from its inverse (``_condition_bound``,
-    in the residual product's buffer), so no SVD is taken unless the bound
-    fails to clear ``NEAR_DEFECTIVE_COND``.
+    For a real basis B with the pairs w = a +- ib first at ``upper``, on
+    columns x, y (sqrt(2) Re v, sqrt(2) Im v), column j holds A x - a x +
+    b y and column j + 1 holds A y - b x - a y, the real and imaginary parts
+    of sqrt(2) (A v - w v), in real products only.
+    """
+    n = basis.shape[1]
+    shift = w if np.iscomplexobj(basis) else w.real
+    norms = np.empty(n)
+    for lo in range(0, n, _COLUMN_BLOCK):
+        hi = min(lo + _COLUMN_BLOCK, n)
+        cols = basis[:, lo:hi]
+        r = a @ cols
+        r -= cols * shift[lo:hi]
+        first = upper[(upper >= lo) & (upper < hi)]
+        r[:, first - lo] += basis[:, first + 1] * w.imag[first]
+        second = upper[(upper + 1 >= lo) & (upper + 1 < hi)]
+        r[:, second + 1 - lo] -= basis[:, second] * w.imag[second]
+        norms[lo:hi] = np.linalg.norm(r, axis=0)
+    return norms
+
+
+def _dgeev(a: np.ndarray | sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and C-ordered real eigenbasis B (see
+    ``EigenDecomposition``) of a real matrix, from LAPACK ``dgeev`` with its
+    optimal workspace, which overwrites the one private Fortran-ordered
+    dense copy of ``a``.  B is ``dgeev``'s VR with each pair's two columns
+    scaled by sqrt(2); the eigenvalues are real (float64) when none is off
+    the real axis, as NumPy returns them."""
+    n = a.shape[0]
+    if sp.issparse(a):
+        dense = a.astype(np.float64, copy=False).toarray(order="F")
+    else:
+        dense = np.array(a, dtype=np.float64, order="F")
+    lwork, _ = lapack.dgeev_lwork(n, compute_vl=0, compute_vr=1)
+    wr, wi, _, vr, info = lapack.dgeev(dense, compute_vl=0, compute_vr=1, lwork=int(lwork), overwrite_a=True)
+    del dense  # overwritten with the Schur form
+    if info != 0:
+        raise NumericalAccuracyError(
+            f"eigenvalue iteration did not converge for a {n}x{n} matrix (dgeev info {info})"
+        )
+    if not wi.any():
+        return wr, np.ascontiguousarray(vr)
+    upper = np.flatnonzero(wi > 0.0)
+    vr[:, upper] *= np.sqrt(2.0)
+    vr[:, upper + 1] *= np.sqrt(2.0)
+    w = wr.astype(complex)
+    w.imag = wi
+    return w, np.ascontiguousarray(vr)
+
+
+def eig_general(m: np.ndarray | sp.spmatrix) -> EigenDecomposition:
+    """Full eigendecomposition of a general real or complex matrix, given
+    sparse or dense.
+
+    A real matrix is decomposed in real arithmetic by ``_dgeev``, in place
+    on one dense copy, and the residuals and the condition bound are taken
+    from the real form B of V (``EigenDecomposition``).  A complex one goes
+    through ``np.linalg.eig``.  Postconditions: per-pair residuals ``||A v
+    - w v|| <= EIG_RESIDUAL_TOL * ||A||_F * ||v||``, formed from ``m``
+    itself a block of columns at a time (``_residual_norms``), so a sparse
+    ``m`` costs its nonzeros (raises ``NumericalAccuracyError`` otherwise),
+    and the condition bound of the basis from its LU inverse
+    (``_condition_bound``), so no SVD is taken unless the bound fails to
+    clear ``NEAR_DEFECTIVE_COND``.  Refused: a matrix above ``DENSE_CAP``
+    (``DimensionLimitError``, before it is densified) and one with a
+    non-finite entry (``NumericalAccuracyError``).
     """
     a = _as_square(m, "eig_general")
     n = a.shape[0]
@@ -161,31 +223,25 @@ def eig_general(m: np.ndarray) -> EigenDecomposition:
         raise DimensionLimitError(
             f"matrix dimension {n} exceeds the dense cap {DENSE_CAP}"
         )
-    try:
-        w, v = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:  # QR iteration failure
-        raise NumericalAccuracyError(
-            f"eigenvalue iteration did not converge for a {n}x{n} matrix: {exc}"
-        ) from exc
+    if sp.issparse(a):
+        a = a.tocsr()
+        if not a.has_canonical_format:  # so that its entries are its data
+            a = a.copy()
+            a.sum_duplicates()
+    entries = a.data if sp.issparse(a) else a
+    if not np.all(np.isfinite(entries)):
+        raise NumericalAccuracyError(f"a {n}x{n} matrix with non-finite entries has no eigendecomposition")
     if np.iscomplexobj(a):
-        basis = v
-        r = a @ v
-        r -= v * w
-        residuals = np.linalg.norm(r, axis=0)
-        norms = np.linalg.norm(v, axis=0)
+        w, basis = np.linalg.eig(a.toarray() if sp.issparse(a) else a)
+        upper = np.empty(0, dtype=int)  # no pairs
     else:
-        basis = real_eigenbasis(w, v)
-        del v  # the complex eigenvectors, twice B's size
+        w, basis = _dgeev(a)
         upper = np.flatnonzero(w.imag > 0.0)
-        r = a @ basis
-        r -= basis * w.real
-        r[:, upper] += basis[:, upper + 1] * w.imag[upper]
-        r[:, upper + 1] -= basis[:, upper] * w.imag[upper]
-        residuals = np.linalg.norm(r, axis=0)
-        norms = np.linalg.norm(basis, axis=0)
-        for q in (residuals, norms):  # a pair's two columns share its norm
-            q[upper] = q[upper + 1] = np.hypot(q[upper], q[upper + 1]) / np.sqrt(2.0)
-    norm_a = np.linalg.norm(a)
+    residuals = _residual_norms(a, basis, w, upper)
+    norms = np.linalg.norm(basis, axis=0)
+    for q in (residuals, norms):  # a pair's two columns share its norm
+        q[upper] = q[upper + 1] = np.hypot(q[upper], q[upper + 1]) / np.sqrt(2.0)
+    norm_a = np.linalg.norm(entries)
     if norm_a > 0.0:
         bound = EIG_RESIDUAL_TOL * norm_a * norms
         worst = int(np.argmax(residuals - bound))
@@ -195,7 +251,7 @@ def eig_general(m: np.ndarray) -> EigenDecomposition:
                 f"||A v - w v|| = {residuals[worst]:.3e} for eigenvalue "
                 f"{w[worst]:.6g} exceeds {bound[worst]:.3e}"
             )
-    return EigenDecomposition(w, basis, _condition_bound(basis, r))
+    return EigenDecomposition(w, basis, _condition_bound(basis))
 
 
 def integrate_ode(

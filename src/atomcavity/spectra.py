@@ -195,7 +195,7 @@ def analyze(sup: Superoperator, k: int | None = None) -> SpectrumReport:
         return _targeted(sup, k, kernel_dim)
     parts, conditions, defective = [], [], False
     for s in sup.sectors():
-        decomp = eig_general(sup.as_dense(s))
+        decomp = eig_general(sup.generator(s)[0])
         parts.append(decomp.eigenvalues)
         conditions.append(decomp.condition_estimate if decomp.near_defective else decomp.condition_bound)
         defective = defective or decomp.near_defective

@@ -63,6 +63,45 @@ class TestDensityMatrix:
         with pytest.raises(StateValidityError):
             dyn.DensityMatrix.from_matrix(m, atomic_space())
 
+    @staticmethod
+    def _whole_matrix_verdict(m):
+        """The first check that fails on all of ``m``, as ``from_matrix``
+        checked every state before it read only the rows and columns that
+        hold a nonzero entry; None when every check passes."""
+        if np.abs(m - m.conj().T).max() > dyn.HERM_TOL:
+            return "Hermiticity"
+        if abs(np.trace(m) - 1.0) > dyn.TRACE_TOL:
+            return "trace"
+        if np.linalg.eigvalsh((m + m.conj().T) / 2.0).min() < -dyn.POSITIVITY_TOL:
+            return "negative"
+        return None
+
+    @pytest.mark.parametrize("defect", [None, "Hermiticity", "trace", "negative"])
+    def test_block_checks_decide_as_the_whole_matrix(self, rng, defect):
+        for _ in range(20):
+            space = make_space(int(rng.integers(1, 5)))
+            k = int(rng.integers(2 if defect == "negative" else 1, space.dim + 1))
+            g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            w, u = np.linalg.eigh(g @ g.conj().T)
+            w /= w.sum()
+            if defect == "negative":
+                w[0] = -0.05
+                w[1:] *= 1.05 / w[1:].sum()
+            block = (u * w) @ u.conj().T
+            if defect == "Hermiticity":
+                block[0, -1] += 1e-3 if k > 1 else 1e-3j
+            elif defect == "trace":
+                block *= 1.01
+            m = np.zeros((space.dim, space.dim), dtype=complex)
+            held = rng.choice(space.dim, k, replace=False)
+            m[np.ix_(held, held)] = block
+            assert self._whole_matrix_verdict(m) == defect
+            if defect is None:
+                assert dyn.DensityMatrix.from_matrix(m, space).matrix is m
+            else:
+                with pytest.raises(StateValidityError, match=f"^{defect} "):
+                    dyn.DensityMatrix.from_matrix(m, space)
+
 
 class TestEvolveOde:
     """The master equation rho' = L rho, solved by ``evolve_spectral``,

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,73 @@ from atomcavity.errors import (
     StiffnessError,
 )
 from atomcavity.operators import SIGMA_X
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def real_eigenbasis(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Real basis of the eigenvectors V (eigenvalues ``w``) of a real matrix
+    as ``np.linalg.eig`` returns them: the NumPy reference that
+    ``eig_general``'s basis must equal bit for bit.
+
+    Column j is v_j for a real eigenvalue; a conjugate pair (w_j with
+    Im w_j > 0, w_{j+1} = conj(w_j)) becomes sqrt(2) Re v_j, sqrt(2) Im v_j.
+    """
+    if not np.iscomplexobj(v):
+        return v.copy()
+    upper = np.flatnonzero(w.imag > 0.0)
+    if upper.size and (
+        upper[-1] + 1 == w.size or not np.array_equal(w[upper + 1], w[upper].conj())
+    ):
+        raise ValueError("eigenvalues do not come in conjugate pairs; the matrix is not real")
+    basis = v.real.copy()
+    basis[:, upper] *= np.sqrt(2.0)
+    basis[:, upper + 1] = np.sqrt(2.0) * v[:, upper].imag
+    return basis
+
+
+#: model sectors whose decompositions are compared with NumPy's: the
+#: displaced model's even 640 and odd 384 at cutoff 8, thermal sectors 232
+#: and 140 (cutoff 24) and 392 and 236 (cutoff 40), and a thermal 32 whose
+#: spectrum is all real
+SECTORS = {
+    "displaced-eps100": ("build_coherent_displaced", 8, dict(g0=0.25, eps=100.0), 2),
+    "displaced-gamma": ("build_coherent_displaced", 8, dict(g0=0.25, eps=10**0.5, gamma=1e-3), 2),
+    "thermal-3": ("build_full", 24, dict(g0=0.1, n_th=3.0), 2),
+    "thermal-10-gamma": ("build_full", 40, dict(g0=0.1, n_th=10.0, gamma=1e-3), 2),
+    "thermal-all-real": ("build_full", 4, dict(g0=0.1, n_th=3.0), 1),
+}
+
+_DECOMPOSE = """
+import sys
+import numpy as np
+from atomcavity import ModelParams, linalg, make_space, models
+arrays = {}
+for name, (build, cutoff, params, count) in %r.items():
+    sup = models.Superoperator(getattr(models, build)(make_space(cutoff), ModelParams(**params)))
+    for k, s in enumerate(sup.sectors()[:count]):
+        g = sup.generator(s)[0]
+        dec = linalg.eig_general(g)
+        w, v = np.linalg.eig(g.toarray())
+        arrays.update({f"{name}/{k}/{key}": x for key, x in
+                       (("w", dec.eigenvalues), ("basis", dec.basis), ("numpy_w", w), ("numpy_v", v))})
+        arrays[f"{name}/{k}/c_ordered"] = np.array(dec.basis.flags.c_contiguous)
+np.savez(sys.argv[1], **arrays)
+"""
+
+
+@pytest.fixture(scope="module")
+def one_thread_sectors(tmp_path_factory):
+    """``eig_general`` and ``np.linalg.eig`` on each of ``SECTORS``, in an
+    interpreter with one BLAS thread.  The bits of both libraries' LAPACK
+    depend on the BLAS thread count, and NumPy and SciPy bundle separate
+    OpenBLAS builds, which agree bit for bit on one thread (as the
+    benchmark runs) but not on several."""
+    out = tmp_path_factory.mktemp("sectors") / "sectors.npz"
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-c", _DECOMPOSE % (SECTORS,), str(out)], env=env, check=True)
+    with np.load(out) as arrays:
+        return dict(arrays)
 
 
 class TestEigGeneral:
@@ -50,9 +122,66 @@ class TestEigGeneral:
         assert np.array_equal(w[upper + 1], w[upper].conj())
         v = np.linalg.eig(m)[1]  # the eigenvectors behind dec.basis
         assert np.array_equal(v[:, upper + 1], v[:, upper].conj())
-        assert np.array_equal(dec.basis, linalg.real_eigenbasis(w, v))
+        assert np.array_equal(dec.basis, real_eigenbasis(w, v))
         # every eigenvalue off the real axis belongs to exactly one pair
         assert np.count_nonzero(w.imag != 0.0) == 2 * upper.size
+
+    @pytest.mark.parametrize("name", SECTORS)
+    def test_model_sectors_give_numpys_bits(self, one_thread_sectors, name):
+        # dgeev run in place gives np.linalg.eig's eigenvalues, dtype
+        # included, and the real form of its eigenvectors, bit for bit
+        for k in range(SECTORS[name][3]):
+            got = {key: one_thread_sectors[f"{name}/{k}/{key}"] for key in ("w", "basis", "numpy_w", "numpy_v")}
+            w, v = got["numpy_w"], got["numpy_v"]
+            assert got["w"].dtype == w.dtype and np.array_equal(got["w"], w)
+            assert got["basis"].dtype == np.float64
+            assert np.array_equal(got["basis"], real_eigenbasis(w, v))
+            assert one_thread_sectors[f"{name}/{k}/c_ordered"]
+        if name == "thermal-all-real":  # NumPy returns real dtypes here
+            assert w.dtype == v.dtype == np.float64
+
+    def test_sparse_and_dense_input_agree(self):
+        sup = models.Superoperator(models.build_full(make_space(6), ModelParams(g0=0.1, n_th=2.0, gamma=1e-3)))
+        g = sup.generator(sup.sectors()[0])[0]
+        sparse, dense = linalg.eig_general(g), linalg.eig_general(g.toarray())
+        assert np.array_equal(sparse.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(sparse.basis, dense.basis)
+        assert sparse.condition_bound == dense.condition_bound
+
+    def test_working_set_of_a_sparse_sector(self):
+        # one dense copy, which dgeev overwrites, and its eigenvectors; then
+        # the C-ordered basis, and the basis with its inverse: under 3.5 n^2
+        # doubles traced (np.linalg.eig behind a dense copy of the block read
+        # 4 n^2 traced, its own buffers untraced, and about 7 n^2 by RSS)
+        sup = models.Superoperator(models.build_full(make_space(60), ModelParams(g0=0.01, n_th=10.0)))
+        g = sup.generator(sup.sectors()[0])[0]
+        n = g.shape[0]
+        assert n == 592
+        tracemalloc.start()
+        try:
+            linalg.eig_general(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * n * n
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_finite_input_refused(self, bad, sparse):
+        m = np.eye(4)
+        m[1, 2] = bad
+        with pytest.raises(NumericalAccuracyError):
+            linalg.eig_general(sp.csr_matrix(m) if sparse else m)
+
+    def test_failed_iteration_refused(self, monkeypatch):
+        dgeev = linalg.lapack.dgeev
+
+        def failing(*args, **kwargs):
+            return dgeev(*args, **kwargs)[:-1] + (1,)
+
+        monkeypatch.setattr(linalg.lapack, "dgeev", failing)
+        with pytest.raises(NumericalAccuracyError, match="did not converge"):
+            linalg.eig_general(np.diag([1.0, 2.0]))
 
     def test_real_input_condition_matches_complex_svd(self, rng):
         m = rng.standard_normal((40, 40))
@@ -63,7 +192,7 @@ class TestEigGeneral:
         # the real basis B spans the eigenvectors: B^-1 A B is w_j on the
         # diagonal for a real eigenvalue and [[a, b], [-b, a]] for a + ib
         w = dec.eigenvalues
-        basis = linalg.real_eigenbasis(w, v)
+        basis = real_eigenbasis(w, v)
         assert basis.dtype == np.float64
         blocks = np.diag(w.real)
         upper = np.flatnonzero(w.imag > 0.0)
@@ -75,7 +204,7 @@ class TestEigGeneral:
         # an eigenvalue above the real axis without its conjugate next to it
         # cannot come from a real matrix
         with pytest.raises(ValueError):
-            linalg.real_eigenbasis(np.array([1.0 + 1.0j, 1.0 + 1.0j]), np.eye(2, dtype=complex))
+            real_eigenbasis(np.array([1.0 + 1.0j, 1.0 + 1.0j]), np.eye(2, dtype=complex))
 
     def test_near_defective_flagged(self):
         jordan = np.array([[0.0, 1.0], [0.0, 0.0]])

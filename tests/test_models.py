@@ -976,21 +976,21 @@ def test_a_leak_planted_at_the_range_assembly_is_refused(monkeypatch, direction)
 
 
 def test_dense_eig_runs_in_real_arithmetic(monkeypatch):
-    # mi_curve (spectral evolution) and dense analyze hand LAPACK float64
-    # matrices, so it runs dgeev, not zgeev, on the exchange sectors: from
+    # mi_curve (spectral evolution) and dense analyze hand LAPACK's dgeev
+    # float64 matrices, not zgeev complex ones, on the exchange sectors: from
     # |gg,0> only the even 640, for the full spectrum the even 640 and the
     # odd 384 of the 1024 coordinates at cutoff 8
-    from atomcavity import observables, spectra
+    from atomcavity import linalg, observables, spectra
     from atomcavity.dynamics import ground_state
 
     seen = []
-    eig = np.linalg.eig
+    dgeev = linalg.lapack.dgeev
 
-    def recording_eig(a):
+    def recording_dgeev(a, *args, **kwargs):
         seen.append((a.dtype, a.shape))
-        return eig(a)
+        return dgeev(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    monkeypatch.setattr(linalg.lapack, "dgeev", recording_dgeev)
     space = make_space(8)
     me = build_coherent_displaced(space, ModelParams(g0=0.25, eps=10.0))
     observables.mi_curve(vectorize(me, materialize=False), ground_state(space),

@@ -34,8 +34,8 @@ def diag_superop(values):
         def sectors(self):
             return [slice(0, self.dim)]
 
-        def as_dense(self, sector=None):
-            return np.diag(np.asarray(values, dtype=complex))
+        def generator(self, sector=None):
+            return np.diag(np.asarray(values, dtype=complex)), 0.0
 
     return _Sup()
 
