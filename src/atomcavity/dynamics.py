@@ -2,10 +2,11 @@
 
 Trajectories come from the spectral expansion rho(t) = sum_k c_k e^{w_k t}
 r_k of the dense real generator (``evolve_spectral``), one sector (an
-excitation block |d| intersected with an exchange parity, an index range of
-the model's one real generator G) at a time: from |gg,0> a thermal model
-evolves only its d = 0, even sector (392 of 25600 coordinates at cutoff 40),
-and the displaced driven model its even sector (640 of 1024 at cutoff 8).
+excitation block |d| intersected with an exchange parity and a half of the
+antiunitary symmetry Theta, an index range of the model's one real
+generator G) at a time: from |gg,0> a thermal model evolves only its d = 0,
+even, Theta = +1 sector (276 of 25600 coordinates at cutoff 40), and the
+displaced driven model its even, Theta = +1 sector (336 of 1024 at cutoff 8).
 A ``Trajectory`` keeps only the entries of vec(rho) its samples can occupy.
 Drifting traces are never renormalized - accuracy failures surface as
 errors.  This is the one evolution path: the scenarios and ``verify`` run
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .linalg import DENSE_CAP, eig_general
 from .models import MasterEquation, ModelParams, Superoperator, restrict, unvec
-from .operators import SystemSpace, atomic_space, make_space, singlet_projector
+from .operators import SystemSpace, make_space
 
 #: default slacks for density-matrix invariants at construction time
 HERM_TOL = 1e-10
@@ -188,25 +189,6 @@ def ground_state(space: SystemSpace) -> DensityMatrix:
     return pure_state(basis_vector(space, 0, 0, 0), space)
 
 
-def singlet_state() -> DensityMatrix:
-    """Atomic singlet (|ge> - |eg>)/sqrt(2), the collective dark state."""
-    space = atomic_space()
-    return DensityMatrix.from_matrix(singlet_projector(space).matrix.toarray(), space)
-
-
-def bell_state() -> DensityMatrix:
-    """(|gg> + |ee>)/sqrt(2) on the atomic space."""
-    space = atomic_space()
-    v = (basis_vector(space, 0, 0) + basis_vector(space, 1, 1)) / np.sqrt(2.0)
-    return pure_state(v, space)
-
-
-def maximally_mixed(space: SystemSpace) -> DensityMatrix:
-    return DensityMatrix.from_matrix(
-        np.eye(space.dim, dtype=complex) / space.dim, space
-    )
-
-
 # ---------------------------------------------------------------------------
 # time grids
 # ---------------------------------------------------------------------------
@@ -314,7 +296,8 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     ``sup.generator(s)`` forms the block G[s, s] of the real generator on
     one of ``sup.sectors()``: the |d| excitation sectors (all of vec(rho)
     when the model states no excitation numbers) split by exchange parity
-    when it states the atom swap.  The generator never mixes sectors, so
+    when it states the atom swap, and each parity by Theta when it states a
+    signature.  The generator never mixes sectors, so
     each one that rho0 occupies evolves alone from its rows of y0 = F T
     vec(rho0), with vec(rho(t)) = vec(rho0) + B[:, s] ``_motion`` of its
     modes, and the others stay 0: rho0 itself at t = 0.  Only the maps of
@@ -467,7 +450,7 @@ def stated_kernel(sup: Superoperator, block: tuple[sp.csr_matrix, float] | None 
     solved on the first sector, where the kernel and the charges lie.
 
     In the coordinates y of the first of ``sup.sectors()`` (d = 0, exchange
-    parity +1), with L_0 = G[first, first] and the charges as the real
+    parity +1, Theta = +1), with L_0 = G[first, first] and the charges as the real
     rows c_j = vec(Q_j)^dag B of ``_charge_rows`` (Tr[Q_j rho] = c_j y;
     Q_0 = I, then ``me.conserved``), column j of K solves the real bordered
     system

@@ -30,11 +30,24 @@ U(1) symmetry; atomic decay keeps it too, since sigma_- rho sigma_+ lowers
 N on both sides).  Such a builder states N of each basis state
 (``MasterEquation.excitations``), and the generator never mixes the
 elements rho_ij of different |N_i - N_j|.  A sector is one |d| (all of
-vec(rho) when no N is stated) intersected with one exchange parity.  Both
+vec(rho) when no N is stated) intersected with one exchange parity and, when
+the model states the signature below, one half of Theta.  These
 statements are conditions on H and the jumps (Buca & Prosen, NJP 14,
 073007 (2012)), checked on those operators' nonzero entries when the model
 is made, and the sectors are index bookkeeping on the statements alone,
 their sizes in closed form.
+
+Every builder without cross terms also states a weak antiunitary symmetry
+Theta(rho) = U rho* U, U = diag(u) with one sign u_i = +-1 per basis state
+(Buca & Prosen, NJP 14, 073007 (2012); Albert & Jiang, PRA 89, 022118
+(2014)): L commutes with it when u_i u_j conj(H_ij) = -H_ij and each jump
+has one sign s with u_i u_j conj(O_ij) = s O_ij.  ``build_full`` and
+``build_coherent_displaced`` state u = (-1)^(excited atoms), the effective
+models u = +1 (H = 0 and real jumps: Theta is complex conjugation), each
+checked on the operators' nonzero entries like the other statements
+(``MasterEquation.signature``).  In the coordinates x below Theta is
+diagonal, +1 on rho_ii, u_i u_j on Re rho_ij and -u_i u_j on Im rho_ij, so
+it splits each sector in two with no change of basis.
 
 The thermal model without a drive (``build_full`` at eps = 0, n_th > 0)
 also obeys quantum detailed balance with respect to sigma ~ x^N,
@@ -56,7 +69,8 @@ to Hermitian matrices, so in the coordinates
     x = [rho_ii; Re rho_ij; Im rho_ij  (i < j)]
 
 of a D x D matrix it is T L T^-1 with real entries; a column of the real
-basis E of x is a unit vector or a swapped pair of them, and the maps
+basis E of x is a unit vector or a swapped pair of them (both of one
+Theta, since the stated u is swap-invariant), and the maps
 B = T^-1 E (y -> vec(rho)) and F T (vec(rho) -> y) of a range of sectors
 (``HermitianSectors.maps``) are composed from index bookkeeping alone.
 Their entries are +-1, +-i and +-1/2^k, so y is real exactly for a
@@ -68,6 +82,7 @@ Rates and times are expressed in units of kappa, which is pinned to 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -82,6 +97,7 @@ from .operators import (
     LabeledOperator,
     SystemSpace,
     annihilation,
+    atom_parity,
     atom_swap,
     atomic_space,
     canonical,
@@ -198,7 +214,10 @@ class MasterEquation:
     permutation P (an involution; ``operators.atom_swap``) when L commutes
     with rho -> P rho P, and is None when it states none.  ``balance``
     states x in (0, 1) when L obeys detailed balance with respect to
-    sigma ~ x^N, N the stated excitation numbers.  Each statement is checked
+    sigma ~ x^N, N the stated excitation numbers.  ``signature`` states u,
+    one sign +-1 per basis state and swap-invariant, when L commutes with
+    Theta(rho) = U rho* U, U = diag(u), and is None when it states none (a
+    model with cross terms states none).  Each statement is checked
     here, once, on the nonzero entries of the sparse operators it is about
     (``ValueError`` otherwise), with no D x D array formed.
     """
@@ -212,6 +231,7 @@ class MasterEquation:
     excitations: np.ndarray | None = None
     swap: np.ndarray | None = None
     balance: float | None = None
+    signature: np.ndarray | None = None
 
     def __post_init__(self):
         dim = self.space.dim
@@ -240,6 +260,8 @@ class MasterEquation:
             if self.excitations is not None and not np.array_equal(self.excitations[p], self.excitations):
                 raise ValueError("the stated swap changes the stated excitation numbers")
             self._check_swap(p)
+        if self.signature is not None:
+            self._check_signature()
         if self.balance is not None:
             self._check_balance(jumps)
 
@@ -290,6 +312,33 @@ class MasterEquation:
                 if k is None:
                     raise ValueError(f"{what} of {name} breaks its stated swap: P O P at its rate is no term")
                 terms.pop(k)
+
+    def _check_signature(self) -> None:
+        """Refuse a stated signature u unless it is a swap-invariant sign per
+        basis state, the model has no cross terms, u_i u_j conj(H_ij) = -H_ij
+        and each jump has one sign s with u_i u_j conj(O_ij) = s O_ij, all
+        exactly on the operators' nonzero entries: U O* U moves no entry and
+        changes only signs."""
+        name, u = self.label or "the model", np.asarray(self.signature)
+        if u.shape != (self.dim,):
+            raise ShapeError("the stated signature does not match the space")
+        if not np.all(np.abs(u) == 1):
+            raise ValueError(f"the stated signature of {name} is not one sign +-1 per basis state")
+        if self.swap is not None and not np.array_equal(u[self.swap], u):
+            raise ValueError(f"the stated swap changes the stated signature of {name}")
+        if self.cross_terms:
+            raise ValueError(f"a signature needs a model without cross terms ({name})")
+
+        def image(o: sp.csr_matrix) -> np.ndarray:  # the entries of U O* U, at those of O
+            return u[_rows(o)] * u[o.indices] * o.data.conj()
+
+        h = self.hamiltonian.matrix
+        if not np.array_equal(image(h), -h.data):
+            raise ValueError(f"the Hamiltonian of {name} breaks its stated signature: U H* U is not -H")
+        for op, _ in self.dissipators:
+            o = op.matrix
+            if not any(np.array_equal(image(o), s * o.data) for s in (1, -1)):
+                raise ValueError(f"jump {op.label} of {name} breaks its stated signature: U O* U is not +-O")
 
     def _check_balance(self, jumps: list[tuple[LabeledOperator, float, int]] | None) -> None:
         """Refuse a stated weight x unless the nonzero ``jumps`` pair as (O, r), (O^dag, x r)."""
@@ -362,13 +411,13 @@ class Superoperator:
         model's statements), built when first asked for, without L."""
         if self._index is None:
             me = self.me
-            self._index = HermitianSectors(me.dim, me.excitations, me.swap)
+            self._index = HermitianSectors(me.dim, me.excitations, me.swap, me.signature)
         return self._index
 
     def sectors(self) -> list[slice]:
         """The index ranges of G that the generator never mixes, the
-        diagonal's even part first (d = 0, exchange parity +1: where |gg,0>,
-        the kernel and the stated charges lie)."""
+        diagonal's even, Theta = +1 part first (d = 0, exchange parity +1:
+        where |gg,0>, the kernel and the stated charges lie)."""
         return self.sector_index().slices
 
     def maps(self, s: slice | None = None) -> tuple[sp.csc_matrix, sp.csr_matrix]:
@@ -561,12 +610,13 @@ class HermitianSectors:
     """Index bookkeeping of the real coordinates y of vec(rho) of a d x d
     matrix, ordered sector by sector: one sector per |N_i - N_j| of the
     integer excitation numbers ``labels`` (ascending; all of vec(rho) when
-    None) and exchange parity under the basis permutation ``swap`` (+1
-    first; all +1 when None), and within a sector by coordinate number in
-    x = [rho_ii; Re rho_ij; Im rho_ij  (i < j, row by row)].  ``slices`` are
-    the sectors as index ranges of y, ``gaps`` their |N_i - N_j| and
-    ``size`` is d^2.  ``maps(s)`` composes B = T^-1 E and F T on a range of
-    them from this bookkeeping alone; F T B = I.
+    None), exchange parity under the basis permutation ``swap`` (+1 first;
+    all +1 when None) and Theta = +-1 under the swap-invariant ``signature``
+    u (+1 first; not split when None), and within a sector by coordinate
+    number in x = [rho_ii; Re rho_ij; Im rho_ij  (i < j, row by row)].
+    ``slices`` are the sectors as index ranges of y, ``gaps`` their
+    |N_i - N_j| and ``size`` is d^2.  ``maps(s)`` composes B = T^-1 E and
+    F T on a range of them from this bookkeeping alone; F T B = I.
 
     Re and Im of rho_ij hold rho_ij (d) and rho_ji (-d), so a |d| sector is
     closed under the adjoint; the first one holds the diagonal.  The swap
@@ -576,29 +626,51 @@ class HermitianSectors:
     and e_k - s e_l (-1).  Column c of E is 1 at the coordinate listed for
     it and, for a pair, its sign at the partner (``_coordinates``).
 
+    Theta(rho) = U rho* U is +1 on rho_ii, u_i u_j on Re rho_ij and
+    -u_i u_j on Im rho_ij, so it keeps every coordinate and commutes with
+    the swap; a swapped pair has one Theta.  Each pair i < j puts one of its
+    Re and Im in either half, and the diagonal lies in Theta = +1.
+
     The sizes come in closed form from the m_N basis states with N
     excitations and the f_N of them the swap fixes (it keeps N): (sum_N
     m_N^2 +- f_N^2) / 2 at |d| = 0, parity +-1, and sum_N m_N m_{N+g} +-
-    f_N f_{N+g} at |d| = g > 0.  No coordinate is listed until ``maps`` asks
-    for a range, and then only those of the sectors it meets, so the index
-    itself holds O(d) numbers.
+    f_N f_{N+g} at |d| = g > 0.  Theta halves each of them, but for the d
+    diagonal coordinates of the even d = 0 sector, which add d / 2 to its
+    +1 half and take d / 2 from its -1 half: the swap-fixed coordinates
+    there are the diagonal, the Re of exchanged pairs (all in +1) and both
+    parts of each pair of fixed states (one in each).  No coordinate is
+    listed until ``maps`` asks for a range, and then only those of the
+    sectors it meets, so the index itself holds O(d) numbers.
     """
 
-    def __init__(self, d: int, labels: np.ndarray | None, swap: np.ndarray | None):
+    def __init__(self, d: int, labels: np.ndarray | None, swap: np.ndarray | None,
+                 signature: np.ndarray | None = None):
         self.d, self.size, self.labels = d, d * d, labels
         self.swap = np.arange(d) if swap is None else np.asarray(swap)
+        self.signature = None if signature is None else np.asarray(signature)
         n = np.zeros(d, dtype=np.int64) if labels is None else np.asarray(labels) - np.min(labels)
         m = np.bincount(n)  # basis states per N
         f = np.bincount(n, weights=self.swap == np.arange(d)).astype(np.int64)  # those the swap fixes
         mm, ff = (np.correlate(c, c, "full")[c.size - 1 :] for c in (m, f))  # sum_N c_N c_{N+g}
         even, odd = mm + ff, mm - ff
         even[0], odd[0] = even[0] // 2, odd[0] // 2
-        self._keys = [(int(g), parity) for g in np.flatnonzero(mm) for parity, size in ((1, even[g]), (-1, odd[g]))
-                      if size]
-        sizes = [even[g] if parity > 0 else odd[g] for g, parity in self._keys]
+        if signature is None:  # theta 0: the parity sector whole
+            halves = [(0, even, odd)]
+        else:
+            diagonal = np.zeros_like(mm)
+            diagonal[0] = d
+            halves = [(1, (even + diagonal) // 2, odd // 2), (-1, (even - diagonal) // 2, odd // 2)]
+        self._keys, sizes = [], []
+        for g in np.flatnonzero(mm):
+            for parity in (1, -1):
+                for theta, by_even, by_odd in halves:
+                    size = (by_even if parity > 0 else by_odd)[g]
+                    if size:
+                        self._keys.append((int(g), parity, theta))
+                        sizes.append(size)
         edges = np.concatenate(([0], np.cumsum(sizes))).tolist()
         self.slices = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-        self.gaps = np.array([g for g, _ in self._keys])
+        self.gaps = np.array([g for g, *_ in self._keys])
         # the states by N, then by index: group N is _by_n[_start[N] : _start[N + 1]]
         self._n, self._by_n = n, np.argsort(n, kind="stable")
         self._start = np.concatenate(([0], np.cumsum(m), [d]))
@@ -623,13 +695,15 @@ class HermitianSectors:
         return i[order], j[order]
 
     def _coordinates(self, g: int, parity: int) -> tuple[np.ndarray, ...]:
-        """The coordinates of the sector (|d| = g, ``parity``) in order:
-        each one's number, its partner under the swap (-1 when it fixes it),
-        the sign of the partner in E's column, and the vec(rho) positions
-        (second high, second low, first high, first low) of the two, where
-        rho_ii sits at i (d + 1) and Re or Im rho_ij at j + i d (low) and
-        i + j d (high); an unpaired coordinate stands in for its partner."""
+        """The coordinates of the part (|d| = g, ``parity``) in order: each
+        one's number, its partner under the swap (-1 when it fixes it), the
+        sign of the partner in E's column, the vec(rho) positions (second
+        high, second low, first high, first low) of the two, where rho_ii
+        sits at i (d + 1) and Re or Im rho_ij at j + i d (low) and i + j d
+        (high), and its Theta (+1 for all when no signature is stated); an
+        unpaired coordinate stands in for its partner."""
         d, p = self.d, self.swap
+        u = np.ones(d, dtype=np.int64) if self.signature is None else self.signature
         half = (d * d - d) // 2
         parts = []
         if g == 0:  # the diagonal: the swap moves rho_ii to rho_p(i)p(i) with sign +1
@@ -637,7 +711,7 @@ class HermitianSectors:
             k = k[(p > k) if parity < 0 else (p >= k)]
             other = np.where(p[k] != k, p[k], -1)
             at, to = k * (d + 1), np.where(other >= 0, other, k) * (d + 1)
-            parts.append((k, other, np.full(k.size, parity), np.column_stack((to, to, at, at))))
+            parts.append((k, other, np.full(k.size, parity), np.column_stack((to, to, at, at)), np.ones(k.size)))
         i, j = self._pairs(g)
         a, b = np.minimum(p[i], p[j]), np.maximum(p[i], p[j])
         q, qp = i * d - i * (i + 1) // 2 + j - i - 1, a * d - a * (a + 1) // 2 + b - a - 1
@@ -645,12 +719,12 @@ class HermitianSectors:
         flip = np.where(p[i] < p[j], 1, -1)  # the swap's sign on Im
         # Re: +1 holds every first of a pair, -1 those the swap moves; a fixed
         # Im lies in the parity of its sign
-        for offset, take, sign in ((d, rep & (moved | (parity > 0)), np.ones_like(flip)),
-                                   (d + half, rep & (moved | (flip == parity)), flip)):
+        for offset, take, sign, conj in ((d, rep & (moved | (parity > 0)), np.ones_like(flip), 1),
+                                         (d + half, rep & (moved | (flip == parity)), flip, -1)):
             c, m = np.flatnonzero(take), moved[take]
             ci, cj, ca, cb = i[c], j[c], np.where(m, a[c], i[c]), np.where(m, b[c], j[c])
             pos = np.column_stack((ca + cb * d, cb + ca * d, ci + cj * d, cj + ci * d))
-            parts.append((offset + q[c], np.where(m, offset + qp[c], -1), parity * sign[c], pos))
+            parts.append((offset + q[c], np.where(m, offset + qp[c], -1), parity * sign[c], pos, conj * u[ci] * u[cj]))
         return tuple(np.concatenate(a) for a in zip(*parts))
 
     def maps(self, s: slice | None = None) -> tuple[sp.csc_matrix, sp.csr_matrix]:
@@ -666,7 +740,11 @@ class HermitianSectors:
         s = slice(0, self.size) if s is None else s
         met = [k for k, t in enumerate(self.slices) if t.start < s.stop and s.start < t.stop]
         cut = slice(s.start - self.slices[met[0]].start, s.stop - self.slices[met[0]].start)
-        x0, x1, e, at = (np.concatenate(c)[cut] for c in zip(*(self._coordinates(*self._keys[k]) for k in met)))
+        parts = []  # each (|d|, parity) part listed once, then cut into its Theta halves
+        for (g, parity), keys in itertools.groupby((self._keys[k] for k in met), key=lambda key: key[:2]):
+            *columns, half_of = self._coordinates(g, parity)
+            parts += [[c[half_of == theta] for c in columns] if theta else columns for *_, theta in keys]
+        x0, x1, e, at = (np.concatenate(c)[cut] for c in zip(*parts))
         n, d = x0.size, self.d
         # the entries of a coordinate: the second's high and low position, the first's
         keep = np.column_stack((x1 >= 0, x1 >= d, np.ones(n, dtype=bool), x0 >= d))
@@ -701,7 +779,7 @@ class HermitianSectors:
 
     def holding(self, positions: np.ndarray) -> list[slice]:
         """The sectors that hold one of the vec(rho) ``positions``: all of
-        their |N_i - N_j|, in either parity."""
+        their |N_i - N_j|, in either parity and either half of Theta."""
         if self.labels is None:
             return list(self.slices)
         d, held = self.d, np.zeros(self.gaps.max() + 1, dtype=bool)
@@ -762,8 +840,10 @@ def build_full(space: SystemSpace, params: ModelParams) -> MasterEquation:
     (sigma_-^j, gamma(n_th+1)/2), (sigma_+^j, gamma n_th/2).
     Zero-rate channels are omitted.  At gamma = 0 every operator is
     collective and the singlet weight is conserved.  The model states the
-    atom swap, without a drive its excitation numbers, and without a drive
-    at n_th > 0 its detailed-balance weight x = n_th / (n_th + 1).
+    atom swap, the signature u = (-1)^(excited atoms) (the coupling is real
+    and flips one atom, the drive imaginary and flips none), without a
+    drive its excitation numbers, and without a drive at n_th > 0 its
+    detailed-balance weight x = n_th / (n_th + 1).
     """
     k = params.kappa
     a = annihilation(space)
@@ -792,6 +872,7 @@ def build_full(space: SystemSpace, params: ModelParams) -> MasterEquation:
         excitations=excitation_number(space) if undriven else None,
         swap=atom_swap(space),
         balance=params.n_th / (params.n_th + 1.0) if balanced else None,
+        signature=atom_parity(space),
     )
 
 
@@ -805,7 +886,9 @@ def build_coherent_displaced(space: SystemSpace, params: ModelParams) -> MasterE
     only, so the atomic decay channels pass through unchanged: the model is
     unitarily equivalent to the lab frame (same spectrum, same atomic
     observables) but free of the drive term, which makes large-drive runs
-    tractable.  At gamma = 0 the singlet weight is conserved.
+    tractable.  At gamma = 0 the singlet weight is conserved.  H1 is real
+    and flips one atom in each term, so the model states the signature
+    u = (-1)^(excited atoms).
     """
     if params.n_th != 0.0:
         raise UnsupportedRegimeError("the displaced coherent model requires n_th = 0")
@@ -825,7 +908,7 @@ def build_coherent_displaced(space: SystemSpace, params: ModelParams) -> MasterE
     conserved = () if params.gamma > 0.0 else (singlet_projector(space),)
     return MasterEquation(
         LabeledOperator("H_1", h), tuple(diss), space, label="coherent-displaced",
-        conserved=conserved, swap=atom_swap(space),
+        conserved=conserved, swap=atom_swap(space), signature=atom_parity(space),
     )
 
 
@@ -835,7 +918,9 @@ def build_rwa_displaced(space: SystemSpace, params: ModelParams) -> MasterEquati
     Lindblad part (a, kappa), (J_-, w), (J_+, w) with w = kappa (g0/4 Omega)^2,
     plus the two conjugate non-Lindblad cross terms carrying weight -w:
     (J_z a^dag) rho-bilinear with a, and its Hermitian partner.  Intended for
-    Omega >> kappa; emits a warning when 4 eps/kappa < 10.
+    Omega >> kappa; emits a warning when 4 eps/kappa < 10.  The cross
+    terms leave it no signature: atom parity, photon parity and the
+    constant signature all leak.
     """
     if params.n_th != 0.0 or params.gamma != 0.0:
         raise UnsupportedRegimeError(
@@ -880,7 +965,7 @@ def build_effective_coherent(params: ModelParams) -> MasterEquation:
     H = 0; dissipators (J_-, Gamma_eps), (J_+, Gamma_eps), (J_z, Gamma_g0)
     with Gamma_eps = kappa (kappa/4 eps)^2 and Gamma_g0 = kappa (g0/2 kappa)^2.
     Valid for eps >> kappa >> g0; the spectrum is exact for the model itself
-    at any parameters.
+    at any parameters.  H = 0 and real jumps: the signature is u = +1.
     """
     if params.eps == 0.0:
         raise UnsupportedRegimeError(
@@ -901,6 +986,7 @@ def build_effective_coherent(params: ModelParams) -> MasterEquation:
         label="effective-coherent",
         conserved=(singlet_projector(space),),
         swap=atom_swap(space),
+        signature=np.ones(space.dim, dtype=np.int64),
     )
 
 
@@ -908,7 +994,8 @@ def build_effective_incoherent(params: ModelParams) -> MasterEquation:
     """Adiabatically eliminated atomic model of the thermal case (4-dim).
 
     H = 0; dissipators (S_-, Gamma(n_th+1)), (S_+, Gamma n_th) with
-    Gamma = kappa (g0/kappa)^2: two atoms sharing one thermal bath.
+    Gamma = kappa (g0/kappa)^2: two atoms sharing one thermal bath.  H = 0
+    and real jumps: the signature is u = +1.
     """
     space = atomic_space()
     g = params.gamma_collective
@@ -919,5 +1006,5 @@ def build_effective_incoherent(params: ModelParams) -> MasterEquation:
     return MasterEquation(
         zero, tuple(diss), space, label="effective-incoherent",
         conserved=(singlet_projector(space),), excitations=excitation_number(space),
-        swap=atom_swap(space),
+        swap=atom_swap(space), signature=np.ones(space.dim, dtype=np.int64),
     )

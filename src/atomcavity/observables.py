@@ -1,4 +1,4 @@
-"""Reduced states, entropies, mutual information and photon number.
+"""Reduced states, entropies and mutual information.
 
 Entropy is measured in bits (log base 2) throughout.  Mutual information
 between the two atoms, I = S(rho_1) + S(rho_2) - S(rho_atoms), is the
@@ -70,16 +70,6 @@ def _entropy(w: np.ndarray) -> float:
     """-sum w log2 w over clipped eigenvalues, with 0 log 0 = 0."""
     w = w[w > 0.0]
     return float(-(w * np.log2(w)).sum())
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-Tr[rho log2 rho] in bits, with 0 log 0 = 0.
-
-    Eigenvalues in [-ENTROPY_CLIP_SLACK, 0) are clipped to zero; anything
-    more negative raises, because it signals an invalid state rather than
-    rounding.
-    """
-    return _entropy(_clipped_eigh(rho.matrix)[0])
 
 
 #: below this |u| the term (1 + u) log(1 + u) - u is summed as its series
@@ -171,19 +161,9 @@ def atomic_states(traj: Trajectory) -> np.ndarray:
 def mi_curve(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> np.ndarray:
     """Atomic mutual information at each time of ``t_grid``, starting from
     ``rho0``: spectral evolution of the generator, one sector (excitation
-    block and exchange parity) at a time, then one mutual information per
+    block, exchange parity and Theta half) at a time, then one mutual information per
     sample of its atomic states."""
     at = atomic_space()
     states = atomic_states(evolve_spectral(sup, rho0, t_grid))
     return np.array([mutual_information(DensityMatrix(m, at)) for m in states])
 
-
-def photon_number(rho: DensityMatrix) -> float:
-    """Mean cavity photon number Tr(rho a^dag a)."""
-    space = rho.space
-    if not space.has_field:
-        raise ShapeError("photon_number requires a state with a field factor")
-    f = space.fock_cutoff
-    m = rho.matrix.reshape(2, 2, f, 2, 2, f)
-    field = np.trace(np.trace(m, axis1=0, axis2=3), axis1=0, axis2=2)
-    return float(np.real(np.sum(np.diag(field) * np.arange(f))))

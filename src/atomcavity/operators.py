@@ -232,6 +232,19 @@ def atom_swap(space: SystemSpace) -> np.ndarray:
     return np.add.outer(atoms * f, np.arange(f)).ravel()
 
 
+def atom_parity(space: SystemSpace) -> np.ndarray:
+    """u = (-1)^(excited atoms) of each basis state, invariant under the atom swap.
+
+    Theta(rho) = U rho* U with U = diag(u) commutes with the generators of
+    the lab and displaced frames (a weak antiunitary symmetry), which state
+    it; ``MasterEquation.signature`` checks the condition on H and the jumps.
+    """
+    atoms = np.array([1, -1, -1, 1])  # gg, ge, eg, ee
+    if not space.has_field:
+        return atoms
+    return np.repeat(atoms, space.fock_cutoff)
+
+
 def singlet_projector(space: SystemSpace) -> LabeledOperator:
     """P_S = |S><S| (x) I_F with |S> = (|ge> - |eg>)/sqrt(2).
 

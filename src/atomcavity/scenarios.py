@@ -365,7 +365,7 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         grid = _grid(config, pt)
         cutoff = _thermal_cutoff(p.n_th) if config.cutoff == "auto" else int(config.cutoff)
         space = make_space(cutoff)
-        # |gg,0> occupies only the d = 0, even sector, which is evolved densely
+        # |gg,0> occupies only the d = 0, even, Theta = +1 sector, which is evolved densely
         sup = Superoperator(models.build_full(space, p))
         dim = _first_sector_dim(sup)
         run_exact = dim <= linalg.DENSE_CAP
@@ -467,8 +467,8 @@ SCHEMA_NOTES = {
     "gap-incoherent": "Spectral gap of the lab-frame thermal model vs "
     "2 n_th (g0/kappa)^2 kappa; one row per (g0, n_th) point.",
     "mi-incoherent": "Atomic mutual information vs time, exact lab-frame "
-    "thermal model (where its d = 0, exchange-even sector fits the dense cap; "
-    "otherwise NaN) and the effective model; one row per time sample.",
+    "thermal model (where its d = 0, exchange-even, Theta = +1 sector fits the "
+    "dense cap; otherwise NaN) and the effective model; one row per time sample.",
     "real-detector": "Mutual information vs time with atomic decay gamma for "
     "the driven (displaced frame) and thermal cases; one row per time sample.",
     "verify": "Acceptance matrix results, one row per criterion.",

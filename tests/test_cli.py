@@ -190,14 +190,16 @@ class TestOutputs:
         assert not (tmp_path / "ignored").exists()
 
     def test_mi_incoherent_effective_only_above_cap(self, tmp_path):
+        # at n_th = 120 the auto cutoff is 608: the first sector from |gg,0>
+        # has 7 * 608 - 4 = 4252 coordinates, above the dense cap 4096
         cfg = write_config(
             tmp_path,
             {
-                "params": {"g0": [0.01], "n_th": [100.0]},
+                "params": {"g0": [0.01], "n_th": [120.0]},
                 "time_grid": {"t_max": 100.0, "points": 8, "t_min": 1.0},
             },
         )
-        out = tmp_path / "mi100"
+        out = tmp_path / "mi120"
         assert cli.main(
             ["--scenario", "mi-incoherent", "--config", str(cfg), "--out", str(out), "--quiet"]
         ) == 0
@@ -208,12 +210,12 @@ class TestOutputs:
         assert row["cutoff"] == "effective-only"
         assert float(row["mi_effective"]) >= 0.0
 
-    @pytest.mark.parametrize("cap,exact", [(151, False), (152, True)])
+    @pytest.mark.parametrize("cap,exact", [(107, False), (108, True)])
     def test_mi_incoherent_runs_exactly_while_its_sector_fits_the_dense_cap(
         self, monkeypatch, cap, exact
     ):
-        # at n_th = 1 the auto cutoff is 16: the d = 0, exchange-even sector
-        # from |gg,0> has 10 * 16 - 8 = 152 coordinates
+        # at n_th = 1 the auto cutoff is 16: the d = 0, exchange-even,
+        # Theta = +1 sector from |gg,0> has 7 * 16 - 4 = 108 coordinates
         monkeypatch.setattr(scenarios.linalg, "DENSE_CAP", cap)
         config = scenarios.ScenarioConfig(
             "mi-incoherent",
@@ -222,7 +224,7 @@ class TestOutputs:
         )
         rows, summary = scenarios.run_mi_incoherent(config)
         (curve,) = summary["curves"].values()
-        assert curve["dim"] == 152
+        assert curve["dim"] == 108
         assert curve["exact_run"] is exact
         assert curve["evolution"] == ("spectral-sector" if exact else "effective-only")
         assert rows[0]["cutoff"] == (16 if exact else "effective-only")
@@ -244,7 +246,7 @@ class TestOutputs:
         steady = json.loads((out / "summary.json").read_text())["summary"]["steady"]
         entry = steady["incoherent,gamma=0.001"]
         assert entry["evolution"] == "spectral-sector"
-        assert entry["dim"] == 10 * 4 - 8
+        assert entry["dim"] == 7 * 4 - 4
 
     def test_coherent_entries_record_the_evolution(self, tmp_path):
         # the driven model evolves the exchange-even sector of its 1024
@@ -263,7 +265,7 @@ class TestOutputs:
         entry = json.loads((out / "summary.json").read_text())["summary"]["steady"][
             "coherent,gamma=0.001"
         ]
-        assert (entry["evolution"], entry["dim"]) == ("spectral-sector", 640)
+        assert (entry["evolution"], entry["dim"]) == ("spectral-sector", 336)
         config = scenarios.ScenarioConfig(
             "mi-coherent",
             params={"g0": [0.25], "eps": [10.0]},
@@ -272,7 +274,7 @@ class TestOutputs:
         )
         _, summary = scenarios.run_mi_coherent(config)
         (curve,) = summary["curves"].values()
-        assert (curve["evolution"], curve["dim"]) == ("spectral-sector", 640)
+        assert (curve["evolution"], curve["dim"]) == ("spectral-sector", 336)
 
     def test_real_detector_case_axis_accepts_strings(self, tmp_path):
         cfg = write_config(

@@ -23,7 +23,14 @@ from atomcavity.errors import (
 from atomcavity.models import unvec, vec, vectorize
 from atomcavity.operators import LabeledOperator, singlet_projector
 
-from conftest import random_density_matrix, random_hermitian
+from conftest import (
+    bell_state,
+    maximally_mixed,
+    photon_number,
+    random_density_matrix,
+    random_hermitian,
+    singlet_state,
+)
 
 
 def _dense_exponential(sup, starts, grid):
@@ -111,8 +118,6 @@ class TestEvolveOde:
         # closed-form oracle: <n>(t) = e^{-2 kappa t} under the 2x convention.
         # gamma > 0 pins the decoupled atoms to |gg>; at gamma = 0 they keep
         # every atomic state, a kernel larger than the model states
-        from atomcavity.observables import photon_number
-
         space = make_space(3)
         p = ModelParams(g0=0.0, eps=0.0, gamma=0.1)
         sup = vectorize(models.build_full(space, p))
@@ -266,17 +271,18 @@ class TestEvolveSpectral:
 
     @pytest.mark.parametrize("gamma", [0.0, 0.05])
     def test_both_exchange_parities_match_ode_reference(self, gamma):
-        # the driven model states no excitation numbers, only the atom swap: a
-        # generic state occupies both parities, and each evolves alone; the
+        # the driven model states no excitation numbers, only the atom swap
+        # and its signature: a generic state occupies both parities and both
+        # Theta halves of each, and each of the four evolves alone; the
         # reference solves the ODE as expm(t L) vec(rho0)
         space = make_space(4)
         me = models.build_coherent_displaced(space, ModelParams(g0=0.25, eps=2.0, gamma=gamma))
         sup = vectorize(me, materialize=False)
         rho0 = random_density_matrix(me.dim, np.random.default_rng(5), space)
         v0 = vec(rho0.matrix)
-        even, odd = sup.sectors()
+        sectors = sup.sectors()
         _, inverse = sup.maps()
-        assert np.abs(inverse[even] @ v0).max() > 1e-3 and np.abs(inverse[odd] @ v0).max() > 1e-3
+        assert len(sectors) == 4 and all(np.abs(inverse[s] @ v0).max() > 1e-3 for s in sectors)
         grid = dyn.time_grid(200.0, 20, t_min=0.5)
         (want,) = _dense_exponential(sup, [rho0], grid)
         t_spec = dyn.evolve_spectral(sup, rho0, grid)
@@ -307,7 +313,7 @@ class TestEvolveSpectral:
         monkeypatch.setattr(dyn, "eig_general", recording_eig)
         dyn.evolve_spectral(vectorize(me, materialize=False), dyn.ground_state(space),
                             np.array([0.0, 10.0]))
-        assert dims == [10 * 8 - 8]
+        assert dims == [7 * 8 - 4]
 
     def test_sector_bookkeeping_is_built_once_per_generator(self, monkeypatch):
         # the sectors' index bookkeeping is built once, when the generator is
@@ -318,9 +324,9 @@ class TestEvolveSpectral:
         calls = []
         build = models.HermitianSectors
 
-        def counting(d, labels, swap):
+        def counting(d, labels, swap, signature):
             calls.append(d)
-            return build(d, labels, swap)
+            return build(d, labels, swap, signature)
 
         monkeypatch.setattr(models, "HermitianSectors", counting)
         sup = vectorize(me, materialize=False)
@@ -345,13 +351,13 @@ class TestEvolveSpectral:
         monkeypatch.setattr(linalg, "NEAR_DEFECTIVE_COND", 1.0)
         sup = vectorize(models.build_effective_coherent(ModelParams(g0=0.25, eps=10.0)))
         with pytest.raises(UnsupportedRegimeError):
-            dyn.evolve_spectral(sup, dyn.bell_state(), np.array([0.0]))
+            dyn.evolve_spectral(sup, bell_state(), np.array([0.0]))
 
     def test_a_state_on_another_space_is_refused(self):
         # a 4 x 4 atomic state, and an 8 x 8 cutoff-2 state, for a 12 x 12
         # cutoff-3 model: numpy's "cannot reshape" or "dimension mismatch" before
         sup = models.Superoperator(models.build_full(make_space(3), ModelParams(g0=0.1, n_th=1.0)))
-        for rho0, dim in ((dyn.bell_state(), 4), (dyn.ground_state(make_space(2)), 8)):
+        for rho0, dim in ((bell_state(), 4), (dyn.ground_state(make_space(2)), 8)):
             with pytest.raises(ShapeError, match=f"dimension {dim}, the model's space 12"):
                 dyn.evolve_spectral(sup, rho0, np.array([0.0, 1.0]))
             with pytest.raises(ShapeError, match=f"dimension {dim}, the model's space 12"):
@@ -368,19 +374,20 @@ class TestEvolveSpectral:
         assert sup._sparse is None  # L was never assembled
 
     def test_an_oversized_sector_is_refused_before_its_block_is_formed(self, monkeypatch):
-        # the driven model states no excitation numbers, so its even parity
-        # holds (D^2 + f^2) / 2 = 4410 coordinates at cutoff 21 (D = 84, and
-        # the swap fixes f = 42 states); its dense block alone would be 156 MB
-        space = make_space(21)
+        # the driven model states no excitation numbers, so the Theta = +1
+        # half of its even parity holds (D^2 + f^2 + 2 D) / 4 = 4263
+        # coordinates at cutoff 29 (D = 116, and the swap fixes f = 58
+        # states); its dense block alone would be 145 MB
+        space = make_space(29)
         sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.1, eps=1.0)))
-        assert sup.sectors()[0] == slice(0, 4410) and linalg.DENSE_CAP == 4096
+        assert sup.sectors()[0] == slice(0, 4263) and linalg.DENSE_CAP == 4096
 
         def unreachable(*args):
             raise AssertionError("a block above the dense cap was formed")
 
         monkeypatch.setattr(sup, "generator", unreachable)
         monkeypatch.setattr(dyn, "eig_general", unreachable)
-        with pytest.raises(DimensionLimitError, match="dimension 4410 exceeds the dense cap 4096"):
+        with pytest.raises(DimensionLimitError, match="dimension 4263 exceeds the dense cap 4096"):
             dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 1.0]))
 
 
@@ -403,8 +410,6 @@ class TestSteadyState:
     def test_cavity_decay_reaches_vacuum(self, rng):
         # g0 = 0 decouples the atoms; atomic decay pins them to |gg>, so the
         # kernel is unique and every initial state reaches the vacuum
-        from atomcavity.observables import photon_number
-
         space = make_space(4)
         sup = vectorize(models.build_full(space, ModelParams(g0=0.0, gamma=0.1)))
         for rho0 in (dyn.ground_state(space), random_density_matrix(space.dim, rng, space)):
@@ -416,7 +421,7 @@ class TestSteadyState:
         # the singlet is dark at every bath occupation
         p = ModelParams(g0=0.1, n_th=0.5)
         sup = vectorize(models.build_effective_incoherent(p))
-        s = dyn.singlet_state()
+        s = singlet_state()
         ss = dyn.steady_state(sup, s)
         assert dyn.trace_norm(ss.matrix - s.matrix) < 1e-9
 
@@ -731,7 +736,7 @@ def test_spectral_trajectory_does_not_hold_full_samples():
 class TestFitRelaxation:
     def test_pure_exponential_recovered(self):
         space = atomic_space()
-        ss = dyn.maximally_mixed(space)
+        ss = maximally_mixed(space)
         tau = 37.0
         times = dyn.time_grid(6 * tau, 60, t_min=0.1)
         direction = np.diag([1.5, 0.5, -0.5, -1.5]).astype(complex) / 4

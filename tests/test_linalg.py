@@ -43,10 +43,10 @@ def real_eigenbasis(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return basis
 
 
-#: model sectors whose decompositions are compared with NumPy's: the
-#: displaced model's even 640 and odd 384 at cutoff 8, thermal sectors 232
-#: and 140 (cutoff 24) and 392 and 236 (cutoff 40), and a thermal 32 whose
-#: spectrum is all real
+#: model sectors whose decompositions are compared with NumPy's: the two
+#: Theta halves 336 and 304 of the displaced model's even parity at cutoff
+#: 8, those of the thermal d = 0 even sector, 164 and 68 (cutoff 24) and
+#: 276 and 116 (cutoff 40), and a thermal 24 whose spectrum is all real
 SECTORS = {
     "displaced-eps100": ("build_coherent_displaced", 8, dict(g0=0.25, eps=100.0), 2),
     "displaced-gamma": ("build_coherent_displaced", 8, dict(g0=0.25, eps=10**0.5, gamma=1e-3), 2),
@@ -156,7 +156,7 @@ class TestEigGeneral:
         sup = models.Superoperator(models.build_full(make_space(60), ModelParams(g0=0.01, n_th=10.0)))
         g = sup.generator(sup.sectors()[0])[0]
         n = g.shape[0]
-        assert n == 592
+        assert n == 7 * 60 - 4
         tracemalloc.start()
         try:
             linalg.eig_general(g)

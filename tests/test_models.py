@@ -27,6 +27,7 @@ from atomcavity.operators import (
     LabeledOperator,
     SystemSpace,
     annihilation,
+    atom_parity,
     atom_swap,
     collective_spin,
     dressed_spin,
@@ -34,7 +35,7 @@ from atomcavity.operators import (
     single_atom,
 )
 
-from conftest import random_hermitian
+from conftest import random_hermitian, singlet_state
 
 
 def trace_functional_residual(sup: Superoperator, rho: np.ndarray) -> float:
@@ -71,20 +72,37 @@ def hermitian_coordinates(d: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     )
 
 
-def counted_sector_sizes(d: int, labels: np.ndarray | None, swap: np.ndarray | None) -> list[int]:
-    """The size of each sector, in ``HermitianSectors`` order, counted on the
-    d^2 positions of vec(rho): the swap permutes them (rho_ij ->
-    rho_p(i)p(j)), so the part of the positions of one |N_i - N_j| that it
-    keeps even (odd) has (positions + fixed positions) / 2 (their
-    difference / 2) dimensions, over the reals on Hermitian matrices too."""
-    i, j = np.divmod(np.arange(d * d), d)
-    p = np.arange(d) if swap is None else swap
-    gap = np.zeros(d * d, dtype=int) if labels is None else np.abs(labels[i] - labels[j])
-    fixed = (p[i] == i) & (p[j] == j)
+def counted_sector_sizes(
+    d: int, labels: np.ndarray | None, swap: np.ndarray | None, signature: np.ndarray | None = None
+) -> list[int]:
+    """The size of each sector, in ``HermitianSectors`` order, counted as
+    the rank of the symmetries' projectors on the real coordinates x of
+    ``hermitian_coordinates``: the swap S (rho -> P rho P) and Theta (rho ->
+    U rho* U, U = diag(signature)) act on real x as real matrices, read off
+    T and T^-1 (conj(rho) of a real x is conj(T^-1) x), and the part of one
+    |N_i - N_j| of exchange parity p and Theta = t has
+    Tr[(1 + p S)/2 (1 + t Theta)/2] dimensions there (Theta not split when
+    no signature is given)."""
+    to_x, from_x = hermitian_coordinates(d)
+    k = np.arange(d * d)
+    row, col = k % d, k // d  # rho_ij sits at i + j d
+    p = np.arange(d) if swap is None else np.asarray(swap)
+    u = np.ones(d) if signature is None else np.asarray(signature, dtype=float)
+    moved = sp.csr_matrix((np.ones(d * d), (p[row] + p[col] * d, k)), shape=(d * d, d * d))
+    s = (to_x @ moved @ from_x).real.toarray()
+    theta = (to_x @ sp.diags(u[row] * u[col]) @ from_x.conj()).real.toarray()
+    n = np.zeros(d, dtype=int) if labels is None else np.asarray(labels)
+    first = from_x.tocsc().indices[from_x.tocsc().indptr[:-1]]  # a position each coordinate touches
+    gap = np.abs(n[row[first]] - n[col[first]])
+    eye = np.eye(d * d)
     sizes = []
     for g in np.unique(gap):
-        count, still = np.count_nonzero(gap == g), np.count_nonzero(fixed & (gap == g))
-        sizes += [size for size in ((count + still) // 2, (count - still) // 2) if size]
+        on = np.ix_(gap == g, gap == g)
+        for parity in (1, -1):
+            for t in ((1, -1) if signature is not None else (0,)):
+                projector = (eye + parity * s)[on] @ (eye + t * theta)[on] / (4 if t else 2)
+                size = round(float(np.trace(projector)))
+                sizes += [size] if size else []
     return sizes
 
 
@@ -400,8 +418,6 @@ class TestEffectiveModels:
             build_effective_coherent(ModelParams(g0=0.25, eps=0.0))
 
     def test_effective_incoherent_dark_singlet(self):
-        from atomcavity.dynamics import singlet_state
-
         p = ModelParams(g0=0.1, n_th=0.0)
         sup = vectorize(build_effective_incoherent(p))
         s = singlet_state()
@@ -520,7 +536,7 @@ def test_excitation_sectors(name, g0, eps, n_th, gamma, cutoff):
         assert len(set(gap[basis[:, s].tocoo().row])) == 1
         assert set(gap[inverse[s].tocoo().col]) == set(gap[basis[:, s].tocoo().row])
     assert not gap[basis[:, sectors[0]].tocoo().row].any()
-    assert [s.stop - s.start for s in sectors] == counted_sector_sizes(me.dim, n, me.swap)
+    assert [s.stop - s.start for s in sectors] == counted_sector_sizes(me.dim, n, me.swap, me.signature)
 
 
 @pytest.mark.parametrize("name", sorted(PARAMETRIC_BUILDERS))
@@ -555,7 +571,9 @@ def test_sector_spectra_make_up_the_full_spectrum(name, g0, eps, n_th, gamma, cu
     h = vec(random_hermitian(me.dim, np.random.default_rng(cutoff)))
     for s in sectors:
         assert not (inverse[s] @ h).imag.any()
-    assert [s.stop - s.start for s in sectors] == counted_sector_sizes(me.dim, me.excitations, me.swap)
+    assert [s.stop - s.start for s in sectors] == counted_sector_sizes(
+        me.dim, me.excitations, me.swap, me.signature
+    )
     # the sectors tile G, which stores no entry linking two of them, and
     # B G F T acts on Hermitian matrices as the CSR generator
     assert [s.start for s in sectors[1:]] == [s.stop for s in sectors[:-1]]
@@ -626,6 +644,99 @@ def test_a_broken_swap_is_refused():
         replace(rwa, cross_terms=rwa.cross_terms + pair)
 
 
+#: the builders that state a signature u: all but the rotating-wave model
+SIGNED = sorted(set(PARAMETRIC_BUILDERS) - {"rwa-displaced"})
+
+
+@pytest.mark.parametrize("name", SIGNED)
+@given(
+    g0=st.floats(0.05, 1.0),
+    eps=st.floats(3.0, 30.0),
+    n_th=st.floats(0.0, 5.0),
+    gamma=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+    cutoff=st.integers(2, 6),
+)
+def test_the_stated_signature_splits_every_sector_in_two(name, g0, eps, n_th, gamma, cutoff):
+    # Theta(rho) = U rho* U, U = diag(u), commutes with L: checked on matrices,
+    # L(Theta rho) = Theta(L rho), with no reference to the sectors
+    me = PARAMETRIC_BUILDERS[name](make_space(cutoff), ModelParams(g0, eps, n_th, gamma))
+    u = me.signature
+    assert u is not None and np.array_equal(u[me.swap], u)
+    assert np.array_equal(u, np.ones(me.dim) if not me.space.has_field else atom_parity(me.space))
+    sup = Superoperator(me)
+    rng = np.random.default_rng(cutoff)
+    rho = random_hermitian(me.dim, rng) + 1j * random_hermitian(me.dim, rng)  # any matrix
+
+    def theta(m: np.ndarray) -> np.ndarray:
+        return u[:, None] * m.conj() * u[None, :]
+
+    want = theta(unvec(sup.apply(vec(rho))))
+    assert_allclose(unvec(sup.apply(vec(theta(rho)))), want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+    # no entry of the whole product F T L B, before G drops anything, links
+    # the two Theta halves of any (|d|, parity) sector: exactly none in its
+    # real part, which G keeps (the imaginary part is round-off, 1.7e-18 in
+    # the effective coherent model, which G refuses above DENSE_IMAG_TOL)
+    basis, inverse = sup.maps()
+    raw = (inverse @ sup.as_sparse() @ basis).tocoo()
+    sectors, keys = sup.sectors(), sup.sector_index()._keys
+    half = np.repeat([t for *_, t in keys], [s.stop - s.start for s in sectors])
+    assert set(half) == {1, -1}
+    assert not raw.data.real[half[raw.row] != half[raw.col]].any()
+    # the sectors split each (|d|, parity) part of the unsigned index in two,
+    # its Theta = +1 half first
+    unsigned = models.HermitianSectors(me.dim, me.excitations, me.swap)
+    sizes = dict(zip(keys, [s.stop - s.start for s in sectors]))
+    for (g, parity, _), whole in zip(unsigned._keys, unsigned.slices):
+        assert sizes.get((g, parity, 1), 0) + sizes.get((g, parity, -1), 0) == whole.stop - whole.start
+    assert keys[0] == (0, 1, 1)
+    # the union of the split sectors' dense spectra is the spectrum of the
+    # dense complex L, paired by least total distance: each eigenvalue to
+    # 1e-10 of the spectral radius, a repeated one as the mean of its
+    # cluster, which the solve of the whole L scatters where it straddles a
+    # near-defective block (-1 +- 6.9e-10 i at n_th = 0, g0 = 0.05, cutoff 2,
+    # exactly -1 in each half)
+    full = np.linalg.eigvals(sup.as_sparse().toarray())
+    parts = np.concatenate([np.linalg.eigvals(sup.as_dense(s)) for s in sectors])
+    rows, cols = linear_sum_assignment(np.abs(full[:, None] - parts[None, :]))
+    full, parts, scale = full[rows], parts[cols], np.abs(full).max()
+    for group in spectra._cluster_complex(full, spectra.CLUSTER_TOL * scale):
+        assert abs(full[group].mean() - parts[group].mean()) <= 1e-10 * scale
+
+
+def photon_parity(space: SystemSpace) -> np.ndarray:
+    """(-1)^n of each basis state: swap-invariant, but no symmetry of a driven model."""
+    return np.tile((-1) ** np.arange(space.fock_cutoff), 4)
+
+
+def test_a_wrong_signature_is_refused():
+    # photon parity on the driven lab frame and on the displaced frame, and
+    # any signature on the rotating-wave model (its cross terms), are refused
+    # when stated; each really leaks: forced past the check, the generator
+    # in its split sectors links the two halves
+    space = make_space(4)
+    p = ModelParams(g0=0.3, eps=2.0)
+    driven, displaced = build_full(space, p), build_coherent_displaced(space, p)
+    rwa = build_rwa_displaced(space, ModelParams(g0=0.25, eps=100.0))
+    assert rwa.signature is None
+    cases = [(driven, photon_parity(space), "Hamiltonian .* breaks its stated signature"),
+             (displaced, photon_parity(space), "Hamiltonian .* breaks its stated signature")]
+    cases += [(rwa, u, "without cross terms") for u in (atom_parity(space), photon_parity(space), np.ones(space.dim))]
+    for me, u, message in cases:
+        with pytest.raises(ValueError, match=message):
+            replace(me, signature=u)
+        forced = replace(me, signature=None)
+        object.__setattr__(forced, "signature", u)
+        with pytest.raises(NumericalAccuracyError, match="links two of its sectors"):
+            Superoperator(forced).generator()
+    # a signature that is not one sign per state, or that the swap changes
+    with pytest.raises(ValueError, match="one sign"):
+        replace(driven, signature=2 * atom_parity(space))
+    moved = atom_parity(space).copy()
+    moved[space.fock_cutoff] = -moved[2 * space.fock_cutoff]  # |ge,0> against |eg,0>
+    with pytest.raises(ValueError, match="swap changes the stated signature"):
+        replace(driven, signature=moved)
+
+
 def test_a_swap_that_moves_the_excitation_numbers_is_refused():
     space = make_space(3)
     with pytest.raises(ValueError, match="excitation numbers"):
@@ -634,21 +745,24 @@ def test_a_swap_that_moves_the_excitation_numbers_is_refused():
 
 def test_zero_sector_dim_of_the_lab_frame():
     # the first sector's size in closed form, without listing a coordinate
-    def first(space, swap):
-        (s, *_) = models.HermitianSectors(space.dim, excitation_number(space), swap).slices
+    def first(space, swap, signature=None):
+        (s, *_) = models.HermitianSectors(space.dim, excitation_number(space), swap, signature).slices
         return s.stop - s.start
 
-    for cutoff in (2, 5, 40, 508):
+    for cutoff in (2, 5, 8, 24, 40, 508):
         space = make_space(cutoff)
         assert first(space, None) == 16 * cutoff - 12
         # the atom swap halves it, up to the states it fixes (gg and ee)
         assert first(space, atom_swap(space)) == 10 * cutoff - 8
+        # Theta keeps the diagonal and the Re of the exchanged pairs, and
+        # halves the rest
+        assert first(space, atom_swap(space), atom_parity(space)) == 7 * cutoff - 4
 
 
 @pytest.mark.parametrize("name,factory", BUILDERS, ids=[b[0] for b in BUILDERS])
 def test_zero_sector_dim_without_statements(name, factory):
-    # with neither symmetry stated the one sector is all of vec(rho)
-    me = replace(factory(), excitations=None, swap=None, balance=None)
+    # with no symmetry stated the one sector is all of vec(rho)
+    me = replace(factory(), excitations=None, swap=None, balance=None, signature=None)
     (whole,) = Superoperator(me).sectors()
     assert models.HermitianSectors(me.dim, None, None).slices == [whole] == [slice(0, me.dim**2)]
 
@@ -724,15 +838,20 @@ def test_the_generator_refuses_sector_leaks(monkeypatch):
         Superoperator(me).generator()
     monkeypatch.undo()
     # the two atoms' channels summed in either order leave round-off across
-    # the parities of the displaced model, which G drops
+    # the parities of the displaced model, which G drops; none links the two
+    # Theta halves
     for cutoff in (8, 16):
         me = build_coherent_displaced(make_space(cutoff), ModelParams(g0=0.1, eps=10**0.5, gamma=1e-3))
         sup = Superoperator(me)
         basis, inverse = sup.maps()
         raw = (inverse @ sup.as_sparse() @ basis).tocoo()
-        even = sup.sectors()[0].stop
-        cross = (raw.row < even) != (raw.col < even)
-        assert np.count_nonzero(raw.data[cross]) > 0
+        sectors, keys = sup.sectors(), sup.sector_index()._keys
+        sector_of = np.repeat(np.arange(len(sectors)), [s.stop - s.start for s in sectors])
+        cross = (sector_of[raw.row] != sector_of[raw.col]) & (raw.data != 0.0)
+        assert np.count_nonzero(cross) > 0
+        for a, b in zip(sector_of[raw.row[cross]], sector_of[raw.col[cross]]):
+            (_, parity_a, theta_a), (_, parity_b, theta_b) = keys[a], keys[b]
+            assert parity_a != parity_b and theta_a == theta_b
         assert sup.generator()[0].nnz == np.count_nonzero(raw.data[~cross])
 
 
@@ -906,7 +1025,7 @@ def test_a_certified_gap_builds_nothing_of_the_whole_space(monkeypatch):
         return build(me, at)
 
     def recording_coordinates(self, g, parity):
-        listed.append(self.slices[self._keys.index((g, parity))])
+        listed.extend(s for s, key in zip(self.slices, self._keys) if key[:2] == (g, parity))
         return coordinates(self, g, parity)
 
     monkeypatch.setattr(models.HermitianSectors, "maps", recording_maps)
@@ -919,10 +1038,11 @@ def test_a_certified_gap_builds_nothing_of_the_whole_space(monkeypatch):
     assert composed and all(s.stop - s.start <= rep.dim for s in composed)
     assert assembled and all(at is not None and at.size <= rep.dim for at in assembled)
     # the index lists the coordinates of the sectors asked for alone, and
-    # holds no array longer than the basis
+    # holds no array longer than the basis or the list of its sectors (four
+    # per |d| under the swap and Theta, 136 against the 128 states here)
     assert listed and all(s.stop <= rep.dim for s in listed)
     held = [v for v in vars(sup.sector_index()).values() if isinstance(v, np.ndarray)]
-    assert held and all(v.size <= sup.me.dim for v in held)
+    assert held and all(v.size <= max(sup.me.dim, len(sup.sectors())) for v in held)
     space = make_space(8)
     sup = Superoperator(build_full(space, ModelParams(g0=0.1, n_th=1.0)))
     composed.clear()
@@ -977,9 +1097,9 @@ def test_a_leak_planted_at_the_range_assembly_is_refused(monkeypatch, direction)
 
 def test_dense_eig_runs_in_real_arithmetic(monkeypatch):
     # mi_curve (spectral evolution) and dense analyze hand LAPACK's dgeev
-    # float64 matrices, not zgeev complex ones, on the exchange sectors: from
-    # |gg,0> only the even 640, for the full spectrum the even 640 and the
-    # odd 384 of the 1024 coordinates at cutoff 8
+    # float64 matrices, not zgeev complex ones, on the sectors: from |gg,0>
+    # only the even, Theta = +1 336, for the full spectrum the even 336 and
+    # 304 and the odd 192 and 192 of the 1024 coordinates at cutoff 8
     from atomcavity import linalg, observables, spectra
     from atomcavity.dynamics import ground_state
 
@@ -995,9 +1115,9 @@ def test_dense_eig_runs_in_real_arithmetic(monkeypatch):
     me = build_coherent_displaced(space, ModelParams(g0=0.25, eps=10.0))
     observables.mi_curve(vectorize(me, materialize=False), ground_state(space),
                          np.array([0.0, 1.0, 10.0]))
-    assert seen == [(np.float64, (640, 640))]
+    assert seen == [(np.float64, (336, 336))]
     spectra.analyze(vectorize(me, materialize=False))
-    assert seen[1:] == [(np.float64, (640, 640)), (np.float64, (384, 384))]
+    assert seen[1:] == [(np.float64, (n, n)) for n in (336, 304, 192, 192)]
 
 
 def test_the_undriven_thermal_model_states_its_detailed_balance_weight():

@@ -6,7 +6,13 @@ from numpy.testing import assert_allclose
 from atomcavity import atomic_space, dynamics as dyn, make_space, observables as obs
 from atomcavity.errors import StateValidityError
 
-from conftest import random_density_matrix
+from conftest import (
+    bell_state,
+    maximally_mixed,
+    photon_number,
+    random_density_matrix,
+    von_neumann_entropy,
+)
 
 
 class TestPartialTraceField:
@@ -20,7 +26,7 @@ class TestPartialTraceField:
 
     def test_maximally_mixed(self):
         space = make_space(5)
-        at = obs.partial_trace_field(dyn.maximally_mixed(space))
+        at = obs.partial_trace_field(maximally_mixed(space))
         assert_allclose(at.matrix, np.eye(4) / 4, atol=1e-14)
 
     def test_trace_preserved(self, rng):
@@ -30,7 +36,7 @@ class TestPartialTraceField:
         assert abs(np.trace(at.matrix) - np.trace(rho.matrix)) < 1e-12
 
     def test_atomic_passthrough_warns(self):
-        rho = dyn.bell_state()
+        rho = bell_state()
         with pytest.warns(UserWarning):
             out = obs.partial_trace_field(rho)
         assert out is rho
@@ -39,7 +45,7 @@ class TestPartialTraceField:
 class TestPartialTraceAtom:
     def test_bell_reduces_to_mixed(self):
         for keep in (1, 2):
-            r = obs.partial_trace_atom(dyn.bell_state(), keep)
+            r = obs.partial_trace_atom(bell_state(), keep)
             assert_allclose(r.matrix, np.eye(2) / 2, atol=1e-14)
 
     def test_ground_reduces_to_ground(self):
@@ -62,27 +68,27 @@ class TestPartialTraceAtom:
 
 class TestEntropy:
     def test_pure_state_zero(self):
-        assert obs.von_neumann_entropy(dyn.bell_state()) == pytest.approx(0.0, abs=1e-12)
+        assert von_neumann_entropy(bell_state()) == pytest.approx(0.0, abs=1e-12)
 
     def test_qubit_mixed_one_bit(self):
         half = dyn.DensityMatrix(np.eye(2, dtype=complex) / 2, atomic_space())
-        assert obs.von_neumann_entropy(half) == pytest.approx(1.0)
+        assert von_neumann_entropy(half) == pytest.approx(1.0)
 
     def test_two_qubit_mixed_two_bits(self):
-        assert obs.von_neumann_entropy(dyn.maximally_mixed(atomic_space())) == pytest.approx(2.0)
+        assert von_neumann_entropy(maximally_mixed(atomic_space())) == pytest.approx(2.0)
 
     def test_rejects_deep_negativity(self):
         bad = dyn.DensityMatrix(np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex), atomic_space())
         with pytest.raises(StateValidityError):
-            obs.von_neumann_entropy(bad)
+            von_neumann_entropy(bad)
 
     def test_concavity_spot_check(self, rng):
         for _ in range(10):
             a = random_density_matrix(4, rng)
             b = random_density_matrix(4, rng)
             mix = dyn.DensityMatrix((a.matrix + b.matrix) / 2, atomic_space())
-            s_mix = obs.von_neumann_entropy(mix)
-            s_avg = (obs.von_neumann_entropy(a) + obs.von_neumann_entropy(b)) / 2
+            s_mix = von_neumann_entropy(mix)
+            s_avg = (von_neumann_entropy(a) + von_neumann_entropy(b)) / 2
             assert s_mix >= s_avg - 1e-9
 
 
@@ -91,7 +97,7 @@ class TestMutualInformation:
         assert obs.mutual_information(dyn.ground_state(atomic_space())) == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_state_two_bits(self):
-        assert obs.mutual_information(dyn.bell_state()) == pytest.approx(2.0)
+        assert obs.mutual_information(bell_state()) == pytest.approx(2.0)
 
     def test_invariant_under_symmetric_local_unitaries(self, rng):
         for _ in range(6):
@@ -106,9 +112,9 @@ class TestMutualInformation:
 
 def _legacy_mi(rho: dyn.DensityMatrix) -> float:
     """S(rho_1) + S(rho_2) - S(rho_12), the entropy difference as written."""
-    return (obs.von_neumann_entropy(obs.partial_trace_atom(rho, 1))
-            + obs.von_neumann_entropy(obs.partial_trace_atom(rho, 2))
-            - obs.von_neumann_entropy(rho))
+    return (von_neumann_entropy(obs.partial_trace_atom(rho, 1))
+            + von_neumann_entropy(obs.partial_trace_atom(rho, 2))
+            - von_neumann_entropy(rho))
 
 
 def _state(entries: list[float], rows: int, cols: int) -> np.ndarray:
@@ -153,12 +159,12 @@ class TestMutualInformationProperties:
 
 class TestPhotonNumber:
     def test_vacuum(self):
-        assert obs.photon_number(dyn.ground_state(make_space(4))) == pytest.approx(0.0)
+        assert photon_number(dyn.ground_state(make_space(4))) == pytest.approx(0.0)
 
     def test_fock_three(self):
         space = make_space(5)
         rho = dyn.pure_state(dyn.basis_vector(space, 0, 0, 3), space)
-        assert obs.photon_number(rho) == pytest.approx(3.0)
+        assert photon_number(rho) == pytest.approx(3.0)
 
     def test_driven_cavity_steady_state(self):
         # decoupled cavity (g0 = 0) under drive eps: steady state is the
@@ -171,4 +177,4 @@ class TestPhotonNumber:
         space = make_space(24)
         sup = models.Superoperator(models.build_full(space, p))
         ss = dyn.steady_state(sup, dyn.ground_state(space))
-        assert obs.photon_number(ss) == pytest.approx(4.0, rel=1e-8)
+        assert photon_number(ss) == pytest.approx(4.0, rel=1e-8)
