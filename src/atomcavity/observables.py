@@ -19,7 +19,7 @@ from scipy.special import xlogy
 from .dynamics import DensityMatrix, Trajectory, evolve_spectral
 from .errors import NumericalAccuracyError, ShapeError, StateValidityError
 from .models import Superoperator
-from .operators import SystemSpace, atomic_space
+from .operators import atomic_space
 
 #: eigenvalues this far below zero are clipped; anything worse is an error
 ENTROPY_CLIP_SLACK = 1e-8
@@ -40,36 +40,25 @@ def partial_trace_field(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(reduced, atomic_space())
 
 
-def partial_trace_atom(rho_at: DensityMatrix, keep: int) -> DensityMatrix:
-    """Reduced state of one atom (keep = 1 or 2) from a 4x4 atomic state."""
-    if rho_at.matrix.shape != (4, 4):
-        raise ShapeError("partial_trace_atom expects a 4x4 atomic state")
-    if keep not in (1, 2):
-        raise ValueError("keep must be 1 or 2")
-    m = rho_at.matrix.reshape(2, 2, 2, 2)
-    if keep == 1:
-        reduced = np.trace(m, axis1=1, axis2=3)
-    else:
-        reduced = np.trace(m, axis1=0, axis2=2)
-    return DensityMatrix(reduced, SystemSpace(None))
+def _marginals(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced states of atom 1 and of atom 2 of each 4x4 atomic state
+    in a stack (samples x 4 x 4), as two samples x 2 x 2 stacks."""
+    m = m.reshape(-1, 2, 2, 2, 2)
+    return np.trace(m, axis1=2, axis2=4), np.trace(m, axis1=1, axis2=3)
 
 
-def _clipped_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a state's Hermitian part, eigenvalues
-    in [-ENTROPY_CLIP_SLACK, 0) clipped to zero; anything more negative
-    raises, because it signals an invalid state rather than rounding."""
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    if w.min() < -ENTROPY_CLIP_SLACK:
-        raise StateValidityError(
-            f"entropy of a non-positive state: min eigenvalue {w.min():.3e}"
-        )
-    return np.maximum(w, 0.0), v
+def _spectra(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues clipped at zero, eigenvectors and least eigenvalue before
+    clipping of the Hermitian part of each state in a stack (... x n x n),
+    in one LAPACK call."""
+    w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    return np.maximum(w, 0.0), v, w[..., 0]
 
 
-def _entropy(w: np.ndarray) -> float:
-    """-sum w log2 w over clipped eigenvalues, with 0 log 0 = 0."""
-    w = w[w > 0.0]
-    return float(-(w * np.log2(w)).sum())
+def _entropy(w: np.ndarray) -> np.ndarray:
+    """-sum w log2 w over the last axis of clipped eigenvalues, with
+    0 log 0 = 0."""
+    return -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
 
 
 #: below this |u| the term (1 + u) log(1 + u) - u is summed as its series
@@ -92,8 +81,10 @@ def _relative_entropy_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def mutual_information(rho_at: DensityMatrix) -> float:
-    """I(rho_at) = S(rho_1) + S(rho_2) - S(rho_at), in bits, nonnegative.
+def mutual_information(rho_at: DensityMatrix | np.ndarray) -> float | np.ndarray:
+    """I(rho_at) = S(rho_1) + S(rho_2) - S(rho_at), in bits, nonnegative, of
+    one atomic state (a float) or of each of a stack of them (samples x 4 x 4
+    entries, an array).
 
     Evaluated as the relative entropy D(rho_at || rho_1 (x) rho_2) =
     sum_ij P_ij [a_i log(a_i/b_j) - a_i + b_j], with a_i the eigenvalues of
@@ -103,37 +94,64 @@ def mutual_information(rho_at: DensityMatrix) -> float:
     state, and a disagreement of the two beyond MI_SLACK is a numerical
     failure.  Weight of rho_at outside the support of rho_1 (x) rho_2 (where
     the relative entropy is infinite) is an invalid state beyond
-    ENTROPY_CLIP_SLACK and round-off below it.
+    ENTROPY_CLIP_SLACK and round-off below it, and so is an eigenvalue of
+    rho_at or of a marginal below -ENTROPY_CLIP_SLACK.
+
+    A stack is evaluated in one vectorized pass - one ``eigh`` each of the
+    states and of both marginals, the overlaps and the terms - and gives
+    every sample the bits it would have alone.  Every check is made per
+    sample, and the first sample that fails any is refused with its first
+    failing check, as if the samples were taken one at a time; a stack's
+    message names that sample.  Values between -MI_SLACK and 0 are round-off
+    and read 0, with one warning per call that counts them.
     """
-    a, va = _clipped_eigh(rho_at.matrix)
-    w1, v1 = _clipped_eigh(partial_trace_atom(rho_at, 1).matrix)
-    w2, v2 = _clipped_eigh(partial_trace_atom(rho_at, 2).matrix)
+    stacked = not isinstance(rho_at, DensityMatrix)
+    m = np.asarray(rho_at) if stacked else rho_at.matrix[None]
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise ShapeError(f"mutual_information expects 4x4 atomic states, not shape {m.shape}")
+    n = m.shape[0]
+    r1, r2 = _marginals(m)
+    a, va, low = _spectra(m)
+    w1, v1, low1 = _spectra(r1)
+    w2, v2, low2 = _spectra(r2)
     mi = _entropy(w1) + _entropy(w2) - _entropy(a)
-    if mi < -MI_SLACK:
-        raise StateValidityError(f"mutual information {mi:.3e} below -{MI_SLACK:.0e}")
-    b = np.outer(w1, w2).ravel()
-    vb = (v1[:, None, :, None] * v2[None, :, None, :]).reshape(4, 4)  # v1 (x) v2
-    p = np.abs(va.conj().T @ vb) ** 2  # P_ij = |<a_i|b_j>|^2
-    weight = p * a[:, None]
-    outside = float(weight[:, b == 0.0].sum())
-    if outside > ENTROPY_CLIP_SLACK:
-        raise StateValidityError(
-            f"weight {outside:.3e} of the atomic state outside the support of "
-            "the product of its marginals"
-        )
-    inside = b > 0.0
-    a_ij, b_ij = np.broadcast_arrays(a[:, None], b[None, inside])
+    b = (w1[:, :, None] * w2[:, None, :]).reshape(n, 4)
+    vb = (v1[:, :, None, :, None] * v2[:, None, :, None, :]).reshape(n, 4, 4)  # v1 (x) v2
+    p = np.abs(va.conj().swapaxes(1, 2) @ vb) ** 2  # P_ij = |<a_i|b_j>|^2
+    inside = (b > 0.0)[:, None, :]
+    outside = np.where(inside, 0.0, p * a[:, :, None]).sum(axis=(1, 2))
+    a_ij, b_ij = np.broadcast_arrays(a[:, :, None], np.where(inside, b[:, None, :], 1.0))
     terms = _relative_entropy_terms(a_ij, b_ij)
-    relative = float((p[:, inside] * terms).sum()) / np.log(2.0)
-    if abs(relative - mi) > MI_SLACK:
-        raise NumericalAccuracyError(
-            f"mutual information {relative:.6e} as a relative entropy differs from "
-            f"S1 + S2 - S12 = {mi:.6e} by more than {MI_SLACK:.0e}"
+    relative = np.where(inside, p * terms, 0.0).sum(axis=(1, 2)) / np.log(2.0)
+
+    lows = np.stack([low, low1, low2])  # the state's, then each marginal's
+    checks = (  # in the order a single state meets them
+        (lows.min(axis=0) < -ENTROPY_CLIP_SLACK, StateValidityError,
+         lambda k: "entropy of a non-positive state: min eigenvalue "
+                   f"{lows[np.argmax(lows[:, k] < -ENTROPY_CLIP_SLACK), k]:.3e}"),
+        (mi < -MI_SLACK, StateValidityError,
+         lambda k: f"mutual information {mi[k]:.3e} below -{MI_SLACK:.0e}"),
+        (outside > ENTROPY_CLIP_SLACK, StateValidityError,
+         lambda k: f"weight {outside[k]:.3e} of the atomic state outside the support of "
+                   "the product of its marginals"),
+        (np.abs(relative - mi) > MI_SLACK, NumericalAccuracyError,
+         lambda k: f"mutual information {relative[k]:.6e} as a relative entropy differs from "
+                   f"S1 + S2 - S12 = {mi[k]:.6e} by more than {MI_SLACK:.0e}"),
+    )
+    failed = np.stack([bad for bad, _, _ in checks])
+    if failed.any():
+        k = int(np.flatnonzero(failed.any(axis=0))[0])
+        _, error, message = checks[int(np.argmax(failed[:, k]))]
+        raise error((f"sample {k}: " if stacked else "") + message(k))
+    clipped = relative < 0.0
+    if clipped.any():
+        warnings.warn(
+            f"clipping {np.count_nonzero(clipped)} slightly negative mutual information "
+            f"value(s) to 0, the least {relative.min():.3e}",
+            stacklevel=2,
         )
-    if relative < 0.0:
-        warnings.warn(f"clipping slightly negative mutual information {relative:.3e}", stacklevel=2)
-        return 0.0
-    return relative
+        relative = np.where(clipped, 0.0, relative)
+    return relative if stacked else float(relative[0])
 
 
 def atomic_mutual_information(rho: DensityMatrix) -> float:
@@ -161,9 +179,7 @@ def atomic_states(traj: Trajectory) -> np.ndarray:
 def mi_curve(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> np.ndarray:
     """Atomic mutual information at each time of ``t_grid``, starting from
     ``rho0``: spectral evolution of the generator, one sector (excitation
-    block, exchange parity and Theta half) at a time, then one mutual information per
-    sample of its atomic states."""
-    at = atomic_space()
-    states = atomic_states(evolve_spectral(sup, rho0, t_grid))
-    return np.array([mutual_information(DensityMatrix(m, at)) for m in states])
+    block, exchange parity and Theta half) at a time, then one
+    ``mutual_information`` call on the stack of all its atomic states."""
+    return mutual_information(atomic_states(evolve_spectral(sup, rho0, t_grid)))
 

@@ -4,7 +4,7 @@ from hypothesis import Phase, settings
 
 from atomcavity import atomic_space, observables
 from atomcavity.dynamics import DensityMatrix, basis_vector, pure_state
-from atomcavity.errors import ShapeError
+from atomcavity.errors import ShapeError, StateValidityError
 from atomcavity.operators import SystemSpace, singlet_projector
 
 # Every property test draws the same examples on every run and stores none.
@@ -60,11 +60,20 @@ def maximally_mixed(space: SystemSpace) -> DensityMatrix:
     return DensityMatrix.from_matrix(np.eye(space.dim, dtype=complex) / space.dim, space)
 
 
+def partial_trace_atom(rho_at: DensityMatrix, keep: int) -> DensityMatrix:
+    """Reduced state of one atom (keep = 1 or 2) of a 4x4 atomic state, as
+    ``observables.mutual_information`` forms it."""
+    return DensityMatrix(observables._marginals(rho_at.matrix)[keep - 1][0], SystemSpace(None))
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr[rho log2 rho] in bits, with 0 log 0 = 0, from the clipped
     eigenvalues that ``observables.mutual_information`` reads: anything
     below -ENTROPY_CLIP_SLACK raises."""
-    return observables._entropy(observables._clipped_eigh(rho.matrix)[0])
+    w, _, least = observables._spectra(rho.matrix)
+    if least < -observables.ENTROPY_CLIP_SLACK:
+        raise StateValidityError(f"entropy of a non-positive state: min eigenvalue {least:.3e}")
+    return float(observables._entropy(w))
 
 
 def photon_number(rho: DensityMatrix) -> float:

@@ -660,6 +660,90 @@ class TestSampleCheck:
         assert len(calls) == 1
 
 
+def _dipped(least: float) -> np.ndarray:
+    """A 6 x 6 state of trace 1, Hermitian, block diagonal over a 2 x 2 and
+    a 4 x 4 block in a scrambled order, with least eigenvalue ``least``."""
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    big = u @ np.diag([least, 0.2, 0.3, 0.35 - least]) @ u.conj().T
+    m = scipy.linalg.block_diag([[0.1, 0.02], [0.02, 0.05]], big)
+    perm = [3, 0, 5, 1, 4, 2]
+    return m[np.ix_(perm, perm)]
+
+
+def _samples(*states):
+    """The samples of a trajectory of ``states`` on the times 0, 1, ...: its
+    kept entries, times and ``_SampleIndex``."""
+    raw = np.array([vec(m) for m in states])
+    support = np.flatnonzero(np.any(raw, axis=0))
+    entries = raw[:, support]
+    index = dyn._sample_index(support, entries, states[0].shape[0])
+    return entries, np.arange(len(states), dtype=float), index
+
+
+class TestChunkedSampleCheck:
+    tol = dyn.EVOLUTION_INVARIANT_TOL
+
+    @pytest.fixture
+    def per_sample(self, monkeypatch):
+        """The times at which ``_check_sample`` runs."""
+        calls = []
+        check = dyn._check_sample
+
+        def recording(x, t, index):
+            calls.append(t)
+            check(x, t, index)
+
+        monkeypatch.setattr(dyn, "_check_sample", recording)
+        return calls
+
+    def test_a_certified_chunk_skips_eigvalsh(self, per_sample):
+        entries, t, index = _samples(*(_dipped(0.1 * k) for k in range(4)))
+        dyn._check_samples(entries, t, index)
+        assert per_sample == []
+
+    def test_a_sample_within_the_slack_passes_after_the_certificate_fails(self, per_sample):
+        entries, t, index = _samples(_dipped(0.05), _dipped(-0.75 * self.tol))
+        assert not dyn._certified(entries, index, self.tol / 2.0)
+        dyn._check_samples(entries, t, index)
+        assert per_sample == [0.0, 1.0]
+
+    def test_a_sample_beyond_the_slack_is_refused_at_its_own_time(self):
+        entries, t, index = _samples(_dipped(0.05), _dipped(0.0), _dipped(-2.0 * self.tol))
+        with pytest.raises(NumericalAccuracyError, match=r"t=2: .*min eigenvalue -2\.00e-06"):
+            dyn._check_samples(entries, t, index)
+
+    def test_a_failing_sample_is_found_in_its_own_chunk(self, monkeypatch, per_sample):
+        monkeypatch.setattr(dyn, "_CHECK_BLOCK", 2)
+        states = [_dipped(0.05)] * 5
+        states[3] = _dipped(-2.0 * self.tol)
+        entries, t, index = _samples(*states)
+        with pytest.raises(NumericalAccuracyError, match="t=3:"):
+            dyn._check_samples(entries, t, index)
+        assert per_sample == [2.0, 3.0]
+
+    @given(
+        least=st.floats(-3.0, 1.0),
+        trace=st.floats(-2.0, 2.0),
+        herm=st.floats(0.0, 2.0),
+    )
+    def test_the_same_decisions_as_the_sample_check(self, least, trace, herm):
+        # least eigenvalue, trace and Hermiticity misses of either side of
+        # the slack, in units of it
+        m = _dipped(least * self.tol)
+        m[3, 3] += trace * self.tol
+        m[3, 5] += herm * self.tol
+        entries, t, index = _samples(m)
+        try:
+            dyn._check_sample(entries[0], 0.0, index)
+        except NumericalAccuracyError as refused:
+            with pytest.raises(NumericalAccuracyError) as chunked:
+                dyn._check_samples(entries, t, index)
+            assert str(chunked.value) == str(refused)
+        else:
+            dyn._check_samples(entries, t, index)
+
+
 @pytest.mark.parametrize("thermal", [True, False], ids=["thermal", "coherent-displaced"])
 @given(
     g0=st.floats(0.05, 1.0),

@@ -1,14 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from atomcavity import atomic_space, dynamics as dyn, make_space, observables as obs
-from atomcavity.errors import StateValidityError
+from atomcavity.errors import ShapeError, StateValidityError
 
 from conftest import (
     bell_state,
     maximally_mixed,
+    partial_trace_atom,
     photon_number,
     random_density_matrix,
     von_neumann_entropy,
@@ -45,11 +48,11 @@ class TestPartialTraceField:
 class TestPartialTraceAtom:
     def test_bell_reduces_to_mixed(self):
         for keep in (1, 2):
-            r = obs.partial_trace_atom(bell_state(), keep)
+            r = partial_trace_atom(bell_state(), keep)
             assert_allclose(r.matrix, np.eye(2) / 2, atol=1e-14)
 
     def test_ground_reduces_to_ground(self):
-        r = obs.partial_trace_atom(dyn.ground_state(atomic_space()), 1)
+        r = partial_trace_atom(dyn.ground_state(atomic_space()), 1)
         assert_allclose(r.matrix, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_symmetric_state_identical_reductions(self, rng):
@@ -61,8 +64,8 @@ class TestPartialTraceAtom:
         m = m + swap @ m @ swap.T
         m /= np.trace(m)
         rho = dyn.DensityMatrix.from_matrix(m, atomic_space())
-        r1 = obs.partial_trace_atom(rho, 1)
-        r2 = obs.partial_trace_atom(rho, 2)
+        r1 = partial_trace_atom(rho, 1)
+        r2 = partial_trace_atom(rho, 2)
         assert_allclose(r1.matrix, r2.matrix, atol=1e-12)
 
 
@@ -112,8 +115,8 @@ class TestMutualInformation:
 
 def _legacy_mi(rho: dyn.DensityMatrix) -> float:
     """S(rho_1) + S(rho_2) - S(rho_12), the entropy difference as written."""
-    return (von_neumann_entropy(obs.partial_trace_atom(rho, 1))
-            + von_neumann_entropy(obs.partial_trace_atom(rho, 2))
+    return (von_neumann_entropy(partial_trace_atom(rho, 1))
+            + von_neumann_entropy(partial_trace_atom(rho, 2))
             - von_neumann_entropy(rho))
 
 
@@ -155,6 +158,71 @@ class TestMutualInformationProperties:
         m = np.diag([1.0 - x, x, x, -x]).astype(complex)
         with pytest.raises(StateValidityError):
             obs.mutual_information(dyn.DensityMatrix(m, atomic_space()))
+
+
+def _qubit(entries: list[float], kind: str) -> np.ndarray:
+    """A random mixed qubit state, or a basis state whose eigenvalues are
+    exactly 0 and 1."""
+    if kind == "mixed":
+        return 0.5 * _state(entries, 2, 2) + 0.25 * np.eye(2)
+    return np.diag([1.0, 0.0] if kind == "ground" else [0.0, 1.0]).astype(complex)
+
+
+@st.composite
+def _atomic_stacks(draw) -> np.ndarray:
+    """Stacks of random 4x4 states of rank 1, 2 and 4, and of product states
+    whose marginals may have exact zero eigenvalues."""
+    states = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            states.append(_state(draw(_entries(32)), 4, draw(st.sampled_from([1, 2, 4]))))
+        else:
+            kinds = st.sampled_from(["mixed", "ground", "excited"])
+            first, second = (_qubit(draw(_entries(8)), draw(kinds)) for _ in range(2))
+            states.append(np.kron(first, second))
+    return np.array(states)
+
+
+class TestStackedMutualInformation:
+    @settings(max_examples=200)
+    @given(stack=_atomic_stacks())
+    def test_a_stack_gives_each_sample_its_own_bits(self, stack):
+        at = atomic_space()
+        alone = np.array([obs.mutual_information(dyn.DensityMatrix(m, at)) for m in stack])
+        together = obs.mutual_information(stack)
+        assert together.shape == (len(stack),)
+        assert together.tobytes() == alone.tobytes()
+
+    @settings(max_examples=50)
+    @given(stack=_atomic_stacks(), position=st.integers(0, 6),
+           invalid=st.sampled_from(["negative", "outside"]))
+    def test_a_stack_refuses_its_invalid_sample_as_that_sample_alone(self, stack, position, invalid):
+        x = 0.9 * obs.ENTROPY_CLIP_SLACK
+        bad = (np.diag([1.2, -0.2, 0.0, 0.0]) if invalid == "negative"
+               else np.diag([1.0 - x, x, x, -x])).astype(complex)
+        with pytest.raises(StateValidityError) as alone:
+            obs.mutual_information(dyn.DensityMatrix(bad, atomic_space()))
+        k = min(position, len(stack))
+        with pytest.raises(type(alone.value), match=f"^sample {k}: "):
+            obs.mutual_information(np.insert(stack, k, bad, axis=0))
+
+    def test_a_stack_of_other_shapes_is_refused(self):
+        with pytest.raises(ShapeError):
+            obs.mutual_information(np.eye(4) / 4)
+
+    def test_clipped_samples_give_one_warning_that_counts_them(self, monkeypatch):
+        # terms lowered by 1e-13 nats leave every product state's relative
+        # entropy a little below 0 (its entropy difference is 0 to 1e-16),
+        # and a Bell state's well above
+        terms = obs._relative_entropy_terms
+        monkeypatch.setattr(obs, "_relative_entropy_terms", lambda a, b: terms(a, b) - 1e-13)
+        product = np.kron(np.diag([0.75, 0.25]), np.diag([0.5, 0.5])).astype(complex)
+        stack = np.array([product, bell_state().matrix, product, product])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mi = obs.mutual_information(stack)
+        assert [str(w.message).split(" slightly")[0] for w in caught] == ["clipping 3"]
+        assert mi[[0, 2, 3]].tolist() == [0.0, 0.0, 0.0] and mi[1] > 1.9
 
 
 class TestPhotonNumber:

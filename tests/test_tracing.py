@@ -10,7 +10,7 @@ import numpy as np
 import scipy.integrate._ivp.bdf as bdf
 import scipy.sparse.linalg as spla
 
-from atomcavity import ModelParams, atomic_space, dynamics as dyn, models, scenarios
+from atomcavity import ModelParams, atomic_space, dynamics as dyn, models, observables, scenarios
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -43,13 +43,16 @@ def test_bench_tracer_installs_traces_and_restores(monkeypatch):
             assert getattr(module, name) is not before[(module.__name__, name)]
         # one small traced run goes through every wrapper kind: a builder, the
         # lazy assembly (which reads the Superoperator caches), a dense
-        # eigendecomposition and the spectral evolution
+        # eigendecomposition, the spectral evolution and the mutual
+        # information, which ``mi_curve`` takes once for all its samples
         me = models.build_effective_coherent(ModelParams(g0=0.25, eps=10.0))
         sup = models.vectorize(me, materialize=False)
         sup.as_dense()
         dyn.evolve_spectral(sup, dyn.ground_state(atomic_space()), np.array([0.0, 1.0]))
-        names = {s["name"] for s in tracer.spans}
-        assert {"models.assembly", "linalg.eig", "dynamics.evolve_spectral"} <= names
+        observables.mi_curve(sup, dyn.ground_state(atomic_space()), np.array([0.0, 1.0, 2.0]))
+        names = [s["name"] for s in tracer.spans]
+        assert {"models.assembly", "linalg.eig", "dynamics.evolve_spectral"} <= set(names)
+        assert names.count("observables.mi") == 1
     finally:
         tracer.uninstall()
     after = _package_bindings()
