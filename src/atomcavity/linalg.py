@@ -1,16 +1,16 @@
 """Dense linear-algebra kernel.
 
-Everything the physics layers consume: general eigendecompositions of
-sparse or dense input with residual checks, refused above ``DENSE_CAP``,
-the package's one dense-size limit.  Real input stays real: LAPACK
-``dgeev`` (SciPy's, with its optimal workspace) runs in place on one
-private Fortran-ordered dense copy and returns exact conjugate pairs, and
-the real eigenbasis is taken from its eigenvectors and copied once to C
-order; on one BLAS thread these are NumPy's bits.  Residuals are formed
-from the input operator a block of columns at a time, and the condition
-bound from an in-place LU inverse of the basis, so no n x n product is
-held.  ``integrate_ode``, stiff (BDF) integration of
-linear ODEs, has no caller in the package, whose one evolution path is
+Everything the physics layers consume: general eigendecompositions of real
+matrices, sparse or dense, with residual checks, refused above
+``DENSE_CAP``, the package's one dense-size limit.  The input is copied
+once to float64 CSR; LAPACK ``dgeev`` (SciPy's, with its optimal
+workspace) runs in place on one private Fortran-ordered dense copy and
+returns exact conjugate pairs, and the real eigenbasis is taken from its
+eigenvectors and copied once to C order (on one BLAS thread, NumPy's bits).
+Residuals are formed from the sparse copy a block of columns at a time, and
+the condition bound from an in-place LU inverse of the basis, so no n x n
+product is held.  ``integrate_ode``, stiff (BDF) integration of linear
+ODEs, has no caller in the package, whose one evolution path is
 ``dynamics.evolve_spectral``; it stays only because the benchmark's tracer
 (``bench/tracing.py``) binds it by name and patches the LU that SciPy's
 BDF factorizes with.  SciPy's integrator is imported on its first call: it
@@ -58,13 +58,12 @@ ODE_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Full spectrum of a square real or complex matrix.
+    """Full spectrum of a square real matrix.
 
-    For a real matrix the complex eigenvalues come in pairs, the one with
-    positive imaginary part first and its conjugate, bit for bit, next, with
-    conjugate eigenvectors.  ``basis`` is the matrix V of eigenvectors, one
-    per column in the order of ``eigenvalues``, for a complex matrix, and
-    for a real one its real form B, C-ordered: column j is v_j for a real
+    The complex eigenvalues come in pairs, the one with positive imaginary
+    part first and its conjugate, bit for bit, next, with conjugate
+    eigenvectors V.  ``basis`` is the real form B of V, C-ordered, one
+    column per eigenvalue in their order: column j is v_j for a real
     eigenvalue, and a pair's v_j, conj(v_j) become sqrt(2) Re v_j,
     sqrt(2) Im v_j (V times a unitary, so B has V's condition number).
     ``condition_bound`` is an upper bound on the 2-norm condition number of
@@ -111,11 +110,11 @@ def condition_estimate(v: np.ndarray) -> float:
 
 
 def _condition_bound(b: np.ndarray) -> float:
-    """Upper bound on the 2-norm condition number of the C-ordered ``b``
-    from its computed inverse X, with the residual E = B X - I formed
+    """Upper bound on the 2-norm condition number of the real C-ordered
+    ``b`` from its computed inverse X, with the residual E = B X - I formed
     ``_COLUMN_BLOCK`` columns at a time.
 
-    X comes from LAPACK's ``getrf``/``getri`` in place on one copy of B (the
+    X comes from LAPACK's ``dgetrf``/``dgetri`` in place on one copy of B (the
     LU of B^T, whose inverse X^T is X in C order).  B^-1 = X (I + E)^-1, so
     when r = ||E||_F < 1, kappa_2(B) <= ||B||_F ||X||_F / (1 - r) (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 14), for
@@ -125,14 +124,13 @@ def _condition_bound(b: np.ndarray) -> float:
     otherwise, for a singular ``b`` and whenever a norm is not finite: the
     overflow a nearly singular basis gives is expected here.
     """
-    getrf, getri, getri_lwork = lapack.get_lapack_funcs(("getrf", "getri", "getri_lwork"), (b,))
     n = b.shape[0]
     with np.errstate(all="ignore"):
-        lu, piv, info = getrf(b.T)
+        lu, piv, info = lapack.dgetrf(b.T)
         if info != 0:
             return np.inf
-        lwork, _ = getri_lwork(n)
-        xt, info = getri(lu, piv, lwork=int(lwork.real), overwrite_lu=True)
+        lwork, _ = lapack.dgetri_lwork(n)
+        xt, info = lapack.dgetri(lu, piv, lwork=int(lwork), overwrite_lu=True)
         if info != 0:
             return np.inf
         x = xt.T
@@ -146,23 +144,22 @@ def _condition_bound(b: np.ndarray) -> float:
     return float(bound) if r <= 0.5 and np.isfinite(bound) else np.inf
 
 
-def _residual_norms(a: np.ndarray | sp.csr_matrix, basis: np.ndarray, w: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """||A b_j - w_j b_j|| of each column of ``basis``, formed from the
-    operator ``a`` (sparse or dense) ``_COLUMN_BLOCK`` columns at a time.
+def _residual_norms(a: sp.csr_matrix, basis: np.ndarray, w: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """||A b_j - w_j b_j|| of each column of the real ``basis`` B, formed
+    from the sparse ``a`` ``_COLUMN_BLOCK`` columns at a time.
 
-    For a real basis B with the pairs w = a +- ib first at ``upper``, on
-    columns x, y (sqrt(2) Re v, sqrt(2) Im v), column j holds A x - a x +
-    b y and column j + 1 holds A y - b x - a y, the real and imaginary parts
-    of sqrt(2) (A v - w v), in real products only.
+    For the pairs w = a +- ib first at ``upper``, on columns x, y
+    (sqrt(2) Re v, sqrt(2) Im v), column j holds A x - a x + b y and column
+    j + 1 holds A y - b x - a y, the real and imaginary parts of
+    sqrt(2) (A v - w v), in real products only.
     """
     n = basis.shape[1]
-    shift = w if np.iscomplexobj(basis) else w.real
     norms = np.empty(n)
     for lo in range(0, n, _COLUMN_BLOCK):
         hi = min(lo + _COLUMN_BLOCK, n)
         cols = basis[:, lo:hi]
         r = a @ cols
-        r -= cols * shift[lo:hi]
+        r -= cols * w.real[lo:hi]
         first = upper[(upper >= lo) & (upper < hi)]
         r[:, first - lo] += basis[:, first + 1] * w.imag[first]
         second = upper[(upper + 1 >= lo) & (upper + 1 < hi)]
@@ -171,18 +168,15 @@ def _residual_norms(a: np.ndarray | sp.csr_matrix, basis: np.ndarray, w: np.ndar
     return norms
 
 
-def _dgeev(a: np.ndarray | sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+def _dgeev(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and C-ordered real eigenbasis B (see
-    ``EigenDecomposition``) of a real matrix, from LAPACK ``dgeev`` with its
-    optimal workspace, which overwrites the one private Fortran-ordered
+    ``EigenDecomposition``) of the float64 ``a``, from LAPACK ``dgeev`` with
+    its optimal workspace, which overwrites the one private Fortran-ordered
     dense copy of ``a``.  B is ``dgeev``'s VR with each pair's two columns
     scaled by sqrt(2); the eigenvalues are real (float64) when none is off
     the real axis, as NumPy returns them."""
     n = a.shape[0]
-    if sp.issparse(a):
-        dense = a.astype(np.float64, copy=False).toarray(order="F")
-    else:
-        dense = np.array(a, dtype=np.float64, order="F")
+    dense = a.toarray(order="F")
     lwork, _ = lapack.dgeev_lwork(n, compute_vl=0, compute_vr=1)
     wr, wi, _, vr, info = lapack.dgeev(dense, compute_vl=0, compute_vr=1, lwork=int(lwork), overwrite_a=True)
     del dense  # overwritten with the Schur form
@@ -201,20 +195,18 @@ def _dgeev(a: np.ndarray | sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eig_general(m: np.ndarray | sp.spmatrix) -> EigenDecomposition:
-    """Full eigendecomposition of a general real or complex matrix, given
-    sparse or dense.
+    """Full eigendecomposition of a general real matrix, sparse or dense.
 
-    A real matrix is decomposed in real arithmetic by ``_dgeev``, in place
-    on one dense copy, and the residuals and the condition bound are taken
-    from the real form B of V (``EigenDecomposition``).  A complex one goes
-    through ``np.linalg.eig``.  Postconditions: per-pair residuals ``||A v
-    - w v|| <= EIG_RESIDUAL_TOL * ||A||_F * ||v||``, formed from ``m``
-    itself a block of columns at a time (``_residual_norms``), so a sparse
-    ``m`` costs its nonzeros (raises ``NumericalAccuracyError`` otherwise),
-    and the condition bound of the basis from its LU inverse
-    (``_condition_bound``), so no SVD is taken unless the bound fails to
-    clear ``NEAR_DEFECTIVE_COND``.  Refused: a matrix above ``DENSE_CAP``
-    (``DimensionLimitError``, before it is densified) and one with a
+    ``m`` is copied once to a canonical float64 CSR matrix (the caller's is
+    never changed), which ``_dgeev`` decomposes in place on one dense copy.
+    Postconditions: per-pair residuals ``||A v - w v|| <= EIG_RESIDUAL_TOL
+    * ||A||_F * ||v||``, formed from the sparse copy a block of columns at
+    a time (``_residual_norms``), so they cost its nonzeros (raises
+    ``NumericalAccuracyError`` otherwise), and the condition bound of the
+    real basis B from its LU inverse (``_condition_bound``), so no SVD is
+    taken unless the bound fails to clear ``NEAR_DEFECTIVE_COND``.
+    Refused: a matrix above ``DENSE_CAP`` (``DimensionLimitError``, before
+    it is densified), a complex one (``TypeError``) and one with a
     non-finite entry (``NumericalAccuracyError``).
     """
     a = _as_square(m, "eig_general")
@@ -223,25 +215,19 @@ def eig_general(m: np.ndarray | sp.spmatrix) -> EigenDecomposition:
         raise DimensionLimitError(
             f"matrix dimension {n} exceeds the dense cap {DENSE_CAP}"
         )
-    if sp.issparse(a):
-        a = a.tocsr()
-        if not a.has_canonical_format:  # so that its entries are its data
-            a = a.copy()
-            a.sum_duplicates()
-    entries = a.data if sp.issparse(a) else a
-    if not np.all(np.isfinite(entries)):
-        raise NumericalAccuracyError(f"a {n}x{n} matrix with non-finite entries has no eigendecomposition")
     if np.iscomplexobj(a):
-        w, basis = np.linalg.eig(a.toarray() if sp.issparse(a) else a)
-        upper = np.empty(0, dtype=int)  # no pairs
-    else:
-        w, basis = _dgeev(a)
-        upper = np.flatnonzero(w.imag > 0.0)
+        raise TypeError(f"eig_general takes a real matrix, got dtype {a.dtype}")
+    a = sp.csr_matrix(a, dtype=np.float64, copy=True)
+    a.sum_duplicates()  # on the copy, so that its entries are its data
+    if not np.all(np.isfinite(a.data)):
+        raise NumericalAccuracyError(f"a {n}x{n} matrix with non-finite entries has no eigendecomposition")
+    w, basis = _dgeev(a)
+    upper = np.flatnonzero(w.imag > 0.0)
     residuals = _residual_norms(a, basis, w, upper)
     norms = np.linalg.norm(basis, axis=0)
     for q in (residuals, norms):  # a pair's two columns share its norm
         q[upper] = q[upper + 1] = np.hypot(q[upper], q[upper + 1]) / np.sqrt(2.0)
-    norm_a = np.linalg.norm(entries)
+    norm_a = np.linalg.norm(a.data)
     if norm_a > 0.0:
         bound = EIG_RESIDUAL_TOL * norm_a * norms
         worst = int(np.argmax(residuals - bound))

@@ -200,9 +200,14 @@ def _grid(config: ScenarioConfig, point: dict) -> np.ndarray:
     )
 
 
-def _auto_cutoff_displaced(p: ModelParams, config: ScenarioConfig) -> int:
-    if config.cutoff != "auto":
-        return int(config.cutoff)
+def _cutoff(config: ScenarioConfig, auto: Callable[[], int]) -> int:
+    """The config's fixed cutoff, or the scenario's own choice ``auto()``,
+    called only under ``--cutoff auto``."""
+    return auto() if config.cutoff == "auto" else int(config.cutoff)
+
+
+def _swept_cutoff(p: ModelParams) -> int:
+    """The displaced model's converged cutoff for the gap at ``p``."""
     return dyn.converged_cutoff_for_gap(models.build_coherent_displaced, p)[0]
 
 
@@ -211,44 +216,51 @@ def _thermal_cutoff(n_th: float) -> int:
     return int(4 * math.ceil((8 + 5.0 * n_th) / 4))
 
 
-def _gap_point(
-    builder: Callable, p: ModelParams, config: ScenarioConfig, k: int
-) -> tuple[int, spectra.SpectrumReport, list[tuple[int, float]]]:
-    """Cutoff, targeted spectrum report and (cutoff, gap) truncation history
-    of one gap-scenario point.
-
-    Under ``auto`` the report is the one the truncation sweep solved at the
-    converged cutoff; a fixed cutoff runs no sweep and has no history.
-    """
-    if config.cutoff == "auto":
-        return dyn.converged_cutoff_for_gap(builder, p, k=k)
-    cutoff = int(config.cutoff)
-    sup = Superoperator(builder(make_space(cutoff), p))
-    return cutoff, spectra.analyze(sup, k=k), []
-
-
-def _solve_record(rep: spectra.SpectrumReport, history: list[tuple[int, float]]) -> dict:
-    """The ``summary.solves`` entry of a gap row: the solver and generator
-    dimension behind its gap, the least rate bound of the sectors a
-    certified solve left out (or whose bound its gap failed to clear before
-    the fallback to all of G), and the truncation sweep that chose its
-    cutoff."""
-    record = {"solver": rep.solver, "dim": rep.dim}
-    if rep.excluded_bound is not None:
-        record["excluded_bound"] = rep.excluded_bound
-    record["history"] = [[c, value] for c, value in history]
-    return record
-
-
 def _base_row(p: ModelParams, cutoff, seed: int) -> dict:
-    return {
-        "g0": p.g0,
-        "eps": p.eps,
-        "n_th": p.n_th,
-        "gamma": p.gamma,
-        "cutoff": cutoff,
-        "seed": seed,
-    }
+    return dict(g0=p.g0, eps=p.eps, n_th=p.n_th, gamma=p.gamma, cutoff=cutoff, seed=seed)
+
+
+def _gap_rows(config: ScenarioConfig, builder: Callable, axis: str, k: int, analytic: Callable) -> list[dict]:
+    """One row per point of a gap scenario, sorted by g0, then ``axis``,
+    with the ``k`` slowest eigenvalues solved by shift-invert: under
+    ``auto``, the truncation sweep's solve at its converged cutoff.  Each
+    row carries its ``summary.solves`` entry under ``solve``: the solver
+    and generator dimension behind its gap, the least rate bound of the
+    sectors a certified solve left out (or whose bound its gap failed to
+    clear before the fallback to all of G), and the (cutoff, gap) history
+    of the sweep, empty at a fixed cutoff.
+    """
+    rows = []
+    for pt in _points(config):
+        p = ModelParams(g0=pt["g0"], **{axis: pt[axis]})
+        if config.cutoff == "auto":
+            cutoff, rep, history = dyn.converged_cutoff_for_gap(builder, p, k=k)
+        else:
+            cutoff, history = int(config.cutoff), []
+            rep = spectra.analyze(Superoperator(builder(make_space(cutoff), p)), k=k)
+        ana = analytic(p)
+        solve = {"solver": rep.solver, "dim": rep.dim, "history": [[c, gap] for c, gap in history]}
+        if rep.excluded_bound is not None:
+            solve["excluded_bound"] = rep.excluded_bound
+        row = _base_row(p, cutoff, config.seeds)
+        row.update(
+            gap_exact=rep.gap,
+            gap_analytic=ana,
+            rel_error=abs(rep.gap - ana) / max(ana, 1e-300),
+            kernel_dim=rep.kernel_dim,
+            solve=solve,
+        )
+        rows.append(row)
+    rows.sort(key=lambda r: (r["g0"], r[axis]))
+    return rows
+
+
+def _mi_rows(p: ModelParams, cutoff, seed: int, grid: np.ndarray, **curves) -> list[dict]:
+    """One row per time of ``grid``: the point, t and each named curve's sample."""
+    return [
+        dict(_base_row(p, cutoff, seed), t=float(t), **{name: float(c[i]) for name, c in curves.items()})
+        for i, t in enumerate(grid)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +269,7 @@ def _base_row(p: ModelParams, cutoff, seed: int) -> dict:
 
 
 def run_gap_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
-    def one(pt):
-        p = ModelParams(g0=pt["g0"], eps=pt["eps"])
-        cutoff, rep, history = _gap_point(models.build_coherent_displaced, p, config, k=24)
-        ana = spectra.gap_coherent(p)
-        row = _base_row(p, cutoff, config.seeds)
-        row.update(
-            gap_exact=rep.gap,
-            gap_analytic=ana,
-            rel_error=abs(rep.gap - ana) / ana,
-            kernel_dim=rep.kernel_dim,
-            solve=_solve_record(rep, history),
-        )
-        return row
-
-    rows = [one(pt) for pt in _points(config)]
-    rows.sort(key=lambda r: (r["g0"], r["eps"]))
+    rows = _gap_rows(config, models.build_coherent_displaced, "eps", 24, spectra.gap_coherent)
     keys = [f"g0={r['g0']:g},eps={r['eps']:g}" for r in rows]
     max_eps = max(r["eps"] for r in rows)
     summary = {
@@ -286,7 +283,7 @@ def run_gap_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
 def run_second_rate_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
     def one(pt):
         p = ModelParams(g0=pt["g0"], eps=pt["eps"])
-        cutoff = _auto_cutoff_displaced(p, config)
+        cutoff = _cutoff(config, lambda: _swept_cutoff(p))
         sup = Superoperator(models.build_coherent_displaced(make_space(cutoff), p))
         # the lambda3 family rotates at 2*Omega in the displaced frame
         w = spectra.slowest_eigenvalues(sup, 4, k=10, sigma=1e-3 + 2j * p.omega)
@@ -306,20 +303,14 @@ def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
     summary: dict = {"curves": {}}
     for pt in _points(config):
         p = ModelParams(g0=pt["g0"], eps=pt["eps"])
-        cutoff = _auto_cutoff_displaced(p, config)
+        cutoff = _cutoff(config, lambda: _swept_cutoff(p))
         grid = _grid(config, pt)
         space = make_space(cutoff)
         sup = Superoperator(models.build_coherent_displaced(space, p))
         mi_exact = obs.mi_curve(sup, dyn.ground_state(space), grid)
-        mi_eff = obs.mi_curve(
-            Superoperator(models.build_effective_coherent(p)),
-            dyn.ground_state(atomic_space()),
-            grid,
-        )
-        for t, mx, me_ in zip(grid, mi_exact, mi_eff):
-            row = _base_row(p, cutoff, config.seeds)
-            row.update(t=float(t), mi_exact=float(mx), mi_effective=float(me_))
-            rows.append(row)
+        sup_eff = Superoperator(models.build_effective_coherent(p))
+        mi_eff = obs.mi_curve(sup_eff, dyn.ground_state(atomic_space()), grid)
+        rows += _mi_rows(p, cutoff, config.seeds, grid, mi_exact=mi_exact, mi_effective=mi_eff)
         summary["curves"][f"g0={p.g0:g},eps={p.eps:g}"] = {
             "tau_coherent": spectra.tau_coherent(p),
             "plateau_windows": dyn.detect_plateau(grid, mi_exact),
@@ -337,22 +328,7 @@ def _first_sector_dim(sup: Superoperator) -> int:
 
 
 def run_gap_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
-    def one(pt):
-        p = ModelParams(g0=pt["g0"], n_th=pt["n_th"])
-        cutoff, rep, history = _gap_point(models.build_full, p, config, k=16)
-        ana = spectra.gap_incoherent(p)
-        row = _base_row(p, cutoff, config.seeds)
-        row.update(
-            gap_exact=rep.gap,
-            gap_analytic=ana,
-            rel_error=abs(rep.gap - ana) / max(ana, 1e-300),
-            kernel_dim=rep.kernel_dim,
-            solve=_solve_record(rep, history),
-        )
-        return row
-
-    rows = [one(pt) for pt in _points(config)]
-    rows.sort(key=lambda r: (r["g0"], r["n_th"]))
+    rows = _gap_rows(config, models.build_full, "n_th", 16, spectra.gap_incoherent)
     solves = {f"g0={r['g0']:g},n_th={r['n_th']:g}": r["solve"] for r in rows}
     return rows, {"worst_rel_error": max(r["rel_error"] for r in rows), "solves": solves}
 
@@ -363,22 +339,17 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
     for pt in _points(config):
         p = ModelParams(g0=pt["g0"], n_th=pt["n_th"])
         grid = _grid(config, pt)
-        cutoff = _thermal_cutoff(p.n_th) if config.cutoff == "auto" else int(config.cutoff)
+        cutoff = _cutoff(config, lambda: _thermal_cutoff(p.n_th))
         space = make_space(cutoff)
         # |gg,0> occupies only the d = 0, even, Theta = +1 sector, which is evolved densely
         sup = Superoperator(models.build_full(space, p))
         dim = _first_sector_dim(sup)
         run_exact = dim <= linalg.DENSE_CAP
-        if run_exact:
-            mi_exact = obs.mi_curve(sup, dyn.ground_state(space), grid)
-        else:
-            mi_exact = np.full(grid.size, np.nan)
+        mi_exact = obs.mi_curve(sup, dyn.ground_state(space), grid) if run_exact else np.full(grid.size, np.nan)
         sup_eff = Superoperator(models.build_effective_incoherent(p))
         mi_eff = obs.mi_curve(sup_eff, dyn.ground_state(atomic_space()), grid)
-        for t, mx, me_ in zip(grid, mi_exact, mi_eff):
-            row = _base_row(p, cutoff if run_exact else "effective-only", config.seeds)
-            row.update(t=float(t), mi_exact=float(mx), mi_effective=float(me_))
-            rows.append(row)
+        shown = cutoff if run_exact else "effective-only"
+        rows += _mi_rows(p, shown, config.seeds, grid, mi_exact=mi_exact, mi_effective=mi_eff)
         ss = dyn.steady_state(sup_eff, dyn.ground_state(atomic_space()))
         summary["curves"][f"g0={p.g0:g},n_th={p.n_th:g}"] = {
             "tau_incoherent": spectra.tau_incoherent(p),
@@ -398,29 +369,23 @@ def run_real_detector(config: ScenarioConfig) -> tuple[list[dict], dict]:
         grid = _grid(config, pt)
         if case == "coherent":
             p = ModelParams(g0=0.1, eps=math.sqrt(10.0), gamma=gamma)
-            cutoff = 8 if config.cutoff == "auto" else int(config.cutoff)
-            space = make_space(cutoff)
-            me = models.build_coherent_displaced(space, p)
+            build, cutoff = models.build_coherent_displaced, _cutoff(config, lambda: 8)
         elif case == "incoherent":
             p = ModelParams(g0=0.1, eps=0.0, n_th=10.0, gamma=gamma)
-            cutoff = _thermal_cutoff(p.n_th) if config.cutoff == "auto" else int(config.cutoff)
-            space = make_space(cutoff)
-            me = models.build_full(space, p)
+            build, cutoff = models.build_full, _cutoff(config, lambda: _thermal_cutoff(p.n_th))
         else:
             raise ValueError(f"unknown case {case!r}")
+        space = make_space(cutoff)
         # one generator per point: the trajectory and the steady state share
         # its assembly and its stated-kernel solve
-        sup = Superoperator(me)
+        sup = Superoperator(build(space, p))
         mi = obs.mi_curve(sup, dyn.ground_state(space), grid)
-        for t, m in zip(grid, mi):
-            row = _base_row(p, cutoff, config.seeds)
-            row.update(case=case, t=float(t), mi=float(m))
-            rows.append(row)
+        rows += [dict(row, case=case) for row in _mi_rows(p, cutoff, config.seeds, grid, mi=mi)]
         ss = dyn.steady_state(sup, dyn.ground_state(space))
         summary["steady"][f"{case},gamma={gamma:g}"] = {
             "steady_mi": float(obs.atomic_mutual_information(ss)),
             "peak_mi": float(mi.max()),
-            "kernel_unique": not me.conserved,
+            "kernel_unique": not sup.me.conserved,
             "evolution": "spectral-sector",
             "dim": _first_sector_dim(sup),
         }

@@ -75,12 +75,12 @@ class SpectrumReport:
 
     ``eigenvalues`` are sorted by |Re| ascending; ``distinct_rates`` holds the
     clustered nonzero decay rates (-Re) ascending; ``gap`` is the smallest
-    nonzero rate; ``second_rate`` the next distinct one (None when absent).
-    ``partial`` marks reports built from a targeted (shift-invert) solve that
-    only sees the slow end of the spectrum.  ``analyze`` records the solver
-    behind the report, the dimension of the generator it solved and, when
-    sectors were left out of a targeted solve or the gap failed to clear
-    their bound, the least rate bound of those sectors.  A dense report's
+    nonzero rate.  ``partial`` marks reports built from a targeted
+    (shift-invert) solve that only sees the slow end of the spectrum.
+    ``analyze`` records the solver behind the report, the dimension of the
+    generator it solved and, when sectors were left out of a targeted solve
+    or the gap failed to clear their bound, the least rate bound of those
+    sectors.  A dense report's
     ``condition_estimate`` is the largest over the sectors of each one's
     eigenbasis condition bound (``linalg.EigenDecomposition.condition_bound``),
     the exact 2-norm value for a near-defective sector; NaN otherwise.
@@ -89,7 +89,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     clusters: tuple[Cluster, ...]
     gap: float
-    second_rate: float | None
     distinct_rates: np.ndarray
     kernel_dim: int
     near_defective: bool
@@ -309,12 +308,10 @@ def classify(
     else:
         gap = 0.0
         distinct = np.array([])
-    second = float(distinct[1]) if distinct.size >= 2 else None
     return SpectrumReport(
         eigenvalues=w,
         clusters=clusters,
         gap=gap,
-        second_rate=second,
         distinct_rates=distinct,
         kernel_dim=int(zero_mask.sum()),
         near_defective=near_defective,

@@ -169,6 +169,33 @@ class TestOutputs:
         assert solve["dim"] == sup.sectors()[np.flatnonzero(bounds == 0.0).max()].stop < sup.dim
         assert solve["excluded_bound"] == bounds[bounds > 0.0].min() > float(row["gap_exact"])
 
+    @pytest.mark.parametrize(
+        "scenario, params",
+        [
+            ("gap-coherent", {"g0": [0.25], "eps": [10.0]}),
+            ("second-rate-coherent", {"g0": [0.25], "eps": [10.0]}),
+            ("mi-coherent", {"g0": [0.25], "eps": [10.0]}),
+            ("gap-incoherent", {"g0": [0.1], "n_th": [0.5]}),
+            ("mi-incoherent", {"g0": [0.01], "n_th": [1.0]}),
+            ("real-detector", {"case": ["coherent", "incoherent"], "gamma": [1e-3]}),
+        ],
+    )
+    def test_fixed_cutoff_runs_no_truncation_sweep(self, monkeypatch, scenario, params):
+        # 5 is no cutoff an auto rule picks (sweeps double from 4, the
+        # thermal heuristic rounds up to 4, coherent real-detector takes 8)
+        def unreachable(*args, **kwargs):
+            raise AssertionError("truncation sweep run at a fixed cutoff")
+
+        monkeypatch.setattr(scenarios.dyn, "converged_cutoff_for_gap", unreachable)
+        config = scenarios.ScenarioConfig(
+            scenario, params=params, cutoff=5, time_grid={"t_max": 100.0, "points": 4, "t_min": 1.0}
+        )
+        if scenario not in scenarios.GRIDS:
+            config.time_grid = {}
+        config.validate()
+        rows, _ = scenarios.RUNNERS[scenario](config)
+        assert rows and all(row["cutoff"] == 5 for row in rows)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_GAP_CONFIG)
         outs = []

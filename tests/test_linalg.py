@@ -94,8 +94,28 @@ class TestEigGeneral:
         assert not dec.near_defective
 
     def test_pauli_x(self):
-        dec = linalg.eig_general(SIGMA_X)
+        dec = linalg.eig_general(SIGMA_X.real)
         assert_allclose(sorted(dec.eigenvalues.real), [-1, 1], atol=1e-12)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_complex_input_refused_before_lapack(self, monkeypatch, sparse):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("LAPACK called on a complex matrix")
+
+        for name in ("dgeev", "dgeev_lwork", "dgetrf", "dgetri"):
+            monkeypatch.setattr(linalg.lapack, name, unreachable)
+        m = SIGMA_X + 0j  # complex dtype, real entries: refused by its dtype
+        with pytest.raises(TypeError, match="real matrix"):
+            linalg.eig_general(sp.csr_matrix(m) if sparse else m)
+
+    def test_callers_matrix_is_not_canonicalized(self):
+        # duplicate entries are summed on eig_general's own copy
+        m = sp.csr_matrix((np.array([1.0, 1.0, 3.0]), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2))
+        assert not m.has_canonical_format
+        dec = linalg.eig_general(m)
+        assert_allclose(sorted(dec.eigenvalues), [2.0, 3.0], atol=1e-12)
+        assert not m.has_canonical_format
+        assert np.array_equal(m.data, [1.0, 1.0, 3.0]) and np.array_equal(m.indices, [0, 0, 1])
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
@@ -212,15 +232,17 @@ class TestEigGeneral:
         assert dec.near_defective
 
 
-def _with_condition(kappa: float, complex_: bool, n: int = 8) -> np.ndarray:
-    """A matrix with eigenvalues 1..n whose eigenvector basis has condition
-    number about ``kappa``: columns 0 and 1 are e0 and e0 + (2 / kappa) e1."""
-    b = np.eye(n, dtype=complex if complex_ else float)
+def _with_condition(kappa: float, pair: bool, n: int = 8) -> np.ndarray:
+    """A real matrix with eigenvalues 1..n, or 1 +- i, 3..n with ``pair``,
+    whose eigenvector basis has condition number about ``kappa``: columns 0
+    and 1 of its real basis are e0 and e0 + (2 / kappa) e1."""
+    b = np.eye(n)
     b[1, 1] = 2.0 / kappa
     b[0, 1] = 1.0
-    if complex_:
-        b[2:, 2:] += 0.1j
-    return b @ np.diag(np.arange(1.0, n + 1.0)) @ np.linalg.inv(b)
+    j = np.diag(np.arange(1.0, n + 1.0))
+    if pair:
+        j[:2, :2] = [[1.0, 1.0], [-1.0, 1.0]]
+    return b @ j @ np.linalg.inv(b)
 
 
 class TestConditionBound:
@@ -228,12 +250,10 @@ class TestConditionBound:
     number, and ``near_defective`` decides as the exact value does."""
 
     @pytest.mark.parametrize("n", [2, 7, 40, 120])
-    @pytest.mark.parametrize("complex_", [False, True])
-    def test_bounds_the_exact_condition_of_random_matrices(self, rng, n, complex_):
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_bounds_the_exact_condition_of_random_matrices(self, rng, n, sparse):
         m = rng.standard_normal((n, n))
-        if complex_:
-            m = m + 1j * rng.standard_normal((n, n))
-        dec = linalg.eig_general(m)
+        dec = linalg.eig_general(sp.csr_matrix(m) if sparse else m)
         assert dec.condition_estimate <= dec.condition_bound < np.inf
         assert not dec.near_defective
 
@@ -253,23 +273,28 @@ class TestConditionBound:
             assert dec.condition_estimate <= dec.condition_bound <= linalg.NEAR_DEFECTIVE_COND
 
     @pytest.mark.parametrize("kappa", [1e6, 1e7, 1e9, 1e12])
-    @pytest.mark.parametrize("complex_", [False, True])
-    def test_near_defective_is_the_exact_decision(self, monkeypatch, kappa, complex_):
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_near_defective_is_the_exact_decision(self, monkeypatch, kappa, pair):
         exact = []
         svd = linalg.condition_estimate
         monkeypatch.setattr(linalg, "condition_estimate", lambda b: exact.append(svd(b)) or exact[-1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            dec = linalg.eig_general(_with_condition(kappa, complex_))
+            dec = linalg.eig_general(_with_condition(kappa, pair))
             flagged = dec.near_defective
         truth = svd(dec.basis) > linalg.NEAR_DEFECTIVE_COND
         assert flagged == truth == (kappa > linalg.NEAR_DEFECTIVE_COND)
         # the SVD is taken only when the bound does not clear the limit
         assert bool(exact) == (dec.condition_bound > linalg.NEAR_DEFECTIVE_COND)
 
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_jordan_block_falls_back_to_the_svd(self, dtype):
-        jordan = np.diag(np.ones(5), 1).astype(dtype) + 2.0 * np.eye(6)
+    @pytest.mark.parametrize("eigenvalue", ["float", "complex"])
+    def test_jordan_block_falls_back_to_the_svd(self, eigenvalue):
+        # a real Jordan block of 2, or of the pair 2 +- i (three 2 x 2
+        # rotation blocks coupled by identities)
+        if eigenvalue == "float":
+            jordan = np.diag(np.ones(5), 1) + 2.0 * np.eye(6)
+        else:
+            jordan = np.kron(np.eye(3), [[2.0, 1.0], [-1.0, 2.0]]) + np.kron(np.diag(np.ones(2), 1), np.eye(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             dec = linalg.eig_general(jordan)

@@ -35,7 +35,7 @@ def diag_superop(values):
             return [slice(0, self.dim)]
 
         def generator(self, sector=None):
-            return np.diag(np.asarray(values, dtype=complex)), 0.0
+            return np.diag(np.asarray(values, dtype=float)), 0.0
 
     return _Sup()
 
@@ -45,7 +45,7 @@ class TestAnalyze:
         rep = spectra.analyze(diag_superop([0.0, -1.0, -2.0]))
         assert rep.gap == pytest.approx(1.0)
         assert rep.kernel_dim == 1
-        assert rep.second_rate == pytest.approx(2.0)
+        assert rep.distinct_rates[1] == pytest.approx(2.0)
 
     def test_coherent_gap_and_kernel(self):
         p = ModelParams(g0=0.25, eps=10.0)
