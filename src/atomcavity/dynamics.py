@@ -361,8 +361,8 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     above ``linalg.DENSE_CAP`` coordinates is refused
     (``DimensionLimitError``) before its block is formed.
 
-    The kernel lies in the first sector, and so must the stated charges
-    (``stated_kernel`` raises otherwise).  The solver's slowest
+    The kernel lies in the first sector, and so do the stated charges
+    (``MasterEquation`` refuses them otherwise).  The solver's slowest
     eigenvectors, kernel ones included, mix with each other by about
     1e-16 ||L|| / gap (4e-6 at the displaced model's eps = 1000, cutoff 8),
     which their decay would leave behind in rho(t) as trace errors.  So in
@@ -475,25 +475,21 @@ def _charges(me: MasterEquation) -> list[sp.csr_matrix]:
     return [sp.identity(me.dim, dtype=complex, format="csr")] + [q.matrix for q in me.conserved]
 
 
-def _charge_values(me: MasterEquation, rows: np.ndarray) -> np.ndarray:
-    """vec(Q_j) of each charge of ``_charges`` at the vec(rho) positions
-    ``rows`` (Q_ij sits at i + j D), one column each."""
-    col, row = np.divmod(rows, me.dim)
-    return np.column_stack([np.asarray(q[row, col]).ravel() for q in _charges(me)])
-
-
 def _charge_rows(me: MasterEquation, lift: sp.csc_matrix) -> np.ndarray:
     """The charges Q_j of ``_charges`` as the columns c_j^T = B^T conj(vec(Q_j))
     on the sector whose columns of B are ``lift``: Tr[Q_j rho] = c_j y for a
     state in it, real for a Hermitian Q_j.  Read at the positions B touches
     alone, each c_j the same sum as over all of vec(Q_j)."""
     rows = np.unique(lift.indices)
-    return (restrict(lift, rows).T @ _charge_values(me, rows).conj()).real
+    col, row = np.divmod(rows, me.dim)  # Q_ij sits at i + j D
+    values = np.column_stack([np.asarray(q[row, col]).ravel() for q in _charges(me)])
+    return (restrict(lift, rows).T @ values.conj()).real
 
 
 def stated_kernel(sup: Superoperator, block: tuple[sp.csr_matrix, float] | None = None) -> np.ndarray:
     """Basis of the generator's kernel dual to the model's conserved charges,
-    solved on the first sector, where the kernel and the charges lie.
+    solved on the first sector, where the kernel lies and, as checked when
+    the model is made (``MasterEquation``), the charges too.
 
     In the coordinates y of the first of ``sup.sectors()`` (d = 0, exchange
     parity +1, Theta = +1), with L_0 = G[first, first] and the charges as the real
@@ -505,16 +501,13 @@ def stated_kernel(sup: Superoperator, block: tuple[sp.csr_matrix, float] | None 
 
     from one sparse LU, so L K = 0 and C^dag K = I to round-off: the
     asymptotic state of rho0 is K C^dag vec(rho0).  The columns are returned
-    as vec(rho) of the Hermitian matrices B y.  A charge with any weight
-    outside the first sector raises ``NumericalAccuracyError``: its part
-    there, B F T vec(Q), has power-of-two maps, so a charge inside is
-    reproduced exactly.  A bordered matrix that is singular, exactly or to
-    working precision, means the kernel is larger in the first sector than
-    the model states (``KernelAmbiguityError``; ``steady_state`` also checks
-    the other sectors); a residual ||L_0 y|| or multiplier mu above
-    round-off, relative to ||y|| times the scale ``sup.generator`` returns
-    with L_0 (never above ||L||_1), means a stated Q is not conserved
-    (``NumericalAccuracyError``).  Solved once per generator: the result is
+    as vec(rho) of the Hermitian matrices B y.  A bordered matrix that is
+    singular, exactly or to working precision, means the kernel is larger in
+    the first sector than the model states (``KernelAmbiguityError``;
+    ``steady_state`` also checks the other sectors); a residual ||L_0 y|| or
+    multiplier mu above round-off, relative to ||y|| times the scale
+    ``sup.generator`` returns with L_0 (never above ||L||_1), means a stated
+    Q is not conserved (``NumericalAccuracyError``).  Solved once per generator: the result is
     kept on ``sup`` (read-only) for ``evolve_spectral`` and ``steady_state``.
     ``block`` is ``sup.generator`` of the first sector when the caller has
     formed it already (``evolve_spectral``), so it is formed once.
@@ -525,19 +518,7 @@ def stated_kernel(sup: Superoperator, block: tuple[sp.csr_matrix, float] | None 
     name = me.label or "the model"
     charges = _charges(me)
     first = sup.sectors()[0]
-    lift, inverse = sup.maps(first)
-    rows = np.unique(lift.indices)  # the positions the sector touches
-    vq = _charge_values(me, rows)
-    outside = float(np.abs(vq - restrict(lift, rows) @ (restrict(inverse, rows) @ vq)).max())
-    for q in charges:  # and the entries at the other positions
-        q = q.tocoo()
-        at = q.row + q.col.astype(np.int64) * me.dim
-        outside = max(outside, float(np.abs(q.data[~np.isin(at, rows)]).max(initial=0.0)))
-    if outside:
-        raise NumericalAccuracyError(
-            f"a stated charge of {name} has weight {outside:.2e} outside the first "
-            "sector, where the kernel lies"
-        )
+    lift, _ = sup.maps(first)
     c = _charge_rows(me, lift)
     l0, norm = sup.generator(first) if block is None else block
     dim = l0.shape[0]

@@ -35,7 +35,8 @@ the model states the signature below, one half of Theta.  These
 statements are conditions on H and the jumps (Buca & Prosen, NJP 14,
 073007 (2012)), checked on those operators' nonzero entries when the model
 is made, and the sectors are index bookkeeping on the statements alone,
-their sizes in closed form.
+their sizes in closed form.  The same statements check on its entries that
+each stated charge lies in the first sector, with the kernel.
 
 Every builder without cross terms also states a weak antiunitary symmetry
 Theta(rho) = U rho* U, U = diag(u) with one sign u_i = +-1 per basis state
@@ -70,9 +71,10 @@ to Hermitian matrices, so in the coordinates
 
 of a D x D matrix it is T L T^-1 with real entries; a column of the real
 basis E of x is a unit vector or a swapped pair of them (both of one
-Theta, since the stated u is swap-invariant), and the maps
-B = T^-1 E (y -> vec(rho)) and F T (vec(rho) -> y) of a range of sectors
-(``HermitianSectors.maps``) are composed from index bookkeeping alone.
+Theta, since the stated u is swap-invariant), and the map F T (vec(rho) ->
+y) of a range of sectors (``HermitianSectors.maps``) is composed from index
+bookkeeping alone; B = T^-1 E (y -> vec(rho)) is its conjugate transpose
+with each entry divided by its modulus.
 Their entries are +-1, +-i and +-1/2^k, so y is real exactly for a
 Hermitian rho and every matrix read back from real y is Hermitian exactly.
 G drops round-off that links two sectors, refusing more.
@@ -219,7 +221,9 @@ class MasterEquation:
     Theta(rho) = U rho* U, U = diag(u), and is None when it states none (a
     model with cross terms states none).  Each statement is checked
     here, once, on the nonzero entries of the sparse operators it is about
-    (``ValueError`` otherwise), with no D x D array formed.
+    (``ValueError`` otherwise), with no D x D array formed, and so is each
+    charge's place in the first sector, where the kernel lies: Q commutes
+    with the stated N, P Q P = Q and U Q* U = Q.
     """
 
     hamiltonian: LabeledOperator
@@ -266,10 +270,11 @@ class MasterEquation:
             self._check_balance(jumps)
 
     def _excitation_shifts(self) -> list[tuple[LabeledOperator, float, int]]:
-        """Refuse stated excitation numbers N unless H commutes with N and each
-        nonzero jump, and a cross term's two operators together, shift N by one
-        amount s ([N, O] = s O), which keeps d; returns each such (O, rate, s).
-        Read on the operators' nonzero entries O_ij, each shifting N by N_i - N_j."""
+        """Refuse stated excitation numbers N unless H and each charge commute
+        with N and each nonzero jump, and a cross term's two operators
+        together, shift N by one amount s ([N, O] = s O), which keeps d;
+        returns each such (O, rate, s).  Read on the operators' nonzero
+        entries O_ij, each shifting N by N_i - N_j."""
         name, n = self.label or "the model", np.asarray(self.excitations)
 
         def steps(o: sp.csr_matrix) -> np.ndarray:
@@ -277,6 +282,9 @@ class MasterEquation:
 
         if np.any(steps(self.hamiltonian.matrix)):
             raise ValueError(f"the Hamiltonian of {name} does not commute with N")
+        for q in self.conserved:
+            if np.any(steps(q.matrix)):
+                raise ValueError(f"the charge {q.label} of {name} does not commute with N")
 
         def shift(what: str, *ops: sp.csr_matrix) -> int | None:
             s = np.unique(np.concatenate([steps(o) for o in ops]))
@@ -290,10 +298,11 @@ class MasterEquation:
         return [jump for jump in shifts if jump[2] is not None]  # a zero jump adds nothing to L
 
     def _check_swap(self, p: np.ndarray) -> None:
-        """Refuse a stated swap P unless P H P = H and O -> P O P permutes the
-        jumps and the cross terms at equal rates and weights, all exactly: a
-        permutation moves entries without arithmetic (O_ij to (P O P)_kl at
-        p(k) = i, p(l) = j), compared as sparse matrices."""
+        """Refuse a stated swap P unless P H P = H, P Q P = Q for each charge
+        and O -> P O P permutes the jumps and the cross terms at equal rates
+        and weights, all exactly: a permutation moves entries without
+        arithmetic (O_ij to (P O P)_kl at p(k) = i, p(l) = j), compared as
+        sparse matrices."""
         name, back = self.label or "the model", np.argsort(p)
 
         def image(o: sp.csr_matrix) -> sp.csr_matrix:
@@ -312,13 +321,16 @@ class MasterEquation:
                 if k is None:
                     raise ValueError(f"{what} of {name} breaks its stated swap: P O P at its rate is no term")
                 terms.pop(k)
+        for q in self.conserved:
+            if not equal(image(q.matrix), q.matrix):
+                raise ValueError(f"the charge {q.label} of {name} breaks its stated swap: P Q P is not Q")
 
     def _check_signature(self) -> None:
         """Refuse a stated signature u unless it is a swap-invariant sign per
-        basis state, the model has no cross terms, u_i u_j conj(H_ij) = -H_ij
-        and each jump has one sign s with u_i u_j conj(O_ij) = s O_ij, all
-        exactly on the operators' nonzero entries: U O* U moves no entry and
-        changes only signs."""
+        basis state, the model has no cross terms, u_i u_j conj(H_ij) = -H_ij,
+        u_i u_j conj(Q_ij) = Q_ij for each charge and each jump has one sign s
+        with u_i u_j conj(O_ij) = s O_ij, all exactly on the operators'
+        nonzero entries: U O* U moves no entry and changes only signs."""
         name, u = self.label or "the model", np.asarray(self.signature)
         if u.shape != (self.dim,):
             raise ShapeError("the stated signature does not match the space")
@@ -335,6 +347,9 @@ class MasterEquation:
         h = self.hamiltonian.matrix
         if not np.array_equal(image(h), -h.data):
             raise ValueError(f"the Hamiltonian of {name} breaks its stated signature: U H* U is not -H")
+        for q in self.conserved:
+            if not np.array_equal(image(q.matrix), q.matrix.data):
+                raise ValueError(f"the charge {q.label} of {name} breaks its stated signature: U Q* U is not Q")
         for op, _ in self.dissipators:
             o = op.matrix
             if not any(np.array_equal(image(o), s * o.data) for s in (1, -1)):
@@ -733,10 +748,11 @@ class HermitianSectors:
         the sectors it meets alone.  Their entries are +-1, +-i and +-1/2^k,
         so y is real exactly for a Hermitian rho and every matrix read back
         from real y is Hermitian exactly.  Each is entry for entry, in the
-        same order, the product it stands for: T^-1 E in CSC, and F T in
-        CSR, whose row holds the positions of the second coordinate and then
-        of the first, each from the higher down.  Formed ``MAP_BLOCK``
-        coordinates at a time into the maps' own arrays."""
+        same order, the product it stands for: F T in CSR, whose row holds
+        the positions of the second coordinate and then of the first, each
+        from the higher down, formed ``MAP_BLOCK`` coordinates at a time;
+        and T^-1 E in CSC, whose every entry, +-1 or +-i, is the phase of
+        F T's entry there, conjugated (its two parts' signs, zeros +0)."""
         s = slice(0, self.size) if s is None else s
         met = [k for k, t in enumerate(self.slices) if t.start < s.stop and s.start < t.stop]
         cut = slice(s.start - self.slices[met[0]].start, s.stop - self.slices[met[0]].start)
@@ -749,8 +765,8 @@ class HermitianSectors:
         # the entries of a coordinate: the second's high and low position, the first's
         keep = np.column_stack((x1 >= 0, x1 >= d, np.ones(n, dtype=bool), x0 >= d))
         ptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-        f_data, b_data = np.empty(ptr[-1], dtype=complex), np.empty(ptr[-1], dtype=complex)
-        f_pos, b_pos = np.empty(ptr[-1], dtype=np.int32), np.empty(ptr[-1], dtype=np.int32)
+        f_data, f_pos = np.empty(ptr[-1], dtype=complex), np.empty(ptr[-1], dtype=np.int32)
+        phase = np.empty(ptr[-1], dtype=complex)
         high, second = np.array([True, False, True, False]), np.array([True, True, False, False])
         for lo in range(0, n, MAP_BLOCK):
             c = slice(lo, lo + MAP_BLOCK)
@@ -758,23 +774,15 @@ class HermitianSectors:
             paired = x1[c] >= 0
             x = np.where(second & paired[:, None], x1[c, None], x0[c, None])  # stand-ins are not kept
             imag = x >= d + (d * d - d) // 2
-            pos = at[c]
             # F: sign/2 at the second, 1/2 (1 unpaired) at the first; T at (x, high)
             # is 1 on the diagonal, 1/2 at Re and -i/2 at Im, at (x, low) 1/2 and i/2
             f = np.where(second, 0.5 * e[c, None], np.where(paired, 0.5, 1.0)[:, None])
             t_re = np.where(x < d, 1.0, np.where(imag, 0.0, 0.5))
             f_data[out] = _complex(f * t_re, np.where(imag, np.where(high, -0.5, 0.5) * f, 0.0))[k]
-            f_pos[out] = pos[k]
-            # E: sign at the second, 1 at the first; T^-1 at (high, x) is 1 at the
-            # diagonal and Re, i at Im, at (low, x) 1 and -i; sorted by position
-            coef = np.where(second, e[c, None], 1)
-            order = np.argsort(np.where(k, pos, d * d), axis=1, kind="stable")
-            b_re = np.take_along_axis(np.where(imag, 0, coef), order, 1)
-            b_im = np.take_along_axis(np.where(imag, np.where(high, coef, -coef), 0), order, 1)
-            k = np.take_along_axis(k, order, 1)
-            b_data[out] = _complex(b_re, b_im)[k]
-            b_pos[out] = np.take_along_axis(pos, order, 1)[k]
-        basis = sp.csc_matrix((b_data, b_pos, ptr), shape=(d * d, n))
+            f_pos[out] = at[c][k]
+            phase[out] = _complex(np.sign(f_data[out].real), -np.sign(f_data[out].imag))
+        basis = sp.csc_matrix((phase, f_pos.copy(), ptr), shape=(d * d, n))  # sort_indices sorts in place
+        basis.sort_indices()
         return basis, sp.csr_matrix((f_data, f_pos, ptr), shape=(n, d * d))
 
     def holding(self, positions: np.ndarray) -> list[slice]:

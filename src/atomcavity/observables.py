@@ -4,8 +4,11 @@ Entropy is measured in bits (log base 2) throughout.  Mutual information
 between the two atoms, I = S(rho_1) + S(rho_2) - S(rho_atoms), is the
 correlation witness extracted from every dynamical scenario; it is evaluated
 as the relative entropy D(rho_atoms || rho_1 (x) rho_2), a sum of
-nonnegative terms, so round-off cannot make it negative.  ``mi_curve`` is
-the one model -> spectral trajectory -> mutual information pipeline.
+nonnegative terms, so round-off cannot make it negative.  The field is
+traced out one way, by the sparse map of ``atomic_states`` from a
+trajectory's kept entries; a single state passes through it as a
+one-sample trajectory.  ``mi_curve`` is the one model -> spectral
+trajectory -> mutual information pipeline.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from scipy.special import xlogy
 
 from .dynamics import DensityMatrix, Trajectory, evolve_spectral
 from .errors import NumericalAccuracyError, ShapeError, StateValidityError
-from .models import Superoperator
+from .models import Superoperator, vec
 from .operators import atomic_space
 
 #: eigenvalues this far below zero are clipped; anything worse is an error
@@ -26,18 +29,6 @@ ENTROPY_CLIP_SLACK = 1e-8
 
 #: tolerated numerical negativity of the mutual information
 MI_SLACK = 1e-9
-
-
-def partial_trace_field(rho: DensityMatrix) -> DensityMatrix:
-    """Trace out the Fock factor (ordering atom1 (x) atom2 (x) field)."""
-    space = rho.space
-    if not space.has_field:
-        warnings.warn("state has no field factor; returning it unchanged", stacklevel=2)
-        return rho
-    f = space.fock_cutoff
-    m = rho.matrix.reshape(2, 2, f, 2, 2, f)
-    reduced = np.trace(m, axis1=2, axis2=5).reshape(4, 4)
-    return DensityMatrix(reduced, atomic_space())
 
 
 def _marginals(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,16 +146,19 @@ def mutual_information(rho_at: DensityMatrix | np.ndarray) -> float | np.ndarray
 
 
 def atomic_mutual_information(rho: DensityMatrix) -> float:
-    """Mutual information of the atoms, tracing the field first if present."""
-    at = partial_trace_field(rho) if rho.space.has_field else rho
-    return mutual_information(at)
+    """Mutual information of the atoms of one state: its nonzero entries, as
+    a one-sample trajectory, through the partial trace of ``atomic_states``."""
+    v = vec(rho.matrix)
+    support = np.flatnonzero(v)
+    at = atomic_states(Trajectory(np.zeros(1), rho.space, support, v[None, support]))[0]
+    return mutual_information(DensityMatrix(at, atomic_space()))
 
 
 def atomic_states(traj: Trajectory) -> np.ndarray:
     """The 4 x 4 atomic state of every sample of ``traj`` (samples x 4 x 4),
     the field traced out by one sparse map R from the trajectory's kept
     entries, built once: R sums rho_(a n)(b n) over the Fock number n in
-    ascending order, as ``partial_trace_field`` does."""
+    ascending order (f = 1 and R a relabelling on the atomic space)."""
     space = traj.space
     d, f = space.dim, space.fock_cutoff if space.has_field else 1
     i, j = traj.support % d, traj.support // d

@@ -468,7 +468,7 @@ def write_schema(outdir: Path) -> Path:
     return path
 
 
-def _plot(outdir: Path, scenario: str, columns: list[str], rows: list[dict]) -> Path | None:
+def _plot(outdir: Path, scenario: str, rows: list[dict]) -> Path | None:
     """Static SVG plot of the scenario output (line per parameter group)."""
     try:
         import matplotlib
@@ -545,7 +545,7 @@ def run_scenario(config: ScenarioConfig, plot: bool = False, quiet: bool = False
     )
     write_schema(outdir)
     if plot:
-        _plot(outdir, config.scenario, columns, rows)
+        _plot(outdir, config.scenario, rows)
     if not quiet:
         print(f"wrote {csv_path}")
         if config.scenario == "verify":

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import Phase, settings
 
 from atomcavity import atomic_space, observables
-from atomcavity.dynamics import DensityMatrix, basis_vector, pure_state
+from atomcavity.dynamics import DensityMatrix, Trajectory, basis_vector, pure_state
 from atomcavity.errors import ShapeError, StateValidityError
+from atomcavity.models import vec
 from atomcavity.operators import SystemSpace, singlet_projector
 
 # Every property test draws the same examples on every run and stores none.
@@ -58,6 +59,20 @@ def bell_state() -> DensityMatrix:
 
 def maximally_mixed(space: SystemSpace) -> DensityMatrix:
     return DensityMatrix.from_matrix(np.eye(space.dim, dtype=complex) / space.dim, space)
+
+
+def partial_trace_field(rho: DensityMatrix) -> DensityMatrix:
+    """The atomic state of ``rho`` with the Fock factor traced out densely
+    (ordering atom1 (x) atom2 (x) field): the oracle of
+    ``observables.atomic_states``."""
+    f = rho.space.fock_cutoff
+    m = rho.matrix.reshape(2, 2, f, 2, 2, f)
+    return DensityMatrix(np.trace(m, axis1=2, axis2=5).reshape(4, 4), atomic_space())
+
+
+def one_sample(rho: DensityMatrix) -> Trajectory:
+    """``rho`` as a trajectory of one sample at t = 0 that keeps every entry."""
+    return Trajectory(np.zeros(1), rho.space, np.arange(rho.dim**2), vec(rho.matrix)[None])
 
 
 def partial_trace_atom(rho_at: DensityMatrix, keep: int) -> DensityMatrix:

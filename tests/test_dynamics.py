@@ -21,11 +21,12 @@ from atomcavity.errors import (
     UnsupportedRegimeError,
 )
 from atomcavity.models import unvec, vec, vectorize
-from atomcavity.operators import LabeledOperator, singlet_projector
+from atomcavity.operators import LabeledOperator, annihilation, collective_spin, singlet_projector
 
 from conftest import (
     bell_state,
     maximally_mixed,
+    partial_trace_field,
     photon_number,
     random_density_matrix,
     random_hermitian,
@@ -290,15 +291,28 @@ class TestEvolveSpectral:
             assert dyn.trace_norm(a.matrix - unvec(b)) < 1e-10
 
     def test_a_charge_outside_the_first_sector_is_refused(self):
-        # the population difference of |ge> and |eg> is odd under the swap;
-        # stated as a charge, it cannot lie in the even sector with the kernel
-        space = atomic_space()
-        me = models.build_effective_coherent(ModelParams(g0=0.25, eps=10.0))
-        odd = np.diag([0.0, 1.0, -1.0, 0.0]).astype(complex)
-        wrong = replace(me, conserved=me.conserved + (LabeledOperator("Q", odd),))
-        with pytest.raises(NumericalAccuracyError, match="outside the first sector"):
-            dyn.evolve_spectral(vectorize(wrong, materialize=False), dyn.ground_state(space),
-                                np.array([0.0, 1.0]))
+        # each charge breaks one statement of the first sector, where the
+        # kernel lies, and the model is refused with that statement's message
+        # before any solve; without the statement the same charge is taken
+        space = make_space(4)
+        a = annihilation(space).matrix
+        cases = (
+            # the population difference of |ge> and |eg> is swap-odd, even under N and Theta
+            (models.build_effective_coherent(ModelParams(g0=0.25, eps=10.0)),
+             LabeledOperator("Q", np.diag([0.0, 1.0, -1.0, 0.0]).astype(complex)),
+             dict(swap=None), "charge Q of effective-coherent breaks its stated swap: P Q P is not Q"),
+            # a + a^dag is swap-even and Theta-even, but changes N by one
+            (models.build_full(space, ModelParams(g0=0.3, n_th=1.0)), LabeledOperator("X", a + a.conj().T),
+             dict(excitations=None, balance=None), "charge X of full does not commute with N"),
+            # S_x is swap-even and meets no stated N (the drive states none),
+            # but flips one atom: U S_x* U = -S_x
+            (models.build_coherent_displaced(space, ModelParams(g0=0.3, eps=3.0)), collective_spin(space, "x"),
+             dict(signature=None), r"charge S_x of coherent-displaced breaks its stated signature: U Q\* U is not Q"),
+        )
+        for me, q, unstated, message in cases:
+            with pytest.raises(ValueError, match=message):
+                replace(me, conserved=me.conserved + (q,))
+            replace(me, conserved=me.conserved + (q,), **unstated)
 
     def test_ground_state_diagonalizes_only_the_zero_sector(self, monkeypatch):
         space = make_space(8)
@@ -794,7 +808,7 @@ def test_atomic_states_match_the_dense_exponential(thermal, g0, eps, n_th, gamma
     grid = dyn.time_grid(50.0, 5, spacing="linear")
     for rho0, vs in zip(starts, _dense_exponential(sup, starts, grid)):
         for got, v in zip(obs.atomic_states(dyn.evolve_spectral(sup, rho0, grid)), vs):
-            want = obs.partial_trace_field(dyn.DensityMatrix(unvec(v), space)).matrix
+            want = partial_trace_field(dyn.DensityMatrix(unvec(v), space)).matrix
             assert np.abs(got - want).max() <= 1e-10
 
 

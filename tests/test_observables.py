@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from atomcavity import atomic_space, dynamics as dyn, make_space, observables as obs
+from atomcavity import ModelParams, atomic_space, dynamics as dyn, make_space, models, observables as obs
 from atomcavity.errors import ShapeError, StateValidityError
 
 from conftest import (
     bell_state,
     maximally_mixed,
+    one_sample,
     partial_trace_atom,
+    partial_trace_field,
     photon_number,
     random_density_matrix,
     von_neumann_entropy,
@@ -19,30 +21,42 @@ from conftest import (
 
 
 class TestPartialTraceField:
+    # the field is traced out by the one map of ``atomic_states``
     def test_product_state(self):
         space = make_space(3)
         rho = dyn.pure_state(dyn.basis_vector(space, 1, 0, 0), space)  # |eg,0>
-        at = obs.partial_trace_field(rho)
+        (at,) = obs.atomic_states(one_sample(rho))
         expected = np.zeros((4, 4))
         expected[2, 2] = 1.0  # |eg><eg| with atom1 (x) atom2 ordering
-        assert_allclose(at.matrix, expected, atol=1e-14)
+        assert_allclose(at, expected, atol=1e-14)
 
     def test_maximally_mixed(self):
         space = make_space(5)
-        at = obs.partial_trace_field(maximally_mixed(space))
-        assert_allclose(at.matrix, np.eye(4) / 4, atol=1e-14)
+        (at,) = obs.atomic_states(one_sample(maximally_mixed(space)))
+        assert_allclose(at, np.eye(4) / 4, atol=1e-14)
 
     def test_trace_preserved(self, rng):
         space = make_space(4)
         rho = random_density_matrix(space.dim, rng, space)
-        at = obs.partial_trace_field(rho)
-        assert abs(np.trace(at.matrix) - np.trace(rho.matrix)) < 1e-12
+        (at,) = obs.atomic_states(one_sample(rho))
+        assert abs(np.trace(at) - np.trace(rho.matrix)) < 1e-12
 
-    def test_atomic_passthrough_warns(self):
-        rho = bell_state()
-        with pytest.warns(UserWarning):
-            out = obs.partial_trace_field(rho)
-        assert out is rho
+    def test_an_atomic_state_passes_through_unchanged(self):
+        rho = bell_state()  # no field: f = 1
+        (at,) = obs.atomic_states(one_sample(rho))
+        assert np.array_equal(at, rho.matrix)
+        assert obs.atomic_mutual_information(rho) == obs.mutual_information(rho)
+
+    def test_steady_states_give_the_bits_of_the_dense_trace(self):
+        # real-detector's two steady states, each at its default cutoff
+        cases = (
+            (models.build_coherent_displaced, ModelParams(g0=0.1, eps=np.sqrt(10.0), gamma=1e-3), 8),
+            (models.build_full, ModelParams(g0=0.1, n_th=10.0, gamma=1e-3), 60),
+        )
+        for build, p, cutoff in cases:
+            space = make_space(cutoff)
+            ss = dyn.steady_state(models.Superoperator(build(space, p)), dyn.ground_state(space))
+            assert obs.atomic_mutual_information(ss) == obs.mutual_information(partial_trace_field(ss))
 
 
 class TestPartialTraceAtom:
