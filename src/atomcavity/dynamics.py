@@ -1,18 +1,25 @@
 """Time evolution, steady states, relaxation fits and truncation checks.
 
-Trajectories come from the spectral expansion rho(t) = sum_k c_k e^{w_k t}
-r_k of the dense real generator (``evolve_spectral``), one sector (an
-excitation block |d| intersected with an exchange parity and a half of the
-antiunitary symmetry Theta, an index range of the model's one real
-generator G) at a time: from |gg,0> a thermal model evolves only its d = 0,
-even, Theta = +1 sector (276 of 25600 coordinates at cutoff 40), and the
-displaced driven model its even, Theta = +1 sector (336 of 1024 at cutoff 8).
-A ``Trajectory`` keeps only the entries of vec(rho) its samples can occupy.
-Drifting traces are never renormalized - accuracy failures surface as
-errors.  This is the one evolution path: the scenarios and ``verify`` run
-it, and the tests compare it with ``scipy.linalg.expm`` of the dense
-complex generator at small cutoffs.  The package has no BDF path: the
-stiff integrator ``linalg.integrate_ode`` has no caller here and stays only
+Trajectories come from ``evolve_spectral``, one sector (an excitation block
+|d| intersected with an exchange parity and a half of the antiunitary
+symmetry Theta, an index range of the model's one real generator G) at a
+time: from |gg,0> a thermal model evolves only its d = 0, even,
+Theta = +1 sector (276 of 25600 coordinates at cutoff 40), and the
+displaced driven model its even, Theta = +1 sector (336 of 1024 at cutoff
+8).  A model that states a detailed-balance weight (the thermal model)
+evolves each sector by shift-and-invert Krylov: Arnoldi on G_s^-1 from one
+sparse LU, for the first sector the bordered LU that ``stated_kernel``
+factorizes, so no dense block is formed and the sector may reach
+``KRYLOV_CAP`` coordinates (7052, n_th = 200 at the default cutoff).  The
+driven, displaced and effective models use the spectral expansion
+rho(t) = sum_k c_k e^{w_k t} r_k of the dense block instead, up to
+``linalg.DENSE_CAP``.  A ``Trajectory`` keeps only the entries of vec(rho)
+its samples can occupy.  Drifting traces are never renormalized - accuracy
+failures surface as errors.  This is the one evolution entry point: the
+scenarios and ``verify`` run it, and the tests compare both of its paths
+with ``scipy.linalg.expm`` of the dense complex generator, and with each
+other, at small cutoffs.  The package has no BDF path: the stiff
+integrator ``linalg.integrate_ode`` has no caller here and stays only
 because the benchmark's tracer (``bench/tracing.py``) binds it by name.
 """
 
@@ -73,6 +80,23 @@ BORDERED_COND_MAX = 1e12
 
 #: rows of the eigenvector matrix updated at a time by ``evolve_spectral``
 _ROW_BLOCK = 256
+
+#: Krylov evolution of a sector of a model that states a detailed-balance
+#: weight (``_krylov_motion``): the space grows ``KRYLOV_STEP`` vectors at a
+#: time until the motion on the time grid changes by at most ``KRYLOV_TOL``
+#: ||y0|| from one size to the next, and is refused past ``KRYLOV_MAX``
+#: vectors (from |gg,0> of the thermal model, n_th from 1 to 200 and
+#: cutoffs up to 1008, 40 or 50 were needed)
+KRYLOV_STEP = 10
+KRYLOV_TOL = 1e-12
+KRYLOV_MAX = 200
+
+#: largest sector that ``evolve_spectral`` evolves by Krylov, in
+#: coordinates; the thermal first sector at cutoff 1008 (n_th = 200) has
+#: 7052.  The limit is set by the D^2-sized objects around the solve, not by
+#: the solve itself: an ``mi-incoherent`` run there peaks at 0.9 GB (0.3 GB
+#: at cutoff 508), and that figure grows as the square of the sector
+KRYLOV_CAP = 7052
 
 #: samples of a trajectory whose invariants ``_check_samples`` certifies at
 #: a time: a few copies of that many samples' kept entries are held at once
@@ -146,6 +170,9 @@ class Trajectory:
     space: SystemSpace
     support: np.ndarray
     entries: np.ndarray
+    #: the largest Krylov dimension m of its evolved sectors, None when they
+    #: were evolved through the dense eigenbasis
+    krylov_dim: int | None = None
 
     @property
     def states(self) -> tuple[DensityMatrix, ...]:
@@ -334,8 +361,11 @@ def _check_samples(entries: np.ndarray, t: np.ndarray, index: _SampleIndex) -> N
 
 
 def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> Trajectory:
-    """Evolve through the dense eigenbasis of the generator, in real
-    arithmetic, one sector at a time.
+    """Evolve the generator from ``rho0`` over ``t_grid``, in real
+    arithmetic, one sector at a time: by Krylov on a sparse LU when the
+    model states a detailed-balance weight (``MasterEquation.balance``),
+    through the dense eigenbasis otherwise.  The path follows the model's
+    statement alone, never a refusal of the other.
 
     ``sup.generator(s)`` forms the block G[s, s] of the real generator on
     one of ``sup.sectors()``: the |d| excitation sectors (all of vec(rho)
@@ -343,11 +373,12 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     when it states the atom swap, and each parity by Theta when it states a
     signature.  The generator never mixes sectors, so
     each one that rho0 occupies evolves alone from its rows of y0 = F T
-    vec(rho0), with vec(rho(t)) = vec(rho0) + B[:, s] ``_motion`` of its
-    modes, and the others stay 0: rho0 itself at t = 0.  Only the maps of
-    the sectors of the |d| that rho0's entries have are composed, and each
-    block is formed once, from L's rows and columns at its positions alone;
-    the first sector's is also the one ``stated_kernel`` solves.  The
+    vec(rho0), with vec(rho(t)) = vec(rho0) + B[:, s] (y(t) - y0), and the
+    others stay 0.  y(t) - y0 is formed through expm1, so it is exactly 0,
+    and the sample rho0 itself, at t = 0.  Only the maps of the sectors of
+    the |d| that rho0's entries have are composed, and each block is formed
+    at most once, from L's rows and columns at its positions alone; the
+    first sector's is also the one ``stated_kernel`` solves.  The
     trajectory keeps only the entries of vec(rho) that rho0 or an evolved
     sector's columns of B touch, so no sample is ever formed as a D x D
     matrix.  The motion is real and B maps real y to Hermitian matrices
@@ -358,20 +389,24 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     by vectorized Hermiticity and trace tests and one stacked Cholesky
     factorization, and a chunk that is not certified is checked sample by
     sample by ``eigvalsh``, which makes every refusal.  An occupied sector
-    above ``linalg.DENSE_CAP`` coordinates is refused
-    (``DimensionLimitError``) before its block is formed.
+    above ``KRYLOV_CAP`` (Krylov) or ``linalg.DENSE_CAP`` (dense)
+    coordinates is refused (``DimensionLimitError``) before it is solved.
 
     The kernel lies in the first sector, and so do the stated charges
-    (``MasterEquation`` refuses them otherwise).  The solver's slowest
-    eigenvectors, kernel ones included, mix with each other by about
-    1e-16 ||L|| / gap (4e-6 at the displaced model's eps = 1000, cutoff 8),
-    which their decay would leave behind in rho(t) as trace errors.  So in
-    the first sector the kernel columns of the eigenbasis are replaced by
-    ``stated_kernel`` K (exact to round-off, C^dag K = I, read in y), and
-    each decaying mode r, which carries no conserved charge (C^dag r = 0,
-    with the charges as the rows ``_charge_rows``), has its admixture
-    K C^dag r removed: rho(t) tends to ``steady_state(sup, rho0)`` and keeps
-    the trace and the conserved values of rho0 at every t.
+    (``MasterEquation`` refuses them otherwise).  The Krylov path
+    (``_krylov_sector``) keeps the kernel part K C^T y0 of ``stated_kernel``
+    fixed and evolves only the charge-free rest.  On the dense path the
+    solver's slowest eigenvectors, kernel ones included, mix with each
+    other by about 1e-16 ||L|| / gap (4e-6 at the displaced model's
+    eps = 1000, cutoff 8), which their decay would leave behind in rho(t) as
+    trace errors.  So in the first sector the kernel columns of the
+    eigenbasis are replaced by ``stated_kernel`` K (exact to round-off,
+    C^dag K = I, read in y), and each decaying mode r, which carries no
+    conserved charge (C^dag r = 0, with the charges as the rows
+    ``_charge_rows``), has its admixture K C^dag r removed.  On either path
+    rho(t) tends to ``steady_state(sup, rho0)`` and keeps the trace and the
+    conserved values of rho0 at every t.  ``Trajectory.krylov_dim`` records
+    the largest Krylov dimension of the sectors, None on the dense path.
     """
     if rho0.dim != sup.me.dim:
         raise ShapeError(f"rho0 has dimension {rho0.dim}, the model's space {sup.me.dim}")
@@ -385,36 +420,163 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     j, i = np.divmod(at, d)
     v0 = np.zeros(d * d, dtype=complex)  # vec of the Hermitian part (m + m^H) / 2
     v0[at] = (m[i, j] + m[j, i].conj()) / 2.0
-    motions = []
+    krylov = sup.me.balance is not None
+    cap = KRYLOV_CAP if krylov else DENSE_CAP
+    limit = f"the cap {cap} of Krylov evolution" if krylov else f"the dense cap {cap} of spectral evolution"
+    motions, dims = [], []
     for s in sup.sector_index().holding(np.flatnonzero(v0)):
         lift, inverse = sup.maps(s)
         y0 = (inverse @ v0).real
         first = s.start == 0
         if not (first or y0.any()):
             continue  # an empty sector stays empty
-        if s.stop - s.start > DENSE_CAP:
-            raise DimensionLimitError(
-                f"sector {s} of dimension {s.stop - s.start} exceeds the dense cap {DENSE_CAP} "
-                "of spectral evolution"
-            )
-        g, scale = sup.generator(s)
-        w, v, kernel = _real_modes(g, 1 + len(sup.me.conserved) if first else 0)
-        if first:
-            k = (inverse @ stated_kernel(sup, (g, scale))).real  # Hermitian columns: real exactly
-            admixture = _charge_rows(sup.me, lift).T @ v
-            admixture[:, kernel] = 0.0
-            for i in range(0, v.shape[0], _ROW_BLOCK):  # in place: v is the largest array here
-                v[i : i + _ROW_BLOCK] -= k[i : i + _ROW_BLOCK] @ admixture
-            v[:, kernel] = k
+        n = s.stop - s.start
+        if n > cap:
+            raise DimensionLimitError(f"sector {s} of dimension {n} exceeds {limit}")
+        if krylov:
+            dy, dim = _krylov_sector(sup, s, y0, t)
+            dims.append(dim)
+        else:
+            g, scale = sup.generator(s)
+            w, v, kernel = _real_modes(g, 1 + len(sup.me.conserved) if first else 0)
+            if first:
+                stated_kernel(sup, (g, scale))
+                k, c, _ = sup._bordered
+                admixture = c.T @ v
+                admixture[:, kernel] = 0.0
+                for i in range(0, v.shape[0], _ROW_BLOCK):  # in place: v is the largest array here
+                    v[i : i + _ROW_BLOCK] -= k[i : i + _ROW_BLOCK] @ admixture
+                v[:, kernel] = k
+            dy = _motion(w, v, y0, t)
+            del w, v  # freed before the next sector's eigendecomposition
         rows = np.unique(lift.indices)  # the positions the sector touches
-        motions.append((rows, lift[rows] @ _motion(w, v, y0, t)))
-        del w, v  # freed before the next sector's eigendecomposition
+        motions.append((rows, lift[rows] @ dy))
     support = np.union1d(np.flatnonzero(v0), np.concatenate([rows for rows, _ in motions]))
     entries = np.repeat(v0[None, support], t.size, axis=0)
     for rows, dx in motions:
         entries[:, np.searchsorted(support, rows)] += dx.T
     _check_samples(entries, t, _sample_index(support, entries, rho0.space.dim))
-    return Trajectory(t, rho0.space, support, entries)
+    return Trajectory(t, rho0.space, support, entries, max(dims, default=0) if krylov else None)
+
+
+def _krylov_sector(sup: Superoperator, s: slice, y0: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, int]:
+    """y(t) - y0 on the sector ``s`` of a model that states a detailed-balance
+    weight, one column per time, and the Krylov dimension it took
+    (``_krylov_motion``).  The first sector's kernel part y_inf = K C^T y0
+    stays, and its decaying part r0 = y0 - y_inf carries no charge; the
+    bordered LU of ``stated_kernel`` solves [[G_0, c^T], [c, 0]] [x; mu] =
+    [r; 0] for such an r with mu = 0, so x = G_0^-1 r on the charge-free
+    coordinates, which have n - q dimensions.  Any other sector holds no
+    kernel, and one sparse LU of its G_s gives G_s^-1 on all n of them."""
+    n = s.stop - s.start
+    if s.start == 0:
+        stated_kernel(sup)
+        k, c, lu = sup._bordered
+        pad = np.zeros(c.shape[1])
+        return _krylov_motion(
+            lambda r: lu.solve(np.concatenate([r, pad]))[:n], y0, t, n - pad.size, lambda r: r - k @ (c.T @ r)
+        )
+    g, _ = sup.generator(s)
+    try:
+        lu = spla.splu(g.tocsc())
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        raise KernelAmbiguityError(
+            f"the generator of {sup.me.label or 'the model'} on sector {s} is singular: "
+            "it holds a kernel the model does not state"
+        ) from None
+    return _krylov_motion(lu.solve, y0, t, n)
+
+
+def _krylov_motion(
+    solve: Callable[[np.ndarray], np.ndarray],
+    y0: np.ndarray,
+    t: np.ndarray,
+    span: int,
+    project: Callable[[np.ndarray], np.ndarray] = lambda r: r,
+) -> tuple[np.ndarray, int]:
+    """y(t) - y0 at each time of ``t`` (one column per time) for y' = G y,
+    and the Krylov dimension m it took (0 when y0 does not move).  G is
+    real, ``project`` is a projection that commutes with it and keeps the
+    part that moves, and ``solve`` applies G^-1 on that part, a space of
+    ``span`` dimensions: y(t) - y0 = e^{t G} r0 - r0 for r0 = project(y0).
+    Each new direction is projected again after its orthogonalization, so
+    round-off, which the division by its small norm amplifies from step to
+    step, never carries the space out of that part.
+
+    Arnoldi on G^-1 from r0, with full (twice classical Gram-Schmidt)
+    reorthogonalization, gives an orthonormal V_m and H_m = V_m^T G^-1 V_m;
+    then e^{t G} r0 ~ beta V_m e^{t G_m} e_1 with G_m = H_m^-1 and
+    beta = ||r0||, the shift-and-invert approximant with its pole at 0 (van
+    den Eshof & Hochbruck, SIAM J. Sci. Comput. 27, 1438 (2006); Moret &
+    Novati, BIT 44, 595 (2004)).  The motion is beta V_m expm1(t G_m) e_1,
+    through the eigendecomposition of H_m, so it is exactly 0 at t = 0.  The
+    space grows ``KRYLOV_STEP`` vectors at a time until the motion on the
+    grid moves by at most ``KRYLOV_TOL`` ||y0|| (2-norm, largest over the
+    times; V is orthonormal, so it is read off the coefficients), and is
+    accepted whole once it spans the space (m = ``span``, or a breakdown: a
+    new direction below ``KRYLOV_TOL`` of its image).  A motion that is not
+    finite, or not settled by ``KRYLOV_MAX`` vectors, is refused
+    (``NumericalAccuracyError``).
+    """
+    r0 = project(y0)
+    beta = float(np.linalg.norm(r0))
+    if beta == 0.0:
+        return np.zeros((r0.size, t.size)), 0
+    size = min(span, KRYLOV_MAX)
+    basis = np.empty((size + 1, r0.size))
+    h = np.zeros((size + 1, size))
+    basis[0] = r0 / beta
+    scale = float(np.linalg.norm(y0))
+    tol = KRYLOV_TOL * scale / beta  # in units of the coefficients
+    m, last, spanned = 0, None, False
+    while True:
+        for j in range(m, min(m + KRYLOV_STEP, size)):
+            w = solve(basis[j])
+            image = np.linalg.norm(w)
+            for _ in range(2):
+                c = basis[: j + 1] @ w
+                w -= c @ basis[: j + 1]
+                h[: j + 1, j] += c
+            w = project(w)
+            h[j + 1, j] = np.linalg.norm(w)
+            m = j + 1
+            if h[j + 1, j] <= KRYLOV_TOL * image:
+                spanned = True
+                break
+            basis[m] = w / h[j + 1, j]
+        spanned = spanned or m == span
+        coef = _krylov_coefficients(h[:m, :m], t)
+        if not np.all(np.isfinite(coef)):
+            raise NumericalAccuracyError(f"the Krylov motion of dimension {m} is not finite")
+        change = np.inf
+        if last is not None:
+            diff = coef.copy()
+            diff[: last.shape[0]] -= last
+            change = float(np.linalg.norm(diff, axis=0).max())
+        if spanned or change <= tol:
+            break
+        if m >= KRYLOV_MAX:
+            raise NumericalAccuracyError(
+                f"Krylov evolution did not settle to {KRYLOV_TOL:.0e} ||y0|| within "
+                f"{KRYLOV_MAX} vectors (last change {change * beta:.2e}, ||y0|| = {scale:.2e})"
+            )
+        last = coef
+    return beta * (basis[:m].T @ coef), m
+
+
+def _krylov_coefficients(h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """expm1(t G_m) e_1 for G_m = h^-1, one column per time, by ``_motion``
+    on the real eigenbasis of h (``_real_modes``, which refuses a
+    near-defective one), which is G_m's: an eigenvalue mu of h is 1/mu of
+    G_m.  A pair's first vector u = V_j + i V_(j+1) belongs to 1/mu, whose
+    imaginary part has the opposite sign, so ``_motion`` is handed
+    1/conj(mu) and the pair's second column negated.  Exactly 0 at t = 0."""
+    mu, v, _ = _real_modes(h, 0)
+    v[:, np.flatnonzero(mu.imag > 0.0) + 1] *= -1.0
+    e1 = np.zeros(h.shape[0])
+    e1[0] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _motion(1.0 / np.conj(mu), v, e1, t)
 
 
 def _real_modes(a: sp.csr_matrix, kernel_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -508,7 +670,10 @@ def stated_kernel(sup: Superoperator, block: tuple[sp.csr_matrix, float] | None 
     multiplier mu above round-off, relative to ||y|| times the scale
     ``sup.generator`` returns with L_0 (never above ||L||_1), means a stated
     Q is not conserved (``NumericalAccuracyError``).  Solved once per generator: the result is
-    kept on ``sup`` (read-only) for ``evolve_spectral`` and ``steady_state``.
+    kept on ``sup`` (read-only) for ``evolve_spectral`` and ``steady_state``,
+    and so are, for ``evolve_spectral``, K in y, the rows c and, for a model
+    that states a detailed-balance weight, the bordered LU
+    (``sup._bordered``).
     ``block`` is ``sup.generator`` of the first sector when the caller has
     formed it already (``evolve_spectral``), so it is formed once.
     """
@@ -544,8 +709,10 @@ def stated_kernel(sup: Superoperator, block: tuple[sp.csr_matrix, float] | None 
             f"column scale of L_0 times ||y||); a stated conserved quantity of {name} is not conserved"
         )
     k = lift @ y
-    k.setflags(write=False)
-    sup._kernel = k
+    for a in (k, y, c):
+        a.setflags(write=False)
+    # only the Krylov path (a stated detailed-balance weight) solves with the LU again
+    sup._kernel, sup._bordered = k, (y, c, lu if me.balance is not None else None)
     return k
 
 

@@ -416,6 +416,10 @@ class Superoperator:
         self._sparse: sp.csr_matrix | None = None
         self._index: HermitianSectors | None = None
         self._kernel: np.ndarray | None = None
+        #: the first sector's kernel in y, charge rows and bordered LU (None
+        #: unless the model states a detailed-balance weight), kept with
+        #: ``_kernel`` by ``dynamics.stated_kernel``
+        self._bordered: tuple | None = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply the generator to a vectorized state."""

@@ -172,7 +172,7 @@ def atomic_states(traj: Trajectory) -> np.ndarray:
 
 def mi_curve(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> np.ndarray:
     """Atomic mutual information at each time of ``t_grid``, starting from
-    ``rho0``: spectral evolution of the generator, one sector (excitation
+    ``rho0``: ``evolve_spectral`` of the generator, one sector (excitation
     block, exchange parity and Theta half) at a time, then one
     ``mutual_information`` call on the stack of all its atomic states."""
     return mutual_information(atomic_states(evolve_spectral(sup, rho0, t_grid)))

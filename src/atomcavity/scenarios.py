@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import dynamics as dyn
-from . import linalg, models, observables as obs, spectra, verify
+from . import models, observables as obs, spectra, verify
 from .models import ModelParams, Superoperator
 from .operators import atomic_space, make_space
 
@@ -307,7 +307,7 @@ def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         grid = _grid(config, pt)
         space = make_space(cutoff)
         sup = Superoperator(models.build_coherent_displaced(space, p))
-        mi_exact = obs.mi_curve(sup, dyn.ground_state(space), grid)
+        mi_exact, evolution = _exact_curve(sup, grid)
         sup_eff = Superoperator(models.build_effective_coherent(p))
         mi_eff = obs.mi_curve(sup_eff, dyn.ground_state(atomic_space()), grid)
         rows += _mi_rows(p, cutoff, config.seeds, grid, mi_exact=mi_exact, mi_effective=mi_eff)
@@ -315,16 +315,28 @@ def run_mi_coherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
             "tau_coherent": spectra.tau_coherent(p),
             "plateau_windows": dyn.detect_plateau(grid, mi_exact),
             "final_mi": float(mi_exact[-1]),
-            "evolution": "spectral-sector",
-            "dim": _first_sector_dim(sup),
+            **evolution,
         }
     return rows, summary
 
 
 def _first_sector_dim(sup: Superoperator) -> int:
-    """Size of the first sector of G, the one |gg,0> occupies and a trajectory from it evolves densely."""
+    """Size of the first sector of G, the one |gg,0> occupies and a trajectory from it evolves."""
     first = sup.sectors()[0]
     return first.stop - first.start
+
+
+def _exact_curve(sup: Superoperator, grid: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The mutual information from |gg,0> at each time of ``grid``, and how
+    its trajectory was evolved: ``evolution`` "krylov-sector" with its
+    Krylov dimension ``krylov_dim`` for a model that states a
+    detailed-balance weight, "spectral-sector" (dense eigenbasis) otherwise,
+    and ``dim``, the size of the first sector."""
+    traj = dyn.evolve_spectral(sup, dyn.ground_state(sup.me.space), grid)
+    how = {"evolution": "spectral-sector", "dim": _first_sector_dim(sup)}
+    if traj.krylov_dim is not None:
+        how.update(evolution="krylov-sector", krylov_dim=traj.krylov_dim)
+    return obs.mutual_information(obs.atomic_states(traj)), how
 
 
 def run_gap_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
@@ -341,11 +353,14 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
         grid = _grid(config, pt)
         cutoff = _cutoff(config, lambda: _thermal_cutoff(p.n_th))
         space = make_space(cutoff)
-        # |gg,0> occupies only the d = 0, even, Theta = +1 sector, which is evolved densely
+        # |gg,0> occupies only the d = 0, even, Theta = +1 sector, which is evolved by Krylov
         sup = Superoperator(models.build_full(space, p))
         dim = _first_sector_dim(sup)
-        run_exact = dim <= linalg.DENSE_CAP
-        mi_exact = obs.mi_curve(sup, dyn.ground_state(space), grid) if run_exact else np.full(grid.size, np.nan)
+        run_exact = dim <= dyn.KRYLOV_CAP
+        if run_exact:
+            mi_exact, evolution = _exact_curve(sup, grid)
+        else:
+            mi_exact, evolution = np.full(grid.size, np.nan), {"evolution": "effective-only", "dim": dim}
         sup_eff = Superoperator(models.build_effective_incoherent(p))
         mi_eff = obs.mi_curve(sup_eff, dyn.ground_state(atomic_space()), grid)
         shown = cutoff if run_exact else "effective-only"
@@ -355,8 +370,7 @@ def run_mi_incoherent(config: ScenarioConfig) -> tuple[list[dict], dict]:
             "tau_incoherent": spectra.tau_incoherent(p),
             "steady_mi_effective": float(obs.mutual_information(ss)),
             "exact_run": bool(run_exact),
-            "evolution": "spectral-sector" if run_exact else "effective-only",
-            "dim": dim,
+            **evolution,
         }
     return rows, summary
 
@@ -379,15 +393,14 @@ def run_real_detector(config: ScenarioConfig) -> tuple[list[dict], dict]:
         # one generator per point: the trajectory and the steady state share
         # its assembly and its stated-kernel solve
         sup = Superoperator(build(space, p))
-        mi = obs.mi_curve(sup, dyn.ground_state(space), grid)
+        mi, evolution = _exact_curve(sup, grid)
         rows += [dict(row, case=case) for row in _mi_rows(p, cutoff, config.seeds, grid, mi=mi)]
         ss = dyn.steady_state(sup, dyn.ground_state(space))
         summary["steady"][f"{case},gamma={gamma:g}"] = {
             "steady_mi": float(obs.atomic_mutual_information(ss)),
             "peak_mi": float(mi.max()),
             "kernel_unique": not sup.me.conserved,
-            "evolution": "spectral-sector",
-            "dim": _first_sector_dim(sup),
+            **evolution,
         }
     return rows, summary
 

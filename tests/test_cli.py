@@ -217,16 +217,16 @@ class TestOutputs:
         assert not (tmp_path / "ignored").exists()
 
     def test_mi_incoherent_effective_only_above_cap(self, tmp_path):
-        # at n_th = 120 the auto cutoff is 608: the first sector from |gg,0>
-        # has 7 * 608 - 4 = 4252 coordinates, above the dense cap 4096
+        # at n_th = 201 the auto cutoff is 1016: the first sector from |gg,0>
+        # has 7 * 1016 - 4 = 7108 coordinates, above the Krylov cap 7052
         cfg = write_config(
             tmp_path,
             {
-                "params": {"g0": [0.01], "n_th": [120.0]},
+                "params": {"g0": [0.01], "n_th": [201.0]},
                 "time_grid": {"t_max": 100.0, "points": 8, "t_min": 1.0},
             },
         )
-        out = tmp_path / "mi120"
+        out = tmp_path / "mi201"
         assert cli.main(
             ["--scenario", "mi-incoherent", "--config", str(cfg), "--out", str(out), "--quiet"]
         ) == 0
@@ -243,7 +243,7 @@ class TestOutputs:
     ):
         # at n_th = 1 the auto cutoff is 16: the d = 0, exchange-even,
         # Theta = +1 sector from |gg,0> has 7 * 16 - 4 = 108 coordinates
-        monkeypatch.setattr(scenarios.linalg, "DENSE_CAP", cap)
+        monkeypatch.setattr(scenarios.dyn, "KRYLOV_CAP", cap)
         config = scenarios.ScenarioConfig(
             "mi-incoherent",
             params={"g0": [0.01], "n_th": [1.0]},
@@ -253,9 +253,26 @@ class TestOutputs:
         (curve,) = summary["curves"].values()
         assert curve["dim"] == 108
         assert curve["exact_run"] is exact
-        assert curve["evolution"] == ("spectral-sector" if exact else "effective-only")
+        assert curve["evolution"] == ("krylov-sector" if exact else "effective-only")
         assert rows[0]["cutoff"] == (16 if exact else "effective-only")
         assert bool(np.isfinite(rows[-1]["mi_exact"])) is exact
+
+    def test_mi_incoherent_at_n_th_1_runs_past_the_dense_range_and_converges(self, tmp_path):
+        # the dense eigenbasis of the first sector was refused as
+        # near-defective at n_th = 1 from cutoff 64 (condition 9.9e8); its
+        # Krylov evolution runs, and matches cutoff 48
+        cfg = write_config(tmp_path, {"params": {"g0": [0.01], "n_th": [1.0]}})
+        curves = []
+        for cutoff in (48, 64):
+            out = tmp_path / f"cutoff{cutoff}"
+            assert cli.main(
+                ["--scenario", "mi-incoherent", "--config", str(cfg), "--out", str(out),
+                 "--cutoff", str(cutoff), "--quiet"]
+            ) == 0
+            lines = (out / "mi-incoherent.csv").read_text().splitlines()
+            cols = lines[2].removeprefix("# columns: ").split(",")
+            curves.append(np.array([float(line.split(",")[cols.index("mi_exact")]) for line in lines[3:]]))
+        assert curves[0].size == 61 and np.abs(curves[1] - curves[0]).max() < 1e-6
 
     def test_real_detector_thermal_entries_record_the_evolution(self, tmp_path):
         cfg = write_config(
@@ -272,8 +289,9 @@ class TestOutputs:
         ) == 0
         steady = json.loads((out / "summary.json").read_text())["summary"]["steady"]
         entry = steady["incoherent,gamma=0.001"]
-        assert entry["evolution"] == "spectral-sector"
+        assert entry["evolution"] == "krylov-sector"
         assert entry["dim"] == 7 * 4 - 4
+        assert 0 < entry["krylov_dim"] <= entry["dim"]
 
     def test_coherent_entries_record_the_evolution(self, tmp_path):
         # the driven model evolves the exchange-even sector of its 1024

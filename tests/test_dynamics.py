@@ -315,19 +315,28 @@ class TestEvolveSpectral:
             replace(me, conserved=me.conserved + (q,), **unstated)
 
     def test_ground_state_diagonalizes_only_the_zero_sector(self, monkeypatch):
+        # the thermal model states a detailed-balance weight, so its one
+        # occupied sector evolves by Krylov: the only dense
+        # eigendecompositions are of the small Krylov matrices H_m
         space = make_space(8)
         me = models.build_full(space, ModelParams(g0=0.1, n_th=10.0, gamma=1e-3))
-        dims = []
-        eig = dyn.eig_general
+        evolved, dims = [], []
+        krylov, eig = dyn._krylov_sector, dyn.eig_general
+
+        def recording(sup, s, y0, t):
+            evolved.append(s)
+            return krylov(sup, s, y0, t)
 
         def recording_eig(a):
             dims.append(a.shape[0])
             return eig(a)
 
+        monkeypatch.setattr(dyn, "_krylov_sector", recording)
         monkeypatch.setattr(dyn, "eig_general", recording_eig)
-        dyn.evolve_spectral(vectorize(me, materialize=False), dyn.ground_state(space),
-                            np.array([0.0, 10.0]))
-        assert dims == [7 * 8 - 4]
+        traj = dyn.evolve_spectral(vectorize(me, materialize=False), dyn.ground_state(space),
+                                   np.array([0.0, 10.0]))
+        assert evolved == [slice(0, 7 * 8 - 4)]
+        assert max(dims) == traj.krylov_dim < 7 * 8 - 4 - 2
 
     def test_sector_bookkeeping_is_built_once_per_generator(self, monkeypatch):
         # the sectors' index bookkeeping is built once, when the generator is
@@ -403,6 +412,108 @@ class TestEvolveSpectral:
         monkeypatch.setattr(dyn, "eig_general", unreachable)
         with pytest.raises(DimensionLimitError, match="dimension 4263 exceeds the dense cap 4096"):
             dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 1.0]))
+
+
+class TestKrylovEvolution:
+    """A model that states a detailed-balance weight evolves each occupied
+    sector by Krylov on a sparse LU (the first sector's is the bordered one
+    of ``stated_kernel``); the same model without the statement evolves
+    through the dense eigenbasis."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3])
+    def test_matches_the_dense_path_and_the_exponential(self, gamma):
+        # from |gg,0> only the first sector is occupied; from a generic state
+        # every sector is, and each but the first is evolved on one LU of
+        # its own block
+        space = make_space(4)
+        me = models.build_full(space, ModelParams(g0=0.3, n_th=2.0, gamma=gamma))
+        starts = (dyn.ground_state(space), random_density_matrix(me.dim, np.random.default_rng(11), space))
+        grid = dyn.time_grid(300.0, 20, t_min=0.5)
+        sup = models.Superoperator(me)
+        for rho0, want in zip(starts, _dense_exponential(sup, starts, grid)):
+            krylov = dyn.evolve_spectral(sup, rho0, grid)
+            dense = dyn.evolve_spectral(models.Superoperator(replace(me, balance=None)), rho0, grid)
+            assert krylov.krylov_dim > 0 and dense.krylov_dim is None
+            for a, b, c in zip(krylov.states, dense.states, want):
+                assert dyn.trace_norm(a.matrix - b.matrix) < 1e-10
+                assert dyn.trace_norm(a.matrix - unvec(c)) < 1e-10
+            mi = [obs.mutual_information(obs.atomic_states(traj)) for traj in (krylov, dense)]
+            assert np.abs(mi[0] - mi[1]).max() < 1e-10
+
+    def test_rho0_is_exact_at_t0(self, rng):
+        # the motion is formed through expm1, so it is exactly 0 at t = 0
+        space = make_space(4)
+        sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.1, n_th=1.0, gamma=1e-3)))
+        for rho0 in (random_density_matrix(space.dim, rng, space), dyn.ground_state(space)):
+            traj = dyn.evolve_spectral(sup, rho0, np.array([0.0, 1.0]))
+            assert traj.krylov_dim > 0
+            assert np.array_equal(traj.states[0].matrix, rho0.matrix)
+
+    @pytest.mark.parametrize("step", [10, 20])
+    @pytest.mark.parametrize("start", ["ground", "random"])
+    def test_a_space_that_spans_its_sector_is_accepted_whole(self, monkeypatch, step, start):
+        # at cutoff 3 the first sector has 7 * 3 - 4 = 17 coordinates, 15 of
+        # them free of the two charges, and the largest other sector 18.
+        # From |gg,0> the space closes after 13 directions (a breakdown);
+        # from a generic state it spans every sector it occupies.  Either
+        # way it is accepted whole, whether or not the step is above its size
+        monkeypatch.setattr(dyn, "KRYLOV_STEP", step)
+        space = make_space(3)
+        sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.3, n_th=2.0)))
+        assert sup.sectors()[0] == slice(0, 17)
+        if start == "ground":
+            rho0, dim = dyn.ground_state(space), 13
+        else:
+            rho0, dim = random_density_matrix(space.dim, np.random.default_rng(1), space), 18
+        grid = dyn.time_grid(300.0, 20, t_min=0.5)
+        traj = dyn.evolve_spectral(sup, rho0, grid)
+        assert traj.krylov_dim == dim
+        (want,) = _dense_exponential(sup, [rho0], grid)
+        for a, b in zip(traj.states, want):
+            assert dyn.trace_norm(a.matrix - unvec(b)) < 1e-10
+
+    @pytest.mark.parametrize("largest", [5, 20])
+    def test_a_motion_not_settled_within_the_largest_space_is_refused(self, monkeypatch, largest):
+        # from |gg,0> at cutoff 8 the motion settles at about 40 vectors
+        monkeypatch.setattr(dyn, "KRYLOV_MAX", largest)
+        space = make_space(8)
+        sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.1, n_th=10.0)))
+        with pytest.raises(NumericalAccuracyError, match=f"within {largest} vectors"):
+            dyn.evolve_spectral(sup, dyn.ground_state(space), dyn.time_grid(1.0e3, 20))
+
+    def test_a_sector_above_the_krylov_cap_is_refused_before_it_is_solved(self, monkeypatch):
+        space = make_space(8)
+        sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.1, n_th=10.0)))
+        monkeypatch.setattr(dyn, "KRYLOV_CAP", 7 * 8 - 5)
+
+        def unreachable(*args):
+            raise AssertionError("a sector above the Krylov cap was solved")
+
+        monkeypatch.setattr(dyn, "stated_kernel", unreachable)
+        with pytest.raises(DimensionLimitError, match="dimension 52 exceeds the cap 51 of Krylov evolution"):
+            dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 1.0]))
+
+    def test_a_trajectory_on_a_sector_above_3000_coordinates(self):
+        # n_th = 100 at cutoff 512: the first sector from |gg,0> has
+        # 7 * 512 - 4 = 3580 coordinates.  On one BLAS thread the dense path
+        # took 37 s and 494 MB on it, and this trajectory takes about 0.3 s
+        # and 290 MB, most of it in D^2-sized objects outside the solve
+        # (process peaks, model build included).  Its late samples reach
+        # the closed-form detailed-balance state sigma ~ x^N on the triplet
+        # (x = n_th / (n_th + 1)), whose atoms hold the populations 1, x, x^2
+        # of |gg>, |T0> and |ee>
+        n_th = 100.0
+        space = make_space(512)
+        sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.01, n_th=n_th)))
+        assert sup.sectors()[0] == slice(0, 3580)
+        gap = 2.0 * n_th * 0.01**2
+        traj = dyn.evolve_spectral(sup, dyn.ground_state(space), dyn.time_grid(40.0 / gap, 20, t_min=1.0))
+        assert 0 < traj.krylov_dim <= dyn.KRYLOV_MAX
+        x = n_th / (n_th + 1.0)
+        t0 = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        sigma = np.diag([1.0, 0.0, 0.0, x * x]).astype(complex) + x * np.outer(t0, t0)
+        want = obs.mutual_information(dyn.DensityMatrix.from_matrix(sigma / (1.0 + x + x * x), atomic_space()))
+        assert obs.mutual_information(obs.atomic_states(traj))[-1] == pytest.approx(want, abs=1e-9)
 
 
 class TestEvolveDispatch:
