@@ -14,7 +14,9 @@ factorizes, so no dense block is formed and the sector may reach
 driven, displaced and effective models use the spectral expansion
 rho(t) = sum_k c_k e^{w_k t} r_k of the dense block instead, up to
 ``linalg.DENSE_CAP``.  A ``Trajectory`` keeps only the entries of vec(rho)
-its samples can occupy.  Drifting traces are never renormalized - accuracy
+its samples can occupy, and so does every full-space state
+(``DensityMatrix``), and every state is checked one way
+(``_check_sample``).  Drifting traces are never renormalized - accuracy
 failures surface as errors.  This is the one evolution entry point: the
 scenarios and ``verify`` run it, and the tests compare both of its paths
 with ``scipy.linalg.expm`` of the dense complex generator, and with each
@@ -26,6 +28,7 @@ because the benchmark's tracer (``bench/tracing.py``) binds it by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -45,7 +48,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .linalg import DENSE_CAP, eig_general
-from .models import MasterEquation, ModelParams, Superoperator, restrict, unvec
+from .models import MasterEquation, ModelParams, Superoperator, restrict, unvec, vec
 from .operators import SystemSpace, make_space
 
 #: default slacks for density-matrix invariants at construction time
@@ -93,9 +96,8 @@ KRYLOV_MAX = 200
 
 #: largest sector that ``evolve_spectral`` evolves by Krylov, in
 #: coordinates; the thermal first sector at cutoff 1008 (n_th = 200) has
-#: 7052.  The limit is set by the D^2-sized objects around the solve, not by
-#: the solve itself: an ``mi-incoherent`` run there peaks at 0.9 GB (0.3 GB
-#: at cutoff 508), and that figure grows as the square of the sector
+#: 7052, where an exact ``mi-incoherent`` curve from |gg,0> takes 0.6 s and
+#: peaks at 164 MB (one BLAS thread, model build included)
 KRYLOV_CAP = 7052
 
 #: samples of a trajectory whose invariants ``_check_samples`` certifies at
@@ -118,43 +120,42 @@ STEADY_RESIDUAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density matrix on a SystemSpace (or the atomic-only space).
+    """A state on a SystemSpace (or the atomic-only space), held as a
+    ``Trajectory`` sample is: the ascending vec(rho) positions it keeps
+    (``support``) and their values (``entries``), every other entry 0;
+    ``matrix`` is built on request.  ``from_entries`` and ``from_matrix``
+    (its nonzeros) check it as a sample is checked (``_check_sample``), with
+    ``HERM_TOL``, ``TRACE_TOL`` and ``POSITIVITY_TOL``."""
 
-    ``from_matrix`` checks Hermiticity, trace and positivity on the block of
-    the rows and columns that hold a nonzero entry: m is, up to a
-    permutation, that block next to zeros, so every other eigenvalue is
-    exactly 0 and the decisions are those of the whole matrix.
-    """
-
-    matrix: np.ndarray
     space: SystemSpace
+    support: np.ndarray
+    entries: np.ndarray
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, space: SystemSpace) -> "DensityMatrix":
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (space.dim, space.dim):
-            raise StateValidityError(
-                f"state shape {m.shape} does not match space dimension {space.dim}"
-            )
-        nonzero = m != 0.0
-        held = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-        b = m[np.ix_(held, held)]  # every nonzero entry of m, and its transpose
-        herm_dev = float(np.abs(b - b.conj().T).max(initial=0.0))
-        if herm_dev > HERM_TOL:
-            raise StateValidityError(f"Hermiticity deviation {herm_dev:.3e} > {HERM_TOL:.1e}")
-        trace_dev = abs(np.trace(b) - 1.0)
-        if trace_dev > TRACE_TOL:
-            raise StateValidityError(f"trace deviation {trace_dev:.3e} > {TRACE_TOL:.1e}")
-        min_eig = float(np.linalg.eigvalsh((b + b.conj().T) / 2.0).min())
-        if held.size < m.shape[0]:  # the other eigenvalues are 0
-            min_eig = min(min_eig, 0.0)
-        if min_eig < -POSITIVITY_TOL:
-            raise StateValidityError(f"negative eigenvalue {min_eig:.3e} < -{POSITIVITY_TOL:.1e}")
-        return cls(m, space)
+            raise StateValidityError(f"state shape {m.shape} does not match space dimension {space.dim}")
+        v = vec(m)
+        support = np.flatnonzero(v)
+        return cls.from_entries(space, support, v[support])
+
+    @classmethod
+    def from_entries(cls, space: SystemSpace, support: np.ndarray, entries: np.ndarray) -> "DensityMatrix":
+        index = _sample_index(support, entries[None], space.dim)
+        _check_sample(entries, index, (HERM_TOL, TRACE_TOL, POSITIVITY_TOL), _refuse_state)
+        return cls(space, support, entries)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.space.dim
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The D x D matrix, built on each call."""
+        full = np.zeros(self.dim**2, dtype=complex)
+        full[self.support] = self.entries
+        return unvec(full)
 
 
 @dataclass(frozen=True)
@@ -176,10 +177,8 @@ class Trajectory:
 
     @property
     def states(self) -> tuple[DensityMatrix, ...]:
-        """Every sample as a full D x D matrix, built on each call."""
-        full = np.zeros((len(self), self.space.dim**2), dtype=complex)
-        full[:, self.support] = self.entries
-        return tuple(DensityMatrix(unvec(v), self.space) for v in full)
+        """Every sample as a ``DensityMatrix`` on the trajectory's support."""
+        return tuple(DensityMatrix(self.space, self.support, x) for x in self.entries)
 
     def __len__(self) -> int:
         return self.times.size
@@ -198,9 +197,13 @@ class RelaxationEstimate:
 
 
 def pure_state(vector: np.ndarray, space: SystemSpace) -> DensityMatrix:
+    """|v><v|, kept at i + j D for the nonzero v_i and v_j of the normalized ``vector``."""
     v = np.asarray(vector, dtype=complex)
-    v = v / np.linalg.norm(v)
-    return DensityMatrix.from_matrix(np.outer(v, v.conj()), space)
+    if v.shape != (space.dim,):
+        raise StateValidityError(f"state vector shape {v.shape} does not match space dimension {space.dim}")
+    v, held = v / np.linalg.norm(v), np.flatnonzero(v)
+    support = (held[None, :] + space.dim * held[:, None]).ravel()  # ascending: j, then i
+    return DensityMatrix.from_entries(space, support, (v[held][None, :] * v[held].conj()[:, None]).ravel())
 
 
 def basis_vector(space: SystemSpace, atom1: int, atom2: int, n: int = 0) -> np.ndarray:
@@ -265,36 +268,34 @@ def _blocks(pattern: sp.csr_matrix) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class _SampleIndex:
-    """Where ``_check_sample`` reads a sample x, the entries of its
-    trajectory's support, with one 0 appended for the entries outside it:
-    ``transpose`` gives the position of each entry's transpose, ``diagonal``
-    the diagonal entries, and ``blocks`` the (blocks x size x size) entries
-    of the positivity partition ``_blocks``, one array per block size."""
+    """Where ``_check_sample`` reads the kept entries x of a state, with one
+    0 appended for the entries outside them: ``transpose`` gives each
+    entry's transpose, ``diagonal`` the diagonal, and ``blocks`` the
+    (blocks x size x size) entries of each block size of ``_blocks``."""
 
     transpose: np.ndarray
     diagonal: np.ndarray
     blocks: list[np.ndarray]
 
 
+def _kept_at(support: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Where each of the vec(rho) ``positions`` is kept in the ascending
+    ``support``: its index there, or ``support.size`` (the 0 appended past
+    the kept entries) for a position outside it."""
+    k = np.searchsorted(support, positions)
+    return np.where(np.append(support, -1)[k] == positions, k, support.size)
+
+
 def _sample_index(support: np.ndarray, entries: np.ndarray, d: int) -> _SampleIndex:
-    """The ``_SampleIndex`` of a trajectory of d x d states kept at the vec
-    positions ``support`` (``entries``: one row per sample), its blocks
-    split from the union of the samples' exact nonzero patterns: every
-    sample is block diagonal over them."""
+    """The ``_SampleIndex`` of d x d states kept at the vec positions
+    ``support`` (``entries``: one row per state, a trajectory's samples or
+    one state), its blocks split from the union of the rows' exact nonzero
+    patterns: every row is block diagonal over them."""
     rows, cols = support % d, support // d
     nonzero = np.any(entries, axis=0)
-    pattern = sp.csr_matrix(
-        (np.ones(np.count_nonzero(nonzero), dtype=bool), (rows[nonzero], cols[nonzero])),
-        shape=(d, d),
-    )
-
-    def at(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        pos = i + j * d
-        k = np.minimum(np.searchsorted(support, pos), support.size - 1)
-        return np.where(support[k] == pos, k, support.size)
-
-    blocks = [at(i[..., None], i[:, None]) for i in _blocks(pattern)]
-    return _SampleIndex(at(cols, rows), np.flatnonzero(rows == cols), blocks)
+    pattern = sp.csr_matrix((nonzero[nonzero], (rows[nonzero], cols[nonzero])), shape=(d, d))
+    blocks = [_kept_at(support, i[..., None] + i[:, None] * d) for i in _blocks(pattern)]
+    return _SampleIndex(_kept_at(support, cols + rows * d), np.flatnonzero(rows == cols), blocks)
 
 
 def _min_eigenvalue(x: np.ndarray, blocks: list[np.ndarray]) -> float:
@@ -306,21 +307,32 @@ def _min_eigenvalue(x: np.ndarray, blocks: list[np.ndarray]) -> float:
     return min(float(np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2.0)[:, 0].min()) for b in parts)
 
 
-def _check_sample(x: np.ndarray, t: float, index: _SampleIndex) -> None:
-    """Refuse a sample (its kept entries ``x``) whose Hermiticity, trace or
-    least eigenvalue over the blocks of its trajectory misses by more than
-    ``EVOLUTION_INVARIANT_TOL``.  Entries outside the support are 0, so the
-    kept entries and their transposes carry the whole Hermiticity deviation
-    and the kept diagonal the whole trace."""
-    tol = EVOLUTION_INVARIANT_TOL
-    herm = float(np.abs(x - np.append(x, 0.0)[index.transpose].conj()).max())
+def _check_sample(x: np.ndarray, index: _SampleIndex, tol: tuple, refuse: Callable[..., Exception]) -> None:
+    """Raise ``refuse(hermiticity, trace, min_eig)`` for a state or sample
+    (its kept entries ``x``) whose Hermiticity or trace deviation, or least
+    eigenvalue over the blocks of ``index``, misses its slack in ``tol``.
+    Entries outside the support are 0, so the kept entries carry the whole
+    deviations.  A test passes only at most at its slack: a non-finite
+    entry, whose Hermiticity deviation is not finite, is refused."""
+    herm = float(np.abs(x - np.append(x, 0.0)[index.transpose].conj()).max(initial=0.0))
     tr = abs(x[index.diagonal].sum() - 1.0)
-    min_eig = _min_eigenvalue(x, index.blocks)
-    if herm > tol or tr > tol or min_eig < -tol:
-        raise NumericalAccuracyError(
-            f"state invariants violated at t={t:.6g}: hermiticity {herm:.2e}, "
-            f"trace {tr:.2e}, min eigenvalue {min_eig:.2e} (slack {tol:.0e})"
-        )
+    min_eig = _min_eigenvalue(x, index.blocks) if np.isfinite(herm) else np.nan
+    if not (herm <= tol[0] and tr <= tol[1] and min_eig >= -tol[2]):
+        raise refuse(herm, tr, min_eig)
+
+
+def _refuse_state(herm: float, tr: float, min_eig: float) -> StateValidityError:
+    """A state's refusal at construction: its first failing check."""
+    if not herm <= HERM_TOL:
+        return StateValidityError(f"Hermiticity deviation {herm:.3e} > {HERM_TOL:.1e}")
+    if not tr <= TRACE_TOL:
+        return StateValidityError(f"trace deviation {tr:.3e} > {TRACE_TOL:.1e}")
+    return StateValidityError(f"negative eigenvalue {min_eig:.3e} < -{POSITIVITY_TOL:.1e}")
+
+
+def _refuse_sample(t: float, herm: float, tr: float, min_eig: float) -> NumericalAccuracyError:
+    return NumericalAccuracyError(f"state invariants violated at t={t:.6g}: hermiticity {herm:.2e}, trace "
+                                  f"{tr:.2e}, min eigenvalue {min_eig:.2e} (slack {EVOLUTION_INVARIANT_TOL:.0e})")
 
 
 def _certified(x: np.ndarray, index: _SampleIndex, margin: float) -> bool:
@@ -347,17 +359,18 @@ def _certified(x: np.ndarray, index: _SampleIndex, margin: float) -> bool:
 
 
 def _check_samples(entries: np.ndarray, t: np.ndarray, index: _SampleIndex) -> None:
-    """``_check_sample`` every sample (a row of ``entries``) of a trajectory,
-    ``_CHECK_BLOCK`` samples at a time.  A chunk ``_certified`` with half of
-    ``EVOLUTION_INVARIANT_TOL`` passes whole, since round-off cannot carry
-    any of its samples past the full slack; any other chunk is checked
-    sample by sample, so every decision and every refusal is
-    ``_check_sample``'s own, its ``eigvalsh`` included."""
+    """``_check_sample`` every sample (a row of ``entries``) of a trajectory
+    against ``EVOLUTION_INVARIANT_TOL``, ``_CHECK_BLOCK`` samples at a time.
+    A chunk ``_certified`` with half of that slack passes whole, since
+    round-off cannot carry any of its samples past the full slack; any other
+    chunk is checked sample by sample, so every decision and every refusal
+    is ``_check_sample``'s own."""
+    tol = (EVOLUTION_INVARIANT_TOL,) * 3
     for start in range(0, t.size, _CHECK_BLOCK):
         chunk = slice(start, start + _CHECK_BLOCK)
         if not _certified(entries[chunk], index, EVOLUTION_INVARIANT_TOL / 2.0):
             for x, ti in zip(entries[chunk], t[chunk]):
-                _check_sample(x, ti, index)
+                _check_sample(x, index, tol, partial(_refuse_sample, ti))
 
 
 def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray) -> Trajectory:
@@ -368,27 +381,19 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     statement alone, never a refusal of the other.
 
     ``sup.generator(s)`` forms the block G[s, s] of the real generator on
-    one of ``sup.sectors()``: the |d| excitation sectors (all of vec(rho)
-    when the model states no excitation numbers) split by exchange parity
-    when it states the atom swap, and each parity by Theta when it states a
-    signature.  The generator never mixes sectors, so
-    each one that rho0 occupies evolves alone from its rows of y0 = F T
-    vec(rho0), with vec(rho(t)) = vec(rho0) + B[:, s] (y(t) - y0), and the
-    others stay 0.  y(t) - y0 is formed through expm1, so it is exactly 0,
-    and the sample rho0 itself, at t = 0.  Only the maps of the sectors of
-    the |d| that rho0's entries have are composed, and each block is formed
-    at most once, from L's rows and columns at its positions alone; the
-    first sector's is also the one ``stated_kernel`` solves.  The
-    trajectory keeps only the entries of vec(rho) that rho0 or an evolved
-    sector's columns of B touch, so no sample is ever formed as a D x D
-    matrix.  The motion is real and B maps real y to Hermitian matrices
-    exactly, so every sample is Hermitian exactly; rho0 enters as its
-    Hermitian part, rho0 itself for a Hermitian rho0.  Every sample is
-    checked against ``EVOLUTION_INVARIANT_TOL`` (``_check_samples``):
-    ``_CHECK_BLOCK`` samples at a time are certified, with half the slack,
-    by vectorized Hermiticity and trace tests and one stacked Cholesky
-    factorization, and a chunk that is not certified is checked sample by
-    sample by ``eigvalsh``, which makes every refusal.  An occupied sector
+    one of ``sup.sectors()``, which it never mixes, so each one that rho0
+    occupies evolves alone from its rows of y0 = F T vec(rho0), with
+    vec(rho(t)) = vec(rho0) + B[:, s] (y(t) - y0), and the others stay
+    0.  y(t) - y0 is formed through expm1, so it is exactly 0, and the
+    sample rho0 itself, at t = 0.  Only the maps of the sectors of the |d|
+    that rho0's entries have are composed, and each block is formed at most
+    once, from L's rows and columns at its positions alone; the first
+    sector's is also the one ``stated_kernel`` solves.  The trajectory keeps
+    only the entries of vec(rho) that rho0 or an evolved sector's columns
+    of B touch.  The motion is real and B maps real y to Hermitian matrices
+    exactly, so every sample is Hermitian exactly; rho0 enters as the
+    Hermitian part of its kept entries, rho0 itself for a Hermitian
+    rho0.  Every sample is checked (``_check_samples``).  An occupied sector
     above ``KRYLOV_CAP`` (Krylov) or ``linalg.DENSE_CAP`` (dense)
     coordinates is refused (``DimensionLimitError``) before it is solved.
 
@@ -413,20 +418,18 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     t = np.asarray(t_grid, dtype=float)
     if not np.all(np.isfinite(t) & (t >= 0.0)):
         raise ValueError(f"every time must be finite and nonnegative, not {t.min()!r} .. {t.max()!r}")
-    m = rho0.matrix
-    d = m.shape[0]
-    rows, cols = np.nonzero(m)
-    at = np.union1d(rows + cols * d, cols + rows * d)  # vec positions of the nonzeros and their transposes
-    j, i = np.divmod(at, d)
-    v0 = np.zeros(d * d, dtype=complex)  # vec of the Hermitian part (m + m^H) / 2
-    v0[at] = (m[i, j] + m[j, i].conj()) / 2.0
+    d, kept = rho0.dim, np.append(rho0.entries, 0.0)
+    held = rho0.support[rho0.entries != 0.0]
+    at = np.union1d(held, held % d * d + held // d)  # the nonzeros' vec positions and their transposes'
+    v0 = (kept[_kept_at(rho0.support, at)] + kept[_kept_at(rho0.support, at % d * d + at // d)].conj()) / 2.0
+    at, v0 = at[v0 != 0.0], v0[v0 != 0.0]  # the nonzeros of vec((m + m^H) / 2)
     krylov = sup.me.balance is not None
     cap = KRYLOV_CAP if krylov else DENSE_CAP
     limit = f"the cap {cap} of Krylov evolution" if krylov else f"the dense cap {cap} of spectral evolution"
     motions, dims = [], []
-    for s in sup.sector_index().holding(np.flatnonzero(v0)):
+    for s in sup.sector_index().holding(at):
         lift, inverse = sup.maps(s)
-        y0 = (inverse @ v0).real
+        y0 = (restrict(inverse, at) @ v0).real
         first = s.start == 0
         if not (first or y0.any()):
             continue  # an empty sector stays empty
@@ -451,8 +454,9 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
             del w, v  # freed before the next sector's eigendecomposition
         rows = np.unique(lift.indices)  # the positions the sector touches
         motions.append((rows, lift[rows] @ dy))
-    support = np.union1d(np.flatnonzero(v0), np.concatenate([rows for rows, _ in motions]))
-    entries = np.repeat(v0[None, support], t.size, axis=0)
+    support = np.union1d(at, np.concatenate([rows for rows, _ in motions]))
+    entries = np.zeros((t.size, support.size), dtype=complex)
+    entries[:, np.searchsorted(support, at)] = v0
     for rows, dx in motions:
         entries[:, np.searchsorted(support, rows)] += dx.T
     _check_samples(entries, t, _sample_index(support, entries, rho0.space.dim))
@@ -662,23 +666,21 @@ def stated_kernel(sup: Superoperator, block: tuple[sp.csr_matrix, float] | None 
         [[L_0, c^T], [c, 0]] [y; mu] = [0; e_j]
 
     from one sparse LU, so L K = 0 and C^dag K = I to round-off: the
-    asymptotic state of rho0 is K C^dag vec(rho0).  The columns are returned
-    as vec(rho) of the Hermitian matrices B y.  A bordered matrix that is
-    singular, exactly or to working precision, means the kernel is larger in
-    the first sector than the model states (``KernelAmbiguityError``;
-    ``steady_state`` also checks the other sectors); a residual ||L_0 y|| or
-    multiplier mu above round-off, relative to ||y|| times the scale
-    ``sup.generator`` returns with L_0 (never above ||L||_1), means a stated
-    Q is not conserved (``NumericalAccuracyError``).  Solved once per generator: the result is
-    kept on ``sup`` (read-only) for ``evolve_spectral`` and ``steady_state``,
-    and so are, for ``evolve_spectral``, K in y, the rows c and, for a model
-    that states a detailed-balance weight, the bordered LU
-    (``sup._bordered``).
-    ``block`` is ``sup.generator`` of the first sector when the caller has
-    formed it already (``evolve_spectral``), so it is formed once.
+    asymptotic state of rho0 is B K C^dag vec(rho0).  K is returned in y,
+    never lifted to vec(rho).  A bordered matrix that is singular, exactly
+    or to working precision, means the kernel is larger in the first sector
+    than the model states (``KernelAmbiguityError``; ``steady_state`` also
+    checks the other sectors); a residual ||L_0 y|| or multiplier mu above
+    round-off, relative to ||y|| times the scale ``sup.generator`` returns
+    with L_0 (never above ||L||_1), means a stated Q is not conserved
+    (``NumericalAccuracyError``).  Solved once per generator: K and the rows
+    c (read-only) and, for a model that states a detailed-balance weight,
+    the bordered LU are kept on ``sup._bordered``.  ``block`` is
+    ``sup.generator`` of the first sector when the caller has formed it
+    already (``evolve_spectral``), so it is formed once.
     """
-    if sup._kernel is not None:
-        return sup._kernel
+    if sup._bordered is not None:
+        return sup._bordered[0]
     me = sup.me
     name = me.label or "the model"
     charges = _charges(me)
@@ -708,12 +710,11 @@ def stated_kernel(sup: Superoperator, block: tuple[sp.csr_matrix, float] | None 
             f"steady-state residual {worst:.2e} > {STEADY_RESIDUAL_TOL:.0e} (relative to the "
             f"column scale of L_0 times ||y||); a stated conserved quantity of {name} is not conserved"
         )
-    k = lift @ y
-    for a in (k, y, c):
+    for a in (y, c):
         a.setflags(write=False)
     # only the Krylov path (a stated detailed-balance weight) solves with the LU again
-    sup._kernel, sup._bordered = k, (y, c, lu if me.balance is not None else None)
-    return k
+    sup._bordered = (y, c, lu if me.balance is not None else None)
+    return y
 
 
 def _lu_norms(a: sp.csc_matrix) -> tuple[spla.SuperLU | None, float, float]:
@@ -747,11 +748,15 @@ def steady_state(sup: Superoperator, rho0: DensityMatrix) -> DensityMatrix:
     since rho0 may occupy any of them.  A sector whose rate bound is
     positive (``spectra.rate_bounds``) has none, so only the others of the
     ``spectra.unbounded_prefix`` are checked: all of G when the model states
-    no bound."""
+    no bound.
+
+    Tr[Q rho0] is read from rho0's kept entries, and (B K) C^dag vec(rho0)
+    is formed, each entry as in the whole product, and checked only at the
+    positions the first sector touches: nothing of size D x D or D^2."""
     if rho0.dim != sup.me.dim:
         raise ShapeError(f"rho0 has dimension {rho0.dim}, the model's space {sup.me.dim}")
     me = sup.me
-    k = stated_kernel(sup)
+    y = stated_kernel(sup)
     # those sectors must hold no stationary state the model does not state
     # (an atomic coherence |gg><S| under a zero-temperature bath, say).  G is
     # block diagonal over them, so the 1-norms of their block and of its
@@ -773,14 +778,15 @@ def steady_state(sup: Superoperator, rho0: DensityMatrix) -> DensityMatrix:
             f"the kernel of {me.label or 'the model'} is larger than stated: the generator "
             "on the sectors other than the first is singular to working precision",
         )
-    m = unvec(k @ np.array([_overlap(q, rho0.matrix) for q in _charges(me)]))
-    return DensityMatrix.from_matrix((m + m.conj().T) / 2.0, me.space)
-
-
-def _overlap(q: sp.csr_matrix, m: np.ndarray) -> complex:
-    """Tr[Q^dag M] = vec(Q)^dag vec(M), summed over the entries Q holds."""
-    q = q.tocoo()
-    return complex(np.vdot(q.data, m[q.row, q.col]))
+    d, kept = me.dim, np.append(rho0.entries, 0.0)
+    # Tr[Q^dag rho0] = vec(Q)^dag vec(rho0), summed over the entries Q holds
+    overlaps = [np.vdot(q.data, kept[_kept_at(rho0.support, q.row + q.col.astype(np.int64) * d)])
+                for q in (q.tocoo() for q in _charges(me))]
+    lift, _ = sup.maps(first)
+    rows = np.unique(lift.indices)  # the positions the first sector touches, closed under transposition
+    x = (restrict(lift, rows) @ y) @ np.array(overlaps)
+    x_t = np.append(x, 0.0)[_kept_at(rows, rows % d * d + rows // d)]
+    return DensityMatrix.from_entries(me.space, rows, (x + x_t.conj()) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -803,23 +809,16 @@ def fit_relaxation(traj: Trajectory, rho_ss: DensityMatrix) -> RelaxationEstimat
     regime even in the presence of an intermediate plateau.
     """
     d = np.array([trace_norm(s.matrix - rho_ss.matrix) for s in traj.states])
-    t = traj.times
-    positive = d > 0.0
-    if not positive[0] or d[0] == 0.0:
+    if d[0] == 0.0:
         raise FitWindowError("initial state coincides with the steady state")
     if d[-1] >= FIT_MIN_DECAY * d[0]:
         raise FitWindowError(
             f"trajectory has not decayed enough to fit: final/initial distance "
             f"= {d[-1] / d[0]:.3g} >= {FIT_MIN_DECAY}"
         )
-    threshold = np.sqrt(d[0] * max(d[-1], 1e-300))
-    below = np.nonzero(d <= threshold)[0]
-    start = int(below[0])
-    window = slice(start, len(d))
-    tw = t[window]
-    dw = d[window]
-    good = dw > 0.0
-    tw, dw = tw[good], dw[good]
+    start = int(np.argmax(d <= np.sqrt(d[0] * max(d[-1], 1e-300))))  # d[-1] lies below
+    good = d[start:] > 0.0
+    tw, dw = traj.times[start:][good], d[start:][good]
     if tw.size < 3:
         raise FitWindowError("fewer than 3 usable samples in the fit window")
     slope, intercept = np.polyfit(tw, np.log(dw), 1)

@@ -415,10 +415,8 @@ class Superoperator:
         self._dense: np.ndarray | None = None
         self._sparse: sp.csr_matrix | None = None
         self._index: HermitianSectors | None = None
-        self._kernel: np.ndarray | None = None
-        #: the first sector's kernel in y, charge rows and bordered LU (None
-        #: unless the model states a detailed-balance weight), kept with
-        #: ``_kernel`` by ``dynamics.stated_kernel``
+        #: ``dynamics.stated_kernel``'s K in y, charge rows and bordered LU
+        #: (None unless the model states a detailed-balance weight)
         self._bordered: tuple | None = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:

@@ -6,9 +6,10 @@ correlation witness extracted from every dynamical scenario; it is evaluated
 as the relative entropy D(rho_atoms || rho_1 (x) rho_2), a sum of
 nonnegative terms, so round-off cannot make it negative.  The field is
 traced out one way, by the sparse map of ``atomic_states`` from a
-trajectory's kept entries; a single state passes through it as a
-one-sample trajectory.  ``mi_curve`` is the one model -> spectral
-trajectory -> mutual information pipeline.
+trajectory's kept entries; a single state, held as its kept entries
+(``dynamics.DensityMatrix``), passes through it as a one-sample
+trajectory.  ``mi_curve`` is the one model -> spectral trajectory ->
+mutual information pipeline.
 """
 
 from __future__ import annotations
@@ -83,8 +84,9 @@ def mutual_information(rho_at: DensityMatrix | np.ndarray) -> float | np.ndarray
     squared overlaps of their eigenvectors; every term is nonnegative.  The
     entropy difference is computed as well: below -MI_SLACK it is an invalid
     state, and a disagreement of the two beyond MI_SLACK is a numerical
-    failure.  Weight of rho_at outside the support of rho_1 (x) rho_2 (where
-    the relative entropy is infinite) is an invalid state beyond
+    failure, and so, before every other check, is a state or a result that
+    is not finite.  Weight of rho_at outside the support of rho_1 (x) rho_2
+    (where the relative entropy is infinite) is an invalid state beyond
     ENTROPY_CLIP_SLACK and round-off below it, and so is an eigenvalue of
     rho_at or of a marginal below -ENTROPY_CLIP_SLACK.
 
@@ -116,7 +118,10 @@ def mutual_information(rho_at: DensityMatrix | np.ndarray) -> float | np.ndarray
     relative = np.where(inside, p * terms, 0.0).sum(axis=(1, 2)) / np.log(2.0)
 
     lows = np.stack([low, low1, low2])  # the state's, then each marginal's
+    finite = np.isfinite(m).all(axis=(1, 2)) & np.isfinite(relative) & np.isfinite(mi)
     checks = (  # in the order a single state meets them
+        (~finite, NumericalAccuracyError,
+         lambda k: "the atomic state or its mutual information is not finite"),
         (lows.min(axis=0) < -ENTROPY_CLIP_SLACK, StateValidityError,
          lambda k: "entropy of a non-positive state: min eigenvalue "
                    f"{lows[np.argmax(lows[:, k] < -ENTROPY_CLIP_SLACK), k]:.3e}"),
@@ -146,12 +151,10 @@ def mutual_information(rho_at: DensityMatrix | np.ndarray) -> float | np.ndarray
 
 
 def atomic_mutual_information(rho: DensityMatrix) -> float:
-    """Mutual information of the atoms of one state: its nonzero entries, as
-    a one-sample trajectory, through the partial trace of ``atomic_states``."""
-    v = vec(rho.matrix)
-    support = np.flatnonzero(v)
-    at = atomic_states(Trajectory(np.zeros(1), rho.space, support, v[None, support]))[0]
-    return mutual_information(DensityMatrix(at, atomic_space()))
+    """Mutual information of the atoms of one state: its kept entries, as a
+    one-sample trajectory, through the partial trace of ``atomic_states``."""
+    at = atomic_states(Trajectory(np.zeros(1), rho.space, rho.support, rho.entries[None]))[0]
+    return mutual_information(DensityMatrix(atomic_space(), np.arange(16), vec(at)))
 
 
 def atomic_states(traj: Trajectory) -> np.ndarray:

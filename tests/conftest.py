@@ -61,13 +61,30 @@ def maximally_mixed(space: SystemSpace) -> DensityMatrix:
     return DensityMatrix.from_matrix(np.eye(space.dim, dtype=complex) / space.dim, space)
 
 
+def atomic(m: np.ndarray) -> DensityMatrix:
+    """The 4 x 4 matrix ``m`` as an atomic state, unchecked, keeping all 16
+    entries."""
+    return DensityMatrix(atomic_space(), np.arange(16), vec(m))
+
+
+class _Qubit:
+    """The space of one atom, for its reduced states."""
+
+    dim = 2
+
+
+def qubit(m: np.ndarray) -> DensityMatrix:
+    """The 2 x 2 matrix ``m`` as a state of one atom, unchecked."""
+    return DensityMatrix(_Qubit(), np.arange(4), vec(m))
+
+
 def partial_trace_field(rho: DensityMatrix) -> DensityMatrix:
     """The atomic state of ``rho`` with the Fock factor traced out densely
     (ordering atom1 (x) atom2 (x) field): the oracle of
     ``observables.atomic_states``."""
     f = rho.space.fock_cutoff
     m = rho.matrix.reshape(2, 2, f, 2, 2, f)
-    return DensityMatrix(np.trace(m, axis1=2, axis2=5).reshape(4, 4), atomic_space())
+    return atomic(np.trace(m, axis1=2, axis2=5).reshape(4, 4))
 
 
 def one_sample(rho: DensityMatrix) -> Trajectory:
@@ -78,7 +95,7 @@ def one_sample(rho: DensityMatrix) -> Trajectory:
 def partial_trace_atom(rho_at: DensityMatrix, keep: int) -> DensityMatrix:
     """Reduced state of one atom (keep = 1 or 2) of a 4x4 atomic state, as
     ``observables.mutual_information`` forms it."""
-    return DensityMatrix(observables._marginals(rho_at.matrix)[keep - 1][0], SystemSpace(None))
+    return qubit(observables._marginals(rho_at.matrix)[keep - 1][0])
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

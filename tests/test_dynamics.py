@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -76,16 +77,19 @@ class TestDensityMatrix:
         """The first check that fails on all of ``m``, as ``from_matrix``
         checked every state before it read only the rows and columns that
         hold a nonzero entry; None when every check passes."""
-        if np.abs(m - m.conj().T).max() > dyn.HERM_TOL:
+        if not np.abs(m - m.conj().T).max() <= dyn.HERM_TOL:
             return "Hermiticity"
-        if abs(np.trace(m) - 1.0) > dyn.TRACE_TOL:
+        if not abs(np.trace(m) - 1.0) <= dyn.TRACE_TOL:
             return "trace"
-        if np.linalg.eigvalsh((m + m.conj().T) / 2.0).min() < -dyn.POSITIVITY_TOL:
+        if not np.linalg.eigvalsh((m + m.conj().T) / 2.0).min() >= -dyn.POSITIVITY_TOL:
             return "negative"
         return None
 
-    @pytest.mark.parametrize("defect", [None, "Hermiticity", "trace", "negative"])
+    @pytest.mark.parametrize("defect", [None, "Hermiticity", "trace", "negative", "NaN"])
     def test_block_checks_decide_as_the_whole_matrix(self, rng, defect):
+        # a NaN on the diagonal, or in an off-diagonal pair, leaves every
+        # deviation NaN: refused by the first check, Hermiticity
+        verdict = "Hermiticity" if defect == "NaN" else defect
         for _ in range(20):
             space = make_space(int(rng.integers(1, 5)))
             k = int(rng.integers(2 if defect == "negative" else 1, space.dim + 1))
@@ -100,14 +104,16 @@ class TestDensityMatrix:
                 block[0, -1] += 1e-3 if k > 1 else 1e-3j
             elif defect == "trace":
                 block *= 1.01
+            elif defect == "NaN":
+                block[0, -1] = block[-1, 0] = np.nan
             m = np.zeros((space.dim, space.dim), dtype=complex)
             held = rng.choice(space.dim, k, replace=False)
             m[np.ix_(held, held)] = block
-            assert self._whole_matrix_verdict(m) == defect
+            assert self._whole_matrix_verdict(m) == verdict
             if defect is None:
-                assert dyn.DensityMatrix.from_matrix(m, space).matrix is m
+                assert np.array_equal(dyn.DensityMatrix.from_matrix(m, space).matrix, m)
             else:
-                with pytest.raises(StateValidityError, match=f"^{defect} "):
+                with pytest.raises(StateValidityError, match=f"^{verdict} "):
                     dyn.DensityMatrix.from_matrix(m, space)
 
 
@@ -198,7 +204,7 @@ class TestEvolveSpectral:
             LabeledOperator("0", np.zeros((3, 3), dtype=complex)), (), _Dim3(),
             conserved=(LabeledOperator("Q", np.eye(3, dtype=complex)),),
         )
-        rho0 = dyn.DensityMatrix(np.eye(3, dtype=complex) / 3.0, _Dim3())
+        rho0 = dyn.DensityMatrix.from_matrix(np.eye(3, dtype=complex) / 3.0, _Dim3())
         with pytest.raises(NumericalAccuracyError, match="conjugate pair"):
             dyn.evolve_spectral(_Sup(me), rho0, np.array([0.0]))
 
@@ -605,6 +611,43 @@ class TestSteadyState:
         ss = dyn.steady_state(sup, dyn.ground_state(atomic_space()))
         assert mutual_information(ss) == pytest.approx(0.413585122155, abs=1e-9)
 
+    def test_detailed_balance_steady_state_above_the_dense_range(self):
+        # at gamma = 0 build_full states the weight x = n_th / (n_th + 1)
+        # and conserves the singlet projector, so from |gg,0> the steady
+        # state is sigma ~ x^N on the triplet (x) field in closed form: the
+        # atoms' |gg>, |T0>, |ee> with weights 1, x, x^2 times the truncated
+        # thermal field x^n.  At cutoff 512 (D = 2048) one complex D x D
+        # matrix takes 64 MB: the state, its kernel and its checks must stay
+        # below that (the kernel lifted to vec(rho) alone took 128 MB)
+        n_th, cutoff = 100.0, 512
+        space = make_space(cutoff)
+        sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.01, n_th=n_th)))
+        rho0 = dyn.ground_state(space)
+        tracemalloc.start()
+        try:
+            ss = dyn.steady_state(sup, rho0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < space.dim**2 * 16
+        x = n_th / (n_th + 1.0)
+        n = np.arange(cutoff)
+        z = (1.0 + x + x * x) * (1.0 - x**cutoff) / (1.0 - x)
+        gg, ge, eg, ee = (k * cutoff + n for k in range(4))  # |a1 a2 n>, atom1 (x) atom2 (x) field
+        d = space.dim
+        rows = np.concatenate([gg, ge, ge, eg, eg, ee])
+        cols = np.concatenate([gg, ge, eg, ge, eg, ee])
+        weights = np.concatenate([x**n, *([x ** (n + 1) / 2.0] * 4), x ** (n + 2)]) / z
+        at = dyn._kept_at(ss.support, rows + cols * d)
+        assert np.all(at < ss.support.size)
+        want = np.zeros(ss.support.size)
+        want[at] = weights
+        assert np.abs(ss.entries - want).max() < 1e-12
+        t0 = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        sigma = np.diag([1.0, 0.0, 0.0, x * x]).astype(complex) + x * np.outer(t0, t0)
+        want_mi = obs.mutual_information(dyn.DensityMatrix.from_matrix(sigma / (1.0 + x + x * x), atomic_space()))
+        assert obs.atomic_mutual_information(ss) == pytest.approx(want_mi, abs=1e-9)
+
     def test_residual_bound(self, rng):
         p = ModelParams(g0=0.25, eps=10.0)
         sup = vectorize(models.build_effective_coherent(p))
@@ -709,6 +752,12 @@ def _kernel_prefix(sup) -> int:
     return max(s.stop for s, d in zip(sup.sectors(), sup.sector_index().gaps) if d <= 2)
 
 
+def _check_at(x, t, index):
+    """``_check_sample`` of a trajectory's sample at time ``t``, with the
+    slack and the refusal that ``_check_samples`` gives it."""
+    dyn._check_sample(x, index, (dyn.EVOLUTION_INVARIANT_TOL,) * 3, partial(dyn._refuse_sample, t))
+
+
 def _kept(m):
     """The nonzero entries of a matrix as a one-sample trajectory keeps them,
     and their ``_SampleIndex``."""
@@ -741,7 +790,7 @@ class TestSampleCheck:
         x, index = _kept(m)
         assert dyn._min_eigenvalue(x, index.blocks) == pytest.approx(-0.1)
         with pytest.raises(NumericalAccuracyError, match="min eigenvalue"):
-            dyn._check_sample(x, 1.0, index)
+            _check_at(x, 1.0, index)
 
     @pytest.mark.parametrize("breach", ["hermiticity", "trace"])
     def test_kept_entries_carry_hermiticity_and_trace(self, breach):
@@ -754,7 +803,19 @@ class TestSampleCheck:
             m[3, 3] += 1e-5
         x, index = _kept(m)
         with pytest.raises(NumericalAccuracyError, match=f"{breach} 1.00e-05"):
-            dyn._check_sample(x, 1.0, index)
+            _check_at(x, 1.0, index)
+
+    def test_a_non_finite_sample_is_refused(self):
+        # a NaN in the kept entries fails the Hermiticity test, alone or in
+        # a chunk that the certificate hands to the sample check
+        m = np.diag([0.25] * 4).astype(complex)
+        m[1, 1] = np.nan
+        x, index = _kept(m)
+        with pytest.raises(NumericalAccuracyError, match="t=1: hermiticity nan"):
+            _check_at(x, 1.0, index)
+        entries, t, index = _samples(np.diag([0.25] * 4).astype(complex), m)
+        with pytest.raises(NumericalAccuracyError, match="t=1: hermiticity nan"):
+            dyn._check_samples(entries, t, index)
 
     def test_trajectory_checks_the_union_of_its_patterns(self):
         # the coupling that makes the second sample negative is absent from
@@ -764,9 +825,9 @@ class TestSampleCheck:
         second[2:, 2:] = [[0.5, 0.6], [0.6, 0.5]]
         raw = np.array([vec(first), vec(second)])
         index = dyn._sample_index(np.arange(16), raw, 4)
-        dyn._check_sample(raw[0], 0.0, index)
+        _check_at(raw[0], 0.0, index)
         with pytest.raises(NumericalAccuracyError, match="t=1:"):
-            dyn._check_sample(raw[1], 1.0, index)
+            _check_at(raw[1], 1.0, index)
 
     def test_blocks_are_found_once_per_trajectory(self, monkeypatch):
         # the partition belongs to the trajectory, not to each of its samples
@@ -777,10 +838,11 @@ class TestSampleCheck:
             calls.append(1)
             return components(*args, **kwargs)
 
-        monkeypatch.setattr(dyn, "connected_components", counting)
         space = make_space(4)
+        rho0 = dyn.ground_state(space)  # checked on its own partition
+        monkeypatch.setattr(dyn, "connected_components", counting)
         sup = vectorize(models.build_full(space, ModelParams(g0=0.1, n_th=1.0)), materialize=False)
-        traj = dyn.evolve_spectral(sup, dyn.ground_state(space), dyn.time_grid(100.0, 19))
+        traj = dyn.evolve_spectral(sup, rho0, dyn.time_grid(100.0, 19))
         assert len(traj) == 20
         assert len(calls) == 1
 
@@ -815,9 +877,9 @@ class TestChunkedSampleCheck:
         calls = []
         check = dyn._check_sample
 
-        def recording(x, t, index):
-            calls.append(t)
-            check(x, t, index)
+        def recording(x, index, tol, refuse):
+            calls.append(refuse.args[0])  # the sample's time
+            check(x, index, tol, refuse)
 
         monkeypatch.setattr(dyn, "_check_sample", recording)
         return calls
@@ -860,7 +922,7 @@ class TestChunkedSampleCheck:
         m[3, 5] += herm * self.tol
         entries, t, index = _samples(m)
         try:
-            dyn._check_sample(entries[0], 0.0, index)
+            _check_at(entries[0], 0.0, index)
         except NumericalAccuracyError as refused:
             with pytest.raises(NumericalAccuracyError) as chunked:
                 dyn._check_samples(entries, t, index)
@@ -919,7 +981,7 @@ def test_atomic_states_match_the_dense_exponential(thermal, g0, eps, n_th, gamma
     grid = dyn.time_grid(50.0, 5, spacing="linear")
     for rho0, vs in zip(starts, _dense_exponential(sup, starts, grid)):
         for got, v in zip(obs.atomic_states(dyn.evolve_spectral(sup, rho0, grid)), vs):
-            want = partial_trace_field(dyn.DensityMatrix(unvec(v), space)).matrix
+            want = partial_trace_field(dyn.DensityMatrix(space, np.arange(v.size), v)).matrix
             assert np.abs(got - want).max() <= 1e-10
 
 

@@ -6,15 +6,17 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from atomcavity import ModelParams, atomic_space, dynamics as dyn, make_space, models, observables as obs
-from atomcavity.errors import ShapeError, StateValidityError
+from atomcavity.errors import NumericalAccuracyError, ShapeError, StateValidityError
 
 from conftest import (
+    atomic,
     bell_state,
     maximally_mixed,
     one_sample,
     partial_trace_atom,
     partial_trace_field,
     photon_number,
+    qubit,
     random_density_matrix,
     von_neumann_entropy,
 )
@@ -88,14 +90,14 @@ class TestEntropy:
         assert von_neumann_entropy(bell_state()) == pytest.approx(0.0, abs=1e-12)
 
     def test_qubit_mixed_one_bit(self):
-        half = dyn.DensityMatrix(np.eye(2, dtype=complex) / 2, atomic_space())
+        half = qubit(np.eye(2, dtype=complex) / 2)
         assert von_neumann_entropy(half) == pytest.approx(1.0)
 
     def test_two_qubit_mixed_two_bits(self):
         assert von_neumann_entropy(maximally_mixed(atomic_space())) == pytest.approx(2.0)
 
     def test_rejects_deep_negativity(self):
-        bad = dyn.DensityMatrix(np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex), atomic_space())
+        bad = atomic(np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex))
         with pytest.raises(StateValidityError):
             von_neumann_entropy(bad)
 
@@ -103,7 +105,7 @@ class TestEntropy:
         for _ in range(10):
             a = random_density_matrix(4, rng)
             b = random_density_matrix(4, rng)
-            mix = dyn.DensityMatrix((a.matrix + b.matrix) / 2, atomic_space())
+            mix = atomic((a.matrix + b.matrix) / 2)
             s_mix = von_neumann_entropy(mix)
             s_avg = (von_neumann_entropy(a) + von_neumann_entropy(b)) / 2
             assert s_mix >= s_avg - 1e-9
@@ -123,7 +125,7 @@ class TestMutualInformation:
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             u, _ = np.linalg.qr(g)
             uu = np.kron(u, u)
-            rotated = dyn.DensityMatrix(uu @ rho.matrix @ uu.conj().T, atomic_space())
+            rotated = atomic(uu @ rho.matrix @ uu.conj().T)
             assert obs.mutual_information(rotated) == pytest.approx(base, abs=1e-9)
 
 
@@ -151,7 +153,7 @@ class TestMutualInformationProperties:
     @settings(max_examples=300)
     @given(entries=_entries(32), rank=st.sampled_from([1, 2, 4]))
     def test_nonnegative_and_equal_to_the_entropy_difference(self, entries, rank):
-        rho = dyn.DensityMatrix(_state(entries, 4, rank), atomic_space())
+        rho = atomic(_state(entries, 4, rank))
         mi = obs.mutual_information(rho)
         assert mi >= 0.0
         assert abs(mi - _legacy_mi(rho)) <= 1e-12
@@ -163,7 +165,7 @@ class TestMutualInformationProperties:
         # whose entropy alone is of order 1e-15 in either formula
         r1, r2 = ((1.0 - mix) * _state(v, 2, 2) + mix * np.eye(2) / 2.0 for v in (first, second))
         m = np.kron(r1, r2)
-        assert 0.0 <= obs.mutual_information(dyn.DensityMatrix(m, atomic_space())) <= 1e-15
+        assert 0.0 <= obs.mutual_information(atomic(m)) <= 1e-15
 
     def test_weight_outside_the_marginal_supports_is_refused(self):
         # both marginals are |g><g| exactly, yet |ge> and |eg> carry weight
@@ -171,7 +173,7 @@ class TestMutualInformationProperties:
         x = 0.9 * obs.ENTROPY_CLIP_SLACK
         m = np.diag([1.0 - x, x, x, -x]).astype(complex)
         with pytest.raises(StateValidityError):
-            obs.mutual_information(dyn.DensityMatrix(m, atomic_space()))
+            obs.mutual_information(atomic(m))
 
 
 def _qubit(entries: list[float], kind: str) -> np.ndarray:
@@ -201,8 +203,7 @@ class TestStackedMutualInformation:
     @settings(max_examples=200)
     @given(stack=_atomic_stacks())
     def test_a_stack_gives_each_sample_its_own_bits(self, stack):
-        at = atomic_space()
-        alone = np.array([obs.mutual_information(dyn.DensityMatrix(m, at)) for m in stack])
+        alone = np.array([obs.mutual_information(atomic(m)) for m in stack])
         together = obs.mutual_information(stack)
         assert together.shape == (len(stack),)
         assert together.tobytes() == alone.tobytes()
@@ -215,10 +216,19 @@ class TestStackedMutualInformation:
         bad = (np.diag([1.2, -0.2, 0.0, 0.0]) if invalid == "negative"
                else np.diag([1.0 - x, x, x, -x])).astype(complex)
         with pytest.raises(StateValidityError) as alone:
-            obs.mutual_information(dyn.DensityMatrix(bad, atomic_space()))
+            obs.mutual_information(atomic(bad))
         k = min(position, len(stack))
         with pytest.raises(type(alone.value), match=f"^sample {k}: "):
             obs.mutual_information(np.insert(stack, k, bad, axis=0))
+
+    def test_a_non_finite_sample_is_refused(self):
+        # none of the other checks fires on a NaN, which read nan bits
+        product = np.kron(np.diag([0.75, 0.25]), np.diag([0.5, 0.5])).astype(complex)
+        bad = np.diag([0.5, 0.5, np.nan, 0.0]).astype(complex)
+        with pytest.raises(NumericalAccuracyError, match="^sample 1: .* not finite"):
+            obs.mutual_information(np.array([product, bad, product]))
+        with pytest.raises(NumericalAccuracyError, match="^the atomic state .* not finite"):
+            obs.mutual_information(atomic(bad))
 
     def test_a_stack_of_other_shapes_is_refused(self):
         with pytest.raises(ShapeError):
