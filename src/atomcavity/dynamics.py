@@ -9,18 +9,18 @@ displaced driven model its even, Theta = +1 sector (336 of 1024 at cutoff
 8).  A model that states a detailed-balance weight (the thermal model)
 evolves each sector by shift-and-invert Krylov: Arnoldi on G_s^-1 from one
 sparse LU, for the first sector the bordered LU that ``stated_kernel``
-factorizes, so no dense block is formed and the sector may reach
-``KRYLOV_CAP`` coordinates (7052, n_th = 200 at the default cutoff).  The
-driven, displaced and effective models use the spectral expansion
-rho(t) = sum_k c_k e^{w_k t} r_k of the dense block instead, up to
-``linalg.DENSE_CAP``.  A ``Trajectory`` keeps only the entries of vec(rho)
-its samples can occupy, and so does every full-space state
-(``DensityMatrix``), and every state is checked one way
-(``_check_sample``).  Drifting traces are never renormalized - accuracy
-failures surface as errors.  This is the one evolution entry point: the
-scenarios and ``verify`` run it, and the tests compare both of its paths
-with ``scipy.linalg.expm`` of the dense complex generator, and with each
-other, at small cutoffs.  The package has no BDF path: the stiff
+factorizes, so no dense block and no object of D x D or D^2 entries is
+formed, and a sector of any size is evolved, in time and memory that grow
+linearly with it.  The driven, displaced and effective models use the
+spectral expansion rho(t) = sum_k c_k e^{w_k t} r_k of the dense block
+instead, up to ``linalg.DENSE_CAP``, the one size limit.  A
+``Trajectory`` keeps only the entries of vec(rho) its samples can
+occupy, and so does every full-space state (``DensityMatrix``), and
+every state is checked one way (``_check_sample``).  Drifting traces are
+never renormalized - accuracy failures surface as errors.  This is the one
+evolution entry point: the scenarios and ``verify`` run it, and the tests
+compare both of its paths with ``scipy.linalg.expm`` of the dense complex
+generator, and with each other, at small cutoffs.  The package has no BDF path: the stiff
 integrator ``linalg.integrate_ode`` has no caller here and stays only
 because the benchmark's tracer (``bench/tracing.py``) binds it by name.
 """
@@ -88,17 +88,11 @@ _ROW_BLOCK = 256
 #: weight (``_krylov_motion``): the space grows ``KRYLOV_STEP`` vectors at a
 #: time until the motion on the time grid changes by at most ``KRYLOV_TOL``
 #: ||y0|| from one size to the next, and is refused past ``KRYLOV_MAX``
-#: vectors (from |gg,0> of the thermal model, n_th from 1 to 200 and
-#: cutoffs up to 1008, 40 or 50 were needed)
+#: vectors (from |gg,0> of the thermal model, n_th from 1 to 2320 and
+#: cutoffs up to 11608, 40 or 50 were needed)
 KRYLOV_STEP = 10
 KRYLOV_TOL = 1e-12
 KRYLOV_MAX = 200
-
-#: largest sector that ``evolve_spectral`` evolves by Krylov, in
-#: coordinates; the thermal first sector at cutoff 1008 (n_th = 200) has
-#: 7052, where an exact ``mi-incoherent`` curve from |gg,0> takes 0.6 s and
-#: peaks at 164 MB (one BLAS thread, model build included)
-KRYLOV_CAP = 7052
 
 #: samples of a trajectory whose invariants ``_check_samples`` certifies at
 #: a time: a few copies of that many samples' kept entries are held at once
@@ -390,12 +384,14 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     once, from L's rows and columns at its positions alone; the first
     sector's is also the one ``stated_kernel`` solves.  The trajectory keeps
     only the entries of vec(rho) that rho0 or an evolved sector's columns
-    of B touch.  The motion is real and B maps real y to Hermitian matrices
-    exactly, so every sample is Hermitian exactly; rho0 enters as the
-    Hermitian part of its kept entries, rho0 itself for a Hermitian
-    rho0.  Every sample is checked (``_check_samples``).  An occupied sector
-    above ``KRYLOV_CAP`` (Krylov) or ``linalg.DENSE_CAP`` (dense)
-    coordinates is refused (``DimensionLimitError``) before it is solved.
+    of B touch, and B is read at those positions alone (``restrict``), so
+    nothing of D^2 entries is formed.  The motion is real and B maps real
+    y to Hermitian matrices exactly, so every sample is Hermitian exactly;
+    rho0 enters as the Hermitian part of its kept entries, rho0 itself for
+    a Hermitian rho0.  Every sample is checked (``_check_samples``).  The
+    Krylov path takes an occupied sector of any size; on the dense path one
+    above ``linalg.DENSE_CAP`` coordinates is refused
+    (``DimensionLimitError``) before its block is formed.
 
     The kernel lies in the first sector, and so do the stated charges
     (``MasterEquation`` refuses them otherwise).  The Krylov path
@@ -424,8 +420,6 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
     v0 = (kept[_kept_at(rho0.support, at)] + kept[_kept_at(rho0.support, at % d * d + at // d)].conj()) / 2.0
     at, v0 = at[v0 != 0.0], v0[v0 != 0.0]  # the nonzeros of vec((m + m^H) / 2)
     krylov = sup.me.balance is not None
-    cap = KRYLOV_CAP if krylov else DENSE_CAP
-    limit = f"the cap {cap} of Krylov evolution" if krylov else f"the dense cap {cap} of spectral evolution"
     motions, dims = [], []
     for s in sup.sector_index().holding(at):
         lift, inverse = sup.maps(s)
@@ -433,13 +427,15 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
         first = s.start == 0
         if not (first or y0.any()):
             continue  # an empty sector stays empty
-        n = s.stop - s.start
-        if n > cap:
-            raise DimensionLimitError(f"sector {s} of dimension {n} exceeds {limit}")
         if krylov:
             dy, dim = _krylov_sector(sup, s, y0, t)
             dims.append(dim)
         else:
+            n = s.stop - s.start
+            if n > DENSE_CAP:
+                raise DimensionLimitError(
+                    f"sector {s} of dimension {n} exceeds the dense cap {DENSE_CAP} of spectral evolution"
+                )
             g, scale = sup.generator(s)
             w, v, kernel = _real_modes(g, 1 + len(sup.me.conserved) if first else 0)
             if first:
@@ -453,7 +449,7 @@ def evolve_spectral(sup: Superoperator, rho0: DensityMatrix, t_grid: np.ndarray)
             dy = _motion(w, v, y0, t)
             del w, v  # freed before the next sector's eigendecomposition
         rows = np.unique(lift.indices)  # the positions the sector touches
-        motions.append((rows, lift[rows] @ dy))
+        motions.append((rows, restrict(lift, rows) @ dy))
     support = np.union1d(at, np.concatenate([rows for rows, _ in motions]))
     entries = np.zeros((t.size, support.size), dtype=complex)
     entries[:, np.searchsorted(support, at)] = v0
@@ -471,7 +467,9 @@ def _krylov_sector(sup: Superoperator, s: slice, y0: np.ndarray, t: np.ndarray) 
     bordered LU of ``stated_kernel`` solves [[G_0, c^T], [c, 0]] [x; mu] =
     [r; 0] for such an r with mu = 0, so x = G_0^-1 r on the charge-free
     coordinates, which have n - q dimensions.  Any other sector holds no
-    kernel, and one sparse LU of its G_s gives G_s^-1 on all n of them."""
+    kernel, and one sparse LU of its G_s gives G_s^-1 on all n of them; a
+    G_s that is singular, exactly or to working precision, is refused as
+    ``stated_kernel`` refuses the bordered matrix (``_refuse_singular``)."""
     n = s.stop - s.start
     if s.start == 0:
         stated_kernel(sup)
@@ -481,13 +479,13 @@ def _krylov_sector(sup: Superoperator, s: slice, y0: np.ndarray, t: np.ndarray) 
             lambda r: lu.solve(np.concatenate([r, pad]))[:n], y0, t, n - pad.size, lambda r: r - k @ (c.T @ r)
         )
     g, _ = sup.generator(s)
-    try:
-        lu = spla.splu(g.tocsc())
-    except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        raise KernelAmbiguityError(
-            f"the generator of {sup.me.label or 'the model'} on sector {s} is singular: "
-            "it holds a kernel the model does not state"
-        ) from None
+    lu, norm, inverse_norm = _lu_norms(g.tocsc())
+    _refuse_singular(
+        norm,
+        inverse_norm,
+        f"the generator of {sup.me.label or 'the model'} on sector {s} is singular to working "
+        "precision: it holds a kernel the model does not state",
+    )
     return _krylov_motion(lu.solve, y0, t, n)
 
 

@@ -767,7 +767,7 @@ class HermitianSectors:
         # the entries of a coordinate: the second's high and low position, the first's
         keep = np.column_stack((x1 >= 0, x1 >= d, np.ones(n, dtype=bool), x0 >= d))
         ptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-        f_data, f_pos = np.empty(ptr[-1], dtype=complex), np.empty(ptr[-1], dtype=np.int32)
+        f_data, f_pos = np.empty(ptr[-1], dtype=complex), np.empty(ptr[-1], dtype=np.int64)
         phase = np.empty(ptr[-1], dtype=complex)
         high, second = np.array([True, False, True, False]), np.array([True, True, False, False])
         for lo in range(0, n, MAP_BLOCK):

@@ -216,9 +216,10 @@ class TestOutputs:
         assert (out / "gap-coherent.csv").exists()
         assert not (tmp_path / "ignored").exists()
 
-    def test_mi_incoherent_effective_only_above_cap(self, tmp_path):
+    def test_mi_incoherent_runs_exactly_at_n_th_201(self, tmp_path):
         # at n_th = 201 the auto cutoff is 1016: the first sector from |gg,0>
-        # has 7 * 1016 - 4 = 7108 coordinates, above the Krylov cap 7052
+        # has 7 * 1016 - 4 = 7108 coordinates, above DENSE_CAP, and is
+        # evolved by Krylov like any other
         cfg = write_config(
             tmp_path,
             {
@@ -232,18 +233,17 @@ class TestOutputs:
         ) == 0
         lines = (out / "mi-incoherent.csv").read_text().splitlines()
         cols = lines[2].removeprefix("# columns: ").split(",")
-        row = dict(zip(cols, lines[3].split(",")))
-        assert row["mi_exact"] == "nan"
-        assert row["cutoff"] == "effective-only"
-        assert float(row["mi_effective"]) >= 0.0
+        rows = [dict(zip(cols, line.split(","))) for line in lines[3:]]
+        assert len(rows) == 9 and all(row["cutoff"] == "1016" for row in rows)
+        assert all(np.isfinite(float(row["mi_exact"])) for row in rows)
+        assert float(rows[-1]["mi_exact"]) > 0.0 and float(rows[0]["mi_effective"]) >= 0.0
+        (curve,) = json.loads((out / "summary.json").read_text())["summary"]["curves"].values()
+        assert curve["evolution"] == "krylov-sector" and curve["dim"] == 7108
+        assert "exact_run" not in curve
 
-    @pytest.mark.parametrize("cap,exact", [(107, False), (108, True)])
-    def test_mi_incoherent_runs_exactly_while_its_sector_fits_the_dense_cap(
-        self, monkeypatch, cap, exact
-    ):
+    def test_mi_incoherent_runs_exactly_from_its_first_sector(self):
         # at n_th = 1 the auto cutoff is 16: the d = 0, exchange-even,
         # Theta = +1 sector from |gg,0> has 7 * 16 - 4 = 108 coordinates
-        monkeypatch.setattr(scenarios.dyn, "KRYLOV_CAP", cap)
         config = scenarios.ScenarioConfig(
             "mi-incoherent",
             params={"g0": [0.01], "n_th": [1.0]},
@@ -252,10 +252,9 @@ class TestOutputs:
         rows, summary = scenarios.run_mi_incoherent(config)
         (curve,) = summary["curves"].values()
         assert curve["dim"] == 108
-        assert curve["exact_run"] is exact
-        assert curve["evolution"] == ("krylov-sector" if exact else "effective-only")
-        assert rows[0]["cutoff"] == (16 if exact else "effective-only")
-        assert bool(np.isfinite(rows[-1]["mi_exact"])) is exact
+        assert curve["evolution"] == "krylov-sector"
+        assert rows[0]["cutoff"] == 16
+        assert np.isfinite(rows[-1]["mi_exact"])
 
     def test_mi_incoherent_at_n_th_1_runs_past_the_dense_range_and_converges(self, tmp_path):
         # the dense eigenbasis of the first sector was refused as

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -487,17 +488,43 @@ class TestKrylovEvolution:
         with pytest.raises(NumericalAccuracyError, match=f"within {largest} vectors"):
             dyn.evolve_spectral(sup, dyn.ground_state(space), dyn.time_grid(1.0e3, 20))
 
-    def test_a_sector_above_the_krylov_cap_is_refused_before_it_is_solved(self, monkeypatch):
-        space = make_space(8)
-        sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.1, n_th=10.0)))
-        monkeypatch.setattr(dyn, "KRYLOV_CAP", 7 * 8 - 5)
+    def test_a_sector_singular_to_working_precision_is_refused(self, monkeypatch, rng):
+        # a generic state occupies every sector; each but the first is
+        # evolved on one LU of its own block, which is refused as the
+        # bordered one is when its condition estimate is above
+        # BORDERED_COND_MAX (stated_kernel has solved the first sector
+        # already, under the default bound)
+        space = make_space(4)
+        sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.3, n_th=2.0)))
+        dyn.stated_kernel(sup)
+        second = sup.sectors()[1]
+        _, norm, inverse_norm = dyn._lu_norms(sup.generator(second)[0].tocsc())
+        monkeypatch.setattr(dyn, "BORDERED_COND_MAX", norm * inverse_norm / 2.0)
+        rho0 = random_density_matrix(space.dim, rng, space)
+        refusal = re.escape(f"on sector {second} is singular to working precision")
+        with pytest.raises(KernelAmbiguityError, match=refusal):
+            dyn.evolve_spectral(sup, rho0, np.array([0.0, 1.0]))
 
-        def unreachable(*args):
-            raise AssertionError("a sector above the Krylov cap was solved")
-
-        monkeypatch.setattr(dyn, "stated_kernel", unreachable)
-        with pytest.raises(DimensionLimitError, match="dimension 52 exceeds the cap 51 of Krylov evolution"):
-            dyn.evolve_spectral(sup, dyn.ground_state(space), np.array([0.0, 1.0]))
+    def test_a_trajectory_reads_no_object_of_d_squared_entries(self):
+        # n_th = 200 at cutoff 1008: D^2 = 16257024, and the first sector
+        # from |gg,0> has 7 * 1008 - 4 = 7052 coordinates.  The trajectory,
+        # after the kernel solve, peaks at about 51 MB, below one int32
+        # array of D^2 entries (65 MB); reading B by its rows of D^2 took
+        # 70 MB
+        n_th = 200.0
+        space = make_space(1008)
+        sup = models.Superoperator(models.build_full(space, ModelParams(g0=0.01, n_th=n_th)))
+        dyn.stated_kernel(sup)
+        rho0 = dyn.ground_state(space)
+        grid = dyn.time_grid(5.0 / (2.0 * n_th * 0.01**2), 60, t_min=1.0)
+        tracemalloc.start()
+        try:
+            traj = dyn.evolve_spectral(sup, rho0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.krylov_dim > 0
+        assert peak < space.dim**2 * 4
 
     def test_a_trajectory_on_a_sector_above_3000_coordinates(self):
         # n_th = 100 at cutoff 512: the first sector from |gg,0> has

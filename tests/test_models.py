@@ -759,6 +759,26 @@ def test_zero_sector_dim_of_the_lab_frame():
         assert first(space, atom_swap(space), atom_parity(space)) == 7 * cutoff - 4
 
 
+def test_map_positions_past_32_bits():
+    # at cutoff 11600, D^2 = 46400^2 = 2153 * 10^6 lies above 2^31 - 1: every
+    # entry of B on the first sector sits at a position in [0, D^2) that its
+    # coordinate lists (column c at the positions of row c of _coordinates'
+    # fourth array), none wrapped to a negative index
+    space = make_space(11600)
+    index = models.HermitianSectors(space.dim, excitation_number(space), atom_swap(space), atom_parity(space))
+    first = index.slices[0]
+    lift, _ = index.maps(first)
+    size = np.int64(space.dim) ** 2
+    assert size > np.iinfo(np.int32).max
+    assert lift.indices.min() >= 0 and lift.indices.max() < size
+    *_, positions, theta = index._coordinates(0, 1)
+    positions = positions[theta == 1]
+    assert positions.shape == (first.stop - first.start, 4)
+    columns = np.repeat(np.arange(lift.shape[1], dtype=np.int64), np.diff(lift.indptr))
+    want = np.unique(np.arange(positions.shape[0], dtype=np.int64)[:, None] * size + positions)
+    assert np.array_equal(np.unique(columns * size + lift.indices), want)
+
+
 @pytest.mark.parametrize("name,factory", BUILDERS, ids=[b[0] for b in BUILDERS])
 def test_zero_sector_dim_without_statements(name, factory):
     # with no symmetry stated the one sector is all of vec(rho)
